@@ -144,6 +144,7 @@ class Scene:
             func = tuple(_parse_rational(x, "u_hyperplane") for x in row)
             self.u_hyperplane = geo.canonical_covector(func)
 
+        self._collection = None
         self.raw = self._normalize(data)
         self.digest = hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()
@@ -168,11 +169,18 @@ class Scene:
         return out
 
     def collection(self):
-        if self.mode == "points":
-            pts = [geo.point_subspace(self.geometry, p) for p in self.points]
-            coll, generating = coll_mod.closure_by_points(self.geometry, pts)
-            return coll, generating
-        return coll_mod.closure_by_hyperplanes(self.geometry, self.hyperplanes), None
+        """(collection, generating), built on first use and shared by every
+        command run on this scene; callers must not mutate it."""
+        if self._collection is None:
+            if self.mode == "points":
+                pts = [geo.point_subspace(self.geometry, p) for p in self.points]
+                self._collection = coll_mod.closure_by_points(self.geometry, pts)
+            else:
+                self._collection = (
+                    coll_mod.closure_by_hyperplanes(self.geometry, self.hyperplanes),
+                    None,
+                )
+        return self._collection
 
 
 def load_scene(path):

@@ -10,7 +10,7 @@ Conventions:
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 F0 = Fraction(0)
@@ -47,24 +47,30 @@ def mat_mul(a, b):
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
+def _int_row(row):
+    """The rational row times the lcm of its denominators, divided by its
+    content: a list of coprime integers (all zero for a zero row)."""
+    ratios = [x.as_integer_ratio() for x in row]
+    den = lcm(*[d for _, d in ratios])
+    nums = [n * (den // d) for n, d in ratios] if den != 1 else [n for n, _ in ratios]
+    g = gcd(*nums)
+    return nums if g <= 1 else [v // g for v in nums]
+
+
 def primitive_int_row(row):
     """Scale a rational row by a positive rational to coprime integers."""
-    row = [frac(x) for x in row]
-    if all(x == 0 for x in row):
-        return tuple(0 for _ in row)
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints)
+    return tuple(_int_row(row))
 
 
 def rref(rows):
-    """Reduced row echelon form; zero rows removed; returns (rows, pivots)."""
-    mat = [list(map(frac, r)) for r in rows]
+    """Reduced row echelon form; zero rows removed; returns (rows, pivots).
+
+    Elimination is fraction-free: rows are scaled to integers and kept
+    primitive, and ``Fraction`` entries are built once, from the final
+    rows.  The RREF of a row space is unique, so the result is the same
+    as Gauss-Jordan over the rationals.
+    """
+    mat = [_int_row(r) for r in rows]
     if not mat:
         return (), ()
     ncols = len(mat[0])
@@ -79,18 +85,23 @@ def rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r]
+        pv = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                row = [pv * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = row if g <= 1 else [v // g for v in row]
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    out = tuple(tuple(row) for row in mat[:r])
-    return out, tuple(pivots)
+    out = []
+    for row, c in zip(mat, pivots):
+        pv = row[c]
+        out.append(tuple(Fraction(x, pv) if x else F0 for x in row))
+    return tuple(out), tuple(pivots)
 
 
 def rank(rows):
@@ -121,7 +132,7 @@ def nullspace(rows, ncols=None):
 def solve_unique(a_rows, b):
     """Solve A x = b when A is square nonsingular; None otherwise."""
     n = len(a_rows)
-    aug = [list(map(frac, r)) + [frac(bv)] for r, bv in zip(a_rows, b)]
+    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
     red, pivots = rref(aug)
     if len(red) != n or any(p >= n for p in pivots):
         return None
@@ -135,7 +146,7 @@ def solve_affine(rows, rhs):
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0])
-    aug = [list(map(frac, r)) + [frac(b)] for r, b in zip(rows, rhs)]
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if any(p == ncols for p in pivots):
         return None

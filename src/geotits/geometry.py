@@ -69,25 +69,37 @@ def minkowski_form(n):
 class LinearSubspace:
     """Linear subspace of Q^(ambient_dim) with canonical RREF basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_int_basis")
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
-        red, _ = exact.rref(vectors) if vectors else ((), ())
+        red, pivots = exact.rref(vectors) if vectors else ((), ())
         for row in red:
             if len(row) != ambient_dim:
                 raise ValueError("vector length mismatch")
         self.basis = red
+        self.pivots = pivots
+        self._int_basis = None
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains_vector(self, v):
-        if all(frac(x) == 0 for x in v):
-            return True
-        stacked = exact.rref(list(self.basis) + [tuple(map(frac, v))])[0]
-        return len(stacked) == self.dim
+        """Is v in the subspace?  Clears v at each pivot column with one
+        integer multiple of that basis row; v is in the subspace exactly
+        when nothing is left."""
+        if self._int_basis is None:
+            self._int_basis = tuple(
+                (primitive_int_row(row), c) for row, c in zip(self.basis, self.pivots)
+            )
+        w = primitive_int_row(v)
+        for row, c in self._int_basis:
+            f = w[c]
+            if f:
+                pv = row[c]
+                w = [pv * x - f * y for x, y in zip(w, row)]
+        return not any(w)
 
     def contains(self, other):
         if other.dim > self.dim:
@@ -153,7 +165,7 @@ class LinearSubspace:
 
 
 def subspace_from_vectors(ambient_dim, vectors):
-    return LinearSubspace(ambient_dim, [tuple(map(frac, v)) for v in vectors])
+    return LinearSubspace(ambient_dim, list(vectors))
 
 
 def full_space(ambient_dim):
@@ -185,6 +197,15 @@ class GeoSubspace:
             raise ValueError("carrier does not meet the geometry")
         self.geometry = geometry
         self.carrier = carrier
+
+    @classmethod
+    def _nonempty(cls, geometry, carrier):
+        """Build without the nonemptiness check, for a carrier known to
+        meet the geometry."""
+        self = object.__new__(cls)
+        self.geometry = geometry
+        self.carrier = carrier
+        return self
 
     @property
     def geo_dim(self):
@@ -636,7 +657,8 @@ def span_points(points):
         if p.geometry != g:
             raise ValueError("mixed geometries in span")
         vectors.extend(p.carrier.basis)
-    return GeoSubspace(g, subspace_from_vectors(g.ambient_dim, vectors))
+    # The span contains each input's carrier, which meets the geometry.
+    return GeoSubspace._nonempty(g, subspace_from_vectors(g.ambient_dim, vectors))
 
 
 def intersect_subspaces(a, b):

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -128,3 +130,41 @@ def test_scope_mismatches_exit_hypotheses(tmp_path):
     assert cli.main(["verify", "duality", scene_path("e2_triangle")]) == cli.EXIT_HYPOTHESES
     assert cli.main(["verify", "suspension", str(whole_sphere)]) == cli.EXIT_HYPOTHESES
     assert cli.main(["closure", str(whole_sphere)]) == cli.EXIT_PASS
+
+
+def _report_bytes(scene, command, sub):
+    checks, overall = run_command(command, sub, scene)
+    out = io.StringIO()
+    cli.emit(cli.make_report(scene, command, sub, checks, overall, 0), stream=out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name, commands", [
+    ("h2_triangle", [("verify", "local"), ("homology", "local")]),
+    ("e1_three_points", [("homology", "st"), ("verify", "solomon-tits")]),
+])
+def test_scene_collection_built_once(name, commands):
+    shared = load(name)
+    first = shared.collection()
+    for command, sub in commands:
+        assert _report_bytes(shared, command, sub) == _report_bytes(load(name), command, sub)
+        assert shared.collection()[0] is first[0]
+
+
+def test_reports_identical_across_hash_seeds():
+    runs = [
+        ["verify", "solomon-tits", scene_path("h2_triangle")],
+        ["homology", "st", scene_path("e2_four_lines")],
+    ]
+    for argv in runs:
+        outputs = set()
+        for hash_seed in ("0", "1", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "geotits.cli", *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                timeout=60,
+            )
+            assert proc.returncode == cli.EXIT_PASS
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1

@@ -4,7 +4,100 @@ from fractions import Fraction as Fr
 from hypothesis import given, settings, strategies as st
 
 from geotits import exact
+from geotits import geometry as geo
 from geotits.exact import dot
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan over Fraction, kept as the oracle for ``exact.rref``."""
+    mat = [list(map(Fr, r)) for r in rows]
+    if not mat:
+        return (), ()
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Wide, square and tall rational matrices with zero, repeated and
+    rescaled rows mixed in."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(
+        st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=1, max_size=7
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        src = draw(st.sampled_from(rows))
+        scale = draw(st.sampled_from([0, 1, -3, Fr(1, 2), Fr(-7, 5)]))
+        rows.insert(draw(st.integers(0, len(rows))), [scale * x for x in src])
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(rows):
+    got = exact.rref(rows)
+    assert got == _reference_rref(rows)
+    assert all(type(x) is Fr for row in got[0] for x in row)
+
+
+@st.composite
+def subspace_and_vectors(draw):
+    """A subspace with two probe vectors: free, zero or in its span."""
+    rows = draw(matrices())
+    ncols = len(rows[0])
+    probes = st.one_of(
+        st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+        st.just([0] * ncols),
+        st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)).map(
+            lambda cs: [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(ncols)]
+        ),
+    )
+    return rows, [draw(probes), draw(probes)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(subspace_and_vectors())
+def test_contains_vector_matches_reference(case):
+    rows, probes = case
+    sub = geo.LinearSubspace(len(rows[0]), rows)
+    for v in probes:  # the second probe runs on the cached integer basis
+        in_span = len(_reference_rref(list(sub.basis) + [v])[0]) == sub.dim
+        assert sub.contains_vector(v) == in_span
+
+
+def test_contains_vector_full_and_zero_space():
+    full = geo.full_space(3)
+    zero = geo.LinearSubspace(3)
+    for v in [(0, 0, 0), (Fr(1, 3), -2, 0), (5, Fr(-7, 2), Fr(1, 9))]:
+        assert full.contains_vector(v)
+        assert zero.contains_vector(v) == (not any(v))
 
 
 def test_rref_identity():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from geotits import geometry as geo
 from geotits.exact import dot
-from conftest import E2, H2, S1, S2
+from conftest import E2, H2, H3, S1, S2
 
 
 def test_geo_nonempty_examples():
@@ -28,6 +28,35 @@ def test_span_points():
     b = geo.GeoSubspace(S2, geo.subspace_from_vectors(3, [(0, 1, 0)]))
     circle = geo.span_points([a, b])
     assert circle.geo_dim == 1
+
+
+def _random_point(rng, g):
+    if g.kind == "S":
+        while True:
+            v = tuple(rng.randint(-3, 3) for _ in range(g.n + 1))
+            if any(v):
+                return geo.point_subspace(g, v)
+    if g.kind == "H":
+        return geo.point_subspace(g, tuple(Fr(rng.randint(-40, 40), 81) for _ in range(g.n)))
+    return geo.point_subspace(g, tuple(Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(g.n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_span_points_meets_geometry(seed):
+    """span_points skips the nonemptiness check; its spans still meet the
+    geometry and equal the spans built by the checked constructor."""
+    rng = random.Random(seed)
+    g = rng.choice([E2, H2, H3, S2])
+    members = [_random_point(rng, g) for _ in range(rng.randint(1, 4))]
+    members.append(rng.choice(members))
+    for _ in range(4):
+        parts = rng.sample(members, rng.randint(1, min(3, len(members))))
+        span = geo.span_points(parts)
+        assert geo.geo_nonempty(span.carrier, g)
+        vectors = [v for p in parts for v in p.carrier.basis]
+        assert span == geo.GeoSubspace(g, geo.subspace_from_vectors(g.ambient_dim, vectors))
+        members.append(span)
 
 
 def test_intersect_subspaces():
