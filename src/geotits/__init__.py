@@ -4,4 +4,6 @@ geometry."""
 
 __version__ = "0.1.0"
 
-from geotits._kernel import BACKEND as kernel_backend  # noqa: F401
+# There is one integer kernel, in pure Python; the name stays for
+# tools that record which kernel produced a result.
+kernel_backend = "python"

@@ -1,32 +1,17 @@
-"""Exact integer linear algebra backend.
+"""Exact integer linear algebra.
 
 Smith normal form with optional transformation certificates, integer
 linear solving, kernel lattices and sublattice comparison.  The
-elimination inner loop is provided either by the compiled extension
-``_elim`` (built by setup.py when Cython and a C compiler are present)
-or by the pure-Python reference ``elim_py``; both implement the same
-contract and the choice is made once at import time.
+elimination itself is :func:`geotits._kernel.elim_py.eliminate`; the
+certificates are kept in the sparse form it returns.
 """
 
-from fractions import Fraction
-
-try:  # pragma: no cover - depends on build environment
-    from geotits._kernel._elim import eliminate as _eliminate
-
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    from geotits._kernel.elim_py import eliminate as _eliminate
-
-    BACKEND = "python"
-
-from geotits._kernel.elim_py import eliminate as eliminate_python
+from geotits._kernel.elim_py import eliminate
 
 __all__ = [
-    "BACKEND",
     "IntMatrix",
     "SnfResult",
     "smith_normal_form",
-    "integer_rank",
     "kernel_basis",
     "solve_int",
     "lattice_contains",
@@ -58,13 +43,6 @@ class IntMatrix:
                 if v:
                     m.entries[(i, j)] = int(v)
         return m
-
-    def column(self, j):
-        out = [0] * self.rows
-        for (i, jj), v in self.entries.items():
-            if jj == j:
-                out[i] = v
-        return out
 
     def columns(self):
         cols = [[0] * self.rows for _ in range(self.cols)]
@@ -125,95 +103,81 @@ class IntMatrix:
 class SnfResult:
     """Invariant factors d1 | d2 | ... | dr plus optional certificates.
 
-    When transforms are requested, ``u_rows`` (rows of U, m x m) and
-    ``v_rows`` (rows of V, n x n) are dense row-major lists with
-    U @ M @ V = diag(invariant_factors) up to the recorded pivot
-    positions having been permuted to the leading diagonal.
+    ``pivot_rows[k]`` and ``pivot_cols[k]`` locate ``invariant_factors[k]``.
+    When transforms are requested, ``urows`` (the m rows of U) and
+    ``vcols`` (the n columns of V) are sparse dicts from index to nonzero
+    int, and U @ M @ V is zero except for ``invariant_factors[k]`` at
+    ``(pivot_rows[k], pivot_cols[k])``.
     """
 
-    __slots__ = ("invariant_factors", "rank", "shape", "u_rows", "v_rows")
+    __slots__ = ("invariant_factors", "rank", "shape", "pivot_rows", "pivot_cols", "urows", "vcols")
 
-    def __init__(self, invariant_factors, shape, u_rows=None, v_rows=None):
+    def __init__(self, invariant_factors, shape, pivot_rows, pivot_cols, urows=None, vcols=None):
         self.invariant_factors = tuple(invariant_factors)
         self.rank = len(self.invariant_factors)
         self.shape = shape
-        self.u_rows = u_rows
-        self.v_rows = v_rows
+        self.pivot_rows = tuple(pivot_rows)
+        self.pivot_cols = tuple(pivot_cols)
+        self.urows = urows
+        self.vcols = vcols
 
     @property
     def torsion(self):
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def _run(matrix, want_transforms, backend=None):
-    rows = matrix.row_dicts()
-    fn = _eliminate if backend is None else backend
-    pivots, prow, pcol, urows, vcols = fn(rows, matrix.rows, matrix.cols, want_transforms)
-    return pivots, prow, pcol, urows, vcols
+def smith_normal_form(matrix, want_transforms=False):
+    """SNF of an IntMatrix; deterministic for a fixed input.
 
-
-def smith_normal_form(matrix, want_transforms=False, backend=None):
-    """SNF of an IntMatrix; deterministic for a fixed input."""
+    ``eliminate`` records its pivots in divisibility order, so they are
+    the invariant factors as they stand.
+    """
     m, n = matrix.rows, matrix.cols
-    pivots, prow, pcol, urows, vcols = _run(matrix, want_transforms, backend)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    factors = [pivots[k] for k in order]
-    if not want_transforms:
-        return SnfResult(factors, (m, n))
-    # Permute so pivot k sits at position (k, k): rows prow[order],
-    # then the rest; same for columns.
-    row_perm = [prow[k] for k in order] + sorted(set(range(m)) - set(prow))
-    col_perm = [pcol[k] for k in order] + sorted(set(range(n)) - set(pcol))
-    u_dense = [[urows[i].get(j, 0) for j in range(m)] for i in row_perm]
-    v_dense = [[vcols[col_perm[j]].get(i, 0) for j in range(n)] for i in range(n)]
-    return SnfResult(factors, (m, n), u_rows=u_dense, v_rows=v_dense)
-
-
-def integer_rank(matrix):
-    return smith_normal_form(matrix).rank
+    pivots, prow, pcol, urows, vcols = eliminate(matrix.row_dicts(), m, n, want_transforms)
+    return SnfResult(pivots, (m, n), prow, pcol, urows, vcols)
 
 
 def kernel_basis(matrix):
-    """Basis of the lattice {x in Z^n : M x = 0}, as a list of columns."""
+    """Basis of the lattice {x in Z^n : M x = 0}, as a list of columns:
+    the columns of V at the non-pivot columns, in index order."""
     snf = smith_normal_form(matrix, want_transforms=True)
-    r = snf.rank
     n = matrix.cols
-    return [[snf.v_rows[i][j] for i in range(n)] for j in range(r, n)]
+    pivots = set(snf.pivot_cols)
+    basis = []
+    for j in range(n):
+        if j not in pivots:
+            col = [0] * n
+            for i, v in snf.vcols[j].items():
+                col[i] = v
+            basis.append(col)
+    return basis
 
 
 def solve_int(matrix, b, snf=None):
-    """One integer solution x of M x = b, or None."""
+    """One integer solution x of M x = b, or None.
+
+    With y = U b, M x = b is solvable exactly when y vanishes at the
+    non-pivot rows and d_k divides y at pivot row k; then x is the sum
+    of the pivot columns of V weighted by y / d_k.
+    """
     if snf is None:
         snf = smith_normal_form(matrix, want_transforms=True)
-    m, n = snf.shape
-    y = [sum(snf.u_rows[i][j] * b[j] for j in range(m) if b[j]) for i in range(m)]
-    z = [0] * n
-    for i in range(m):
-        if i < snf.rank:
-            d = snf.invariant_factors[i]
-            if y[i] % d:
-                return None
-            if i < n:
-                z[i] = y[i] // d
-        elif y[i]:
+    y = [sum(v * b[j] for j, v in row.items()) for row in snf.urows]
+    quotients = []
+    for d, i in zip(snf.invariant_factors, snf.pivot_rows):
+        q, rem = divmod(y[i], d)
+        if rem:
             return None
-    return [sum(snf.v_rows[i][j] * z[j] for j in range(n) if z[j]) for i in range(n)]
-
-
-def solve_rational(matrix, b, snf=None):
-    """One rational solution x of M x = b, or None."""
-    if snf is None:
-        snf = smith_normal_form(matrix, want_transforms=True)
-    m, n = snf.shape
-    y = [sum(snf.u_rows[i][j] * b[j] for j in range(m) if b[j]) for i in range(m)]
-    z = [Fraction(0)] * n
-    for i in range(m):
-        if i < snf.rank:
-            if i < n:
-                z[i] = Fraction(y[i], snf.invariant_factors[i])
-        elif y[i]:
-            return None
-    return [sum((snf.v_rows[i][j] * z[j] for j in range(n) if z[j]), Fraction(0)) for i in range(n)]
+        quotients.append(q)
+        y[i] = 0
+    if any(y):
+        return None
+    x = [0] * snf.shape[1]
+    for q, j in zip(quotients, snf.pivot_cols):
+        if q:
+            for i, v in snf.vcols[j].items():
+                x[i] += v * q
+    return x
 
 
 def lattice_contains(matrix, vectors, snf=None):

@@ -1,4 +1,4 @@
-"""Sparse integer elimination core (pure Python reference).
+"""Sparse integer elimination core.
 
 Reduces an integer matrix to Smith diagonal form by unimodular row and
 column operations.  Strategy: exhaust +-1 pivots first with a Markowitz
@@ -7,8 +7,8 @@ unimodular-pivotable), then fall back to classic smallest-entry pivoting
 with in-loop divisibility enforcement, so the recorded pivots already
 satisfy d1 | d2 | ... .
 
-The compiled twin in ``_elim.pyx`` implements the same contract; callers
-go through :mod:`geotits._kernel` which picks one at import time.
+Callers go through :func:`geotits._kernel.smith_normal_form`, which
+keeps the sparse certificates returned here.
 """
 
 

@@ -155,8 +155,7 @@ class HomologyClasses:
         self._ksnf = smith_normal_form(self._kmat, want_transforms=True)
         bnext = complex_.boundary(degree + 1)
         img_cols = []
-        for j in range(bnext.cols):
-            col = bnext.column(j)
+        for col in bnext.columns():
             coords = solve_int(self._kmat, col, snf=self._ksnf)
             if coords is None:  # pragma: no cover - boundaries are cycles
                 raise AssertionError("boundary not in kernel lattice")
@@ -165,19 +164,21 @@ class HomologyClasses:
         self._rsnf = smith_normal_form(self._rel, want_transforms=True)
         self.betti = k - self._rsnf.rank
         self.torsion = self._rsnf.torsion
+        pivot_rows = set(self._rsnf.pivot_rows)
+        self._free_rows = [i for i in range(k) if i not in pivot_rows]
 
     def coords(self, cycle):
         """(free coords, torsion coords) of a cycle's homology class."""
         a = solve_int(self._kmat, list(cycle), snf=self._ksnf)
         if a is None:
             raise ValueError("not a cycle (or not in the kernel lattice)")
-        k = len(self.kernel)
-        u = self._rsnf.u_rows
-        w = [sum(u[i][j] * a[j] for j in range(k) if a[j]) for i in range(k)]
-        r = self._rsnf.rank
-        free = tuple(w[r:])
+        # w = U a: free coordinates sit at the non-pivot rows of the
+        # relation SNF, torsion coordinates at its pivot rows.
+        rsnf = self._rsnf
+        w = [sum(v * a[j] for j, v in row.items()) for row in rsnf.urows]
+        free = tuple(w[i] for i in self._free_rows)
         torsion = tuple(
-            w[i] % d for i, d in enumerate(self._rsnf.invariant_factors) if d > 1
+            w[i] % d for d, i in zip(rsnf.invariant_factors, rsnf.pivot_rows) if d > 1
         )
         return free, torsion
 

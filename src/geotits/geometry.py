@@ -73,10 +73,10 @@ class LinearSubspace:
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
-        red, pivots = exact.rref(vectors) if vectors else ((), ())
-        for row in red:
-            if len(row) != ambient_dim:
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
+        red, pivots = exact.rref(vectors) if vectors else ((), ())
         self.basis = red
         self.pivots = pivots
         self._int_basis = None
@@ -89,6 +89,8 @@ class LinearSubspace:
         """Is v in the subspace?  Clears v at each pivot column with one
         integer multiple of that basis row; v is in the subspace exactly
         when nothing is left."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
         if self._int_basis is None:
             self._int_basis = tuple(
                 (primitive_int_row(row), c) for row, c in zip(self.basis, self.pivots)

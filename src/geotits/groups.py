@@ -80,13 +80,9 @@ class GroupHom:
     def _check_well_defined(self):
         rel_cols = self.codomain.relation_lattice_matrix()
         rel_snf = smith_normal_form(rel_cols, want_transforms=True)
-        rows = self.domain.relations
-        for i in range(rows.rows):
-            rel = [0] * rows.cols
-            for (ri, j), v in rows.entries.items():
-                if ri == i:
-                    rel[j] = v
-            image = self.matrix.mul_vec(rel)
+        width = self.domain.relations.cols
+        for row in self.domain.relations.row_dicts():
+            image = self.matrix.mul_vec([row.get(j, 0) for j in range(width)])
             if any(image):
                 if solve_int(rel_cols, image, snf=rel_snf) is None:
                     return False
@@ -117,14 +113,8 @@ class GroupHom:
 
     def is_injective(self):
         pre = self.kernel_lattice()
-        dom_cols = []
         rel = self.domain.relations
-        for i in range(rel.rows):
-            col = [0] * rel.cols
-            for (ri, j), v in rel.entries.items():
-                if ri == i:
-                    col[j] = v
-            dom_cols.append(col)
+        dom_cols = [[row.get(j, 0) for j in range(rel.cols)] for row in rel.row_dicts()]
         return lattices_equal(pre, dom_cols, len(self.domain.generators))
 
     def is_isomorphism(self):
@@ -938,7 +928,7 @@ def exact_sequence_check(coll, u_covector, window=None, deep=True):
     surjective = fac_snf.rank == len(u_cells) and all(d == 1 for d in fac_snf.invariant_factors)
     composite_zero = fac.compose(inc).is_zero()
     kernel_cols = kernel_basis(fac)
-    image_cols = [inc.column(j) for j in range(inc.cols)]
+    image_cols = inc.columns()
     kernel_eq = lattices_equal(kernel_cols, image_cols, len(cup_basis))
     rank_additive = len(cup_basis) == len(basis) + len(u_cells)
 

@@ -59,6 +59,18 @@ def test_span_points_meets_geometry(seed):
         members.append(span)
 
 
+def test_vector_length_mismatch():
+    line = geo.LinearSubspace(2, [(1, 0)])
+    for bad in (
+        lambda: geo.LinearSubspace(2, [(1, 1), (1, 0, 5)]),
+        lambda: geo.LinearSubspace(2, [(0, 0, 0)]),
+        lambda: line.contains_vector((1, 0, 5)),
+        lambda: line.contains_vector((1,)),
+    ):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            bad()
+
+
 def test_intersect_subspaces():
     l1 = geo.hyperplane_subspace(E2, (0, 0, 1))
     l2 = geo.hyperplane_subspace(E2, (0, 1, 0))

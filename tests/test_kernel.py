@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from geotits._kernel import (
     IntMatrix,
-    eliminate_python,
     kernel_basis,
     lattice_contains,
     lattices_equal,
     smith_normal_form,
     solve_int,
 )
+from geotits._kernel.elim_py import eliminate
+from geotits.complexes import ChainComplex, HomologyClasses
 
 
 def dense(m):
@@ -66,11 +67,14 @@ def test_transform_certificates_random():
             },
         )
         snf = smith_normal_form(m, want_transforms=True)
-        d = matmul(matmul(snf.u_rows, dense(m)), snf.v_rows)
+        u = [[snf.urows[i].get(j, 0) for j in range(rows)] for i in range(rows)]
+        v = [[snf.vcols[j].get(i, 0) for j in range(cols)] for i in range(cols)]
+        d = matmul(matmul(u, dense(m)), v)
+        want = dict(zip(zip(snf.pivot_rows, snf.pivot_cols), snf.invariant_factors))
+        assert len(set(snf.pivot_rows)) == len(set(snf.pivot_cols)) == len(want) == snf.rank
         for i in range(rows):
             for j in range(cols):
-                want = snf.invariant_factors[i] if i == j and i < snf.rank else 0
-                assert d[i][j] == want
+                assert d[i][j] == want.get((i, j), 0)
         for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
             assert b % a == 0
 
@@ -147,24 +151,121 @@ def test_lattice_equality():
     assert lattice_contains(IntMatrix.from_columns(2, a), [[2, 3]])
 
 
-def test_backends_agree():
-    try:
-        from geotits._kernel._elim import eliminate as eliminate_c
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(5)
-    for _ in range(80):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        m = IntMatrix(
-            rows,
-            cols,
-            {
-                (i, j): rng.randint(-9, 9)
-                for i in range(rows)
-                for j in range(cols)
-                if rng.random() < 0.6
-            },
-        )
-        a = smith_normal_form(m, backend=eliminate_c)
-        b = smith_normal_form(m, backend=eliminate_python)
-        assert a.invariant_factors == b.invariant_factors
+# ---------------------------------------------------------------------------
+# Dense reference for the sparse certificates: U and V as dense matrices,
+# rows of U and columns of V permuted so that pivot k sits at (k, k), and
+# solving, kernel and homology coordinates read off that diagonal form.
+
+
+def _dense_snf(m):
+    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, True)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    row_perm = [prow[k] for k in order] + sorted(set(range(m.rows)) - set(prow))
+    col_perm = [pcol[k] for k in order] + sorted(set(range(m.cols)) - set(pcol))
+    u = [[urows[i].get(j, 0) for j in range(m.rows)] for i in row_perm]
+    v = [[vcols[col_perm[j]].get(i, 0) for j in range(m.cols)] for i in range(m.cols)]
+    return [pivots[k] for k in order], u, v
+
+
+def _ref_kernel_basis(m):
+    factors, _, v = _dense_snf(m)
+    n = m.cols
+    return [[v[i][j] for i in range(n)] for j in range(len(factors), n)]
+
+
+def _ref_solve(m, b):
+    factors, u, v = _dense_snf(m)
+    rows, n = m.rows, m.cols
+    y = [sum(u[i][j] * b[j] for j in range(rows) if b[j]) for i in range(rows)]
+    z = [0] * n
+    for i in range(rows):
+        if i < len(factors):
+            if y[i] % factors[i]:
+                return None
+            z[i] = y[i] // factors[i]
+        elif y[i]:
+            return None
+    return [sum(v[i][j] * z[j] for j in range(n) if z[j]) for i in range(n)]
+
+
+def _ref_coords(complex_, degree, cycle):
+    kernel = _ref_kernel_basis(complex_.boundary(degree))
+    k = len(kernel)
+    kmat = IntMatrix.from_columns(complex_.dim(degree), kernel)
+    rel = IntMatrix.from_columns(
+        k, [_ref_solve(kmat, col) for col in complex_.boundary(degree + 1).columns()]
+    )
+    a = _ref_solve(kmat, list(cycle))
+    if a is None:
+        return None
+    factors, u, _ = _dense_snf(rel)
+    w = [sum(u[i][j] * a[j] for j in range(k) if a[j]) for i in range(k)]
+    return tuple(w[len(factors):]), tuple(w[i] % d for i, d in enumerate(factors) if d > 1)
+
+
+def _random_matrix(rng, rows, cols, bound=5):
+    # a common factor on every entry forces torsion into the invariant factors
+    scale = rng.choice((1, 1, 2, 3, 6))
+    return IntMatrix(
+        rows,
+        cols,
+        {
+            (i, j): scale * rng.randint(-bound, bound)
+            for i in range(rows)
+            for j in range(cols)
+            if rng.random() < 0.7
+        },
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sparse_certificates_match_dense_reference(seed):
+    rng = random.Random(seed)
+    m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+    factors, _, _ = _dense_snf(m)
+    assert list(smith_normal_form(m).invariant_factors) == factors
+    assert kernel_basis(m) == _ref_kernel_basis(m)
+    solvable = m.mul_vec([rng.randint(-4, 4) for _ in range(m.cols)])
+    arbitrary = [rng.randint(-6, 6) for _ in range(m.rows)]
+    for b in (solvable, arbitrary, [0] * m.rows):
+        x = solve_int(m, b)
+        assert x == _ref_solve(m, b)
+        if x is not None:
+            assert m.mul_vec(x) == b
+    assert solve_int(m, solvable) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_homology_coords_match_dense_reference(seed):
+    """H_1 of 0 <- C_0 <- C_1 <- C_2 with d_2 = K R for a kernel basis K of
+    d_1 and a random R, so H_1 = Z^k / R Z^p carries R's torsion."""
+    rng = random.Random(seed)
+    n0, n1, n2 = rng.randint(1, 3), rng.randint(1, 6), rng.randint(0, 5)
+    d1 = _random_matrix(rng, n0, n1, bound=3)
+    kernel = _ref_kernel_basis(d1)
+    r = _random_matrix(rng, len(kernel), n2, bound=3)
+    d2 = IntMatrix.from_columns(
+        n1,
+        [
+            [sum(kernel[t][i] * col[t] for t in range(len(kernel))) for i in range(n1)]
+            for col in r.columns()
+        ],
+    )
+    cx = ChainComplex({0: range(n0), 1: range(n1), 2: range(n2)}, {1: d1, 2: d2})
+    classes = HomologyClasses(cx, 1)
+    factors, _, _ = _dense_snf(r)
+    assert classes.betti == len(kernel) - len(factors)
+    assert classes.torsion == tuple(d for d in factors if d > 1)
+    for _ in range(4):
+        a = [rng.randint(-4, 4) for _ in kernel]
+        cycle = [sum(kernel[t][i] * a[t] for t in range(len(kernel))) for i in range(n1)]
+        assert classes.coords(cycle) == _ref_coords(cx, 1, cycle)
+    chain = [rng.randint(-3, 3) for _ in range(n1)]
+    want = _ref_coords(cx, 1, chain)
+    if want is None:
+        with pytest.raises(ValueError):
+            classes.coords(chain)
+    else:
+        assert classes.coords(chain) == want
