@@ -7,7 +7,6 @@ sphere the two antipodes of a 0-flat are distinct cells with opposite
 sign vectors.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from geotits import exact, geometry as geo
@@ -39,15 +38,22 @@ def sign_key(sign_vector):
 
 
 class FacePoset:
-    """All cells of the arrangement, ordered by closure."""
+    """All cells of the arrangement, ordered by closure.
 
-    __slots__ = ("geometry", "covectors", "cells", "within")
+    Incidence is read off sign vectors (covectors, as in Björner et al.,
+    *Oriented Matroids*, 1993).  A closed set cut out by arrangement
+    hyperplanes has signs on some of them, given as (index, sign) pairs;
+    a cell lies in the set exactly when its sign at each is 0 or that sign.
+    """
+
+    __slots__ = ("geometry", "covectors", "cells", "within", "_flat_signs")
 
     def __init__(self, geometry, covectors, cells, within=None):
         self.geometry = geometry
         self.covectors = covectors
         self.cells = cells  # dict sign_vector -> Cell
         self.within = within
+        self._flat_signs = {}  # carrier -> flat_signs(carrier)
 
     def by_dim(self, d):
         return [c for s, c in sorted(self.cells.items()) if c.dim == d]
@@ -66,6 +72,45 @@ class FacePoset:
     def regions(self):
         n = self.geometry.n
         return [c for s, c in sorted(self.cells.items()) if c.dim == n]
+
+    def flat_signs(self, carrier):
+        """Signs of a flat of the collection: 0 on each hyperplane that
+        vanishes on its carrier.  These hyperplanes cut the flat out
+        (asserted once per carrier)."""
+        signs = self._flat_signs.get(carrier)
+        if signs is None:
+            zeros = [
+                i for i, cov in enumerate(self.covectors)
+                if all(dot(cov, b) == 0 for b in carrier.basis)
+            ]
+            if exact.rank([self.covectors[i] for i in zeros]) + carrier.dim != carrier.ambient_dim:
+                raise AssertionError("flat is not the intersection of the hyperplanes containing it")
+            signs = self._flat_signs[carrier] = tuple((i, 0) for i in zeros)
+        return signs
+
+    def polytope_signs(self, polytope, face=None):
+        """Signs of a closed L-polytope, or of one of its faces: the side
+        of each facet half-space, and 0 on the facets containing the face.
+        ValueError names a facet hyperplane outside the arrangement."""
+        on_face = {polytope.halfspaces[k] for k in face.active} if face is not None else ()
+        signs = []
+        for h in polytope.facet_halfspaces():
+            hyp = h.hyperplane
+            if hyp not in self.covectors:
+                raise ValueError(
+                    f"not an L-polytope: facet hyperplane {list(hyp)} is not in the arrangement"
+                )
+            side = 0 if h in on_face else 1 if h.functional == hyp else -1
+            signs.append((self.covectors.index(hyp), side))
+        return tuple(signs)
+
+    def cells_in(self, signs):
+        """Sign vectors of the cells lying in the closed set with these signs."""
+        return frozenset(s for s in self.cells if self._agrees(s, signs))
+
+    @staticmethod
+    def _agrees(sign_vector, signs):
+        return all(sign_vector[i] == 0 or sign_vector[i] == s for i, s in signs)
 
 
 def _cell_rows(geometry, covectors, sign_vector, extra_nonstrict=()):
@@ -253,33 +298,11 @@ def region_halfspaces(poset, sign_vector):
 
 def region_is_bounded(poset, cell):
     """Boundedness of a cell's closure (works in any cell dimension)."""
-    g = poset.geometry
-    if g.kind == geo.SPHERICAL:
-        return True
-    nv = g.chart_dim
-    rows = [h.chart_row(g)[:nv] + (F0,) for h in region_halfspaces(poset, cell.sign_vector)]
-    flat_eqs = [
-        geo.functional_chart_row(g, cov)[:nv] + (F0,)
-        for s, cov in zip(cell.sign_vector, poset.covectors)
-        if s == 0
-    ]
-    for i in range(nv):
-        for s in (1, -1):
-            eq = [F0] * (nv + 1)
-            eq[i] = Fraction(s)
-            eq[nv] = Fraction(-1)
-            if exact.feasible((), rows, flat_eqs + [tuple(eq)], nv) is not None:
-                return False
-    if g.kind == geo.HYPERBOLIC:
-        hs = list(region_halfspaces(poset, cell.sign_vector))
-        for s, cov in zip(cell.sign_vector, poset.covectors):
-            if s == 0:  # flat equations as opposite half-space pairs
-                hs.append(geo.HalfSpace(cov))
-                hs.append(geo.HalfSpace(cov, sense=-1))
-        for v in geo._vertex_candidates(tuple(hs), g):
-            if sum((frac(x) * frac(x) for x in v), F0) >= 1:
-                return False
-    return True
+    halfspaces = list(region_halfspaces(poset, cell.sign_vector))
+    for s, cov in zip(cell.sign_vector, poset.covectors):
+        if s == 0:  # flat equations as opposite half-space pairs
+            halfspaces += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
+    return geo.is_bounded(halfspaces, poset.geometry)
 
 
 def region_basis(poset, bounded_only=None):
@@ -308,20 +331,13 @@ def region_polytope(poset, sign_vector):
 
 
 def cell_in_polytope(poset, cell, polytope):
-    """Closed-polytope membership of the cell (tested at its witness)."""
-    if poset.geometry.kind == geo.SPHERICAL:
-        return all(dot(h.functional, cell.witness) >= 0 for h in polytope.halfspaces)
-    return polytope.contains_chart_point(cell.witness)
+    """Closed-polytope membership of the cell, read off its signs."""
+    return FacePoset._agrees(cell.sign_vector, poset.polytope_signs(polytope))
 
 
 def cells_in_polytope(poset, polytope, dims=None):
-    out = []
-    for signs, cell in sorted(poset.cells.items()):
-        if dims is not None and cell.dim not in dims:
-            continue
-        if cell_in_polytope(poset, cell, polytope):
-            out.append(signs)
-    return out
+    inside = poset.cells_in(poset.polytope_signs(polytope))
+    return sorted(s for s in inside if dims is None or poset.cells[s].dim in dims)
 
 
 def polytope_to_vector(polytope, basis, poset):
@@ -333,13 +349,11 @@ def polytope_to_vector(polytope, basis, poset):
     pieces = polytope.pieces if isinstance(polytope, geo.Polytope) else (polytope,)
     vec = [0] * len(basis)
     index = {s: i for i, s in enumerate(basis)}
-    known = set(poset.covectors)
-    g = poset.geometry
     for piece in pieces:
-        for hyp in piece.facet_hyperplanes():
-            if hyp not in known:
-                return NOT_L_POLYTOPE
-        covered = cells_in_polytope(poset, piece, dims={g.n})
+        try:
+            covered = cells_in_polytope(poset, piece, dims={poset.geometry.n})
+        except ValueError:  # a facet hyperplane outside the collection
+            return NOT_L_POLYTOPE
         for signs in covered:
             if signs in index:
                 vec[index[signs]] += 1
@@ -403,11 +417,7 @@ def facet_map(q, u_covector, poset_u=None, basis_u=None):
         return ZERO  # contact has dimension < n-1
     if basis_u is None:
         return (side, None)
-    vec = [0] * len(basis_u)
-    for i, signs in enumerate(basis_u):
-        if cell_in_polytope(poset_u, poset_u.cells[signs], q):
-            vec[i] = 1
-    return (side, tuple(vec))
+    return (side, tuple(int(cell_in_polytope(poset_u, poset_u.cells[s], q)) for s in basis_u))
 
 
 def facet_wall(poset, facet_sign):

@@ -362,16 +362,11 @@ class SphereTriangulation:
     def top_cell(self, label):
         return self.poset.cells[self.cell_order[label[-1]]]
 
-    def label_in_carrier(self, label, carrier):
-        """Is the simplex contained in S(carrier)?"""
-        return carrier.contains(self.top_cell(label).flat)
-
     def labels_in_carrier(self, carrier, m):
-        return [
-            lab
-            for lab in self.simplices.get(m, ())
-            if self.label_in_carrier(lab, carrier)
-        ]
+        """The m-simplices of S(carrier): those whose top cell lies in the
+        flat, that is, vanishes on every hyperplane containing it."""
+        inside = self.poset.cells_in(self.poset.flat_signs(carrier))
+        return [lab for lab in self.simplices.get(m, ()) if self.cell_order[lab[-1]] in inside]
 
 
 def sphere_triangulation(coll, poset=None):

@@ -134,17 +134,11 @@ class LinearSubspace:
         return LinearSubspace(self.ambient_dim, exact.nullspace(self.basis))
 
     def coordinates_of(self, v):
-        """Coefficients of v in the canonical basis, or None."""
-        if not self.basis:
-            return None if any(frac(x) != 0 for x in v) else ()
-        cols = list(zip(*self.basis))
-        sol = exact.solve_affine(cols, [frac(x) for x in v])
-        if sol is None:
+        """Coefficients of v in the canonical basis, or None.  The RREF
+        basis is the identity at its pivots, so they are v's entries there."""
+        if not self.contains_vector(v):
             return None
-        x0, hom = sol
-        if hom:  # basis rows independent: cannot happen
-            raise AssertionError("non-unique coordinates in a basis")
-        return x0
+        return tuple(v[c] for c in self.pivots)
 
     def sort_key(self):
         return (
@@ -387,15 +381,20 @@ class ConvexPolytope:
     def dim(self):
         return self.geometry.n
 
+    def facet_halfspaces(self):
+        """The half-spaces active on a facet, in input order; they cut out
+        the polytope.  All of them without a face lattice, and in S^0,
+        where the only facet is the empty face."""
+        if self.faces is None or self.geometry.n == 0:
+            return self.halfspaces
+        active = set()
+        for f in self.faces_of_dim(self.geometry.n - 1):
+            active |= f.active
+        return tuple(h for i, h in enumerate(self.halfspaces) if i in active)
+
     def facet_hyperplanes(self):
         """Canonical covectors of the facet spans (minimal description)."""
-        if self.faces is None:
-            return tuple(sorted({h.hyperplane for h in self.halfspaces}))
-        out = set()
-        for f in self.faces_of_dim(self.geometry.n - 1):
-            for idx in f.active:
-                out.add(self.halfspaces[idx].hyperplane)
-        return tuple(sorted(out))
+        return tuple(sorted({h.hyperplane for h in self.facet_halfspaces()}))
 
     def faces_of_dim(self, d):
         if self.faces is None:

@@ -125,28 +125,12 @@ class GroupHom:
 # Orientation helpers
 
 
-def _direction_basis(carrier):
-    """Direction rows of a chart-meeting flat (E/H): basis rows with x0 = 0."""
-    return [b[1:] for b in carrier.basis if b[0] == 0]
-
-
 def flat_orientation_chart(carrier, chart_points):
-    """Orientation of d+1 chart points spanning an affine flat (E/H)."""
-    dirs = _direction_basis(carrier)
-    d = len(dirs)
-    if len(chart_points) != d + 1:
-        raise ValueError("point count does not match flat dimension")
-    if d == 0:
-        return 1
-    base = chart_points[0]
-    cols = [exact.vec_sub(p, base) for p in chart_points[1:]]
-    coord_rows = []
-    for v in cols:
-        sol = exact.solve_affine(list(zip(*dirs)), list(v))
-        if sol is None:
-            return 0
-        coord_rows.append(sol[0])
-    return exact.det_sign(coord_rows)
+    """Orientation of d+1 chart points spanning an affine flat (E/H).
+
+    The carrier's first RREF pivot is x0, so this is the orientation of
+    the points' chart vectors (1, p) in the carrier basis."""
+    return flat_orientation_vectors(carrier, [(F1,) + tuple(p) for p in chart_points])
 
 
 def flat_orientation_vectors(carrier, vectors):
@@ -320,17 +304,11 @@ class _SphericalFaceChains:
         return face.vertex_ids
 
     def _face_simplices(self, face, d):
-        out = []
-        for lab in self.tri.simplices.get(d, ()):
-            top = self.tri.top_cell(lab)
-            if top.dim != d:
-                continue
-            if not face.span.contains(top.flat):
-                continue
-            w = self.tri.poset.cells[self.tri.cell_order[lab[-1]]].witness
-            if all(dot(h.functional, w) >= 0 for h in self.polytope.halfspaces):
-                out.append(lab)
-        return out
+        """The d-simplices whose top cell is a d-cell in the face."""
+        poset = self.tri.poset
+        inside = poset.cells_in(poset.polytope_signs(self.polytope, face))
+        tops = {s for s in inside if poset.cells[s].dim == d}
+        return [lab for lab in self.tri.simplices.get(d, ()) if self.tri.cell_order[lab[-1]] in tops]
 
     def _fundamental_chain(self, face, d):
         chain = {}

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -155,6 +157,7 @@ def test_reports_identical_across_hash_seeds():
     runs = [
         ["verify", "solomon-tits", scene_path("h2_triangle")],
         ["homology", "st", scene_path("e2_four_lines")],
+        ["verify", "solomon-tits", scene_path("s2_coordinate")],
     ]
     for argv in runs:
         outputs = set()
@@ -168,3 +171,28 @@ def test_reports_identical_across_hash_seeds():
             assert proc.returncode == cli.EXIT_PASS
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+
+def test_corpus_reports_match_pinned_digests():
+    """Every corpus command, run as the benchmark runs it (one Scene per
+    scene file, reports through make_report and emit), gives the report
+    whose sha256 the benchmark pins."""
+    pinned = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    want = json.loads(pinned.read_text())["corpus"]
+    got = {}
+    for path in sorted(cli.corpus_dir().iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".json"):
+            continue
+        scene = Scene(json.loads(path.read_text()))
+        for spec in scene.options.get("expected", ()):
+            command, sub = spec["command"], spec.get("sub")
+            try:
+                checks, overall = run_command(command, sub, scene, seed=0)
+                report = cli.make_report(scene, command, sub, checks, overall, 0)
+            except HypothesesError as exc:
+                report = {"error": "HYPOTHESES_NOT_MET", "detail": str(exc)}
+            out = io.StringIO()
+            cli.emit(report, stream=out)
+            key = f"{path.name} {command}" + ("" if sub is None else f" {sub}")
+            got[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == want

@@ -100,6 +100,42 @@ def test_contains_vector_full_and_zero_space():
         assert zero.contains_vector(v) == (not any(v))
 
 
+def _reference_coordinates(sub, v):
+    """Coordinates by solving (basis columns) x = v, kept as the oracle for
+    ``LinearSubspace.coordinates_of``."""
+    if not sub.basis:
+        return None if any(v) else ()
+    sol = exact.solve_affine(list(zip(*sub.basis)), [Fr(x) for x in v])
+    if sol is None:
+        return None
+    x0, hom = sol
+    assert not hom  # the basis rows are independent
+    return x0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_coordinates_of_matches_reference(seed):
+    """Probes in the span, free probes and the zero vector, over subspaces
+    of every dimension from zero (no rows) to full, with fraction entries."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 5)
+
+    def entry():
+        return Fr(rng.randint(-9, 9), rng.randint(1, 6))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, ncols))]
+    sub = geo.LinearSubspace(ncols, rows)
+    coeffs = [entry() for _ in rows]
+    in_span = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fr(0)) for j in range(ncols)]
+    for v in (in_span, [entry() for _ in range(ncols)], [0] * ncols):
+        got = sub.coordinates_of(v)
+        assert got == _reference_coordinates(sub, v)
+        if got is not None:
+            assert [sum(a * b[j] for a, b in zip(got, sub.basis)) for j in range(ncols)] == v
+    assert sub.coordinates_of(in_span) is not None
+
+
 def test_rref_identity():
     out, piv = exact.rref([[1, 0], [0, 1]])
     assert out == ((Fr(1), Fr(0)), (Fr(0), Fr(1)))
