@@ -104,14 +104,15 @@ def eliminate(rows, m, n, want_transforms):
         cols[j0].discard(i0)
         active_rows.discard(i0)
 
-    # Phase A: +-1 pivots, cheapest fill first.
+    # Phase A: +-1 pivots, cheapest fill first.  Each scan below takes
+    # the least key ending in the position (i, j), or the least row i,
+    # so its choice does not depend on the order rows and dicts iterate.
     while True:
         best = None
-        for i in sorted(active_rows):
+        for i in active_rows:
             ri = rows[i]
             rlen = len(ri)
-            for j in sorted(ri):
-                v = ri[j]
+            for j, v in ri.items():
                 if v == 1 or v == -1:
                     cost = (rlen - 1) * (len(cols[j]) - 1)
                     key = (cost, i, j)
@@ -131,13 +132,10 @@ def eliminate(rows, m, n, want_transforms):
 
     # Phase B: general pivots with divisibility enforcement.
     while True:
-        best = None
-        for i in sorted(active_rows):
-            ri = rows[i]
-            for j in sorted(ri):
-                key = (abs(ri[j]), i, j)
-                if best is None or key < best:
-                    best = key
+        best = min(
+            ((abs(v), i, j) for i in active_rows for j, v in rows[i].items()),
+            default=None,
+        )
         if best is None:
             break
         _, i0, j0 = best
@@ -153,26 +151,20 @@ def eliminate(rows, m, n, want_transforms):
             # becomes the better pivot and the loop shrinks |p| strictly.
             if any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0]):
                 p_abs = abs(rows[i0][j0])
-                cand = None
-                for i in sorted(active_rows):
-                    for j in sorted(rows[i]):
-                        if abs(rows[i][j]) < p_abs:
-                            cand = (i, j)
-                            p_abs = abs(rows[i][j])
+                cand = min(
+                    ((abs(v), i, j) for i in active_rows for j, v in rows[i].items()
+                     if abs(v) < p_abs),
+                    default=None,
+                )
                 if cand is not None:
-                    i0, j0 = cand
+                    _, i0, j0 = cand
                 continue
             p = rows[i0][j0]
-            offender = None
-            for i in sorted(active_rows):
-                if i == i0:
-                    continue
-                for j in sorted(rows[i]):
-                    if rows[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = min(
+                (i for i in active_rows
+                 if i != i0 and any(v % p for v in rows[i].values())),
+                default=None,
+            )
             if offender is None:
                 break
             row_axpy(i0, offender, -1)  # fold offending row into pivot row

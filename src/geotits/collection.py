@@ -68,18 +68,17 @@ class Collection:
         )
 
 
-def _intersection_closure(geometry, seeds):
-    """Fixed point of pairwise nonempty geodesic intersection."""
+def _closure(seeds, generators, step):
+    """Every member reached from the seeds by adding one generator at a
+    time.  Each member is visited once; ``step(member, generator)`` is
+    the member with that generator added, or None when there is none."""
     members = {m.carrier: m for m in seeds}
     frontier = list(members.values())
     while frontier:
         new = []
-        current = list(members.values())
-        for a in frontier:
-            for b in current:
-                if a.carrier == b.carrier:
-                    continue
-                c = geo.intersect_subspaces(a, b)
+        for m in frontier:
+            for gen in generators:
+                c = step(m, gen)
                 if c is not None and c.carrier not in members:
                     members[c.carrier] = c
                     new.append(c)
@@ -87,22 +86,8 @@ def _intersection_closure(geometry, seeds):
     return list(members.values())
 
 
-def _span_closure(geometry, seeds):
-    members = {m.carrier: m for m in seeds}
-    frontier = list(members.values())
-    while frontier:
-        new = []
-        current = list(members.values())
-        for a in frontier:
-            for b in current:
-                if a.carrier == b.carrier:
-                    continue
-                c = geo.span_points([a, b])
-                if c.carrier not in members:
-                    members[c.carrier] = c
-                    new.append(c)
-        frontier = new
-    return list(members.values())
+def _add_point(member, point):
+    return None if member.contains(point) else geo.span_points([member, point])
 
 
 def closure_by_hyperplanes(geometry, covectors):
@@ -123,7 +108,7 @@ def closure_by_hyperplanes(geometry, covectors):
                 continue  # the zero subspace: generator without geodesic carrier
             raise ValueError(f"hyperplane {c} does not meet the geometry")
         seeds.append(h)
-    members = _intersection_closure(geometry, seeds)
+    members = _closure(seeds, covs, geo.meet_hyperplane)
     members.append(geo.top_subspace(geometry))
     return Collection(geometry, members, MODE_HYPERPLANES, covs)
 
@@ -139,7 +124,7 @@ def closure_by_points(geometry, points):
             raise ValueError("closure_by_points needs 0-dimensional subspaces")
     if not points:
         raise ValueError("no points given")
-    members = _span_closure(geometry, points)
+    members = _closure(points, points, _add_point)
     generating = any(m.is_top() for m in members)
     covs = []
     for m in members:

@@ -192,18 +192,13 @@ def _chains(n, leq):
 
     ``leq(a, b)`` decides a < b strictly; the empty chain is included.
     """
+    above = [[j for j in range(n) if j != i and leq(i, j)] for i in range(n)]
     chains = [()]
     frontier = [(i,) for i in range(n)]
     chains.extend(frontier)
     while frontier:
-        new = []
-        for chain in frontier:
-            last = chain[-1]
-            for j in range(n):
-                if j != last and leq(last, j):
-                    new.append(chain + (j,))
-        chains.extend(new)
-        frontier = new
+        frontier = [chain + (j,) for chain in frontier for j in above[chain[-1]]]
+        chains.extend(frontier)
     return chains
 
 

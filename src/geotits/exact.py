@@ -35,7 +35,9 @@ def vec_scale(a, s):
 
 
 def dot(a, b):
-    return sum((frac(x) * frac(y) for x, y in zip(a, b)), F0)
+    """Sum of products in native arithmetic: int for int vectors, else
+    ``Fraction``; divide a result with ``Fraction(p, q)``, never ``/``."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def mat_vec(rows, v):

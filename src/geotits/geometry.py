@@ -85,18 +85,20 @@ class LinearSubspace:
     def dim(self):
         return len(self.basis)
 
+    def _int_rows(self):
+        """The basis rows scaled to primitive integers, built on first use."""
+        if self._int_basis is None:
+            self._int_basis = tuple(primitive_int_row(row) for row in self.basis)
+        return self._int_basis
+
     def contains_vector(self, v):
         """Is v in the subspace?  Clears v at each pivot column with one
         integer multiple of that basis row; v is in the subspace exactly
         when nothing is left."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        if self._int_basis is None:
-            self._int_basis = tuple(
-                (primitive_int_row(row), c) for row, c in zip(self.basis, self.pivots)
-            )
         w = primitive_int_row(v)
-        for row, c in self._int_basis:
+        for row, c in zip(self._int_rows(), self.pivots):
             f = w[c]
             if f:
                 pv = row[c]
@@ -107,17 +109,6 @@ class LinearSubspace:
         if other.dim > self.dim:
             return False
         return all(self.contains_vector(v) for v in other.basis)
-
-    def intersect(self, other):
-        """Intersection of the two subspaces."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient mismatch")
-        pa = self.orthogonal_complement()
-        pb = other.orthogonal_complement()
-        return LinearSubspace(
-            self.ambient_dim,
-            exact.nullspace(list(pa.basis) + list(pb.basis), self.ambient_dim),
-        )
 
     def add(self, other):
         return LinearSubspace(self.ambient_dim, list(self.basis) + list(other.basis))
@@ -662,14 +653,32 @@ def span_points(points):
     return GeoSubspace._nonempty(g, subspace_from_vectors(g.ambient_dim, vectors))
 
 
-def intersect_subspaces(a, b):
-    """Intersection of geodesic subspaces; None when geodesically empty."""
-    if a.geometry != b.geometry:
-        raise ValueError("mixed geometries in intersection")
-    carrier = a.carrier.intersect(b.carrier)
-    if not geo_nonempty(carrier, a.geometry):
+def meet_hyperplane(subspace, covector):
+    """The geodesic subspace cut from ``subspace`` by ker(covector); None
+    when the cut misses the geometry.
+
+    One elimination step on the integer basis rows b_i: with the values
+    v_i = covector . b_i and v_k the first nonzero one, the rows
+    v_k b_i - v_i b_k (i != k) span the intersection.  A subspace inside
+    the hyperplane (every v_i zero) is its own intersection.
+    """
+    g = subspace.geometry
+    if len(covector) != g.ambient_dim:
+        raise ValueError("vector length mismatch")
+    rows = subspace.carrier._int_rows()
+    values = [dot(covector, row) for row in rows]
+    k = next((i for i, v in enumerate(values) if v), None)
+    if k is None:
+        return subspace
+    vk, bk = values[k], rows[k]
+    carrier = LinearSubspace(g.ambient_dim, [
+        tuple(vk * x - vi * y for x, y in zip(row, bk))
+        for i, (row, vi) in enumerate(zip(rows, values))
+        if i != k
+    ])
+    if not geo_nonempty(carrier, g):
         return None
-    return GeoSubspace(a.geometry, carrier)
+    return GeoSubspace._nonempty(g, carrier)
 
 
 def orthogonal_complement(subspace):

@@ -539,29 +539,22 @@ def apartment_matrix(coll, flavor, poset=None, basis=None, st_model=None,
 
     Flavors: "ST-points", "ST-polytopes", "local", "PT-spherical".
     """
-    g = coll.geometry
-    n = g.n
+    n = coll.geometry.n
     if flavor == "ST-points":
         if ls_data is None:
             ls_data = ls_group(coll)
         pres, pts, _ = ls_data
         if st_model is None:
             st_model = STModel(coll.members, coll.top())
-        cycles = []
-        for gen in pres.generators:
-            members_tuple = tuple(pts[i] for i in gen)
-            cyc = apartment_cycle_tuple(
-                members_tuple, coll, st_model.complex, st_model.proper
+        # The Ls -> H map uses the plain alternating apartment: the
+        # simplicial relations hold in that normalization.
+        cycles = [
+            apartment_cycle_tuple(
+                tuple(pts[i] for i in gen), coll, st_model.complex, st_model.proper,
+                use_orientation=False,
             )
-            # The Ls -> H map uses the plain alternating apartment (its
-            # simplicial relations hold in that normalization); strip the
-            # polytope-compatible global orientation factor.
-            ori = tuple_orientation(g, members_tuple)
-            cycles.append(
-                ApartmentCycle(
-                    st_model.complex, n, [ori * x for x in cyc.vector], cyc.source
-                )
-            )
+            for gen in pres.generators
+        ]
         result = _matrix_from_cycles(st_model.complex, n, cycles, pres.generators)
         hom = GroupHom(pres, GroupPresentation(range(result.betti)), result.matrix)
         if not hom.well_defined:

@@ -1,0 +1,148 @@
+"""The one-generator closure against the pairwise closures it replaced.
+
+The references below are the earlier closures, kept test-only: every
+pair of members is met (through both orthogonal complements) or
+spanned until nothing new appears.  They must give the same members.
+"""
+
+import json
+import random
+from fractions import Fraction as Fr
+
+from hypothesis import given, settings, strategies as st
+
+from geotits import cli, exact
+from geotits import collection as coll_mod
+from geotits import geometry as geo
+from conftest import E2, H2, S2
+
+S3 = geo.Geometry("S", 3)
+
+
+def _reference_intersect(a, b):
+    """Meet of two geodesic subspaces through their orthogonal complements;
+    None when it misses the geometry."""
+    g = a.geometry
+    normals = a.carrier.orthogonal_complement().basis + b.carrier.orthogonal_complement().basis
+    carrier = geo.LinearSubspace(g.ambient_dim, exact.nullspace(list(normals), g.ambient_dim))
+    if not geo.geo_nonempty(carrier, g):
+        return None
+    return geo.GeoSubspace(g, carrier)
+
+
+def _reference_pairwise_closure(seeds, combine):
+    members = {m.carrier: m for m in seeds}
+    frontier = list(members.values())
+    while frontier:
+        new = []
+        current = list(members.values())
+        for a in frontier:
+            for b in current:
+                if a.carrier == b.carrier:
+                    continue
+                c = combine(a, b)
+                if c is not None and c.carrier not in members:
+                    members[c.carrier] = c
+                    new.append(c)
+        frontier = new
+    return list(members.values())
+
+
+def _reference_by_hyperplanes(g, covs):
+    seeds = [h for h in (geo.hyperplane_subspace(g, c) for c in covs) if h is not None]
+    members = _reference_pairwise_closure(seeds, _reference_intersect)
+    return coll_mod.Collection(g, members + [geo.top_subspace(g)], coll_mod.MODE_HYPERPLANES)
+
+
+def _reference_by_points(g, points):
+    members = _reference_pairwise_closure(points, lambda a, b: geo.span_points([a, b]))
+    return coll_mod.Collection(g, members, coll_mod.MODE_POINTS)
+
+
+def _check_hyperplanes(g, covs):
+    got = coll_mod.closure_by_hyperplanes(g, covs)
+    assert got.members == _reference_by_hyperplanes(g, covs).members
+    return got
+
+
+def _check_points(g, points):
+    got, generating = coll_mod.closure_by_points(g, points)
+    want = _reference_by_points(g, points)
+    assert got.members == want.members
+    assert generating == want.contains_top
+    return got
+
+
+def test_corpus_closures_match_pairwise_reference():
+    scenes = sorted(cli.corpus_dir().glob("*.json"))
+    assert len(scenes) == 23
+    for path in scenes:
+        scene = cli.Scene(json.loads(path.read_text()))
+        g = scene.geometry
+        if scene.hyperplanes:
+            _check_hyperplanes(g, scene.hyperplanes)
+        if scene.points:
+            _check_points(g, [geo.point_subspace(g, p) for p in scene.points])
+
+
+def _distinct_hyperplanes(rng, g, count):
+    """``count`` distinct hyperplanes meeting g; the small entries make
+    parallel and concurrent hyperplanes common."""
+    covs = []
+    while len(covs) < count:
+        cov = tuple(rng.randint(-2, 2) for _ in range(g.ambient_dim))
+        if not any(cov):
+            continue
+        cov = geo.canonical_covector(cov)
+        if cov not in covs and geo.hyperplane_subspace(g, cov) is not None:
+            covs.append(cov)
+    return covs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_hyperplane_closure_matches_pairwise_reference(seed):
+    rng = random.Random(seed)
+    g, most = rng.choice([(E2, 6), (H2, 6), (S2, 5), (S3, 5)])
+    _check_hyperplanes(g, _distinct_hyperplanes(rng, g, rng.randint(1, most)))
+
+
+def _random_points(rng, g, count):
+    """Chart points of g; some repeated, some on one line (E^2) or one
+    great circle (S^2)."""
+    k = g.ambient_dim
+    base = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(2)]
+    coords = []
+    while len(coords) < count:
+        roll = rng.random()
+        if coords and roll < 0.2:
+            coords.append(rng.choice(coords))
+            continue
+        if roll < 0.5:
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            v = tuple(s * x + t * y for x, y in zip(*base))
+        else:
+            v = tuple(rng.randint(-3, 3) for _ in range(k))
+        if g.kind == "E" and v[0]:
+            coords.append(tuple(Fr(x, v[0]) for x in v[1:]))
+        elif g.kind == "S" and any(v):
+            coords.append(v)
+    return coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_point_closure_matches_pairwise_reference(seed):
+    rng = random.Random(seed)
+    g = rng.choice([E2, S2])
+    coords = _random_points(rng, g, rng.randint(1, 6))
+    _check_points(g, [geo.point_subspace(g, c) for c in coords])
+
+
+def test_point_closure_collinear_and_repeated():
+    line = [(0, 0), (1, 1), (2, 2), (1, 1), (Fr(-1, 2), Fr(-1, 2))]
+    coll = _check_points(E2, [geo.point_subspace(E2, p) for p in line])
+    assert [m.geo_dim for m in coll.members] == [0, 0, 0, 0, 1]
+    circle = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0), (1, -3, 0)]
+    coll = _check_points(S2, [geo.point_subspace(S2, p) for p in circle])
+    assert [m.geo_dim for m in coll.members] == [0, 0, 0, 0, 1]

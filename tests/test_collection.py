@@ -71,7 +71,7 @@ def test_restrict_intersection_outside_window():
     a = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
     l1 = geo.hyperplane_subspace(E2, (-3, 4, -4))
     l2 = geo.hyperplane_subspace(E2, (-3, -2, 4))
-    crossing = geo.intersect_subspaces(l1, l2)
+    crossing = geo.meet_hyperplane(l1, (-3, -2, 4))
     kept = coll_mod.restrict(coll, a)
     assert l1 in kept and l2 in kept
     assert crossing in coll.members and crossing not in kept

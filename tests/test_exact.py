@@ -247,3 +247,19 @@ def test_nullspace_orthogonal():
     assert len(basis) == 2
     for v in basis:
         assert dot(v, (1, 1, 0)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.tuples(*[st.lists(ENTRIES, min_size=k, max_size=k)] * 2)
+))
+def test_dot_matches_fraction_reference(pair):
+    """Native ``dot`` equals the sum of ``Fraction`` products and never
+    returns a float: an int for int vectors, else a ``Fraction``."""
+    a, b = pair
+    got = dot(a, b)
+    assert got == sum((Fr(x) * Fr(y) for x, y in zip(a, b)), Fr(0))
+    if all(isinstance(x, int) for x in a + b):
+        assert type(got) is int
+    else:
+        assert type(got) is Fr

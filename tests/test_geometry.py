@@ -73,15 +73,18 @@ def test_vector_length_mismatch():
 
 def test_intersect_subspaces():
     l1 = geo.hyperplane_subspace(E2, (0, 0, 1))
-    l2 = geo.hyperplane_subspace(E2, (0, 1, 0))
-    pt = geo.intersect_subspaces(l1, l2)
+    pt = geo.meet_hyperplane(l1, (0, 1, 0))
     assert pt is not None and pt.geo_dim == 0
-    l3 = geo.hyperplane_subspace(E2, (-1, 0, 1))  # parallel to l1
-    assert geo.intersect_subspaces(l1, l3) is None
+    assert geo.meet_hyperplane(l1, (-1, 0, 1)) is None  # parallel to l1
+    assert geo.meet_hyperplane(l1, (0, 0, 2)) is l1  # l1 lies in its own kernel
     c1 = geo.hyperplane_subspace(S2, (1, 0, 0))
-    c2 = geo.hyperplane_subspace(S2, (0, 1, 0))
-    pair = geo.intersect_subspaces(c1, c2)
+    pair = geo.meet_hyperplane(c1, (0, 1, 0))
     assert pair.geo_dim == 0
+    assert pair.carrier == geo.subspace_from_vectors(3, [(0, 0, 1)])
+    assert geo.meet_hyperplane(pair, (1, 1, 0)) is pair
+    assert geo.meet_hyperplane(pair, (0, 1, 1)) is None  # the zero subspace
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        geo.meet_hyperplane(c1, (0, 1))
 
 
 def test_span_intersect_laws():
@@ -94,8 +97,9 @@ def test_span_intersect_laws():
     assert ab_c.carrier == a_bc.carrier
     l1 = geo.hyperplane_subspace(E2, (0, 0, 1))
     l2 = geo.hyperplane_subspace(E2, (1, -1, -1))
-    m = geo.intersect_subspaces(l1, l2)
+    m = geo.meet_hyperplane(l1, (1, -1, -1))
     assert l1.contains(m) and l2.contains(m)
+    assert m == geo.meet_hyperplane(l2, (0, 0, 1))
 
 
 def test_triangle_polytope():
@@ -165,15 +169,13 @@ def test_strongly_convex_faces_pointed():
         S2, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (1, 2, 3))]
     )
     assert geo.is_strongly_convex(octant)
-    kernels = geo.LinearSubspace(3)
     from geotits import exact
 
-    all_kernel = geo.LinearSubspace(
-        3, exact.nullspace([h.functional for h in octant.halfspaces], 3)
-    )
     for f in octant.faces:
-        lineality = f.span.intersect(all_kernel)
-        assert lineality.dim == 0
+        # x = c . span basis is in the lineality space iff every
+        # functional vanishes on it
+        system = [[dot(h.functional, b) for b in f.span.basis] for h in octant.halfspaces]
+        assert exact.nullspace(system) == ()
 
 
 def test_face_span_identities():

@@ -269,3 +269,180 @@ def test_homology_coords_match_dense_reference(seed):
             classes.coords(chain)
     else:
         assert classes.coords(chain) == want
+
+
+def _reference_eliminate(rows, m, n, want_transforms):
+    """The kernel's ``eliminate`` with sorted pivot scans, kept as the
+    oracle for the unsorted scans: same pivots, positions and sparse U/V.
+    """
+    cols = [set() for _ in range(n)]
+    for i in range(m):
+        for j in rows[i]:
+            cols[j].add(i)
+
+    if want_transforms:
+        urows = [{i: 1} for i in range(m)]
+        vcols = [{j: 1} for j in range(n)]
+    else:
+        urows = None
+        vcols = None
+
+    active_rows = set(i for i in range(m) if rows[i])
+    pivots = []
+    pivot_rows = []
+    pivot_cols = []
+
+    def row_axpy(i, ip, q):
+        # row_i -= q * row_ip
+        if q == 0:
+            return
+        target = rows[i]
+        for j, v in rows[ip].items():
+            w = target.get(j, 0) - q * v
+            if w:
+                target[j] = w
+                cols[j].add(i)
+            elif j in target:
+                del target[j]
+                cols[j].discard(i)
+        if urows is not None:
+            tu = urows[i]
+            for j, v in urows[ip].items():
+                w = tu.get(j, 0) - q * v
+                if w:
+                    tu[j] = w
+                elif j in tu:
+                    del tu[j]
+
+    def col_axpy(j, jp, q):
+        # col_j -= q * col_jp
+        if q == 0:
+            return
+        for i in list(cols[jp]):
+            v = rows[i][jp]
+            w = rows[i].get(j, 0) - q * v
+            if w:
+                rows[i][j] = w
+                cols[j].add(i)
+            elif j in rows[i]:
+                del rows[i][j]
+                cols[j].discard(i)
+        if vcols is not None:
+            tv = vcols[j]
+            for i2, v in vcols[jp].items():
+                w = tv.get(i2, 0) - q * v
+                if w:
+                    tv[i2] = w
+                elif i2 in tv:
+                    del tv[i2]
+
+    def negate_row(i):
+        for j in rows[i]:
+            rows[i][j] = -rows[i][j]
+        if urows is not None:
+            for j in urows[i]:
+                urows[i][j] = -urows[i][j]
+
+    def retire(i0, j0):
+        d = rows[i0][j0]
+        if d < 0:
+            negate_row(i0)
+            d = -d
+        pivots.append(d)
+        pivot_rows.append(i0)
+        pivot_cols.append(j0)
+        del rows[i0][j0]
+        cols[j0].discard(i0)
+        active_rows.discard(i0)
+
+    # Phase A: +-1 pivots, cheapest fill first.
+    while True:
+        best = None
+        for i in sorted(active_rows):
+            ri = rows[i]
+            rlen = len(ri)
+            for j in sorted(ri):
+                v = ri[j]
+                if v == 1 or v == -1:
+                    cost = (rlen - 1) * (len(cols[j]) - 1)
+                    key = (cost, i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            break
+        _, i0, j0 = best
+        p = rows[i0][j0]
+        for i in list(cols[j0]):
+            if i != i0:
+                row_axpy(i, i0, rows[i][j0] * p)  # p in {1,-1}: q = v/p = v*p
+        for j in list(rows[i0]):
+            if j != j0:
+                col_axpy(j, j0, rows[i0][j] * p)
+        retire(i0, j0)
+
+    # Phase B: general pivots with divisibility enforcement.
+    while True:
+        best = None
+        for i in sorted(active_rows):
+            ri = rows[i]
+            for j in sorted(ri):
+                key = (abs(ri[j]), i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _, i0, j0 = best
+        while True:
+            p = rows[i0][j0]
+            for i in list(cols[j0]):
+                if i != i0:
+                    row_axpy(i, i0, rows[i][j0] // p)
+            for j in list(rows[i0]):
+                if j != j0:
+                    col_axpy(j, j0, rows[i0][j] // p)
+            # Floor-division remainders may survive; the smallest of them
+            # becomes the better pivot and the loop shrinks |p| strictly.
+            if any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0]):
+                p_abs = abs(rows[i0][j0])
+                cand = None
+                for i in sorted(active_rows):
+                    for j in sorted(rows[i]):
+                        if abs(rows[i][j]) < p_abs:
+                            cand = (i, j)
+                            p_abs = abs(rows[i][j])
+                if cand is not None:
+                    i0, j0 = cand
+                continue
+            p = rows[i0][j0]
+            offender = None
+            for i in sorted(active_rows):
+                if i == i0:
+                    continue
+                for j in sorted(rows[i]):
+                    if rows[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_axpy(i0, offender, -1)  # fold offending row into pivot row
+        retire(i0, j0)
+
+    return pivots, pivot_rows, pivot_cols, urows, vcols
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_eliminate_matches_sorted_reference(seed):
+    rng = random.Random(seed)
+    for scale in (1, 2, 3, 6):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.3, 0.7, 1.0))
+        m = IntMatrix(rows, cols, {
+            (i, j): scale * rng.randint(-5, 5)
+            for i in range(rows) for j in range(cols) if rng.random() < density
+        })
+        for want in (False, True):
+            got = eliminate(m.row_dicts(), rows, cols, want)
+            assert got == _reference_eliminate(m.row_dicts(), rows, cols, want)
