@@ -54,9 +54,20 @@ def _parse_rational(x, where):
     raise SceneError(f"{where}: cannot parse rational {x!r}")
 
 
-def format_rational(q):
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _rows(value, where):
+    """A JSON array of arrays (rows of rationals), else SceneError."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise SceneError(f"{where} must be a list of lists")
+    return value
+
+
+def _object(value, where):
+    """A JSON object, or {} when absent or null; else SceneError."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SceneError(f"{where} must be an object")
+    return value
 
 
 class Scene:
@@ -78,7 +89,7 @@ class Scene:
 
         self.hyperplanes = []
         seen = {}
-        for i, row in enumerate(data.get("hyperplanes", ())):
+        for i, row in enumerate(_rows(data.get("hyperplanes", []), "hyperplanes")):
             if len(row) != n + 1:
                 raise SceneError(f"hyperplane #{i}: needs {n + 1} entries")
             func = tuple(_parse_rational(x, f"hyperplane #{i}") for x in row)
@@ -102,7 +113,7 @@ class Scene:
 
         self.points = []
         want = n if kind in ("E", "H") else n + 1
-        for i, row in enumerate(data.get("points", ())):
+        for i, row in enumerate(_rows(data.get("points", []), "points")):
             if len(row) != want:
                 raise SceneError(f"point #{i}: needs {want} chart coordinates")
             pt = tuple(_parse_rational(x, f"point #{i}") for x in row)
@@ -114,9 +125,9 @@ class Scene:
 
         self.polytope_a = None
         if data.get("polytope_A") is not None:
-            block = data["polytope_A"]
+            block = _object(data["polytope_A"], "polytope_A")
             hs = []
-            for i, row in enumerate(block.get("halfspaces", ())):
+            for i, row in enumerate(_rows(block.get("halfspaces", []), "polytope_A.halfspaces")):
                 if len(row) != n + 1:
                     raise SceneError(f"polytope_A halfspace #{i}: needs {n + 1} entries")
                 func = tuple(_parse_rational(x, f"polytope_A halfspace #{i}") for x in row)
@@ -126,7 +137,7 @@ class Scene:
                 raise SceneError(f"polytope_A is not a valid convex polytope: {built.reason}")
             self.polytope_a = built
 
-        self.options = data.get("options", {}) or {}
+        self.options = _object(data.get("options"), "options")
         self.mode = self.options.get("mode", "hyperplanes")
         if self.mode not in ("hyperplanes", "points"):
             raise SceneError(f"options.mode must be 'hyperplanes' or 'points', got {self.mode!r}")
@@ -139,12 +150,13 @@ class Scene:
         self.u_hyperplane = None
         if self.options.get("u_hyperplane") is not None:
             row = self.options["u_hyperplane"]
-            if len(row) != n + 1:
-                raise SceneError("options.u_hyperplane needs n+1 entries")
+            if not isinstance(row, list) or len(row) != n + 1:
+                raise SceneError("options.u_hyperplane must be a list of n+1 entries")
             func = tuple(_parse_rational(x, "u_hyperplane") for x in row)
             self.u_hyperplane = geo.canonical_covector(func)
 
         self._collection = None
+        self._arrangements = {}
         self.raw = self._normalize(data)
         self.digest = hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()
@@ -181,6 +193,15 @@ class Scene:
                     None,
                 )
         return self._collection
+
+    def arrangement(self, within):
+        """(face poset, region basis) of the collection, restricted to the
+        window ``within`` (None or ``polytope_a``); built on first use and
+        shared like ``collection()``."""
+        if within not in self._arrangements:
+            poset = arr.build_arrangement(self.collection()[0], within=within)
+            self._arrangements[within] = (poset, arr.region_basis(poset))
+        return self._arrangements[within]
 
 
 def load_scene(path):
@@ -238,9 +259,7 @@ def _sample_chart_point(rng, g):
 
 
 def check_arrangement(scene, seed=0):
-    coll, _ = scene.collection()
-    poset = arr.build_arrangement(coll, within=scene.polytope_a)
-    basis = arr.region_basis(poset)
+    poset, basis = scene.arrangement(scene.polytope_a)
     rng = random.Random(seed)
     samples = 0
     failures = 0
@@ -303,7 +322,7 @@ def check_homology(scene, which, seed=0):
             }]
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
             raise HypothesesError("spherical PT homology needs an admissible collection; see verify suspension")
-        poset = arr.build_arrangement(coll)
+        poset, _ = scene.arrangement(None)
         tri = cx.sphere_triangulation(coll, poset)
         bic = cx.pt_bicomplex(coll, tri)
         hb = cx.homology(bic)
@@ -334,8 +353,7 @@ def check_homology(scene, which, seed=0):
 def check_groups(scene, which, seed=0):
     coll, _ = scene.collection()
     if which == "pt":
-        poset = arr.build_arrangement(coll, within=scene.polytope_a)
-        basis = arr.region_basis(poset)
+        _, basis = scene.arrangement(scene.polytope_a)
         return [{
             "name": "groups-pt",
             "free_rank": len(basis),
@@ -383,8 +401,7 @@ def verify_solomon_tits(scene, seed=0):
     if g.kind == geo.EUCLIDEAN:
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
             raise HypothesesError("Euclidean collection not admissible")
-        poset = arr.build_arrangement(coll)
-        basis = arr.region_basis(poset)
+        poset, basis = scene.arrangement(None)
         st = grp.STModel(coll.members, coll.top())
         h = cx.homology(st.complex)
         res = grp.apartment_matrix(coll, "ST-polytopes", poset=poset, basis=basis, st_model=st)
@@ -404,8 +421,7 @@ def verify_solomon_tits(scene, seed=0):
     if g.kind == geo.SPHERICAL:
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
             raise HypothesesError("spherical collection not admissible; run verify suspension")
-        poset = arr.build_arrangement(coll)
-        basis = arr.region_basis(poset)
+        poset, basis = scene.arrangement(None)
         tri = cx.sphere_triangulation(coll, poset)
         bic = cx.pt_bicomplex(coll, tri)
         hb = cx.homology(bic)
@@ -430,8 +446,7 @@ def verify_solomon_tits(scene, seed=0):
     if scene.polytope_a is not None:
         return verify_local(scene, seed)
     if coll_mod.generated_by_both(coll):
-        poset = arr.build_arrangement(coll)
-        basis = arr.region_basis(poset)
+        poset, basis = scene.arrangement(None)
         st = grp.STModel(coll.members, coll.top())
         h = cx.homology(st.complex)
         res = grp.apartment_matrix(coll, "ST-polytopes", poset=poset, basis=basis, st_model=st)
@@ -464,8 +479,7 @@ def verify_local(scene, seed=0):
         if h.hyperplane not in known:
             raise HypothesesError("polytope_A must be an L-polytope (facet hyperplanes in L)")
     members = coll_mod.restrict(coll, window)
-    poset = arr.build_arrangement(coll, within=window)
-    basis = arr.region_basis(poset)
+    poset, basis = scene.arrangement(window)
     st = grp.STModel(members, coll.top())
     h = cx.homology(st.complex)
     res = grp.apartment_matrix(coll, "local", poset=poset, basis=basis, st_model=st)
@@ -517,15 +531,13 @@ def verify_pt_ls_cmd(scene, seed=0):
     coll, _ = scene.collection()
     if not coll_mod.generated_by_both(coll):
         raise HypothesesError("collection is not generated by both points and hyperplanes")
-    rep = grp.verify_pt_ls(coll)
+    rep = grp.verify_pt_ls(coll, *scene.arrangement(None))
     rep["name"] = "pt-to-ls"
     return [rep]
 
 
 def check_resolution(scene, seed=0):
-    coll, _ = scene.collection()
-    poset = arr.build_arrangement(coll, within=scene.polytope_a)
-    basis = arr.region_basis(poset)
+    _, basis = scene.arrangement(scene.polytope_a)
     if len(basis) > reso.MAX_BASIS:
         raise HypothesesError(
             f"region basis {len(basis)} exceeds the resolution guard {reso.MAX_BASIS}"

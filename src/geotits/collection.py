@@ -35,9 +35,6 @@ class Collection:
     def top(self):
         return geo.top_subspace(self.geometry)
 
-    def proper_members(self):
-        return tuple(m for m in self.members if not m.is_top())
-
     def grade(self, k):
         """Members of geometric dimension k."""
         return tuple(m for m in self.members if m.geo_dim == k)
@@ -47,9 +44,6 @@ class Collection:
 
     def hyperplane_members(self):
         return self.grade(self.geometry.n - 1)
-
-    def member_set(self):
-        return set(self.members)
 
     def __eq__(self, other):
         return (

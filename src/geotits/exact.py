@@ -1,7 +1,8 @@
 """Exact rational linear algebra and feasibility.
 
-Everything here works over ``fractions.Fraction`` (or int); no floats.
-Conventions:
+Everything here is exact; no floats.  A subspace is spanned by primitive
+integer rows (``rref``); ``Fraction`` carries the values that are rational
+numbers: solutions, coordinates and feasibility witnesses.  Conventions:
 
 * A *row* of length ``k`` is a linear form over ``k`` variables.
 * Affine constraint rows carry their constant as the LAST entry:
@@ -25,15 +26,6 @@ def vec_sub(a, b):
     return tuple(frac(x) - frac(y) for x, y in zip(a, b))
 
 
-def vec_add(a, b):
-    return tuple(frac(x) + frac(y) for x, y in zip(a, b))
-
-
-def vec_scale(a, s):
-    s = frac(s)
-    return tuple(frac(x) * s for x in a)
-
-
 def dot(a, b):
     """Sum of products in native arithmetic: int for int vectors, else
     ``Fraction``; divide a result with ``Fraction(p, q)``, never ``/``."""
@@ -44,19 +36,18 @@ def mat_vec(rows, v):
     return tuple(dot(r, v) for r in rows)
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+def _primitive(row):
+    """An integer row divided by its content (a zero row is left alone)."""
+    g = gcd(*row)
+    return row if g <= 1 else tuple(v // g for v in row)
 
 
 def _int_row(row):
     """The rational row times the lcm of its denominators, divided by its
-    content: a list of coprime integers (all zero for a zero row)."""
+    content: coprime integers (all zero for a zero row)."""
     ratios = [x.as_integer_ratio() for x in row]
     den = lcm(*[d for _, d in ratios])
-    nums = [n * (den // d) for n, d in ratios] if den != 1 else [n for n, _ in ratios]
-    g = gcd(*nums)
-    return nums if g <= 1 else [v // g for v in nums]
+    return _primitive([n * (den // d) for n, d in ratios] if den != 1 else [n for n, _ in ratios])
 
 
 def primitive_int_row(row):
@@ -65,12 +56,14 @@ def primitive_int_row(row):
 
 
 def rref(rows):
-    """Reduced row echelon form; zero rows removed; returns (rows, pivots).
+    """Reduced row echelon form up to positive row scaling; zero rows
+    removed; returns (rows, pivots).
 
-    Elimination is fraction-free: rows are scaled to integers and kept
-    primitive, and ``Fraction`` entries are built once, from the final
-    rows.  The RREF of a row space is unique, so the result is the same
-    as Gauss-Jordan over the rationals.
+    Elimination is fraction-free: each returned row is a primitive
+    integer row whose pivot entry is positive and whose entries at the
+    other pivots are zero.  It is the Gauss-Jordan row over the rationals
+    times that positive pivot entry, so the form is unique for the row
+    space.
     """
     mat = [_int_row(r) for r in rows]
     if not mat:
@@ -92,18 +85,16 @@ def rref(rows):
         for i, row in enumerate(mat):
             f = row[c]
             if f and i != r:
-                row = [pv * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                mat[i] = row if g <= 1 else [v // g for v in row]
+                mat[i] = _primitive([pv * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    out = []
-    for row, c in zip(mat, pivots):
-        pv = row[c]
-        out.append(tuple(Fraction(x, pv) if x else F0 for x in row))
-    return tuple(out), tuple(pivots)
+    out = tuple(
+        tuple(row) if row[c] > 0 else tuple(-x for x in row)
+        for row, c in zip(mat, pivots)
+    )
+    return out, tuple(pivots)
 
 
 def rank(rows):
@@ -111,22 +102,23 @@ def rank(rows):
 
 
 def nullspace(rows, ncols=None):
-    """Basis of {x : rows . x = 0} as tuple of tuples."""
-    if not rows:
-        if ncols is None:
+    """Integer basis of {x : rows . x = 0} as tuple of tuples: one vector
+    per free column, equal to L there and 0 at the other free columns,
+    where L is the lcm of the pivot entries."""
+    if ncols is None:
+        if not rows:
             raise ValueError("ncols required for empty system")
-        return tuple(
-            tuple(F1 if i == j else F0 for i in range(ncols)) for j in range(ncols)
-        )
-    ncols = len(rows[0])
+        ncols = len(rows[0])
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    big = lcm(*(r[pc] for r, pc in zip(red, pivots)))
     basis = []
-    for fc in free:
-        v = [F0] * ncols
-        v[fc] = F1
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = big
         for r, pc in zip(red, pivots):
-            v[pc] = -r[fc]
+            v[pc] = -r[fc] * (big // r[pc])
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -136,11 +128,9 @@ def solve_unique(a_rows, b):
     n = len(a_rows)
     aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
     red, pivots = rref(aug)
-    if len(red) != n or any(p >= n for p in pivots):
-        return None
     if list(pivots) != list(range(n)):
         return None
-    return tuple(row[n] for row in red)
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(red))
 
 
 def solve_affine(rows, rhs):
@@ -154,9 +144,8 @@ def solve_affine(rows, rhs):
         return None
     x = [F0] * ncols
     for r, pc in zip(red, pivots):
-        x[pc] = r[ncols]
-    hom = nullspace([r[:ncols] for r in red], ncols) if red else nullspace((), ncols)
-    return tuple(x), hom
+        x[pc] = Fraction(r[ncols], r[pc])
+    return tuple(x), nullspace([r[:ncols] for r in red], ncols)
 
 
 def det_sign(rows):
@@ -263,12 +252,9 @@ def signature_on_subspace(form_rows, basis_rows):
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility with exact witnesses.
 
-_STRICT, _LOOSE = 1, 0
-
-
-def _normalize(coeffs, const, kind):
+def _normalize(coeffs, const):
     row = primitive_int_row(list(coeffs) + [const])
-    return row[:-1], Fraction(row[-1]), kind
+    return row[:-1], row[-1]
 
 
 def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
@@ -276,7 +262,9 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
 
     Rows are affine with trailing constant: ``a.x + c > 0`` (strict),
     ``>= 0`` (nonstrict), ``= 0`` (equality).  Deterministic for fixed
-    input ordering.
+    input ordering.  Elimination keeps every row a primitive integer row
+    (a positive multiple of the rational row it stands for), so only the
+    back-substitution builds ``Fraction`` values.
     """
     groups = (strict_rows, nonstrict_rows, eq_rows)
     if nvars is None:
@@ -291,15 +279,10 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
 
     ineqs = []  # (coeff tuple, const, strict?)
     for r in strict_rows:
-        c, k, _ = _normalize(r[:nvars], r[nvars], _STRICT)
-        ineqs.append((c, k, True))
+        ineqs.append(_normalize(r[:nvars], r[nvars]) + (True,))
     for r in nonstrict_rows:
-        c, k, _ = _normalize(r[:nvars], r[nvars], _LOOSE)
-        ineqs.append((c, k, False))
-    eqs = []
-    for r in eq_rows:
-        c, k, _ = _normalize(r[:nvars], r[nvars], _LOOSE)
-        eqs.append((c, k))
+        ineqs.append(_normalize(r[:nvars], r[nvars]) + (False,))
+    eqs = [_normalize(r[:nvars], r[nvars]) for r in eq_rows]
 
     steps = []  # reversed for back-substitution
     live_vars = list(range(nvars))
@@ -307,11 +290,16 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
     def substitute_eq(var, pivot_row):
         pc, pk = pivot_row
         pv = pc[var]
-        # var = -(rest + pk)/pv
+        # var = -(rest + pk)/pv; |pv| * row - sign(pv) * row[var] * pivot_row
+        # clears var and is a positive multiple of the rational substitution
+        apv = abs(pv)
+
         def subst(c, k):
-            f = Fraction(c[var], pv)
-            nc = tuple(ci - f * pi for ci, pi in zip(c, pc))
-            return nc, k - f * pk
+            f = c[var] if pv > 0 else -c[var]
+            new = _primitive(
+                tuple(apv * ci - f * pi for ci, pi in zip(c, pc)) + (apv * k - f * pk,)
+            )
+            return new[:-1], new[-1]
 
         nonlocal ineqs, eqs
         new_ineqs = []
@@ -353,14 +341,14 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
         for pc, pk, ps in pos:
             for ncf, nk, ns in neg:
                 a, b = pc[var], -ncf[var]
-                cc = tuple(b * x + a * y for x, y in zip(pc, ncf))
-                kk = b * pk + a * nk
-                ss = ps or ns
-                key = primitive_int_row(list(cc) + [kk]) + (ss,)
-                if key in seen:
+                row = _primitive(
+                    tuple(b * x + a * y for x, y in zip(pc, ncf)) + (b * pk + a * nk,)
+                )
+                new = (row[:-1], row[-1], ps or ns)
+                if new in seen:
                     continue
-                seen.add(key)
-                combined.append((cc, Fraction(kk), ss))
+                seen.add(new)
+                combined.append(new)
         ineqs = rest + combined
         steps.append(("fm", var, pos + neg))
 
@@ -400,7 +388,6 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
 
     # Back-substitution.
     witness = [F0] * nvars
-    assigned = [False] * nvars
     for kind, var, data in reversed(steps):
         if kind == "eq":
             pc, pk = data
@@ -438,7 +425,6 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
                 # FM consistency forces lo < hi whenever either side is
                 # strict, so the midpoint (or the common value) is valid.
                 witness[var] = (lo + hi) / 2 if lo != hi else lo
-        assigned[var] = True
 
     value = tuple(witness)
     _check_witness(value, strict_rows, nonstrict_rows, eq_rows, nvars)
@@ -447,13 +433,13 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
 
 def _check_witness(x, strict_rows, nonstrict_rows, eq_rows, nvars):
     for r in strict_rows:
-        if not dot(r[:nvars], x) + frac(r[nvars]) > 0:
+        if not dot(r[:nvars], x) + r[nvars] > 0:
             raise AssertionError("witness violates strict constraint")
     for r in nonstrict_rows:
-        if not dot(r[:nvars], x) + frac(r[nvars]) >= 0:
+        if not dot(r[:nvars], x) + r[nvars] >= 0:
             raise AssertionError("witness violates constraint")
     for r in eq_rows:
-        if dot(r[:nvars], x) + frac(r[nvars]) != 0:
+        if dot(r[:nvars], x) + r[nvars] != 0:
             raise AssertionError("witness violates equality")
 
 

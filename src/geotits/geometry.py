@@ -9,10 +9,12 @@ Working charts (normative for all incidence decisions):
   modulo positive scaling.
 
 A geodesic subspace is carried by a linear subspace of Q^(n+1) in
-canonical (RREF) form, so equality of subspaces is syntactic.
+canonical form (``exact.rref``: primitive integer rows with positive
+pivots), so equality of subspaces is syntactic.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from geotits import exact
 from geotits.exact import F0, F1, dot, frac, primitive_int_row
@@ -67,29 +69,21 @@ def minkowski_form(n):
 
 
 class LinearSubspace:
-    """Linear subspace of Q^(ambient_dim) with canonical RREF basis."""
+    """Linear subspace of Q^(ambient_dim) with the canonical basis of
+    ``exact.rref``: primitive integer rows with positive pivots."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_int_basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        red, pivots = exact.rref(vectors) if vectors else ((), ())
-        self.basis = red
-        self.pivots = pivots
-        self._int_basis = None
+        self.basis, self.pivots = exact.rref(vectors)
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def _int_rows(self):
-        """The basis rows scaled to primitive integers, built on first use."""
-        if self._int_basis is None:
-            self._int_basis = tuple(primitive_int_row(row) for row in self.basis)
-        return self._int_basis
 
     def contains_vector(self, v):
         """Is v in the subspace?  Clears v at each pivot column with one
@@ -98,7 +92,7 @@ class LinearSubspace:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         w = primitive_int_row(v)
-        for row, c in zip(self._int_rows(), self.pivots):
+        for row, c in zip(self.basis, self.pivots):
             f = w[c]
             if f:
                 pv = row[c]
@@ -110,32 +104,27 @@ class LinearSubspace:
             return False
         return all(self.contains_vector(v) for v in other.basis)
 
-    def add(self, other):
-        return LinearSubspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
     def orthogonal_complement(self):
-        if not self.basis:
-            return LinearSubspace(
-                self.ambient_dim,
-                [
-                    tuple(F1 if i == j else F0 for i in range(self.ambient_dim))
-                    for j in range(self.ambient_dim)
-                ],
-            )
-        return LinearSubspace(self.ambient_dim, exact.nullspace(self.basis))
+        return LinearSubspace(self.ambient_dim, exact.nullspace(self.basis, self.ambient_dim))
 
     def coordinates_of(self, v):
-        """Coefficients of v in the canonical basis, or None.  The RREF
-        basis is the identity at its pivots, so they are v's entries there."""
+        """Coefficients of v in the canonical basis, or None.  Each basis
+        row is zero at the other rows' pivots, so the coefficient of a row
+        is v's entry at its pivot over the pivot entry."""
         if not self.contains_vector(v):
             return None
-        return tuple(v[c] for c in self.pivots)
+        return tuple(Fraction(v[c], row[c]) for row, c in zip(self.basis, self.pivots))
 
     def sort_key(self):
-        return (
-            self.dim,
-            tuple((x.numerator, x.denominator) for row in self.basis for x in row),
-        )
+        """(dim, the Gauss-Jordan entries as (numerator, denominator)):
+        each entry x of a row with pivot entry pv is the fraction x/pv."""
+        key = []
+        for row, c in zip(self.basis, self.pivots):
+            pv = row[c]
+            for x in row:
+                g = gcd(x, pv)
+                key.append((x // g, pv // g))
+        return self.dim, tuple(key)
 
     def __eq__(self, other):
         return (
@@ -156,10 +145,7 @@ def subspace_from_vectors(ambient_dim, vectors):
 
 
 def full_space(ambient_dim):
-    return LinearSubspace(
-        ambient_dim,
-        [tuple(F1 if i == j else F0 for i in range(ambient_dim)) for j in range(ambient_dim)],
-    )
+    return LinearSubspace(ambient_dim, exact.nullspace((), ambient_dim))
 
 
 def geo_nonempty(carrier, geometry):
@@ -263,9 +249,7 @@ def canonical_covector(functional):
 def hyperplane_subspace(geometry, functional):
     """Geodesic hyperplane ker(functional) meet X^n; None if it misses."""
     cov = canonical_covector(functional)
-    ker = LinearSubspace(
-        geometry.ambient_dim, exact.nullspace([tuple(map(frac, cov))], geometry.ambient_dim)
-    )
+    ker = LinearSubspace(geometry.ambient_dim, exact.nullspace([cov], geometry.ambient_dim))
     if not geo_nonempty(ker, geometry):
         return None
     return GeoSubspace(geometry, ker)
@@ -489,7 +473,7 @@ def _extreme_rays(halfspaces, geometry):
     from itertools import combinations
 
     amb = geometry.ambient_dim
-    funcs = [tuple(map(frac, h.functional)) for h in halfspaces]
+    funcs = [h.functional for h in halfspaces]
     rays = []
     seen = set()
     for combo in combinations(range(len(funcs)), amb - 1):
@@ -657,7 +641,7 @@ def meet_hyperplane(subspace, covector):
     """The geodesic subspace cut from ``subspace`` by ker(covector); None
     when the cut misses the geometry.
 
-    One elimination step on the integer basis rows b_i: with the values
+    One elimination step on the basis rows b_i: with the values
     v_i = covector . b_i and v_k the first nonzero one, the rows
     v_k b_i - v_i b_k (i != k) span the intersection.  A subspace inside
     the hyperplane (every v_i zero) is its own intersection.
@@ -665,7 +649,7 @@ def meet_hyperplane(subspace, covector):
     g = subspace.geometry
     if len(covector) != g.ambient_dim:
         raise ValueError("vector length mismatch")
-    rows = subspace.carrier._int_rows()
+    rows = subspace.carrier.basis
     values = [dot(covector, row) for row in rows]
     k = next((i for i, v in enumerate(values) if v), None)
     if k is None:

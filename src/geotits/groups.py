@@ -161,7 +161,7 @@ def _chart_point_of(member):
     b = member.carrier.basis[0]
     if b[0] == 0:
         raise ValueError("0-dim member does not meet the chart")
-    return tuple(x / b[0] for x in b[1:])
+    return tuple(Fraction(x, b[0]) for x in b[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,6 @@ class ApartmentCycle:
         bd = complex_.boundary(degree)
         if any(bd.mul_vec(list(vector))):
             raise AssertionError(f"apartment chain of {source} is not a cycle")
-
-
-def _st_flag_index(st_complex, degree):
-    return st_complex.index(degree)
 
 
 def apartment_cycle_tuple(members_tuple, coll, st_complex, member_order,

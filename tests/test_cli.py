@@ -34,6 +34,20 @@ def test_scene_validation_errors():
         Scene({"geometry": "X", "n": 2})
     with pytest.raises(SceneError, match="does not meet"):
         Scene({"geometry": "H", "n": 2, "hyperplanes": [["3", "1", "0"]]})
+    # malformed shapes: strings are not rows, and blocks must be objects
+    line = [["0", "1", "0"]]
+    for data, match in [
+        ({"hyperplanes": ["101", "011"]}, "hyperplanes must be a list of lists"),
+        ({"hyperplanes": 5}, "hyperplanes must be a list of lists"),
+        ({"hyperplanes": line, "points": ["10"]}, "points must be a list of lists"),
+        ({"hyperplanes": line, "options": [1]}, "options must be an object"),
+        ({"hyperplanes": line, "polytope_A": []}, "polytope_A must be an object"),
+        ({"hyperplanes": line, "polytope_A": {"halfspaces": "abc"}},
+         "polytope_A.halfspaces must be a list of lists"),
+        ({"hyperplanes": line, "options": {"u_hyperplane": "101"}}, "u_hyperplane"),
+    ]:
+        with pytest.raises(SceneError, match=match):
+            Scene({"geometry": "E", "n": 2, **data})
 
 
 def test_triangle_verify():
@@ -69,6 +83,11 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text(json.dumps({"geometry": "E", "n": 2,
                                "hyperplanes": [["0", "1", "0"], ["0", "2", "0"]]}))
     assert cli.main(["validate", str(bad)]) == cli.EXIT_INVALID_SCENE
+    for data in ({"hyperplanes": ["101", "011"]}, {"hyperplanes": 5},
+                 {"hyperplanes": [["0", "1", "0"]], "options": [1]},
+                 {"hyperplanes": [["0", "1", "0"]], "polytope_A": []}):
+        bad.write_text(json.dumps({"geometry": "E", "n": 2, **data}))
+        assert cli.main(["validate", str(bad)]) == cli.EXIT_INVALID_SCENE
     assert cli.main(["validate", scene_path("e2_triangle")]) == cli.EXIT_PASS
     assert cli.main(["verify", "suspension", scene_path("s2_coordinate")]) == cli.EXIT_HYPOTHESES
     assert cli.main(["verify", "solomon-tits", scene_path("e2_triangle")]) == cli.EXIT_PASS
@@ -151,6 +170,27 @@ def test_scene_collection_built_once(name, commands):
     for command, sub in commands:
         assert _report_bytes(shared, command, sub) == _report_bytes(load(name), command, sub)
         assert shared.collection()[0] is first[0]
+
+
+@pytest.mark.parametrize("name, commands", [
+    ("e2_triangle", [("arrangement", None), ("verify", "solomon-tits"),
+                     ("verify", "pt-ls"), ("resolution", None)]),
+    ("h2_triangle", [("verify", "local"), ("verify", "solomon-tits")]),
+    ("s2_coordinate", [("arrangement", None), ("homology", "pt"),
+                       ("verify", "solomon-tits")]),
+])
+def test_scene_arrangement_built_once(name, commands, monkeypatch):
+    """Commands on one Scene share one face poset and region basis, and
+    their reports match those of a fresh Scene byte for byte."""
+    fresh = {cmd: _report_bytes(load(name), *cmd) for cmd in commands}
+    built = []
+    build = cli.arr.build_arrangement
+    monkeypatch.setattr(cli.arr, "build_arrangement",
+                        lambda *a, **k: built.append(a) or build(*a, **k))
+    shared = load(name)
+    for cmd in commands:
+        assert _report_bytes(shared, *cmd) == fresh[cmd]
+    assert len(built) == 1
 
 
 def test_reports_identical_across_hash_seeds():

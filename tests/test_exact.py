@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as Fr
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
 from geotits import exact
 from geotits import geometry as geo
-from geotits.exact import dot
+from geotits import groups as grp
+from geotits.exact import F0, dot
 
 
 def _reference_rref(rows):
@@ -59,12 +61,41 @@ def matrices(draw):
     return rows
 
 
+def _primitive_positive(rational_rows):
+    """Each Gauss-Jordan row (pivot entry 1) times the lcm of its
+    denominators over the gcd of the result: coprime integers with a
+    positive pivot."""
+    out = []
+    for row in rational_rows:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        out.append(tuple(v // g for v in ints))
+    return tuple(out)
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_rref_matches_reference(rows):
-    got = exact.rref(rows)
-    assert got == _reference_rref(rows)
-    assert all(type(x) is Fr for row in got[0] for x in row)
+    """``rref`` is the Gauss-Jordan form scaled to primitive integer rows
+    with positive pivots, and it builds no ``Fraction``."""
+    got, pivots = exact.rref(rows)
+    want, want_pivots = _reference_rref(rows)
+    assert got == _primitive_positive(want)
+    assert pivots == want_pivots
+    assert all(type(x) is int for row in got for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_sort_key_matches_fraction_reference(rows):
+    """The member order (and so every report's labels) rests on
+    ``sort_key``: it lists the Gauss-Jordan entries as
+    ``(numerator, denominator)`` pairs."""
+    sub = geo.LinearSubspace(len(rows[0]), rows)
+    red, _ = _reference_rref(rows)
+    want = (len(red), tuple((x.numerator, x.denominator) for row in red for x in row))
+    assert sub.sort_key() == want
 
 
 @st.composite
@@ -87,7 +118,7 @@ def subspace_and_vectors(draw):
 def test_contains_vector_matches_reference(case):
     rows, probes = case
     sub = geo.LinearSubspace(len(rows[0]), rows)
-    for v in probes:  # the second probe runs on the cached integer basis
+    for v in probes:
         in_span = len(_reference_rref(list(sub.basis) + [v])[0]) == sub.dim
         assert sub.contains_vector(v) == in_span
 
@@ -196,6 +227,166 @@ def test_feasible_witness_exact(seed):
         assert dot(r[:nv], w) + r[nv] >= 0
     for r in eqs:
         assert dot(r[:nv], w) + r[nv] == 0
+
+
+def _reference_feasible(strict_rows, nonstrict_rows, eq_rows, nvars):
+    """Fourier-Motzkin with ``Fraction`` substitution rows, kept as the
+    oracle for ``exact.feasible``: rows are normalized once, then carried
+    as rational rows without rescaling."""
+
+    def normalize(r):
+        row = exact.primitive_int_row(list(r[:nvars]) + [r[nvars]])
+        return row[:-1], Fr(row[-1])
+
+    ineqs = [normalize(r) + (True,) for r in strict_rows]
+    ineqs += [normalize(r) + (False,) for r in nonstrict_rows]
+    eqs = [normalize(r) for r in eq_rows]
+    steps = []
+    live = list(range(nvars))
+    while live:
+        pivot = next(((var, row) for row in eqs for var in live if row[0][var]), None)
+        if pivot:
+            var, (pc, pk) = pivot
+
+            def subst(c, k):
+                f = Fr(c[var], pc[var])
+                return tuple(ci - f * pi for ci, pi in zip(c, pc)), k - f * pk
+
+            ineqs = [subst(c, k) + (s,) if c[var] else (c, k, s) for c, k, s in ineqs]
+            new_eqs = []
+            for c, k in eqs:
+                if (c, k) == (pc, pk):
+                    continue
+                if c[var]:
+                    c, k = subst(c, k)
+                    if not any(c[v] for v in live) and k == 0:
+                        continue
+                new_eqs.append((c, k))
+            eqs = new_eqs
+            steps.append(("eq", var, (pc, pk)))
+            live.remove(var)
+            continue
+        costs = []
+        for var in live:
+            p = sum(1 for c, _, _ in ineqs if c[var] > 0)
+            q = sum(1 for c, _, _ in ineqs if c[var] < 0)
+            costs.append((p * q, var))
+        var = min(costs, key=lambda t: t[0])[1]
+        pos = [row for row in ineqs if row[0][var] > 0]
+        neg = [row for row in ineqs if row[0][var] < 0]
+        combined, seen = [], set()
+        for pc, pk, ps in pos:
+            for nc, nk, ns in neg:
+                a, b = pc[var], -nc[var]
+                cc = tuple(b * x + a * y for x, y in zip(pc, nc))
+                kk = b * pk + a * nk
+                key = exact.primitive_int_row(list(cc) + [kk]) + (ps or ns,)
+                if key not in seen:
+                    seen.add(key)
+                    combined.append((cc, Fr(kk), ps or ns))
+        ineqs = [row for row in ineqs if row[0][var] == 0] + combined
+        steps.append(("fm", var, pos + neg))
+        live.remove(var)
+    if any(k != 0 for _, k in eqs):
+        return None
+    if any(not (k > 0 if s else k >= 0) for _, k, s in ineqs):
+        return None
+    x = [F0] * nvars
+
+    def rest(c, k, var):
+        return sum((c[j] * x[j] for j in range(nvars) if j != var and c[j]), F0) + k
+
+    for kind, var, data in reversed(steps):
+        if kind == "eq":
+            pc, pk = data
+            x[var] = -rest(pc, pk, var) / pc[var]
+            continue
+        lo = hi = None
+        lo_s = hi_s = False
+        for c, k, s in data:
+            bound = -rest(c, k, var) / c[var]
+            if c[var] > 0:
+                if lo is None or bound > lo:
+                    lo, lo_s = bound, s
+                elif bound == lo:
+                    lo_s = lo_s or s
+            elif hi is None or bound < hi:
+                hi, hi_s = bound, s
+            elif bound == hi:
+                hi_s = hi_s or s
+        if lo is None and hi is None:
+            x[var] = F0
+        elif lo is None:
+            x[var] = hi - 1 if hi_s else hi
+        elif hi is None:
+            x[var] = lo + 1 if lo_s else lo
+        else:
+            x[var] = (lo + hi) / 2 if lo != hi else lo
+    return tuple(x)
+
+
+def _random_system(rng):
+    """Strict, nonstrict and equality rows over 1-4 variables with small
+    integer or fraction entries, some repeated at a positive or negative
+    scale (FM duplicates, equal and opposite equality pivots)."""
+    nv = rng.randint(1, 4)
+
+    def row(lo):
+        return tuple(
+            Fr(rng.randint(-lo, lo), rng.choice((1, 1, 1, 2, 3))) for _ in range(nv + 1)
+        )
+
+    groups = [
+        [row(4) for _ in range(rng.randint(0, 5))],
+        [row(4) for _ in range(rng.randint(0, 4))],
+        [row(3) for _ in range(rng.randint(0, 2))],
+    ]
+    for _ in range(rng.randint(0, 2)):
+        rows = rng.choice(groups)
+        if rows:
+            scale = rng.choice((2, Fr(1, 3), -1, -2))
+            rows.append(tuple(scale * x for x in rng.choice(rows)))
+    return groups, nv
+
+
+def test_feasible_matches_fraction_reference():
+    """The integer elimination returns the very witness of the rational
+    one (every row is a positive multiple of its rational twin), and the
+    same infeasibility verdicts, on feasible and infeasible systems."""
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(1500):
+        (strict, loose, eqs), nv = _random_system(rng)
+        if not (strict or loose or eqs):
+            continue
+        got = exact.feasible(strict, loose, eqs, nv)
+        assert got == _reference_feasible(strict, loose, eqs, nv)
+        assert got is None or all(type(x) is Fr for x in got)
+        verdicts.append(got is None)
+    assert 300 < sum(verdicts) < len(verdicts) - 300
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_rational_results_never_float(seed):
+    """Values that are rational numbers come back as ``Fraction``, even
+    from integer input: solutions, coordinates and chart points."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    # unit upper triangular, so nonsingular
+    square = [[1 if i == j else ints[i][j] if i < j else 0 for j in range(n)] for i in range(n)]
+    rhs = [rng.randint(-9, 9) for _ in range(n)]
+    sol = exact.solve_unique(square, rhs)
+    assert [dot(r, sol) for r in square] == rhs
+    assert all(type(x) is Fr for x in sol)
+    sub = geo.LinearSubspace(n, ints)
+    coords = sub.coordinates_of([sum(col) for col in zip(*ints)])
+    assert all(type(x) is Fr for x in coords)
+    point = tuple(Fr(rng.randint(-4, 4), 10) for _ in range(n))
+    for kind in ("E", "H"):
+        got = grp._chart_point_of(geo.point_subspace(geo.Geometry(kind, n), point))
+        assert got == point and all(type(x) is Fr for x in got)
 
 
 MINK2 = [[-1, 0], [0, 1]]
