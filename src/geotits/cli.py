@@ -7,7 +7,7 @@ Scene schema (all rationals are strings "p/q" or "p"; floats rejected)::
      "points": [["x1", ...], ...],
      "polytope_A": {"halfspaces": [["a0", ...], ...]},
      "options": {"mode": "hyperplanes"|"points", "u_hyperplane": [...],
-                 "p_max": int, "expected": [...]}}
+                 "p_max": int >= 1, "unordered": bool, "expected": [...]}}
 
 Exit codes: 0 PASS, 1 FAIL, 2 INVALID_SCENE, 3 HYPOTHESES_NOT_MET.
 """
@@ -155,6 +155,16 @@ class Scene:
             func = tuple(_parse_rational(x, "u_hyperplane") for x in row)
             self.u_hyperplane = geo.canonical_covector(func)
 
+        self.p_max = self.options.get("p_max")
+        if self.p_max is not None and (
+            not isinstance(self.p_max, int) or isinstance(self.p_max, bool) or self.p_max < 1
+        ):
+            raise SceneError(f"options.p_max must be an integer >= 1, got {self.p_max!r}")
+        unordered = self.options.get("unordered")
+        if unordered is not None and not isinstance(unordered, bool):
+            raise SceneError(f"options.unordered must be true or false, got {unordered!r}")
+        self.unordered = bool(unordered)
+
         self._collection = None
         self._arrangements = {}
         self.raw = self._normalize(data)
@@ -292,62 +302,52 @@ def check_arrangement(scene, seed=0):
     }]
 
 
-def check_homology(scene, which, seed=0):
+def homology_model(scene, which):
+    """(complex, crosscheck) of ``homology <which>``: the chain complex
+    whose reduced homology is reported and, for spherical pt, the
+    collapse model that cross-checks it (None otherwise)."""
     coll, _ = scene.collection()
-    g = scene.geometry
     if which == "t":
-        h = cx.homology(cx.order_complex(coll.members, include_top=False))
-        return [{
-            "name": "homology-t",
-            "reduced_homology": h.as_dict(),
-            "verdict": "PASS",
-        }]
-    if which == "st":
-        h = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
-        return [{
-            "name": "homology-st",
-            "reduced_homology": h.as_dict(),
-            "wedge_verdict": cx.wedge_verdict(h, g.n),
-            "verdict": "PASS",
-        }]
-    if which == "pt":
-        if g.kind != geo.SPHERICAL:
-            h = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
-            return [{
-                "name": "homology-pt",
-                "note": "E/H polytopal and suspended models agree",
-                "reduced_homology": h.as_dict(),
-                "wedge_verdict": cx.wedge_verdict(h, g.n),
-                "verdict": "PASS",
-            }]
-        if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
-            raise HypothesesError("spherical PT homology needs an admissible collection; see verify suspension")
-        poset, _ = scene.arrangement(None)
-        tri = cx.sphere_triangulation(coll, poset)
-        bic = cx.pt_bicomplex(coll, tri)
-        hb = cx.homology(bic)
-        hc = cx.homology(cx.pt_collapse_complex(coll, tri))
-        return [{
-            "name": "homology-pt",
-            "bicomplex": hb.as_dict(),
-            "collapse_crosscheck": hc.as_dict(),
-            "crosscheck_agrees": hb == hc,
-            "wedge_verdict": cx.wedge_verdict(hb, g.n),
-            "verdict": "PASS" if hb == hc else "FAIL",
-        }]
+        return cx.order_complex(coll.members, include_top=False), None
     if which == "local":
         if scene.polytope_a is None:
             raise HypothesesError("local homology needs polytope_A")
         members = coll_mod.restrict(coll, scene.polytope_a)
-        h = cx.homology(cx.relative_st_complex(list(members), coll.top()))
-        return [{
-            "name": "homology-local",
-            "members_in_window": len(members),
-            "reduced_homology": h.as_dict(),
-            "wedge_verdict": cx.wedge_verdict(h, g.n),
-            "verdict": "PASS",
-        }]
+        return cx.relative_st_complex(list(members), coll.top()), None
+    if which == "pt" and scene.geometry.kind == geo.SPHERICAL:
+        if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
+            raise HypothesesError("spherical PT homology needs an admissible collection; see verify suspension")
+        poset, _ = scene.arrangement(None)
+        tri = cx.sphere_triangulation(coll, poset)
+        return cx.pt_bicomplex(coll, tri), cx.pt_collapse_complex(coll, tri)
+    if which in ("st", "pt"):
+        return cx.relative_st_complex(list(coll.members), coll.top()), None
     raise SceneError(f"unknown homology model {which!r}")
+
+
+def check_homology(scene, which, seed=0):
+    n = scene.geometry.n
+    complex_, crosscheck = homology_model(scene, which)
+    h = cx.homology(complex_)
+    if crosscheck is not None:
+        hc = cx.homology(crosscheck)
+        return [{
+            "name": "homology-pt",
+            "bicomplex": h.as_dict(),
+            "collapse_crosscheck": hc.as_dict(),
+            "crosscheck_agrees": h == hc,
+            "wedge_verdict": cx.wedge_verdict(h, n),
+            "verdict": "PASS" if h == hc else "FAIL",
+        }]
+    block = {"name": f"homology-{which}", "reduced_homology": h.as_dict(), "verdict": "PASS"}
+    if which != "t":
+        block["wedge_verdict"] = cx.wedge_verdict(h, n)
+    if which == "pt":
+        block["note"] = "E/H polytopal and suspended models agree"
+    if which == "local":
+        # the top plus one degree-1 flag per proper member in the window
+        block["members_in_window"] = complex_.dim(1) + 1
+    return [block]
 
 
 def check_groups(scene, which, seed=0):
@@ -542,9 +542,9 @@ def check_resolution(scene, seed=0):
         raise HypothesesError(
             f"region basis {len(basis)} exceeds the resolution guard {reso.MAX_BASIS}"
         )
-    p_max = scene.options.get("p_max")
-    ordered = not scene.options.get("unordered", False)
-    rep, _ = reso.resolution_homology(len(basis), p_max=p_max, ordered=ordered)
+    rep, _ = reso.resolution_homology(
+        len(basis), p_max=scene.p_max, ordered=not scene.unordered
+    )
     rep["name"] = "resolution"
     rep["basis_size"] = len(basis)
     rep["open-question"] = {
@@ -619,22 +619,7 @@ def emit(report, json_path=None, stream=None):
 
 
 def _dump_complex(scene, model, out_path):
-    coll, _ = scene.collection()
-    if model == "t":
-        complex_ = cx.order_complex(coll.members, include_top=False)
-    elif model == "st":
-        complex_ = cx.relative_st_complex(list(coll.members), coll.top())
-    elif model == "pt" and scene.geometry.kind == geo.SPHERICAL:
-        tri = cx.sphere_triangulation(coll)
-        complex_ = cx.pt_bicomplex(coll, tri)
-    elif model == "local":
-        if scene.polytope_a is None:
-            raise HypothesesError("local complex needs polytope_A")
-        complex_ = cx.relative_st_complex(
-            list(coll_mod.restrict(coll, scene.polytope_a)), coll.top()
-        )
-    else:
-        complex_ = cx.relative_st_complex(list(coll.members), coll.top())
+    complex_, _ = homology_model(scene, model)
     with open(out_path, "w") as fh:
         json.dump(complex_.as_json(), fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -754,9 +739,9 @@ def main(argv=None):
             return EXIT_PASS if report["overall"] == "PASS" else EXIT_FAIL
         scene = load_scene(args.scene)
         subcmd = getattr(args, "model", None) or getattr(args, "group", None) or getattr(args, "check", None)
+        checks, overall = run_command(args.command, subcmd, scene, seed=args.seed)
         if getattr(args, "dump_complex", None):
             _dump_complex(scene, subcmd, args.dump_complex)
-        checks, overall = run_command(args.command, subcmd, scene, seed=args.seed)
         report = make_report(scene, args.command, subcmd, checks, overall, args.seed)
         emit(report, args.json)
         return EXIT_PASS if overall == "PASS" else EXIT_FAIL

@@ -2,10 +2,12 @@
 
 All complexes carry named basis elements (tuples of indices into sorted
 member/cell lists) and sparse integer boundaries; every constructor
-asserts boundary-squared = 0 exactly.  Relative models (anchored-flag
+asserts boundary-squared = 0 exactly.  Every model is graded labels plus
+a face rule (``face_complex``): the boundary of a label is the signed
+sum of its faces that lie in the basis.  Relative models (anchored-flag
 complexes, quotient complexes) compute the reduced homology of the
-spaces they model directly; plain order complexes are augmented so that
-their homology is reduced as well.
+spaces they model directly; plain order complexes carry the empty flag
+in degree -1, so their homology is reduced as well.
 """
 
 from geotits import geometry as geo
@@ -21,12 +23,11 @@ from geotits.arrangement import FacePoset
 class ChainComplex:
     """Graded basis labels with integer boundary matrices d: C_d -> C_{d-1}."""
 
-    __slots__ = ("degrees", "boundaries", "meta")
+    __slots__ = ("degrees", "boundaries")
 
-    def __init__(self, degrees, boundaries, meta=""):
+    def __init__(self, degrees, boundaries):
         self.degrees = {d: tuple(labels) for d, labels in degrees.items() if labels}
         self.boundaries = boundaries
-        self.meta = meta
         self._validate()
 
     def dim(self, d):
@@ -73,12 +74,10 @@ class ChainComplex:
 class HomologySummary:
     """Per-degree betti rank and torsion invariant factors."""
 
-    __slots__ = ("by_degree", "reduced", "meta")
+    __slots__ = ("by_degree",)
 
-    def __init__(self, by_degree, reduced, meta=""):
+    def __init__(self, by_degree):
         self.by_degree = dict(sorted(by_degree.items()))
-        self.reduced = reduced
-        self.meta = meta
 
     def betti(self, d):
         return self.by_degree.get(d, (0, ()))[0]
@@ -125,7 +124,7 @@ def homology(complex_):
         betti = complex_.dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         torsion = tors.get(d + 1, ())
         out[d] = (betti, torsion)
-    return HomologySummary(out, reduced=True, meta=complex_.meta)
+    return HomologySummary(out)
 
 
 def wedge_verdict(summary, n):
@@ -202,54 +201,55 @@ def _chains(n, leq):
     return chains
 
 
-def _simplicial_boundaries(degrees):
-    """Alternating face deletion; faces absent from the basis map to 0."""
+def _graded(labels, degree):
+    """Labels grouped by ``degree(label)``, each degree sorted."""
+    degrees = {}
+    for label in labels:
+        degrees.setdefault(degree(label), []).append(label)
+    return {d: sorted(v) for d, v in sorted(degrees.items())}
+
+
+def _drop_one(label):
+    """Alternating deletion: drop entry i with sign (-1)**i."""
+    for i in range(len(label)):
+        yield label[:i] + label[i + 1 :], (-1) ** i
+
+
+def face_complex(degrees, faces=_drop_one):
+    """Chain complex whose boundary is the signed sum of face maps.
+
+    ``faces(label)`` yields ``(face, sign)`` pairs; each sign is added at
+    (row of the face in degree d-1, column of the label), and faces
+    absent from the basis map to zero.
+    """
     boundaries = {}
     for d in sorted(degrees):
-        lower_index = {lab: i for i, lab in enumerate(degrees.get(d - 1, ()))}
+        lower = {lab: i for i, lab in enumerate(degrees.get(d - 1, ()))}
         entries = {}
         for j, lab in enumerate(degrees[d]):
-            for i_face in range(len(lab)):
-                face = lab[:i_face] + lab[i_face + 1 :]
-                row = lower_index.get(face)
+            for face, sign in faces(lab):
+                row = lower.get(face)
                 if row is not None:
-                    entries[(row, j)] = entries.get((row, j), 0) + (-1) ** i_face
-        boundaries[d] = IntMatrix(
-            len(degrees.get(d - 1, ())), len(degrees[d]), entries
-        )
-    return boundaries
+                    entries[(row, j)] = entries.get((row, j), 0) + sign
+        boundaries[d] = IntMatrix(len(degrees.get(d - 1, ())), len(degrees[d]), entries)
+    return ChainComplex(degrees, boundaries)
 
 
-def order_complex(members, include_top=True, augmented=True, meta=""):
+def order_complex(members, include_top=True):
     """Simplicial chains on flags of the member poset.
 
     With ``include_top`` false this is the Tits complex T (proper members
-    only).  Augmented, so homology() reports reduced homology; the empty
-    complex has H_(-1) = Z.
+    only).  The empty flag sits in degree -1 as the face of every vertex,
+    so homology() reports reduced homology; the empty complex has
+    H_(-1) = Z.
     """
     elems = sorted((m for m in members if include_top or not m.is_top()),
                    key=lambda m: m.sort_key())
     leq = lambda i, j: elems[j].contains(elems[i]) and elems[i] != elems[j]
-    chains = _chains(len(elems), leq)
-    degrees = {}
-    for chain in chains:
-        if not chain:
-            continue
-        degrees.setdefault(len(chain) - 1, []).append(chain)
-    for d in degrees:
-        degrees[d] = sorted(degrees[d])
-    boundaries = _simplicial_boundaries(degrees)
-    if augmented:
-        degrees[-1] = [()]
-        if 0 in degrees:
-            boundaries[0] = IntMatrix(
-                1, len(degrees[0]), {(0, j): 1 for j in range(len(degrees[0]))}
-            )
-        boundaries[-1] = IntMatrix(0, 1)
-    return ChainComplex(degrees, boundaries, meta=meta)
+    return face_complex(_graded(_chains(len(elems), leq), lambda c: len(c) - 1))
 
 
-def relative_st_complex(members, top, meta=""):
+def relative_st_complex(members, top):
     """Relative chains of (CT, T): flags anchored at the given top.
 
     Degree p basis: flags U_0 < ... < U_{p-1} < top of proper members;
@@ -264,19 +264,12 @@ def relative_st_complex(members, top, meta=""):
         if not top.contains(m):
             raise ValueError("member not contained in the top subspace")
     leq = lambda i, j: proper[j].contains(proper[i]) and proper[i] != proper[j]
-    chains = _chains(len(proper), leq)
-    degrees = {}
-    for chain in chains:
-        degrees.setdefault(len(chain), []).append(chain)
-    for d in degrees:
-        degrees[d] = sorted(degrees[d])
     # the anchor never appears in labels, so plain face deletion with
     # absent faces mapping to zero is exactly the relative boundary
-    boundaries = _simplicial_boundaries(degrees)
-    return ChainComplex(degrees, boundaries, meta=meta)
+    return face_complex(_graded(_chains(len(proper), leq), len))
 
 
-def tpl_complex(points, geometry, meta=""):
+def tpl_complex(points, geometry):
     """Relative chains of the full simplex on the points modulo the
     subcomplex of tuples spanning a proper subspace.
 
@@ -288,18 +281,16 @@ def tpl_complex(points, geometry, meta=""):
     amb = geometry.ambient_dim
     from itertools import combinations
 
-    full = {}
-    for size in range(1, len(pts) + 1):
-        for combo in combinations(range(len(pts)), size):
-            span = geo.span_points([pts[i] for i in combo])
-            if span.carrier.dim == amb:
-                full.setdefault(size - 1, []).append(combo)
-    degrees = {d: sorted(v) for d, v in full.items()}
-    boundaries = _simplicial_boundaries(degrees)
-    return ChainComplex(degrees, boundaries, meta=meta), pts
+    full = [
+        combo
+        for size in range(1, len(pts) + 1)
+        for combo in combinations(range(len(pts)), size)
+        if geo.span_points([pts[i] for i in combo]).carrier.dim == amb
+    ]
+    return face_complex(_graded(full, lambda c: len(c) - 1)), pts
 
 
-def local_complex(coll, window, meta=""):
+def local_complex(coll, window):
     """Relative ST model on the sub-poset of members meeting the window.
 
     The window must be a valid (bounded, full-dimensional) convex
@@ -315,7 +306,7 @@ def local_complex(coll, window, meta=""):
         if hs is None or hs.carrier not in known:
             raise ValueError("window facets must be hyperplanes of the collection")
     members = coll_mod.restrict(coll, window)
-    return relative_st_complex(list(members), coll.top(), meta=meta or "local-st")
+    return relative_st_complex(list(members), coll.top())
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +323,16 @@ class SphereTriangulation:
 
     __slots__ = ("poset", "cell_order", "cell_index", "simplices", "complex")
 
-    def __init__(self, poset, meta=""):
+    def __init__(self, poset):
         self.poset = poset
         self.cell_order = tuple(sorted(poset.cells))
         self.cell_index = {s: i for i, s in enumerate(self.cell_order)}
-        cells = [poset.cells[s] for s in self.cell_order]
         leq = lambda i, j: i != j and FacePoset.leq(
             self.cell_order[i], self.cell_order[j]
         )
-        chains = _chains(len(cells), leq)
-        degrees = {}
-        for chain in chains:
-            if not chain:
-                continue
-            degrees.setdefault(len(chain) - 1, []).append(chain)
-        self.simplices = {d: tuple(sorted(v)) for d, v in degrees.items()}
-        boundaries = _simplicial_boundaries(
-            {d: list(v) for d, v in self.simplices.items()}
-        )
-        self.complex = ChainComplex(
-            {d: list(v) for d, v in self.simplices.items()}, boundaries, meta=meta
-        )
+        chains = _chains(len(self.cell_order), leq)[1:]  # no empty simplex
+        self.complex = face_complex(_graded(chains, lambda c: len(c) - 1))
+        self.simplices = self.complex.degrees
 
     def top_cell(self, label):
         return self.poset.cells[self.cell_order[label[-1]]]
@@ -382,10 +362,22 @@ def sphere_triangulation(coll, poset=None):
         closed += [cov for s_i, cov in zip(sign, poset.covectors) if s_i != 0]
         if exact.rank(closed) != coll.geometry.ambient_dim:  # pragma: no cover
             raise AssertionError("arrangement cell is not strongly convex")
-    return SphereTriangulation(poset, meta="sphere-triangulation")
+    return SphereTriangulation(poset)
 
 
-def pt_bicomplex(coll, tri, meta=""):
+def _bicomplex_faces(label):
+    """Flag faces (-1)**drop, then simplex faces (-1)**k (-1)**i; the
+    empty simplex is not a face."""
+    flag, sigma = label
+    for face, sign in _drop_one(flag):
+        yield (face, sigma), sign
+    k_sign = (-1) ** len(flag)
+    for face, sign in _drop_one(sigma):
+        if face:
+            yield (flag, face), k_sign * sign
+
+
+def pt_bicomplex(coll, tri):
     """Total complex of the poset-of-flats diagram of subsphere chains,
     relative to the sub-diagram below the top flat.
 
@@ -397,61 +389,26 @@ def pt_bicomplex(coll, tri, meta=""):
                     key=lambda m: m.sort_key())
     carrier = [m.carrier for m in proper]
     leq = lambda i, j: carrier[j].contains(carrier[i]) and carrier[i] != carrier[j]
-    flags = _chains(len(proper), leq)
-    degrees = {}
-    for flag in flags:
-        if flag:
-            bottom = carrier[flag[0]]
-            simplex_pool = {
-                m: tri.labels_in_carrier(bottom, m) for m in tri.simplices
-            }
-        else:
-            simplex_pool = {m: list(tri.simplices[m]) for m in tri.simplices}
-        k = len(flag)
-        for m, labs in simplex_pool.items():
-            for sigma in labs:
-                degrees.setdefault(k + m, []).append((flag, sigma))
-    for d in degrees:
-        degrees[d] = sorted(degrees[d])
-    index = {d: {lab: i for i, lab in enumerate(v)} for d, v in degrees.items()}
-    boundaries = {}
-    for d in sorted(degrees):
-        entries = {}
-        lower = index.get(d - 1, {})
-        for j, (flag, sigma) in enumerate(degrees[d]):
-            k = len(flag)
-            for drop in range(k):
-                face = (flag[:drop] + flag[drop + 1 :], sigma)
-                row = lower.get(face)
-                if row is not None:
-                    entries[(row, j)] = entries.get((row, j), 0) + (-1) ** drop
-            sgn = (-1) ** k
-            for i_face in range(len(sigma)):
-                face_sigma = sigma[:i_face] + sigma[i_face + 1 :]
-                if not face_sigma:
-                    continue
-                face = (flag, face_sigma)
-                row = lower.get(face)
-                if row is not None:
-                    entries[(row, j)] = entries.get((row, j), 0) + sgn * (-1) ** i_face
-        boundaries[d] = IntMatrix(len(degrees.get(d - 1, ())), len(degrees[d]), entries)
-    return ChainComplex(degrees, boundaries, meta=meta or "pt-bicomplex")
+    labels = []
+    for flag in _chains(len(proper), leq):
+        for m, whole in tri.simplices.items():
+            pool = tri.labels_in_carrier(carrier[flag[0]], m) if flag else whole
+            labels.extend((flag, sigma) for sigma in pool)
+    return face_complex(_graded(labels, lambda l: len(l[0]) + len(l[1]) - 1),
+                        _bicomplex_faces)
 
 
-def pt_collapse_complex(coll, tri, meta=""):
+def pt_collapse_complex(coll, tri):
     """Strict-colimit model: chains of S^n relative to the proper-flat union.
 
     Basis: simplices of the sphere triangulation whose top cell is a
     full-dimensional region; faces falling into proper flats die.
     """
     n = coll.geometry.n
-    degrees = {}
-    for m, labs in tri.simplices.items():
-        keep = [lab for lab in labs if tri.top_cell(lab).dim == n]
-        if keep:
-            degrees[m] = sorted(keep)
-    boundaries = _simplicial_boundaries(degrees)
-    return ChainComplex(degrees, boundaries, meta=meta or "pt-collapse")
+    return face_complex({
+        m: [lab for lab in labs if tri.top_cell(lab).dim == n]
+        for m, labs in tri.simplices.items()
+    })
 
 
 def collapse_chain_map(bicomplex, collapse):

@@ -415,12 +415,12 @@ class STModel:
 
     __slots__ = ("top", "proper", "complex")
 
-    def __init__(self, members, top, meta=""):
+    def __init__(self, members, top):
         self.top = top
         self.proper = tuple(
             sorted((m for m in members if m != top), key=lambda m: m.sort_key())
         )
-        self.complex = cx.relative_st_complex(members, top, meta=meta)
+        self.complex = cx.relative_st_complex(members, top)
 
 
 def apartment_cycle_cell(poset, region_sign, st_model, top_carrier=None):
@@ -530,7 +530,7 @@ def ls_group(coll):
 
 
 def apartment_matrix(coll, flavor, poset=None, basis=None, st_model=None,
-                     ls_data=None, tri=None, bicomplex=None, window=None):
+                     ls_data=None, tri=None, bicomplex=None):
     """Matrix of apartment classes in an SNF basis of H_n; iso flag included.
 
     Flavors: "ST-points", "ST-polytopes", "local", "PT-spherical".
@@ -841,7 +841,7 @@ def _u_basis(cup_poset, u_index, window=None):
     return tuple(out)
 
 
-def exact_sequence_check(coll, u_covector, window=None, deep=True):
+def exact_sequence_check(coll, u_covector, window=None):
     """Verify 0 -> Pt(L) -> Pt(L cup U) -> Pt(L cap U on U) -> 0 at matrix
     level, plus rank additivity and the homology counterpart."""
     g = coll.geometry
@@ -914,12 +914,25 @@ def exact_sequence_check(coll, u_covector, window=None, deep=True):
         "rank_additive": rank_additive,
     }
 
-    if deep and g.kind != geo.SPHERICAL:
-        report["homology"] = _st_rank_additivity(coll, cup, var, window, u)
-    if deep and g.kind != geo.SPHERICAL and u_cells:
-        report["dashed_map_agrees"] = _dashed_map_check(
-            coll, cup, var, cup_poset, u_index, u_cells, window
-        )
+    if g.kind != geo.SPHERICAL:
+        # the relative ST models of L, L cup U and L cap U (anchored at U),
+        # restricted to the window when there is one
+        if window is None:
+            mem_l, mem_cup, cap_members = list(coll.members), list(cup.members), list(var.cap)
+        else:
+            mem_l = _members_within(coll.members, window, g)
+            mem_cup = _members_within(cup.members, window, g)
+            cap_set = set(var.cap)
+            cap_members = [m for m in mem_cup if m in cap_set]
+            if var.u_member not in cap_members:
+                cap_members.append(var.u_member)
+        cup_st = STModel(mem_cup, coll.top())
+        cap_st = STModel(cap_members, var.u_member)
+        report["homology"] = _st_rank_additivity(coll, mem_l, cup_st, cap_st)
+        if u_cells:
+            report["dashed_map_agrees"] = _dashed_map_check(
+                g.n, cup_st, cap_st, cup_poset, u_cells, window
+            )
     ok = injective and surjective and composite_zero and kernel_eq and rank_additive
     if "homology" in report:
         ok = ok and report["homology"]["additive"]
@@ -930,30 +943,15 @@ def exact_sequence_check(coll, u_covector, window=None, deep=True):
 
 
 def _members_within(members, window, g):
-    if window is None:
-        return list(members)
     return list(coll_mod.restrict(coll_mod.Collection(g, members, "raw"), window))
 
 
-def _st_rank_additivity(coll, cup, var, window, u):
+def _st_rank_additivity(coll, mem_l, cup_st, cap_st):
     """H_n(ST cup) rank = H_n(ST) + H_{n-1}(ST cap U) rank."""
-    g = coll.geometry
-    u_member = var.u_member
-    if window is None:
-        mem_l = list(coll.members)
-        mem_cup = list(cup.members)
-        cap_members = list(var.cap)
-    else:
-        mem_l = _members_within(coll.members, window, g)
-        mem_cup = _members_within(cup.members, window, g)
-        cap_set = set(var.cap)
-        cap_members = [m for m in mem_cup if m in cap_set]
-        if u_member not in cap_members:
-            cap_members.append(u_member)
     h_l = cx.homology(cx.relative_st_complex(mem_l, coll.top()))
-    h_cup = cx.homology(cx.relative_st_complex(mem_cup, coll.top()))
-    h_cap = cx.homology(cx.relative_st_complex(cap_members, u_member))
-    n = g.n
+    h_cup = cx.homology(cup_st.complex)
+    h_cap = cx.homology(cap_st.complex)
+    n = coll.geometry.n
     additive = h_cup.betti(n) == h_l.betti(n) + h_cap.betti(n - 1)
     return {
         "st_L": h_l.betti(n),
@@ -963,26 +961,12 @@ def _st_rank_additivity(coll, cup, var, window, u):
     }
 
 
-def _dashed_map_check(coll, cup, var, cup_poset, u_index, u_cells, window):
+def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
     """Boundary of a cofacet lift vs the apartment of the facet, as
     homology classes in the U-geometry (one global sign for all cells)."""
-    g = coll.geometry
-    n = g.n
-    u_member = var.u_member
-    if window is None:
-        mem_cup = list(cup.members)
-        cap_members = list(var.cap)
-    else:
-        mem_cup = _members_within(cup.members, window, g)
-        cap_set = set(var.cap)
-        cap_members = [m for m in mem_cup if m in cap_set]
-        if u_member not in cap_members:
-            cap_members.append(u_member)
-    cup_st = STModel(mem_cup, coll.top())
-    cap_st = STModel(cap_members, u_member)
+    u_member = cap_st.top
     classes = cx.HomologyClasses(cap_st.complex, n - 1)
     cap_index = cap_st.complex.index(n - 1)
-    proper_pos = {m: i for i, m in enumerate(cup_st.proper)}
     cap_pos = {m: i for i, m in enumerate(cap_st.proper)}
 
     epsilon = None

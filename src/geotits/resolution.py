@@ -8,8 +8,8 @@ an end entry or merge two adjacent ones.  The two low-degree identities
 above is reported as data and never asserted to vanish.
 """
 
-from geotits._kernel import IntMatrix, smith_normal_form
-from geotits.complexes import ChainComplex, HomologySummary
+from geotits._kernel import smith_normal_form
+from geotits.complexes import HomologySummary, face_complex
 
 MAX_BASIS = 6
 
@@ -82,23 +82,17 @@ def build_resolution(basis_size, p_max=None, ordered=True):
     if not check_face_identities(level_dict):  # pragma: no cover
         raise AssertionError("semi-simplicial identities fail")
     if not ordered:
-        return _build_unordered(level_dict, truncated)
-    degrees = {p: list(tuples) for p, tuples in level_dict.items()}
-    boundaries = {}
-    for p in sorted(degrees):
-        lower = {t: i for i, t in enumerate(degrees.get(p - 1, ()))}
-        entries = {}
-        for j, t in enumerate(degrees[p]):
-            for i_face in range(p + 1):
-                f = face(t, i_face)
-                row = lower.get(f)
-                if row is not None:
-                    entries[(row, j)] = entries.get((row, j), 0) + (-1) ** i_face
-        boundaries[p] = IntMatrix(len(degrees.get(p - 1, ())), len(degrees[p]), entries)
-    return ChainComplex(degrees, boundaries, meta="resolution"), level_dict, truncated
+        return _build_unordered(level_dict), level_dict, truncated
+    return face_complex(level_dict, _faces), level_dict, truncated
 
 
-def _build_unordered(level_dict, truncated):
+def _faces(t):
+    """The semi-simplicial face maps d_0 .. d_p, with sign (-1)**i."""
+    for i in range(len(t) + 1):
+        yield face(t, i), (-1) ** i
+
+
+def _build_unordered(level_dict):
     """Exploratory order-free complex (no claim attached).
 
     The literal tuples cannot be made unordered as a semi-simplicial
@@ -115,23 +109,7 @@ def _build_unordered(level_dict, truncated):
         for t in tuples:
             seen.add(tuple(sorted(t, key=lambda s: (len(s), sorted(s)))))
         degrees[p] = sorted(seen, key=lambda fam: tuple((len(s), sorted(s)) for s in fam))
-    index = {p: {t: i for i, t in enumerate(v)} for p, v in degrees.items()}
-    boundaries = {}
-    for p in sorted(degrees):
-        entries = {}
-        lower = index.get(p - 1, {})
-        for j, fam in enumerate(degrees[p]):
-            for drop in range(len(fam)):
-                f = fam[:drop] + fam[drop + 1 :]
-                row = lower.get(f)
-                if row is not None:
-                    entries[(row, j)] = entries.get((row, j), 0) + (-1) ** drop
-        boundaries[p] = IntMatrix(len(degrees.get(p - 1, ())), len(degrees[p]), entries)
-    return (
-        ChainComplex(degrees, boundaries, meta="resolution-unordered"),
-        level_dict,
-        truncated,
-    )
+    return face_complex(degrees)
 
 
 def resolution_homology(basis_size, p_max=None, ordered=True):
@@ -152,7 +130,7 @@ def resolution_homology(basis_size, p_max=None, ordered=True):
     for d in complex_.support():
         betti = complex_.dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         by_degree[d] = (betti, tors.get(d + 1, ()))
-    summary = HomologySummary(by_degree, reduced=False, meta=complex_.meta)
+    summary = HomologySummary(by_degree)
     reliable_top = (p_max if p_max is not None else basis_size + 1) - 1
     if not truncated:
         reliable_top = top + 1

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from geotits import cli
+from geotits import complexes as cx
+from geotits._kernel import IntMatrix
 from geotits.cli import Scene, SceneError, HypothesesError, run_command
 
 
@@ -48,6 +50,18 @@ def test_scene_validation_errors():
     ]:
         with pytest.raises(SceneError, match=match):
             Scene({"geometry": "E", "n": 2, **data})
+    # resolution options: p_max is an integer >= 1, unordered a JSON boolean
+    two_points = [["0", "1"], ["-1", "1"]]
+    for options, match in [
+        ({"p_max": "2"}, "p_max"), ({"p_max": -1}, "p_max"), ({"p_max": 0}, "p_max"),
+        ({"p_max": True}, "p_max"), ({"p_max": 1.5}, "p_max"),
+        ({"unordered": "no"}, "unordered"), ({"unordered": 0}, "unordered"),
+    ]:
+        with pytest.raises(SceneError, match=match):
+            Scene({"geometry": "E", "n": 1, "hyperplanes": two_points, "options": options})
+    scene = Scene({"geometry": "E", "n": 1, "hyperplanes": two_points,
+                   "options": {"p_max": 2, "unordered": True}})
+    assert (scene.p_max, scene.unordered) == (2, True)
 
 
 def test_triangle_verify():
@@ -91,6 +105,39 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["validate", scene_path("e2_triangle")]) == cli.EXIT_PASS
     assert cli.main(["verify", "suspension", scene_path("s2_coordinate")]) == cli.EXIT_HYPOTHESES
     assert cli.main(["verify", "solomon-tits", scene_path("e2_triangle")]) == cli.EXIT_PASS
+
+
+def _dumped_homology(path):
+    """Reduced homology of a complex written by --dump-complex."""
+    data = json.loads(path.read_text())
+    degrees = {int(d): labels for d, labels in data["degrees"].items()}
+    boundaries = {
+        int(d): IntMatrix(len(degrees.get(int(d) - 1, ())), len(degrees[int(d)]),
+                          {(i, j): v for i, j, v in triplets})
+        for d, triplets in data["boundaries"].items()
+    }
+    return cx.homology(cx.ChainComplex(degrees, boundaries)).as_dict()
+
+
+@pytest.mark.parametrize("model, name, key", [
+    ("t", "e2_square_window", "reduced_homology"),
+    ("st", "e2_square_window", "reduced_homology"),
+    ("local", "e2_square_window", "reduced_homology"),
+    ("pt", "s2_coordinate", "bicomplex"),
+])
+def test_dump_complex_is_the_reported_complex(model, name, key, tmp_path, capsys):
+    out = tmp_path / "complex.json"
+    code = cli.main(["homology", model, scene_path(name), "--dump-complex", str(out)])
+    assert code == cli.EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert _dumped_homology(out) == report["checks"][0][key]
+
+
+def test_dump_complex_exits_hypotheses_without_a_dump(tmp_path, capsys):
+    out = tmp_path / "complex.json"
+    code = cli.main(["homology", "pt", scene_path("s2_lunes_two"), "--dump-complex", str(out)])
+    assert code == cli.EXIT_HYPOTHESES
+    assert not out.exists()
 
 
 def test_report_deterministic(tmp_path, capsys):

@@ -190,13 +190,13 @@ def test_homology_simple_complexes():
 
 
 def test_wedge_verdict():
-    free8 = cx.HomologySummary({2: (8, ())}, reduced=True)
+    free8 = cx.HomologySummary({2: (8, ())})
     assert cx.wedge_verdict(free8, 2)
-    mixed = cx.HomologySummary({1: (1, ()), 2: (1, ())}, reduced=True)
+    mixed = cx.HomologySummary({1: (1, ()), 2: (1, ())})
     assert not cx.wedge_verdict(mixed, 2)
-    torsion = cx.HomologySummary({2: (1, (2,))}, reduced=True)
+    torsion = cx.HomologySummary({2: (1, (2,))})
     assert not cx.wedge_verdict(torsion, 2)
-    empty = cx.HomologySummary({}, reduced=True)
+    empty = cx.HomologySummary({})
     assert cx.wedge_verdict(empty, 2)
 
 

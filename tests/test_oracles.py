@@ -108,7 +108,7 @@ def test_homology_against_rational_rank_oracle(triangle, four_lines, coord_s2):
         complexes.append(cx.order_complex(coll.members, include_top=False))
     tri = cx.sphere_triangulation(coord_s2)
     complexes.append(cx.pt_bicomplex(coord_s2, tri))
-    for complex_ in complexes:
+    for which, complex_ in enumerate(complexes):
         h = cx.homology(complex_)
         for d in complex_.support():
             bd = complex_.boundary(d)
@@ -116,7 +116,7 @@ def test_homology_against_rational_rank_oracle(triangle, four_lines, coord_s2):
             rk_d = exact.rank(_dense_rows(bd)) if bd.entries else 0
             rk_next = exact.rank(_dense_rows(bnext)) if bnext.entries else 0
             betti = complex_.dim(d) - rk_d - rk_next
-            assert betti == h.betti(d), (complex_.meta, d)
+            assert betti == h.betti(d), (which, d)
 
 
 def _dense_rows(m):

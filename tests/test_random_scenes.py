@@ -218,5 +218,5 @@ def test_projective_plane_torsion():
     assert h.betti(0) == 1 and h.betti(1) == 0 and h.betti(2) == 0
     assert h.torsion(1) == (2,)
     assert not cx.wedge_verdict(
-        cx.HomologySummary({1: (0, (2,)), 2: (1, ())}, reduced=True), 2
+        cx.HomologySummary({1: (0, (2,)), 2: (1, ())}), 2
     )
