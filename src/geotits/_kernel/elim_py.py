@@ -1,15 +1,30 @@
 """Sparse integer elimination core.
 
 Reduces an integer matrix to Smith diagonal form by unimodular row and
-column operations.  Strategy: exhaust +-1 pivots first with a Markowitz
-fill-in heuristic (chain-complex boundary matrices are almost entirely
-unimodular-pivotable), then fall back to classic smallest-entry pivoting
-with in-loop divisibility enforcement, so the recorded pivots already
-satisfy d1 | d2 | ... .
+column operations.  Strategy: exhaust +-1 pivots first (chain-complex
+boundary matrices are almost entirely unimodular-pivotable), then fall
+back to classic smallest-entry pivoting with in-loop divisibility
+enforcement, so the recorded pivots already satisfy d1 | d2 | ... .
+
+The +-1 pivots come from a lazy min-heap instead of a rescan of the
+active matrix per pivot, with one key for each kind of call:
+
+* with transforms, the Markowitz fill cost (Markowitz 1957) of every
+  +-1 entry, ``(cost, i, j)``, re-pushed for the rows and columns a
+  pivot changed; the heap yields exactly the least current key, so
+  pivots, positions and U/V are pinned (reports print apartment
+  matrices in that basis);
+* rank-only, the row length ``(len, i)`` of each row holding a +-1
+  entry, re-pushed for the rows a pivot touched, pivoting at that row's
+  +-1 entry with the shortest column.  Only the invariant factors are
+  pinned: any unit-pivot order gives the same ones (exhausting unit
+  pivots first follows Dumas, Heckenbach, Saunders & Welker, 2003).
 
 Callers go through :func:`geotits._kernel.smith_normal_form`, which
 keeps the sparse certificates returned here.
 """
+
+from heapq import heapify, heappop, heappush
 
 
 def eliminate(rows, m, n, want_transforms):
@@ -23,6 +38,12 @@ def eliminate(rows, m, n, want_transforms):
     sparse rows of U and sparse columns of V (dicts) with U M V carrying
     pivot k at position (pivot_rows[k], pivot_cols[k]) and zeros
     elsewhere.
+
+    The output depends only on the input, never on the order in which
+    rows and dicts iterate.  With ``want_transforms`` every output is
+    pinned: the +-1 pivot of least key (cost, i, j) goes first.  Without
+    it only ``pivots`` is: the positions are distinct rows and columns
+    but follow the cheaper row-length heap.
     """
     cols = [set() for _ in range(n)]
     for i in range(m):
@@ -104,31 +125,74 @@ def eliminate(rows, m, n, want_transforms):
         cols[j0].discard(i0)
         active_rows.discard(i0)
 
-    # Phase A: +-1 pivots, cheapest fill first.  Each scan below takes
-    # the least key ending in the position (i, j), or the least row i,
-    # so its choice does not depend on the order rows and dicts iterate.
-    while True:
-        best = None
-        for i in active_rows:
-            ri = rows[i]
-            rlen = len(ri)
-            for j, v in ri.items():
-                if v == 1 or v == -1:
-                    cost = (rlen - 1) * (len(cols[j]) - 1)
-                    key = (cost, i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, i0, j0 = best
+    def unit_pivot(i0, j0):
+        # clear column j0 by row operations and row i0 by column
+        # operations; returns the rows the row operations touched and
+        # the columns row i0 held besides j0
         p = rows[i0][j0]
-        for i in list(cols[j0]):
-            if i != i0:
-                row_axpy(i, i0, rows[i][j0] * p)  # p in {1,-1}: q = v/p = v*p
-        for j in list(rows[i0]):
-            if j != j0:
-                col_axpy(j, j0, rows[i0][j] * p)
+        touched = [i for i in cols[j0] if i != i0]
+        for i in touched:
+            row_axpy(i, i0, rows[i][j0] * p)  # p in {1,-1}: q = v/p = v*p
+        support = [j for j in rows[i0] if j != j0]
+        for j in support:
+            col_axpy(j, j0, rows[i0][j] * p)
         retire(i0, j0)
+        return touched, support
+
+    # Phase A: +-1 pivots, taken from a lazy min-heap.  A popped key that
+    # no longer describes the matrix is discarded.  A pivot changes only
+    # the rows its row updates touch and the columns of the pivot row, so
+    # pushing their keys again keeps every current key in the heap.
+    if want_transforms:
+        # Least Markowitz key (cost, i, j) over all +-1 entries, with
+        # cost = (row length - 1) * (column length - 1).
+        def push_units(i, js):
+            ri = rows[i]
+            for j in js:
+                v = ri[j]
+                if v == 1 or v == -1:
+                    heappush(heap, ((len(ri) - 1) * (len(cols[j]) - 1), i, j))
+
+        heap = []
+        for i in active_rows:
+            push_units(i, rows[i])
+        while heap:
+            cost, i0, j0 = heappop(heap)
+            v = rows[i0].get(j0)
+            if (v != 1 and v != -1) or cost != (len(rows[i0]) - 1) * (len(cols[j0]) - 1):
+                continue
+            touched, support = unit_pivot(i0, j0)
+            for i in touched:
+                push_units(i, rows[i])
+            touched = set(touched)
+            for j in support:
+                for i in cols[j] - touched:
+                    push_units(i, (j,))
+    else:
+        # Shortest row that holds a +-1 entry, keyed (row length, i), at
+        # its +-1 entry with the shortest column.  Only row operations
+        # change a live row, so a row without a unit entry waits until
+        # one touches it.  The Markowitz heap would re-push every entry
+        # of each column a pivot shortens, which makes it over ten times
+        # slower on the dense fill of resolution boundaries.
+        def has_unit(ri):
+            return any(v == 1 or v == -1 for v in ri.values())
+
+        heap = [(len(rows[i]), i) for i in active_rows if has_unit(rows[i])]
+        heapify(heap)
+        while heap:
+            rlen, i0 = heappop(heap)
+            ri = rows[i0]
+            if len(ri) != rlen:
+                continue
+            best = min(((len(cols[j]), j) for j, v in ri.items() if v == 1 or v == -1),
+                       default=None)
+            if best is None:
+                continue
+            touched, _ = unit_pivot(i0, best[1])
+            for i in touched:
+                if has_unit(rows[i]):
+                    heappush(heap, (len(rows[i]), i))
 
     # Phase B: general pivots with divisibility enforcement.
     while True:

@@ -308,7 +308,7 @@ def homology_model(scene, which):
     collapse model that cross-checks it (None otherwise)."""
     coll, _ = scene.collection()
     if which == "t":
-        return cx.order_complex(coll.members, include_top=False), None
+        return cx.order_complex(coll.members), None
     if which == "local":
         if scene.polytope_a is None:
             raise HypothesesError("local homology needs polytope_A")
@@ -502,10 +502,13 @@ def verify_exact_seq(scene, seed=0):
     coll, _ = scene.collection()
     if scene.u_hyperplane is None:
         raise SceneError("verify exact-seq needs options.u_hyperplane")
-    rep = grp.exact_sequence_check(coll, scene.u_hyperplane, window=scene.polytope_a)
+    reason = grp.exact_sequence_hypotheses(coll, scene.u_hyperplane, scene.polytope_a)
+    if reason is not None:
+        raise HypothesesError(reason)
+    poset, basis = scene.arrangement(scene.polytope_a)
+    rep = grp.exact_sequence_check(coll, scene.u_hyperplane, window=scene.polytope_a,
+                                   poset=poset, basis=basis)
     rep["name"] = "exact-sequence"
-    if rep["verdict"] == "HYPOTHESES_NOT_MET":
-        raise HypothesesError(rep.get("reason", "hypotheses not met"))
     return [rep]
 
 

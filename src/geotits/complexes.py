@@ -235,16 +235,13 @@ def face_complex(degrees, faces=_drop_one):
     return ChainComplex(degrees, boundaries)
 
 
-def order_complex(members, include_top=True):
-    """Simplicial chains on flags of the member poset.
-
-    With ``include_top`` false this is the Tits complex T (proper members
-    only).  The empty flag sits in degree -1 as the face of every vertex,
-    so homology() reports reduced homology; the empty complex has
-    H_(-1) = Z.
+def order_complex(members):
+    """The Tits complex T: simplicial chains on flags of the proper
+    members (the top is dropped).  The empty flag sits in degree -1 as
+    the face of every vertex, so homology() reports reduced homology;
+    the empty complex has H_(-1) = Z.
     """
-    elems = sorted((m for m in members if include_top or not m.is_top()),
-                   key=lambda m: m.sort_key())
+    elems = sorted((m for m in members if not m.is_top()), key=lambda m: m.sort_key())
     leq = lambda i, j: elems[j].contains(elems[i]) and elems[i] != elems[j]
     return face_complex(_graded(_chains(len(elems), leq), lambda c: len(c) - 1))
 

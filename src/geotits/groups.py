@@ -841,28 +841,43 @@ def _u_basis(cup_poset, u_index, window=None):
     return tuple(out)
 
 
-def exact_sequence_check(coll, u_covector, window=None):
-    """Verify 0 -> Pt(L) -> Pt(L cup U) -> Pt(L cap U on U) -> 0 at matrix
-    level, plus rank additivity and the homology counterpart."""
+def exact_sequence_hypotheses(coll, u_covector, window=None):
+    """The reason the exact sequence for L = ``coll`` and U does not
+    apply, or None when it does.  Raises ValueError when U lies in L or
+    misses the geometry.  Needs no arrangement, so callers can test it
+    before they build one."""
     g = coll.geometry
     u = geo.canonical_covector(u_covector)
     if u in coll.hyperplane_covectors:
         raise ValueError("U already belongs to the collection (sequence fails)")
     if g.kind == geo.EUCLIDEAN and window is None:
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
-            return {"claim": "polytope-group exact sequence", "verdict": "HYPOTHESES_NOT_MET",
-                    "reason": "Euclidean collection not admissible"}
+            return "Euclidean collection not admissible"
     if g.kind == geo.HYPERBOLIC and window is None:
-        return {"claim": "polytope-group exact sequence", "verdict": "HYPOTHESES_NOT_MET",
-                "reason": "hyperbolic global form needs a window polytope A"}
+        return "hyperbolic global form needs a window polytope A"
     if geo.hyperplane_subspace(g, u) is None:
         raise ValueError("U does not meet the geometry")
+    return None
 
+
+def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
+    """Verify 0 -> Pt(L) -> Pt(L cup U) -> Pt(L cap U on U) -> 0 at matrix
+    level, plus rank additivity and the homology counterpart.  ``poset``
+    and ``basis``, when given, are L's arrangement within ``window`` and
+    its region basis."""
+    reason = exact_sequence_hypotheses(coll, u_covector, window)
+    if reason is not None:
+        return {"claim": "polytope-group exact sequence", "verdict": "HYPOTHESES_NOT_MET",
+                "reason": reason}
+    g = coll.geometry
+    u = geo.canonical_covector(u_covector)
     var = coll_mod.variants(coll, u)
     cup = var.cup
-    poset = arr.build_arrangement(coll, within=window)
+    if poset is None:
+        poset = arr.build_arrangement(coll, within=window)
+    if basis is None:
+        basis = arr.region_basis(poset)
     cup_poset = arr.build_arrangement(cup, within=window)
-    basis = arr.region_basis(poset)
     cup_basis = arr.region_basis(cup_poset)
     cup_covs = tuple(sorted(cup.hyperplane_covectors))
     u_index = cup_covs.index(u)

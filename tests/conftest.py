@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from geotits import geometry as geo
@@ -56,3 +58,24 @@ def h2_triangle():
 @pytest.fixture(scope="session")
 def concurrent_e2():
     return coll_mod.closure_by_hyperplanes(E2, [(0, 1, 0), (0, 0, 1)])
+
+
+class Budget:
+    def __init__(self, number, title, seconds):
+        self.number = number
+        self.title = title
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.monotonic() - self.start
+        status = "PASS" if exc_type is None else "FAIL"
+        print(f"ACCEPTANCE {self.number} [{self.title}]: {status} ({elapsed:.2f}s)")
+        if exc_type is None:
+            assert elapsed < self.seconds, (
+                f"criterion {self.number} exceeded its {self.seconds}s budget ({elapsed:.2f}s)"
+            )
+        return False

@@ -5,7 +5,6 @@ with its runtime and enforces the stated wall-clock budget.
 """
 
 import random
-import time
 
 from geotits import arrangement as arr
 from geotits import cli
@@ -16,6 +15,7 @@ from geotits import groups as grp
 from geotits import resolution as reso
 from geotits._kernel import IntMatrix, smith_normal_form
 from conftest import (
+    Budget,
     E1,
     E2,
     E3,
@@ -27,27 +27,6 @@ from conftest import (
     TRIANGLE_COVS,
     TWO_CUBE_COVS,
 )
-
-
-class Budget:
-    def __init__(self, number, title, seconds):
-        self.number = number
-        self.title = title
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.monotonic() - self.start
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"ACCEPTANCE {self.number} [{self.title}]: {status} ({elapsed:.2f}s)")
-        if exc_type is None:
-            assert elapsed < self.seconds, (
-                f"criterion {self.number} exceeded its {self.seconds}s budget ({elapsed:.2f}s)"
-            )
-        return False
 
 
 E2_SCENES = {
@@ -82,7 +61,7 @@ def test_criterion_2_concurrent_vanishing():
             (E3, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
         ):
             coll = coll_mod.closure_by_hyperplanes(g, covs)
-            ht = cx.homology(cx.order_complex(coll.members, include_top=False))
+            ht = cx.homology(cx.order_complex(coll.members))
             assert not ht.nonzero_degrees()  # contractible T
             poset = arr.build_arrangement(coll)
             assert len(arr.region_basis(poset)) == 0  # Pt = 0

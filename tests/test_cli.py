@@ -225,19 +225,43 @@ def test_scene_collection_built_once(name, commands):
     ("h2_triangle", [("verify", "local"), ("verify", "solomon-tits")]),
     ("s2_coordinate", [("arrangement", None), ("homology", "pt"),
                        ("verify", "solomon-tits")]),
+    ("e2_four_lines", [("verify", "solomon-tits"), ("verify", "exact-seq"),
+                       ("arrangement", None)]),
 ])
 def test_scene_arrangement_built_once(name, commands, monkeypatch):
     """Commands on one Scene share one face poset and region basis, and
-    their reports match those of a fresh Scene byte for byte."""
+    their reports match those of a fresh Scene byte for byte.  Only
+    exact-seq builds a second arrangement, that of L cup U."""
     fresh = {cmd: _report_bytes(load(name), *cmd) for cmd in commands}
     built = []
     build = cli.arr.build_arrangement
     monkeypatch.setattr(cli.arr, "build_arrangement",
-                        lambda *a, **k: built.append(a) or build(*a, **k))
+                        lambda *a, **k: built.append(a[0]) or build(*a, **k))
     shared = load(name)
     for cmd in commands:
         assert _report_bytes(shared, *cmd) == fresh[cmd]
-    assert len(built) == 1
+    assert built[0] is shared.collection()[0]
+    assert len(built) == 1 + (("verify", "exact-seq") in commands)
+
+
+@pytest.mark.parametrize("u, window, match", [
+    # U in L, inside a window whose third facet is not in L
+    (["1", "-3", "-2"], [["1", "-3", "-2"], ["1", "3", "-2"], ["1", "0", "3"]],
+     "already belongs"),
+    # the hyperbolic global form, with no window at all
+    (["3", "0", "-8"], None, "needs a window"),
+])
+def test_exact_seq_hypotheses_precede_arrangement(u, window, match, monkeypatch):
+    """verify exact-seq reports an unmet hypothesis before it builds any
+    arrangement, so a window that is not an L-polytope cannot mask it."""
+    data = json.loads((cli.corpus_dir() / "h2_triangle.json").read_text())
+    data["options"] = {"u_hyperplane": u}
+    data["polytope_A"] = window and {"halfspaces": window}
+    scene = Scene(data)
+    monkeypatch.setattr(cli.arr, "build_arrangement",
+                        lambda *a, **k: pytest.fail("arrangement built"))
+    with pytest.raises(HypothesesError, match=match):
+        run_command("verify", "exact-seq", scene)
 
 
 def test_reports_identical_across_hash_seeds():

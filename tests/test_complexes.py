@@ -9,7 +9,7 @@ from conftest import E1, E2, S0, S1, S2
 
 
 def test_order_complex_triangle(triangle):
-    t = cx.order_complex(triangle.members, include_top=False)
+    t = cx.order_complex(triangle.members)
     assert t.dim(0) == 6 and t.dim(1) == 6  # incidence hexagon
     h = cx.homology(t)
     assert h.betti(1) == 1 and h.betti(0) == 0
@@ -17,13 +17,13 @@ def test_order_complex_triangle(triangle):
 
 def test_order_complex_top_only():
     only = [geo.top_subspace(E2)]
-    t = cx.order_complex(only, include_top=False)
+    t = cx.order_complex(only)
     h = cx.homology(t)
     assert h.betti(-1) == 1  # empty complex, reduced convention
 
 
 def test_order_complex_contractible(concurrent_e2):
-    h = cx.homology(cx.order_complex(concurrent_e2.members, include_top=False))
+    h = cx.homology(cx.order_complex(concurrent_e2.members))
     assert not h.nonzero_degrees()
 
 
@@ -51,7 +51,7 @@ def test_relative_st_concurrent_vanishes(concurrent_e2):
 def test_suspension_identity(triangle, four_lines, concurrent_e2, h2_triangle):
     """H_p(relative ST) = reduced H_{p-1}(T) for E/H collections."""
     for coll in (triangle, four_lines, concurrent_e2, h2_triangle):
-        ht = cx.homology(cx.order_complex(coll.members, include_top=False))
+        ht = cx.homology(cx.order_complex(coll.members))
         hst = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
         for d in range(-1, 4):
             assert hst.betti(d + 1) == ht.betti(d)

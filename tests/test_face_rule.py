@@ -87,7 +87,7 @@ def _reference_relative_st(members, top):
 
 def test_tits_complex_matches_reference(corpus):
     for _, _, coll in corpus:
-        _assert_same(cx.order_complex(coll.members, include_top=False),
+        _assert_same(cx.order_complex(coll.members),
                      *_reference_order_complex(coll.members))
 
 

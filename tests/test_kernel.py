@@ -1,8 +1,11 @@
+import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geotits import cli, resolution
 from geotits._kernel import (
     IntMatrix,
     kernel_basis,
@@ -12,7 +15,7 @@ from geotits._kernel import (
     solve_int,
 )
 from geotits._kernel.elim_py import eliminate
-from geotits.complexes import ChainComplex, HomologyClasses
+from geotits.complexes import ChainComplex, HomologyClasses, face_complex, homology
 
 
 def dense(m):
@@ -272,8 +275,10 @@ def test_homology_coords_match_dense_reference(seed):
 
 
 def _reference_eliminate(rows, m, n, want_transforms):
-    """The kernel's ``eliminate`` with sorted pivot scans, kept as the
-    oracle for the unsorted scans: same pivots, positions and sparse U/V.
+    """``eliminate`` as a sorted rescan of the whole active matrix for
+    every pivot, kept as the oracle for the kernel's pivot heaps: with
+    transforms the kernel returns the same pivots, positions and sparse
+    U/V; rank-only it returns the same invariant factors.
     """
     cols = [set() for _ in range(n)]
     for i in range(m):
@@ -432,6 +437,19 @@ def _reference_eliminate(rows, m, n, want_transforms):
     return pivots, pivot_rows, pivot_cols, urows, vcols
 
 
+def _assert_matches_reference(m):
+    """Certificate calls match the reference tuple for tuple.  Rank-only
+    calls pin only the invariant factors: their pivots may sit elsewhere,
+    at distinct rows and columns in range."""
+    want = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
+    assert eliminate(m.row_dicts(), m.rows, m.cols, True) == want
+    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, False)
+    assert pivots == want[0]
+    assert urows is None and vcols is None
+    assert len(set(prow)) == len(set(pcol)) == len(pivots)
+    assert all(0 <= i < m.rows for i in prow) and all(0 <= j < m.cols for j in pcol)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_eliminate_matches_sorted_reference(seed):
@@ -439,10 +457,91 @@ def test_eliminate_matches_sorted_reference(seed):
     for scale in (1, 2, 3, 6):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         density = rng.choice((0.3, 0.7, 1.0))
-        m = IntMatrix(rows, cols, {
+        _assert_matches_reference(IntMatrix(rows, cols, {
             (i, j): scale * rng.randint(-5, 5)
             for i in range(rows) for j in range(cols) if rng.random() < density
-        })
-        for want in (False, True):
-            got = eliminate(m.row_dicts(), rows, cols, want)
-            assert got == _reference_eliminate(m.row_dicts(), rows, cols, want)
+        }))
+
+
+def _workload_complex(model):
+    if model == "s3_coordinate pt":
+        scene = cli.Scene(json.loads((cli.corpus_dir() / "s3_coordinate.json").read_text()))
+        return cli.homology_model(scene, "pt")[0]
+    return resolution.build_resolution(4)[0]
+
+
+@pytest.mark.parametrize("model", ["s3_coordinate pt", "resolution 4"])
+def test_eliminate_matches_sorted_reference_on_workload_boundaries(model):
+    """The boundaries the benchmark workloads reduce: the PT bicomplex of
+    the coordinate S^3 (up to 1248 x 720) and the ordered resolution of a
+    4-region basis."""
+    complex_ = _workload_complex(model)
+    for d in complex_.support():
+        _assert_matches_reference(complex_.boundary(d))
+
+
+# A 6-vertex triangulation of RP^2: reduced homology Z/2 in degree 1.
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+       (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+# Its suspension, with apexes 6 and 7: Z/2 in degree 2.
+SUSPENDED_RP2 = [f + (apex,) for apex in (6, 7) for f in RP2]
+
+
+def _simplicial(facets):
+    """Simplicial chains on the closure of ``facets``, with the empty
+    simplex in degree -1 so that homology is reduced."""
+    simplices = {()}
+    for f in facets:
+        for r in range(1, len(f) + 1):
+            simplices.update(itertools.combinations(f, r))
+    degrees = {}
+    for s in simplices:
+        degrees.setdefault(len(s) - 1, []).append(s)
+    return face_complex({d: sorted(v) for d, v in degrees.items()})
+
+
+def _change_bases(complex_, rng, steps):
+    """The same complex in random bases.  Each step takes an elementary
+    unimodular E on one chain group C_d (a sign flip, or I + q e_a e_b^T)
+    and replaces d_d by d_d E and d_(d+1) by E^-1 d_(d+1)."""
+    mats = {d: dense(complex_.boundary(d)) for d in complex_.support()}
+    for _ in range(steps):
+        d = rng.choice(complex_.support())
+        size = complex_.dim(d)
+        if size < 2:
+            continue
+        a, b = rng.sample(range(size), 2)
+        q = rng.choice((-2, -1, 1, 2, None))
+        up = mats.get(d + 1)
+        if q is None:
+            for row in mats[d]:
+                row[a] = -row[a]
+            if up is not None:
+                up[a] = [-x for x in up[a]]
+            continue
+        for row in mats[d]:
+            row[b] += q * row[a]
+        if up is not None:
+            up[a] = [x - q * y for x, y in zip(up[a], up[b])]
+    boundaries = {
+        d: IntMatrix(complex_.dim(d - 1), complex_.dim(d),
+                     {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row)})
+        for d, m in mats.items()
+    }
+    return ChainComplex(complex_.degrees, boundaries)
+
+
+@pytest.mark.parametrize("facets, degree", [(RP2, 1), (SUSPENDED_RP2, 2)])
+def test_rank_only_torsion_survives_changes_of_basis(facets, degree):
+    """Rank-only elimination finds the Z/2 of RP^2 and of its suspension
+    in scrambled bases, with the reference's invariant factors in every
+    degree."""
+    base = _simplicial(facets)
+    for seed in range(3):
+        complex_ = _change_bases(base, random.Random(seed), steps=40)
+        h = homology(complex_)
+        assert {d: v for d, v in h.by_degree.items() if v != (0, ())} == {degree: (0, (2,))}
+        for d in complex_.support():
+            b = complex_.boundary(d)
+            assert (eliminate(b.row_dicts(), b.rows, b.cols, False)[0]
+                    == _reference_eliminate(b.row_dicts(), b.rows, b.cols, True)[0])

@@ -105,7 +105,7 @@ def test_homology_against_rational_rank_oracle(triangle, four_lines, coord_s2):
     complexes = []
     for coll in (triangle, four_lines):
         complexes.append(cx.relative_st_complex(list(coll.members), coll.top()))
-        complexes.append(cx.order_complex(coll.members, include_top=False))
+        complexes.append(cx.order_complex(coll.members))
     tri = cx.sphere_triangulation(coord_s2)
     complexes.append(cx.pt_bicomplex(coord_s2, tri))
     for which, complex_ in enumerate(complexes):
