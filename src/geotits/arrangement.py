@@ -46,7 +46,7 @@ class FacePoset:
     a cell lies in the set exactly when its sign at each is 0 or that sign.
     """
 
-    __slots__ = ("geometry", "covectors", "cells", "within", "_flat_signs")
+    __slots__ = ("geometry", "covectors", "cells", "within", "_flat_signs", "_cells_in")
 
     def __init__(self, geometry, covectors, cells, within=None):
         self.geometry = geometry
@@ -54,6 +54,7 @@ class FacePoset:
         self.cells = cells  # dict sign_vector -> Cell
         self.within = within
         self._flat_signs = {}  # carrier -> flat_signs(carrier)
+        self._cells_in = {}  # signs -> cells_in(signs)
 
     def by_dim(self, d):
         return [c for s, c in sorted(self.cells.items()) if c.dim == d]
@@ -106,7 +107,12 @@ class FacePoset:
 
     def cells_in(self, signs):
         """Sign vectors of the cells lying in the closed set with these signs."""
-        return frozenset(s for s in self.cells if self._agrees(s, signs))
+        inside = self._cells_in.get(signs)
+        if inside is None:
+            inside = self._cells_in[signs] = frozenset(
+                s for s in self.cells if self._agrees(s, signs)
+            )
+        return inside
 
     @staticmethod
     def _agrees(sign_vector, signs):

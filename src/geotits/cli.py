@@ -325,12 +325,16 @@ def homology_model(scene, which):
     raise SceneError(f"unknown homology model {which!r}")
 
 
-def check_homology(scene, which, seed=0):
+def check_homology(scene, which, seed=0, dump_path=None):
+    """Homology blocks of ``homology <which>``; with ``dump_path``, the
+    reported complex is also written there as JSON once it is computed."""
     n = scene.geometry.n
     complex_, crosscheck = homology_model(scene, which)
     h = cx.homology(complex_)
+    hc = cx.homology(crosscheck) if crosscheck is not None else None
+    if dump_path:
+        _dump_complex(complex_, dump_path)
     if crosscheck is not None:
-        hc = cx.homology(crosscheck)
         return [{
             "name": "homology-pt",
             "bicomplex": h.as_dict(),
@@ -562,7 +566,7 @@ COMMANDS = {
     "validate": lambda scene, sub, seed: check_validate(scene, seed),
     "closure": lambda scene, sub, seed: check_closure(scene, seed),
     "arrangement": lambda scene, sub, seed: check_arrangement(scene, seed),
-    "homology": lambda scene, sub, seed: check_homology(scene, sub, seed),
+    "homology": None,  # dispatched below
     "groups": lambda scene, sub, seed: check_groups(scene, sub, seed),
     "verify": None,  # dispatched below
     "resolution": lambda scene, sub, seed: check_resolution(scene, seed),
@@ -578,10 +582,14 @@ VERIFY = {
 }
 
 
-def run_command(command, sub, scene, seed=0):
+def run_command(command, sub, scene, seed=0, dump_complex=None):
+    """(check blocks, overall verdict); ``dump_complex`` is the file that
+    ``homology`` writes its chain complex to."""
     try:
         if command == "verify":
             checks = VERIFY[sub](scene, seed)
+        elif command == "homology":
+            checks = check_homology(scene, sub, seed, dump_complex)
         else:
             checks = COMMANDS[command](scene, sub, seed)
     except ValueError as exc:
@@ -621,8 +629,7 @@ def emit(report, json_path=None, stream=None):
     (stream if stream is not None else sys.stdout).write(text)
 
 
-def _dump_complex(scene, model, out_path):
-    complex_, _ = homology_model(scene, model)
+def _dump_complex(complex_, out_path):
     with open(out_path, "w") as fh:
         json.dump(complex_.as_json(), fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -742,9 +749,8 @@ def main(argv=None):
             return EXIT_PASS if report["overall"] == "PASS" else EXIT_FAIL
         scene = load_scene(args.scene)
         subcmd = getattr(args, "model", None) or getattr(args, "group", None) or getattr(args, "check", None)
-        checks, overall = run_command(args.command, subcmd, scene, seed=args.seed)
-        if getattr(args, "dump_complex", None):
-            _dump_complex(scene, subcmd, args.dump_complex)
+        checks, overall = run_command(args.command, subcmd, scene, seed=args.seed,
+                                      dump_complex=getattr(args, "dump_complex", None))
         report = make_report(scene, args.command, subcmd, checks, overall, args.seed)
         emit(report, args.json)
         return EXIT_PASS if overall == "PASS" else EXIT_FAIL

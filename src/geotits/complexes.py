@@ -318,27 +318,36 @@ class SphereTriangulation:
     whose top cell lies in V triangulate the subsphere S(V).
     """
 
-    __slots__ = ("poset", "cell_order", "cell_index", "simplices", "complex")
+    __slots__ = ("poset", "cell_order", "simplices", "complex", "orientations", "_by_top")
 
     def __init__(self, poset):
         self.poset = poset
         self.cell_order = tuple(sorted(poset.cells))
-        self.cell_index = {s: i for i, s in enumerate(self.cell_order)}
         leq = lambda i, j: i != j and FacePoset.leq(
             self.cell_order[i], self.cell_order[j]
         )
         chains = _chains(len(self.cell_order), leq)[1:]  # no empty simplex
         self.complex = face_complex(_graded(chains, lambda c: len(c) - 1))
         self.simplices = self.complex.degrees
+        # label -> orientation sign of its witnesses in its top cell's flat
+        self.orientations = {}
+        self._by_top = {}  # (m, top cell sign vector) -> m-simplices
+        for m, labs in self.simplices.items():
+            for lab in labs:
+                self._by_top.setdefault((m, self.cell_order[lab[-1]]), []).append(lab)
 
     def top_cell(self, label):
         return self.poset.cells[self.cell_order[label[-1]]]
 
+    def labels_with_top(self, m, tops):
+        """The m-simplices whose top cell is one of these sign vectors, in
+        basis order."""
+        return sorted(lab for s in tops for lab in self._by_top.get((m, s), ()))
+
     def labels_in_carrier(self, carrier, m):
         """The m-simplices of S(carrier): those whose top cell lies in the
         flat, that is, vanishes on every hyperplane containing it."""
-        inside = self.poset.cells_in(self.poset.flat_signs(carrier))
-        return [lab for lab in self.simplices.get(m, ()) if self.cell_order[lab[-1]] in inside]
+        return self.labels_with_top(m, self.poset.cells_in(self.poset.flat_signs(carrier)))
 
 
 def sphere_triangulation(coll, poset=None):

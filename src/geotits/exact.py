@@ -149,10 +149,19 @@ def solve_affine(rows, rhs):
 
 
 def det_sign(rows):
-    """Sign of the determinant of a square rational matrix."""
-    mat = [list(map(frac, r)) for r in rows]
+    """Sign of the determinant of a square rational matrix.
+
+    Each row is scaled by a positive factor to coprime integers
+    (``_int_row``), which keeps the sign.  Fraction-free Bareiss
+    elimination (Bareiss, *Math. Comp.* 22, 1968) then divides each
+    update exactly by the previous pivot, so every entry stays an
+    integer minor and the last pivot is the determinant up to the sign
+    of the row swaps.
+    """
+    mat = [_int_row(r) for r in rows]
     n = len(mat)
     sign = 1
+    prev = 1
     for c in range(n):
         pivot = None
         for i in range(c, n):
@@ -164,13 +173,13 @@ def det_sign(rows):
         if pivot != c:
             mat[c], mat[pivot] = mat[pivot], mat[c]
             sign = -sign
-        if mat[c][c] < 0:
-            sign = -sign
+        prow = mat[c]
+        pv = prow[c]
         for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / mat[c][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return sign
+            f = mat[i][c]
+            mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], prow)]
+        prev = pv
+    return sign if prev > 0 else -sign
 
 
 def orientation_sign(points):

@@ -107,14 +107,6 @@ class LinearSubspace:
     def orthogonal_complement(self):
         return LinearSubspace(self.ambient_dim, exact.nullspace(self.basis, self.ambient_dim))
 
-    def coordinates_of(self, v):
-        """Coefficients of v in the canonical basis, or None.  Each basis
-        row is zero at the other rows' pivots, so the coefficient of a row
-        is v's entry at its pivot over the pivot entry."""
-        if not self.contains_vector(v):
-            return None
-        return tuple(Fraction(v[c], row[c]) for row, c in zip(self.basis, self.pivots))
-
     def sort_key(self):
         """(dim, the Gauss-Jordan entries as (numerator, denominator)):
         each entry x of a row with pivot entry pv is the fraction x/pv."""

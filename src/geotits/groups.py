@@ -134,17 +134,16 @@ def flat_orientation_chart(carrier, chart_points):
 
 
 def flat_orientation_vectors(carrier, vectors):
-    """Orientation of dim-many vectors relative to the carrier basis (S)."""
-    d = carrier.dim
-    if len(vectors) != d:
+    """Orientation of dim-many vectors relative to the carrier basis (S).
+
+    A vector of the carrier has coordinate v[c] / row[c] on the basis row
+    with pivot column c, and every pivot entry is positive, so the sign
+    of the coordinate determinant is that of the minor at the pivots."""
+    if len(vectors) != carrier.dim:
         raise ValueError("vector count does not match carrier dimension")
-    coord_rows = []
-    for v in vectors:
-        sol = carrier.coordinates_of(v)
-        if sol is None:
-            return 0
-        coord_rows.append(sol)
-    return exact.det_sign(coord_rows)
+    if not all(carrier.contains_vector(v) for v in vectors):
+        return 0
+    return exact.det_sign([[v[c] for c in carrier.pivots] for v in vectors])
 
 
 def tuple_orientation(geometry, members):
@@ -303,16 +302,23 @@ class _SphericalFaceChains:
         """The d-simplices whose top cell is a d-cell in the face."""
         poset = self.tri.poset
         inside = poset.cells_in(poset.polytope_signs(self.polytope, face))
-        tops = {s for s in inside if poset.cells[s].dim == d}
-        return [lab for lab in self.tri.simplices.get(d, ()) if self.tri.cell_order[lab[-1]] in tops]
+        tops = [s for s in inside if poset.cells[s].dim == d]
+        for s in tops:
+            # so the orientation memo, made in each top cell's flat, is
+            # the orientation in the face span
+            if poset.cells[s].flat != face.span:  # pragma: no cover
+                raise AssertionError("top cell does not span the face")
+        return self.tri.labels_with_top(d, tops)
 
     def _fundamental_chain(self, face, d):
+        tri = self.tri
+        memo = tri.orientations
         chain = {}
         for lab in self._face_simplices(face, d):
-            vecs = [
-                self.tri.poset.cells[self.tri.cell_order[c]].witness for c in lab
-            ]
-            sign = flat_orientation_vectors(face.span, vecs)
+            sign = memo.get(lab)
+            if sign is None:
+                vecs = [tri.poset.cells[tri.cell_order[c]].witness for c in lab]
+                sign = memo[lab] = flat_orientation_vectors(face.span, vecs)
             if sign == 0:  # pragma: no cover - witnesses are independent
                 raise AssertionError("degenerate flag simplex")
             chain[lab] = sign
@@ -321,15 +327,11 @@ class _SphericalFaceChains:
         return chain
 
     def _extract_incidences(self, face, d):
-        cpx = self.tri.complex
-        bd = cpx.boundary(d)
-        idx = cpx.index(d)
-        low = cpx.degrees.get(d - 1, ())
-        vec = [0] * cpx.dim(d)
+        remaining = {}
         for lab, s in self.chains[self._key(face)].items():
-            vec[idx[lab]] = s
-        img = bd.mul_vec(vec)
-        remaining = {low[i]: v for i, v in enumerate(img) if v}
+            for low, sign in cx._drop_one(lab):
+                remaining[low] = remaining.get(low, 0) + sign * s
+        remaining = {lab: v for lab, v in remaining.items() if v}
         for facet in self._faces_by_dim[d - 1]:
             if not facet.vertex_ids < face.vertex_ids:
                 continue

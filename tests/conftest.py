@@ -1,7 +1,9 @@
 import time
+from fractions import Fraction
 
 import pytest
 
+from geotits import exact
 from geotits import geometry as geo
 from geotits import collection as coll_mod
 
@@ -28,6 +30,45 @@ TWO_CUBE_COVS = [
     (5, 0, 0, 16),
     (-5, 0, 0, 16),
 ]
+
+
+def reference_det_sign(rows):
+    """Sign of a determinant by Gaussian elimination over ``Fraction``,
+    kept as the oracle for ``exact.det_sign``."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    n = len(mat)
+    sign = 1
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if mat[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return 0
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            sign = -sign
+        if mat[c][c] < 0:
+            sign = -sign
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c] / mat[c][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return sign
+
+
+def reference_coordinates(sub, v):
+    """Coordinates of v in a subspace's basis by solving
+    (basis columns) x = v, or None when v lies outside."""
+    if not sub.basis:
+        return None if any(v) else ()
+    sol = exact.solve_affine(list(zip(*sub.basis)), [Fraction(x) for x in v])
+    if sol is None:
+        return None
+    x0, hom = sol
+    assert not hom  # the basis rows are independent
+    return x0
 
 
 @pytest.fixture(scope="session")

@@ -133,6 +133,21 @@ def test_dump_complex_is_the_reported_complex(model, name, key, tmp_path, capsys
     assert _dumped_homology(out) == report["checks"][0][key]
 
 
+def test_dump_complex_builds_the_model_once(tmp_path, capsys, monkeypatch):
+    built = []
+    real = cli.homology_model
+
+    def counting(scene, which):
+        built.append(which)
+        return real(scene, which)
+
+    monkeypatch.setattr(cli, "homology_model", counting)
+    out = tmp_path / "complex.json"
+    code = cli.main(["homology", "pt", scene_path("s2_coordinate"), "--dump-complex", str(out)])
+    assert code == cli.EXIT_PASS and out.exists()
+    assert built == ["pt"]
+
+
 def test_dump_complex_exits_hypotheses_without_a_dump(tmp_path, capsys):
     out = tmp_path / "complex.json"
     code = cli.main(["homology", "pt", scene_path("s2_lunes_two"), "--dump-complex", str(out)])

@@ -8,6 +8,7 @@ from geotits import exact
 from geotits import geometry as geo
 from geotits import groups as grp
 from geotits.exact import F0, dot
+from conftest import reference_coordinates, reference_det_sign
 
 
 def _reference_rref(rows):
@@ -131,24 +132,13 @@ def test_contains_vector_full_and_zero_space():
         assert zero.contains_vector(v) == (not any(v))
 
 
-def _reference_coordinates(sub, v):
-    """Coordinates by solving (basis columns) x = v, kept as the oracle for
-    ``LinearSubspace.coordinates_of``."""
-    if not sub.basis:
-        return None if any(v) else ()
-    sol = exact.solve_affine(list(zip(*sub.basis)), [Fr(x) for x in v])
-    if sol is None:
-        return None
-    x0, hom = sol
-    assert not hom  # the basis rows are independent
-    return x0
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6))
-def test_coordinates_of_matches_reference(seed):
-    """Probes in the span, free probes and the zero vector, over subspaces
-    of every dimension from zero (no rows) to full, with fraction entries."""
+def test_flat_orientation_matches_reference_coordinates(seed):
+    """Dim-many vectors (in the span, free, or zero) over subspaces of
+    every dimension from zero (no rows) to full, with fraction entries:
+    the orientation read from the pivot minor is the sign of the
+    determinant of the vectors' coordinates, and 0 when one lies outside."""
     rng = random.Random(seed)
     ncols = rng.randint(1, 5)
 
@@ -157,14 +147,60 @@ def test_coordinates_of_matches_reference(seed):
 
     rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, ncols))]
     sub = geo.LinearSubspace(ncols, rows)
-    coeffs = [entry() for _ in rows]
-    in_span = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fr(0)) for j in range(ncols)]
-    for v in (in_span, [entry() for _ in range(ncols)], [0] * ncols):
-        got = sub.coordinates_of(v)
-        assert got == _reference_coordinates(sub, v)
-        if got is not None:
-            assert [sum(a * b[j] for a, b in zip(got, sub.basis)) for j in range(ncols)] == v
-    assert sub.coordinates_of(in_span) is not None
+
+    def in_span():
+        coeffs = [entry() for _ in rows]
+        return [sum((c * r[j] for c, r in zip(coeffs, rows)), Fr(0)) for j in range(ncols)]
+
+    vecs = [in_span() for _ in range(sub.dim)]
+    if vecs and rng.random() < 0.4:
+        vecs[rng.randrange(len(vecs))] = rng.choice([[0] * ncols, [entry() for _ in range(ncols)]])
+    coords = [reference_coordinates(sub, v) for v in vecs]
+    want = 0 if None in coords else reference_det_sign(coords)
+    assert grp.flat_orientation_vectors(sub, vecs) == want
+    if vecs and want:
+        flipped = [[-x for x in vecs[0]]] + vecs[1:]
+        assert grp.flat_orientation_vectors(sub, flipped) == -want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_det_sign_matches_fraction_reference(seed):
+    """Square matrices from 1x1 to 5x5 with int and fraction entries of
+    both signs and many zeros, made singular by a zero row or a rational
+    combination of the other rows, or shuffled upper triangular so that
+    the pivots need row swaps."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.25:
+            return 0
+        if kind < 0.6:
+            return rng.randint(-9, 9)
+        return Fr(rng.randint(-9, 9), rng.randint(1, 7))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    mode = rng.randrange(4)
+    if mode == 1:
+        rows[rng.randrange(n)] = [0] * n
+    elif mode == 2 and n > 1:
+        i = rng.randrange(n)
+        coeffs = [entry() for _ in range(n)]
+        rows[i] = [sum((c * r[j] for k, (c, r) in enumerate(zip(coeffs, rows)) if k != i), Fr(0))
+                   for j in range(n)]
+    elif mode == 3:
+        rows = [[entry() if j > i else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice([-1, 1]) * Fr(rng.randint(1, 9), rng.randint(1, 4))
+        rng.shuffle(rows)
+    want = reference_det_sign(rows)
+    assert exact.det_sign(rows) == want
+    if mode in (1, 2) and n > 1:
+        assert want == 0
+    assert exact.det_sign([[-x for x in rows[0]]] + rows[1:]) == -want
+    assert exact.det_sign([[3 * x for x in r] for r in rows]) == want
 
 
 def test_rref_identity():
@@ -370,7 +406,7 @@ def test_feasible_matches_fraction_reference():
 @given(st.integers(0, 10**6))
 def test_rational_results_never_float(seed):
     """Values that are rational numbers come back as ``Fraction``, even
-    from integer input: solutions, coordinates and chart points."""
+    from integer input: solutions and chart points."""
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -380,9 +416,6 @@ def test_rational_results_never_float(seed):
     sol = exact.solve_unique(square, rhs)
     assert [dot(r, sol) for r in square] == rhs
     assert all(type(x) is Fr for x in sol)
-    sub = geo.LinearSubspace(n, ints)
-    coords = sub.coordinates_of([sum(col) for col in zip(*ints)])
-    assert all(type(x) is Fr for x in coords)
     point = tuple(Fr(rng.randint(-4, 4), 10) for _ in range(n))
     for kind in ("E", "H"):
         got = grp._chart_point_of(geo.point_subspace(geo.Geometry(kind, n), point))

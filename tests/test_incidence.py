@@ -3,7 +3,9 @@
 The old rules are kept here as test-only references: flat containment by
 ``carrier.contains(cell.flat)``, polytope membership by testing a cell's
 witness against every half-space, chart orientation by coordinates in a
-direction basis, and boundedness by the recession-cone loop.
+direction basis, boundedness by the recession-cone loop, and spherical
+face chains by coordinates in each face span with a ``Fraction``
+determinant and boundaries through the whole boundary matrix.
 """
 
 import functools
@@ -18,7 +20,7 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
-from conftest import COORD_S2_COVS, S2
+from conftest import COORD_S2_COVS, S2, reference_coordinates, reference_det_sign
 
 ORACLE_SCENES = ["s2_coordinate", "s2_generic_three", "s3_coordinate", "h3_two_cubes"]
 PLANE_SCENES = sorted(
@@ -69,7 +71,45 @@ def _reference_orientation_chart(carrier, chart_points):
         if sol is None:
             return 0
         rows.append(sol[0])
-    return exact.det_sign(rows)
+    return reference_det_sign(rows)
+
+
+def _reference_face_chains(tri, polytope):
+    """(chains, eta) of ``_SphericalFaceChains``, the old way: each face's
+    simplices from the witness rule, each oriented by its witnesses'
+    coordinates in the face span, and each face's boundary mapped
+    through the triangulation's boundary matrix."""
+    cells, order = tri.poset.cells, tri.cell_order
+    n = polytope.geometry.n
+    chains = {}
+    for d in range(n + 1):
+        for face in polytope.faces_of_dim(d):
+            chains[face.vertex_ids] = {
+                lab: reference_det_sign(
+                    [reference_coordinates(face.span, cells[order[c]].witness) for c in lab]
+                )
+                for lab in _reference_face_simplices(tri, polytope, face)
+            }
+    eta = {}
+    cpx = tri.complex
+    for d in range(1, n + 1):
+        idx = cpx.index(d)
+        low = cpx.degrees[d - 1]
+        for face in polytope.faces_of_dim(d):
+            vec = [0] * cpx.dim(d)
+            for lab, s in chains[face.vertex_ids].items():
+                vec[idx[lab]] = s
+            image = {low[i]: v for i, v in enumerate(cpx.boundary(d).mul_vec(vec)) if v}
+            for facet in polytope.faces_of_dim(d - 1):
+                if facet.vertex_ids < face.vertex_ids:
+                    got = {image.get(lab, 0) * s for lab, s in chains[facet.vertex_ids].items()}
+                    assert len(got) == 1  # the facet chain is a signed copy
+                    eta[(face.vertex_ids, facet.vertex_ids)] = got.pop()
+    return chains, eta
+
+
+def _reference_labels_in_carrier(tri, carrier, m):
+    return [lab for lab in tri.simplices.get(m, ()) if carrier.contains(tri.top_cell(lab).flat)]
 
 
 def _reference_is_bounded(poset, cell):
@@ -187,6 +227,29 @@ def test_face_simplices_match_reference(name):
             assert chains._face_simplices(face, face.dim) == _reference_face_simplices(tri, p, face)
 
 
+def _check_face_chains(tri, polytope):
+    chains = grp._SphericalFaceChains(polytope, tri)
+    want_chains, want_eta = _reference_face_chains(tri, polytope)
+    assert chains.chains == want_chains
+    assert chains.eta == want_eta
+    assert {s for chain in want_chains.values() for s in chain.values()} == {1, -1}
+    assert set(want_eta.values()) == {1, -1}
+
+
+@pytest.mark.parametrize("name", ["s2_coordinate", "s2_generic_three", "s3_coordinate"])
+def test_face_chains_and_carriers_match_reference(name):
+    """Chains, incidence signs and subsphere simplices of every region
+    equal the ones built by the old rules, in the same order."""
+    coll, (poset,) = _region_posets(name)
+    tri = cx.sphere_triangulation(coll, poset)
+    for s in arr.region_basis(poset):
+        _check_face_chains(tri, arr.region_polytope(poset, s))
+    for member in coll.members:
+        for m in tri.simplices:
+            got = tri.labels_in_carrier(member.carrier, m)
+            assert got == _reference_labels_in_carrier(tri, member.carrier, m)
+
+
 def test_octant_and_pieces_in_the_cup(coord_s2):
     """The octant is an L-polytope of the coordinate planes plus x = y,
     and so are the two pieces that x = y cuts it into."""
@@ -201,6 +264,7 @@ def test_octant_and_pieces_in_the_cup(coord_s2):
         chains = grp._SphericalFaceChains(p, tri)
         for face in p.faces:
             assert chains._face_simplices(face, face.dim) == _reference_face_simplices(tri, p, face)
+        _check_face_chains(tri, p)
 
 
 # ---------------------------------------------------------------------------
