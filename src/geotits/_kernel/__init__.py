@@ -108,11 +108,19 @@ class SnfResult:
     ``vcols`` (the n columns of V) are sparse dicts from index to nonzero
     int, and U @ M @ V is zero except for ``invariant_factors[k]`` at
     ``(pivot_rows[k], pivot_cols[k])``.
+
+    The first ``units`` pivots were retired by the kernel's unit phase,
+    at +-1 entries, so the input's minor at ``pivot_rows[:units]`` and
+    ``pivot_cols[:units]`` has determinant +-1.  Only those rows may be
+    cleared from the boundary below (see ``complexes.homology``); the
+    later pivot rows may not, even where the pivot is 1.
     """
 
-    __slots__ = ("invariant_factors", "rank", "shape", "pivot_rows", "pivot_cols", "urows", "vcols")
+    __slots__ = ("invariant_factors", "rank", "shape", "pivot_rows", "pivot_cols", "urows",
+                 "vcols", "units")
 
-    def __init__(self, invariant_factors, shape, pivot_rows, pivot_cols, urows=None, vcols=None):
+    def __init__(self, invariant_factors, shape, pivot_rows, pivot_cols, urows=None, vcols=None,
+                 units=0):
         self.invariant_factors = tuple(invariant_factors)
         self.rank = len(self.invariant_factors)
         self.shape = shape
@@ -120,6 +128,7 @@ class SnfResult:
         self.pivot_cols = tuple(pivot_cols)
         self.urows = urows
         self.vcols = vcols
+        self.units = units
 
     @property
     def torsion(self):
@@ -133,8 +142,8 @@ def smith_normal_form(matrix, want_transforms=False):
     the invariant factors as they stand.
     """
     m, n = matrix.rows, matrix.cols
-    pivots, prow, pcol, urows, vcols = eliminate(matrix.row_dicts(), m, n, want_transforms)
-    return SnfResult(pivots, (m, n), prow, pcol, urows, vcols)
+    pivots, prow, pcol, urows, vcols, units = eliminate(matrix.row_dicts(), m, n, want_transforms)
+    return SnfResult(pivots, (m, n), prow, pcol, urows, vcols, units)
 
 
 def kernel_basis(matrix):

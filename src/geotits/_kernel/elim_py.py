@@ -20,6 +20,18 @@ active matrix per pivot, with one key for each kind of call:
   pinned: any unit-pivot order gives the same ones (exhausting unit
   pivots first follows Dumas, Heckenbach, Saunders & Welker, 2003).
 
+``units`` counts the leading pivots that phase A retired.  Phase A
+pivots only at +-1 entries and its operations use only the current
+pivot row and column, so the input's minor at those pivot rows and
+columns has determinant +-1 (Gaussian elimination on the minor, with
+unit pivots).  For a boundary ``d_(k+1)`` this makes its image together
+with the unit vectors outside those rows span all of ``C_k``, so
+``complexes.homology`` may drop the columns of ``d_k`` at those rows
+("clearing").  Rows retired by phase B must not be cleared, even at a
+pivot 1: phase B reaches its pivots through remainders and row folds,
+so the input's minor there need not be +-1 (``[[2], [3]]`` retires 1 at
+row 1, where the minor is 3).
+
 Callers go through :func:`geotits._kernel.smith_normal_form`, which
 keeps the sparse certificates returned here.
 """
@@ -32,12 +44,12 @@ def eliminate(rows, m, n, want_transforms):
 
     ``rows`` is a list of ``m`` dicts mapping column index to a nonzero
     int; it is consumed.  Returns ``(pivots, pivot_rows, pivot_cols,
-    urows, vcols)`` where ``pivots`` is a list of positive ints in
-    divisibility order, ``pivot_rows``/``pivot_cols`` give the retired
-    positions, and, if ``want_transforms``, ``urows``/``vcols`` are
+    urows, vcols, units)`` where ``pivots`` is a list of positive ints
+    in divisibility order, ``pivot_rows``/``pivot_cols`` give the
+    retired positions, if ``want_transforms``, ``urows``/``vcols`` are
     sparse rows of U and sparse columns of V (dicts) with U M V carrying
     pivot k at position (pivot_rows[k], pivot_cols[k]) and zeros
-    elsewhere.
+    elsewhere, and the first ``units`` pivots are phase A's.
 
     The output depends only on the input, never on the order in which
     rows and dicts iterate.  With ``want_transforms`` every output is
@@ -194,6 +206,8 @@ def eliminate(rows, m, n, want_transforms):
                 if has_unit(rows[i]):
                     heappush(heap, (len(rows[i]), i))
 
+    units = len(pivots)
+
     # Phase B: general pivots with divisibility enforcement.
     while True:
         best = min(
@@ -234,4 +248,4 @@ def eliminate(rows, m, n, want_transforms):
             row_axpy(i0, offender, -1)  # fold offending row into pivot row
         retire(i0, j0)
 
-    return pivots, pivot_rows, pivot_cols, urows, vcols
+    return pivots, pivot_rows, pivot_cols, urows, vcols, units

@@ -112,13 +112,30 @@ class HomologySummary:
 
 
 def homology(complex_):
-    """Betti + torsion per degree via Smith normal form."""
+    """Betti + torsion per degree via rank-only Smith normal form.
+
+    Boundaries are reduced from the top degree down, with clearing
+    (Chen & Kerber, "Persistent homology computation with a twist",
+    2011): the rows where the unit phase of ``d_(d+1)``'s reduction
+    retired a pivot carry a +-1 minor of ``d_(d+1)``, so its image and
+    the unit vectors outside those rows span ``C_d``.  As ``d_d`` kills
+    that image, dropping its columns at those rows keeps its column
+    lattice, and with it its rank and invariant factors.
+    """
     ranks = {}
     tors = {}
-    for d in complex_.support():
-        snf = smith_normal_form(complex_.boundary(d))
+    cleared = {}  # degree d -> columns of d_d at d_(d+1)'s unit-pivot rows
+    for d in reversed(complex_.support()):
+        b = complex_.boundary(d)
+        drop = cleared.get(d)
+        if drop:
+            kept = IntMatrix(b.rows, b.cols)
+            kept.entries = {ij: v for ij, v in b.entries.items() if ij[1] not in drop}
+            b = kept
+        snf = smith_normal_form(b)
         ranks[d] = snf.rank
         tors[d] = snf.torsion
+        cleared[d - 1] = set(snf.pivot_rows[: snf.units])
     out = {}
     for d in complex_.support():
         betti = complex_.dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)

@@ -8,8 +8,9 @@ an end entry or merge two adjacent ones.  The two low-degree identities
 above is reported as data and never asserted to vanish.
 """
 
-from geotits._kernel import smith_normal_form
-from geotits.complexes import HomologySummary, face_complex
+# perfbench/tests/test_perfbench.py::test_tracer_wraps_by_name_imports_and_restores_them pins this name
+from geotits._kernel import smith_normal_form  # noqa: F401
+from geotits.complexes import face_complex, homology
 
 MAX_BASIS = 6
 
@@ -57,15 +58,26 @@ def face(tup, i):
 
 
 def check_face_identities(level_dict):
-    """d_i d_j = d_{j-1} d_i for i < j, exhaustively on every simplex."""
-    for p, tuples in level_dict.items():
-        if p < 2:
-            continue
-        for t in tuples:
-            for j in range(1, p + 1):
-                for i in range(j):
-                    if face(face(t, j), i) != face(face(t, i), j - 1):
-                        return False
+    """d_i d_j = d_{j-1} d_i for i < j, exhaustively on every simplex.
+
+    Level by level, each simplex's faces are computed once and kept for
+    the level above, which reads the faces of its faces from that map;
+    only the level below is held.  A face missing from the level below
+    fails the check.
+    """
+    below = {}
+    for p in sorted(level_dict):
+        faces = {t: [face(t, i) for i in range(p + 1)] for t in level_dict[p]} if p else {}
+        if p >= 2:
+            for ft in faces.values():
+                of = [below.get(f) for f in ft]
+                if None in of:
+                    return False
+                for j in range(1, p + 1):
+                    for i in range(j):
+                        if of[j][i] != of[i][j - 1]:
+                            return False
+        below = faces
     return True
 
 
@@ -119,18 +131,9 @@ def resolution_homology(basis_size, p_max=None, ordered=True):
     UNRELIABLE and excluded from the report values.
     """
     complex_, level_dict, truncated = build_resolution(basis_size, p_max, ordered)
-    ranks = {}
-    tors = {}
-    for d in complex_.support():
-        snf = smith_normal_form(complex_.boundary(d))
-        ranks[d] = snf.rank
-        tors[d] = snf.torsion
-    by_degree = {}
+    summary = homology(complex_)
+    by_degree = summary.by_degree
     top = max(complex_.support())
-    for d in complex_.support():
-        betti = complex_.dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        by_degree[d] = (betti, tors.get(d + 1, ()))
-    summary = HomologySummary(by_degree)
     reliable_top = (p_max if p_max is not None else basis_size + 1) - 1
     if not truncated:
         reliable_top = top + 1

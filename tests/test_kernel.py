@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,7 +162,7 @@ def test_lattice_equality():
 
 
 def _dense_snf(m):
-    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, True)
+    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, True)[:5]
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
     row_perm = [prow[k] for k in order] + sorted(set(range(m.rows)) - set(prow))
     col_perm = [pcol[k] for k in order] + sorted(set(range(m.cols)) - set(pcol))
@@ -442,8 +443,8 @@ def _assert_matches_reference(m):
     calls pin only the invariant factors: their pivots may sit elsewhere,
     at distinct rows and columns in range."""
     want = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
-    assert eliminate(m.row_dicts(), m.rows, m.cols, True) == want
-    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, False)
+    assert eliminate(m.row_dicts(), m.rows, m.cols, True)[:5] == want
+    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, False)[:5]
     assert pivots == want[0]
     assert urows is None and vcols is None
     assert len(set(prow)) == len(set(pcol)) == len(pivots)
@@ -531,17 +532,145 @@ def _change_bases(complex_, rng, steps):
     return ChainComplex(complex_.degrees, boundaries)
 
 
+# ---------------------------------------------------------------------------
+# Clearing.  ``homology`` reduces boundaries top-down and drops the columns
+# of d_k at the rows where the unit phase of d_(k+1)'s reduction retired a
+# pivot.  The oracle is the uncleared bottom-up loop, every boundary whole.
+
+
+def _reference_homology(complex_):
+    ranks = {}
+    tors = {}
+    for d in complex_.support():
+        snf = smith_normal_form(complex_.boundary(d))
+        ranks[d] = snf.rank
+        tors[d] = snf.torsion
+    return {
+        d: (complex_.dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0), tors.get(d + 1, ()))
+        for d in complex_.support()
+    }
+
+
+def _assert_clearing_matches_reference(complex_):
+    assert homology(complex_).by_degree == _reference_homology(complex_)
+
+
 @pytest.mark.parametrize("facets, degree", [(RP2, 1), (SUSPENDED_RP2, 2)])
 def test_rank_only_torsion_survives_changes_of_basis(facets, degree):
     """Rank-only elimination finds the Z/2 of RP^2 and of its suspension
     in scrambled bases, with the reference's invariant factors in every
-    degree."""
+    degree, and clearing keeps the uncleared homology."""
     base = _simplicial(facets)
     for seed in range(3):
         complex_ = _change_bases(base, random.Random(seed), steps=40)
         h = homology(complex_)
         assert {d: v for d, v in h.by_degree.items() if v != (0, ())} == {degree: (0, (2,))}
+        assert h.by_degree == _reference_homology(complex_)
         for d in complex_.support():
             b = complex_.boundary(d)
             assert (eliminate(b.row_dicts(), b.rows, b.cols, False)[0]
                     == _reference_eliminate(b.row_dicts(), b.rows, b.cols, True)[0])
+
+
+def test_clearing_skips_phase_b_pivot_rows():
+    """0 <- Z <- Z^2 <- Z <- 0 with d_2 = [[2], [3]] and d_1 = [[3, -2]] is
+    exact.  d_2's reduction retires 1 at row 1 in phase B, from the
+    remainder 3 - 2; dropping column 1 of d_1 would leave (3), a false
+    Z/3 in H_0."""
+    d1 = IntMatrix(1, 2, {(0, 0): 3, (0, 1): -2})
+    d2 = IntMatrix(2, 1, {(0, 0): 2, (1, 0): 3})
+    snf = smith_normal_form(d2)
+    assert (snf.invariant_factors, snf.pivot_rows, snf.units) == ((1,), (1,), 0)
+    cx = ChainComplex({0: ["v"], 1: ["a", "b"], 2: ["t"]}, {1: d1, 2: d2})
+    assert homology(cx).by_degree == {0: (0, ()), 1: (0, ()), 2: (0, ())}
+    _assert_clearing_matches_reference(cx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(RP2),
+                  st.sets(st.integers(0, 6), min_size=1, max_size=4).map(sorted).map(tuple)),
+        min_size=1, max_size=10,
+    ),
+    st.integers(0, 10**6),
+)
+def test_clearing_matches_reference_on_scrambled_simplicial_complexes(facets, seed):
+    complex_ = _change_bases(_simplicial(facets), random.Random(seed), steps=30)
+    _assert_clearing_matches_reference(complex_)
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_clearing_matches_reference_on_resolutions(ordered):
+    for size in range(6):
+        _assert_clearing_matches_reference(resolution.build_resolution(size, ordered=ordered)[0])
+
+
+def _fraction_eliminate(rows, pivot_rows, pivot_cols):
+    """Gaussian elimination over ``Fraction`` on sparse rows (dict of row
+    index -> dict of column -> value), pivoting only inside
+    pivot_rows x pivot_cols, in an order of its own (columns ascending,
+    shortest row first).  Returns |det| of that minor and the rows left,
+    which hold its Schur complement."""
+    rows = {i: {j: Fraction(v) for j, v in r.items()} for i, r in rows.items()}
+    free_rows = set(pivot_rows)
+    det = Fraction(1)
+    for j in sorted(pivot_cols):
+        i = min((i for i in free_rows if rows[i].get(j)), key=lambda i: (len(rows[i]), i),
+                default=None)
+        if i is None:
+            return 0, rows
+        free_rows.remove(i)
+        prow = rows.pop(i)
+        p = prow[j]
+        det *= p
+        for r in rows.values():
+            q = r.get(j)
+            if q:
+                f = q / p
+                for c, v in prow.items():
+                    w = r.get(c, 0) - f * v
+                    if w:
+                        r[c] = w
+                    else:
+                        del r[c]
+    return abs(det), rows
+
+
+def _unit_minor(m, want_transforms):
+    """The SNF of ``m`` and, from ``_fraction_eliminate`` on the whole of
+    ``m``, |det| of its minor at the unit phase's pivots and the Schur
+    complement left."""
+    snf = smith_normal_form(m, want_transforms=want_transforms)
+    return snf, *_fraction_eliminate(dict(enumerate(m.row_dicts())),
+                                     snf.pivot_rows[: snf.units], snf.pivot_cols[: snf.units])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_unit_pivots_carry_a_unimodular_minor(seed):
+    """On random matrices the input's minor at the first ``units`` pivots
+    has determinant +-1, and they are all of phase A's: the Schur
+    complement left holds no +-1 entry, so phase A could not go on."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    density = rng.choice((0.3, 0.7, 1.0))
+    m = IntMatrix(rows, cols, {
+        (i, j): rng.choice((1, 1, 2, 3)) * rng.randint(-4, 4)
+        for i in range(rows) for j in range(cols) if rng.random() < density
+    })
+    for want_transforms in (True, False):
+        snf, det, rows_left = _unit_minor(m, want_transforms)
+        assert det == 1
+        assert snf.invariant_factors[: snf.units] == (1,) * snf.units
+        assert all(abs(v) != 1 for r in rows_left.values() for v in r.values())
+
+
+@pytest.mark.parametrize("model", ["s3_coordinate pt", "resolution 4"])
+def test_unit_pivots_carry_a_unimodular_minor_on_workload_boundaries(model):
+    complex_ = _workload_complex(model)
+    for d in complex_.support():
+        b = complex_.boundary(d)
+        for want_transforms in (True, False):
+            snf, det, _ = _unit_minor(b, want_transforms)
+            assert det == 1 and snf.units == snf.rank

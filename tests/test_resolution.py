@@ -21,6 +21,26 @@ def test_face_identities_exhaustive():
         assert reso.check_face_identities(reso.levels(size, size + 1))
 
 
+def test_face_identities_catch_one_broken_face(monkeypatch):
+    """d_0 of one 3-simplex (a, b, c) returns (a, b), a simplex of the
+    level below, so d_0 d_3 = (b,) and d_2 d_0 = (a,) differ."""
+    lv = reso.levels(3, 4)
+    broken = lv[3][0]
+    face = reso.face
+
+    def bad_face(tup, i):
+        return tup[:-1] if tup == broken and i == 0 else face(tup, i)
+
+    monkeypatch.setattr(reso, "face", bad_face)
+    assert not reso.check_face_identities(lv)
+
+
+def test_face_identities_fail_on_a_face_outside_the_level_below():
+    lv = dict(reso.levels(3, 4))
+    lv[1] = lv[1][1:]
+    assert not reso.check_face_identities(lv)
+
+
 def test_h0_h1_observations(triangle, four_lines):
     for basis_size in (1, 2, 3, 4, 5):
         rep, _ = reso.resolution_homology(basis_size)
