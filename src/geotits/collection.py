@@ -28,10 +28,6 @@ class Collection:
         self.generation_mode = generation_mode
         self.hyperplane_covectors = tuple(sorted(hyperplane_covectors))
 
-    @property
-    def contains_top(self):
-        return any(m.is_top() for m in self.members)
-
     def top(self):
         return geo.top_subspace(self.geometry)
 
@@ -225,24 +221,40 @@ def hyperplane_intersection_carrier(collection):
     return geo.LinearSubspace(g.ambient_dim, exact.nullspace(covs, g.ambient_dim))
 
 
+def _generated(collection, seeds, generators, step):
+    """True iff ``_closure`` of the seeds is exactly the collection, its
+    top included.  The closure stops at the first member outside the
+    collection: every later step returns None."""
+    inside = {m.carrier for m in collection.members}
+    escaped = False
+
+    def inside_step(member, gen):
+        nonlocal escaped
+        if escaped:
+            return None
+        c = step(member, gen)
+        if c is not None and c.carrier not in inside:
+            escaped = True
+            return None
+        return c
+
+    members = _closure(seeds, generators, inside_step)
+    return (not escaped and {m.carrier for m in members} == inside
+            and any(m.is_top() for m in members))
+
+
 def generated_by_points(collection):
     pts = collection.points()
-    if not pts:
-        return False
-    closed, generating = closure_by_points(collection.geometry, list(pts))
-    return generating and closed.members == collection.members
+    return bool(pts) and _generated(collection, pts, pts, _add_point)
 
 
 def generated_by_hyperplanes(collection):
-    hyps = collection.hyperplane_members()
-    covs = []
-    for m in hyps:
-        ker = exact.nullspace(m.carrier.basis)
-        covs.append(geo.canonical_covector(ker[0]))
-    if not covs and not (collection.geometry.kind == geo.SPHERICAL and collection.geometry.n == 0):
-        return collection.members == (geo.top_subspace(collection.geometry),)
-    closed = closure_by_hyperplanes(collection.geometry, covs)
-    return closed.members == collection.members
+    covs = [
+        geo.canonical_covector(exact.nullspace(m.carrier.basis)[0])
+        for m in collection.hyperplane_members()
+    ]
+    top = geo.top_subspace(collection.geometry)
+    return _generated(collection, [top], covs, geo.meet_hyperplane)
 
 
 def generated_by_both(collection):

@@ -11,12 +11,7 @@ in degree -1, so their homology is reduced as well.
 """
 
 from geotits import geometry as geo
-from geotits._kernel import (
-    IntMatrix,
-    kernel_basis,
-    smith_normal_form,
-    solve_int,
-)
+from geotits._kernel import IntMatrix, smith_normal_form
 from geotits.arrangement import FacePoset
 
 
@@ -159,44 +154,42 @@ def wedge_verdict(summary, n):
 
 
 class HomologyClasses:
-    """Coordinates of cycles in H_degree = ker / im, over a fixed basis."""
+    """Coordinates of cycles in the top degree, where H = ker d is free.
+
+    One reduction of ``d_degree`` with transforms gives the kernel basis
+    K: the columns of V at the non-pivot columns N, in index order
+    (Zomorodian & Carlsson, "Computing persistent homology", 2005).
+    When the unit phase retires every pivot, each V column at a pivot
+    is supported on pivot indices (that phase only subtracts multiples
+    of the current pivot column), so K's rows at N form the identity and
+    a cycle's coordinates are its own entries at N.  A reduction with a
+    later pivot is refused.
+    """
 
     def __init__(self, complex_, degree):
+        if complex_.dim(degree + 1):
+            raise AssertionError(f"degree {degree} is not the top degree")
+        snf = smith_normal_form(complex_.boundary(degree), want_transforms=True)
+        if snf.units < snf.rank:
+            raise AssertionError("top boundary has a pivot outside the unit phase")
+        pivots = set(snf.pivot_cols)
         self.complex = complex_
         self.degree = degree
-        bd = complex_.boundary(degree)
-        self.kernel = kernel_basis(bd)  # columns
-        k = len(self.kernel)
-        self._kmat = IntMatrix.from_columns(complex_.dim(degree), self.kernel)
-        self._ksnf = smith_normal_form(self._kmat, want_transforms=True)
-        bnext = complex_.boundary(degree + 1)
-        img_cols = []
-        for col in bnext.columns():
-            coords = solve_int(self._kmat, col, snf=self._ksnf)
-            if coords is None:  # pragma: no cover - boundaries are cycles
-                raise AssertionError("boundary not in kernel lattice")
-            img_cols.append(coords)
-        self._rel = IntMatrix.from_columns(k, img_cols)
-        self._rsnf = smith_normal_form(self._rel, want_transforms=True)
-        self.betti = k - self._rsnf.rank
-        self.torsion = self._rsnf.torsion
-        pivot_rows = set(self._rsnf.pivot_rows)
-        self._free_rows = [i for i in range(k) if i not in pivot_rows]
+        self._nonpivot = [j for j in range(complex_.dim(degree)) if j not in pivots]
+        self._kernel = [snf.vcols[j] for j in self._nonpivot]
+        self.betti = len(self._nonpivot)
 
     def coords(self, cycle):
-        """(free coords, torsion coords) of a cycle's homology class."""
-        a = solve_int(self._kmat, list(cycle), snf=self._ksnf)
-        if a is None:
-            raise ValueError("not a cycle (or not in the kernel lattice)")
-        # w = U a: free coordinates sit at the non-pivot rows of the
-        # relation SNF, torsion coordinates at its pivot rows.
-        rsnf = self._rsnf
-        w = [sum(v * a[j] for j, v in row.items()) for row in rsnf.urows]
-        free = tuple(w[i] for i in self._free_rows)
-        torsion = tuple(
-            w[i] % d for d, i in zip(rsnf.invariant_factors, rsnf.pivot_rows) if d > 1
-        )
-        return free, torsion
+        """The class of a cycle: its entries at N, once K a = cycle holds."""
+        a = tuple(cycle[j] for j in self._nonpivot)
+        total = [0] * self.complex.dim(self.degree)
+        for q, col in zip(a, self._kernel):
+            if q:
+                for i, v in col.items():
+                    total[i] += q * v
+        if total != list(cycle):
+            raise ValueError("not a cycle")
+        return a
 
 
 # ---------------------------------------------------------------------------

@@ -450,11 +450,3 @@ def _check_witness(x, strict_rows, nonstrict_rows, eq_rows, nvars):
     for r in eq_rows:
         if dot(r[:nvars], x) + r[nvars] != 0:
             raise AssertionError("witness violates equality")
-
-
-def min_norm_sq(nonstrict_rows, eq_rows, nvars):
-    """Exact min of ||x||^2 over the closed polyhedron, None if empty."""
-    from geotits.arrangement import min_norm_point
-
-    got = min_norm_point(nonstrict_rows, eq_rows, nvars)
-    return None if got is None else got[0]

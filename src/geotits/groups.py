@@ -472,36 +472,19 @@ def apartment_cycle_cell(poset, region_sign, st_model, top_carrier=None):
 
 
 class ApartmentMatrixResult:
-    __slots__ = ("matrix", "classes", "generators", "betti", "torsion", "iso")
+    __slots__ = ("matrix", "betti", "iso")
 
-    def __init__(self, matrix, classes, generators, betti, torsion, iso):
+    def __init__(self, matrix, betti, iso):
         self.matrix = matrix
-        self.classes = classes
-        self.generators = generators
         self.betti = betti
-        self.torsion = torsion
         self.iso = iso
 
 
-def _matrix_from_cycles(target_complex, degree, cycles, generators):
+def _matrix_from_cycles(target_complex, degree, cycles):
     classes = cx.HomologyClasses(target_complex, degree)
-    cols = []
-    clean = True
-    for cyc in cycles:
-        free, tors = classes.coords(cyc.vector)
-        if any(tors):
-            clean = False  # class not in the free part: no isomorphism
-        cols.append(list(free))
+    cols = [list(classes.coords(cyc.vector)) for cyc in cycles]
     matrix = IntMatrix.from_columns(classes.betti, cols)
-    iso = (
-        clean
-        and not classes.torsion
-        and matrix.rows == matrix.cols
-        and _unimodular(matrix)
-    )
-    return ApartmentMatrixResult(
-        matrix, classes, tuple(generators), classes.betti, classes.torsion, iso
-    )
+    return ApartmentMatrixResult(matrix, classes.betti, _unimodular(matrix))
 
 
 def _unimodular(matrix):
@@ -553,11 +536,11 @@ def apartment_matrix(coll, flavor, poset=None, basis=None, st_model=None,
             )
             for gen in pres.generators
         ]
-        result = _matrix_from_cycles(st_model.complex, n, cycles, pres.generators)
+        result = _matrix_from_cycles(st_model.complex, n, cycles)
         hom = GroupHom(pres, GroupPresentation(range(result.betti)), result.matrix)
         if not hom.well_defined:
             raise AssertionError("apartment map does not respect the simplicial relations")
-        result.iso = not result.torsion and hom.is_isomorphism()
+        result.iso = hom.is_isomorphism()
         return result
     if flavor in ("ST-polytopes", "local"):
         if poset is None or basis is None or st_model is None:
@@ -565,7 +548,7 @@ def apartment_matrix(coll, flavor, poset=None, basis=None, st_model=None,
         cycles = [
             apartment_cycle_cell(poset, s, st_model) for s in basis
         ]
-        return _matrix_from_cycles(st_model.complex, n, cycles, basis)
+        return _matrix_from_cycles(st_model.complex, n, cycles)
     if flavor == "PT-spherical":
         if poset is None or basis is None or tri is None or bicomplex is None:
             raise ValueError("need poset, basis, tri and bicomplex")
@@ -573,7 +556,7 @@ def apartment_matrix(coll, flavor, poset=None, basis=None, st_model=None,
         for s in basis:
             p = arr.region_polytope(poset, s)
             cycles.append(apartment_cycle_pt_spherical(p, coll, tri, bicomplex))
-        return _matrix_from_cycles(bicomplex, n, cycles, basis)
+        return _matrix_from_cycles(bicomplex, n, cycles)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -1006,11 +989,9 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
                 continue
             cap_label = tuple(cap_pos[m] for m in members[:-1])
             proj[cap_index[cap_label]] += coeff
-        free_b, tors_b = classes.coords(proj)
+        free_b = classes.coords(proj)
         apt_tau = apartment_cycle_cell(cup_poset, tau, cap_st, top_carrier=u_member.carrier)
-        free_t, tors_t = classes.coords(apt_tau.vector)
-        if any(tors_b) or any(tors_t):
-            return False
+        free_t = classes.coords(apt_tau.vector)
         lhs = tuple(actual_side * x for x in free_b)
         for eps in (1, -1) if epsilon is None else (epsilon,):
             if lhs == tuple(eps * x for x in free_t):

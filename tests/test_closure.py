@@ -1,4 +1,5 @@
-"""The one-generator closure against the pairwise closures it replaced.
+"""The one-generator closure against the pairwise closures it replaced,
+and the fail-fast generation checks against the full-closure comparison.
 
 The references below are the earlier closures, kept test-only: every
 pair of members is met (through both orthogonal complements) or
@@ -69,7 +70,7 @@ def _check_points(g, points):
     got, generating = coll_mod.closure_by_points(g, points)
     want = _reference_by_points(g, points)
     assert got.members == want.members
-    assert generating == want.contains_top
+    assert generating == any(m.is_top() for m in want.members)
     return got
 
 
@@ -146,3 +147,58 @@ def test_point_closure_collinear_and_repeated():
     circle = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0), (1, -3, 0)]
     coll = _check_points(S2, [geo.point_subspace(S2, p) for p in circle])
     assert [m.geo_dim for m in coll.members] == [0, 0, 0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Generation checks.  The references close the collection's points or
+# hyperplanes in full and compare the result with the collection.
+
+
+def _reference_generated_by_points(coll):
+    pts = coll.points()
+    if not pts:
+        return False
+    closed, generating = coll_mod.closure_by_points(coll.geometry, list(pts))
+    return generating and closed.members == coll.members
+
+
+def _reference_generated_by_hyperplanes(coll):
+    covs = [geo.canonical_covector(exact.nullspace(m.carrier.basis)[0])
+            for m in coll.hyperplane_members()]
+    return coll_mod.closure_by_hyperplanes(coll.geometry, covs).members == coll.members
+
+
+def _check_generation(coll):
+    assert coll_mod.generated_by_points(coll) == _reference_generated_by_points(coll)
+    assert coll_mod.generated_by_hyperplanes(coll) == _reference_generated_by_hyperplanes(coll)
+    # without its first member the closure may reach a carrier outside it
+    short = coll_mod.Collection(coll.geometry, coll.members[1:], coll.generation_mode)
+    assert coll_mod.generated_by_points(short) == _reference_generated_by_points(short)
+    assert coll_mod.generated_by_hyperplanes(short) == _reference_generated_by_hyperplanes(short)
+
+
+def test_corpus_generation_checks_match_full_closure():
+    answers = set()
+    for path in sorted(cli.corpus_dir().glob("*.json")):
+        coll, _ = cli.Scene(json.loads(path.read_text())).collection()
+        _check_generation(coll)
+        answers.add((coll_mod.generated_by_points(coll), coll_mod.generated_by_hyperplanes(coll)))
+    assert answers == {(True, True), (True, False), (False, True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_hyperplane_generation_checks_match_full_closure(seed):
+    rng = random.Random(seed)
+    g, most = rng.choice([(E2, 6), (H2, 6), (S2, 5), (S3, 5)])
+    covs = _distinct_hyperplanes(rng, g, rng.randint(1, most))
+    _check_generation(coll_mod.closure_by_hyperplanes(g, covs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_point_generation_checks_match_full_closure(seed):
+    rng = random.Random(seed)
+    g = rng.choice([E2, S2])
+    points = [geo.point_subspace(g, c) for c in _random_points(rng, g, rng.randint(1, 6))]
+    _check_generation(coll_mod.closure_by_points(g, points)[0])

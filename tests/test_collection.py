@@ -9,7 +9,7 @@ def test_triangle_closure(triangle):
     assert len(triangle.members) == 7
     assert len(triangle.points()) == 3
     assert len(triangle.hyperplane_members()) == 3
-    assert triangle.contains_top
+    assert any(m.is_top() for m in triangle.members)
 
 
 def test_parallel_closure():

@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
+from geotits import arrangement as arr
 from geotits import exact
 from geotits import geometry as geo
 from geotits import groups as grp
@@ -461,9 +462,9 @@ def test_orientation_alternating(seed):
 
 
 def test_min_norm_sq():
-    assert exact.min_norm_sq([(1, 0, -1), (0, 1, -1), (-1, -1, 3)], [], 2) == 2
-    assert exact.min_norm_sq([(1, 0, 1)], [], 2) == 0
-    assert exact.min_norm_sq([(1, 0, -10)], [(0, 1, -3)], 2) == 109
+    assert arr.min_norm_point([(1, 0, -1), (0, 1, -1), (-1, -1, 3)], [], 2)[0] == 2
+    assert arr.min_norm_point([(1, 0, 1)], [], 2)[0] == 0
+    assert arr.min_norm_point([(1, 0, -10)], [(0, 1, -3)], 2)[0] == 109
 
 
 def test_nullspace_orthogonal():

@@ -67,8 +67,8 @@ def test_apartment_tuple_e1_class():
     pts = sorted(l.points(), key=lambda p: p.sort_key())
     cyc = grp.apartment_cycle_tuple(tuple(pts), l, st.complex, st.proper)
     classes = cx.HomologyClasses(st.complex, 1)
-    free, tors = classes.coords(cyc.vector)
-    assert classes.betti == 1 and abs(free[0]) == 1 and not any(tors)
+    free = classes.coords(cyc.vector)
+    assert classes.betti == 1 and abs(free[0]) == 1
 
 
 def test_apartment_simplicial_relation():
@@ -84,8 +84,7 @@ def test_apartment_simplicial_relation():
         cyc = grp.apartment_cycle_tuple(face, cl, st.complex, st.proper, use_orientation=False)
         sgn = (-1) ** i
         total = [a + sgn * b for a, b in zip(total, cyc.vector)]
-    free, tors = classes.coords(total)
-    assert not any(free) and not any(tors)
+    assert not any(classes.coords(total))
 
 
 def test_apartment_degenerate_vanishing():
@@ -101,8 +100,7 @@ def test_apartment_degenerate_vanishing():
     assert len(collinear) == 3
     cyc = grp.apartment_cycle_tuple(collinear, cl, st.complex, st.proper, use_orientation=False)
     classes = cx.HomologyClasses(st.complex, 2)
-    free, tors = classes.coords(cyc.vector)
-    assert not any(free) and not any(tors)
+    assert not any(classes.coords(cyc.vector))
 
 
 def test_polytope_apartment_matches_tuple(triangle):
@@ -140,10 +138,10 @@ def test_polytope_apartment_subdivision_additive(four_lines):
     covered = [basis[i] for i, c in enumerate(vec) if c]
     assert len(covered) == 2
     apt_p = grp.apartment_cycle_polytope(p, four_lines, st.complex, st.proper)
-    f_p, _ = classes.coords(apt_p.vector)
+    f_p = classes.coords(apt_p.vector)
     acc = None
     for sign in covered:
-        f, _ = classes.coords(grp.apartment_cycle_cell(poset, sign, st).vector)
+        f = classes.coords(grp.apartment_cycle_cell(poset, sign, st).vector)
         acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
     assert f_p == acc
 
@@ -164,11 +162,11 @@ def test_spherical_apartment_additivity(coord_s2):
     pieces = arr.subdivide(octant, [extra])
     assert len(pieces) == 2
     apt_total = grp.apartment_cycle_pt_spherical(octant, cup, tri, bic)
-    f_total, _ = classes.coords(apt_total.vector)
+    f_total = classes.coords(apt_total.vector)
     acc = None
     for piece in pieces:
         cyc = grp.apartment_cycle_pt_spherical(piece, cup, tri, bic)
-        f, _ = classes.coords(cyc.vector)
+        f = classes.coords(cyc.vector)
         acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
     assert f_total == acc
 

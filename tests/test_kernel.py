@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geotits import arrangement as arr
 from geotits import cli, resolution
+from geotits import groups as grp
 from geotits._kernel import (
     IntMatrix,
     kernel_basis,
@@ -16,7 +18,14 @@ from geotits._kernel import (
     solve_int,
 )
 from geotits._kernel.elim_py import eliminate
-from geotits.complexes import ChainComplex, HomologyClasses, face_complex, homology
+from geotits.complexes import (
+    ChainComplex,
+    HomologyClasses,
+    face_complex,
+    homology,
+    pt_bicomplex,
+    sphere_triangulation,
+)
 
 
 def dense(m):
@@ -240,11 +249,45 @@ def test_sparse_certificates_match_dense_reference(seed):
     assert solve_int(m, solvable) is not None
 
 
+def _reference_classes(complex_, degree):
+    """The general ker/im reader, kept as the oracle for the top-degree
+    ``HomologyClasses``: a kernel basis K of d_degree, the columns of
+    d_(degree+1) solved in K as relations, and a class read off the
+    relation SNF.  Returns ``(betti, torsion, coords)`` where
+    ``coords(cycle)`` is the pair (free coordinates, torsion coordinates)
+    and raises ``ValueError`` off the kernel lattice."""
+    kernel = kernel_basis(complex_.boundary(degree))
+    k = len(kernel)
+    kmat = IntMatrix.from_columns(complex_.dim(degree), kernel)
+    ksnf = smith_normal_form(kmat, want_transforms=True)
+    rel = IntMatrix.from_columns(
+        k, [solve_int(kmat, col, snf=ksnf) for col in complex_.boundary(degree + 1).columns()]
+    )
+    rsnf = smith_normal_form(rel, want_transforms=True)
+    pivot_rows = set(rsnf.pivot_rows)
+    free_rows = [i for i in range(k) if i not in pivot_rows]
+
+    def coords(cycle):
+        a = solve_int(kmat, list(cycle), snf=ksnf)
+        if a is None:
+            raise ValueError("not a cycle (or not in the kernel lattice)")
+        # w = U a: free coordinates at the relation SNF's non-pivot rows,
+        # torsion coordinates at its pivot rows
+        w = [sum(v * a[j] for j, v in row.items()) for row in rsnf.urows]
+        return (
+            tuple(w[i] for i in free_rows),
+            tuple(w[i] % d for d, i in zip(rsnf.invariant_factors, rsnf.pivot_rows) if d > 1),
+        )
+
+    return k - rsnf.rank, rsnf.torsion, coords
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_homology_coords_match_dense_reference(seed):
     """H_1 of 0 <- C_0 <- C_1 <- C_2 with d_2 = K R for a kernel basis K of
-    d_1 and a random R, so H_1 = Z^k / R Z^p carries R's torsion."""
+    d_1 and a random R, so H_1 = Z^k / R Z^p carries R's torsion.  A
+    middle degree, so the general reader answers it."""
     rng = random.Random(seed)
     n0, n1, n2 = rng.randint(1, 3), rng.randint(1, 6), rng.randint(0, 5)
     d1 = _random_matrix(rng, n0, n1, bound=3)
@@ -258,21 +301,134 @@ def test_homology_coords_match_dense_reference(seed):
         ],
     )
     cx = ChainComplex({0: range(n0), 1: range(n1), 2: range(n2)}, {1: d1, 2: d2})
-    classes = HomologyClasses(cx, 1)
+    betti, torsion, coords = _reference_classes(cx, 1)
     factors, _, _ = _dense_snf(r)
-    assert classes.betti == len(kernel) - len(factors)
-    assert classes.torsion == tuple(d for d in factors if d > 1)
+    assert betti == len(kernel) - len(factors)
+    assert torsion == tuple(d for d in factors if d > 1)
     for _ in range(4):
         a = [rng.randint(-4, 4) for _ in kernel]
         cycle = [sum(kernel[t][i] * a[t] for t in range(len(kernel))) for i in range(n1)]
-        assert classes.coords(cycle) == _ref_coords(cx, 1, cycle)
+        assert coords(cycle) == _ref_coords(cx, 1, cycle)
     chain = [rng.randint(-3, 3) for _ in range(n1)]
     want = _ref_coords(cx, 1, chain)
     if want is None:
         with pytest.raises(ValueError):
-            classes.coords(chain)
+            coords(chain)
     else:
-        assert classes.coords(chain) == want
+        assert coords(chain) == want
+
+
+# ---------------------------------------------------------------------------
+# Top-degree classes.  ``HomologyClasses`` reads a cycle's coordinates off
+# one reduction of the top boundary; the general reader above is its oracle.
+
+
+def _assert_classes_match_reference(complex_, degree, cycles):
+    classes = HomologyClasses(complex_, degree)
+    betti, torsion, coords = _reference_classes(complex_, degree)
+    assert classes.betti == betti and torsion == ()
+    for cycle in cycles:
+        assert classes.coords(cycle) == coords(cycle)[0]
+    return classes
+
+
+def _top_complex(d1):
+    return ChainComplex({0: range(d1.rows), 1: range(d1.cols)}, {1: d1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_top_degree_classes_match_reference(seed):
+    """0 <- C_0 <- C_1 <- 0 with a random d_1, redrawn until its reduction
+    retires every pivot in the unit phase; cycles are K a for the kernel
+    basis K, and an arbitrary chain is a cycle for both readers or for
+    neither."""
+    rng = random.Random(seed)
+    while True:
+        d1 = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 7), bound=2)
+        snf = smith_normal_form(d1, want_transforms=True)
+        if snf.units == snf.rank:
+            break
+    kernel = kernel_basis(d1)
+    cycles = []
+    for _ in range(4):
+        a = [rng.randint(-4, 4) for _ in kernel]
+        cycles.append([sum(col[i] * q for col, q in zip(kernel, a)) for i in range(d1.cols)])
+    chain = [rng.randint(-3, 3) for _ in range(d1.cols)]
+    is_cycle = not any(d1.mul_vec(chain))
+    if is_cycle:
+        cycles.append(chain)
+    classes = _assert_classes_match_reference(_top_complex(d1), 1, cycles)
+    if not is_cycle:
+        with pytest.raises(ValueError):
+            classes.coords(chain)
+
+
+def _scene(name):
+    return cli.Scene(json.loads((cli.corpus_dir() / f"{name}.json").read_text()))
+
+
+def test_top_degree_classes_match_reference_on_pt_apartments():
+    """Every region's apartment in the PT bicomplex of the coordinate S^3."""
+    scene = _scene("s3_coordinate")
+    coll, _ = scene.collection()
+    poset, basis = scene.arrangement(None)
+    tri = sphere_triangulation(coll, poset)
+    bic = pt_bicomplex(coll, tri)
+    cycles = [
+        grp.apartment_cycle_pt_spherical(arr.region_polytope(poset, s), coll, tri, bic).vector
+        for s in basis
+    ]
+    assert len(cycles) == 16
+    _assert_classes_match_reference(bic, 3, cycles)
+
+
+@pytest.mark.parametrize("name", ["e2_four_lines", "h2_triangle"])
+def test_top_degree_classes_match_reference_on_st_apartments(name):
+    """Every bounded region's apartment in the relative ST complex."""
+    scene = _scene(name)
+    coll, _ = scene.collection()
+    poset, basis = scene.arrangement(None)
+    st_model = grp.STModel(coll.members, coll.top())
+    cycles = [grp.apartment_cycle_cell(poset, s, st_model).vector for s in basis]
+    assert cycles
+    _assert_classes_match_reference(st_model.complex, 2, cycles)
+
+
+def _hollow_triangle():
+    """Vertices 0, 1, 2 and edges 01, 02, 12: H_1 = Z, spanned by
+    01 - 02 + 12."""
+    return face_complex({0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2), (1, 2)]})
+
+
+def test_top_degree_classes_refuse_non_cycles():
+    """A chain off the kernel raises, also one that agrees with a cycle at
+    every non-pivot column."""
+    classes = HomologyClasses(_hollow_triangle(), 1)
+    assert classes.betti == 1
+    cycle = [1, -1, 1]
+    (a,) = classes.coords(cycle)
+    assert abs(a) == 1
+    for j in range(3):
+        chain = list(cycle)
+        chain[j] += 1
+        with pytest.raises(ValueError):
+            classes.coords(chain)
+
+
+def test_top_degree_classes_refuse_lower_degrees():
+    with pytest.raises(AssertionError):
+        HomologyClasses(_hollow_triangle(), 0)
+
+
+def test_top_degree_classes_refuse_phase_b_pivots():
+    """d_1 = [[2, 3]] holds no +-1 entry, so phase B retires its only
+    pivot, and V's non-pivot column need not be e_j plus pivot entries."""
+    d1 = IntMatrix(1, 2, {(0, 0): 2, (0, 1): 3})
+    snf = smith_normal_form(d1, want_transforms=True)
+    assert (snf.units, snf.rank) == (0, 1)
+    with pytest.raises(AssertionError):
+        HomologyClasses(_top_complex(d1), 1)
 
 
 def _reference_eliminate(rows, m, n, want_transforms):
@@ -466,8 +622,7 @@ def test_eliminate_matches_sorted_reference(seed):
 
 def _workload_complex(model):
     if model == "s3_coordinate pt":
-        scene = cli.Scene(json.loads((cli.corpus_dir() / "s3_coordinate.json").read_text()))
-        return cli.homology_model(scene, "pt")[0]
+        return cli.homology_model(_scene("s3_coordinate"), "pt")[0]
     return resolution.build_resolution(4)[0]
 
 

@@ -8,10 +8,15 @@ against a formula: 2 * sum_{i<=n} C(k-1, i) regions of k great spheres
 in S^n, and C(k-1, n) bounded regions of k hyperplanes in E^n.
 """
 
+import json
+import pathlib
 from math import comb
 
 from geotits import cli
+from geotits import collection as coll_mod
 from conftest import Budget
+
+SCENES = pathlib.Path(__file__).parent / "scenes"
 
 S3_FIVE = [
     [-3, -3, 2, -3],
@@ -33,12 +38,16 @@ E3_EIGHT = [
 ]
 
 
-def _solomon_tits(kind, n, covectors):
-    scene = cli.Scene({
+def _hyperplane_scene(kind, n, covectors):
+    return cli.Scene({
         "geometry": kind,
         "n": n,
         "hyperplanes": [[str(a) for a in c] for c in covectors],
     })
+
+
+def _solomon_tits(kind, n, covectors):
+    scene = _hyperplane_scene(kind, n, covectors)
     checks, overall = cli.run_command("verify", "solomon-tits", scene)
     assert overall == "PASS"
     (block,) = checks
@@ -60,3 +69,24 @@ def test_e3_eight_generic_planes():
     with Budget("scale", "E^3, 8 generic planes", 10):
         block = _solomon_tits("E", n, E3_EIGHT)
     assert block["bounded_regions"] == block["h_rank"] == bounded == 35
+
+
+def test_e3_eight_planes_not_generated_by_points():
+    """The points of the 8-plane arrangement span members outside it; the
+    check stops at the first one instead of closing all their spans."""
+    coll, _ = _hyperplane_scene("E", 3, E3_EIGHT).collection()
+    with Budget("scale", "E^3, 8 generic planes, generated by points", 5):
+        assert not coll_mod.generated_by_points(coll)
+
+
+def test_e3_ten_points_pt_ls_hypotheses(capsys):
+    """10 points in general position in E^3 close to 176 members, but the
+    hyperplanes of those members meet outside them: ``verify pt-ls``
+    refuses the scene."""
+    with Budget("scale", "E^3, 10 points, verify pt-ls", 10):
+        code = cli.main(["verify", "pt-ls", str(SCENES / "e3_points10.json")])
+    assert code == cli.EXIT_HYPOTHESES
+    assert json.loads(capsys.readouterr().err) == {
+        "detail": "collection is not generated by both points and hyperplanes",
+        "error": "HYPOTHESES_NOT_MET",
+    }
