@@ -63,24 +63,25 @@ class IntMatrix:
                 out[i] += v * c
         return out
 
-    def compose(self, other):
-        """Matrix product self @ other."""
+    def product_is_zero(self, other):
+        """Is the product self @ other zero?  Its columns are formed one at
+        a time, and the first one with a nonzero entry answers False."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        out = IntMatrix(self.rows, other.cols)
-        acc = {}
+        self_cols = {}
         for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + v * w
-        out.entries = {k: v for k, v in acc.items() if v}
-        return out
-
-    def is_zero(self):
-        return not self.entries
+            self_cols.setdefault(k, []).append((i, v))
+        other_cols = {}
+        for (k, j), w in other.entries.items():
+            other_cols.setdefault(j, []).append((k, w))
+        for col in other_cols.values():
+            acc = {}
+            for k, w in col:
+                for i, v in self_cols.get(k, ()):
+                    acc[i] = acc.get(i, 0) + v * w
+            if any(acc.values()):
+                return False
+        return True
 
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]

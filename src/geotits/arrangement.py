@@ -16,7 +16,6 @@ MAX_DIM = 4
 MAX_HYPERPLANES = 16
 
 NOT_L_POLYTOPE = "NOT_L_POLYTOPE"
-ZERO = "ZERO"
 NO_LIFT = "NO_LIFT"
 
 
@@ -55,9 +54,6 @@ class FacePoset:
         self.within = within
         self._flat_signs = {}  # carrier -> flat_signs(carrier)
         self._cells_in = {}  # signs -> cells_in(signs)
-
-    def by_dim(self, d):
-        return [c for s, c in sorted(self.cells.items()) if c.dim == d]
 
     def census(self):
         out = {}
@@ -311,11 +307,10 @@ def region_is_bounded(poset, cell):
     return geo.is_bounded(halfspaces, poset.geometry)
 
 
-def region_basis(poset, bounded_only=None):
-    """Deterministically ordered basis of (bounded) top-dimensional cells."""
-    g = poset.geometry
-    if bounded_only is None:
-        bounded_only = g.kind != geo.SPHERICAL and poset.within is None
+def region_basis(poset):
+    """Deterministically ordered basis of the regions: the bounded ones
+    for a global E/H arrangement, all of them otherwise."""
+    bounded_only = poset.geometry.kind != geo.SPHERICAL and poset.within is None
     out = []
     for cell in poset.regions():
         if bounded_only and not region_is_bounded(poset, cell):
@@ -336,94 +331,28 @@ def region_polytope(poset, sign_vector):
     return p
 
 
-def cell_in_polytope(poset, cell, polytope):
-    """Closed-polytope membership of the cell, read off its signs."""
-    return FacePoset._agrees(cell.sign_vector, poset.polytope_signs(polytope))
-
-
 def cells_in_polytope(poset, polytope, dims=None):
     inside = poset.cells_in(poset.polytope_signs(polytope))
     return sorted(s for s in inside if dims is None or poset.cells[s].dim in dims)
 
 
 def polytope_to_vector(polytope, basis, poset):
-    """Indicator vector of an L-polytope over the region basis.
+    """Indicator vector of a convex L-polytope over the region basis.
 
     Returns NOT_L_POLYTOPE when a facet hyperplane lies outside the
     collection or the polytope covers regions outside the basis.
     """
-    pieces = polytope.pieces if isinstance(polytope, geo.Polytope) else (polytope,)
     vec = [0] * len(basis)
     index = {s: i for i, s in enumerate(basis)}
-    for piece in pieces:
-        try:
-            covered = cells_in_polytope(poset, piece, dims={poset.geometry.n})
-        except ValueError:  # a facet hyperplane outside the collection
+    try:
+        covered = cells_in_polytope(poset, polytope, dims={poset.geometry.n})
+    except ValueError:  # a facet hyperplane outside the collection
+        return NOT_L_POLYTOPE
+    for signs in covered:
+        if signs not in index:
             return NOT_L_POLYTOPE
-        for signs in covered:
-            if signs in index:
-                vec[index[signs]] += 1
-            else:
-                return NOT_L_POLYTOPE
+        vec[index[signs]] += 1
     return tuple(vec)
-
-
-def subdivide(polytope, cutter_covectors):
-    """Closures of the top-dimensional parts of the polytope cut by the cutters."""
-    g = polytope.geometry
-    cutters = tuple(sorted(set(geo.canonical_covector(c) for c in cutter_covectors)))
-    nv = g.chart_dim
-    base_rows = [h.chart_row(g) for h in polytope.halfspaces]
-    parts = [()]
-    for m, cov in enumerate(cutters):
-        row = geo.functional_chart_row(g, cov)
-        new_parts = []
-        for signs in parts:
-            rows = list(base_rows)
-            for s2, c2 in zip(signs, cutters):
-                r2 = geo.functional_chart_row(g, c2)
-                rows.append(r2 if s2 > 0 else tuple(-x for x in r2))
-            for s in (1, -1):
-                extra = row if s > 0 else tuple(-x for x in row)
-                if exact.feasible(rows + [extra], (), (), nv) is not None:
-                    new_parts.append(signs + (s,))
-        parts = new_parts
-    out = []
-    for signs in sorted(parts):
-        hs = list(polytope.halfspaces)
-        for s, cov in zip(signs, cutters):
-            hs.append(geo.HalfSpace(cov, sense=1 if s > 0 else -1))
-        p = geo.polytope_from_halfspaces(g, hs)
-        if isinstance(p, geo.Invalid):  # pragma: no cover - parts are full-dim
-            raise AssertionError(f"subdivision part invalid: {p.reason}")
-        out.append(p)
-    return out
-
-
-def facet_map(q, u_covector, poset_u=None, basis_u=None):
-    """Signed facet of q along the hyperplane u.
-
-    Returns ZERO when q has no facet along u; otherwise ``(side, facet)``
-    with side +1 when q lies in {u >= 0}, -1 when in {u <= 0}.  ``facet``
-    is the indicator tuple over ``basis_u`` (cells of the arrangement on
-    u) when a basis is supplied, else None.
-    """
-    g = q.geometry
-    u = geo.canonical_covector(u_covector)
-    urow = geo.functional_chart_row(g, u)
-    nv = g.chart_dim
-    allrows = [h.chart_row(g) for h in q.halfspaces]
-    plus = exact.feasible(allrows + [urow], (), (), nv) is not None
-    minus = exact.feasible(allrows + [tuple(-x for x in urow)], (), (), nv) is not None
-    if plus and minus:
-        return ZERO  # u cuts the interior: no facet along u
-    side = 1 if plus else -1
-    qrows = [h.chart_row(g) for h in q.halfspaces if h.hyperplane != u]
-    if exact.feasible(qrows, (), [urow], nv) is None:
-        return ZERO  # contact has dimension < n-1
-    if basis_u is None:
-        return (side, None)
-    return (side, tuple(int(cell_in_polytope(poset_u, poset_u.cells[s], q)) for s in basis_u))
 
 
 def facet_wall(poset, facet_sign):
@@ -437,15 +366,15 @@ def facet_wall(poset, facet_sign):
     return walls[0]
 
 
-def cofacet_lift(poset, facet_sign, side=1, bounded_required=True):
+def cofacet_lift(poset, facet_sign, bounded_required=True):
     """Region of the arrangement having the given (n-1)-cell as a facet.
 
-    Tries the requested side of the cell's wall first; falls back to the
-    other side when boundedness is required but fails there.  Returns
+    Tries the positive side of the cell's wall first; falls back to the
+    negative side when boundedness is required but fails there.  Returns
     (region_sign, actual_side) or NO_LIFT.
     """
     wall = facet_wall(poset, facet_sign)
-    for s in (side, -side):
+    for s in (1, -1):
         cand = tuple((s if i == wall else x) for i, x in enumerate(facet_sign))
         if cand in poset.cells and poset.cells[cand].dim == poset.geometry.n:
             if not bounded_required or region_is_bounded(poset, poset.cells[cand]):

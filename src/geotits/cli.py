@@ -131,6 +131,8 @@ class Scene:
                 if len(row) != n + 1:
                     raise SceneError(f"polytope_A halfspace #{i}: needs {n + 1} entries")
                 func = tuple(_parse_rational(x, f"polytope_A halfspace #{i}") for x in row)
+                if all(x == 0 for x in func):
+                    raise SceneError(f"polytope_A halfspace #{i}: zero functional")
                 hs.append(geo.HalfSpace(func))
             built = geo.polytope_from_halfspaces(self.geometry, hs)
             if isinstance(built, geo.Invalid):
@@ -153,6 +155,8 @@ class Scene:
             if not isinstance(row, list) or len(row) != n + 1:
                 raise SceneError("options.u_hyperplane must be a list of n+1 entries")
             func = tuple(_parse_rational(x, "u_hyperplane") for x in row)
+            if all(x == 0 for x in func):
+                raise SceneError("options.u_hyperplane: zero functional")
             self.u_hyperplane = geo.canonical_covector(func)
 
         self.p_max = self.options.get("p_max")
@@ -386,8 +390,9 @@ def verify_solomon_tits(scene, seed=0):
         if not generating:
             raise HypothesesError("points do not generate the whole geometry")
         ls_data = grp.ls_group(coll)
-        res = grp.apartment_matrix(coll, "ST-points", ls_data=ls_data)
-        h = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
+        st = grp.STModel(coll.members, coll.top())
+        res = grp.ls_apartment_matrix(ls_data, st)
+        h = cx.homology(st.complex)
         ok = res.iso and cx.wedge_verdict(h, n)
         return [{
             "name": "solomon-tits-points",
@@ -406,9 +411,7 @@ def verify_solomon_tits(scene, seed=0):
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
             raise HypothesesError("Euclidean collection not admissible")
         poset, basis = scene.arrangement(None)
-        st = grp.STModel(coll.members, coll.top())
-        h = cx.homology(st.complex)
-        res = grp.apartment_matrix(coll, "ST-polytopes", poset=poset, basis=basis, st_model=st)
+        h, res = _cell_apartments(coll, coll.members, poset, basis)
         ok = res.iso and cx.wedge_verdict(h, n) and h.betti(n) == len(basis)
         return [{
             "name": "solomon-tits-euclidean",
@@ -430,9 +433,9 @@ def verify_solomon_tits(scene, seed=0):
         bic = cx.pt_bicomplex(coll, tri)
         hb = cx.homology(bic)
         hc = cx.homology(cx.pt_collapse_complex(coll, tri))
-        res = grp.apartment_matrix(
-            coll, "PT-spherical", poset=poset, basis=basis, tri=tri, bicomplex=bic
-        )
+        cycles = [grp.apartment_cycle_pt_spherical(arr.region_polytope(poset, s), coll, tri, bic)
+                  for s in basis]
+        res = grp.apartment_matrix(bic, n, cycles)
         ok = res.iso and hb == hc and cx.wedge_verdict(hb, n) and hb.betti(n) == len(basis)
         return [{
             "name": "solomon-tits-spherical",
@@ -451,9 +454,7 @@ def verify_solomon_tits(scene, seed=0):
         return verify_local(scene, seed)
     if coll_mod.generated_by_both(coll):
         poset, basis = scene.arrangement(None)
-        st = grp.STModel(coll.members, coll.top())
-        h = cx.homology(st.complex)
-        res = grp.apartment_matrix(coll, "ST-polytopes", poset=poset, basis=basis, st_model=st)
+        h, res = _cell_apartments(coll, coll.members, poset, basis)
         ok = res.iso and cx.wedge_verdict(h, n) and h.betti(n) == len(basis)
         return [{
             "name": "solomon-tits-hyperbolic-both-generated",
@@ -471,6 +472,15 @@ def verify_solomon_tits(scene, seed=0):
     )
 
 
+def _cell_apartments(coll, members, poset, basis):
+    """(homology, apartment matrix) of the relative ST model on these
+    members, with one cell apartment per basis region."""
+    st = grp.STModel(members, coll.top())
+    h = cx.homology(st.complex)
+    cycles = [grp.apartment_cycle_cell(poset, s, st) for s in basis]
+    return h, grp.apartment_matrix(st.complex, coll.geometry.n, cycles)
+
+
 def verify_local(scene, seed=0):
     coll, _ = scene.collection()
     g = scene.geometry
@@ -484,9 +494,7 @@ def verify_local(scene, seed=0):
             raise HypothesesError("polytope_A must be an L-polytope (facet hyperplanes in L)")
     members = coll_mod.restrict(coll, window)
     poset, basis = scene.arrangement(window)
-    st = grp.STModel(members, coll.top())
-    h = cx.homology(st.complex)
-    res = grp.apartment_matrix(coll, "local", poset=poset, basis=basis, st_model=st)
+    h, res = _cell_apartments(coll, members, poset, basis)
     ok = res.iso and cx.wedge_verdict(h, n) and h.betti(n) == len(basis)
     return [{
         "name": "solomon-tits-local",

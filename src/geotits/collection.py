@@ -15,7 +15,6 @@ NOT_DECIDABLE_FINITE = "NOT_DECIDABLE_FINITE"
 
 MODE_POINTS = "points"
 MODE_HYPERPLANES = "hyperplanes"
-MODE_BOTH = "both"
 MODE_RAW = "raw"
 
 
@@ -127,25 +126,23 @@ def closure_by_points(geometry, points):
 class Variants:
     """The derived collections for one extra hyperplane U."""
 
-    __slots__ = ("cup", "uplus", "cap", "u_member")
+    __slots__ = ("cup", "cap", "u_member")
 
-    def __init__(self, cup, uplus, cap, u_member):
+    def __init__(self, cup, cap, u_member):
         self.cup = cup
-        self.uplus = uplus
         self.cap = cap
         self.u_member = u_member
 
 
 def variants(collection, u_covector):
-    """L-cup-U, L-uplus-U and L-cap-U for a single hyperplane U."""
+    """L-cup-U and L-cap-U for a single hyperplane U."""
     u = geo.canonical_covector(u_covector)
     base = list(collection.hyperplane_covectors)
     covs = base if u in base else base + [u]
     cup = closure_by_hyperplanes(collection.geometry, covs)
     u_member = geo.hyperplane_subspace(collection.geometry, u)
-    uplus = tuple(m for m in cup.members if m != u_member)
     cap = tuple(m for m in cup.members if u_member.contains(m))
-    return Variants(cup, uplus, cap, u_member)
+    return Variants(cup, cap, u_member)
 
 
 def restrict(collection, polytope):

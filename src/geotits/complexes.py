@@ -60,10 +60,8 @@ class ChainComplex:
             b = self.boundary(d)
             if b.rows != self.dim(d - 1) or b.cols != self.dim(d):
                 raise AssertionError(f"boundary shape mismatch in degree {d}")
-            if self.dim(d - 1):
-                bb = self.boundary(d - 1).compose(b)
-                if not bb.is_zero():
-                    raise AssertionError(f"boundary squared nonzero at degree {d}")
+            if self.dim(d - 1) and not self.boundary(d - 1).product_is_zero(b):
+                raise AssertionError(f"boundary squared nonzero at degree {d}")
 
 
 class HomologySummary:
@@ -297,25 +295,6 @@ def tpl_complex(points, geometry):
     return face_complex(_graded(full, lambda c: len(c) - 1)), pts
 
 
-def local_complex(coll, window):
-    """Relative ST model on the sub-poset of members meeting the window.
-
-    The window must be a valid (bounded, full-dimensional) convex
-    polytope whose facet hyperplanes belong to the collection.
-    """
-    from geotits import collection as coll_mod
-
-    if not isinstance(window, geo.ConvexPolytope):
-        raise ValueError("window must be a convex polytope (bounded)")
-    known = {m.carrier for m in coll.members}
-    for h in window.halfspaces:
-        hs = geo.hyperplane_subspace(coll.geometry, h.hyperplane)
-        if hs is None or hs.carrier not in known:
-            raise ValueError("window facets must be hyperplanes of the collection")
-    members = coll_mod.restrict(coll, window)
-    return relative_st_complex(list(members), coll.top())
-
-
 # ---------------------------------------------------------------------------
 # Spherical triangulation and the polytopal-Tits models
 
@@ -425,31 +404,3 @@ def pt_collapse_complex(coll, tri):
         m: [lab for lab in labs if tri.top_cell(lab).dim == n]
         for m, labs in tri.simplices.items()
     })
-
-
-def collapse_chain_map(bicomplex, collapse):
-    """Chain map from the bicomplex to the collapse model.
-
-    Sends (empty flag, sigma) to sigma when sigma survives in the
-    collapse model, and every generator with a nonempty flag to zero.
-    """
-    maps = {}
-    for d in bicomplex.support():
-        tgt_index = collapse.index(d)
-        entries = {}
-        for j, (flag, sigma) in enumerate(bicomplex.degrees[d]):
-            if flag:
-                continue
-            row = tgt_index.get(sigma)
-            if row is not None:
-                entries[(row, j)] = 1
-        maps[d] = IntMatrix(collapse.dim(d), bicomplex.dim(d), entries)
-    # verify chain map: d q = q d
-    for d in bicomplex.support():
-        if d - 1 not in maps:
-            continue
-        left = collapse.boundary(d).compose(maps[d])
-        right = maps[d - 1].compose(bicomplex.boundary(d))
-        if left != right:
-            raise AssertionError("collapse is not a chain map")
-    return maps

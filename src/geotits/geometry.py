@@ -359,66 +359,18 @@ class ConvexPolytope:
             active |= f.active
         return tuple(h for i, h in enumerate(self.halfspaces) if i in active)
 
-    def facet_hyperplanes(self):
-        """Canonical covectors of the facet spans (minimal description)."""
-        return tuple(sorted({h.hyperplane for h in self.facet_halfspaces()}))
-
     def faces_of_dim(self, d):
         if self.faces is None:
             raise ValueError("weakly convex polytope has no face lattice")
         return [f for f in self.faces if f.dim == d]
 
-    def contains_chart_point(self, point, strict=False):
+    def contains_chart_point(self, point):
         v = chart_vector(self.geometry, point)
-        for h in self.halfspaces:
-            val = dot(h.functional, v)
-            if strict and not val > 0:
-                return False
-            if not strict and not val >= 0:
-                return False
-        return True
-
-    def face_barycenter(self, face):
-        """Exact interior chart point (E/H) or interior vector (S)."""
-        if self.geometry.kind == SPHERICAL:
-            total = [F0] * self.geometry.ambient_dim
-            for vid in face.vertex_ids:
-                for i, x in enumerate(self.vertices[vid]):
-                    total[i] += frac(x)
-            return tuple(total)
-        k = len(face.vertex_ids)
-        total = [F0] * self.geometry.n
-        for vid in face.vertex_ids:
-            for i, x in enumerate(self.vertices[vid]):
-                total[i] += frac(x)
-        return tuple(x / k for x in total)
+        return all(dot(h.functional, v) >= 0 for h in self.halfspaces)
 
     def __repr__(self):
         nv = len(self.vertices) if self.vertices is not None else "-"
         return f"ConvexPolytope({self.geometry}, facets<={len(self.halfspaces)}, verts={nv})"
-
-
-class Polytope:
-    """Finite union of convex polytopes with pairwise disjoint interiors."""
-
-    __slots__ = ("geometry", "pieces")
-
-    def __init__(self, geometry, pieces):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise ValueError("empty polytope")
-        for a_i in range(len(pieces)):
-            for b_i in range(a_i + 1, len(pieces)):
-                if _interiors_overlap(pieces[a_i], pieces[b_i]):
-                    raise ValueError("pieces have overlapping interiors")
-        self.geometry = geometry
-        self.pieces = pieces
-
-
-def _interiors_overlap(p, q):
-    g = p.geometry
-    rows = [h.chart_row(g) for h in p.halfspaces] + [h.chart_row(g) for h in q.halfspaces]
-    return exact.feasible(strict_rows=rows, nvars=g.chart_dim) is not None
 
 
 def euclidean_unbounded(halfspaces, geometry):
@@ -597,24 +549,6 @@ def is_strongly_convex(polytope):
     return exact.rank([h.functional for h in polytope.halfspaces]) == polytope.geometry.ambient_dim
 
 
-def join(geometry, u_carrier, p_halfspaces):
-    """Join S(U) * P for P in S(U-perp), as an ambient polytope.
-
-    P's half-space functionals must vanish on U; the join is then cut
-    out by the very same functionals read ambiently.
-    """
-    if geometry.kind != SPHERICAL:
-        raise ValueError("join is a spherical operation")
-    for h in p_halfspaces:
-        for b in u_carrier.basis:
-            if dot(h.functional, b) != 0:
-                raise ValueError("half-space does not vanish on the join factor U")
-    result = polytope_from_halfspaces(geometry, p_halfspaces)
-    if isinstance(result, Invalid):
-        raise ValueError(f"join produced an invalid polytope: {result.reason}")
-    return result
-
-
 def span_points(points):
     """Smallest geodesic subspace containing the given 0-dim subspaces."""
     if not points:
@@ -655,7 +589,3 @@ def meet_hyperplane(subspace, covector):
     if not geo_nonempty(carrier, g):
         return None
     return GeoSubspace._nonempty(g, carrier)
-
-
-def orthogonal_complement(subspace):
-    return subspace.orthogonal_complement()

@@ -95,8 +95,7 @@ class GroupHom:
             stacked.entries[(i, j)] = v
         for (r, j), v in self.codomain.relations.entries.items():
             stacked.entries[(j, self.matrix.cols + r)] = v
-        snf = smith_normal_form(stacked)
-        return snf.rank == g and all(d == 1 for d in snf.invariant_factors)
+        return _unit_snf(stacked, g)
 
     def kernel_lattice(self):
         """Basis (columns) of {x : M x lies in the codomain relations}."""
@@ -146,23 +145,6 @@ def flat_orientation_vectors(carrier, vectors):
     return exact.det_sign([[v[c] for c in carrier.pivots] for v in vectors])
 
 
-def tuple_orientation(geometry, members):
-    """Global orientation sign of an (n+1)-tuple of 0-dim subspaces."""
-    if geometry.kind == geo.SPHERICAL:
-        reps = [m.carrier.basis[0] for m in members]
-        return exact.orientation_sign_vectors(reps)
-    pts = [_chart_point_of(m) for m in members]
-    return exact.orientation_sign(pts)
-
-
-def _chart_point_of(member):
-    """Chart coordinates of a 0-dimensional E/H member."""
-    b = member.carrier.basis[0]
-    if b[0] == 0:
-        raise ValueError("0-dim member does not meet the chart")
-    return tuple(Fraction(x, b[0]) for x in b[1:])
-
-
 # ---------------------------------------------------------------------------
 # Apartment cycles
 
@@ -170,41 +152,28 @@ def _chart_point_of(member):
 class ApartmentCycle:
     """Integer chain, verified to be a cycle in its target complex."""
 
-    __slots__ = ("complex", "degree", "vector", "source")
+    __slots__ = ("vector",)
 
     def __init__(self, complex_, degree, vector, source):
-        self.complex = complex_
-        self.degree = degree
         self.vector = tuple(vector)
-        self.source = source
         bd = complex_.boundary(degree)
         if any(bd.mul_vec(list(vector))):
             raise AssertionError(f"apartment chain of {source} is not a cycle")
 
 
-def apartment_cycle_tuple(members_tuple, coll, st_complex, member_order,
-                          use_orientation=True):
+def apartment_cycle_tuple(members_tuple, st_model):
     """Apartment cycle of an (n+1)-tuple of points in the relative ST model.
 
-    Sum over permutations of sign(sigma) times the flag of prefix spans,
-    multiplied by the tuple's global orientation sign (making the class
-    match the polytope apartment of the spanned simplex).  With
-    ``use_orientation`` false the plain alternating chain is built, which
-    also accepts degenerate tuples (their classes are boundaries).
+    The plain alternating chain: the sum over permutations of
+    sign(sigma) times the flag of prefix spans.  Degenerate tuples are
+    accepted (their classes are boundaries).
     """
-    g = coll.geometry
-    n = g.n
+    n = st_model.top.geometry.n
     if len(members_tuple) != n + 1:
         raise ValueError("need an (n+1)-tuple")
-    if use_orientation:
-        global_sign = tuple_orientation(g, members_tuple)
-        if global_sign == 0:
-            raise ValueError("degenerate tuple")
-    else:
-        global_sign = 1
-    pos = {m: i for i, m in enumerate(member_order)}
-    idx = st_complex.index(n)
-    vec = [0] * st_complex.dim(n)
+    pos = {m: i for i, m in enumerate(st_model.proper)}
+    idx = st_model.complex.index(n)
+    vec = [0] * st_model.complex.dim(n)
     for sigma in permutations(range(n + 1)):
         sgn = _perm_sign(sigma)
         flats = []
@@ -220,8 +189,8 @@ def apartment_cycle_tuple(members_tuple, coll, st_complex, member_order,
         label = tuple(pos[f] for f in flats)
         if label not in idx:
             raise ValueError("span flag leaves the collection")
-        vec[idx[label]] += global_sign * sgn
-    return ApartmentCycle(st_complex, n, vec, ("tuple", tuple(members_tuple)))
+        vec[idx[label]] += sgn
+    return ApartmentCycle(st_model.complex, n, vec, ("tuple", tuple(members_tuple)))
 
 
 def _perm_sign(sigma):
@@ -231,45 +200,6 @@ def _perm_sign(sigma):
             if sigma[i] > sigma[j]:
                 sgn = -sgn
     return sgn
-
-
-def apartment_cycle_polytope(polytope, coll, st_complex, member_order, top=None):
-    """Apartment cycle of a convex polytope via complete face-span flags."""
-    g = coll.geometry
-    if g.kind == geo.SPHERICAL:
-        raise ValueError("use the PT-spherical apartment for spherical polytopes")
-    n = top.carrier.dim - 1 if top is not None else g.n
-    pos = {m.carrier: i for i, m in enumerate(member_order)}
-    idx = st_complex.index(n)
-    vec = [0] * st_complex.dim(n)
-    top_carrier = (
-        top.carrier if top is not None else geo.full_space(g.ambient_dim)
-    )
-    bary_p = polytope.face_barycenter(polytope.faces_of_dim(n)[0])
-    for flag in _face_flags(polytope, n):
-        pts = [polytope.face_barycenter(f) for f in flag] + [bary_p]
-        sign = flat_orientation_chart(top_carrier, pts)
-        if sign == 0:  # pragma: no cover - flags are affinely independent
-            raise AssertionError("degenerate barycenter flag")
-        label = tuple(pos[f.span] for f in flag)
-        if label not in idx:
-            raise ValueError("face span leaves the collection")
-        vec[idx[label]] += sign
-    return ApartmentCycle(st_complex, n, vec, ("polytope", polytope))
-
-
-def _face_flags(polytope, n):
-    """Complete flags F_0 < ... < F_{n-1} of proper faces, dims 0..n-1."""
-    levels = [polytope.faces_of_dim(d) for d in range(n)]
-    flags = [()]
-    for d in range(n):
-        flags = [
-            fl + (f,)
-            for fl in flags
-            for f in levels[d]
-            if not fl or fl[-1].vertex_ids < f.vertex_ids
-        ]
-    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +410,24 @@ class ApartmentMatrixResult:
         self.iso = iso
 
 
-def _matrix_from_cycles(target_complex, degree, cycles):
-    classes = cx.HomologyClasses(target_complex, degree)
+def apartment_matrix(complex_, degree, cycles):
+    """Classes of the apartment cycles in the basis of H_degree (the top
+    degree) read off ``HomologyClasses``, one column per cycle; ``iso``
+    says the matrix is unimodular."""
+    classes = cx.HomologyClasses(complex_, degree)
     cols = [list(classes.coords(cyc.vector)) for cyc in cycles]
     matrix = IntMatrix.from_columns(classes.betti, cols)
     return ApartmentMatrixResult(matrix, classes.betti, _unimodular(matrix))
 
 
 def _unimodular(matrix):
-    if matrix.rows != matrix.cols:
-        return False
+    return matrix.rows == matrix.cols and _unit_snf(matrix, matrix.rows)
+
+
+def _unit_snf(matrix, rank):
+    """Has the matrix this rank, with every invariant factor 1?"""
     snf = smith_normal_form(matrix)
-    return snf.rank == matrix.rows and all(d == 1 for d in snf.invariant_factors)
+    return snf.rank == rank and all(d == 1 for d in snf.invariant_factors)
 
 
 def pt_group(basis):
@@ -514,50 +450,22 @@ def ls_group(coll):
     return pres, pts, complex_
 
 
-def apartment_matrix(coll, flavor, poset=None, basis=None, st_model=None,
-                     ls_data=None, tri=None, bicomplex=None):
-    """Matrix of apartment classes in an SNF basis of H_n; iso flag included.
-
-    Flavors: "ST-points", "ST-polytopes", "local", "PT-spherical".
-    """
-    n = coll.geometry.n
-    if flavor == "ST-points":
-        if ls_data is None:
-            ls_data = ls_group(coll)
-        pres, pts, _ = ls_data
-        if st_model is None:
-            st_model = STModel(coll.members, coll.top())
-        # The Ls -> H map uses the plain alternating apartment: the
-        # simplicial relations hold in that normalization.
-        cycles = [
-            apartment_cycle_tuple(
-                tuple(pts[i] for i in gen), coll, st_model.complex, st_model.proper,
-                use_orientation=False,
-            )
-            for gen in pres.generators
-        ]
-        result = _matrix_from_cycles(st_model.complex, n, cycles)
-        hom = GroupHom(pres, GroupPresentation(range(result.betti)), result.matrix)
-        if not hom.well_defined:
-            raise AssertionError("apartment map does not respect the simplicial relations")
-        result.iso = hom.is_isomorphism()
-        return result
-    if flavor in ("ST-polytopes", "local"):
-        if poset is None or basis is None or st_model is None:
-            raise ValueError("need poset, basis and st_model")
-        cycles = [
-            apartment_cycle_cell(poset, s, st_model) for s in basis
-        ]
-        return _matrix_from_cycles(st_model.complex, n, cycles)
-    if flavor == "PT-spherical":
-        if poset is None or basis is None or tri is None or bicomplex is None:
-            raise ValueError("need poset, basis, tri and bicomplex")
-        cycles = []
-        for s in basis:
-            p = arr.region_polytope(poset, s)
-            cycles.append(apartment_cycle_pt_spherical(p, coll, tri, bicomplex))
-        return _matrix_from_cycles(bicomplex, n, cycles)
-    raise ValueError(f"unknown flavor {flavor!r}")
+def ls_apartment_matrix(ls_data, st_model):
+    """Apartment classes of the Lee-Szczarba generators in H_n of the
+    relative ST model; ``iso`` says the map Ls -> H_n they define is an
+    isomorphism.  The map is asserted to respect the simplicial
+    relations."""
+    pres, pts, _ = ls_data
+    # The Ls -> H map uses the plain alternating apartment: the
+    # simplicial relations hold in that normalization.
+    cycles = [apartment_cycle_tuple(tuple(pts[i] for i in gen), st_model)
+              for gen in pres.generators]
+    result = apartment_matrix(st_model.complex, st_model.top.geometry.n, cycles)
+    hom = GroupHom(pres, GroupPresentation(range(result.betti)), result.matrix)
+    if not hom.well_defined:
+        raise AssertionError("apartment map does not respect the simplicial relations")
+    result.iso = hom.is_isomorphism()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +586,12 @@ def pt_to_ls_element(piece, coll, ls_data):
     return tuple(out)
 
 
-def pt_to_ls_hom(coll, poset, basis, ls_data=None):
-    """The canonical map Pt -> Ls as a GroupHom on the region basis."""
+def pt_to_ls_hom(coll, poset, basis):
+    """The canonical map Pt -> Ls as a GroupHom on the region basis,
+    with the Lee-Szczarba data it maps to."""
     if not coll_mod.generated_by_both(coll):
         raise ValueError("collection must be generated by both points and hyperplanes")
-    if ls_data is None:
-        ls_data = ls_group(coll)
+    ls_data = ls_group(coll)
     pres = ls_data[0]
     cols = []
     for s in basis:
@@ -782,7 +690,7 @@ def verify_pt_ls(coll, poset=None, basis=None):
         poset = arr.build_arrangement(coll)
     if basis is None:
         basis = arr.region_basis(poset)
-    hom, ls_data = pt_to_ls_hom(coll, poset, basis, None)
+    hom, ls_data = pt_to_ls_hom(coll, poset, basis)
     report = {
         "claim": "canonical map Pt -> Ls",
         "geometry": f"{g.kind}^{g.n}",
@@ -889,11 +797,9 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
             fac_entries[(i, j)] = s[u_index]
     fac = IntMatrix(len(u_cells), len(cup_basis), fac_entries)
 
-    inc_snf = smith_normal_form(inc)
-    fac_snf = smith_normal_form(fac)
-    injective = inc_snf.rank == len(basis) and all(d == 1 for d in inc_snf.invariant_factors)
-    surjective = fac_snf.rank == len(u_cells) and all(d == 1 for d in fac_snf.invariant_factors)
-    composite_zero = fac.compose(inc).is_zero()
+    injective = _unit_snf(inc, len(basis))
+    surjective = _unit_snf(fac, len(u_cells))
+    composite_zero = fac.product_is_zero(inc)
     kernel_cols = kernel_basis(fac)
     image_cols = inc.columns()
     kernel_eq = lattices_equal(kernel_cols, image_cols, len(cup_basis))
@@ -971,8 +877,7 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
 
     epsilon = None
     for tau in u_cells:
-        lift = arr.cofacet_lift(cup_poset, tau, side=1,
-                                bounded_required=window is None)
+        lift = arr.cofacet_lift(cup_poset, tau, bounded_required=window is None)
         if lift == arr.NO_LIFT:
             return False
         q_sign, actual_side = lift
@@ -1031,11 +936,13 @@ def duality_check(coll):
         return {"claim": "spherical duality", "verdict": "FAIL",
                 "reason": "dual collection not generated by points"}
     st_l = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
-    st_d = cx.homology(cx.relative_st_complex(list(dual.members), dual.top()))
+    dual_st = STModel(dual.members, dual.top())
+    st_d = cx.homology(dual_st.complex)
     n = g.n
     ranks_match = st_l.betti(n) == st_d.betti(n) and not st_l.torsion(n)
-    apt = apartment_matrix(dual, "ST-points")
-    ls_rank = ls_group(dual)[0].free_rank
+    ls_data = ls_group(dual)
+    apt = ls_apartment_matrix(ls_data, dual_st)
+    ls_rank = ls_data[0].free_rank
     ok = bijection and reversing and ranks_match and apt.iso
     return {
         "claim": "spherical duality",

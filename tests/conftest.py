@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from geotits import arrangement as arr
 from geotits import exact
 from geotits import geometry as geo
 from geotits import collection as coll_mod
+from geotits import groups as grp
+from geotits._kernel import IntMatrix
+from geotits.exact import F0, frac
 
 
 E1 = geo.Geometry("E", 1)
@@ -69,6 +73,155 @@ def reference_coordinates(sub, v):
     x0, hom = sol
     assert not hom  # the basis rows are independent
     return x0
+
+
+def matrix_product(a, b):
+    """The sparse product a @ b, entry by entry."""
+    assert a.cols == b.rows
+    b_rows = {}
+    for (k, j), w in b.entries.items():
+        b_rows.setdefault(k, []).append((j, w))
+    acc = {}
+    for (i, k), v in a.entries.items():
+        for j, w in b_rows.get(k, ()):
+            acc[(i, j)] = acc.get((i, j), 0) + v * w
+    return IntMatrix(a.rows, b.cols, acc)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: independent constructions that cross-check code in geotits
+
+
+def subdivide(polytope, cutter_covectors):
+    """Closures of the top-dimensional parts of the polytope cut by the
+    cutters, found by feasibility of each sign pattern."""
+    g = polytope.geometry
+    cutters = tuple(sorted(set(geo.canonical_covector(c) for c in cutter_covectors)))
+    nv = g.chart_dim
+    base_rows = [h.chart_row(g) for h in polytope.halfspaces]
+    parts = [()]
+    for cov in cutters:
+        row = geo.functional_chart_row(g, cov)
+        new_parts = []
+        for signs in parts:
+            rows = list(base_rows)
+            for s2, c2 in zip(signs, cutters):
+                r2 = geo.functional_chart_row(g, c2)
+                rows.append(r2 if s2 > 0 else tuple(-x for x in r2))
+            for s in (1, -1):
+                extra = row if s > 0 else tuple(-x for x in row)
+                if exact.feasible(rows + [extra], (), (), nv) is not None:
+                    new_parts.append(signs + (s,))
+        parts = new_parts
+    out = []
+    for signs in sorted(parts):
+        hs = list(polytope.halfspaces)
+        for s, cov in zip(signs, cutters):
+            hs.append(geo.HalfSpace(cov, sense=1 if s > 0 else -1))
+        p = geo.polytope_from_halfspaces(g, hs)
+        assert not isinstance(p, geo.Invalid), p.reason
+        out.append(p)
+    return out
+
+
+ZERO = "ZERO"
+
+
+def facet_map(q, u_covector, poset_u=None, basis_u=None):
+    """Signed facet of q along the hyperplane u, by feasibility.
+
+    ZERO when q has no facet along u; otherwise ``(side, facet)`` with
+    side +1 when q lies in {u >= 0}, -1 when in {u <= 0}.  ``facet`` is
+    the indicator tuple of q over ``basis_u`` (cells on u) when a basis
+    is supplied, else None."""
+    g = q.geometry
+    u = geo.canonical_covector(u_covector)
+    urow = geo.functional_chart_row(g, u)
+    nv = g.chart_dim
+    allrows = [h.chart_row(g) for h in q.halfspaces]
+    plus = exact.feasible(allrows + [urow], (), (), nv) is not None
+    minus = exact.feasible(allrows + [tuple(-x for x in urow)], (), (), nv) is not None
+    if plus and minus:
+        return ZERO  # u cuts the interior: no facet along u
+    side = 1 if plus else -1
+    qrows = [h.chart_row(g) for h in q.halfspaces if h.hyperplane != u]
+    if exact.feasible(qrows, (), [urow], nv) is None:
+        return ZERO  # contact has dimension < n-1
+    if basis_u is None:
+        return (side, None)
+    q_signs = poset_u.polytope_signs(q)
+    return (side, tuple(int(arr.FacePoset._agrees(s, q_signs)) for s in basis_u))
+
+
+def apartment_cycle_polytope(polytope, coll, st_model):
+    """E/H apartment cycle of a convex polytope from complete flags of its
+    faces, signed by the orientation of the face barycenters."""
+    n = coll.geometry.n
+    pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
+    idx = st_model.complex.index(n)
+    vec = [0] * st_model.complex.dim(n)
+    top_carrier = geo.full_space(coll.geometry.ambient_dim)
+
+    def barycenter(face):
+        total = [F0] * n
+        for vid in face.vertex_ids:
+            for i, x in enumerate(polytope.vertices[vid]):
+                total[i] += frac(x)
+        return tuple(x / len(face.vertex_ids) for x in total)
+
+    flags = [()]
+    for d in range(n):
+        flags = [fl + (f,) for fl in flags for f in polytope.faces_of_dim(d)
+                 if not fl or fl[-1].vertex_ids < f.vertex_ids]
+    bary_p = barycenter(polytope.faces_of_dim(n)[0])
+    for flag in flags:
+        pts = [barycenter(f) for f in flag] + [bary_p]
+        sign = grp.flat_orientation_chart(top_carrier, pts)
+        assert sign != 0
+        vec[idx[tuple(pos[f.span] for f in flag)]] += sign
+    return grp.ApartmentCycle(st_model.complex, n, vec, ("polytope", polytope))
+
+
+def collapse_chain_map(bicomplex, collapse):
+    """Chain map from the bicomplex to the collapse model, checked to
+    commute with the boundaries.
+
+    Sends (empty flag, sigma) to sigma when sigma survives in the
+    collapse model, and every generator with a nonempty flag to zero."""
+    maps = {}
+    for d in bicomplex.support():
+        tgt_index = collapse.index(d)
+        entries = {}
+        for j, (flag, sigma) in enumerate(bicomplex.degrees[d]):
+            row = None if flag else tgt_index.get(sigma)
+            if row is not None:
+                entries[(row, j)] = 1
+        maps[d] = IntMatrix(collapse.dim(d), bicomplex.dim(d), entries)
+    for d in bicomplex.support():
+        if d - 1 in maps:
+            left = matrix_product(collapse.boundary(d), maps[d])
+            right = matrix_product(maps[d - 1], bicomplex.boundary(d))
+            assert left == right, "collapse is not a chain map"
+    return maps
+
+
+# ---------------------------------------------------------------------------
+# Apartment matrices of the three cycle builders
+
+
+def cell_apartments(poset, basis, st_model):
+    cycles = [grp.apartment_cycle_cell(poset, s, st_model) for s in basis]
+    return grp.apartment_matrix(st_model.complex, poset.geometry.n, cycles)
+
+
+def pt_apartments(coll, poset, basis, tri, bic):
+    cycles = [grp.apartment_cycle_pt_spherical(arr.region_polytope(poset, s), coll, tri, bic)
+              for s in basis]
+    return grp.apartment_matrix(bic, coll.geometry.n, cycles)
+
+
+def points_apartments(coll):
+    return grp.ls_apartment_matrix(grp.ls_group(coll), grp.STModel(coll.members, coll.top()))
 
 
 @pytest.fixture(scope="session")

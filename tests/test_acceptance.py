@@ -26,6 +26,10 @@ from conftest import (
     H2_TRIANGLE_COVS,
     TRIANGLE_COVS,
     TWO_CUBE_COVS,
+    cell_apartments,
+    points_apartments,
+    pt_apartments,
+    subdivide,
 )
 
 
@@ -48,10 +52,7 @@ def test_criterion_1_euclidean_solomon_tits():
             h = cx.homology(st.complex)
             assert cx.wedge_verdict(h, 2)
             assert h.betti(2) == len(basis)
-            res = grp.apartment_matrix(
-                coll, "ST-polytopes", poset=poset, basis=basis, st_model=st
-            )
-            assert res.iso  # unimodular apartment matrix
+            assert cell_apartments(poset, basis, st).iso  # unimodular apartment matrix
 
 
 def test_criterion_2_concurrent_vanishing():
@@ -81,10 +82,7 @@ def test_criterion_3_spherical_coordinate():
             assert hb == hc  # cross-check agrees exactly
             assert hb.nonzero_degrees() == [n]
             assert hb.betti(n) == 2 ** (n + 1) and not hb.torsion(n)
-            res = grp.apartment_matrix(
-                coll, "PT-spherical", poset=poset, basis=basis, tri=tri, bicomplex=bic
-            )
-            assert res.iso
+            assert pt_apartments(coll, poset, basis, tri, bic).iso
 
 
 def test_criterion_4_s0_base_case():
@@ -131,8 +129,7 @@ def test_criterion_6_a_local_theorem():
             h = cx.homology(st.complex)
             assert h.nonzero_degrees() in ([2], [])
             assert h.betti(2) == len(basis) and not h.torsion(2)
-            res = grp.apartment_matrix(coll, "local", poset=poset, basis=basis, st_model=st)
-            assert res.iso
+            assert cell_apartments(poset, basis, st).iso
 
 
 def test_criterion_7_exact_sequences():
@@ -168,8 +165,7 @@ def test_criterion_8_points_theorem_and_duality():
             pts = [geo.point_subspace(g, p) for p in coords]
             coll, generating = coll_mod.closure_by_points(g, pts)
             assert generating
-            res = grp.apartment_matrix(coll, "ST-points")
-            assert res.iso
+            assert points_apartments(coll).iso
         # spherical points instance: the three coordinate axes
         axes = [
             geo.GeoSubspace(S2, geo.subspace_from_vectors(3, [v]))
@@ -177,8 +173,7 @@ def test_criterion_8_points_theorem_and_duality():
         ]
         scoll, sgen = coll_mod.closure_by_points(S2, axes)
         assert sgen
-        sres = grp.apartment_matrix(scoll, "ST-points")
-        assert sres.iso
+        assert points_apartments(scoll).iso
     for label, covs in (
         ("coordinate S2", [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
         ("generic S2", [(1, 0, 0), (0, 1, 0), (1, 2, 3)]),
@@ -285,7 +280,7 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
             amb = rng.randint(1, 4)
             vecs = [tuple(rng.randint(-4, 4) for _ in range(amb)) for _ in range(rng.randint(0, amb))]
             v = geo.subspace_from_vectors(amb, vecs)
-            assert geo.orthogonal_complement(geo.orthogonal_complement(v)) == v
+            assert v.orthogonal_complement().orthogonal_complement() == v
         # apartment cycles are cycles (constructor hard-asserts; exercise all flavors)
         poset = arr.build_arrangement(triangle)
         st = grp.STModel(triangle.members, triangle.top())
@@ -302,7 +297,7 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
         basis = arr.region_basis(poset)
         p = arr.region_polytope(poset, basis[0])
         total = arr.polytope_to_vector(p, basis, poset)
-        pieces = arr.subdivide(p, list(triangle.hyperplane_covectors))
+        pieces = subdivide(p, list(triangle.hyperplane_covectors))
         acc = [0] * len(basis)
         for piece in pieces:
             acc = [a + b for a, b in zip(acc, arr.polytope_to_vector(piece, basis, poset))]
@@ -315,7 +310,7 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
 
             containing = [
                 hyp
-                for hyp in p.facet_hyperplanes()
+                for hyp in sorted({h.hyperplane for h in p.facet_halfspaces()})
                 if all(dot(hyp, (1,) + tuple(p.vertices[i])) == 0 for i in f.vertex_ids)
             ]
             meet = geo.LinearSubspace(3, exact.nullspace(containing, 3))

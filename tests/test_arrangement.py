@@ -6,7 +6,7 @@ import pytest
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
-from conftest import E1, E2, H2, S0, TRIANGLE_COVS
+from conftest import E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, subdivide
 
 
 def test_e1_two_points():
@@ -96,20 +96,10 @@ def test_indicator_vectors(triangle):
     assert arr.polytope_to_vector(outside, basis, poset) == arr.NOT_L_POLYTOPE
 
 
-def test_indicator_union_of_regions(four_lines):
-    poset = arr.build_arrangement(four_lines)
-    basis = arr.region_basis(poset)
-    p1 = arr.region_polytope(poset, basis[0])
-    p2 = arr.region_polytope(poset, basis[1])
-    union = geo.Polytope(E2, [p1, p2])
-    vec = arr.polytope_to_vector(union, basis, poset)
-    assert vec == (1, 1, 0)
-
-
 def test_subdivide():
     t = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
-    assert len(arr.subdivide(t, [(1, -4, 0)])) == 2
-    assert len(arr.subdivide(t, [(5, -1, -1)])) == 1
+    assert len(subdivide(t, [(1, -4, 0)])) == 2
+    assert len(subdivide(t, [(5, -1, -1)])) == 1
     square = geo.polytope_from_halfspaces(
         E2,
         [
@@ -119,7 +109,7 @@ def test_subdivide():
             geo.HalfSpace((1, 0, -1)),
         ],
     )
-    assert len(arr.subdivide(square, [(0, 1, -1), (1, -1, -1)])) == 4
+    assert len(subdivide(square, [(0, 1, -1), (1, -1, -1)])) == 4
 
 
 def test_indicator_additive_under_subdivide(triangle, four_lines):
@@ -132,7 +122,7 @@ def test_indicator_additive_under_subdivide(triangle, four_lines):
             p = arr.region_polytope(poset, sign)
             total = arr.polytope_to_vector(p, basis, poset)
             cutters = [c for c in poset.covectors if rng.random() < 0.8]
-            pieces = arr.subdivide(p, cutters) if cutters else [p]
+            pieces = subdivide(p, cutters) if cutters else [p]
             acc = [0] * len(basis)
             for piece in pieces:
                 v = arr.polytope_to_vector(piece, basis, poset)
@@ -146,23 +136,25 @@ def test_subregion_cut_not_l_polytope(triangle):
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
     t = arr.region_polytope(poset, basis[0])
-    p1, p2 = arr.subdivide(t, [(1, -4, 0)])
+    p1, p2 = subdivide(t, [(1, -4, 0)])
     assert arr.polytope_to_vector(p1, basis, poset) == arr.NOT_L_POLYTOPE
 
 
 def test_indicator_kernel_is_subdivision_lattice(four_lines):
     """A signed combination of L-polytopes maps to zero iff all refined
-    multiplicities vanish: the only relation among {R1 u R2, R1, R2} is
-    the subdivision relation."""
+    multiplicities vanish: the only relation among {R1 u R2, R1, R2},
+    with R1 u R2 convex, is the subdivision relation."""
     from geotits._kernel import IntMatrix, kernel_basis, lattices_equal
 
     poset = arr.build_arrangement(four_lines)
     basis = arr.region_basis(poset)
-    r1 = arr.region_polytope(poset, basis[0])
-    r2 = arr.region_polytope(poset, basis[1])
-    union = geo.Polytope(E2, [r1, r2])
+    # the big triangle is a convex L-polytope covering two regions
+    big = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    covered = [s for s, c in zip(basis, arr.polytope_to_vector(big, basis, poset)) if c]
+    assert len(covered) == 2
+    r1, r2 = (arr.region_polytope(poset, s) for s in covered)
     vecs = [
-        arr.polytope_to_vector(x, basis, poset) for x in (union, r1, r2)
+        arr.polytope_to_vector(x, basis, poset) for x in (big, r1, r2)
     ]
     assert all(v != arr.NOT_L_POLYTOPE for v in vecs)
     m = IntMatrix.from_columns(len(basis), [list(v) for v in vecs])
@@ -172,19 +164,19 @@ def test_indicator_kernel_is_subdivision_lattice(four_lines):
 
 def test_facet_map_sides():
     t = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
-    side, _ = arr.facet_map(t, (0, 0, 1))
+    side, _ = facet_map(t, (0, 0, 1))
     assert side == 1
     reflected = geo.polytope_from_halfspaces(
         E2,
         [geo.HalfSpace((0, 0, 1), sense=-1), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((1, -1, 1))],
     )
-    side2, _ = arr.facet_map(reflected, (0, 0, 1))
+    side2, _ = facet_map(reflected, (0, 0, 1))
     assert side2 == -1
     corner = geo.polytope_from_halfspaces(
         E2,
         [geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, -1, 1)), geo.HalfSpace((1, 0, -1))],
     )
-    assert arr.facet_map(corner, (0, 0, 1)) == arr.ZERO
+    assert facet_map(corner, (0, 0, 1)) == ZERO
     square = geo.polytope_from_halfspaces(
         E2,
         [
@@ -194,7 +186,7 @@ def test_facet_map_sides():
             geo.HalfSpace((1, 0, -1)),
         ],
     )
-    assert arr.facet_map(square, (1, -4, 0)) == arr.ZERO  # cuts the interior
+    assert facet_map(square, (1, -4, 0)) == ZERO  # cuts the interior
 
 
 def test_facet_cofacet_roundtrip(triangle):
@@ -210,11 +202,11 @@ def test_facet_cofacet_roundtrip(triangle):
     ]
     assert u_cells
     for tau in u_cells:
-        got = arr.cofacet_lift(poset, tau, side=1)
+        got = arr.cofacet_lift(poset, tau)
         assert got != arr.NO_LIFT
         region_sign, side = got
         q = arr.region_polytope(poset, region_sign)
-        fside, vec = arr.facet_map(q, u, poset, tuple(u_cells))
+        fside, vec = facet_map(q, u, poset, tuple(u_cells))
         assert fside == side
         assert vec[u_cells.index(tau)] == 1
 
@@ -274,12 +266,11 @@ def test_spherical_cofacet_both_sides(coord_s2):
     arcs = [s for s, c in sorted(poset.cells.items()) if c.dim == 1]
     tau = arcs[0]
     wall = arr.facet_wall(poset, tau)
-    lifts = set()
-    for side in (1, -1):
-        got = arr.cofacet_lift(poset, tau, side=side, bounded_required=False)
-        assert got != arr.NO_LIFT
-        region_sign, actual = got
-        assert actual == side
-        assert poset.cells[region_sign].dim == 2
-        lifts.add(region_sign)
+    got = arr.cofacet_lift(poset, tau, bounded_required=False)
+    assert got != arr.NO_LIFT
+    region_sign, actual = got
+    assert actual == 1 and region_sign[wall] == 1
+    other = tuple(-1 if i == wall else x for i, x in enumerate(tau))
+    lifts = {region_sign, other}
+    assert all(poset.cells[s].dim == 2 for s in lifts)
     assert len(lifts) == 2

@@ -47,6 +47,11 @@ def test_scene_validation_errors():
         ({"hyperplanes": line, "polytope_A": {"halfspaces": "abc"}},
          "polytope_A.halfspaces must be a list of lists"),
         ({"hyperplanes": line, "options": {"u_hyperplane": "101"}}, "u_hyperplane"),
+        # zero functionals, named rather than raised from the geometry
+        ({"hyperplanes": line, "options": {"u_hyperplane": ["0", "0", "0"]}},
+         "u_hyperplane: zero functional"),
+        ({"hyperplanes": line, "polytope_A": {"halfspaces": [["0", "0", "0"]]}},
+         "polytope_A halfspace #0: zero functional"),
     ]:
         with pytest.raises(SceneError, match=match):
             Scene({"geometry": "E", "n": 2, **data})
@@ -99,7 +104,10 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["validate", str(bad)]) == cli.EXIT_INVALID_SCENE
     for data in ({"hyperplanes": ["101", "011"]}, {"hyperplanes": 5},
                  {"hyperplanes": [["0", "1", "0"]], "options": [1]},
-                 {"hyperplanes": [["0", "1", "0"]], "polytope_A": []}):
+                 {"hyperplanes": [["0", "1", "0"]], "polytope_A": []},
+                 {"hyperplanes": [["0", "1", "0"]], "options": {"u_hyperplane": ["0", "0", "0"]}},
+                 {"hyperplanes": [["0", "1", "0"]],
+                  "polytope_A": {"halfspaces": [["0", "0", "0"]]}}):
         bad.write_text(json.dumps({"geometry": "E", "n": 2, **data}))
         assert cli.main(["validate", str(bad)]) == cli.EXIT_INVALID_SCENE
     assert cli.main(["validate", scene_path("e2_triangle")]) == cli.EXIT_PASS

@@ -46,7 +46,6 @@ def test_s1_single_pair_not_generating():
 def test_variants_counts(triangle):
     var = coll_mod.variants(triangle, (2, -5, -1))
     assert len(var.cup.members) == 11
-    assert len(var.uplus) == 10
     assert len(var.cap) == 4  # U itself plus three points on U
     same = coll_mod.variants(triangle, (0, 1, 0))
     assert same.cup.members == triangle.members

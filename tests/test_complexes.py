@@ -5,7 +5,7 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits._kernel import IntMatrix
-from conftest import E1, E2, S0, S1, S2
+from conftest import E1, E2, S0, S1, S2, collapse_chain_map
 
 
 def test_order_complex_triangle(triangle):
@@ -147,7 +147,7 @@ def test_collapse_crosscheck_agreement(coord_s1, coord_s2):
         hb = cx.homology(cx.pt_bicomplex(coll, tri))
         hc = cx.homology(cx.pt_collapse_complex(coll, tri))
         assert hb == hc
-        cx.collapse_chain_map(cx.pt_bicomplex(coll, tri), cx.pt_collapse_complex(coll, tri))
+        collapse_chain_map(cx.pt_bicomplex(coll, tri), cx.pt_collapse_complex(coll, tri))
 
 
 def test_local_complex(h2_triangle):
@@ -209,20 +209,16 @@ def test_boundary_squared_guard():
     }
     with pytest.raises(AssertionError):
         cx.ChainComplex(degrees, bad)
-
-
-def test_local_complex_wrapper(h2_triangle):
-    from geotits.geometry import HalfSpace, polytope_from_halfspaces, Geometry
-
-    a = polytope_from_halfspaces(
-        Geometry("H", 2), [HalfSpace(c) for c in h2_triangle.hyperplane_covectors]
-    )
-    c = cx.local_complex(h2_triangle, a)
-    h = cx.homology(c)
-    assert h.betti(2) == 1
-    # an unbounded window is rejected outright
-    with pytest.raises(ValueError):
-        cx.local_complex(h2_triangle, "not a polytope")
+    # two parallel edges e, f; d d vanishes on e - f and not on e + f,
+    # which comes last
+    degrees = {0: [(0,), (1,)], 1: [(0, 1), (0, 2)], 2: [(0,), (1,), (2,)]}
+    d1 = IntMatrix(2, 2, {(0, 0): -1, (1, 0): 1, (0, 1): -1, (1, 1): 1})
+    cycles = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}
+    good = {0: IntMatrix(0, 2), 1: d1, 2: IntMatrix(2, 3, {**cycles, (0, 2): 1, (1, 2): -1})}
+    cx.ChainComplex(degrees, good)
+    bad = {0: IntMatrix(0, 2), 1: d1, 2: IntMatrix(2, 3, {**cycles, (0, 2): 1, (1, 2): 1})}
+    with pytest.raises(AssertionError):
+        cx.ChainComplex(degrees, bad)
 
 
 def test_sphere_no_hyperplanes_polytope_group():

@@ -407,7 +407,7 @@ def test_feasible_matches_fraction_reference():
 @given(st.integers(0, 10**6))
 def test_rational_results_never_float(seed):
     """Values that are rational numbers come back as ``Fraction``, even
-    from integer input: solutions and chart points."""
+    from integer input: solutions."""
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -417,10 +417,6 @@ def test_rational_results_never_float(seed):
     sol = exact.solve_unique(square, rhs)
     assert [dot(r, sol) for r in square] == rhs
     assert all(type(x) is Fr for x in sol)
-    point = tuple(Fr(rng.randint(-4, 4), 10) for _ in range(n))
-    for kind in ("E", "H"):
-        got = grp._chart_point_of(geo.point_subspace(geo.Geometry(kind, n), point))
-        assert got == point and all(type(x) is Fr for x in got)
 
 
 MINK2 = [[-1, 0], [0, 1]]

@@ -203,7 +203,7 @@ def test_face_span_identities():
 
     for p in polys:
         n = p.geometry.n
-        facet_hyps = p.facet_hyperplanes()
+        facet_hyps = sorted({h.hyperplane for h in p.facet_halfspaces()})
         for f in p.faces:
             if f.dim == n:
                 continue
@@ -227,12 +227,12 @@ def test_face_span_identities():
 
 def test_orthocomplement_examples():
     v = geo.subspace_from_vectors(3, [(1, 0, 0)])
-    w = geo.orthogonal_complement(v)
+    w = v.orthogonal_complement()
     assert w == geo.subspace_from_vectors(3, [(0, 1, 0), (0, 0, 1)])
     zero = geo.LinearSubspace(3)
-    assert geo.orthogonal_complement(zero).dim == 3
+    assert zero.orthogonal_complement().dim == 3
     v2 = geo.subspace_from_vectors(3, [(1, 1, 0)])
-    w2 = geo.orthogonal_complement(v2)
+    w2 = v2.orthogonal_complement()
     assert w2.dim == 2 and all(dot(b, (1, 1, 0)) == 0 for b in w2.basis)
 
 
@@ -244,45 +244,7 @@ def test_orthocomplement_involution(seed):
     k = rng.randint(0, amb)
     vectors = [tuple(rng.randint(-4, 4) for _ in range(amb)) for _ in range(k)]
     v = geo.subspace_from_vectors(amb, vectors)
-    assert geo.orthogonal_complement(geo.orthogonal_complement(v)) == v
-
-
-def test_join_examples():
-    u = geo.subspace_from_vectors(3, [(0, 0, 1)])
-    j = geo.join(S2, u, [geo.HalfSpace((1, 0, 0)), geo.HalfSpace((0, 1, 0))])
-    assert j.contains_chart_point((0, 0, 1)) and j.contains_chart_point((0, 0, -1))
-    assert j.contains_chart_point((1, 1, 0))
-    assert not j.contains_chart_point((-1, 1, 0))
-    # empty join factor: join is p itself
-    zero = geo.LinearSubspace(3)
-    octant = geo.join(S2, zero, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
-    assert sorted(octant.vertices) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    # full equator: join is the whole sphere
-    whole = geo.join(S2, u, [])
-    assert whole.weakly_convex and not whole.halfspaces
-
-
-def test_join_requires_orthogonal():
-    u = geo.subspace_from_vectors(3, [(0, 0, 1)])
-    with pytest.raises(ValueError):
-        geo.join(S2, u, [geo.HalfSpace((0, 1, 1))])
-
-
-def test_join_roundtrip():
-    """Intersecting the join with S(U-perp) recovers the original polytope:
-    the defining functionals restrict to the original ones."""
-    u = geo.subspace_from_vectors(3, [(0, 0, 1)])
-    p_funcs = [(1, 0, 0), (0, 1, 0)]
-    j = geo.join(S2, u, [geo.HalfSpace(f) for f in p_funcs])
-    perp = geo.orthogonal_complement(u)
-    # a witness of the original arc (in U-perp) still satisfies the join
-    assert all(dot(h.functional, (1, 1, 0)) > 0 for h in j.halfspaces)
-    # and the join contains S(U) entirely
-    for v in u.basis:
-        assert all(dot(h.functional, v) == 0 for h in j.halfspaces)
-    assert sorted(h.functional for h in j.halfspaces) == sorted(
-        geo.HalfSpace(f).functional for f in p_funcs
-    )
+    assert v.orthogonal_complement().orthogonal_complement() == v
 
 
 def test_hyperbolic_point_validation():

@@ -1,12 +1,24 @@
+from fractions import Fraction as Fr
+
 import pytest
 
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import complexes as cx
-from geotits import geometry as geo
+from geotits import exact, geometry as geo
 from geotits import groups as grp
 from geotits._kernel import IntMatrix, solve_int
-from conftest import E1, E2, H2, S2, TRIANGLE_COVS
+from conftest import (
+    E1,
+    E2,
+    H2,
+    S2,
+    TRIANGLE_COVS,
+    apartment_cycle_polytope,
+    cell_apartments,
+    pt_apartments,
+    subdivide,
+)
 
 
 def test_group_presentation_invariants():
@@ -65,7 +77,7 @@ def test_apartment_tuple_e1_class():
     l = coll_mod.closure_by_hyperplanes(E1, [(0, 1), (-1, 1)])
     st = grp.STModel(l.members, l.top())
     pts = sorted(l.points(), key=lambda p: p.sort_key())
-    cyc = grp.apartment_cycle_tuple(tuple(pts), l, st.complex, st.proper)
+    cyc = grp.apartment_cycle_tuple(tuple(pts), st)
     classes = cx.HomologyClasses(st.complex, 1)
     free = classes.coords(cyc.vector)
     assert classes.betti == 1 and abs(free[0]) == 1
@@ -81,7 +93,7 @@ def test_apartment_simplicial_relation():
     total = [0] * st.complex.dim(2)
     for i in range(4):
         face = tuple(pts[j] for j in range(4) if j != i)
-        cyc = grp.apartment_cycle_tuple(face, cl, st.complex, st.proper, use_orientation=False)
+        cyc = grp.apartment_cycle_tuple(face, st)
         sgn = (-1) ** i
         total = [a + sgn * b for a, b in zip(total, cyc.vector)]
     assert not any(classes.coords(total))
@@ -98,22 +110,25 @@ def test_apartment_degenerate_vanishing():
     pts = sorted(cl.points(), key=lambda p: p.sort_key())
     collinear = tuple(p for p in pts if p.carrier.basis[0][2] == 0)
     assert len(collinear) == 3
-    cyc = grp.apartment_cycle_tuple(collinear, cl, st.complex, st.proper, use_orientation=False)
+    cyc = grp.apartment_cycle_tuple(collinear, st)
     classes = cx.HomologyClasses(st.complex, 2)
     assert not any(classes.coords(cyc.vector))
 
 
 def test_polytope_apartment_matches_tuple(triangle):
-    """The polytope apartment of a simplex equals the (orientation-
-    normalized) tuple apartment of its vertices."""
+    """The polytope apartment of a simplex equals the tuple apartment of
+    its vertices times their orientation sign."""
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
     st = grp.STModel(triangle.members, triangle.top())
     p = arr.region_polytope(poset, basis[0])
-    cyc_poly = grp.apartment_cycle_polytope(p, triangle, st.complex, st.proper)
+    cyc_poly = apartment_cycle_polytope(p, triangle, st)
     verts = tuple(sorted(triangle.points(), key=lambda m: m.sort_key()))
-    cyc_tup = grp.apartment_cycle_tuple(verts, triangle, st.complex, st.proper)
-    assert cyc_poly.vector == cyc_tup.vector
+    chart = [tuple(Fr(x, b[0]) for x in b[1:]) for b in (v.carrier.basis[0] for v in verts)]
+    sign = exact.orientation_sign(chart)
+    assert sign != 0
+    cyc_tup = grp.apartment_cycle_tuple(verts, st)
+    assert cyc_poly.vector == tuple(sign * x for x in cyc_tup.vector)
 
 
 def test_cell_apartment_matches_polytope(triangle):
@@ -121,7 +136,7 @@ def test_cell_apartment_matches_polytope(triangle):
     basis = arr.region_basis(poset)
     st = grp.STModel(triangle.members, triangle.top())
     p = arr.region_polytope(poset, basis[0])
-    a = grp.apartment_cycle_polytope(p, triangle, st.complex, st.proper)
+    a = apartment_cycle_polytope(p, triangle, st)
     b = grp.apartment_cycle_cell(poset, basis[0], st)
     assert a.vector == b.vector
 
@@ -137,7 +152,7 @@ def test_polytope_apartment_subdivision_additive(four_lines):
     vec = arr.polytope_to_vector(p, basis, poset)
     covered = [basis[i] for i, c in enumerate(vec) if c]
     assert len(covered) == 2
-    apt_p = grp.apartment_cycle_polytope(p, four_lines, st.complex, st.proper)
+    apt_p = apartment_cycle_polytope(p, four_lines, st)
     f_p = classes.coords(apt_p.vector)
     acc = None
     for sign in covered:
@@ -159,7 +174,7 @@ def test_spherical_apartment_additivity(coord_s2):
     octant = geo.polytope_from_halfspaces(
         geo.Geometry("S", 2), [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     )
-    pieces = arr.subdivide(octant, [extra])
+    pieces = subdivide(octant, [extra])
     assert len(pieces) == 2
     apt_total = grp.apartment_cycle_pt_spherical(octant, cup, tri, bic)
     f_total = classes.coords(apt_total.vector)
@@ -177,32 +192,17 @@ def test_apartment_matrices_iso_corpus(triangle, four_lines, coord_s2, coord_s1,
         poset = arr.build_arrangement(coll)
         basis = arr.region_basis(poset)
         st = grp.STModel(coll.members, coll.top())
-        assert grp.apartment_matrix(
-            coll, "ST-polytopes", poset=poset, basis=basis, st_model=st
-        ).iso
+        assert cell_apartments(poset, basis, st).iso
     # spherical flavor
     for coll in (coord_s1, coord_s2):
         poset = arr.build_arrangement(coll)
         tri = cx.sphere_triangulation(coll, poset)
         bic = cx.pt_bicomplex(coll, tri)
-        assert grp.apartment_matrix(
-            coll,
-            "PT-spherical",
-            poset=poset,
-            basis=arr.region_basis(poset),
-            tri=tri,
-            bicomplex=bic,
-        ).iso
+        assert pt_apartments(coll, poset, arr.region_basis(poset), tri, bic).iso
     # hyperbolic both-generated
     poset = arr.build_arrangement(h2_triangle)
     st = grp.STModel(h2_triangle.members, h2_triangle.top())
-    assert grp.apartment_matrix(
-        h2_triangle,
-        "ST-polytopes",
-        poset=poset,
-        basis=arr.region_basis(poset),
-        st_model=st,
-    ).iso
+    assert cell_apartments(poset, arr.region_basis(poset), st).iso
 
 
 def test_pt_to_ls_triangle(triangle):

@@ -20,7 +20,7 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
-from conftest import COORD_S2_COVS, S2, reference_coordinates, reference_det_sign
+from conftest import COORD_S2_COVS, S2, reference_coordinates, reference_det_sign, subdivide
 
 ORACLE_SCENES = ["s2_coordinate", "s2_generic_three", "s3_coordinate", "h3_two_cubes"]
 PLANE_SCENES = sorted(
@@ -152,8 +152,9 @@ def _check_polytope(poset, polytope):
     cells = sorted(poset.cells.items())
     want = [s for s, c in cells if _reference_in_polytope(poset, c, polytope)]
     assert arr.cells_in_polytope(poset, polytope) == want
+    signs = poset.polytope_signs(polytope)
     for s, c in cells:
-        assert arr.cell_in_polytope(poset, c, polytope) == (s in want)
+        assert arr.FacePoset._agrees(s, signs) == (s in want)
     hits = 0
     for face in polytope.faces or ():
         got = poset.cells_in(poset.polytope_signs(polytope, face))
@@ -257,7 +258,7 @@ def test_octant_and_pieces_in_the_cup(coord_s2):
     poset = arr.build_arrangement(cup)
     tri = cx.sphere_triangulation(cup, poset)
     octant = geo.polytope_from_halfspaces(S2, [geo.HalfSpace(c) for c in COORD_S2_COVS])
-    pieces = arr.subdivide(octant, [(1, -1, 0)])
+    pieces = subdivide(octant, [(1, -1, 0)])
     assert len(pieces) == 2
     for p in [octant] + pieces:
         assert _check_polytope(poset, p)
@@ -285,14 +286,9 @@ def test_non_l_polytope_raises_value_error(coord_s2, triangle):
     with pytest.raises(ValueError, match=r"\[1, -1, 0\]"):
         arr.cells_in_polytope(poset, cut)
     e2 = arr.build_arrangement(triangle)
-    piece = arr.subdivide(arr.region_polytope(e2, arr.region_basis(e2)[0]), [(1, -4, 0)])[0]
-    u = (0, 0, 1)
-    on_u = tuple(
-        s for s, c in sorted(e2.cells.items())
-        if c.dim == 1 and s[e2.covectors.index(u)] == 0
-    )
+    piece = subdivide(arr.region_polytope(e2, arr.region_basis(e2)[0]), [(1, -4, 0)])[0]
     with pytest.raises(ValueError, match=r"\[1, -4, 0\]"):
-        arr.facet_map(piece, u, e2, on_u)
+        e2.polytope_signs(piece)
 
 
 def test_flat_not_cut_out_by_hyperplanes_is_an_internal_error(coord_s2):

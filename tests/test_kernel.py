@@ -249,6 +249,26 @@ def test_sparse_certificates_match_dense_reference(seed):
     assert solve_int(m, solvable) is not None
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_product_is_zero_matches_dense_product(seed):
+    """The column-at-a-time check agrees with the dense product.  The
+    right factor is built from kernel vectors of the left one, so that
+    both answers occur; a random column may be put in anywhere."""
+    rng = random.Random(seed)
+    a = _random_matrix(rng, rng.randint(0, 5), rng.randint(1, 6))
+    kern = kernel_basis(a)
+    cols = [
+        [sum(rng.randint(-2, 2) * k[i] for k in kern) for i in range(a.cols)]
+        for _ in range(rng.randint(0, 4))
+    ]
+    if rng.random() < 0.5:
+        cols.insert(rng.randint(0, len(cols)), [rng.randint(-3, 3) for _ in range(a.cols)])
+    b = IntMatrix.from_columns(a.cols, cols)
+    want = not any(any(row) for row in matmul(dense(a), dense(b)))
+    assert a.product_is_zero(b) == want
+
+
 def _reference_classes(complex_, degree):
     """The general ker/im reader, kept as the oracle for the top-degree
     ``HomologyClasses``: a kernel basis K of d_degree, the columns of

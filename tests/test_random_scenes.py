@@ -12,7 +12,7 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
-from conftest import E2, E3, S2
+from conftest import E2, E3, S2, cell_apartments, points_apartments, pt_apartments
 
 
 def random_e2_lines(rng, count):
@@ -44,7 +44,7 @@ def test_random_euclidean_solomon_tits():
         h = cx.homology(st.complex)
         assert cx.wedge_verdict(h, 2), (trial, h.by_degree)
         assert h.betti(2) == len(basis), (trial, h.by_degree, len(basis))
-        res = grp.apartment_matrix(coll, "ST-polytopes", poset=poset, basis=basis, st_model=st)
+        res = cell_apartments(poset, basis, st)
         assert res.iso, trial
 
 
@@ -69,9 +69,7 @@ def test_random_spherical_solomon_tits():
         hc = cx.homology(cx.pt_collapse_complex(coll, tri))
         assert hb == hc
         assert hb.nonzero_degrees() in ([2], []) and hb.betti(2) == len(basis)
-        res = grp.apartment_matrix(
-            coll, "PT-spherical", poset=poset, basis=basis, tri=tri, bicomplex=bic
-        )
+        res = pt_apartments(coll, poset, basis, tri, bic)
         assert res.iso
 
 
@@ -85,7 +83,7 @@ def test_random_points_theorem():
         coll, generating = coll_mod.closure_by_points(E2, pts)
         if not generating:
             continue
-        res = grp.apartment_matrix(coll, "ST-points")
+        res = points_apartments(coll)
         assert res.iso, trial
         h = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
         assert cx.wedge_verdict(h, 2)
@@ -122,7 +120,7 @@ def test_e3_simplex_scene():
     st = grp.STModel(coll.members, coll.top())
     h = cx.homology(st.complex)
     assert cx.wedge_verdict(h, 3) and h.betti(3) == 1
-    res = grp.apartment_matrix(coll, "ST-polytopes", poset=poset, basis=basis, st_model=st)
+    res = cell_apartments(poset, basis, st)
     assert res.iso
 
 
@@ -136,7 +134,7 @@ def test_e3_five_planes():
     h = cx.homology(st.complex)
     assert cx.wedge_verdict(h, 3)
     assert h.betti(3) == len(basis)
-    res = grp.apartment_matrix(coll, "ST-polytopes", poset=poset, basis=basis, st_model=st)
+    res = cell_apartments(poset, basis, st)
     assert res.iso
     rep = grp.exact_sequence_check(
         coll_mod.closure_by_hyperplanes(E3, covs[:4]), covs[4]
@@ -158,9 +156,7 @@ def test_s3_coordinate_arrangement():
     hb = cx.homology(bic)
     assert hb.nonzero_degrees() == [3] and hb.betti(3) == 16
     assert hb == cx.homology(cx.pt_collapse_complex(coord, tri))
-    res = grp.apartment_matrix(
-        coord, "PT-spherical", poset=poset, basis=basis, tri=tri, bicomplex=bic
-    )
+    res = pt_apartments(coord, poset, basis, tri, bic)
     assert res.iso and res.betti == 16
 
 
