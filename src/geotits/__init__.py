@@ -7,3 +7,9 @@ __version__ = "0.1.0"
 # There is one integer kernel, in pure Python; the name stays for
 # tools that record which kernel produced a result.
 kernel_backend = "python"
+
+
+class HypothesesError(Exception):
+    """A documented precondition of a check fails for the scene (exit 3).
+    Each precondition is decided once, before the expensive part; any
+    other exception is an internal error."""

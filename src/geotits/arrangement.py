@@ -9,7 +9,7 @@ sign vectors.
 
 from itertools import combinations
 
-from geotits import exact, geometry as geo
+from geotits import HypothesesError, exact, geometry as geo
 from geotits.exact import F0, F1, dot, frac
 
 MAX_DIM = 4
@@ -233,22 +233,22 @@ def build_arrangement(coll, within=None):
     ``within``: optional convex window polytope A whose facet hyperplanes
     belong to the collection; the arrangement is then restricted to the
     cells meeting A (the A-local form).  Hyperbolic global arrangements
-    use exact Klein-ball membership tests.
+    use exact Klein-ball membership tests.  HypothesesError when the
+    collection exceeds the size guards or A is not an L-polytope.
     """
     g = coll.geometry
     covectors = tuple(sorted(coll.hyperplane_covectors))
     if g.n > MAX_DIM:
-        raise ValueError(f"dimension {g.n} exceeds the desk-scale guard {MAX_DIM}")
+        raise HypothesesError(f"dimension {g.n} exceeds the desk-scale guard {MAX_DIM}")
     if len(covectors) > MAX_HYPERPLANES:
-        raise ValueError(
+        raise HypothesesError(
             f"{len(covectors)} hyperplanes exceed the desk-scale guard {MAX_HYPERPLANES}"
         )
     within_rows = []
     if within is not None:
         known = set(covectors)
-        for h in within.halfspaces:
-            if h.hyperplane not in known:
-                raise ValueError("window polytope must be an L-polytope")
+        if any(h.hyperplane not in known for h in within.halfspaces):
+            raise HypothesesError("window polytope must be an L-polytope")
         within_rows = [h.chart_row(g) for h in within.halfspaces]
 
     nv = g.chart_dim

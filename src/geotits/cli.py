@@ -9,7 +9,9 @@ Scene schema (all rationals are strings "p/q" or "p"; floats rejected)::
      "options": {"mode": "hyperplanes"|"points", "u_hyperplane": [...],
                  "p_max": int >= 1, "unordered": bool, "expected": [...]}}
 
-Exit codes: 0 PASS, 1 FAIL, 2 INVALID_SCENE, 3 HYPOTHESES_NOT_MET.
+Exit codes: 0 PASS, 1 FAIL, 2 INVALID_SCENE, 3 HYPOTHESES_NOT_MET (a
+documented precondition fails: see ``HypothesesError``), 4 INTERNAL_ERROR
+(any other exception; the diagnostics name its type).
 """
 
 import argparse
@@ -19,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 
-from geotits import __version__
+from geotits import HypothesesError, __version__
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import complexes as cx
@@ -31,13 +33,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID_SCENE = 2
 EXIT_HYPOTHESES = 3
+EXIT_INTERNAL = 4
 
 
 class SceneError(Exception):
-    pass
-
-
-class HypothesesError(Exception):
     pass
 
 
@@ -371,7 +370,7 @@ def check_groups(scene, which, seed=0):
     if which == "ls":
         if not coll_mod.generated_by_points(coll):
             raise HypothesesError("Ls group needs a points-generated collection")
-        pres, _, _ = grp.ls_group(coll)
+        pres, _ = grp.ls_group(coll)
         return [{
             "name": "groups-ls",
             "generators": len(pres.generators),
@@ -483,17 +482,11 @@ def _cell_apartments(coll, members, poset, basis):
 
 def verify_local(scene, seed=0):
     coll, _ = scene.collection()
-    g = scene.geometry
-    n = g.n
+    n = scene.geometry.n
     if scene.polytope_a is None:
         raise HypothesesError("local verification needs polytope_A")
-    window = scene.polytope_a
-    known = set(coll.hyperplane_covectors)
-    for h in window.halfspaces:
-        if h.hyperplane not in known:
-            raise HypothesesError("polytope_A must be an L-polytope (facet hyperplanes in L)")
-    members = coll_mod.restrict(coll, window)
-    poset, basis = scene.arrangement(window)
+    poset, basis = scene.arrangement(scene.polytope_a)
+    members = coll_mod.restrict(coll, scene.polytope_a)
     h, res = _cell_apartments(coll, members, poset, basis)
     ok = res.iso and cx.wedge_verdict(h, n) and h.betti(n) == len(basis)
     return [{
@@ -514,9 +507,7 @@ def verify_exact_seq(scene, seed=0):
     coll, _ = scene.collection()
     if scene.u_hyperplane is None:
         raise SceneError("verify exact-seq needs options.u_hyperplane")
-    reason = grp.exact_sequence_hypotheses(coll, scene.u_hyperplane, scene.polytope_a)
-    if reason is not None:
-        raise HypothesesError(reason)
+    grp.exact_sequence_hypotheses(coll, scene.u_hyperplane, scene.polytope_a)
     poset, basis = scene.arrangement(scene.polytope_a)
     rep = grp.exact_sequence_check(coll, scene.u_hyperplane, window=scene.polytope_a,
                                    poset=poset, basis=basis)
@@ -528,8 +519,6 @@ def verify_duality(scene, seed=0):
     coll, _ = scene.collection()
     rep = grp.duality_check(coll)
     rep["name"] = "duality"
-    if rep["verdict"] == "HYPOTHESES_NOT_MET":
-        raise HypothesesError(rep.get("reason", "hypotheses not met"))
     return [rep]
 
 
@@ -537,8 +526,6 @@ def verify_suspension(scene, seed=0):
     coll, _ = scene.collection()
     rep = grp.suspension_check(coll)
     rep["name"] = "suspension"
-    if rep["verdict"] == "NOT_APPLICABLE":
-        raise HypothesesError("collection is admissible; suspension reduction does not apply")
     return [rep]
 
 
@@ -593,16 +580,12 @@ VERIFY = {
 def run_command(command, sub, scene, seed=0, dump_complex=None):
     """(check blocks, overall verdict); ``dump_complex`` is the file that
     ``homology`` writes its chain complex to."""
-    try:
-        if command == "verify":
-            checks = VERIFY[sub](scene, seed)
-        elif command == "homology":
-            checks = check_homology(scene, sub, seed, dump_complex)
-        else:
-            checks = COMMANDS[command](scene, sub, seed)
-    except ValueError as exc:
-        # scope/geometry mismatches surface as hypothesis failures
-        raise HypothesesError(str(exc))
+    if command == "verify":
+        checks = VERIFY[sub](scene, seed)
+    elif command == "homology":
+        checks = check_homology(scene, sub, seed, dump_complex)
+    else:
+        checks = COMMANDS[command](scene, sub, seed)
     overall = "PASS"
     for block in checks:
         if block.get("verdict") not in ("PASS", "EXPLORATORY"):
@@ -768,6 +751,10 @@ def main(argv=None):
     except HypothesesError as exc:
         emit({"error": "HYPOTHESES_NOT_MET", "detail": str(exc)}, args.json, stream=sys.stderr)
         return EXIT_HYPOTHESES
+    except Exception as exc:  # a bug, never an unmet hypothesis
+        emit({"error": "INTERNAL_ERROR", "detail": f"{type(exc).__name__}: {exc}"},
+             args.json, stream=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -373,9 +373,11 @@ class ConvexPolytope:
         return f"ConvexPolytope({self.geometry}, facets<={len(self.halfspaces)}, verts={nv})"
 
 
-def euclidean_unbounded(halfspaces, geometry):
-    """Recession cone of the chart polyhedron is nonzero?"""
-    nv = geometry.n
+def recession_cone_nonzero(halfspaces, geometry):
+    """Recession cone of the chart polyhedron is nonzero?  For E/H that
+    is unboundedness; spherical chart rows are linear already, so for S
+    it says the cone of the half-spaces is not {0}."""
+    nv = geometry.chart_dim
     linear = [h.chart_row(geometry)[:nv] + (F0,) for h in halfspaces]
     for i in range(nv):
         for s in (1, -1):
@@ -487,9 +489,10 @@ def polytope_from_halfspaces(geometry, halfspaces):
         if not halfspaces:
             return ConvexPolytope(g, (), None, None, None, weakly_convex=True)
         if exact.feasible(rows, (), (), nv) is None:
-            if exact.feasible((), rows, (), nv) is None or _cone_is_zero(halfspaces, g):
-                return Invalid(Invalid.EMPTY)
-            return Invalid(Invalid.LOWER_DIMENSIONAL)
+            if (exact.feasible((), rows, (), nv) is not None
+                    and recession_cone_nonzero(halfspaces, g)):
+                return Invalid(Invalid.LOWER_DIMENSIONAL)
+            return Invalid(Invalid.EMPTY)
         witness = exact.feasible(rows, (), (), nv)
         pointed = exact.rank([h.functional for h in halfspaces]) == g.ambient_dim
         if not pointed:
@@ -503,7 +506,7 @@ def polytope_from_halfspaces(geometry, halfspaces):
         if exact.feasible((), rows, (), nv) is None:
             return Invalid(Invalid.EMPTY)
         return Invalid(Invalid.LOWER_DIMENSIONAL)
-    if euclidean_unbounded(halfspaces, g):
+    if recession_cone_nonzero(halfspaces, g):
         return Invalid(Invalid.UNBOUNDED)
     vertices = _vertex_candidates(halfspaces, g)
     if g.kind == HYPERBOLIC:
@@ -514,24 +517,11 @@ def polytope_from_halfspaces(geometry, halfspaces):
     return ConvexPolytope(g, halfspaces, vertices, faces, strict_witness)
 
 
-def _cone_is_zero(halfspaces, geometry):
-    nv = geometry.ambient_dim
-    rows = [h.chart_row(geometry) for h in halfspaces]
-    for i in range(nv):
-        for s in (1, -1):
-            eq = [F0] * (nv + 1)
-            eq[i] = Fraction(s)
-            eq[nv] = Fraction(-1)
-            if exact.feasible((), rows, [tuple(eq)], nv) is not None:
-                return False
-    return True
-
-
 def is_bounded(halfspaces, geometry):
     """Boundedness per geometry (spec: vertex-norm test in the Klein chart)."""
     if geometry.kind == SPHERICAL:
         return True
-    if euclidean_unbounded(halfspaces, geometry):
+    if recession_cone_nonzero(halfspaces, geometry):
         return False
     if geometry.kind == HYPERBOLIC:
         for v in _vertex_candidates(halfspaces, geometry):

@@ -9,6 +9,7 @@ iso-ness are ever asserted, never an absolute sign.
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from geotits import HypothesesError
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import complexes as cx
@@ -21,8 +22,6 @@ from geotits._kernel import (
     solve_int,
 )
 from geotits.exact import F0, F1, dot, frac
-
-NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +50,6 @@ class GroupPresentation:
     @property
     def torsion(self):
         return self._snf.torsion
-
-    def invariants(self):
-        return (self.free_rank, self.torsion)
 
     def relation_lattice_matrix(self):
         """Relations as columns (lattice in Z^generators)."""
@@ -436,18 +432,17 @@ def pt_group(basis):
 
 
 def ls_group(coll):
-    """Lee-Szczarba presentation: nondegenerate increasing (n+1)-tuples
-    modulo boundaries of nondegenerate (n+2)-tuples."""
-    if not coll_mod.generated_by_points(coll):
-        raise ValueError("NOT_GENERATED_BY_POINTS")
+    """(presentation, points) of the Lee-Szczarba group: nondegenerate
+    increasing (n+1)-tuples modulo boundaries of nondegenerate
+    (n+2)-tuples.  The collection is generated by points; its callers
+    decide that."""
     g = coll.geometry
     n = g.n
     complex_, pts = cx.tpl_complex(list(coll.points()), g)
     gens = complex_.degrees.get(n, ())
     bd = complex_.boundary(n + 1)
     relations = bd.transpose()  # one relation per (n+2)-tuple
-    pres = GroupPresentation(gens, relations)
-    return pres, pts, complex_
+    return GroupPresentation(gens, relations), pts
 
 
 def ls_apartment_matrix(ls_data, st_model):
@@ -455,7 +450,7 @@ def ls_apartment_matrix(ls_data, st_model):
     relative ST model; ``iso`` says the map Ls -> H_n they define is an
     isomorphism.  The map is asserted to respect the simplicial
     relations."""
-    pres, pts, _ = ls_data
+    pres, pts = ls_data
     # The Ls -> H map uses the plain alternating apartment: the
     # simplicial relations hold in that normalization.
     cycles = [apartment_cycle_tuple(tuple(pts[i] for i in gen), st_model)
@@ -553,7 +548,7 @@ def pt_to_ls_element(piece, coll, ls_data):
     """
     g = coll.geometry
     n = g.n
-    pres, pts, _ = ls_data
+    pres, pts = ls_data
     pair_index = {p.carrier: i for i, p in enumerate(pts)}
     gen_index = {gen: i for i, gen in enumerate(pres.generators)}
     out = [0] * len(pres.generators)
@@ -589,8 +584,6 @@ def pt_to_ls_element(piece, coll, ls_data):
 def pt_to_ls_hom(coll, poset, basis):
     """The canonical map Pt -> Ls as a GroupHom on the region basis,
     with the Lee-Szczarba data it maps to."""
-    if not coll_mod.generated_by_both(coll):
-        raise ValueError("collection must be generated by both points and hyperplanes")
     ls_data = ls_group(coll)
     pres = ls_data[0]
     cols = []
@@ -682,20 +675,20 @@ def _cone_halfspaces(rays, g):
 
 def verify_pt_ls(coll, poset=None, basis=None):
     """Certify the canonical map Pt -> Ls (iso for E/H; for S surjective
-    with kernel equal to the join sublattice)."""
-    if not coll_mod.generated_by_both(coll):
-        raise ValueError("collection must be generated by both points and hyperplanes")
+    with kernel equal to the join sublattice).  The collection is
+    generated by both points and hyperplanes; its callers decide that."""
     g = coll.geometry
     if poset is None:
         poset = arr.build_arrangement(coll)
     if basis is None:
         basis = arr.region_basis(poset)
     hom, ls_data = pt_to_ls_hom(coll, poset, basis)
+    pres = ls_data[0]
     report = {
         "claim": "canonical map Pt -> Ls",
         "geometry": f"{g.kind}^{g.n}",
         "pt_rank": len(basis),
-        "ls_invariants": list(ls_data[0].invariants()[0:1]) + [list(ls_data[0].torsion)],
+        "ls_invariants": [pres.free_rank, list(pres.torsion)],
         "well_defined": hom.well_defined,
     }
     if g.kind in (geo.EUCLIDEAN, geo.HYPERBOLIC):
@@ -735,33 +728,28 @@ def _u_basis(cup_poset, u_index, window=None):
 
 
 def exact_sequence_hypotheses(coll, u_covector, window=None):
-    """The reason the exact sequence for L = ``coll`` and U does not
-    apply, or None when it does.  Raises ValueError when U lies in L or
-    misses the geometry.  Needs no arrangement, so callers can test it
-    before they build one."""
+    """HypothesesError unless the exact sequence for L = ``coll`` and U
+    applies.  Needs no arrangement, so callers decide it before they
+    build one."""
     g = coll.geometry
     u = geo.canonical_covector(u_covector)
     if u in coll.hyperplane_covectors:
-        raise ValueError("U already belongs to the collection (sequence fails)")
+        raise HypothesesError("U already belongs to the collection (sequence fails)")
     if g.kind == geo.EUCLIDEAN and window is None:
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
-            return "Euclidean collection not admissible"
+            raise HypothesesError("Euclidean collection not admissible")
     if g.kind == geo.HYPERBOLIC and window is None:
-        return "hyperbolic global form needs a window polytope A"
+        raise HypothesesError("hyperbolic global form needs a window polytope A")
     if geo.hyperplane_subspace(g, u) is None:
-        raise ValueError("U does not meet the geometry")
-    return None
+        raise HypothesesError("U does not meet the geometry")
 
 
 def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
     """Verify 0 -> Pt(L) -> Pt(L cup U) -> Pt(L cap U on U) -> 0 at matrix
-    level, plus rank additivity and the homology counterpart.  ``poset``
-    and ``basis``, when given, are L's arrangement within ``window`` and
-    its region basis."""
-    reason = exact_sequence_hypotheses(coll, u_covector, window)
-    if reason is not None:
-        return {"claim": "polytope-group exact sequence", "verdict": "HYPOTHESES_NOT_MET",
-                "reason": reason}
+    level, plus rank additivity and the homology counterpart, once its
+    callers have decided ``exact_sequence_hypotheses``.  ``poset`` and
+    ``basis``, when given, are L's arrangement within ``window`` and its
+    region basis."""
     g = coll.geometry
     u = geo.canonical_covector(u_covector)
     var = coll_mod.variants(coll, u)
@@ -912,10 +900,9 @@ def duality_check(coll):
     H_n(ST) for admissible spherical collections."""
     g = coll.geometry
     if g.kind != geo.SPHERICAL:
-        raise ValueError("duality is spherical")
+        raise HypothesesError("duality is spherical")
     if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
-        return {"claim": "spherical duality", "verdict": "HYPOTHESES_NOT_MET",
-                "reason": "collection not admissible"}
+        raise HypothesesError("collection not admissible")
     dual = coll_mod.dualize(coll)
     # elementwise order-reversing bijection on proper members
     proper = [m for m in coll.members if not m.is_top()]
@@ -961,12 +948,11 @@ def suspension_check(coll):
     homology degree shift by dim(U)."""
     g = coll.geometry
     if g.kind != geo.SPHERICAL:
-        raise ValueError("suspension reduction is spherical")
+        raise HypothesesError("suspension reduction is spherical")
     if coll_mod.admissible(coll) == coll_mod.ADMISSIBLE:
-        return {"claim": "suspension reduction", "verdict": NOT_APPLICABLE,
-                "reason": "collection is admissible"}
+        raise HypothesesError("collection is admissible; suspension reduction does not apply")
     if not coll.hyperplane_covectors:
-        raise ValueError("collection has no hyperplanes (out of scope)")
+        raise HypothesesError("collection has no hyperplanes (out of scope)")
     u_carrier = coll_mod.hyperplane_intersection_carrier(coll)
     u_dim = u_carrier.dim
     perp = u_carrier.orthogonal_complement()

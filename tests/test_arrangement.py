@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from geotits import HypothesesError
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
@@ -246,7 +247,7 @@ def test_guards():
         "raw",
         [(0, 1, k) for k in range(1, 18)],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesesError, match="17 hyperplanes exceed the desk-scale guard 16"):
         arr.build_arrangement(too_many)
 
 

@@ -223,6 +223,64 @@ def test_scope_mismatches_exit_hypotheses(tmp_path):
     assert cli.main(["closure", str(whole_sphere)]) == cli.EXIT_PASS
 
 
+TRIANGLE_ROWS = [["0", "1", "0"], ["0", "0", "1"], ["1", "-1", "-1"]]
+TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
+
+
+@pytest.mark.parametrize("command, sub, scene, detail", [
+    ("verify", "duality", scene_path("e2_triangle"), "duality is spherical"),
+    ("verify", "suspension", scene_path("e2_triangle"), "suspension reduction is spherical"),
+    ("verify", "suspension", {"geometry": "S", "n": 2},
+     "collection has no hyperplanes (out of scope)"),
+    ("verify", "suspension", scene_path("s2_coordinate"),
+     "collection is admissible; suspension reduction does not apply"),
+    ("verify", "exact-seq", {"geometry": "E", "n": 2, "hyperplanes": TRIANGLE_ROWS,
+                             "options": {"u_hyperplane": ["0", "1", "0"]}},
+     "U already belongs to the collection (sequence fails)"),
+    ("verify", "exact-seq", {"geometry": "E", "n": 2, "hyperplanes": TRIANGLE_ROWS,
+                             "options": {"u_hyperplane": ["1", "0", "0"]}},
+     "U does not meet the geometry"),
+    ("arrangement", None, str(TEST_SCENES / "e3_points10.json"),
+     "120 hyperplanes exceed the desk-scale guard 16"),
+    # the window's third facet, 1 - 2x - 2y >= 0, is not a line of L
+    ("arrangement", None, {"geometry": "E", "n": 2, "hyperplanes": TRIANGLE_ROWS,
+                           "polytope_A": {"halfspaces": [["0", "1", "0"], ["0", "0", "1"],
+                                                         ["1", "-2", "-2"]]}},
+     "window polytope must be an L-polytope"),
+])
+def test_unmet_hypotheses_exit_3_with_detail(command, sub, scene, detail, tmp_path, capsys):
+    if isinstance(scene, dict):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        scene = str(path)
+    argv = [command] + ([sub] if sub else []) + [scene]
+    assert cli.main(argv) == cli.EXIT_HYPOTHESES
+    assert json.loads(capsys.readouterr().err) == {"error": "HYPOTHESES_NOT_MET", "detail": detail}
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    """A broken internal invariant is a bug, never an unmet hypothesis."""
+    def broken(*args, **kwargs):
+        raise ValueError("face span leaves the collection")
+
+    monkeypatch.setattr(cli.grp, "apartment_cycle_cell", broken)
+    assert cli.main(["verify", "solomon-tits", scene_path("e2_triangle")]) == cli.EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "INTERNAL_ERROR",
+        "detail": "ValueError: face span leaves the collection",
+    }
+
+
+def test_pt_ls_decides_generation_once(monkeypatch):
+    calls = []
+    both = cli.coll_mod.generated_by_both
+    monkeypatch.setattr(cli.coll_mod, "generated_by_both",
+                        lambda coll: calls.append(coll) or both(coll))
+    _, overall = run_command("verify", "pt-ls", load("e2_triangle"))
+    assert overall == "PASS"
+    assert len(calls) == 1
+
+
 def _report_bytes(scene, command, sub):
     checks, overall = run_command(command, sub, scene)
     out = io.StringIO()

@@ -2,12 +2,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from geotits import HypothesesError
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
 from geotits._kernel import IntMatrix, solve_int
+from geotits.cli import Scene, run_command
 from conftest import (
     E1,
     E2,
@@ -52,24 +54,26 @@ def test_pt_group_values(triangle, concurrent_e2, coord_s2):
 def test_ls_group_values():
     l = coll_mod.closure_by_hyperplanes(E1, [(0, 1), (-1, 1), (-3, 1)])
     cl, _ = coll_mod.closure_by_points(E1, list(l.points()))
-    pres, _, _ = grp.ls_group(cl)
+    pres, _ = grp.ls_group(cl)
     assert pres.free_rank == 2 and not pres.torsion
     cl2, _ = coll_mod.closure_by_points(
         E2, [geo.point_subspace(E2, p) for p in ((0, 0), (1, 0), (0, 1))]
     )
-    pres2, _, _ = grp.ls_group(cl2)
+    pres2, _ = grp.ls_group(cl2)
     assert pres2.free_rank == 1
     cl4, _ = coll_mod.closure_by_points(
         E2, [geo.point_subspace(E2, p) for p in ((0, 0), (1, 0), (0, 1), (2, 3))]
     )
-    pres4, _, _ = grp.ls_group(cl4)
+    pres4, _ = grp.ls_group(cl4)
     assert pres4.free_rank == 3
 
 
 def test_ls_group_needs_points():
-    par = coll_mod.closure_by_hyperplanes(E2, [(0, 0, 1), (-1, 0, 1)])
-    with pytest.raises(ValueError):
-        grp.ls_group(par)
+    """``groups ls`` decides generation by points before ``ls_group``
+    runs, which assumes it."""
+    par = Scene({"geometry": "E", "n": 2, "hyperplanes": [["0", "0", "1"], ["-1", "0", "1"]]})
+    with pytest.raises(HypothesesError, match="points-generated"):
+        run_command("groups", "ls", par)
 
 
 def test_apartment_tuple_e1_class():
@@ -289,24 +293,25 @@ def test_exact_sequence_corpus(triangle, four_lines, coord_s2):
 
 
 def test_exact_sequence_u_in_l(triangle):
-    with pytest.raises(ValueError):
-        grp.exact_sequence_check(triangle, (0, 1, 0))
+    with pytest.raises(HypothesesError, match="already belongs"):
+        grp.exact_sequence_hypotheses(triangle, (0, 1, 0))
 
 
 def test_exact_sequence_hyperbolic_window(h2_triangle):
     a = geo.polytope_from_halfspaces(
         H2, [geo.HalfSpace(c) for c in h2_triangle.hyperplane_covectors]
     )
+    grp.exact_sequence_hypotheses(h2_triangle, (3, 0, -8), window=a)
     rep = grp.exact_sequence_check(h2_triangle, (3, 0, -8), window=a)
     assert rep["verdict"] == "PASS"
-    rep2 = grp.exact_sequence_check(h2_triangle, (3, 0, -8))
-    assert rep2["verdict"] == "HYPOTHESES_NOT_MET"
+    with pytest.raises(HypothesesError, match="needs a window"):
+        grp.exact_sequence_hypotheses(h2_triangle, (3, 0, -8))
 
 
 def test_exact_sequence_nonadmissible_euclidean():
     par = coll_mod.closure_by_hyperplanes(E2, [(0, 0, 1), (-1, 0, 1)])
-    rep = grp.exact_sequence_check(par, (0, 1, 0))
-    assert rep["verdict"] == "HYPOTHESES_NOT_MET"
+    with pytest.raises(HypothesesError, match="not admissible"):
+        grp.exact_sequence_hypotheses(par, (0, 1, 0))
 
 
 def test_duality(coord_s2, coord_s1):
@@ -319,7 +324,8 @@ def test_duality(coord_s2, coord_s1):
     rep2 = grp.duality_check(generic)
     assert rep2["verdict"] == "PASS"
     shared = coll_mod.closure_by_hyperplanes(S2, [(1, 0, 0), (0, 1, 0)])
-    assert grp.duality_check(shared)["verdict"] == "HYPOTHESES_NOT_MET"
+    with pytest.raises(HypothesesError, match="collection not admissible"):
+        grp.duality_check(shared)
 
 
 def test_suspension(coord_s2):
@@ -333,7 +339,8 @@ def test_suspension(coord_s2):
         assert rep["verdict"] == "PASS", rep
         assert rep["pt_rank"] == want and rep["reduced_homology_rank"] == want
         assert rep["region_bijection"]
-    assert grp.suspension_check(coord_s2)["verdict"] == "NOT_APPLICABLE"
+    with pytest.raises(HypothesesError, match="suspension reduction does not apply"):
+        grp.suspension_check(coord_s2)
 
 
 def test_pt_to_ls_spherical_s1(coord_s1):
