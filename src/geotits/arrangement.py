@@ -227,6 +227,17 @@ def _constant_on_cell_span(geometry, cov, flat):
     return all(dot(cov, b) == 0 for b in flat.basis if b[0] == 0)
 
 
+def size_guard(geometry, hyperplanes):
+    """HypothesesError unless an arrangement of this many hyperplanes in
+    this geometry is within the desk-scale guards."""
+    if geometry.n > MAX_DIM:
+        raise HypothesesError(f"dimension {geometry.n} exceeds the desk-scale guard {MAX_DIM}")
+    if hyperplanes > MAX_HYPERPLANES:
+        raise HypothesesError(
+            f"{hyperplanes} hyperplanes exceed the desk-scale guard {MAX_HYPERPLANES}"
+        )
+
+
 def build_arrangement(coll, within=None):
     """Incremental construction by hyperplane insertion.
 
@@ -238,12 +249,7 @@ def build_arrangement(coll, within=None):
     """
     g = coll.geometry
     covectors = tuple(sorted(coll.hyperplane_covectors))
-    if g.n > MAX_DIM:
-        raise HypothesesError(f"dimension {g.n} exceeds the desk-scale guard {MAX_DIM}")
-    if len(covectors) > MAX_HYPERPLANES:
-        raise HypothesesError(
-            f"{len(covectors)} hyperplanes exceed the desk-scale guard {MAX_HYPERPLANES}"
-        )
+    size_guard(g, len(covectors))
     within_rows = []
     if within is not None:
         known = set(covectors)

@@ -653,7 +653,32 @@ def _subset_match(expected, actual, path=""):
     return problems
 
 
+def _scenario_mismatches(spec, scene, seed):
+    """Run one expected command of a corpus scene against its pins."""
+    command = spec["command"]
+    want_exit = spec.get("exit", EXIT_PASS)
+    try:
+        checks, verdict = run_command(command, spec.get("sub"), scene, seed=seed)
+        got_exit = EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    except HypothesesError as exc:
+        checks = [{"name": command, "verdict": "HYPOTHESES_NOT_MET", "reason": str(exc)}]
+        got_exit = EXIT_HYPOTHESES
+    mismatches = []
+    if got_exit != want_exit:
+        mismatches.append(f"exit: expected {want_exit}, got {got_exit}")
+    for req in spec.get("require", ()):
+        matched = [b for b in checks if b.get("name") == req.get("name")]
+        if not matched:
+            mismatches.append(f"no check named {req.get('name')!r}")
+            continue
+        mismatches.extend(_subset_match(req, matched[0], req.get("name", "")))
+    return mismatches
+
+
 def run_corpus(seed=0):
+    """Every pinned command of every bundled scene.  An internal error in
+    one scenario is recorded as its status ``INTERNAL_ERROR`` and the
+    remaining scenarios still run."""
     base = corpus_dir()
     results = []
     overall = "PASS"
@@ -663,27 +688,13 @@ def run_corpus(seed=0):
         data = json.loads(entry.read_text())
         scene = Scene(data)
         for spec in scene.options.get("expected", ()):
-            command = spec["command"]
-            sub = spec.get("sub")
-            want_exit = spec.get("exit", EXIT_PASS)
+            command, sub = spec["command"], spec.get("sub")
             try:
-                checks, verdict = run_command(command, sub, scene, seed=seed)
-                got_exit = EXIT_PASS if verdict == "PASS" else EXIT_FAIL
-            except HypothesesError as exc:
-                checks, verdict = [{"name": command, "verdict": "HYPOTHESES_NOT_MET",
-                                    "reason": str(exc)}], "HYPOTHESES_NOT_MET"
-                got_exit = EXIT_HYPOTHESES
-            mismatches = []
-            if got_exit != want_exit:
-                mismatches.append(f"exit: expected {want_exit}, got {got_exit}")
-            for req in spec.get("require", ()):
-                matched = [b for b in checks if b.get("name") == req.get("name")]
-                if not matched:
-                    mismatches.append(f"no check named {req.get('name')!r}")
-                    continue
-                mismatches.extend(_subset_match(req, matched[0], req.get("name", "")))
-            status = "PASS" if not mismatches else "FAIL"
-            if status == "FAIL":
+                mismatches = _scenario_mismatches(spec, scene, seed)
+                status = "PASS" if not mismatches else "FAIL"
+            except Exception as exc:  # a bug in this scenario, not in the others
+                status, mismatches = "INTERNAL_ERROR", [f"{type(exc).__name__}: {exc}"]
+            if status != "PASS":
                 overall = "FAIL"
             results.append({
                 "scene": entry.name,
@@ -737,6 +748,8 @@ def main(argv=None):
         if args.command == "corpus":
             report = run_corpus(seed=args.seed)
             emit(report, args.json)
+            if any(r["status"] == "INTERNAL_ERROR" for r in report["scenarios"]):
+                return EXIT_INTERNAL
             return EXIT_PASS if report["overall"] == "PASS" else EXIT_FAIL
         scene = load_scene(args.scene)
         subcmd = getattr(args, "model", None) or getattr(args, "group", None) or getattr(args, "check", None)

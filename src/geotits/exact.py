@@ -1,8 +1,13 @@
 """Exact rational linear algebra and feasibility.
 
-Everything here is exact; no floats.  A subspace is spanned by primitive
-integer rows (``rref``); ``Fraction`` carries the values that are rational
-numbers: solutions, coordinates and feasibility witnesses.  Conventions:
+Everything here is exact; no floats.  Integer input stays integer: a
+subspace is spanned by primitive integer rows (``rref``), determinant
+signs and signatures are fraction-free, Fourier-Motzkin eliminates on
+primitive integer rows, and a witness is checked in integers after
+scaling by its common denominator.  ``Fraction`` carries only the values
+that are rational numbers: solutions (``solve_unique``, ``solve_affine``)
+and back-substituted feasibility witnesses.  Rational input is still
+accepted everywhere.  Conventions:
 
 * A *row* of length ``k`` is a linear form over ``k`` variables.
 * Affine constraint rows carry their constant as the LAST entry:
@@ -45,6 +50,8 @@ def _primitive(row):
 def _int_row(row):
     """The rational row times the lcm of its denominators, divided by its
     content: coprime integers (all zero for a zero row)."""
+    if all(type(x) is int for x in row):
+        return _primitive(row)
     ratios = [x.as_integer_ratio() for x in row]
     den = lcm(*[d for _, d in ratios])
     return _primitive([n * (den // d) for n, d in ratios] if den != 1 else [n for n, _ in ratios])
@@ -201,60 +208,59 @@ def orientation_sign_vectors(vectors):
 
 
 def signature(gram):
-    """Sylvester signature (n_pos, n_neg, n_zero) of a symmetric matrix."""
-    g = [list(map(frac, row)) for row in gram]
-    n = len(g)
+    """Sylvester signature (n_pos, n_neg, n_zero) of a symmetric matrix.
+
+    Fraction-free congruence: for a pivot d = g[i][i] != 0, row and then
+    column j of every other live index become d*(j) - f*(i) with
+    f = g[j][i], which clears g[j][i] and g[i][j].  Each step is a
+    congruence by a matrix of determinant d, so it keeps the signature,
+    and integer entries stay integers.  A live block with zero diagonal
+    first gets e_i += e_j at a nonzero off-diagonal entry.
+    """
+    g = [list(row) for row in gram]
     pos = neg = zero = 0
-    live = list(range(n))
+    live = list(range(len(g)))
     while live:
-        pividx = None
-        for i in live:
-            if g[i][i] != 0:
-                pividx = i
-                break
-        if pividx is None:
-            offd = None
-            for ii, i in enumerate(live):
-                for j in live[ii + 1 :]:
-                    if g[i][j] != 0:
-                        offd = (i, j)
-                        break
-                if offd:
-                    break
+        i = next((i for i in live if g[i][i] != 0), None)
+        if i is None:
+            offd = next(
+                ((i, j) for ii, i in enumerate(live) for j in live[ii + 1 :] if g[i][j] != 0),
+                None,
+            )
             if offd is None:
                 zero += len(live)
                 break
             i, j = offd
             # basis change e_i += e_j turns the zero diagonal nonzero
-            for k in range(n):
-                g[i][k] = g[i][k] + g[j][k]
-            for k in range(n):
-                g[k][i] = g[k][i] + g[k][j]
+            for k in live:
+                g[i][k] += g[j][k]
+            for k in live:
+                g[k][i] += g[k][j]
             continue
-        i = pividx
         d = g[i][i]
         if d > 0:
             pos += 1
         else:
             neg += 1
         live.remove(i)
+        span = live + [i]
         for j in live:
-            if g[j][i] != 0:
-                f = g[j][i] / d
-                for k in range(n):
-                    g[j][k] = g[j][k] - f * g[i][k]
-                for k in range(n):
-                    g[k][j] = g[k][j] - f * g[k][i]
+            f = g[j][i]
+            if f != 0:
+                for k in span:
+                    g[j][k] = d * g[j][k] - f * g[i][k]
+                for k in span:
+                    g[k][j] = d * g[k][j] - f * g[k][i]
     return pos, neg, zero
 
 
 def signature_on_subspace(form_rows, basis_rows):
-    """Signature of a symmetric form restricted to span(basis rows)."""
+    """Signature of a symmetric form restricted to span(basis rows); an
+    integer form and integer rows give an integer Gram matrix."""
     if basis_rows and len(form_rows) != len(basis_rows[0]):
         raise ValueError("form/subspace dimension mismatch")
-    b = [tuple(map(frac, r)) for r in basis_rows]
-    fb = [mat_vec(form_rows, v) for v in b]
-    gram = [[dot(fb[i], b[j]) for j in range(len(b))] for i in range(len(b))]
+    fb = [mat_vec(form_rows, v) for v in basis_rows]
+    gram = [[dot(u, v) for v in basis_rows] for u in fb]
     return signature(gram)
 
 
@@ -436,17 +442,23 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
                 witness[var] = (lo + hi) / 2 if lo != hi else lo
 
     value = tuple(witness)
-    _check_witness(value, strict_rows, nonstrict_rows, eq_rows, nvars)
+    _check_witness(value, strict_rows, nonstrict_rows, eq_rows)
     return value
 
 
-def _check_witness(x, strict_rows, nonstrict_rows, eq_rows, nvars):
+def _check_witness(x, strict_rows, nonstrict_rows, eq_rows):
+    """Test every row at the witness x: with D the lcm of the denominators
+    of x, r . (D*x, D) = D * (a . x + c) has the sign of the row's value,
+    since D > 0, and it is an integer for an integer row."""
+    ratios = [v.as_integer_ratio() for v in x]
+    den = lcm(*[q for _, q in ratios])
+    point = [p * (den // q) for p, q in ratios] + [den]
     for r in strict_rows:
-        if not dot(r[:nvars], x) + r[nvars] > 0:
+        if not dot(r, point) > 0:
             raise AssertionError("witness violates strict constraint")
     for r in nonstrict_rows:
-        if not dot(r[:nvars], x) + r[nvars] >= 0:
+        if not dot(r, point) >= 0:
             raise AssertionError("witness violates constraint")
     for r in eq_rows:
-        if dot(r[:nvars], x) + r[nvars] != 0:
+        if dot(r, point) != 0:
             raise AssertionError("witness violates equality")

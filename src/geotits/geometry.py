@@ -13,7 +13,6 @@ canonical form (``exact.rref``: primitive integer rows with positive
 pivots), so equality of subspaces is syntactic.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from geotits import exact
@@ -59,11 +58,11 @@ class Geometry:
 
 
 def minkowski_form(n):
-    """Gram matrix of -x0^2 + x1^2 + ... + xn^2."""
+    """Integer Gram matrix of -x0^2 + x1^2 + ... + xn^2."""
     rows = []
     for i in range(n + 1):
-        row = [F0] * (n + 1)
-        row[i] = F1 if i else Fraction(-1)
+        row = [0] * (n + 1)
+        row[i] = 1 if i else -1
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -248,11 +247,13 @@ def hyperplane_subspace(geometry, functional):
 
 
 def functional_chart_row(geometry, functional):
-    """Constraint row (vars..., const) of the functional in the chart."""
-    f = tuple(map(frac, functional))
+    """Constraint row (vars..., const) of the functional in the chart: its
+    entries as given, so an integer covector gives an integer row.  E/H
+    move the x0 entry to the constant; S^n appends a constant 0."""
+    f = tuple(functional)
     if geometry.kind in (EUCLIDEAN, HYPERBOLIC):
         return f[1:] + (f[0],)
-    return f + (F0,)
+    return f + (0,)
 
 
 class HalfSpace:
@@ -378,12 +379,12 @@ def recession_cone_nonzero(halfspaces, geometry):
     is unboundedness; spherical chart rows are linear already, so for S
     it says the cone of the half-spaces is not {0}."""
     nv = geometry.chart_dim
-    linear = [h.chart_row(geometry)[:nv] + (F0,) for h in halfspaces]
+    linear = [h.chart_row(geometry)[:nv] + (0,) for h in halfspaces]
     for i in range(nv):
         for s in (1, -1):
-            eq = [F0] * (nv + 1)
-            eq[i] = Fraction(s)
-            eq[nv] = Fraction(-1)
+            eq = [0] * (nv + 1)
+            eq[i] = s
+            eq[nv] = -1
             if exact.feasible((), linear, [tuple(eq)], nv) is not None:
                 return True
     return False

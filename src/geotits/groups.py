@@ -729,7 +729,8 @@ def _u_basis(cup_poset, u_index, window=None):
 
 def exact_sequence_hypotheses(coll, u_covector, window=None):
     """HypothesesError unless the exact sequence for L = ``coll`` and U
-    applies.  Needs no arrangement, so callers decide it before they
+    applies, and L cup U (one more hyperplane than L) is within the size
+    guards.  Needs no arrangement, so callers decide it before they
     build one."""
     g = coll.geometry
     u = geo.canonical_covector(u_covector)
@@ -742,6 +743,7 @@ def exact_sequence_hypotheses(coll, u_covector, window=None):
         raise HypothesesError("hyperbolic global form needs a window polytope A")
     if geo.hyperplane_subspace(g, u) is None:
         raise HypothesesError("U does not meet the geometry")
+    arr.size_guard(g, len(coll.hyperplane_covectors) + 1)
 
 
 def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):

@@ -62,6 +62,56 @@ def reference_det_sign(rows):
     return sign
 
 
+def reference_signature(gram):
+    """Sylvester signature (n_pos, n_neg, n_zero) by symmetric Gaussian
+    elimination over ``Fraction``, kept as the oracle for
+    ``exact.signature``."""
+    g = [list(map(Fraction, row)) for row in gram]
+    n = len(g)
+    pos = neg = zero = 0
+    live = list(range(n))
+    while live:
+        pividx = None
+        for i in live:
+            if g[i][i] != 0:
+                pividx = i
+                break
+        if pividx is None:
+            offd = None
+            for ii, i in enumerate(live):
+                for j in live[ii + 1 :]:
+                    if g[i][j] != 0:
+                        offd = (i, j)
+                        break
+                if offd:
+                    break
+            if offd is None:
+                zero += len(live)
+                break
+            i, j = offd
+            # basis change e_i += e_j turns the zero diagonal nonzero
+            for k in range(n):
+                g[i][k] = g[i][k] + g[j][k]
+            for k in range(n):
+                g[k][i] = g[k][i] + g[k][j]
+            continue
+        i = pividx
+        d = g[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(i)
+        for j in live:
+            if g[j][i] != 0:
+                f = g[j][i] / d
+                for k in range(n):
+                    g[j][k] = g[j][k] - f * g[i][k]
+                for k in range(n):
+                    g[k][j] = g[k][j] - f * g[k][i]
+    return pos, neg, zero
+
+
 def reference_coordinates(sub, v):
     """Coordinates of v in a subspace's basis by solving
     (basis columns) x = v, or None when v lies outside."""

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Fr
 
@@ -7,6 +8,7 @@ from geotits import HypothesesError
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
+from geotits.cli import Scene, corpus_dir
 from conftest import E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, subdivide
 
 
@@ -275,3 +277,26 @@ def test_spherical_cofacet_both_sides(coord_s2):
     lifts = {region_sign, other}
     assert all(poset.cells[s].dim == 2 for s in lifts)
     assert len(lifts) == 2
+
+
+def test_rows_reach_feasible_as_ints(monkeypatch):
+    """Every constraint row that build_arrangement hands to exact.feasible
+    on a corpus scene, globally and within its window, is all-int."""
+    rows = []
+    feasible = exact.feasible
+
+    def recording(strict=(), nonstrict=(), eqs=(), nvars=None):
+        rows.extend([*strict, *nonstrict, *eqs])
+        return feasible(strict, nonstrict, eqs, nvars)
+
+    cases = []
+    for path in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".json"):
+            scene = Scene(json.loads(path.read_text()))
+            coll, _ = scene.collection()
+            cases += [(coll, within) for within in dict.fromkeys((None, scene.polytope_a))]
+    monkeypatch.setattr(exact, "feasible", recording)
+    for coll, within in cases:
+        arr.build_arrangement(coll, within=within)
+    assert len(rows) > 1000
+    assert all(type(x) is int for row in rows for x in row)

@@ -247,6 +247,9 @@ TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
                            "polytope_A": {"halfspaces": [["0", "1", "0"], ["0", "0", "1"],
                                                          ["1", "-2", "-2"]]}},
      "window polytope must be an L-polytope"),
+    # 16 lines, and U a 17th: L cup U is over the guard
+    ("verify", "exact-seq", str(TEST_SCENES / "e2_sixteen_lines_u.json"),
+     "17 hyperplanes exceed the desk-scale guard 16"),
 ])
 def test_unmet_hypotheses_exit_3_with_detail(command, sub, scene, detail, tmp_path, capsys):
     if isinstance(scene, dict):
@@ -323,6 +326,58 @@ def test_scene_arrangement_built_once(name, commands, monkeypatch):
         assert _report_bytes(shared, *cmd) == fresh[cmd]
     assert built[0] is shared.collection()[0]
     assert len(built) == 1 + (("verify", "exact-seq") in commands)
+
+
+def test_corpus_reports_an_internal_error_and_runs_the_rest(monkeypatch, capsys):
+    """A scenario that raises is flagged in the corpus report, every other
+    scenario still runs and passes, and the exit code is 4."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(cli.grp, "apartment_cycle_cell", broken)
+    assert cli.main(["corpus"]) == cli.EXIT_INTERNAL
+    report = json.loads(capsys.readouterr().out)
+    assert report["overall"] == "FAIL"
+    assert len(report["scenarios"]) == 58
+    flagged = [r for r in report["scenarios"] if r["status"] != "PASS"]
+    assert ("e2_triangle.json", "verify solomon-tits") in {
+        (r["scene"], r["command"]) for r in flagged
+    }
+    for r in flagged:
+        assert r["status"] == "INTERNAL_ERROR"
+        assert r["mismatches"] == ["RuntimeError: forced"]
+    assert len(flagged) < len(report["scenarios"])
+
+
+def test_exact_seq_size_guard_precedes_arrangement(monkeypatch):
+    """The guard on L cup U is decided with the other hypotheses, before
+    L's own arrangement is built."""
+    scene = Scene(json.loads((TEST_SCENES / "e2_sixteen_lines_u.json").read_text()))
+    monkeypatch.setattr(cli.arr, "build_arrangement",
+                        lambda *a, **k: pytest.fail("arrangement built"))
+    with pytest.raises(HypothesesError, match="17 hyperplanes exceed"):
+        run_command("verify", "exact-seq", scene)
+
+
+def test_exact_seq_guard_counts_the_cup():
+    """L cup U has one more hyperplane than L on every corpus exact-seq
+    scene whose hypotheses hold, which is the count the guard checks."""
+    checked = 0
+    for path in sorted(cli.corpus_dir().iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".json"):
+            continue
+        scene = Scene(json.loads(path.read_text()))
+        if scene.u_hyperplane is None:
+            continue
+        coll, _ = scene.collection()
+        try:
+            cli.grp.exact_sequence_hypotheses(coll, scene.u_hyperplane, scene.polytope_a)
+        except HypothesesError:
+            continue
+        cup = cli.coll_mod.variants(coll, scene.u_hyperplane).cup
+        assert len(cup.hyperplane_covectors) == len(coll.hyperplane_covectors) + 1
+        checked += 1
+    assert checked >= 4
 
 
 @pytest.mark.parametrize("u, window, match", [

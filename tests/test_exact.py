@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Fr
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from geotits import arrangement as arr
@@ -9,7 +10,7 @@ from geotits import exact
 from geotits import geometry as geo
 from geotits import groups as grp
 from geotits.exact import F0, dot
-from conftest import reference_coordinates, reference_det_sign
+from conftest import reference_coordinates, reference_det_sign, reference_signature
 
 
 def _reference_rref(rows):
@@ -436,6 +437,62 @@ def test_signature_full_minkowski():
     ]
     full = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert exact.signature_on_subspace(mink, full) == (2, 1, 0)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 5x5.  Some have a zero diagonal
+    (the e_i += e_j basis change), some are a signed sum of at most two
+    rank-one squares (zero eigenvalues)."""
+    n = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["dense", "zero_diagonal", "low_rank"]))
+    if kind == "low_rank":
+        g = [[0] * n for _ in range(n)]
+        for _ in range(draw(st.integers(0, 2))):
+            u = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            s = draw(st.sampled_from([1, -1]))
+            g = [[g[i][j] + s * u[i] * u[j] for j in range(n)] for i in range(n)]
+        return g
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind == "dense":
+                g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_signature_matches_fraction_reference(gram):
+    """The fraction-free congruence gives the signature of symmetric
+    elimination over ``Fraction``."""
+    got = exact.signature(gram)
+    assert got == reference_signature(gram)
+    assert sum(got) == len(gram)
+
+
+# x > 0, y >= 0 and x + y - 1 = 0, as integer rows or as their Fraction
+# multiples by 1/3
+WITNESS_ROWS = ([(1, 0, 0)], [(0, 1, 0)], [(1, 1, -1)])
+
+
+@pytest.mark.parametrize("scale", [1, Fr(1, 3)])
+@pytest.mark.parametrize("point, match", [
+    ((Fr(1, 2), Fr(1, 2)), None),
+    ((Fr(1), Fr(0)), None),  # y = 0 meets the nonstrict row
+    ((Fr(0), Fr(1)), "strict constraint"),
+    ((Fr(3, 2), Fr(-1, 2)), "violates constraint"),
+    ((Fr(1, 2), Fr(1, 3)), "equality"),
+])
+def test_check_witness_rejects_a_nudged_witness(scale, point, match):
+    """A witness moved off a strict, a nonstrict or an equality row fails
+    the check; a witness on a nonstrict row's boundary passes."""
+    strict, loose, eqs = ([tuple(scale * x for x in r) for r in g] for g in WITNESS_ROWS)
+    if match is None:
+        exact._check_witness(point, strict, loose, eqs)
+    else:
+        with pytest.raises(AssertionError, match=match):
+            exact._check_witness(point, strict, loose, eqs)
 
 
 def test_orientation_examples():
