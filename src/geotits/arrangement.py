@@ -85,11 +85,9 @@ class FacePoset:
             signs = self._flat_signs[carrier] = tuple((i, 0) for i in zeros)
         return signs
 
-    def polytope_signs(self, polytope, face=None):
-        """Signs of a closed L-polytope, or of one of its faces: the side
-        of each facet half-space, and 0 on the facets containing the face.
+    def polytope_signs(self, polytope):
+        """Signs of a closed L-polytope: the side of each facet half-space.
         ValueError names a facet hyperplane outside the arrangement."""
-        on_face = {polytope.halfspaces[k] for k in face.active} if face is not None else ()
         signs = []
         for h in polytope.facet_halfspaces():
             hyp = h.hyperplane
@@ -97,7 +95,7 @@ class FacePoset:
                 raise ValueError(
                     f"not an L-polytope: facet hyperplane {list(hyp)} is not in the arrangement"
                 )
-            side = 0 if h in on_face else 1 if h.functional == hyp else -1
+            side = 1 if h.functional == hyp else -1
             signs.append((self.covectors.index(hyp), side))
         return tuple(signs)
 

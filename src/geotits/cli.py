@@ -232,7 +232,7 @@ def load_scene(path):
 # Check runners (each returns a JSON-ready block with a "verdict")
 
 
-def check_validate(scene, seed=0):
+def check_validate(scene):
     return [{
         "name": "validate",
         "geometry": f"{scene.geometry.kind}^{scene.geometry.n}",
@@ -244,7 +244,7 @@ def check_validate(scene, seed=0):
     }]
 
 
-def check_closure(scene, seed=0):
+def check_closure(scene):
     coll, generating = scene.collection()
     block = {
         "name": "closure",
@@ -328,7 +328,7 @@ def homology_model(scene, which):
     raise SceneError(f"unknown homology model {which!r}")
 
 
-def check_homology(scene, which, seed=0, dump_path=None):
+def check_homology(scene, which, dump_path=None):
     """Homology blocks of ``homology <which>``; with ``dump_path``, the
     reported complex is also written there as JSON once it is computed."""
     n = scene.geometry.n
@@ -357,7 +357,7 @@ def check_homology(scene, which, seed=0, dump_path=None):
     return [block]
 
 
-def check_groups(scene, which, seed=0):
+def check_groups(scene, which):
     coll, _ = scene.collection()
     if which == "pt":
         _, basis = scene.arrangement(scene.polytope_a)
@@ -381,7 +381,7 @@ def check_groups(scene, which, seed=0):
     raise SceneError(f"unknown group {which!r}")
 
 
-def verify_solomon_tits(scene, seed=0):
+def verify_solomon_tits(scene):
     coll, generating = scene.collection()
     g = scene.geometry
     n = g.n
@@ -432,8 +432,7 @@ def verify_solomon_tits(scene, seed=0):
         bic = cx.pt_bicomplex(coll, tri)
         hb = cx.homology(bic)
         hc = cx.homology(cx.pt_collapse_complex(coll, tri))
-        cycles = [grp.apartment_cycle_pt_spherical(arr.region_polytope(poset, s), coll, tri, bic)
-                  for s in basis]
+        cycles = [grp.apartment_cycle_pt_spherical(s, coll, tri, bic) for s in basis]
         res = grp.apartment_matrix(bic, n, cycles)
         ok = res.iso and hb == hc and cx.wedge_verdict(hb, n) and hb.betti(n) == len(basis)
         return [{
@@ -450,7 +449,7 @@ def verify_solomon_tits(scene, seed=0):
         }]
     # hyperbolic
     if scene.polytope_a is not None:
-        return verify_local(scene, seed)
+        return verify_local(scene)
     if coll_mod.generated_by_both(coll):
         poset, basis = scene.arrangement(None)
         h, res = _cell_apartments(coll, coll.members, poset, basis)
@@ -480,7 +479,7 @@ def _cell_apartments(coll, members, poset, basis):
     return h, grp.apartment_matrix(st.complex, coll.geometry.n, cycles)
 
 
-def verify_local(scene, seed=0):
+def verify_local(scene):
     coll, _ = scene.collection()
     n = scene.geometry.n
     if scene.polytope_a is None:
@@ -503,7 +502,7 @@ def verify_local(scene, seed=0):
     }]
 
 
-def verify_exact_seq(scene, seed=0):
+def verify_exact_seq(scene):
     coll, _ = scene.collection()
     if scene.u_hyperplane is None:
         raise SceneError("verify exact-seq needs options.u_hyperplane")
@@ -515,21 +514,21 @@ def verify_exact_seq(scene, seed=0):
     return [rep]
 
 
-def verify_duality(scene, seed=0):
+def verify_duality(scene):
     coll, _ = scene.collection()
     rep = grp.duality_check(coll)
     rep["name"] = "duality"
     return [rep]
 
 
-def verify_suspension(scene, seed=0):
+def verify_suspension(scene):
     coll, _ = scene.collection()
     rep = grp.suspension_check(coll)
     rep["name"] = "suspension"
     return [rep]
 
 
-def verify_pt_ls_cmd(scene, seed=0):
+def verify_pt_ls_cmd(scene):
     coll, _ = scene.collection()
     if not coll_mod.generated_by_both(coll):
         raise HypothesesError("collection is not generated by both points and hyperplanes")
@@ -538,7 +537,7 @@ def verify_pt_ls_cmd(scene, seed=0):
     return [rep]
 
 
-def check_resolution(scene, seed=0):
+def check_resolution(scene):
     _, basis = scene.arrangement(scene.polytope_a)
     if len(basis) > reso.MAX_BASIS:
         raise HypothesesError(
@@ -557,16 +556,6 @@ def check_resolution(scene, seed=0):
     return [rep]
 
 
-COMMANDS = {
-    "validate": lambda scene, sub, seed: check_validate(scene, seed),
-    "closure": lambda scene, sub, seed: check_closure(scene, seed),
-    "arrangement": lambda scene, sub, seed: check_arrangement(scene, seed),
-    "homology": None,  # dispatched below
-    "groups": lambda scene, sub, seed: check_groups(scene, sub, seed),
-    "verify": None,  # dispatched below
-    "resolution": lambda scene, sub, seed: check_resolution(scene, seed),
-}
-
 VERIFY = {
     "solomon-tits": verify_solomon_tits,
     "pt-ls": verify_pt_ls_cmd,
@@ -579,13 +568,24 @@ VERIFY = {
 
 def run_command(command, sub, scene, seed=0, dump_complex=None):
     """(check blocks, overall verdict); ``dump_complex`` is the file that
-    ``homology`` writes its chain complex to."""
+    ``homology`` writes its chain complex to; ``seed`` drives the sampled
+    checks of ``arrangement``."""
     if command == "verify":
-        checks = VERIFY[sub](scene, seed)
+        checks = VERIFY[sub](scene)
     elif command == "homology":
-        checks = check_homology(scene, sub, seed, dump_complex)
+        checks = check_homology(scene, sub, dump_complex)
+    elif command == "groups":
+        checks = check_groups(scene, sub)
+    elif command == "arrangement":
+        checks = check_arrangement(scene, seed)
+    elif command == "validate":
+        checks = check_validate(scene)
+    elif command == "closure":
+        checks = check_closure(scene)
+    elif command == "resolution":
+        checks = check_resolution(scene)
     else:
-        checks = COMMANDS[command](scene, sub, seed)
+        raise SceneError(f"unknown command {command!r}")
     overall = "PASS"
     for block in checks:
         if block.get("verdict") not in ("PASS", "EXPLORATORY"):

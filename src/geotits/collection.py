@@ -13,18 +13,13 @@ ADMISSIBLE = "ADMISSIBLE"
 NOT_ADMISSIBLE = "NOT_ADMISSIBLE"
 NOT_DECIDABLE_FINITE = "NOT_DECIDABLE_FINITE"
 
-MODE_POINTS = "points"
-MODE_HYPERPLANES = "hyperplanes"
-MODE_RAW = "raw"
-
 
 class Collection:
-    __slots__ = ("geometry", "members", "generation_mode", "hyperplane_covectors")
+    __slots__ = ("geometry", "members", "hyperplane_covectors")
 
-    def __init__(self, geometry, members, generation_mode, hyperplane_covectors=()):
+    def __init__(self, geometry, members, hyperplane_covectors=()):
         self.geometry = geometry
         self.members = tuple(sorted(set(members), key=lambda m: m.sort_key()))
-        self.generation_mode = generation_mode
         self.hyperplane_covectors = tuple(sorted(hyperplane_covectors))
 
     def top(self):
@@ -51,10 +46,7 @@ class Collection:
         return hash((self.geometry, self.members))
 
     def __repr__(self):
-        return (
-            f"Collection({self.geometry}, {len(self.members)} members, "
-            f"mode={self.generation_mode})"
-        )
+        return f"Collection({self.geometry}, {len(self.members)} members)"
 
 
 def _closure(seeds, generators, step):
@@ -99,7 +91,7 @@ def closure_by_hyperplanes(geometry, covectors):
         seeds.append(h)
     members = _closure(seeds, covs, geo.meet_hyperplane)
     members.append(geo.top_subspace(geometry))
-    return Collection(geometry, members, MODE_HYPERPLANES, covs)
+    return Collection(geometry, members, covs)
 
 
 def closure_by_points(geometry, points):
@@ -120,7 +112,7 @@ def closure_by_points(geometry, points):
         if m.geo_dim == geometry.n - 1:
             ker = exact.nullspace(m.carrier.basis)
             covs.append(geo.canonical_covector(ker[0]))
-    return Collection(geometry, members, MODE_POINTS, covs), generating
+    return Collection(geometry, members, covs), generating
 
 
 class Variants:
@@ -194,7 +186,7 @@ def dualize(collection):
         if m.geo_dim == g.n - 1 and not m.is_top():
             ker = exact.nullspace(m.carrier.basis)
             covs.append(geo.canonical_covector(ker[0]))
-    return Collection(g, members, MODE_RAW, covs)
+    return Collection(g, members, covs)
 
 
 def admissible(collection):

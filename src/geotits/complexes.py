@@ -18,11 +18,12 @@ from geotits.arrangement import FacePoset
 class ChainComplex:
     """Graded basis labels with integer boundary matrices d: C_d -> C_{d-1}."""
 
-    __slots__ = ("degrees", "boundaries")
+    __slots__ = ("degrees", "boundaries", "_index")
 
     def __init__(self, degrees, boundaries):
         self.degrees = {d: tuple(labels) for d, labels in degrees.items() if labels}
         self.boundaries = boundaries
+        self._index = {}  # degree -> index(degree)
         self._validate()
 
     def dim(self, d):
@@ -35,7 +36,12 @@ class ChainComplex:
         return b
 
     def index(self, d):
-        return {label: i for i, label in enumerate(self.degrees.get(d, ()))}
+        """Label -> position in degree d, built once per degree; callers
+        must not mutate it."""
+        idx = self._index.get(d)
+        if idx is None:
+            idx = self._index[d] = {label: i for i, label in enumerate(self.degrees.get(d, ()))}
+        return idx
 
     def support(self):
         return sorted(self.degrees)
@@ -344,19 +350,13 @@ def sphere_triangulation(coll, poset=None):
     from geotits import collection as coll_mod
     from geotits.arrangement import build_arrangement
 
+    # admissibility (the hyperplanes have full rank) makes every cell's
+    # closed cone pointed (strongly convex), which is what turns closure
+    # chains into a triangulation
     if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
         raise ValueError("NOT_ADMISSIBLE: sphere triangulation needs admissibility")
     if poset is None:
         poset = build_arrangement(coll)
-    # admissibility makes every cell's closed cone pointed (strongly
-    # convex), which is what turns closure chains into a triangulation
-    from geotits import exact
-
-    for sign, cell in poset.cells.items():
-        closed = [cov for s_i, cov in zip(sign, poset.covectors) if s_i == 0]
-        closed += [cov for s_i, cov in zip(sign, poset.covectors) if s_i != 0]
-        if exact.rank(closed) != coll.geometry.ambient_dim:  # pragma: no cover
-            raise AssertionError("arrangement cell is not strongly convex")
     return SphereTriangulation(poset)
 
 

@@ -289,14 +289,13 @@ class HalfSpace:
 
 
 class Face:
-    """Face of a convex polytope: vertices, span, active constraints."""
+    """Face of a convex polytope: dimension, vertices, active constraints."""
 
-    __slots__ = ("dim", "vertex_ids", "span", "active")
+    __slots__ = ("dim", "vertex_ids", "active")
 
-    def __init__(self, dim, vertex_ids, span, active):
+    def __init__(self, dim, vertex_ids, active):
         self.dim = dim
         self.vertex_ids = frozenset(vertex_ids)
-        self.span = span
         self.active = frozenset(active)
 
     def __repr__(self):
@@ -328,22 +327,14 @@ class ConvexPolytope:
     carry no vertex/face data.
     """
 
-    __slots__ = (
-        "geometry",
-        "halfspaces",
-        "vertices",
-        "faces",
-        "interior_witness",
-        "weakly_convex",
-    )
+    __slots__ = ("geometry", "halfspaces", "vertices", "faces", "interior_witness")
 
-    def __init__(self, geometry, halfspaces, vertices, faces, interior_witness, weakly_convex=False):
+    def __init__(self, geometry, halfspaces, vertices, faces, interior_witness):
         self.geometry = geometry
         self.halfspaces = tuple(halfspaces)
         self.vertices = tuple(vertices) if vertices is not None else None
         self.faces = faces
         self.interior_witness = interior_witness
-        self.weakly_convex = weakly_convex
 
     @property
     def dim(self):
@@ -444,8 +435,9 @@ def _extreme_rays(halfspaces, geometry):
     return out
 
 
-def _build_faces(geometry, halfspaces, vertices, top_span):
-    """Faces from vertex incidence; spans satisfy Prop-style identities."""
+def _build_faces(geometry, halfspaces, vertices):
+    """Faces from vertex incidence; a face's dimension is that of the
+    span of its vertices."""
     from itertools import combinations
 
     amb = geometry.ambient_dim
@@ -470,11 +462,10 @@ def _build_faces(geometry, halfspaces, vertices, top_span):
             if not vs or vs in found:
                 continue
             span = subspace_from_vectors(amb, [vert_vector(vertices[vid]) for vid in vs])
-            dim = span.dim - 1
             active = frozenset.intersection(*[tight[vid] for vid in vs])
-            found[vs] = Face(dim, vs, span, active)
+            found[vs] = Face(span.dim - 1, vs, active)
     faces = sorted(found.values(), key=lambda f: (f.dim, tuple(sorted(f.vertex_ids))))
-    faces.append(Face(n, frozenset(range(len(vertices))), top_span, frozenset()))
+    faces.append(Face(n, frozenset(range(len(vertices))), frozenset()))
     return faces
 
 
@@ -484,11 +475,10 @@ def polytope_from_halfspaces(geometry, halfspaces):
     g = geometry
     nv = g.chart_dim
     rows = [h.chart_row(g) for h in halfspaces]
-    top = full_space(g.ambient_dim)
 
     if g.kind == SPHERICAL:
         if not halfspaces:
-            return ConvexPolytope(g, (), None, None, None, weakly_convex=True)
+            return ConvexPolytope(g, (), None, None, None)
         if exact.feasible(rows, (), (), nv) is None:
             if (exact.feasible((), rows, (), nv) is not None
                     and recession_cone_nonzero(halfspaces, g)):
@@ -497,9 +487,9 @@ def polytope_from_halfspaces(geometry, halfspaces):
         witness = exact.feasible(rows, (), (), nv)
         pointed = exact.rank([h.functional for h in halfspaces]) == g.ambient_dim
         if not pointed:
-            return ConvexPolytope(g, halfspaces, None, None, witness, weakly_convex=True)
+            return ConvexPolytope(g, halfspaces, None, None, witness)
         rays = _extreme_rays(halfspaces, g)
-        faces = _build_faces(g, halfspaces, rays, top)
+        faces = _build_faces(g, halfspaces, rays)
         return ConvexPolytope(g, halfspaces, rays, faces, witness)
 
     strict_witness = exact.feasible(rows, (), (), nv)
@@ -514,7 +504,7 @@ def polytope_from_halfspaces(geometry, halfspaces):
         for v in vertices:
             if sum((frac(x) * frac(x) for x in v), F0) >= 1:
                 return Invalid(Invalid.UNBOUNDED)
-    faces = _build_faces(g, halfspaces, vertices, top)
+    faces = _build_faces(g, halfspaces, vertices)
     return ConvexPolytope(g, halfspaces, vertices, faces, strict_witness)
 
 
@@ -529,15 +519,6 @@ def is_bounded(halfspaces, geometry):
             if sum((frac(x) * frac(x) for x in v), F0) >= 1:
                 return False
     return True
-
-
-def is_strongly_convex(polytope):
-    """Spherical: defining cone is pointed (lives in an open hemisphere)."""
-    if polytope.geometry.kind != SPHERICAL:
-        raise ValueError("strong convexity is a spherical notion")
-    if not polytope.halfspaces:
-        return False
-    return exact.rank([h.functional for h in polytope.halfspaces]) == polytope.geometry.ambient_dim
 
 
 def span_points(points):

@@ -143,18 +143,11 @@ def flat_orientation_vectors(carrier, vectors):
 
 # ---------------------------------------------------------------------------
 # Apartment cycles
-
-
-class ApartmentCycle:
-    """Integer chain, verified to be a cycle in its target complex."""
-
-    __slots__ = ("vector",)
-
-    def __init__(self, complex_, degree, vector, source):
-        self.vector = tuple(vector)
-        bd = complex_.boundary(degree)
-        if any(bd.mul_vec(list(vector))):
-            raise AssertionError(f"apartment chain of {source} is not a cycle")
+#
+# Each builder returns its chain as a tuple of integers over the target
+# complex's degree-n basis.  ``apartment_matrix`` certifies every chain
+# it is given: ``HomologyClasses.coords`` checks K a = c exactly, which
+# holds iff the chain is a cycle.
 
 
 def apartment_cycle_tuple(members_tuple, st_model):
@@ -186,7 +179,7 @@ def apartment_cycle_tuple(members_tuple, st_model):
         if label not in idx:
             raise ValueError("span flag leaves the collection")
         vec[idx[label]] += sgn
-    return ApartmentCycle(st_model.complex, n, vec, ("tuple", tuple(members_tuple)))
+    return tuple(vec)
 
 
 def _perm_sign(sigma):
@@ -203,65 +196,54 @@ def _perm_sign(sigma):
 
 
 class _SphericalFaceChains:
-    """Fundamental chains of the faces of a strongly convex polytope,
-    in the ambient sphere triangulation, with incidence signs."""
+    """Fundamental chains of the faces of a closed region, in the ambient
+    sphere triangulation, with incidence signs.
 
-    def __init__(self, polytope, tri):
-        self.polytope = polytope
+    The faces are the cells in the region's closure (the interval below
+    a tope of the covector lattice), keyed by sign vector; a face's flat
+    is its cell's flat and its facets are the cells of one dimension
+    less below it.
+    """
+
+    def __init__(self, region_sign, tri):
         self.tri = tri
-        self.chains = {}  # face key -> dict simplex-label -> +-1
-        self.eta = {}  # (face key, facet key) -> +-1
-        n = polytope.geometry.n
-        self._faces_by_dim = {d: polytope.faces_of_dim(d) for d in range(n + 1)}
-        for d in range(n + 1):
-            for f in self._faces_by_dim[d]:
-                self.chains[self._key(f)] = self._fundamental_chain(f, d)
-        for d in range(1, n + 1):
-            for f in self._faces_by_dim[d]:
-                self._extract_incidences(f, d)
+        poset = tri.poset
+        faces = sorted(poset.cells_in(tuple(enumerate(region_sign))))
+        self.chains = {s: self._fundamental_chain(s) for s in faces}  # face -> {label: +-1}
+        self.facets = {}  # face -> facet sign vectors
+        self.eta = {}  # (face, facet) -> +-1
+        for s in faces:
+            d = poset.cells[s].dim
+            if d:
+                self.facets[s] = [t for t in faces if poset.cells[t].dim == d - 1
+                                  and arr.FacePoset.leq(t, s)]
+                self._extract_incidences(s)
 
-    @staticmethod
-    def _key(face):
-        return face.vertex_ids
-
-    def _face_simplices(self, face, d):
-        """The d-simplices whose top cell is a d-cell in the face."""
-        poset = self.tri.poset
-        inside = poset.cells_in(poset.polytope_signs(self.polytope, face))
-        tops = [s for s in inside if poset.cells[s].dim == d]
-        for s in tops:
-            # so the orientation memo, made in each top cell's flat, is
-            # the orientation in the face span
-            if poset.cells[s].flat != face.span:  # pragma: no cover
-                raise AssertionError("top cell does not span the face")
-        return self.tri.labels_with_top(d, tops)
-
-    def _fundamental_chain(self, face, d):
+    def _fundamental_chain(self, sign):
         tri = self.tri
+        cell = tri.poset.cells[sign]
         memo = tri.orientations
         chain = {}
-        for lab in self._face_simplices(face, d):
-            sign = memo.get(lab)
-            if sign is None:
+        for lab in tri.labels_with_top(cell.dim, [sign]):
+            orient = memo.get(lab)
+            if orient is None:
                 vecs = [tri.poset.cells[tri.cell_order[c]].witness for c in lab]
-                sign = memo[lab] = flat_orientation_vectors(face.span, vecs)
-            if sign == 0:  # pragma: no cover - witnesses are independent
+                orient = memo[lab] = flat_orientation_vectors(cell.flat, vecs)
+            if orient == 0:  # pragma: no cover - witnesses are independent
                 raise AssertionError("degenerate flag simplex")
-            chain[lab] = sign
+            chain[lab] = orient
         if not chain:
             raise AssertionError("face carries no simplices")
         return chain
 
-    def _extract_incidences(self, face, d):
+    def _extract_incidences(self, face):
         remaining = {}
-        for lab, s in self.chains[self._key(face)].items():
+        for lab, s in self.chains[face].items():
             for low, sign in cx._drop_one(lab):
                 remaining[low] = remaining.get(low, 0) + sign * s
         remaining = {lab: v for lab, v in remaining.items() if v}
-        for facet in self._faces_by_dim[d - 1]:
-            if not facet.vertex_ids < face.vertex_ids:
-                continue
-            fchain = self.chains[self._key(facet)]
+        for facet in self.facets[face]:
+            fchain = self.chains[facet]
             signs = set()
             for lab, s in fchain.items():
                 if lab not in remaining:
@@ -276,62 +258,49 @@ class _SphericalFaceChains:
             eta = signs.pop()
             if eta not in (1, -1):
                 raise AssertionError("incidence sign not a unit")
-            self.eta[(self._key(face), self._key(facet))] = eta
+            self.eta[(face, facet)] = eta
             for lab in fchain:
                 remaining.pop(lab, None)
         if remaining:
             raise AssertionError("boundary leaks outside the facet chains")
 
 
-def apartment_cycle_pt_spherical(polytope, coll, tri, bicomplex):
-    """Relative apartment cycle of a strongly convex polytope in the
-    polytopal-Tits total complex.
+def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
+    """Relative apartment cycle of a closed region (given by its sign
+    vector in ``tri.poset``) in the polytopal-Tits total complex.
 
     Column 0 is the signed sum of flag simplices contained in the
-    polytope; lower columns add face-flag correction terms so that the
+    region; lower columns add face-flag correction terms so that the
     total boundary vanishes exactly.
     """
-    g = coll.geometry
-    n = g.n
-    if g.kind != geo.SPHERICAL:
-        raise ValueError("spherical geometry required")
-    if polytope.weakly_convex or not geo.is_strongly_convex(polytope):
-        raise ValueError("polytope must be strongly convex")
-    fc = _SphericalFaceChains(polytope, tri)
-    member_pos = {}
+    n = coll.geometry.n
+    cells = tri.poset.cells
+    fc = _SphericalFaceChains(region_sign, tri)
     proper = sorted((m for m in coll.members if not m.is_top()),
                     key=lambda m: m.sort_key())
-    for i, m in enumerate(proper):
-        member_pos[m.carrier] = i
+    member_pos = {m.carrier: i for i, m in enumerate(proper)}
     idx = bicomplex.index(n)
     vec = [0] * bicomplex.dim(n)
-    top_face = polytope.faces_of_dim(n)[0]
 
     def emit(flag_faces, base_face, outer_sign):
-        flag_label = tuple(member_pos[f.span] for f in flag_faces)
-        for lab, s in fc.chains[fc._key(base_face)].items():
+        flag_label = tuple(member_pos[cells[f].flat] for f in flag_faces)
+        for lab, s in fc.chains[base_face].items():
             key = (flag_label, lab)
             if key not in idx:
                 raise ValueError("face span leaves the collection")
             vec[idx[key]] += outer_sign * s
 
-    emit((), top_face, 1)
-    flags = [(top_face,)]
+    emit((), region_sign, 1)
+    flags = [(region_sign,)]
     for k in range(1, n + 1):
-        new_flags = []
-        for fl in flags:
-            bottom = fl[0]
-            for f in polytope.faces_of_dim(bottom.dim - 1):
-                if f.vertex_ids < bottom.vertex_ids:
-                    new_flags.append((f,) + fl)
-        flags = new_flags
+        flags = [(f,) + fl for fl in flags for f in fc.facets[fl[0]]]
         s_k = -1 if (k * (k + 1) // 2) % 2 else 1
         for fl in flags:
             eta_prod = 1
             for i in range(k):
-                eta_prod *= fc.eta[(fc._key(fl[i + 1]), fc._key(fl[i]))]
+                eta_prod *= fc.eta[(fl[i + 1], fl[i])]
             emit(fl[:-1], fl[0], s_k * eta_prod)
-    return ApartmentCycle(bicomplex, n, vec, ("polytope", polytope))
+    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +363,7 @@ def apartment_cycle_cell(poset, region_sign, st_model, top_carrier=None):
         if label not in idx:
             raise ValueError("face span leaves the collection")
         vec[idx[label]] += sign
-    return ApartmentCycle(st_model.complex, d, vec, ("region", region_sign))
+    return tuple(vec)
 
 
 class ApartmentMatrixResult:
@@ -409,9 +378,10 @@ class ApartmentMatrixResult:
 def apartment_matrix(complex_, degree, cycles):
     """Classes of the apartment cycles in the basis of H_degree (the top
     degree) read off ``HomologyClasses``, one column per cycle; ``iso``
-    says the matrix is unimodular."""
+    says the matrix is unimodular.  A chain that is not a cycle raises
+    ``ValueError``."""
     classes = cx.HomologyClasses(complex_, degree)
-    cols = [list(classes.coords(cyc.vector)) for cyc in cycles]
+    cols = [list(classes.coords(cyc)) for cyc in cycles]
     matrix = IntMatrix.from_columns(classes.betti, cols)
     return ApartmentMatrixResult(matrix, classes.betti, _unimodular(matrix))
 
@@ -839,7 +809,7 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
 
 
 def _members_within(members, window, g):
-    return list(coll_mod.restrict(coll_mod.Collection(g, members, "raw"), window))
+    return list(coll_mod.restrict(coll_mod.Collection(g, members), window))
 
 
 def _st_rank_additivity(coll, mem_l, cup_st, cap_st):
@@ -872,10 +842,14 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
             return False
         q_sign, actual_side = lift
         apt_q = apartment_cycle_cell(cup_poset, q_sign, cup_st)
+        # only the facet's apartment reaches ``coords``, so the lift is
+        # checked to be a cycle here
+        if any(cup_st.complex.boundary(n).mul_vec(list(apt_q))):
+            raise AssertionError(f"lifted apartment of {arr.sign_key(q_sign)} is not a cycle")
         # anchor-dropping boundary, projected to flags ending at U
         proj = [0] * cap_st.complex.dim(n - 1)
         labels = cup_st.complex.degrees.get(n, ())
-        for pos_i, coeff in enumerate(apt_q.vector):
+        for pos_i, coeff in enumerate(apt_q):
             if not coeff:
                 continue
             label = labels[pos_i]
@@ -886,7 +860,7 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
             proj[cap_index[cap_label]] += coeff
         free_b = classes.coords(proj)
         apt_tau = apartment_cycle_cell(cup_poset, tau, cap_st, top_carrier=u_member.carrier)
-        free_t = classes.coords(apt_tau.vector)
+        free_t = classes.coords(apt_tau)
         lhs = tuple(actual_side * x for x in free_b)
         for eps in (1, -1) if epsilon is None else (epsilon,):
             if lhs == tuple(eps * x for x in free_t):

@@ -203,9 +203,108 @@ def facet_map(q, u_covector, poset_u=None, basis_u=None):
     return (side, tuple(int(arr.FacePoset._agrees(s, q_signs)) for s in basis_u))
 
 
+def face_span(polytope, face):
+    """Linear span of a face's vertex vectors (chart points p as (1, p)
+    in E/H, extreme rays as they are in S)."""
+    g = polytope.geometry
+    verts = [polytope.vertices[i] for i in sorted(face.vertex_ids)]
+    if g.kind != geo.SPHERICAL:
+        verts = [(1,) + tuple(v) for v in verts]
+    return geo.subspace_from_vectors(g.ambient_dim, verts)
+
+
+def reference_in_polytope(poset, cell, polytope):
+    """The cell's witness against every half-space of the polytope."""
+    if poset.geometry.kind == geo.SPHERICAL:
+        return all(exact.dot(h.functional, cell.witness) >= 0 for h in polytope.halfspaces)
+    return polytope.contains_chart_point(cell.witness)
+
+
+def reference_face_simplices(tri, polytope, face):
+    """d-simplices whose top d-cell has its flat in the face span and its
+    witness in the polytope."""
+    d = face.dim
+    span = face_span(polytope, face)
+    return [
+        lab for lab in tri.simplices.get(d, ())
+        if tri.top_cell(lab).dim == d
+        and reference_in_polytope(tri.poset, tri.top_cell(lab), polytope)
+        and span.contains(tri.top_cell(lab).flat)
+    ]
+
+
+def reference_face_chains(tri, polytope):
+    """(chains, eta) of a spherical polytope's faces keyed by vertex ids:
+    each face's simplices from the witness rule, each oriented by its
+    witnesses' coordinates in the face span with a ``Fraction``
+    determinant, and each face's boundary mapped through the
+    triangulation's boundary matrix."""
+    cells, order = tri.poset.cells, tri.cell_order
+    n = polytope.geometry.n
+    chains = {}
+    for d in range(n + 1):
+        for face in polytope.faces_of_dim(d):
+            span = face_span(polytope, face)
+            chains[face.vertex_ids] = {
+                lab: reference_det_sign(
+                    [reference_coordinates(span, cells[order[c]].witness) for c in lab]
+                )
+                for lab in reference_face_simplices(tri, polytope, face)
+            }
+    eta = {}
+    cpx = tri.complex
+    for d in range(1, n + 1):
+        idx = cpx.index(d)
+        low = cpx.degrees[d - 1]
+        for face in polytope.faces_of_dim(d):
+            vec = [0] * cpx.dim(d)
+            for lab, s in chains[face.vertex_ids].items():
+                vec[idx[lab]] = s
+            image = {low[i]: v for i, v in enumerate(cpx.boundary(d).mul_vec(vec)) if v}
+            for facet in polytope.faces_of_dim(d - 1):
+                if facet.vertex_ids < face.vertex_ids:
+                    got = {image.get(lab, 0) * s for lab, s in chains[facet.vertex_ids].items()}
+                    assert len(got) == 1  # the facet chain is a signed copy
+                    eta[(face.vertex_ids, facet.vertex_ids)] = got.pop()
+    return chains, eta
+
+
+def apartment_cycle_pt_polytope(polytope, coll, tri, bicomplex):
+    """Spherical polytopal-Tits apartment of a strongly convex polytope,
+    from flags of its faces (``reference_face_chains``), each face's
+    flag member found from its vertex span; asserted to be a cycle."""
+    n = coll.geometry.n
+    chains, eta = reference_face_chains(tri, polytope)
+    proper = sorted((m for m in coll.members if not m.is_top()), key=lambda m: m.sort_key())
+    pos = {m.carrier: i for i, m in enumerate(proper)}
+    idx = bicomplex.index(n)
+    vec = [0] * bicomplex.dim(n)
+
+    def emit(flag, base, outer_sign):
+        label = tuple(pos[face_span(polytope, f)] for f in flag)
+        for lab, s in chains[base.vertex_ids].items():
+            vec[idx[(label, lab)]] += outer_sign * s
+
+    top = polytope.faces_of_dim(n)[0]
+    emit((), top, 1)
+    flags = [(top,)]
+    for k in range(1, n + 1):
+        flags = [(f,) + fl for fl in flags for f in polytope.faces_of_dim(fl[0].dim - 1)
+                 if f.vertex_ids < fl[0].vertex_ids]
+        s_k = -1 if (k * (k + 1) // 2) % 2 else 1
+        for fl in flags:
+            eta_prod = 1
+            for i in range(k):
+                eta_prod *= eta[(fl[i + 1].vertex_ids, fl[i].vertex_ids)]
+            emit(fl[:-1], fl[0], s_k * eta_prod)
+    assert not any(bicomplex.boundary(n).mul_vec(vec)), "polytope apartment is not a cycle"
+    return tuple(vec)
+
+
 def apartment_cycle_polytope(polytope, coll, st_model):
     """E/H apartment cycle of a convex polytope from complete flags of its
-    faces, signed by the orientation of the face barycenters."""
+    faces, signed by the orientation of the face barycenters; asserted to
+    be a cycle."""
     n = coll.geometry.n
     pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
     idx = st_model.complex.index(n)
@@ -228,8 +327,9 @@ def apartment_cycle_polytope(polytope, coll, st_model):
         pts = [barycenter(f) for f in flag] + [bary_p]
         sign = grp.flat_orientation_chart(top_carrier, pts)
         assert sign != 0
-        vec[idx[tuple(pos[f.span] for f in flag)]] += sign
-    return grp.ApartmentCycle(st_model.complex, n, vec, ("polytope", polytope))
+        vec[idx[tuple(pos[face_span(polytope, f)] for f in flag)]] += sign
+    assert not any(st_model.complex.boundary(n).mul_vec(vec)), "polytope apartment is not a cycle"
+    return tuple(vec)
 
 
 def collapse_chain_map(bicomplex, collapse):
@@ -264,9 +364,8 @@ def cell_apartments(poset, basis, st_model):
     return grp.apartment_matrix(st_model.complex, poset.geometry.n, cycles)
 
 
-def pt_apartments(coll, poset, basis, tri, bic):
-    cycles = [grp.apartment_cycle_pt_spherical(arr.region_polytope(poset, s), coll, tri, bic)
-              for s in basis]
+def pt_apartments(coll, basis, tri, bic):
+    cycles = [grp.apartment_cycle_pt_spherical(s, coll, tri, bic) for s in basis]
     return grp.apartment_matrix(bic, coll.geometry.n, cycles)
 
 

@@ -27,6 +27,7 @@ from conftest import (
     TRIANGLE_COVS,
     TWO_CUBE_COVS,
     cell_apartments,
+    face_span,
     points_apartments,
     pt_apartments,
     subdivide,
@@ -82,7 +83,7 @@ def test_criterion_3_spherical_coordinate():
             assert hb == hc  # cross-check agrees exactly
             assert hb.nonzero_degrees() == [n]
             assert hb.betti(n) == 2 ** (n + 1) and not hb.torsion(n)
-            assert pt_apartments(coll, poset, basis, tri, bic).iso
+            assert pt_apartments(coll, basis, tri, bic).iso
 
 
 def test_criterion_4_s0_base_case():
@@ -281,18 +282,18 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
             vecs = [tuple(rng.randint(-4, 4) for _ in range(amb)) for _ in range(rng.randint(0, amb))]
             v = geo.subspace_from_vectors(amb, vecs)
             assert v.orthogonal_complement().orthogonal_complement() == v
-        # apartment cycles are cycles (constructor hard-asserts; exercise all flavors)
+        # apartment cycles are cycles (both region flavors)
         poset = arr.build_arrangement(triangle)
         st = grp.STModel(triangle.members, triangle.top())
         for sign in arr.region_basis(poset):
-            grp.apartment_cycle_cell(poset, sign, st)
+            apt = grp.apartment_cycle_cell(poset, sign, st)
+            assert any(apt) and not any(st.complex.boundary(2).mul_vec(list(apt)))
         tri_s = cx.sphere_triangulation(coord_s2)
         bic = cx.pt_bicomplex(coord_s2, tri_s)
         poset_s = arr.build_arrangement(coord_s2)
         for sign in arr.region_basis(poset_s):
-            grp.apartment_cycle_pt_spherical(
-                arr.region_polytope(poset_s, sign), coord_s2, tri_s, bic
-            )
+            apt = grp.apartment_cycle_pt_spherical(sign, coord_s2, tri_s, bic)
+            assert any(apt) and not any(bic.boundary(2).mul_vec(list(apt)))
         # indicator subdivision additivity (seeded cuts)
         basis = arr.region_basis(poset)
         p = arr.region_polytope(poset, basis[0])
@@ -314,7 +315,7 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
                 if all(dot(hyp, (1,) + tuple(p.vertices[i])) == 0 for i in f.vertex_ids)
             ]
             meet = geo.LinearSubspace(3, exact.nullspace(containing, 3))
-            assert meet == f.span
+            assert meet == face_span(p, f)
 
 
 def test_full_corpus_passes():

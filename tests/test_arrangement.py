@@ -246,7 +246,6 @@ def test_guards():
     too_many = coll_mod.Collection(
         E2,
         [geo.top_subspace(E2)],
-        "raw",
         [(0, 1, k) for k in range(1, 18)],
     )
     with pytest.raises(HypothesesError, match="17 hyperplanes exceed the desk-scale guard 16"):

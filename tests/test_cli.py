@@ -328,6 +328,24 @@ def test_scene_arrangement_built_once(name, commands, monkeypatch):
     assert len(built) == 1 + (("verify", "exact-seq") in commands)
 
 
+@pytest.mark.parametrize("name", ["s2_coordinate", "s3_coordinate"])
+def test_spherical_solomon_tits_builds_no_polytope(name, monkeypatch):
+    """Spherical apartments read each region's faces off the face poset:
+    the verify builds no ConvexPolytope.  The counter does see one built
+    through ``arrangement.region_polytope``."""
+    built = []
+    build = cli.geo.polytope_from_halfspaces
+    monkeypatch.setattr(cli.geo, "polytope_from_halfspaces",
+                        lambda *a: built.append(a) or build(*a))
+    scene = load(name)
+    checks, overall = run_command("verify", "solomon-tits", scene)
+    assert overall == "PASS" and checks[0]["regions"] in (8, 16)
+    assert built == []
+    poset, basis = scene.arrangement(None)
+    cli.arr.region_polytope(poset, basis[0])
+    assert len(built) == 1
+
+
 def test_corpus_reports_an_internal_error_and_runs_the_rest(monkeypatch, capsys):
     """A scenario that raises is flagged in the corpus report, every other
     scenario still runs and passes, and the exit code is 4."""

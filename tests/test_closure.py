@@ -52,12 +52,12 @@ def _reference_pairwise_closure(seeds, combine):
 def _reference_by_hyperplanes(g, covs):
     seeds = [h for h in (geo.hyperplane_subspace(g, c) for c in covs) if h is not None]
     members = _reference_pairwise_closure(seeds, _reference_intersect)
-    return coll_mod.Collection(g, members + [geo.top_subspace(g)], coll_mod.MODE_HYPERPLANES)
+    return coll_mod.Collection(g, members + [geo.top_subspace(g)])
 
 
 def _reference_by_points(g, points):
     members = _reference_pairwise_closure(points, lambda a, b: geo.span_points([a, b]))
-    return coll_mod.Collection(g, members, coll_mod.MODE_POINTS)
+    return coll_mod.Collection(g, members)
 
 
 def _check_hyperplanes(g, covs):
@@ -172,7 +172,7 @@ def _check_generation(coll):
     assert coll_mod.generated_by_points(coll) == _reference_generated_by_points(coll)
     assert coll_mod.generated_by_hyperplanes(coll) == _reference_generated_by_hyperplanes(coll)
     # without its first member the closure may reach a carrier outside it
-    short = coll_mod.Collection(coll.geometry, coll.members[1:], coll.generation_mode)
+    short = coll_mod.Collection(coll.geometry, coll.members[1:])
     assert coll_mod.generated_by_points(short) == _reference_generated_by_points(short)
     assert coll_mod.generated_by_hyperplanes(short) == _reference_generated_by_hyperplanes(short)
 

@@ -223,6 +223,15 @@ def test_boundary_squared_guard():
 
 def test_sphere_no_hyperplanes_polytope_group():
     """With no hyperplanes at all the sphere itself is the only region."""
-    coll = coll_mod.Collection(S1, [geo.top_subspace(S1)], "hyperplanes", ())
+    coll = coll_mod.Collection(S1, [geo.top_subspace(S1)])
     poset = arr.build_arrangement(coll)
     assert len(arr.region_basis(poset)) == 1
+
+
+def test_index_is_built_once_per_degree():
+    """``index(d)`` maps each label of degree d to its position, in any
+    order of calls, and is the same dict on every call."""
+    cpx = cx.face_complex({0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2), (1, 2)]})
+    for d in (1, 0, 1, 0, 3):
+        assert cpx.index(d) == {lab: i for i, lab in enumerate(cpx.degrees.get(d, ()))}
+    assert cpx.index(1) is cpx.index(1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from geotits import geometry as geo
 from geotits.exact import dot
-from conftest import E2, H2, H3, S1, S2
+from conftest import E2, H2, H3, S1, S2, face_span
 
 
 def test_geo_nonempty_examples():
@@ -127,8 +127,11 @@ def test_empty_and_lower_dimensional():
 
 
 def test_whole_circle_weakly_convex():
+    """The whole circle is not pointed: a polytope with no face lattice."""
     c = geo.polytope_from_halfspaces(S1, [])
-    assert isinstance(c, geo.ConvexPolytope) and c.weakly_convex
+    assert isinstance(c, geo.ConvexPolytope) and c.faces is None and c.vertices is None
+    with pytest.raises(ValueError, match="no face lattice"):
+        c.faces_of_dim(0)
 
 
 def test_klein_bounded_triangle():
@@ -150,31 +153,19 @@ def test_ideal_vertex_unbounded():
     assert not geo.is_bounded(hs, H2)
 
 
-def test_strong_convexity():
-    octant = geo.polytope_from_halfspaces(
-        S2, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    )
-    assert geo.is_strongly_convex(octant)
-    hemi = geo.polytope_from_halfspaces(S2, [geo.HalfSpace((1, 0, 0))])
-    assert not geo.is_strongly_convex(hemi)
-    lune = geo.polytope_from_halfspaces(
-        S2, [geo.HalfSpace((1, 0, 0)), geo.HalfSpace((0, 1, 0))]
-    )
-    assert not geo.is_strongly_convex(lune)
-
-
 def test_strongly_convex_faces_pointed():
     """Every face cone of a strongly convex polytope has lineality {0}."""
     octant = geo.polytope_from_halfspaces(
         S2, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (1, 2, 3))]
     )
-    assert geo.is_strongly_convex(octant)
     from geotits import exact
 
+    assert exact.rank([h.functional for h in octant.halfspaces]) == 3  # pointed
     for f in octant.faces:
         # x = c . span basis is in the lineality space iff every
         # functional vanishes on it
-        system = [[dot(h.functional, b) for b in f.span.basis] for h in octant.halfspaces]
+        system = [[dot(h.functional, b) for b in face_span(octant, f).basis]
+                  for h in octant.halfspaces]
         assert exact.nullspace(system) == ()
 
 
@@ -215,12 +206,13 @@ def test_face_span_identities():
                 ):
                     containing.append(hyp)
             meet = geo.LinearSubspace(p.geometry.ambient_dim, exact.nullspace(containing, p.geometry.ambient_dim))
-            assert meet == f.span
+            span = face_span(p, f)
+            assert meet == span
             # F = P cap span F at the vertex level
             on_span = {
                 i
                 for i, v in enumerate(p.vertices)
-                if f.span.contains_vector(v if p.geometry.kind == "S" else (1,) + tuple(v))
+                if span.contains_vector(v if p.geometry.kind == "S" else (1,) + tuple(v))
             }
             assert on_span == set(f.vertex_ids)
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Fr
 
 import pytest
@@ -9,7 +10,7 @@ from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
 from geotits._kernel import IntMatrix, solve_int
-from geotits.cli import Scene, run_command
+from geotits.cli import Scene, corpus_dir, run_command
 from conftest import (
     E1,
     E2,
@@ -17,6 +18,7 @@ from conftest import (
     S2,
     TRIANGLE_COVS,
     apartment_cycle_polytope,
+    apartment_cycle_pt_polytope,
     cell_apartments,
     pt_apartments,
     subdivide,
@@ -83,7 +85,7 @@ def test_apartment_tuple_e1_class():
     pts = sorted(l.points(), key=lambda p: p.sort_key())
     cyc = grp.apartment_cycle_tuple(tuple(pts), st)
     classes = cx.HomologyClasses(st.complex, 1)
-    free = classes.coords(cyc.vector)
+    free = classes.coords(cyc)
     assert classes.betti == 1 and abs(free[0]) == 1
 
 
@@ -99,7 +101,7 @@ def test_apartment_simplicial_relation():
         face = tuple(pts[j] for j in range(4) if j != i)
         cyc = grp.apartment_cycle_tuple(face, st)
         sgn = (-1) ** i
-        total = [a + sgn * b for a, b in zip(total, cyc.vector)]
+        total = [a + sgn * b for a, b in zip(total, cyc)]
     assert not any(classes.coords(total))
 
 
@@ -116,7 +118,7 @@ def test_apartment_degenerate_vanishing():
     assert len(collinear) == 3
     cyc = grp.apartment_cycle_tuple(collinear, st)
     classes = cx.HomologyClasses(st.complex, 2)
-    assert not any(classes.coords(cyc.vector))
+    assert not any(classes.coords(cyc))
 
 
 def test_polytope_apartment_matches_tuple(triangle):
@@ -132,7 +134,7 @@ def test_polytope_apartment_matches_tuple(triangle):
     sign = exact.orientation_sign(chart)
     assert sign != 0
     cyc_tup = grp.apartment_cycle_tuple(verts, st)
-    assert cyc_poly.vector == tuple(sign * x for x in cyc_tup.vector)
+    assert cyc_poly == tuple(sign * x for x in cyc_tup)
 
 
 def test_cell_apartment_matches_polytope(triangle):
@@ -142,7 +144,7 @@ def test_cell_apartment_matches_polytope(triangle):
     p = arr.region_polytope(poset, basis[0])
     a = apartment_cycle_polytope(p, triangle, st)
     b = grp.apartment_cycle_cell(poset, basis[0], st)
-    assert a.vector == b.vector
+    assert a == b
 
 
 def test_polytope_apartment_subdivision_additive(four_lines):
@@ -157,17 +159,19 @@ def test_polytope_apartment_subdivision_additive(four_lines):
     covered = [basis[i] for i, c in enumerate(vec) if c]
     assert len(covered) == 2
     apt_p = apartment_cycle_polytope(p, four_lines, st)
-    f_p = classes.coords(apt_p.vector)
+    f_p = classes.coords(apt_p)
     acc = None
     for sign in covered:
-        f = classes.coords(grp.apartment_cycle_cell(poset, sign, st).vector)
+        f = classes.coords(grp.apartment_cycle_cell(poset, sign, st))
         acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
     assert f_p == acc
 
 
 def test_spherical_apartment_additivity(coord_s2):
     """Octant subdivided by a fourth admissibility-compatible plane:
-    apartment classes add in homology."""
+    apartment classes add in homology.  The octant is no region of the
+    cup, so its apartment comes from the polytope-keyed oracle; the two
+    pieces are regions, built by the program."""
     extra = (1, -1, 0)
     var = coll_mod.variants(coord_s2, extra)
     cup = var.cup
@@ -180,14 +184,53 @@ def test_spherical_apartment_additivity(coord_s2):
     )
     pieces = subdivide(octant, [extra])
     assert len(pieces) == 2
-    apt_total = grp.apartment_cycle_pt_spherical(octant, cup, tri, bic)
-    f_total = classes.coords(apt_total.vector)
+    f_total = classes.coords(apartment_cycle_pt_polytope(octant, cup, tri, bic))
     acc = None
     for piece in pieces:
-        cyc = grp.apartment_cycle_pt_spherical(piece, cup, tri, bic)
-        f = classes.coords(cyc.vector)
+        (sign,) = arr.cells_in_polytope(poset, piece, dims={2})
+        f = classes.coords(grp.apartment_cycle_pt_spherical(sign, cup, tri, bic))
         acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
     assert f_total == acc
+
+
+@pytest.mark.parametrize("flavor", ["cell", "pt"])
+def test_apartment_matrix_refuses_a_non_cycle(flavor, triangle, coord_s2):
+    """``apartment_matrix`` certifies the chains it is given: a region
+    apartment with one entry's sign flipped raises ValueError."""
+    coll = triangle if flavor == "cell" else coord_s2
+    poset = arr.build_arrangement(coll)
+    sign = arr.region_basis(poset)[0]
+    if flavor == "cell":
+        st = grp.STModel(coll.members, coll.top())
+        complex_, apt = st.complex, grp.apartment_cycle_cell(poset, sign, st)
+    else:
+        tri = cx.sphere_triangulation(coll, poset)
+        complex_ = cx.pt_bicomplex(coll, tri)
+        apt = grp.apartment_cycle_pt_spherical(sign, coll, tri, complex_)
+    assert grp.apartment_matrix(complex_, 2, [apt]).matrix.cols == 1
+    j = next(i for i, v in enumerate(apt) if v)
+    flipped = apt[:j] + (-apt[j],) + apt[j + 1:]
+    with pytest.raises(ValueError, match="not a cycle"):
+        grp.apartment_matrix(complex_, 2, [flipped])
+
+
+def test_dashed_map_refuses_a_lift_that_is_not_a_cycle(monkeypatch):
+    """The lifted apartment of ``verify exact-seq`` never reaches
+    ``coords``, so its own cycle check raises on one flipped entry."""
+    build = grp.apartment_cycle_cell
+
+    def flip_lift(poset, sign, st_model, top_carrier=None):
+        apt = build(poset, sign, st_model, top_carrier)
+        if top_carrier is not None:  # the facet's apartment, left as built
+            return apt
+        j = next(i for i, v in enumerate(apt) if v)
+        return apt[:j] + (-apt[j],) + apt[j + 1:]
+
+    scene = Scene(json.loads((corpus_dir() / "e2_four_lines.json").read_text()))
+    assert run_command("verify", "exact-seq", scene)[1] == "PASS"
+    monkeypatch.setattr(grp, "apartment_cycle_cell", flip_lift)
+    with pytest.raises(AssertionError, match="lifted apartment .* is not a cycle"):
+        run_command("verify", "exact-seq", scene)
 
 
 def test_apartment_matrices_iso_corpus(triangle, four_lines, coord_s2, coord_s1, h2_triangle):
@@ -202,7 +245,7 @@ def test_apartment_matrices_iso_corpus(triangle, four_lines, coord_s2, coord_s1,
         poset = arr.build_arrangement(coll)
         tri = cx.sphere_triangulation(coll, poset)
         bic = cx.pt_bicomplex(coll, tri)
-        assert pt_apartments(coll, poset, arr.region_basis(poset), tri, bic).iso
+        assert pt_apartments(coll, arr.region_basis(poset), tri, bic).iso
     # hyperbolic both-generated
     poset = arr.build_arrangement(h2_triangle)
     st = grp.STModel(h2_triangle.members, h2_triangle.top())

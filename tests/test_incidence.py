@@ -1,11 +1,13 @@
 """Incidence from sign vectors against the linear-algebra rules it replaced.
 
-The old rules are kept here as test-only references: flat containment by
+The old rules are kept as test-only references: flat containment by
 ``carrier.contains(cell.flat)``, polytope membership by testing a cell's
 witness against every half-space, chart orientation by coordinates in a
 direction basis, boundedness by the recession-cone loop, and spherical
-face chains by coordinates in each face span with a ``Fraction``
-determinant and boundaries through the whole boundary matrix.
+face chains and apartments keyed by the faces of each region's polytope
+(``conftest.reference_face_chains``, ``apartment_cycle_pt_polytope``),
+with coordinates in each face span, a ``Fraction`` determinant and
+boundaries through the whole boundary matrix.
 """
 
 import functools
@@ -20,7 +22,17 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
-from conftest import COORD_S2_COVS, S2, reference_coordinates, reference_det_sign, subdivide
+from conftest import (
+    COORD_S2_COVS,
+    S2,
+    apartment_cycle_pt_polytope,
+    face_span,
+    reference_det_sign,
+    reference_face_chains,
+    reference_face_simplices,
+    reference_in_polytope,
+    subdivide,
+)
 
 ORACLE_SCENES = ["s2_coordinate", "s2_generic_three", "s3_coordinate", "h3_two_cubes"]
 PLANE_SCENES = sorted(
@@ -34,28 +46,6 @@ def _scene(name):
 
 # ---------------------------------------------------------------------------
 # The old rules
-
-
-def _reference_in_polytope(poset, cell, polytope):
-    """The cell's witness against every half-space of the polytope."""
-    if poset.geometry.kind == geo.SPHERICAL:
-        return all(exact.dot(h.functional, cell.witness) >= 0 for h in polytope.halfspaces)
-    return polytope.contains_chart_point(cell.witness)
-
-
-def _reference_in_face(poset, cell, polytope, face):
-    return _reference_in_polytope(poset, cell, polytope) and face.span.contains(cell.flat)
-
-
-def _reference_face_simplices(tri, polytope, face):
-    """d-simplices whose top d-cell has its flat in the face span and its
-    witness in the polytope."""
-    d = face.dim
-    return [
-        lab for lab in tri.simplices.get(d, ())
-        if tri.top_cell(lab).dim == d
-        and _reference_in_face(tri.poset, tri.top_cell(lab), polytope, face)
-    ]
 
 
 def _reference_orientation_chart(carrier, chart_points):
@@ -72,40 +62,6 @@ def _reference_orientation_chart(carrier, chart_points):
             return 0
         rows.append(sol[0])
     return reference_det_sign(rows)
-
-
-def _reference_face_chains(tri, polytope):
-    """(chains, eta) of ``_SphericalFaceChains``, the old way: each face's
-    simplices from the witness rule, each oriented by its witnesses'
-    coordinates in the face span, and each face's boundary mapped
-    through the triangulation's boundary matrix."""
-    cells, order = tri.poset.cells, tri.cell_order
-    n = polytope.geometry.n
-    chains = {}
-    for d in range(n + 1):
-        for face in polytope.faces_of_dim(d):
-            chains[face.vertex_ids] = {
-                lab: reference_det_sign(
-                    [reference_coordinates(face.span, cells[order[c]].witness) for c in lab]
-                )
-                for lab in _reference_face_simplices(tri, polytope, face)
-            }
-    eta = {}
-    cpx = tri.complex
-    for d in range(1, n + 1):
-        idx = cpx.index(d)
-        low = cpx.degrees[d - 1]
-        for face in polytope.faces_of_dim(d):
-            vec = [0] * cpx.dim(d)
-            for lab, s in chains[face.vertex_ids].items():
-                vec[idx[lab]] = s
-            image = {low[i]: v for i, v in enumerate(cpx.boundary(d).mul_vec(vec)) if v}
-            for facet in polytope.faces_of_dim(d - 1):
-                if facet.vertex_ids < face.vertex_ids:
-                    got = {image.get(lab, 0) * s for lab, s in chains[facet.vertex_ids].items()}
-                    assert len(got) == 1  # the facet chain is a signed copy
-                    eta[(face.vertex_ids, facet.vertex_ids)] = got.pop()
-    return chains, eta
 
 
 def _reference_labels_in_carrier(tri, carrier, m):
@@ -147,21 +103,42 @@ def _reference_is_bounded(poset, cell):
 
 
 def _check_polytope(poset, polytope):
-    """Sign rule and witness rule pick the same cells for the polytope and
-    for each of its faces; returns the number of (face, cell) hits."""
+    """Sign rule and witness rule pick the same cells for the polytope;
+    returns them."""
     cells = sorted(poset.cells.items())
-    want = [s for s, c in cells if _reference_in_polytope(poset, c, polytope)]
+    want = [s for s, c in cells if reference_in_polytope(poset, c, polytope)]
     assert arr.cells_in_polytope(poset, polytope) == want
     signs = poset.polytope_signs(polytope)
     for s, c in cells:
         assert arr.FacePoset._agrees(s, signs) == (s in want)
-    hits = 0
-    for face in polytope.faces or ():
-        got = poset.cells_in(poset.polytope_signs(polytope, face))
-        want_face = {s for s in want if face.span.contains(poset.cells[s].flat)}
-        assert got == want_face, face
-        hits += len(got)
-    return hits
+    return want
+
+
+def _face_cell(poset, polytope, face):
+    """The one cell of the face's dimension with its witness in the
+    polytope and its flat equal to the face's vertex span."""
+    span = face_span(polytope, face)
+    (sign,) = [
+        s for s, c in poset.cells.items()
+        if c.dim == face.dim and c.flat == span and reference_in_polytope(poset, c, polytope)
+    ]
+    return sign
+
+
+def _check_region_faces(poset, sign, polytope):
+    """The region's closure holds the polytope's cells, each face of the
+    polytope is the closure of one of them, and the cells below that
+    cell are the polytope's cells in the face span."""
+    want = _check_polytope(poset, polytope)
+    assert set(want) == poset.cells_in(tuple(enumerate(sign)))
+    face_cells = set()
+    for face in polytope.faces:
+        span = face_span(polytope, face)
+        c = _face_cell(poset, polytope, face)
+        below = {s for s in want if arr.FacePoset.leq(s, c)}
+        assert below == {s for s in want if span.contains(poset.cells[s].flat)}, face
+        face_cells.add(c)
+    assert face_cells == set(want)
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,7 +164,7 @@ def test_sign_rules_match_linear_algebra(name):
         for cell in poset.cells.values():
             assert arr.region_is_bounded(poset, cell) == _reference_is_bounded(poset, cell)
         for s in arr.region_basis(poset):
-            assert _check_polytope(poset, arr.region_polytope(poset, s))
+            _check_region_faces(poset, s, arr.region_polytope(poset, s))
 
 
 def _witness_flags(poset, sign):
@@ -219,20 +196,28 @@ def test_chart_orientation_matches_direction_basis(name):
 
 @pytest.mark.parametrize("name", ["s2_coordinate", "s2_generic_three"])
 def test_face_simplices_match_reference(name):
+    """A region's face is keyed by its cell, and carries the simplices the
+    witness rule finds in the polytope face."""
     coll, (poset,) = _region_posets(name)
     tri = cx.sphere_triangulation(coll, poset)
     for s in arr.region_basis(poset):
         p = arr.region_polytope(poset, s)
-        chains = grp._SphericalFaceChains(p, tri)
+        chains = grp._SphericalFaceChains(s, tri)
         for face in p.faces:
-            assert chains._face_simplices(face, face.dim) == _reference_face_simplices(tri, p, face)
+            got = list(chains.chains[_face_cell(poset, p, face)])
+            assert got == reference_face_simplices(tri, p, face)
 
 
-def _check_face_chains(tri, polytope):
-    chains = grp._SphericalFaceChains(polytope, tri)
-    want_chains, want_eta = _reference_face_chains(tri, polytope)
-    assert chains.chains == want_chains
-    assert chains.eta == want_eta
+def _check_face_chains(tri, sign):
+    """Chains and incidence signs of the region's faces, keyed by cell,
+    equal the ones of its polytope's faces, keyed by vertex ids."""
+    poset = tri.poset
+    polytope = arr.region_polytope(poset, sign)
+    chains = grp._SphericalFaceChains(sign, tri)
+    want_chains, want_eta = reference_face_chains(tri, polytope)
+    cell_of = {f.vertex_ids: _face_cell(poset, polytope, f) for f in polytope.faces}
+    assert chains.chains == {cell_of[k]: v for k, v in want_chains.items()}
+    assert chains.eta == {(cell_of[a], cell_of[b]): v for (a, b), v in want_eta.items()}
     assert {s for chain in want_chains.values() for s in chain.values()} == {1, -1}
     assert set(want_eta.values()) == {1, -1}
 
@@ -244,28 +229,48 @@ def test_face_chains_and_carriers_match_reference(name):
     coll, (poset,) = _region_posets(name)
     tri = cx.sphere_triangulation(coll, poset)
     for s in arr.region_basis(poset):
-        _check_face_chains(tri, arr.region_polytope(poset, s))
+        _check_face_chains(tri, s)
     for member in coll.members:
         for m in tri.simplices:
             got = tri.labels_in_carrier(member.carrier, m)
             assert got == _reference_labels_in_carrier(tri, member.carrier, m)
 
 
+def _octant_cup(coord_s2):
+    return coll_mod.variants(coord_s2, (1, -1, 0)).cup
+
+
 def test_octant_and_pieces_in_the_cup(coord_s2):
     """The octant is an L-polytope of the coordinate planes plus x = y,
-    and so are the two pieces that x = y cuts it into."""
-    cup = coll_mod.variants(coord_s2, (1, -1, 0)).cup
+    and so are the two pieces that x = y cuts it into; the pieces are
+    regions, whose face chains match the polytope-keyed ones."""
+    cup = _octant_cup(coord_s2)
     poset = arr.build_arrangement(cup)
     tri = cx.sphere_triangulation(cup, poset)
     octant = geo.polytope_from_halfspaces(S2, [geo.HalfSpace(c) for c in COORD_S2_COVS])
     pieces = subdivide(octant, [(1, -1, 0)])
     assert len(pieces) == 2
-    for p in [octant] + pieces:
-        assert _check_polytope(poset, p)
-        chains = grp._SphericalFaceChains(p, tri)
-        for face in p.faces:
-            assert chains._face_simplices(face, face.dim) == _reference_face_simplices(tri, p, face)
-        _check_face_chains(tri, p)
+    assert len(_check_polytope(poset, octant)) == 11  # 2 regions, 5 edges, 4 vertices
+    for p in pieces:
+        (sign,) = arr.cells_in_polytope(poset, p, dims={2})
+        _check_region_faces(poset, sign, p)
+        _check_face_chains(tri, sign)
+
+
+@pytest.mark.parametrize("name", ["s2_coordinate", "s2_generic_three", "s3_coordinate", "octant_cup"])
+def test_region_apartments_match_polytope_oracle(name, coord_s2):
+    """Every region's apartment, read off the face poset, equals the one
+    built from the faces of its polytope."""
+    if name == "octant_cup":
+        coll = _octant_cup(coord_s2)
+        poset = arr.build_arrangement(coll)
+    else:
+        coll, (poset,) = _region_posets(name)
+    tri = cx.sphere_triangulation(coll, poset)
+    bic = cx.pt_bicomplex(coll, tri)
+    for s in arr.region_basis(poset):
+        want = apartment_cycle_pt_polytope(arr.region_polytope(poset, s), coll, tri, bic)
+        assert grp.apartment_cycle_pt_spherical(s, coll, tri, bic) == want
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +281,9 @@ def test_non_l_polytope_raises_value_error(coord_s2, triangle):
     """A facet hyperplane outside the arrangement is named, not answered
     from a witness."""
     poset = arr.build_arrangement(coord_s2)
-    tri = cx.sphere_triangulation(coord_s2, poset)
-    bic = cx.pt_bicomplex(coord_s2, tri)
     cut = geo.polytope_from_halfspaces(
         S2, [geo.HalfSpace(c) for c in COORD_S2_COVS + [(1, -1, 0)]]
     )
-    with pytest.raises(ValueError, match=r"\[1, -1, 0\]"):
-        grp.apartment_cycle_pt_spherical(cut, coord_s2, tri, bic)
     with pytest.raises(ValueError, match=r"\[1, -1, 0\]"):
         arr.cells_in_polytope(poset, cut)
     e2 = arr.build_arrangement(triangle)

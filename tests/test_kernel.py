@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geotits import arrangement as arr
 from geotits import cli, resolution
 from geotits import groups as grp
 from geotits._kernel import (
@@ -395,10 +394,7 @@ def test_top_degree_classes_match_reference_on_pt_apartments():
     poset, basis = scene.arrangement(None)
     tri = sphere_triangulation(coll, poset)
     bic = pt_bicomplex(coll, tri)
-    cycles = [
-        grp.apartment_cycle_pt_spherical(arr.region_polytope(poset, s), coll, tri, bic).vector
-        for s in basis
-    ]
+    cycles = [grp.apartment_cycle_pt_spherical(s, coll, tri, bic) for s in basis]
     assert len(cycles) == 16
     _assert_classes_match_reference(bic, 3, cycles)
 
@@ -410,7 +406,7 @@ def test_top_degree_classes_match_reference_on_st_apartments(name):
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
     st_model = grp.STModel(coll.members, coll.top())
-    cycles = [grp.apartment_cycle_cell(poset, s, st_model).vector for s in basis]
+    cycles = [grp.apartment_cycle_cell(poset, s, st_model) for s in basis]
     assert cycles
     _assert_classes_match_reference(st_model.complex, 2, cycles)
 

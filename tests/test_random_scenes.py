@@ -69,7 +69,7 @@ def test_random_spherical_solomon_tits():
         hc = cx.homology(cx.pt_collapse_complex(coll, tri))
         assert hb == hc
         assert hb.nonzero_degrees() in ([2], []) and hb.betti(2) == len(basis)
-        res = pt_apartments(coll, poset, basis, tri, bic)
+        res = pt_apartments(coll, basis, tri, bic)
         assert res.iso
 
 
@@ -156,7 +156,7 @@ def test_s3_coordinate_arrangement():
     hb = cx.homology(bic)
     assert hb.nonzero_degrees() == [3] and hb.betti(3) == 16
     assert hb == cx.homology(cx.pt_collapse_complex(coord, tri))
-    res = pt_apartments(coord, poset, basis, tri, bic)
+    res = pt_apartments(coord, basis, tri, bic)
     assert res.iso and res.betti == 16
 
 
