@@ -85,11 +85,13 @@ class FacePoset:
             signs = self._flat_signs[carrier] = tuple((i, 0) for i in zeros)
         return signs
 
-    def polytope_signs(self, polytope):
+    def polytope_signs(self, facets):
         """Signs of a closed L-polytope: the side of each facet half-space.
+        Every half-space passed must be a facet, since a redundant one on a
+        hyperplane outside the arrangement would be refused too.
         ValueError names a facet hyperplane outside the arrangement."""
         signs = []
-        for h in polytope.facet_halfspaces():
+        for h in facets:
             hyp = h.hyperplane
             if hyp not in self.covectors:
                 raise ValueError(
@@ -262,15 +264,16 @@ def build_arrangement(coll, within=None):
         base_witness = tuple([F1] + [F0] * (nv - 1))
     else:
         base_witness = tuple([F0] * nv)
-    partial = {(): base_witness}
+    # each witness travels with its integer point, scaled once
+    partial = {(): (base_witness, exact.int_point(base_witness))}
 
     for m, cov in enumerate(covectors):
         row = geo.functional_chart_row(g, cov)
         updated = {}
-        for signs, witness in sorted(partial.items()):
-            val = dot(row[:nv], witness) + row[nv]
+        for signs, (witness, point) in sorted(partial.items()):
+            val = dot(row, point)
             s0 = 1 if val > 0 else (-1 if val < 0 else 0)
-            updated[signs + (s0,)] = witness
+            updated[signs + (s0,)] = (witness, point)
             flat = _flat_of(g, covectors[:m], signs)
             if _constant_on_cell_span(g, cov, flat):
                 continue  # the hyperplane cannot split this cell
@@ -280,11 +283,11 @@ def build_arrangement(coll, within=None):
                 cand = signs + (s,)
                 w = _part_witness(g, covectors[: m + 1], cand, within_rows)
                 if w is not None:
-                    updated[cand] = w
+                    updated[cand] = (w, exact.int_point(w))
         partial = updated
 
     cells = {}
-    for signs, witness in sorted(partial.items()):
+    for signs, (witness, _) in sorted(partial.items()):
         flat = _flat_of(g, covectors, signs)
         cells[signs] = Cell(signs, flat, flat.dim - 1, witness)
     return FacePoset(g, covectors, cells, within=within)
@@ -323,39 +326,25 @@ def region_basis(poset):
     return tuple(sorted(out))
 
 
-def region_polytope(poset, sign_vector):
-    """The closed region as a ConvexPolytope."""
-    p = geo.polytope_from_halfspaces(
-        poset.geometry, region_halfspaces(poset, sign_vector)
-    )
-    if isinstance(p, geo.Invalid):
-        raise AssertionError(
-            f"region {sign_key(sign_vector)} not a valid polytope: {p.reason}"
-        )
-    return p
-
-
-def cells_in_polytope(poset, polytope, dims=None):
-    inside = poset.cells_in(poset.polytope_signs(polytope))
-    return sorted(s for s in inside if dims is None or poset.cells[s].dim in dims)
-
-
-def polytope_to_vector(polytope, basis, poset):
-    """Indicator vector of a convex L-polytope over the region basis.
+def polytope_to_vector(facets, basis, poset):
+    """Indicator vector over the region basis of the convex L-polytope cut
+    out by these half-spaces, each of them a facet of it.
 
     Returns NOT_L_POLYTOPE when a facet hyperplane lies outside the
     collection or the polytope covers regions outside the basis.
     """
-    vec = [0] * len(basis)
-    index = {s: i for i, s in enumerate(basis)}
     try:
-        covered = cells_in_polytope(poset, polytope, dims={poset.geometry.n})
+        signs = poset.polytope_signs(facets)
     except ValueError:  # a facet hyperplane outside the collection
         return NOT_L_POLYTOPE
-    for signs in covered:
-        if signs not in index:
-            return NOT_L_POLYTOPE
-        vec[index[signs]] += 1
+    vec = [0] * len(basis)
+    index = {s: i for i, s in enumerate(basis)}
+    n = poset.geometry.n
+    for s in poset.cells_in(signs):
+        if poset.cells[s].dim == n:
+            if s not in index:
+                return NOT_L_POLYTOPE
+            vec[index[s]] += 1
     return tuple(vec)
 
 

@@ -133,6 +133,8 @@ class Scene:
                 if all(x == 0 for x in func):
                     raise SceneError(f"polytope_A halfspace #{i}: zero functional")
                 hs.append(geo.HalfSpace(func))
+            if not hs:
+                raise SceneError("polytope_A.halfspaces: a window needs at least one half-space")
             built = geo.polytope_from_halfspaces(self.geometry, hs)
             if isinstance(built, geo.Invalid):
                 raise SceneError(f"polytope_A is not a valid convex polytope: {built.reason}")

@@ -446,13 +446,19 @@ def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
     return value
 
 
-def _check_witness(x, strict_rows, nonstrict_rows, eq_rows):
-    """Test every row at the witness x: with D the lcm of the denominators
-    of x, r . (D*x, D) = D * (a . x + c) has the sign of the row's value,
-    since D > 0, and it is an integer for an integer row."""
+def int_point(x):
+    """(D*x, D) for a rational point x, with D the lcm of its denominators.
+    For an affine row r = (a, c), r . (D*x, D) = D * (a . x + c) has the
+    sign of the row's value at x, since D > 0, and it is an integer for
+    an integer row."""
     ratios = [v.as_integer_ratio() for v in x]
     den = lcm(*[q for _, q in ratios])
-    point = [p * (den // q) for p, q in ratios] + [den]
+    return [p * (den // q) for p, q in ratios] + [den]
+
+
+def _check_witness(x, strict_rows, nonstrict_rows, eq_rows):
+    """Test every row at the witness x, in integers through ``int_point``."""
+    point = int_point(x)
     for r in strict_rows:
         if not dot(r, point) > 0:
             raise AssertionError("witness violates strict constraint")

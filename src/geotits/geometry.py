@@ -288,20 +288,6 @@ class HalfSpace:
         return f"HalfSpace({self.functional})"
 
 
-class Face:
-    """Face of a convex polytope: dimension, vertices, active constraints."""
-
-    __slots__ = ("dim", "vertex_ids", "active")
-
-    def __init__(self, dim, vertex_ids, active):
-        self.dim = dim
-        self.vertex_ids = frozenset(vertex_ids)
-        self.active = frozenset(active)
-
-    def __repr__(self):
-        return f"Face(dim={self.dim}, verts={sorted(self.vertex_ids)})"
-
-
 class Invalid:
     """polytope_from_halfspaces failure verdict."""
 
@@ -319,50 +305,22 @@ class Invalid:
 
 
 class ConvexPolytope:
-    """Convex polytope with nonempty interior in X^n, bounded per geometry.
+    """Convex polytope with nonempty interior in X^n, bounded per geometry,
+    as its half-spaces and an exact interior witness."""
 
-    Euclidean/hyperbolic vertices are exact chart points; spherical
-    "vertices" are primitive extreme-ray vectors of the defining cone.
-    Spherical polytopes whose cone is not pointed are weakly convex and
-    carry no vertex/face data.
-    """
+    __slots__ = ("geometry", "halfspaces", "interior_witness")
 
-    __slots__ = ("geometry", "halfspaces", "vertices", "faces", "interior_witness")
-
-    def __init__(self, geometry, halfspaces, vertices, faces, interior_witness):
+    def __init__(self, geometry, halfspaces, interior_witness):
         self.geometry = geometry
         self.halfspaces = tuple(halfspaces)
-        self.vertices = tuple(vertices) if vertices is not None else None
-        self.faces = faces
         self.interior_witness = interior_witness
-
-    @property
-    def dim(self):
-        return self.geometry.n
-
-    def facet_halfspaces(self):
-        """The half-spaces active on a facet, in input order; they cut out
-        the polytope.  All of them without a face lattice, and in S^0,
-        where the only facet is the empty face."""
-        if self.faces is None or self.geometry.n == 0:
-            return self.halfspaces
-        active = set()
-        for f in self.faces_of_dim(self.geometry.n - 1):
-            active |= f.active
-        return tuple(h for i, h in enumerate(self.halfspaces) if i in active)
-
-    def faces_of_dim(self, d):
-        if self.faces is None:
-            raise ValueError("weakly convex polytope has no face lattice")
-        return [f for f in self.faces if f.dim == d]
 
     def contains_chart_point(self, point):
         v = chart_vector(self.geometry, point)
         return all(dot(h.functional, v) >= 0 for h in self.halfspaces)
 
     def __repr__(self):
-        nv = len(self.vertices) if self.vertices is not None else "-"
-        return f"ConvexPolytope({self.geometry}, facets<={len(self.halfspaces)}, verts={nv})"
+        return f"ConvexPolytope({self.geometry}, facets<={len(self.halfspaces)})"
 
 
 def recession_cone_nonzero(halfspaces, geometry):
@@ -406,106 +364,26 @@ def _vertex_candidates(halfspaces, geometry):
     return sorted(verts)
 
 
-def _extreme_rays(halfspaces, geometry):
-    """Primitive extreme rays of a pointed full-dim cone in R^(n+1)."""
-    from itertools import combinations
-
-    amb = geometry.ambient_dim
-    funcs = [h.functional for h in halfspaces]
-    rays = []
-    seen = set()
-    for combo in combinations(range(len(funcs)), amb - 1):
-        ker = exact.nullspace([funcs[i] for i in combo], amb)
-        if len(ker) != 1:
-            continue
-        ray = ker[0]
-        for cand in (ray, tuple(-x for x in ray)):
-            if all(dot(f, cand) >= 0 for f in funcs):
-                prim = primitive_int_row(cand)
-                if prim not in seen:
-                    seen.add(prim)
-                    rays.append(prim)
-                break
-    # keep only extreme rays: active set has rank amb-1
-    out = []
-    for ray in sorted(rays):
-        active = [f for f in funcs if dot(f, ray) == 0]
-        if exact.rank(active) == amb - 1:
-            out.append(ray)
-    return out
-
-
-def _build_faces(geometry, halfspaces, vertices):
-    """Faces from vertex incidence; a face's dimension is that of the
-    span of its vertices."""
-    from itertools import combinations
-
-    amb = geometry.ambient_dim
-    spherical = geometry.kind == SPHERICAL
-
-    def vert_vector(v):
-        return v if spherical else (F1,) + tuple(map(frac, v))
-
-    tight = []  # per vertex: set of halfspace indices active there
-    for v in vertices:
-        vx = vert_vector(v)
-        tight.append(frozenset(i for i, h in enumerate(halfspaces) if dot(h.functional, vx) == 0))
-
-    n = geometry.n
-    facet_idx = range(len(halfspaces))
-    found = {}
-    for size in range(0, n + 1):
-        for combo in combinations(facet_idx, size):
-            vs = frozenset(
-                vid for vid in range(len(vertices)) if all(i in tight[vid] for i in combo)
-            )
-            if not vs or vs in found:
-                continue
-            span = subspace_from_vectors(amb, [vert_vector(vertices[vid]) for vid in vs])
-            active = frozenset.intersection(*[tight[vid] for vid in vs])
-            found[vs] = Face(span.dim - 1, vs, active)
-    faces = sorted(found.values(), key=lambda f: (f.dim, tuple(sorted(f.vertex_ids))))
-    faces.append(Face(n, frozenset(range(len(vertices))), frozenset()))
-    return faces
-
-
 def polytope_from_halfspaces(geometry, halfspaces):
-    """Build a convex polytope; Invalid(reason) when the definition fails."""
+    """Build a convex polytope; Invalid(reason) when the definition fails.
+    ValueError for no half-spaces: they would leave no interior witness
+    on the sphere and an unbounded chart in E/H."""
     halfspaces = tuple(dict.fromkeys(halfspaces))  # drop exact duplicates
+    if not halfspaces:
+        raise ValueError("a polytope needs at least one half-space")
     g = geometry
     nv = g.chart_dim
     rows = [h.chart_row(g) for h in halfspaces]
-
-    if g.kind == SPHERICAL:
-        if not halfspaces:
-            return ConvexPolytope(g, (), None, None, None)
-        if exact.feasible(rows, (), (), nv) is None:
-            if (exact.feasible((), rows, (), nv) is not None
-                    and recession_cone_nonzero(halfspaces, g)):
-                return Invalid(Invalid.LOWER_DIMENSIONAL)
-            return Invalid(Invalid.EMPTY)
-        witness = exact.feasible(rows, (), (), nv)
-        pointed = exact.rank([h.functional for h in halfspaces]) == g.ambient_dim
-        if not pointed:
-            return ConvexPolytope(g, halfspaces, None, None, witness)
-        rays = _extreme_rays(halfspaces, g)
-        faces = _build_faces(g, halfspaces, rays)
-        return ConvexPolytope(g, halfspaces, rays, faces, witness)
-
-    strict_witness = exact.feasible(rows, (), (), nv)
-    if strict_witness is None:
+    witness = exact.feasible(rows, (), (), nv)
+    if witness is None:
         if exact.feasible((), rows, (), nv) is None:
             return Invalid(Invalid.EMPTY)
+        if g.kind == SPHERICAL and not recession_cone_nonzero(halfspaces, g):
+            return Invalid(Invalid.EMPTY)
         return Invalid(Invalid.LOWER_DIMENSIONAL)
-    if recession_cone_nonzero(halfspaces, g):
+    if not is_bounded(halfspaces, g):
         return Invalid(Invalid.UNBOUNDED)
-    vertices = _vertex_candidates(halfspaces, g)
-    if g.kind == HYPERBOLIC:
-        for v in vertices:
-            if sum((frac(x) * frac(x) for x in v), F0) >= 1:
-                return Invalid(Invalid.UNBOUNDED)
-    faces = _build_faces(g, halfspaces, vertices)
-    return ConvexPolytope(g, halfspaces, vertices, faces, strict_witness)
+    return ConvexPolytope(g, halfspaces, witness)
 
 
 def is_bounded(halfspaces, geometry):

@@ -510,8 +510,9 @@ def _spherical_projection_coords(rays):
     return out
 
 
-def pt_to_ls_element(piece, coll, ls_data):
-    """Image of a convex L-polytope under the canonical map to Ls.
+def pt_to_ls_element(vertices, coll, ls_data):
+    """Image of a convex L-polytope, given by its vertices, under the
+    canonical map to Ls: chart points in E/H, extreme rays in S.
 
     The polytope is placing-triangulated; each simplex contributes its
     increasing vertex tuple signed by chart orientation.
@@ -523,7 +524,7 @@ def pt_to_ls_element(piece, coll, ls_data):
     gen_index = {gen: i for i, gen in enumerate(pres.generators)}
     out = [0] * len(pres.generators)
     if g.kind == geo.SPHERICAL:
-        rays = [tuple(map(frac, v)) for v in piece.vertices]
+        rays = [tuple(map(frac, v)) for v in vertices]
         coords = _spherical_projection_coords(rays)
         coord_of = dict(zip(coords, rays))
         placed, simplices = placing_triangulation(coords)
@@ -540,7 +541,7 @@ def pt_to_ls_element(piece, coll, ls_data):
             sign = exact.orientation_sign_vectors([actual[k] for k in order])
             out[gen_index[tup]] += sign
     else:
-        verts = [tuple(map(frac, v)) for v in piece.vertices]
+        verts = [tuple(map(frac, v)) for v in vertices]
         placed, simplices = placing_triangulation(verts)
         for s in simplices:
             members = [geo.point_subspace(g, placed[i]) for i in s]
@@ -558,10 +559,27 @@ def pt_to_ls_hom(coll, poset, basis):
     pres = ls_data[0]
     cols = []
     for s in basis:
-        piece = arr.region_polytope(poset, s)
-        cols.append(list(pt_to_ls_element(piece, coll, ls_data)))
+        cols.append(list(pt_to_ls_element(region_vertices(poset, s), coll, ls_data)))
     matrix = IntMatrix.from_columns(len(pres.generators), cols)
     return GroupHom(pt_group(basis), pres, matrix), ls_data
+
+
+def region_vertices(poset, region_sign):
+    """Vertices of a bounded region, sorted: the 0-cells in its closure,
+    as chart points (their witnesses) in E/H and as primitive rays in S.
+    AssertionError unless they span the ambient space."""
+    g = poset.geometry
+    cells = [poset.cells[s] for s in poset.cells_in(tuple(enumerate(region_sign)))]
+    witnesses = [c.witness for c in cells if c.dim == 0]
+    if g.kind == geo.SPHERICAL:
+        verts = sorted(map(exact.primitive_int_row, witnesses))
+        span = verts
+    else:
+        verts = sorted(witnesses)
+        span = [(F1,) + v for v in verts]
+    if exact.rank(span) != g.ambient_dim:
+        raise AssertionError(f"region {arr.sign_key(region_sign)} is not a polytope")
+    return verts
 
 
 def join_sublattice(coll, poset, basis, ls_data):
@@ -610,10 +628,7 @@ def _join_indicator(simplex_rays, poset, basis, g):
         hs = _cone_halfspaces(rays, g)
         if hs is None:
             return None
-        piece = geo.polytope_from_halfspaces(g, hs)
-        if isinstance(piece, geo.Invalid):
-            return None
-        vec = arr.polytope_to_vector(piece, basis, poset)
+        vec = arr.polytope_to_vector(hs, basis, poset)
         if vec == arr.NOT_L_POLYTOPE:
             return None
         total = [a + b for a, b in zip(total, vec)]
@@ -621,7 +636,8 @@ def _join_indicator(simplex_rays, poset, basis, g):
 
 
 def _cone_halfspaces(rays, g):
-    """Half-space description of the simplicial cone spanned by the rays."""
+    """Half-space description of the simplicial cone spanned by the rays,
+    or None unless they are a basis: then every half-space is a facet."""
     amb = g.ambient_dim
     if exact.rank(rays) != amb:
         return None

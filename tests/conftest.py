@@ -9,7 +9,8 @@ from geotits import geometry as geo
 from geotits import collection as coll_mod
 from geotits import groups as grp
 from geotits._kernel import IntMatrix
-from geotits.exact import F0, frac
+from geotits.exact import F0, F1, dot, frac, primitive_int_row
+from geotits.geometry import SPHERICAL, subspace_from_vectors
 
 
 E1 = geo.Geometry("E", 1)
@@ -139,6 +140,145 @@ def matrix_product(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Reference polytopes: vertices and face lattices, which geotits reads off
+# the face poset instead
+
+
+class Face:
+    """Face of a convex polytope: dimension, vertices, active constraints."""
+
+    __slots__ = ("dim", "vertex_ids", "active")
+
+    def __init__(self, dim, vertex_ids, active):
+        self.dim = dim
+        self.vertex_ids = frozenset(vertex_ids)
+        self.active = frozenset(active)
+
+    def __repr__(self):
+        return f"Face(dim={self.dim}, verts={sorted(self.vertex_ids)})"
+
+
+class ReferencePolytope(geo.ConvexPolytope):
+    """A convex polytope with its vertices and face lattice.
+
+    Euclidean/hyperbolic vertices are exact chart points; spherical
+    "vertices" are primitive extreme-ray vectors of the defining cone.
+    Spherical polytopes whose cone is not pointed are weakly convex and
+    carry no vertex/face data.
+    """
+
+    __slots__ = ("vertices", "faces")
+
+    def facet_halfspaces(self):
+        """The half-spaces active on a facet, in input order; they cut out
+        the polytope.  All of them without a face lattice, and in S^0,
+        where the only facet is the empty face."""
+        if self.faces is None or self.geometry.n == 0:
+            return self.halfspaces
+        active = set()
+        for f in self.faces_of_dim(self.geometry.n - 1):
+            active |= f.active
+        return tuple(h for i, h in enumerate(self.halfspaces) if i in active)
+
+    def faces_of_dim(self, d):
+        if self.faces is None:
+            raise ValueError("weakly convex polytope has no face lattice")
+        return [f for f in self.faces if f.dim == d]
+
+
+def _extreme_rays(halfspaces, geometry):
+    """Primitive extreme rays of a pointed full-dim cone in R^(n+1)."""
+    from itertools import combinations
+
+    amb = geometry.ambient_dim
+    funcs = [h.functional for h in halfspaces]
+    rays = []
+    seen = set()
+    for combo in combinations(range(len(funcs)), amb - 1):
+        ker = exact.nullspace([funcs[i] for i in combo], amb)
+        if len(ker) != 1:
+            continue
+        ray = ker[0]
+        for cand in (ray, tuple(-x for x in ray)):
+            if all(dot(f, cand) >= 0 for f in funcs):
+                prim = primitive_int_row(cand)
+                if prim not in seen:
+                    seen.add(prim)
+                    rays.append(prim)
+                break
+    # keep only extreme rays: active set has rank amb-1
+    out = []
+    for ray in sorted(rays):
+        active = [f for f in funcs if dot(f, ray) == 0]
+        if exact.rank(active) == amb - 1:
+            out.append(ray)
+    return out
+
+
+def _build_faces(geometry, halfspaces, vertices):
+    """Faces from vertex incidence; a face's dimension is that of the
+    span of its vertices."""
+    from itertools import combinations
+
+    amb = geometry.ambient_dim
+    spherical = geometry.kind == SPHERICAL
+
+    def vert_vector(v):
+        return v if spherical else (F1,) + tuple(map(frac, v))
+
+    tight = []  # per vertex: set of halfspace indices active there
+    for v in vertices:
+        vx = vert_vector(v)
+        tight.append(frozenset(i for i, h in enumerate(halfspaces) if dot(h.functional, vx) == 0))
+
+    n = geometry.n
+    facet_idx = range(len(halfspaces))
+    found = {}
+    for size in range(0, n + 1):
+        for combo in combinations(facet_idx, size):
+            vs = frozenset(
+                vid for vid in range(len(vertices)) if all(i in tight[vid] for i in combo)
+            )
+            if not vs or vs in found:
+                continue
+            span = subspace_from_vectors(amb, [vert_vector(vertices[vid]) for vid in vs])
+            active = frozenset.intersection(*[tight[vid] for vid in vs])
+            found[vs] = Face(span.dim - 1, vs, active)
+    faces = sorted(found.values(), key=lambda f: (f.dim, tuple(sorted(f.vertex_ids))))
+    faces.append(Face(n, frozenset(range(len(vertices))), frozenset()))
+    return faces
+
+
+def reference_polytope(g, halfspaces):
+    """The polytope ``geo.polytope_from_halfspaces`` builds (asserted
+    valid), with the vertices and faces its constructor used to add:
+    vertex candidates in E/H, extreme rays of a pointed cone in S."""
+    p = geo.polytope_from_halfspaces(g, halfspaces)
+    assert not isinstance(p, geo.Invalid), p.reason
+    hs = p.halfspaces
+    if g.kind != geo.SPHERICAL:
+        vertices = geo._vertex_candidates(hs, g)
+    elif exact.rank([h.functional for h in hs]) == g.ambient_dim:
+        vertices = _extreme_rays(hs, g)
+    else:
+        vertices = None
+    out = ReferencePolytope(g, hs, p.interior_witness)
+    out.vertices = tuple(vertices) if vertices is not None else None
+    out.faces = _build_faces(g, hs, vertices) if vertices is not None else None
+    return out
+
+
+def region_polytope(poset, sign_vector):
+    """The closed region as a reference polytope."""
+    return reference_polytope(poset.geometry, arr.region_halfspaces(poset, sign_vector))
+
+
+def cells_in_polytope(poset, polytope, dims=None):
+    inside = poset.cells_in(poset.polytope_signs(polytope.facet_halfspaces()))
+    return sorted(s for s in inside if dims is None or poset.cells[s].dim in dims)
+
+
+# ---------------------------------------------------------------------------
 # Oracles: independent constructions that cross-check code in geotits
 
 
@@ -168,9 +308,7 @@ def subdivide(polytope, cutter_covectors):
         hs = list(polytope.halfspaces)
         for s, cov in zip(signs, cutters):
             hs.append(geo.HalfSpace(cov, sense=1 if s > 0 else -1))
-        p = geo.polytope_from_halfspaces(g, hs)
-        assert not isinstance(p, geo.Invalid), p.reason
-        out.append(p)
+        out.append(reference_polytope(g, hs))
     return out
 
 
@@ -199,7 +337,7 @@ def facet_map(q, u_covector, poset_u=None, basis_u=None):
         return ZERO  # contact has dimension < n-1
     if basis_u is None:
         return (side, None)
-    q_signs = poset_u.polytope_signs(q)
+    q_signs = poset_u.polytope_signs(q.facet_halfspaces())
     return (side, tuple(int(arr.FacePoset._agrees(s, q_signs)) for s in basis_u))
 
 

@@ -30,6 +30,7 @@ from conftest import (
     face_span,
     points_apartments,
     pt_apartments,
+    region_polytope,
     subdivide,
 )
 
@@ -296,12 +297,13 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
             assert any(apt) and not any(bic.boundary(2).mul_vec(list(apt)))
         # indicator subdivision additivity (seeded cuts)
         basis = arr.region_basis(poset)
-        p = arr.region_polytope(poset, basis[0])
-        total = arr.polytope_to_vector(p, basis, poset)
+        p = region_polytope(poset, basis[0])
+        total = arr.polytope_to_vector(p.facet_halfspaces(), basis, poset)
         pieces = subdivide(p, list(triangle.hyperplane_covectors))
         acc = [0] * len(basis)
         for piece in pieces:
-            acc = [a + b for a, b in zip(acc, arr.polytope_to_vector(piece, basis, poset))]
+            vec = arr.polytope_to_vector(piece.facet_halfspaces(), basis, poset)
+            acc = [a + b for a, b in zip(acc, vec)]
         assert tuple(acc) == total
         # face-span identities on a corpus polytope
         for f in p.faces:

@@ -9,7 +9,9 @@ from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
 from geotits.cli import Scene, corpus_dir
-from conftest import E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, subdivide
+from conftest import (
+    E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, reference_polytope, region_polytope, subdivide,
+)
 
 
 def test_e1_two_points():
@@ -91,12 +93,12 @@ def test_region_sign_vectors_distinct(triangle, four_lines):
 def test_indicator_vectors(triangle):
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
-    p = arr.region_polytope(poset, basis[0])
-    assert arr.polytope_to_vector(p, basis, poset) == (1,)
-    outside = geo.polytope_from_halfspaces(
+    p = region_polytope(poset, basis[0])
+    assert arr.polytope_to_vector(p.facet_halfspaces(), basis, poset) == (1,)
+    outside = reference_polytope(
         E2, [geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1)), geo.HalfSpace((1, -2, -1))]
     )
-    assert arr.polytope_to_vector(outside, basis, poset) == arr.NOT_L_POLYTOPE
+    assert arr.polytope_to_vector(outside.facet_halfspaces(), basis, poset) == arr.NOT_L_POLYTOPE
 
 
 def test_subdivide():
@@ -122,13 +124,13 @@ def test_indicator_additive_under_subdivide(triangle, four_lines):
         poset = arr.build_arrangement(coll)
         basis = arr.region_basis(poset)
         for sign in basis:
-            p = arr.region_polytope(poset, sign)
-            total = arr.polytope_to_vector(p, basis, poset)
+            p = region_polytope(poset, sign)
+            total = arr.polytope_to_vector(p.facet_halfspaces(), basis, poset)
             cutters = [c for c in poset.covectors if rng.random() < 0.8]
             pieces = subdivide(p, cutters) if cutters else [p]
             acc = [0] * len(basis)
             for piece in pieces:
-                v = arr.polytope_to_vector(piece, basis, poset)
+                v = arr.polytope_to_vector(piece.facet_halfspaces(), basis, poset)
                 assert v != arr.NOT_L_POLYTOPE
                 acc = [a + b for a, b in zip(acc, v)]
             assert tuple(acc) == total
@@ -138,9 +140,9 @@ def test_subregion_cut_not_l_polytope(triangle):
     """Cutting along a hyperplane outside L leaves the normal form."""
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
-    t = arr.region_polytope(poset, basis[0])
+    t = region_polytope(poset, basis[0])
     p1, p2 = subdivide(t, [(1, -4, 0)])
-    assert arr.polytope_to_vector(p1, basis, poset) == arr.NOT_L_POLYTOPE
+    assert arr.polytope_to_vector(p1.facet_halfspaces(), basis, poset) == arr.NOT_L_POLYTOPE
 
 
 def test_indicator_kernel_is_subdivision_lattice(four_lines):
@@ -152,12 +154,13 @@ def test_indicator_kernel_is_subdivision_lattice(four_lines):
     poset = arr.build_arrangement(four_lines)
     basis = arr.region_basis(poset)
     # the big triangle is a convex L-polytope covering two regions
-    big = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
-    covered = [s for s, c in zip(basis, arr.polytope_to_vector(big, basis, poset)) if c]
+    big = reference_polytope(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    big_vec = arr.polytope_to_vector(big.facet_halfspaces(), basis, poset)
+    covered = [s for s, c in zip(basis, big_vec) if c]
     assert len(covered) == 2
-    r1, r2 = (arr.region_polytope(poset, s) for s in covered)
+    r1, r2 = (region_polytope(poset, s) for s in covered)
     vecs = [
-        arr.polytope_to_vector(x, basis, poset) for x in (big, r1, r2)
+        arr.polytope_to_vector(x.facet_halfspaces(), basis, poset) for x in (big, r1, r2)
     ]
     assert all(v != arr.NOT_L_POLYTOPE for v in vecs)
     m = IntMatrix.from_columns(len(basis), [list(v) for v in vecs])
@@ -208,7 +211,7 @@ def test_facet_cofacet_roundtrip(triangle):
         got = arr.cofacet_lift(poset, tau)
         assert got != arr.NO_LIFT
         region_sign, side = got
-        q = arr.region_polytope(poset, region_sign)
+        q = region_polytope(poset, region_sign)
         fside, vec = facet_map(q, u, poset, tuple(u_cells))
         assert fside == side
         assert vec[u_cells.index(tau)] == 1

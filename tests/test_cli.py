@@ -55,6 +55,11 @@ def test_scene_validation_errors():
     ]:
         with pytest.raises(SceneError, match=match):
             Scene({"geometry": "E", "n": 2, **data})
+    # an empty window is named in every geometry (in S^n it has no witness)
+    for kind in "SEH":
+        with pytest.raises(SceneError, match=r"polytope_A\.halfspaces: a window needs"):
+            Scene({"geometry": kind, "n": 2, "hyperplanes": [["0", "1", "0"]],
+                   "polytope_A": {"halfspaces": []}})
     # resolution options: p_max is an integer >= 1, unordered a JSON boolean
     two_points = [["0", "1"], ["-1", "1"]]
     for options, match in [
@@ -110,6 +115,10 @@ def test_cli_exit_codes(tmp_path):
                   "polytope_A": {"halfspaces": [["0", "0", "0"]]}}):
         bad.write_text(json.dumps({"geometry": "E", "n": 2, **data}))
         assert cli.main(["validate", str(bad)]) == cli.EXIT_INVALID_SCENE
+    no_window = json.loads(pathlib.Path(scene_path("s2_coordinate")).read_text())
+    bad.write_text(json.dumps({**no_window, "polytope_A": {"halfspaces": []}}))
+    for argv in (["arrangement"], ["verify", "local"], ["homology", "local"]):
+        assert cli.main([*argv, str(bad)]) == cli.EXIT_INVALID_SCENE
     assert cli.main(["validate", scene_path("e2_triangle")]) == cli.EXIT_PASS
     assert cli.main(["verify", "suspension", scene_path("s2_coordinate")]) == cli.EXIT_HYPOTHESES
     assert cli.main(["verify", "solomon-tits", scene_path("e2_triangle")]) == cli.EXIT_PASS
@@ -328,22 +337,33 @@ def test_scene_arrangement_built_once(name, commands, monkeypatch):
     assert len(built) == 1 + (("verify", "exact-seq") in commands)
 
 
-@pytest.mark.parametrize("name", ["s2_coordinate", "s3_coordinate"])
+NO_POLYTOPE_COMMANDS = {
+    "s2_coordinate": ("solomon-tits", "pt-ls"),
+    "s3_coordinate": ("solomon-tits",),
+    "e2_triangle": ("pt-ls",),
+    "h2_triangle": ("pt-ls",),
+}
+
+
+@pytest.mark.parametrize("name", list(NO_POLYTOPE_COMMANDS))
 def test_spherical_solomon_tits_builds_no_polytope(name, monkeypatch):
-    """Spherical apartments read each region's faces off the face poset:
-    the verify builds no ConvexPolytope.  The counter does see one built
-    through ``arrangement.region_polytope``."""
+    """Spherical apartments read each region's faces off the face poset,
+    pt-ls reads each region's vertices off it and cuts the join cones by
+    their half-spaces: the verify builds no ConvexPolytope.  The only
+    polytope is the scene's window, built once when the scene loads."""
     built = []
-    build = cli.geo.polytope_from_halfspaces
-    monkeypatch.setattr(cli.geo, "polytope_from_halfspaces",
-                        lambda *a: built.append(a) or build(*a))
+    init = cli.geo.ConvexPolytope.__init__
+    monkeypatch.setattr(cli.geo.ConvexPolytope, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
     scene = load(name)
-    checks, overall = run_command("verify", "solomon-tits", scene)
-    assert overall == "PASS" and checks[0]["regions"] in (8, 16)
+    assert len(built) == (scene.polytope_a is not None)
+    built.clear()
+    for sub in NO_POLYTOPE_COMMANDS[name]:
+        checks, overall = run_command("verify", sub, scene)
+        assert overall == "PASS"
+        if sub == "solomon-tits":
+            assert checks[0]["regions"] in (8, 16)
     assert built == []
-    poset, basis = scene.arrangement(None)
-    cli.arr.region_polytope(poset, basis[0])
-    assert len(built) == 1
 
 
 def test_corpus_reports_an_internal_error_and_runs_the_rest(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from geotits import geometry as geo
 from geotits.exact import dot
-from conftest import E2, H2, H3, S1, S2, face_span
+from conftest import E2, H2, H3, S1, S2, face_span, reference_polytope
 
 
 def test_geo_nonempty_examples():
@@ -104,7 +104,7 @@ def test_span_intersect_laws():
 
 def test_triangle_polytope():
     hs = [geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1)), geo.HalfSpace((1, -1, -1))]
-    p = geo.polytope_from_halfspaces(E2, hs)
+    p = reference_polytope(E2, hs)
     assert isinstance(p, geo.ConvexPolytope)
     assert len(p.vertices) == 3
     assert len(p.faces_of_dim(0)) == 3 and len(p.faces_of_dim(1)) == 3
@@ -127,16 +127,21 @@ def test_empty_and_lower_dimensional():
 
 
 def test_whole_circle_weakly_convex():
-    """The whole circle is not pointed: a polytope with no face lattice."""
-    c = geo.polytope_from_halfspaces(S1, [])
-    assert isinstance(c, geo.ConvexPolytope) and c.faces is None and c.vertices is None
+    """The whole circle, cut out by no half-space, has no interior witness
+    and is refused.  A half circle is not pointed either: a polytope with
+    a witness inside it, and no face lattice in the reference."""
+    with pytest.raises(ValueError, match="at least one half-space"):
+        geo.polytope_from_halfspaces(S1, [])
+    half = reference_polytope(S1, [geo.HalfSpace((1, 0))])
+    assert dot((1, 0), half.interior_witness) > 0
+    assert half.faces is None and half.vertices is None
     with pytest.raises(ValueError, match="no face lattice"):
-        c.faces_of_dim(0)
+        half.faces_of_dim(0)
 
 
 def test_klein_bounded_triangle():
     hs = [geo.HalfSpace(c) for c in ((1, -3, -2), (1, 3, -2), (1, 0, 4))]
-    t = geo.polytope_from_halfspaces(H2, hs)
+    t = reference_polytope(H2, hs)
     assert isinstance(t, geo.ConvexPolytope)
     assert sorted(t.vertices) == [
         (Fr(-1, 2), Fr(-1, 4)),
@@ -155,7 +160,7 @@ def test_ideal_vertex_unbounded():
 
 def test_strongly_convex_faces_pointed():
     """Every face cone of a strongly convex polytope has lineality {0}."""
-    octant = geo.polytope_from_halfspaces(
+    octant = reference_polytope(
         S2, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (1, 2, 3))]
     )
     from geotits import exact
@@ -173,11 +178,11 @@ def test_face_span_identities():
     """Prop-style identities: span F = meet of facet hyperplanes containing F
     and F = P cap span F (vertexwise)."""
     polys = [
-        geo.polytope_from_halfspaces(
+        reference_polytope(
             E2,
             [geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1)), geo.HalfSpace((1, -1, -1))],
         ),
-        geo.polytope_from_halfspaces(
+        reference_polytope(
             E2,
             [
                 geo.HalfSpace((0, 1, 0)),
@@ -186,7 +191,7 @@ def test_face_span_identities():
                 geo.HalfSpace((1, 0, -1)),
             ],
         ),
-        geo.polytope_from_halfspaces(
+        reference_polytope(
             S2, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         ),
     ]

@@ -20,7 +20,10 @@ from conftest import (
     apartment_cycle_polytope,
     apartment_cycle_pt_polytope,
     cell_apartments,
+    cells_in_polytope,
     pt_apartments,
+    reference_polytope,
+    region_polytope,
     subdivide,
 )
 
@@ -127,7 +130,7 @@ def test_polytope_apartment_matches_tuple(triangle):
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
     st = grp.STModel(triangle.members, triangle.top())
-    p = arr.region_polytope(poset, basis[0])
+    p = region_polytope(poset, basis[0])
     cyc_poly = apartment_cycle_polytope(p, triangle, st)
     verts = tuple(sorted(triangle.points(), key=lambda m: m.sort_key()))
     chart = [tuple(Fr(x, b[0]) for x in b[1:]) for b in (v.carrier.basis[0] for v in verts)]
@@ -141,7 +144,7 @@ def test_cell_apartment_matches_polytope(triangle):
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
     st = grp.STModel(triangle.members, triangle.top())
-    p = arr.region_polytope(poset, basis[0])
+    p = region_polytope(poset, basis[0])
     a = apartment_cycle_polytope(p, triangle, st)
     b = grp.apartment_cycle_cell(poset, basis[0], st)
     assert a == b
@@ -154,8 +157,8 @@ def test_polytope_apartment_subdivision_additive(four_lines):
     st = grp.STModel(four_lines.members, four_lines.top())
     classes = cx.HomologyClasses(st.complex, 2)
     # the big triangle is a convex L-polytope cut by the fourth line
-    p = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
-    vec = arr.polytope_to_vector(p, basis, poset)
+    p = reference_polytope(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    vec = arr.polytope_to_vector(p.facet_halfspaces(), basis, poset)
     covered = [basis[i] for i, c in enumerate(vec) if c]
     assert len(covered) == 2
     apt_p = apartment_cycle_polytope(p, four_lines, st)
@@ -179,7 +182,7 @@ def test_spherical_apartment_additivity(coord_s2):
     tri = cx.sphere_triangulation(cup, poset)
     bic = cx.pt_bicomplex(cup, tri)
     classes = cx.HomologyClasses(bic, 2)
-    octant = geo.polytope_from_halfspaces(
+    octant = reference_polytope(
         geo.Geometry("S", 2), [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     )
     pieces = subdivide(octant, [extra])
@@ -187,7 +190,7 @@ def test_spherical_apartment_additivity(coord_s2):
     f_total = classes.coords(apartment_cycle_pt_polytope(octant, cup, tri, bic))
     acc = None
     for piece in pieces:
-        (sign,) = arr.cells_in_polytope(poset, piece, dims={2})
+        (sign,) = cells_in_polytope(poset, piece, dims={2})
         f = classes.coords(grp.apartment_cycle_pt_spherical(sign, cup, tri, bic))
         acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
     assert f_total == acc
@@ -275,18 +278,18 @@ def test_pt_to_ls_quadrilateral_subdivision_invariance():
     coll = coll_mod.closure_by_hyperplanes(E2, covs)
     assert coll_mod.generated_by_both(coll)
     ls_data = grp.ls_group(coll)
-    square = geo.polytope_from_halfspaces(
+    square = reference_polytope(
         E2, [geo.HalfSpace(c) for c in covs[:4]]
     )
-    tri1 = geo.polytope_from_halfspaces(
+    tri1 = reference_polytope(
         E2, [geo.HalfSpace(c) for c in covs[:4]] + [geo.HalfSpace((0, 1, -1))]
     )
-    tri2 = geo.polytope_from_halfspaces(
+    tri2 = reference_polytope(
         E2, [geo.HalfSpace(c) for c in covs[:4]] + [geo.HalfSpace((0, 1, -1), sense=-1)]
     )
-    v_sq = grp.pt_to_ls_element(square, coll, ls_data)
-    v_1 = grp.pt_to_ls_element(tri1, coll, ls_data)
-    v_2 = grp.pt_to_ls_element(tri2, coll, ls_data)
+    v_sq = grp.pt_to_ls_element(square.vertices, coll, ls_data)
+    v_1 = grp.pt_to_ls_element(tri1.vertices, coll, ls_data)
+    v_2 = grp.pt_to_ls_element(tri2.vertices, coll, ls_data)
     diff = [a - b - c for a, b, c in zip(v_sq, v_1, v_2)]
     rel = ls_data[0].relation_lattice_matrix()
     assert solve_int(rel, diff) is not None  # equal in Ls
@@ -306,14 +309,14 @@ def test_antipodal_invariance(coord_s2):
     basis = arr.region_basis(poset)
     ls_data = grp.ls_group(coord_s2)
     s2 = geo.Geometry("S", 2)
-    simplex = geo.polytope_from_halfspaces(
+    simplex = reference_polytope(
         s2, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     )
-    reflected = geo.polytope_from_halfspaces(
+    reflected = reference_polytope(
         s2, [geo.HalfSpace((1, 0, 0), sense=-1), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1))]
     )
-    v1 = grp.pt_to_ls_element(simplex, coord_s2, ls_data)
-    v2 = grp.pt_to_ls_element(reflected, coord_s2, ls_data)
+    v1 = grp.pt_to_ls_element(simplex.vertices, coord_s2, ls_data)
+    v2 = grp.pt_to_ls_element(reflected.vertices, coord_s2, ls_data)
     total = [a + b for a, b in zip(v1, v2)]
     rel = ls_data[0].relation_lattice_matrix()
     if any(total):

@@ -7,7 +7,9 @@ direction basis, boundedness by the recession-cone loop, and spherical
 face chains and apartments keyed by the faces of each region's polytope
 (``conftest.reference_face_chains``, ``apartment_cycle_pt_polytope``),
 with coordinates in each face span, a ``Fraction`` determinant and
-boundaries through the whole boundary matrix.
+boundaries through the whole boundary matrix.  Region vertices and the
+facets of join cones are checked against the vertex enumeration and
+face lattice of ``conftest.reference_polytope``.
 """
 
 import functools
@@ -26,11 +28,14 @@ from conftest import (
     COORD_S2_COVS,
     S2,
     apartment_cycle_pt_polytope,
+    cells_in_polytope,
     face_span,
     reference_det_sign,
     reference_face_chains,
     reference_face_simplices,
     reference_in_polytope,
+    reference_polytope,
+    region_polytope,
     subdivide,
 )
 
@@ -107,8 +112,8 @@ def _check_polytope(poset, polytope):
     returns them."""
     cells = sorted(poset.cells.items())
     want = [s for s, c in cells if reference_in_polytope(poset, c, polytope)]
-    assert arr.cells_in_polytope(poset, polytope) == want
-    signs = poset.polytope_signs(polytope)
+    assert cells_in_polytope(poset, polytope) == want
+    signs = poset.polytope_signs(polytope.facet_halfspaces())
     for s, c in cells:
         assert arr.FacePoset._agrees(s, signs) == (s in want)
     return want
@@ -164,7 +169,7 @@ def test_sign_rules_match_linear_algebra(name):
         for cell in poset.cells.values():
             assert arr.region_is_bounded(poset, cell) == _reference_is_bounded(poset, cell)
         for s in arr.region_basis(poset):
-            _check_region_faces(poset, s, arr.region_polytope(poset, s))
+            _check_region_faces(poset, s, region_polytope(poset, s))
 
 
 def _witness_flags(poset, sign):
@@ -201,7 +206,7 @@ def test_face_simplices_match_reference(name):
     coll, (poset,) = _region_posets(name)
     tri = cx.sphere_triangulation(coll, poset)
     for s in arr.region_basis(poset):
-        p = arr.region_polytope(poset, s)
+        p = region_polytope(poset, s)
         chains = grp._SphericalFaceChains(s, tri)
         for face in p.faces:
             got = list(chains.chains[_face_cell(poset, p, face)])
@@ -212,7 +217,7 @@ def _check_face_chains(tri, sign):
     """Chains and incidence signs of the region's faces, keyed by cell,
     equal the ones of its polytope's faces, keyed by vertex ids."""
     poset = tri.poset
-    polytope = arr.region_polytope(poset, sign)
+    polytope = region_polytope(poset, sign)
     chains = grp._SphericalFaceChains(sign, tri)
     want_chains, want_eta = reference_face_chains(tri, polytope)
     cell_of = {f.vertex_ids: _face_cell(poset, polytope, f) for f in polytope.faces}
@@ -247,12 +252,12 @@ def test_octant_and_pieces_in_the_cup(coord_s2):
     cup = _octant_cup(coord_s2)
     poset = arr.build_arrangement(cup)
     tri = cx.sphere_triangulation(cup, poset)
-    octant = geo.polytope_from_halfspaces(S2, [geo.HalfSpace(c) for c in COORD_S2_COVS])
+    octant = reference_polytope(S2, [geo.HalfSpace(c) for c in COORD_S2_COVS])
     pieces = subdivide(octant, [(1, -1, 0)])
     assert len(pieces) == 2
     assert len(_check_polytope(poset, octant)) == 11  # 2 regions, 5 edges, 4 vertices
     for p in pieces:
-        (sign,) = arr.cells_in_polytope(poset, p, dims={2})
+        (sign,) = cells_in_polytope(poset, p, dims={2})
         _check_region_faces(poset, sign, p)
         _check_face_chains(tri, sign)
 
@@ -269,8 +274,32 @@ def test_region_apartments_match_polytope_oracle(name, coord_s2):
     tri = cx.sphere_triangulation(coll, poset)
     bic = cx.pt_bicomplex(coll, tri)
     for s in arr.region_basis(poset):
-        want = apartment_cycle_pt_polytope(arr.region_polytope(poset, s), coll, tri, bic)
+        want = apartment_cycle_pt_polytope(region_polytope(poset, s), coll, tri, bic)
         assert grp.apartment_cycle_pt_spherical(s, coll, tri, bic) == want
+
+
+@pytest.mark.parametrize("name", ORACLE_SCENES + PLANE_SCENES)
+def test_region_vertices_match_reference_polytope(name):
+    """A region's vertices, read off the 0-cells in its closure, are its
+    reference polytope's vertices in the same order (the spherical order
+    picks the cutting functional of ``pt_to_ls_element``)."""
+    _, posets = _region_posets(name)
+    for poset in posets:
+        for s in arr.region_basis(poset):
+            assert grp.region_vertices(poset, s) == list(region_polytope(poset, s).vertices)
+
+
+def test_join_cone_halfspaces_are_facets(monkeypatch):
+    """Every join cone of the S^2 pt-ls check is simplicial, so each of
+    its half-spaces is a facet of the reference polytope."""
+    cones = []
+    build = grp._cone_halfspaces
+    monkeypatch.setattr(grp, "_cone_halfspaces", lambda *a: cones.append(build(*a)) or cones[-1])
+    coll, (poset,) = _region_posets("s2_coordinate")
+    assert grp.verify_pt_ls(coll, poset, arr.region_basis(poset))["verdict"] == "PASS"
+    assert len(cones) == 24 and None not in cones  # 3 pairs x 4 bases x 2 cones
+    for hs in cones:
+        assert reference_polytope(S2, hs).facet_halfspaces() == tuple(hs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +310,15 @@ def test_non_l_polytope_raises_value_error(coord_s2, triangle):
     """A facet hyperplane outside the arrangement is named, not answered
     from a witness."""
     poset = arr.build_arrangement(coord_s2)
-    cut = geo.polytope_from_halfspaces(
+    cut = reference_polytope(
         S2, [geo.HalfSpace(c) for c in COORD_S2_COVS + [(1, -1, 0)]]
     )
     with pytest.raises(ValueError, match=r"\[1, -1, 0\]"):
-        arr.cells_in_polytope(poset, cut)
+        cells_in_polytope(poset, cut)
     e2 = arr.build_arrangement(triangle)
-    piece = subdivide(arr.region_polytope(e2, arr.region_basis(e2)[0]), [(1, -4, 0)])[0]
+    piece = subdivide(region_polytope(e2, arr.region_basis(e2)[0]), [(1, -4, 0)])[0]
     with pytest.raises(ValueError, match=r"\[1, -4, 0\]"):
-        e2.polytope_signs(piece)
+        e2.polytope_signs(piece.facet_halfspaces())
 
 
 def test_flat_not_cut_out_by_hyperplanes_is_an_internal_error(coord_s2):
@@ -298,3 +327,12 @@ def test_flat_not_cut_out_by_hyperplanes_is_an_internal_error(coord_s2):
     poset = arr.build_arrangement(coord_s2)
     with pytest.raises(AssertionError):
         poset.flat_signs(geo.subspace_from_vectors(3, [(1, 1, 0)]))
+
+
+def test_region_without_spanning_vertices_is_an_internal_error():
+    """A lune between two great circles of S^2 is no pointed cone: the
+    0-cells in its closure are one antipodal pair, which spans a line."""
+    lunes = arr.build_arrangement(coll_mod.closure_by_hyperplanes(S2, COORD_S2_COVS[:2]))
+    for s in arr.region_basis(lunes):
+        with pytest.raises(AssertionError, match="not a polytope"):
+            grp.region_vertices(lunes, s)

@@ -1,10 +1,17 @@
-"""Metamorphic test: a scene's checks do not depend on how it is written.
+"""Metamorphic tests: a scene's checks do not depend on how it is
+written, and their invariants not on where it sits.
 
 Every corpus command runs on the scene as written and on a rewritten
 copy: the hyperplane rows shuffled, each row scaled by a nonzero
 rational of either sign, and in points mode the points shuffled.  The
 hyperplanes are the same, so the ``checks`` blocks (or the unmet
 hypothesis) must match byte for byte; only ``scene_digest`` may move.
+
+Every corpus command also runs on the scene moved by a signed
+permutation of coordinates, an isometry of each geometry.  Sort keys,
+and so bases and apartment matrices, change with the coordinates; the
+verdicts, homology, region counts, apartment isomorphism and the ranks
+of the Pt -> Ls comparison must not.
 """
 
 import json
@@ -26,6 +33,64 @@ def _rewritten(data, rng):
     if data.get("options", {}).get("mode") == "points":
         out["points"] = rng.sample(data["points"], len(data["points"]))
     return out
+
+
+# report fields that an isometry of the scene leaves unchanged
+INVARIANT_KEYS = {
+    "verdict", "wedge_verdict", "betti", "torsion",
+    "regions", "bounded_regions", "regions_in_window", "region_basis_size",
+    "apartment_iso", "pt_rank", "ls_invariants", "kernel_rank",
+}
+
+
+def _isometry(data, rng):
+    """The scene moved by a seeded signed permutation of coordinates: all
+    n+1 of them in S^n, the spatial ones x1..xn in E^n and H^n.  Covector
+    rows (hyperplanes, ``u_hyperplane``, the half-spaces of
+    ``polytope_A``) and points move alike, since the map is orthogonal;
+    E/H chart points carry no x0 entry."""
+    n = data["n"]
+    first = 0 if data["geometry"] == "S" else 1
+    axes = list(range(first, n + 1))
+    target = dict(zip(axes, rng.sample(axes, len(axes))))
+    sign = {i: rng.choice((-1, 1)) for i in axes}
+
+    def move(row, shift=0):
+        out = list(row)
+        for i in axes:
+            out[target[i] - shift] = str(sign[i] * Fraction(row[i - shift]))
+        return out
+
+    out = dict(data, hyperplanes=[move(r) for r in data.get("hyperplanes", ())])
+    out["points"] = [move(p, first) for p in data.get("points", ())]
+    if data.get("polytope_A") is not None:
+        out["polytope_A"] = {"halfspaces": [move(h) for h in data["polytope_A"]["halfspaces"]]}
+    if "u_hyperplane" in data.get("options", {}):
+        out["options"] = dict(data["options"], u_hyperplane=move(data["options"]["u_hyperplane"]))
+    return out
+
+
+def _invariants(scene, command, sub):
+    """The invariant fields of a command's checks, by path, with the
+    overall verdict; or the unmet hypothesis."""
+    try:
+        checks, overall = run_command(command, sub, scene, seed=0)
+    except HypothesesError as exc:
+        return f"HYPOTHESES_NOT_MET: {exc}"
+    found = {"overall": overall}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key in INVARIANT_KEYS:
+                    found[path + key] = value
+                walk(value, f"{path}{key}.")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{path}{i}.")
+
+    walk(checks, "")
+    return found
 
 
 def _outcome(scene, command, sub):
@@ -51,3 +116,23 @@ def test_corpus_checks_invariant_under_rewriting_the_scene():
                 path.name, command, sub)
             compared += 1
     assert compared == 58
+
+
+def test_corpus_invariants_under_signed_coordinate_permutations():
+    rng = random.Random("isometry")
+    compared = moved = 0
+    for path in sorted(cli.corpus_dir().iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".json"):
+            continue
+        data = json.loads(path.read_text())
+        as_written = Scene(data)
+        image = _isometry(data, rng)
+        moved += image != data
+        isometric = Scene(image)
+        for spec in as_written.options.get("expected", ()):
+            command, sub = spec["command"], spec.get("sub")
+            want = _invariants(as_written, command, sub)
+            assert _invariants(isometric, command, sub) == want, (path.name, command, sub)
+            compared += 1
+    assert compared == 58
+    assert moved >= 20

@@ -14,6 +14,14 @@ Dunder names are exempt, and so are the console entry point
 ``cli.main`` and ``kernel_backend``, which the benchmark worker
 (``perfbench/worker.py``) records.  A definition that only tests reach
 belongs in ``tests/``, or nowhere.
+
+Class members are matched by name alone: the AST does not say which
+class a receiver belongs to.  So a member that nothing reads stays
+hidden when another class has a member of the same name that is read
+(``ConvexPolytope.dim`` hid behind ``Cell.dim``).  The names that more
+than one class defines are pinned with their classes in
+``SHARED_MEMBER_NAMES``; a new name or a new owner fails until a
+reviewer has checked that each owner's member is read and listed it.
 """
 
 import ast
@@ -21,6 +29,21 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "geotits"
 EXEMPT = {("geotits.cli", "main"), ("geotits", "kernel_backend")}
+SHARED_MEMBER_NAMES = {
+    "ambient_dim": ["geometry.Geometry", "geometry.LinearSubspace"],
+    "betti": ["complexes.HomologySummary", "groups.ApartmentMatrixResult"],
+    "complex": ["complexes.SphereTriangulation", "groups.STModel"],
+    "contains": ["geometry.GeoSubspace", "geometry.LinearSubspace"],
+    "dim": ["arrangement.Cell", "complexes.ChainComplex", "geometry.LinearSubspace"],
+    "geometry": [
+        "arrangement.FacePoset", "collection.Collection", "geometry.ConvexPolytope",
+        "geometry.GeoSubspace",
+    ],
+    "matrix": ["groups.ApartmentMatrixResult", "groups.GroupHom"],
+    "sort_key": ["geometry.GeoSubspace", "geometry.LinearSubspace"],
+    "top": ["collection.Collection", "groups.STModel"],
+    "torsion": ["_kernel.SnfResult", "complexes.HomologySummary", "groups.GroupPresentation"],
+}
 
 
 def _module_name(path):
@@ -36,24 +59,26 @@ def _assigned_names(node):
 
 
 def _definitions(module, tree):
-    """(module, name, is_member) for every definition the scan checks."""
+    """(module, name, owner) for every definition the scan checks: owner
+    is the class of a member, None for a module-level name."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append((module, node.name, False))
+            out.append((module, node.name, None))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            out.extend((module, name, False) for name in _assigned_names(node))
+            out.extend((module, name, None) for name in _assigned_names(node))
         if not isinstance(node, ast.ClassDef):
             continue
+        owner = node.name
         for item in node.body:
             if isinstance(item, ast.FunctionDef):
-                out.append((module, item.name, True))
+                out.append((module, item.name, owner))
             elif isinstance(item, (ast.Assign, ast.AnnAssign)):
                 for name in _assigned_names(item):
                     if name != "__slots__":
-                        out.append((module, name, True))
+                        out.append((module, name, owner))
                         continue
-                    out.extend((module, s, True) for s in ast.literal_eval(item.value))
+                    out.extend((module, s, owner) for s in ast.literal_eval(item.value))
     return [d for d in out if not (d[1].startswith("__") and d[1].endswith("__"))]
 
 
@@ -81,7 +106,8 @@ def _references(module, tree):
     return names, attrs
 
 
-def callerless_definitions():
+def _scan():
+    """(definitions, module-level names referenced, member names read)."""
     trees = {_module_name(p): ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
     defined, names, attrs = [], set(), set()
     for module, tree in trees.items():
@@ -89,13 +115,32 @@ def callerless_definitions():
         n, a = _references(module, tree)
         names |= n
         attrs |= a
+    return defined, names, attrs
+
+
+def callerless_definitions():
+    defined, names, attrs = _scan()
     return sorted(
         f"{module}.{name}"
-        for module, name, is_member in defined
+        for module, name, owner in defined
         if (module, name) not in EXEMPT
-        and (name not in attrs if is_member else (module, name) not in names)
+        and ((module, name) not in names if owner is None else name not in attrs)
     )
+
+
+def shared_member_names():
+    """Member names that more than one class defines, each with its
+    classes as ``module.Class`` under ``geotits``."""
+    owners = {}
+    for module, name, owner in _scan()[0]:
+        if owner is not None:
+            owners.setdefault(name, set()).add(f"{module.removeprefix('geotits.')}.{owner}")
+    return {name: sorted(classes) for name, classes in owners.items() if len(classes) > 1}
 
 
 def test_no_callerless_definitions():
     assert callerless_definitions() == []
+
+
+def test_shared_member_names_are_listed():
+    assert shared_member_names() == SHARED_MEMBER_NAMES
