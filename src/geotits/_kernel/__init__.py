@@ -1,10 +1,18 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra: Smith normal form, kernel lattices and
+sublattice comparison.  The elimination is
+:func:`geotits._kernel.elim_py.eliminate`; its one certificate, the
+column transform V, is kept sparse and read only for kernel bases (here
+and in ``complexes.HomologyClasses``).
 
-Smith normal form with optional transformation certificates, integer
-linear solving, kernel lattices and sublattice comparison.  The
-elimination itself is :func:`geotits._kernel.elim_py.eliminate`; the
-certificates are kept in the sparse form it returns.
+Lattice membership and equality do not depend on a basis, so rank-only
+reductions answer them.  If L is contained in L' and both have rank r,
+then L = L' exactly when the products of their invariant factors agree:
+each product is the gcd of the r x r minors, the index of the lattice in
+its saturation, and the two saturations are equal (Cohen, *A Course in
+Computational Algebraic Number Theory*, GTM 138, 1993, section 2.4).
 """
+
+from math import prod
 
 from geotits._kernel.elim_py import eliminate
 
@@ -13,7 +21,6 @@ __all__ = [
     "SnfResult",
     "smith_normal_form",
     "kernel_basis",
-    "solve_int",
     "lattice_contains",
     "lattices_equal",
 ]
@@ -102,13 +109,12 @@ class IntMatrix:
 
 
 class SnfResult:
-    """Invariant factors d1 | d2 | ... | dr plus optional certificates.
+    """Invariant factors d1 | d2 | ... | dr plus an optional certificate.
 
     ``pivot_rows[k]`` and ``pivot_cols[k]`` locate ``invariant_factors[k]``.
-    When transforms are requested, ``urows`` (the m rows of U) and
-    ``vcols`` (the n columns of V) are sparse dicts from index to nonzero
-    int, and U @ M @ V is zero except for ``invariant_factors[k]`` at
-    ``(pivot_rows[k], pivot_cols[k])``.
+    When transforms are requested, ``vcols`` (the n columns of a
+    unimodular V) are sparse dicts from index to nonzero int, and M @ V
+    vanishes at every non-pivot column.
 
     The first ``units`` pivots were retired by the kernel's unit phase,
     at +-1 entries, so the input's minor at ``pivot_rows[:units]`` and
@@ -117,17 +123,13 @@ class SnfResult:
     later pivot rows may not, even where the pivot is 1.
     """
 
-    __slots__ = ("invariant_factors", "rank", "shape", "pivot_rows", "pivot_cols", "urows",
-                 "vcols", "units")
+    __slots__ = ("invariant_factors", "rank", "pivot_rows", "pivot_cols", "vcols", "units")
 
-    def __init__(self, invariant_factors, shape, pivot_rows, pivot_cols, urows=None, vcols=None,
-                 units=0):
+    def __init__(self, invariant_factors, pivot_rows, pivot_cols, vcols=None, units=0):
         self.invariant_factors = tuple(invariant_factors)
         self.rank = len(self.invariant_factors)
-        self.shape = shape
         self.pivot_rows = tuple(pivot_rows)
         self.pivot_cols = tuple(pivot_cols)
-        self.urows = urows
         self.vcols = vcols
         self.units = units
 
@@ -142,9 +144,7 @@ def smith_normal_form(matrix, want_transforms=False):
     ``eliminate`` records its pivots in divisibility order, so they are
     the invariant factors as they stand.
     """
-    m, n = matrix.rows, matrix.cols
-    pivots, prow, pcol, urows, vcols, units = eliminate(matrix.row_dicts(), m, n, want_transforms)
-    return SnfResult(pivots, (m, n), prow, pcol, urows, vcols, units)
+    return SnfResult(*eliminate(matrix.row_dicts(), matrix.rows, matrix.cols, want_transforms))
 
 
 def kernel_basis(matrix):
@@ -163,42 +163,30 @@ def kernel_basis(matrix):
     return basis
 
 
-def solve_int(matrix, b, snf=None):
-    """One integer solution x of M x = b, or None.
-
-    With y = U b, M x = b is solvable exactly when y vanishes at the
-    non-pivot rows and d_k divides y at pivot row k; then x is the sum
-    of the pivot columns of V weighted by y / d_k.
-    """
-    if snf is None:
-        snf = smith_normal_form(matrix, want_transforms=True)
-    y = [sum(v * b[j] for j, v in row.items()) for row in snf.urows]
-    quotients = []
-    for d, i in zip(snf.invariant_factors, snf.pivot_rows):
-        q, rem = divmod(y[i], d)
-        if rem:
-            return None
-        quotients.append(q)
-        y[i] = 0
-    if any(y):
-        return None
-    x = [0] * snf.shape[1]
-    for q, j in zip(quotients, snf.pivot_cols):
-        if q:
-            for i, v in snf.vcols[j].items():
-                x[i] += v * q
-    return x
+def _rank_and_index(matrix):
+    """Rank and product of invariant factors of the column lattice."""
+    factors = smith_normal_form(matrix).invariant_factors
+    return len(factors), prod(factors)
 
 
-def lattice_contains(matrix, vectors, snf=None):
-    """True iff every vector lies in the lattice spanned by M's columns."""
-    if snf is None:
-        snf = smith_normal_form(matrix, want_transforms=True)
-    return all(solve_int(matrix, v, snf=snf) is not None for v in vectors)
+def lattice_contains(matrix, vectors):
+    """True iff every vector lies in the lattice spanned by M's columns:
+    M and [M | vectors] have the same rank and index."""
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return True
+    wide = IntMatrix(matrix.rows, matrix.cols + len(vectors))
+    wide.entries = dict(matrix.entries)
+    for j, vec in enumerate(vectors, matrix.cols):
+        for i, v in enumerate(vec):
+            if v:
+                wide.entries[(i, j)] = v
+    return _rank_and_index(matrix) == _rank_and_index(wide)
 
 
 def lattices_equal(cols_a, cols_b, length):
-    """Equality of the sublattices of Z^length spanned by two column sets."""
-    a = IntMatrix.from_columns(length, cols_a)
-    b = IntMatrix.from_columns(length, cols_b)
-    return lattice_contains(a, cols_b) and lattice_contains(b, cols_a)
+    """Equality of the sublattices of Z^length spanned by two column sets:
+    A, B and [A | B] have the same rank and index."""
+    joint = _rank_and_index(IntMatrix.from_columns(length, cols_a + cols_b))
+    return (_rank_and_index(IntMatrix.from_columns(length, cols_a)) == joint
+            and _rank_and_index(IntMatrix.from_columns(length, cols_b)) == joint)

@@ -12,8 +12,8 @@ active matrix per pivot, with one key for each kind of call:
 * with transforms, the Markowitz fill cost (Markowitz 1957) of every
   +-1 entry, ``(cost, i, j)``, re-pushed for the rows and columns a
   pivot changed; the heap yields exactly the least current key, so
-  pivots, positions and U/V are pinned (reports print apartment
-  matrices in that basis);
+  pivots, positions and V are pinned (reports print apartment matrices
+  in that basis);
 * rank-only, the row length ``(len, i)`` of each row holding a +-1
   entry, re-pushed for the rows a pivot touched, pivoting at that row's
   +-1 entry with the shortest column.  Only the invariant factors are
@@ -32,8 +32,10 @@ pivot 1: phase B reaches its pivots through remainders and row folds,
 so the input's minor there need not be +-1 (``[[2], [3]]`` retires 1 at
 row 1, where the minor is 3).
 
-Callers go through :func:`geotits._kernel.smith_normal_form`, which
-keeps the sparse certificates returned here.
+The only certificate kept is the column transform V: kernel bases read
+it, and no caller needs the row transform U.  Callers go through
+:func:`geotits._kernel.smith_normal_form`, which keeps V in the sparse
+form returned here.
 """
 
 from heapq import heapify, heappop, heappush
@@ -44,12 +46,12 @@ def eliminate(rows, m, n, want_transforms):
 
     ``rows`` is a list of ``m`` dicts mapping column index to a nonzero
     int; it is consumed.  Returns ``(pivots, pivot_rows, pivot_cols,
-    urows, vcols, units)`` where ``pivots`` is a list of positive ints
-    in divisibility order, ``pivot_rows``/``pivot_cols`` give the
-    retired positions, if ``want_transforms``, ``urows``/``vcols`` are
-    sparse rows of U and sparse columns of V (dicts) with U M V carrying
-    pivot k at position (pivot_rows[k], pivot_cols[k]) and zeros
-    elsewhere, and the first ``units`` pivots are phase A's.
+    vcols, units)`` where ``pivots`` is a list of positive ints in
+    divisibility order, ``pivot_rows``/``pivot_cols`` give the retired
+    positions, ``vcols`` is None or, if ``want_transforms``, the sparse
+    columns (dicts) of a unimodular V such that M V vanishes at every
+    column outside ``pivot_cols``, and the first ``units`` pivots are
+    phase A's.
 
     The output depends only on the input, never on the order in which
     rows and dicts iterate.  With ``want_transforms`` every output is
@@ -62,12 +64,7 @@ def eliminate(rows, m, n, want_transforms):
         for j in rows[i]:
             cols[j].add(i)
 
-    if want_transforms:
-        urows = [{i: 1} for i in range(m)]
-        vcols = [{j: 1} for j in range(n)]
-    else:
-        urows = None
-        vcols = None
+    vcols = [{j: 1} for j in range(n)] if want_transforms else None
 
     active_rows = set(i for i in range(m) if rows[i])
     pivots = []
@@ -87,14 +84,6 @@ def eliminate(rows, m, n, want_transforms):
             elif j in target:
                 del target[j]
                 cols[j].discard(i)
-        if urows is not None:
-            tu = urows[i]
-            for j, v in urows[ip].items():
-                w = tu.get(j, 0) - q * v
-                if w:
-                    tu[j] = w
-                elif j in tu:
-                    del tu[j]
 
     def col_axpy(j, jp, q):
         # col_j -= q * col_jp
@@ -118,22 +107,11 @@ def eliminate(rows, m, n, want_transforms):
                 elif i2 in tv:
                     del tv[i2]
 
-    def negate_row(i):
-        for j in rows[i]:
-            rows[i][j] = -rows[i][j]
-        if urows is not None:
-            for j in urows[i]:
-                urows[i][j] = -urows[i][j]
-
     def retire(i0, j0):
-        d = rows[i0][j0]
-        if d < 0:
-            negate_row(i0)
-            d = -d
-        pivots.append(d)
+        # row i0 and column j0 hold only the pivot by now
+        pivots.append(abs(rows[i0].pop(j0)))
         pivot_rows.append(i0)
         pivot_cols.append(j0)
-        del rows[i0][j0]
         cols[j0].discard(i0)
         active_rows.discard(i0)
 
@@ -248,4 +226,4 @@ def eliminate(rows, m, n, want_transforms):
             row_axpy(i0, offender, -1)  # fold offending row into pivot row
         retire(i0, j0)
 
-    return pivots, pivot_rows, pivot_cols, urows, vcols, units
+    return pivots, pivot_rows, pivot_cols, vcols, units

@@ -352,9 +352,10 @@ def sphere_triangulation(coll, poset=None):
 
     # admissibility (the hyperplanes have full rank) makes every cell's
     # closed cone pointed (strongly convex), which is what turns closure
-    # chains into a triangulation
+    # chains into a triangulation; every caller decides it first, so
+    # failing here is a bug
     if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
-        raise ValueError("NOT_ADMISSIBLE: sphere triangulation needs admissibility")
+        raise AssertionError("NOT_ADMISSIBLE: sphere triangulation needs admissibility")
     if poset is None:
         poset = build_arrangement(coll)
     return SphereTriangulation(poset)

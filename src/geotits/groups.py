@@ -17,9 +17,9 @@ from geotits import exact, geometry as geo
 from geotits._kernel import (
     IntMatrix,
     kernel_basis,
+    lattice_contains,
     lattices_equal,
     smith_normal_form,
-    solve_int,
 )
 from geotits.exact import F0, F1, dot, frac
 
@@ -74,15 +74,11 @@ class GroupHom:
         self.well_defined = self._check_well_defined()
 
     def _check_well_defined(self):
-        rel_cols = self.codomain.relation_lattice_matrix()
-        rel_snf = smith_normal_form(rel_cols, want_transforms=True)
+        """Does every domain relation map into the codomain's relations?"""
         width = self.domain.relations.cols
-        for row in self.domain.relations.row_dicts():
-            image = self.matrix.mul_vec([row.get(j, 0) for j in range(width)])
-            if any(image):
-                if solve_int(rel_cols, image, snf=rel_snf) is None:
-                    return False
-        return True
+        images = [self.matrix.mul_vec([row.get(j, 0) for j in range(width)])
+                  for row in self.domain.relations.row_dicts()]
+        return lattice_contains(self.codomain.relation_lattice_matrix(), images)
 
     def is_surjective(self):
         g = len(self.codomain.generators)

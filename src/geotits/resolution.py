@@ -25,8 +25,9 @@ def _subsets(pool):
 
 def levels(basis_size, p_max):
     """Tuples of pairwise disjoint nonempty region subsets, per level."""
+    # ``cli`` decides the guard first, so failing here is a bug
     if basis_size > MAX_BASIS:
-        raise ValueError(f"basis size {basis_size} exceeds the guard {MAX_BASIS}")
+        raise AssertionError(f"basis size {basis_size} exceeds the guard {MAX_BASIS}")
     if p_max > basis_size + 1:
         p_max = basis_size + 1
     all_regions = tuple(range(basis_size))

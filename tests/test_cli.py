@@ -12,6 +12,7 @@ from geotits import cli
 from geotits import complexes as cx
 from geotits._kernel import IntMatrix
 from geotits.cli import Scene, SceneError, HypothesesError, run_command
+from test_scale import S3_FIVE
 
 
 def scene_path(name):
@@ -438,11 +439,17 @@ def test_exact_seq_hypotheses_precede_arrangement(u, window, match, monkeypatch)
         run_command("verify", "exact-seq", scene)
 
 
-def test_reports_identical_across_hash_seeds():
+def test_reports_identical_across_hash_seeds(tmp_path):
+    """Three corpus scenes, and the generic S^3 scene with 5 hyperplanes
+    that ``test_scale`` pins."""
+    s3_five = tmp_path / "s3_five.json"
+    s3_five.write_text(json.dumps(
+        {"geometry": "S", "n": 3, "hyperplanes": [[str(a) for a in c] for c in S3_FIVE]}))
     runs = [
         ["verify", "solomon-tits", scene_path("h2_triangle")],
         ["homology", "st", scene_path("e2_four_lines")],
         ["verify", "solomon-tits", scene_path("s2_coordinate")],
+        ["verify", "solomon-tits", str(s3_five)],
     ]
     for argv in runs:
         outputs = set()

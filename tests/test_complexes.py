@@ -120,7 +120,7 @@ def test_sphere_triangulation_s2(coord_s2):
 
 def test_sphere_triangulation_needs_admissible():
     shared = coll_mod.closure_by_hyperplanes(S2, [(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         cx.sphere_triangulation(shared)
 
 

@@ -14,7 +14,6 @@ from geotits._kernel import (
     lattice_contains,
     lattices_equal,
     smith_normal_form,
-    solve_int,
 )
 from geotits._kernel.elim_py import eliminate
 from geotits.complexes import (
@@ -65,6 +64,8 @@ def test_torsion_detected():
 
 
 def test_transform_certificates_random():
+    """The reference elimination's U M V is the diagonal form; the
+    kernel's V is unimodular and M V vanishes at the non-pivot columns."""
     rng = random.Random(3)
     for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -78,17 +79,25 @@ def test_transform_certificates_random():
                 if rng.random() < 0.7
             },
         )
-        snf = smith_normal_form(m, want_transforms=True)
-        u = [[snf.urows[i].get(j, 0) for j in range(rows)] for i in range(rows)]
-        v = [[snf.vcols[j].get(i, 0) for j in range(cols)] for i in range(cols)]
+        pivots, prow, pcol, urows, vcols = _reference_eliminate(m.row_dicts(), rows, cols, True)
+        u = [[urows[i].get(j, 0) for j in range(rows)] for i in range(rows)]
+        v = [[vcols[j].get(i, 0) for j in range(cols)] for i in range(cols)]
         d = matmul(matmul(u, dense(m)), v)
-        want = dict(zip(zip(snf.pivot_rows, snf.pivot_cols), snf.invariant_factors))
-        assert len(set(snf.pivot_rows)) == len(set(snf.pivot_cols)) == len(want) == snf.rank
+        want = dict(zip(zip(prow, pcol), pivots))
+        assert len(set(prow)) == len(set(pcol)) == len(want) == len(pivots)
         for i in range(rows):
             for j in range(cols):
                 assert d[i][j] == want.get((i, j), 0)
-        for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
+        for a, b in zip(pivots, pivots[1:]):
             assert b % a == 0
+
+        snf = smith_normal_form(m, want_transforms=True)
+        v = [[snf.vcols[j].get(i, 0) for j in range(cols)] for i in range(cols)]
+        v_rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(v)}
+        assert _fraction_eliminate(v_rows, range(cols), range(cols))[0] == 1
+        mv = matmul(dense(m), v)
+        assert all(mv[i][j] == 0 for i in range(rows) for j in range(cols)
+                   if j not in snf.pivot_cols)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,7 +152,8 @@ def test_solve_and_kernel():
         )
         x0 = [rng.randint(-4, 4) for _ in range(cols)]
         b = m.mul_vec(x0)
-        x = solve_int(m, b)
+        assert lattice_contains(m, [b])
+        x = _ref_solve(m, b)
         assert x is not None and m.mul_vec(x) == b
         for col in kernel_basis(m):
             assert all(v == 0 for v in m.mul_vec(col))
@@ -151,8 +161,10 @@ def test_solve_and_kernel():
 
 def test_solve_unsolvable():
     m = IntMatrix(1, 1, {(0, 0): 2})
-    assert solve_int(m, [1]) is None
-    assert solve_int(m, [4]) == [2]
+    assert not lattice_contains(m, [[1]])
+    assert _ref_solve(m, [1]) is None
+    assert lattice_contains(m, [[4], [0]])
+    assert _ref_solve(m, [4]) == [2]
 
 
 def test_lattice_equality():
@@ -170,7 +182,7 @@ def test_lattice_equality():
 
 
 def _dense_snf(m):
-    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, True)[:5]
+    pivots, prow, pcol, urows, vcols = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
     row_perm = [prow[k] for k in order] + sorted(set(range(m.rows)) - set(prow))
     col_perm = [pcol[k] for k in order] + sorted(set(range(m.cols)) - set(pcol))
@@ -186,6 +198,9 @@ def _ref_kernel_basis(m):
 
 
 def _ref_solve(m, b):
+    """One integer solution x of M x = b, or None: with y = U b, M x = b
+    is solvable exactly when d_k divides y_k for k < rank and y vanishes
+    below."""
     factors, u, v = _dense_snf(m)
     rows, n = m.rows, m.cols
     y = [sum(u[i][j] * b[j] for j in range(rows) if b[j]) for i in range(rows)]
@@ -241,11 +256,115 @@ def test_sparse_certificates_match_dense_reference(seed):
     solvable = m.mul_vec([rng.randint(-4, 4) for _ in range(m.cols)])
     arbitrary = [rng.randint(-6, 6) for _ in range(m.rows)]
     for b in (solvable, arbitrary, [0] * m.rows):
-        x = solve_int(m, b)
-        assert x == _ref_solve(m, b)
+        x = _ref_solve(m, b)
+        assert lattice_contains(m, [b]) == (x is not None)
         if x is not None:
             assert m.mul_vec(x) == b
-    assert solve_int(m, solvable) is not None
+    assert lattice_contains(m, [solvable])
+
+
+# ---------------------------------------------------------------------------
+# Lattice answers.  ``lattice_contains``, ``lattices_equal`` and
+# ``GroupHom.well_defined`` compare ranks and products of invariant factors
+# of rank-only reductions; the oracle solves every vector on the reference
+# elimination's U and V.
+
+
+def _combination(rng, cols, length):
+    coefs = [rng.randint(-2, 2) for _ in cols]
+    return [sum(q * c[i] for q, c in zip(coefs, cols)) for i in range(length)]
+
+
+def _in_lattice(m, vectors):
+    return all(_ref_solve(m, v) is not None for v in vectors)
+
+
+def _unimodular_change(rng, cols):
+    """The same lattice in another basis: random elementary column
+    operations and sign flips."""
+    cols = [list(c) for c in cols]
+    for _ in range(4):
+        a = rng.randrange(len(cols))
+        if len(cols) < 2 or rng.random() < 0.25:
+            cols[a] = [-x for x in cols[a]]
+            continue
+        b = rng.choice([j for j in range(len(cols)) if j != a])
+        q = rng.choice((-2, -1, 1, 2))
+        cols[a] = [x + q * y for x, y in zip(cols[a], cols[b])]
+    return cols
+
+
+def _check_lattice_answers(rng):
+    """One random case of each lattice question, checked against the
+    reference.  M carries torsion when ``_random_matrix`` scales it (then
+    phase B runs) and loses rank when a column is a combination of the
+    others.  Returns the (question, answer) pairs and whether M's
+    reduction reached phase B."""
+    rows = rng.randint(1, 5)
+    cols = _random_matrix(rng, rows, rng.randint(1, 4), bound=4).columns()
+    cols += [_combination(rng, cols, rows) for _ in range(rng.randint(0, 2))]
+    m = IntMatrix.from_columns(rows, cols)
+    snf = smith_normal_form(m)
+    arbitrary = [rng.randint(-3, 3) for _ in range(rows)]
+    top = max(snf.invariant_factors, default=1)
+    answers = []
+    for vectors in ([_combination(rng, cols, rows)],
+                    [_combination(rng, cols, rows), arbitrary],
+                    [[top * x for x in arbitrary]],
+                    [[0] * rows]):
+        want = _in_lattice(m, vectors)
+        assert lattice_contains(m, vectors) == want
+        answers.append(("contains", want))
+
+    for other in (_unimodular_change(rng, cols),
+                  [_combination(rng, cols, rows) for _ in cols],
+                  cols + [arbitrary]):
+        want = _in_lattice(m, other) and _in_lattice(IntMatrix.from_columns(rows, other), cols)
+        assert lattices_equal(cols, other, rows) == want
+        answers.append(("equal", want))
+
+    # a hom Z^d / R -> Z^rows / C, where C holds some images of R (scaled
+    # by 1 or 2) and some random relations
+    dom_rel = _random_matrix(rng, rng.randint(0, 2), rng.randint(1, 3), bound=3)
+    hom = _random_matrix(rng, rows, dom_rel.cols, bound=3)
+    images = [hom.mul_vec(r) for r in dense(dom_rel)]
+    scale = rng.choice((1, 1, 2))
+    cod_rows = [[scale * x for x in img] for img in images if rng.random() < 0.7]
+    cod_rows += dense(_random_matrix(rng, rng.randint(0, 2), rows, bound=3))
+    dom = grp.GroupPresentation(range(dom_rel.cols), dom_rel)
+    cod = grp.GroupPresentation(range(rows), IntMatrix(
+        len(cod_rows), rows, {(i, j): v for i, r in enumerate(cod_rows) for j, v in enumerate(r)}))
+    want = _in_lattice(cod.relation_lattice_matrix(), images)
+    assert grp.GroupHom(dom, cod, hom).well_defined == want
+    answers.append(("well_defined", want))
+    return answers, snf.units < snf.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lattice_answers_match_reference_solving(seed):
+    _check_lattice_answers(random.Random(seed))
+
+
+def test_lattice_answers_cover_both_outcomes():
+    """The random cases reach both answers to every question, and phase B."""
+    seen = set()
+    phase_b = 0
+    for seed in range(40):
+        answers, reached_b = _check_lattice_answers(random.Random(f"lattice/{seed}"))
+        seen.update(answers)
+        phase_b += reached_b
+    assert seen == {(q, a) for q in ("contains", "equal", "well_defined") for a in (True, False)}
+    assert phase_b
+
+
+def test_well_defined_checks_every_relation():
+    """Z/2 + Z/3 -> Z/6: x -> 3z, y -> 2z respects both relations; with
+    y -> z the second relation 3y maps to 3z, outside 6Z."""
+    dom = grp.GroupPresentation(["x", "y"], IntMatrix(2, 2, {(0, 0): 2, (1, 1): 3}))
+    cod = grp.GroupPresentation(["z"], IntMatrix(1, 1, {(0, 0): 6}))
+    assert grp.GroupHom(dom, cod, IntMatrix(1, 2, {(0, 0): 3, (0, 1): 2})).well_defined
+    assert not grp.GroupHom(dom, cod, IntMatrix(1, 2, {(0, 0): 3, (0, 1): 1})).well_defined
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,6 +387,28 @@ def test_product_is_zero_matches_dense_product(seed):
     assert a.product_is_zero(b) == want
 
 
+def _sparse_solver(m):
+    """``b -> x`` with M x = b, or None, from one reference elimination
+    kept sparse: y = U b must vanish off the pivot rows and d_k must
+    divide y at pivot row k; then x sums the pivot columns of V weighted
+    by y / d_k."""
+    pivots, prow, pcol, urows, vcols = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
+
+    def solve(b):
+        y = [sum(v * b[j] for j, v in row.items()) for row in urows]
+        x = [0] * m.cols
+        for d, i, j in zip(pivots, prow, pcol):
+            q, rem = divmod(y[i], d)
+            if rem:
+                return None
+            y[i] = 0
+            for t, v in vcols[j].items():
+                x[t] += v * q
+        return None if any(y) else x
+
+    return solve
+
+
 def _reference_classes(complex_, degree):
     """The general ker/im reader, kept as the oracle for the top-degree
     ``HomologyClasses``: a kernel basis K of d_degree, the columns of
@@ -277,28 +418,27 @@ def _reference_classes(complex_, degree):
     and raises ``ValueError`` off the kernel lattice."""
     kernel = kernel_basis(complex_.boundary(degree))
     k = len(kernel)
-    kmat = IntMatrix.from_columns(complex_.dim(degree), kernel)
-    ksnf = smith_normal_form(kmat, want_transforms=True)
+    in_kernel = _sparse_solver(IntMatrix.from_columns(complex_.dim(degree), kernel))
     rel = IntMatrix.from_columns(
-        k, [solve_int(kmat, col, snf=ksnf) for col in complex_.boundary(degree + 1).columns()]
+        k, [in_kernel(col) for col in complex_.boundary(degree + 1).columns()]
     )
-    rsnf = smith_normal_form(rel, want_transforms=True)
-    pivot_rows = set(rsnf.pivot_rows)
+    factors, prow, _, urows, _ = _reference_eliminate(rel.row_dicts(), rel.rows, rel.cols, True)
+    pivot_rows = set(prow)
     free_rows = [i for i in range(k) if i not in pivot_rows]
 
     def coords(cycle):
-        a = solve_int(kmat, list(cycle), snf=ksnf)
+        a = in_kernel(list(cycle))
         if a is None:
             raise ValueError("not a cycle (or not in the kernel lattice)")
         # w = U a: free coordinates at the relation SNF's non-pivot rows,
         # torsion coordinates at its pivot rows
-        w = [sum(v * a[j] for j, v in row.items()) for row in rsnf.urows]
+        w = [sum(v * a[j] for j, v in row.items()) for row in urows]
         return (
             tuple(w[i] for i in free_rows),
-            tuple(w[i] % d for d, i in zip(rsnf.invariant_factors, rsnf.pivot_rows) if d > 1),
+            tuple(w[i] % d for d, i in zip(factors, prow) if d > 1),
         )
 
-    return k - rsnf.rank, rsnf.torsion, coords
+    return k - len(factors), tuple(d for d in factors if d > 1), coords
 
 
 @settings(max_examples=40, deadline=None)
@@ -611,14 +751,15 @@ def _reference_eliminate(rows, m, n, want_transforms):
 
 
 def _assert_matches_reference(m):
-    """Certificate calls match the reference tuple for tuple.  Rank-only
+    """Certificate calls match the reference in every output but U, which
+    the kernel does not keep: pivots, positions and sparse V.  Rank-only
     calls pin only the invariant factors: their pivots may sit elsewhere,
     at distinct rows and columns in range."""
-    want = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
-    assert eliminate(m.row_dicts(), m.rows, m.cols, True)[:5] == want
-    pivots, prow, pcol, urows, vcols = eliminate(m.row_dicts(), m.rows, m.cols, False)[:5]
-    assert pivots == want[0]
-    assert urows is None and vcols is None
+    pivots, prow, pcol, _, vcols = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
+    assert eliminate(m.row_dicts(), m.rows, m.cols, True)[:4] == (pivots, prow, pcol, vcols)
+    factors, prow, pcol, vcols, _ = eliminate(m.row_dicts(), m.rows, m.cols, False)
+    assert factors == pivots
+    assert vcols is None
     assert len(set(prow)) == len(set(pcol)) == len(pivots)
     assert all(0 <= i < m.rows for i in prow) and all(0 <= j < m.cols for j in pcol)
 

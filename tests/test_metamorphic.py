@@ -8,17 +8,19 @@ hyperplanes are the same, so the ``checks`` blocks (or the unmet
 hypothesis) must match byte for byte; only ``scene_digest`` may move.
 
 Every corpus command also runs on the scene moved by a signed
-permutation of coordinates, an isometry of each geometry.  Sort keys,
-and so bases and apartment matrices, change with the coordinates; the
-verdicts, homology, region counts, apartment isomorphism and the ranks
-of the Pt -> Ls comparison must not.
+permutation of coordinates, an isometry of each geometry, and every E^n
+command on the scene moved by an invertible rational affine map.  Sort
+keys, and so bases and apartment matrices, change with the coordinates;
+the verdicts, homology, region counts, apartment isomorphism and the
+ranks of the Pt -> Ls comparison must not.  H^n is left out of the
+affine maps, which do not preserve the Klein ball.
 """
 
 import json
 import random
 from fractions import Fraction
 
-from geotits import cli
+from geotits import cli, exact
 from geotits.cli import HypothesesError, Scene, run_command
 
 
@@ -136,3 +138,58 @@ def test_corpus_invariants_under_signed_coordinate_permutations():
             compared += 1
     assert compared == 58
     assert moved >= 20
+
+
+def _affine_map(data, rng):
+    """The E^n scene moved by a seeded invertible rational affine map
+    x -> A x + b.  Points move to A x + b.  A covector row (a0, a), the
+    function a0 + a.x, moves to (a0 - a A^-1 b, a A^-1), which takes the
+    same value at the image of each point: hyperplanes, ``u_hyperplane``
+    and the half-spaces of ``polytope_A`` move alike, each half-space
+    keeping its sense."""
+    n = data["n"]
+
+    def draw():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    a = [[draw() for _ in range(n)] for _ in range(n)]
+    while exact.rank(a) < n:
+        a = [[draw() for _ in range(n)] for _ in range(n)]
+    b = [draw() for _ in range(n)]
+    a_t = [list(col) for col in zip(*a)]
+
+    def point(p):
+        x = [Fraction(v) for v in p]
+        return [str(sum(q * v for q, v in zip(row, x)) + c) for row, c in zip(a, b)]
+
+    def covector(row):
+        a0, *lin = (Fraction(v) for v in row)
+        moved = exact.solve_unique(a_t, lin)  # y A = lin, so y = lin A^-1
+        return [str(a0 - sum(y * c for y, c in zip(moved, b)))] + [str(y) for y in moved]
+
+    out = dict(data, hyperplanes=[covector(r) for r in data.get("hyperplanes", ())])
+    out["points"] = [point(p) for p in data.get("points", ())]
+    if data.get("polytope_A") is not None:
+        out["polytope_A"] = {"halfspaces": [covector(h) for h in data["polytope_A"]["halfspaces"]]}
+    if "u_hyperplane" in data.get("options", {}):
+        out["options"] = dict(data["options"], u_hyperplane=covector(data["options"]["u_hyperplane"]))
+    return out
+
+
+def test_euclidean_corpus_invariants_under_affine_maps():
+    rng = random.Random("affine")
+    compared = 0
+    for path in sorted(cli.corpus_dir().iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".json"):
+            continue
+        data = json.loads(path.read_text())
+        if data["geometry"] != "E":
+            continue
+        as_written = Scene(data)
+        moved = Scene(_affine_map(data, rng))
+        for spec in as_written.options.get("expected", ()):
+            command, sub = spec["command"], spec.get("sub")
+            want = _invariants(as_written, command, sub)
+            assert _invariants(moved, command, sub) == want, (path.name, command, sub)
+            compared += 1
+    assert compared == 31

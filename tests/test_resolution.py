@@ -78,7 +78,7 @@ def test_truncation_flags():
 
 
 def test_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         reso.levels(7, 8)
 
 
