@@ -2,51 +2,49 @@
 
 Levels are ordered tuples of pairwise interior-disjoint polytopes, a
 polytope being identified with the nonempty set of basis regions it
-covers (the indicator normal form makes this faithful).  Face maps drop
-an end entry or merge two adjacent ones.  The two low-degree identities
-(reduced H_0 = 0 and H_1 = the polytope group) are asserted; everything
-above is reported as data and never asserted to vanish.
+covers (the indicator normal form makes this faithful); a part is the
+``int`` bitmask of those regions, so disjoint parts merge by ``|``.
+Face maps drop an end entry or merge two adjacent ones.  Each face is
+computed once, as its row in the level below; the face identities and
+the ordered boundary both read that table.  The two low-degree
+identities (reduced H_0 = 0 and H_1 = the polytope group) are asserted;
+everything above is reported as data and never asserted to vanish.
 """
 
 # perfbench/tests/test_perfbench.py::test_tracer_wraps_by_name_imports_and_restores_them pins this name
 from geotits._kernel import smith_normal_form  # noqa: F401
-from geotits.complexes import face_complex, homology
+from geotits._kernel import IntMatrix
+from geotits.complexes import ChainComplex, face_complex, homology
 
 MAX_BASIS = 6
 
 
-def _subsets(pool):
-    out = []
-    n = len(pool)
-    for mask in range(1, 1 << n):
-        out.append(frozenset(pool[i] for i in range(n) if mask >> i & 1))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
 def levels(basis_size, p_max):
-    """Tuples of pairwise disjoint nonempty region subsets, per level."""
+    """Tuples of pairwise disjoint nonempty region bitmasks, per level.
+
+    Each level is strictly increasing: the level below is, and each of
+    its tuples is extended by the submasks of its unused regions in
+    increasing order.
+    """
     # ``cli`` decides the guard first, so failing here is a bug
     if basis_size > MAX_BASIS:
         raise AssertionError(f"basis size {basis_size} exceeds the guard {MAX_BASIS}")
-    if p_max > basis_size + 1:
-        p_max = basis_size + 1
-    all_regions = tuple(range(basis_size))
-    out = {0: [()]}
-    frontier = [()]
+    p_max = min(p_max, basis_size + 1)
+    full = (1 << basis_size) - 1
+    out = {0: ((),)}
+    frontier = [((), full)]  # (tuple, mask of its unused regions)
     for p in range(1, p_max + 1):
         new = []
-        for tup in frontier:
-            used = set()
-            for part in tup:
-                used |= part
-            pool = [r for r in all_regions if r not in used]
-            for sub in _subsets(pool):
-                new.append(tup + (sub,))
-        out[p] = sorted(new, key=lambda t: tuple(sorted(map(sorted, t))) and t)
-        frontier = new
+        for tup, free in frontier:
+            sub = free & -free
+            while sub:
+                new.append((tup + (sub,), free & ~sub))
+                sub = (sub - free) & free
         if not new:
             break
-    return {p: tuple(v) for p, v in out.items() if v or p == 0}
+        out[p] = tuple(tup for tup, _ in new)
+        frontier = new
+    return out
 
 
 def face(tup, i):
@@ -58,28 +56,60 @@ def face(tup, i):
     return tup[: i - 1] + (tup[i - 1] | tup[i],) + tup[i + 1 :]
 
 
-def check_face_identities(level_dict):
+def _face_rows(level_dict):
+    """Level p >= 1 -> for each simplex, the rows of d_0 .. d_p in level
+    p-1; None when a face lies outside the level below."""
+    table = {}
+    for p in sorted(level_dict):
+        if p == 0:
+            continue
+        lower = {t: r for r, t in enumerate(level_dict.get(p - 1, ()))}
+        rows = []
+        for t in level_dict[p]:
+            row = [lower.get(face(t, i)) for i in range(p + 1)]
+            if None in row:
+                return None
+            rows.append(row)
+        table[p] = rows
+    return table
+
+
+def check_face_identities(level_dict, table=None):
     """d_i d_j = d_{j-1} d_i for i < j, exhaustively on every simplex.
 
-    Level by level, each simplex's faces are computed once and kept for
-    the level above, which reads the faces of its faces from that map;
-    only the level below is held.  A face missing from the level below
-    fails the check.
+    The identities are compared as rows of the face-row table, which
+    ``build_resolution`` passes in, having built it for the boundary.
+    A face missing from the level below fails the check.
     """
-    below = {}
-    for p in sorted(level_dict):
-        faces = {t: [face(t, i) for i in range(p + 1)] for t in level_dict[p]} if p else {}
-        if p >= 2:
-            for ft in faces.values():
-                of = [below.get(f) for f in ft]
-                if None in of:
-                    return False
-                for j in range(1, p + 1):
-                    for i in range(j):
-                        if of[j][i] != of[i][j - 1]:
-                            return False
-        below = faces
+    if table is None:
+        table = _face_rows(level_dict)
+    if table is None:
+        return False
+    for p, rows in table.items():
+        if p < 2:
+            continue
+        below = table[p - 1]
+        for row in rows:
+            of = [below[r] for r in row]
+            for j in range(1, p + 1):
+                for i in range(j):
+                    if of[j][i] != of[i][j - 1]:
+                        return False
     return True
+
+
+def _ordered_complex(level_dict, table):
+    """The boundary sends a simplex to its faces d_i with sign (-1)**i."""
+    boundaries = {}
+    for p, rows in table.items():
+        entries = {}
+        for j, row in enumerate(rows):
+            sign = 1
+            for r in row:
+                entries[(r, j)] = entries.get((r, j), 0) + sign
+                sign = -sign
+        boundaries[p] = IntMatrix(len(level_dict[p - 1]), len(rows), entries)
+    return ChainComplex(level_dict, boundaries)
 
 
 def build_resolution(basis_size, p_max=None, ordered=True):
@@ -92,17 +122,12 @@ def build_resolution(basis_size, p_max=None, ordered=True):
         p_max = basis_size + 1
     level_dict = levels(basis_size, p_max)
     truncated = p_max < basis_size + 1 and bool(level_dict.get(p_max))
-    if not check_face_identities(level_dict):  # pragma: no cover
+    table = _face_rows(level_dict)
+    if table is None or not check_face_identities(level_dict, table):  # pragma: no cover
         raise AssertionError("semi-simplicial identities fail")
     if not ordered:
         return _build_unordered(level_dict), level_dict, truncated
-    return face_complex(level_dict, _faces), level_dict, truncated
-
-
-def _faces(t):
-    """The semi-simplicial face maps d_0 .. d_p, with sign (-1)**i."""
-    for i in range(len(t) + 1):
-        yield face(t, i), (-1) ** i
+    return _ordered_complex(level_dict, table), level_dict, truncated
 
 
 def _build_unordered(level_dict):
@@ -113,16 +138,8 @@ def _build_unordered(level_dict):
     builds the evident order-free alternative: simplicial chains on the
     complex of pairwise-disjoint families with drop-one-entry faces.
     """
-    degrees = {}
-    for p, tuples in level_dict.items():
-        if p == 0:
-            degrees[0] = [()]
-            continue
-        seen = set()
-        for t in tuples:
-            seen.add(tuple(sorted(t, key=lambda s: (len(s), sorted(s)))))
-        degrees[p] = sorted(seen, key=lambda fam: tuple((len(s), sorted(s)) for s in fam))
-    return face_complex(degrees)
+    return face_complex({p: sorted({tuple(sorted(t)) for t in tuples})
+                         for p, tuples in level_dict.items()})
 
 
 def resolution_homology(basis_size, p_max=None, ordered=True):

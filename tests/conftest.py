@@ -511,6 +511,34 @@ def points_apartments(coll):
     return grp.ls_apartment_matrix(grp.ls_group(coll), grp.STModel(coll.members, coll.top()))
 
 
+def _reference_subsets(pool):
+    n = len(pool)
+    return [frozenset(pool[i] for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+
+
+def reference_levels(basis_size, p_max):
+    """Tuples of pairwise disjoint nonempty region sets, per level, as
+    ``frozenset`` parts, in no particular order: the enumeration that
+    ``resolution.levels`` replaced, kept as its oracle."""
+    p_max = min(p_max, basis_size + 1)
+    out = {0: [()]}
+    frontier = [()]
+    for p in range(1, p_max + 1):
+        new = []
+        for tup in frontier:
+            used = set()
+            for part in tup:
+                used |= part
+            pool = [r for r in range(basis_size) if r not in used]
+            for sub in _reference_subsets(pool):
+                new.append(tup + (sub,))
+        out[p] = new
+        frontier = new
+        if not new:
+            break
+    return {p: v for p, v in out.items() if v or p == 0}
+
+
 @pytest.fixture(scope="session")
 def triangle():
     return coll_mod.closure_by_hyperplanes(E2, TRIANGLE_COVS)

@@ -208,6 +208,15 @@ def test_resolution_command(capsys):
     assert block["h1_rank"] == 3 and block["basis_size"] == 3
 
 
+def test_resolution_report_pinned(capsys):
+    """The largest resolution, 5 generic lines (6 bounded regions), gives
+    the report whose sha256 sits beside its scene."""
+    scene = TEST_SCENES / "e2_five_lines_generic.json"
+    assert cli.main(["resolution", str(scene)]) == cli.EXIT_PASS
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == scene.with_suffix(".sha256").read_text().strip()
+
+
 def test_scene_digest_stable():
     s1 = load("e2_triangle")
     s2 = load("e2_triangle")
@@ -440,7 +449,7 @@ def test_exact_seq_hypotheses_precede_arrangement(u, window, match, monkeypatch)
 
 
 def test_reports_identical_across_hash_seeds(tmp_path):
-    """Three corpus scenes, and the generic S^3 scene with 5 hyperplanes
+    """Four corpus scenes, and the generic S^3 scene with 5 hyperplanes
     that ``test_scale`` pins."""
     s3_five = tmp_path / "s3_five.json"
     s3_five.write_text(json.dumps(
@@ -450,6 +459,7 @@ def test_reports_identical_across_hash_seeds(tmp_path):
         ["homology", "st", scene_path("e2_four_lines")],
         ["verify", "solomon-tits", scene_path("s2_coordinate")],
         ["verify", "solomon-tits", str(s3_five)],
+        ["resolution", scene_path("e1_six_points")],
     ]
     for argv in runs:
         outputs = set()

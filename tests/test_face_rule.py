@@ -223,8 +223,7 @@ def _reference_unordered(level_dict):
         if p == 0:
             degrees[0] = [()]
             continue
-        seen = {tuple(sorted(t, key=lambda s: (len(s), sorted(s)))) for t in tuples}
-        degrees[p] = sorted(seen, key=lambda fam: tuple((len(s), sorted(s)) for s in fam))
+        degrees[p] = sorted({tuple(sorted(t)) for t in tuples})
     boundaries = {}
     for p in sorted(degrees):
         lower = {t: i for i, t in enumerate(degrees.get(p - 1, ()))}

@@ -1,7 +1,22 @@
+from math import comb
+
 import pytest
 
+from conftest import reference_levels
 from geotits import arrangement as arr
 from geotits import resolution as reso
+
+
+def _regions(part):
+    """The regions of a bitmask part, over all of its bits."""
+    return frozenset(r for r in range(part.bit_length()) if part >> r & 1)
+
+
+def _level_size(n, p):
+    """Ordered p-tuples of disjoint nonempty subsets of n regions: the
+    surjections of an n-set onto p + 1 labels whose last label may stay
+    empty (it takes the unused regions), by inclusion-exclusion."""
+    return sum((-1) ** k * comb(p, k) * (p + 1 - k) ** n for k in range(p + 1))
 
 
 def test_levels_small():
@@ -16,6 +31,33 @@ def test_level_one_count_inclusion_exclusion():
     assert len(lv[1]) == 2**3 - 1 == 7
 
 
+@pytest.mark.parametrize("size, p_max", [(n, n + 1) for n in range(7)] + [(6, 3), (5, 1)])
+def test_levels_match_frozenset_reference(size, p_max):
+    got = reso.levels(size, p_max)
+    want = reference_levels(size, p_max)
+    assert sorted(got) == sorted(want)
+    for p, tuples in got.items():
+        read_back = [tuple(_regions(part) for part in t) for t in tuples]
+        assert len(read_back) == len(want[p]) and set(read_back) == set(want[p]), p
+
+
+def test_level_sizes_from_formula():
+    for n in range(7):
+        lv = reso.levels(n, n + 1)
+        for p in range(n + 2):
+            assert len(lv.get(p, ())) == _level_size(n, p), (n, p)
+        for tuples in lv.values():
+            assert all(a < b for a, b in zip(tuples, tuples[1:]))
+    assert [len(v) for p, v in sorted(reso.levels(6, 7).items()) if p] == [
+        63, 602, 2100, 3360, 2520, 720]
+
+
+def test_face_merges_adjacent_masks():
+    t = (0b001, 0b110, 0b1000)
+    assert [reso.face(t, i) for i in range(4)] == [
+        (0b110, 0b1000), (0b111, 0b1000), (0b001, 0b1110), (0b001, 0b110)]
+
+
 def test_face_identities_exhaustive():
     for size in (1, 2, 3, 4):
         assert reso.check_face_identities(reso.levels(size, size + 1))
@@ -26,6 +68,7 @@ def test_face_identities_catch_one_broken_face(monkeypatch):
     level below, so d_0 d_3 = (b,) and d_2 d_0 = (a,) differ."""
     lv = reso.levels(3, 4)
     broken = lv[3][0]
+    assert broken[:-1] in lv[2]
     face = reso.face
 
     def bad_face(tup, i):
@@ -37,8 +80,10 @@ def test_face_identities_catch_one_broken_face(monkeypatch):
 
 def test_face_identities_fail_on_a_face_outside_the_level_below():
     lv = dict(reso.levels(3, 4))
+    dropped = lv[1][0]
     lv[1] = lv[1][1:]
-    assert not reso.check_face_identities(lv)
+    assert any(reso.face(t, i) == dropped for t in lv[2] for i in range(3))
+    assert reso.check_face_identities(lv) is False
 
 
 def test_h0_h1_observations(triangle, four_lines):
@@ -56,6 +101,41 @@ def test_pinned_higher_values():
     assert rep3["higher"] == {
         "2": {"betti": 3, "torsion": []},
         "3": {"betti": 1, "torsion": []},
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ordered_homology_is_binomial(n):
+    """H_p = Z^C(n, p) with no torsion, in every degree; n = 6 is pinned
+    in ``test_scale``."""
+    _, summary = reso.resolution_homology(n)
+    assert summary.by_degree == {p: (comb(n, p), ()) for p in range(n + 1)}
+
+
+@pytest.mark.parametrize("n, betti", [
+    (4, {1: 1, 2: 3}),
+    (5, {1: 1, 2: 10}),
+    (6, {1: 1, 2: 25, 3: 15}),
+])
+def test_pinned_unordered_homology(n, betti):
+    rep, summary = reso.resolution_homology(n, ordered=False)
+    assert summary.as_dict() == {str(d): {"betti": b, "torsion": []} for d, b in betti.items()}
+    assert rep["verdict"] == "EXPLORATORY"
+
+
+def test_truncated_report_pinned():
+    rep, _ = reso.resolution_homology(5, p_max=3)
+    assert rep == {
+        "claim": "resolution observations",
+        "levels": {"0": 1, "1": 31, "2": 180, "3": 390},
+        "reduced_h0_zero": True,
+        "h1_rank": 5,
+        "h1_torsion": [],
+        "h1_matches_pt": True,
+        "higher": {},
+        "unreliable_from": 2,
+        "truncated": True,
+        "verdict": "PASS",
     }
 
 

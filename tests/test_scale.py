@@ -5,7 +5,9 @@ Each scene is a generic arrangement written out literally: the draw
 ``perfbench.workloads.generic_scene(kind, n, k, Random(f"probe/{kind}{n}/{k}"))``.
 Generic position fixes the region counts, so each verdict is checked
 against a formula: 2 * sum_{i<=n} C(k-1, i) regions of k great spheres
-in S^n, and C(k-1, n) bounded regions of k hyperplanes in E^n.
+in S^n, and C(k-1, n) bounded regions of k hyperplanes in E^n.  The
+ordered resolution at its guard of 6 basis regions is checked against
+H_p = Z^C(6, p).
 """
 
 import json
@@ -14,6 +16,7 @@ from math import comb
 
 from geotits import cli
 from geotits import collection as coll_mod
+from geotits import resolution as reso
 from conftest import Budget
 
 SCENES = pathlib.Path(__file__).parent / "scenes"
@@ -69,6 +72,13 @@ def test_e3_eight_generic_planes():
     with Budget("scale", "E^3, 8 generic planes", 10):
         block = _solomon_tits("E", n, E3_EIGHT)
     assert block["bounded_regions"] == block["h_rank"] == bounded == 35
+
+
+def test_ordered_resolution_six_regions():
+    """The resolution guard: 9,366 simplices, H_p = Z^C(6, p)."""
+    with Budget("scale", "resolution, 6 basis regions", 5):
+        _, summary = reso.resolution_homology(reso.MAX_BASIS)
+    assert summary.by_degree == {p: (comb(6, p), ()) for p in range(7)}
 
 
 def test_e3_eight_planes_not_generated_by_points():
