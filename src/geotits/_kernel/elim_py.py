@@ -11,9 +11,10 @@ active matrix per pivot, with one key for each kind of call:
 
 * with transforms, the Markowitz fill cost (Markowitz 1957) of every
   +-1 entry, ``(cost, i, j)``, re-pushed for the rows and columns a
-  pivot changed; the heap yields exactly the least current key, so
-  pivots, positions and V are pinned (reports print apartment matrices
-  in that basis);
+  pivot changed unless that key is still in the heap (one live copy per
+  key); the heap yields exactly the least current key, so pivots,
+  positions and V are pinned (reports print apartment matrices in that
+  basis);
 * rank-only, the row length ``(len, i)`` of each row holding a +-1
   entry, re-pushed for the rows a pivot touched, pivoting at that row's
   +-1 entry with the shortest column.  Only the invariant factors are
@@ -135,19 +136,27 @@ def eliminate(rows, m, n, want_transforms):
     # pushing their keys again keeps every current key in the heap.
     if want_transforms:
         # Least Markowitz key (cost, i, j) over all +-1 entries, with
-        # cost = (row length - 1) * (column length - 1).
+        # cost = (row length - 1) * (column length - 1).  A key is pushed
+        # only when it is not live (in the heap) already: the heap then
+        # holds the same distinct keys, so it yields the same pivots.
         def push_units(i, js):
             ri = rows[i]
             for j in js:
                 v = ri[j]
                 if v == 1 or v == -1:
-                    heappush(heap, ((len(ri) - 1) * (len(cols[j]) - 1), i, j))
+                    key = ((len(ri) - 1) * (len(cols[j]) - 1), i, j)
+                    if key not in live:
+                        live.add(key)
+                        heappush(heap, key)
 
         heap = []
+        live = set()
         for i in active_rows:
             push_units(i, rows[i])
         while heap:
-            cost, i0, j0 = heappop(heap)
+            key = heappop(heap)
+            live.remove(key)
+            cost, i0, j0 = key
             v = rows[i0].get(j0)
             if (v != 1 and v != -1) or cost != (len(rows[i0]) - 1) * (len(cols[j0]) - 1):
                 continue

@@ -10,9 +10,8 @@ spaces they model directly; plain order complexes carry the empty flag
 in degree -1, so their homology is reduced as well.
 """
 
-from geotits import geometry as geo
+from geotits import exact, geometry as geo
 from geotits._kernel import IntMatrix, smith_normal_form
-from geotits.arrangement import FacePoset
 
 
 class ChainComplex:
@@ -205,7 +204,13 @@ def _chains(n, leq):
 
     ``leq(a, b)`` decides a < b strictly; the empty chain is included.
     """
-    above = [[j for j in range(n) if j != i and leq(i, j)] for i in range(n)]
+    return _chains_above([[j for j in range(n) if j != i and leq(i, j)] for i in range(n)])
+
+
+def _chains_above(above):
+    """All chains of a finite strict order given by ``above[i]``, the
+    indices above i; the empty chain is included."""
+    n = len(above)
     chains = [()]
     frontier = [(i,) for i in range(n)]
     chains.extend(frontier)
@@ -305,31 +310,52 @@ def tpl_complex(points, geometry):
 # Spherical triangulation and the polytopal-Tits models
 
 
+def _cells_above(cell_order):
+    """For each cell, the positions of the cells above it in closure
+    order: the cells that agree with it on its support (Björner, Las
+    Vergnas, Sturmfels, White & Ziegler, *Oriented Matroids*, 1993).
+    Cells are grouped by zero set; one pass over the cells per zero set,
+    keyed by their signs on its support, replaces all-pairs order tests.
+    """
+    by_zeros = {}
+    for i, s in enumerate(cell_order):
+        by_zeros.setdefault(tuple(k for k, x in enumerate(s) if x == 0), []).append(i)
+    above = [None] * len(cell_order)
+    for members in by_zeros.values():
+        support = [k for k, x in enumerate(cell_order[members[0]]) if x != 0]
+        agree = {}
+        for j, s in enumerate(cell_order):
+            agree.setdefault(tuple(s[k] for k in support), []).append(j)
+        for i in members:
+            above[i] = [j for j in agree[tuple(cell_order[i][k] for k in support)] if j != i]
+    return above
+
+
 class SphereTriangulation:
     """Barycentric flag model of an admissible spherical arrangement.
 
     Vertices are arrangement cells; m-simplices are strict closure
     chains of m+1 cells.  For every flat V of the collection, the chains
-    whose top cell lies in V triangulate the subsphere S(V).
+    whose top cell lies in V triangulate the subsphere S(V).  Each
+    cell's fundamental chain and incidence signs are built once, on
+    first use (``cell_chain``).
     """
 
-    __slots__ = ("poset", "cell_order", "simplices", "complex", "orientations", "_by_top")
+    __slots__ = ("poset", "cell_order", "simplices", "complex", "_by_top", "_cell_chains",
+                 "_witness_rows")
 
     def __init__(self, poset):
         self.poset = poset
         self.cell_order = tuple(sorted(poset.cells))
-        leq = lambda i, j: i != j and FacePoset.leq(
-            self.cell_order[i], self.cell_order[j]
-        )
-        chains = _chains(len(self.cell_order), leq)[1:]  # no empty simplex
+        chains = _chains_above(_cells_above(self.cell_order))[1:]  # no empty simplex
         self.complex = face_complex(_graded(chains, lambda c: len(c) - 1))
         self.simplices = self.complex.degrees
-        # label -> orientation sign of its witnesses in its top cell's flat
-        self.orientations = {}
         self._by_top = {}  # (m, top cell sign vector) -> m-simplices
         for m, labs in self.simplices.items():
             for lab in labs:
                 self._by_top.setdefault((m, self.cell_order[lab[-1]]), []).append(lab)
+        self._cell_chains = {}  # sign vector -> (chain, incidences)
+        self._witness_rows = {}  # cell position -> primitive integer witness
 
     def top_cell(self, label):
         return self.poset.cells[self.cell_order[label[-1]]]
@@ -343,6 +369,75 @@ class SphereTriangulation:
         """The m-simplices of S(carrier): those whose top cell lies in the
         flat, that is, vanishes on every hyperplane containing it."""
         return self.labels_with_top(m, self.poset.cells_in(self.poset.flat_signs(carrier)))
+
+    def cell_chain(self, sign):
+        """(chain, incidences) of a cell's closure, built once per cell.
+
+        The chain maps each top-dimensional simplex of the closure (the
+        simplices ending at the cell) to the orientation of its witnesses
+        in the cell's flat.  The incidences map each facet (a cell one
+        dimension lower in the closure, in sign-vector order) to the unit
+        e such that the chain's boundary is the sum of e times the facet
+        chains; a 0-cell has none.  Callers must not mutate either.
+        """
+        got = self._cell_chains.get(sign)
+        if got is None:
+            got = self._cell_chains[sign] = self._build_cell_chain(sign)
+        return got
+
+    def _build_cell_chain(self, sign):
+        cell = self.poset.cells[sign]
+        pivots = cell.flat.pivots
+        chain = {}
+        # each cell of a label lies in the closure of the top cell, so
+        # its witness (checked in its own flat) lies in the top cell's
+        # flat, and the orientation is the sign of the minor at the
+        # flat's pivots
+        for lab in self.labels_with_top(cell.dim, [sign]):
+            rows = [self._witness_row(c) for c in lab]
+            orient = exact.det_sign([[row[p] for p in pivots] for row in rows])
+            if orient == 0:  # pragma: no cover - witnesses are independent
+                raise AssertionError("degenerate flag simplex")
+            chain[lab] = orient
+        if not chain:
+            raise AssertionError("face carries no simplices")
+        incidences = {}
+        if not cell.dim:
+            return chain, incidences
+        remaining = {}
+        for lab, s in chain.items():
+            for low, sign_low in _drop_one(lab):
+                remaining[low] = remaining.get(low, 0) + sign_low * s
+        remaining = {lab: v for lab, v in remaining.items() if v}
+        for edge in self.labels_with_top(1, [sign]):
+            facet = self.cell_order[edge[0]]
+            if self.poset.cells[facet].dim != cell.dim - 1:
+                continue
+            fchain = self.cell_chain(facet)[0]
+            etas = {remaining.get(lab, 0) * s for lab, s in fchain.items()}  # s is +-1
+            if len(etas) != 1 or 0 in etas:
+                raise AssertionError("facet chain is not a signed copy")
+            eta = etas.pop()
+            if eta not in (1, -1):
+                raise AssertionError("incidence sign not a unit")
+            incidences[facet] = eta
+            for lab in fchain:
+                remaining.pop(lab, None)
+        if remaining:
+            raise AssertionError("boundary leaks outside the facet chains")
+        return chain, incidences
+
+    def _witness_row(self, c):
+        """The witness of the cell at position c as a primitive integer
+        row (a positive rescale, which keeps every orientation), checked
+        once against the cell's own flat."""
+        row = self._witness_rows.get(c)
+        if row is None:
+            cell = self.poset.cells[self.cell_order[c]]
+            if not cell.flat.contains_vector(cell.witness):
+                raise AssertionError("cell witness lies off its flat")
+            row = self._witness_rows[c] = exact.primitive_int_row(cell.witness)
+        return row
 
 
 def sphere_triangulation(coll, poset=None):

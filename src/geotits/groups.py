@@ -125,7 +125,8 @@ def flat_orientation_chart(carrier, chart_points):
 
 
 def flat_orientation_vectors(carrier, vectors):
-    """Orientation of dim-many vectors relative to the carrier basis (S).
+    """Orientation of dim-many vectors relative to the carrier basis, 0
+    when one of them lies outside the carrier.
 
     A vector of the carrier has coordinate v[c] / row[c] on the basis row
     with pivot column c, and every pivot entry is positive, so the sign
@@ -141,9 +142,12 @@ def flat_orientation_vectors(carrier, vectors):
 # Apartment cycles
 #
 # Each builder returns its chain as a tuple of integers over the target
-# complex's degree-n basis.  ``apartment_matrix`` certifies every chain
-# it is given: ``HomologyClasses.coords`` checks K a = c exactly, which
-# holds iff the chain is a cycle.
+# complex's degree-n basis; the spherical one sums the face chains and
+# incidence signs that the triangulation builds once per cell.
+# ``apartment_matrix`` certifies every chain it is given:
+# ``HomologyClasses.coords`` reads a chain's entries at the non-pivot
+# columns of the pinned Markowitz reduction of d_n and checks K a = c
+# exactly, which holds iff the chain is a cycle.
 
 
 def apartment_cycle_tuple(members_tuple, st_model):
@@ -198,67 +202,23 @@ class _SphericalFaceChains:
     The faces are the cells in the region's closure (the interval below
     a tope of the covector lattice), keyed by sign vector; a face's flat
     is its cell's flat and its facets are the cells of one dimension
-    less below it.
+    less below it.  Chains and signs are the triangulation's, built once
+    per cell (``SphereTriangulation.cell_chain``); this view restricts
+    them to the region.
     """
 
     def __init__(self, region_sign, tri):
-        self.tri = tri
         poset = tri.poset
         faces = sorted(poset.cells_in(tuple(enumerate(region_sign))))
-        self.chains = {s: self._fundamental_chain(s) for s in faces}  # face -> {label: +-1}
+        self.chains = {}  # face -> {label: +-1}
         self.facets = {}  # face -> facet sign vectors
         self.eta = {}  # (face, facet) -> +-1
         for s in faces:
-            d = poset.cells[s].dim
-            if d:
-                self.facets[s] = [t for t in faces if poset.cells[t].dim == d - 1
-                                  and arr.FacePoset.leq(t, s)]
-                self._extract_incidences(s)
-
-    def _fundamental_chain(self, sign):
-        tri = self.tri
-        cell = tri.poset.cells[sign]
-        memo = tri.orientations
-        chain = {}
-        for lab in tri.labels_with_top(cell.dim, [sign]):
-            orient = memo.get(lab)
-            if orient is None:
-                vecs = [tri.poset.cells[tri.cell_order[c]].witness for c in lab]
-                orient = memo[lab] = flat_orientation_vectors(cell.flat, vecs)
-            if orient == 0:  # pragma: no cover - witnesses are independent
-                raise AssertionError("degenerate flag simplex")
-            chain[lab] = orient
-        if not chain:
-            raise AssertionError("face carries no simplices")
-        return chain
-
-    def _extract_incidences(self, face):
-        remaining = {}
-        for lab, s in self.chains[face].items():
-            for low, sign in cx._drop_one(lab):
-                remaining[low] = remaining.get(low, 0) + sign * s
-        remaining = {lab: v for lab, v in remaining.items() if v}
-        for facet in self.facets[face]:
-            fchain = self.chains[facet]
-            signs = set()
-            for lab, s in fchain.items():
-                if lab not in remaining:
-                    signs.add(0)
-                else:
-                    got = remaining[lab]
-                    if got % s:
-                        signs.add(0)
-                    signs.add(got // s)
-            if len(signs) != 1 or 0 in signs:
-                raise AssertionError("facet chain is not a signed copy")
-            eta = signs.pop()
-            if eta not in (1, -1):
-                raise AssertionError("incidence sign not a unit")
-            self.eta[(face, facet)] = eta
-            for lab in fchain:
-                remaining.pop(lab, None)
-        if remaining:
-            raise AssertionError("boundary leaks outside the facet chains")
+            self.chains[s], incidences = tri.cell_chain(s)
+            if poset.cells[s].dim:
+                self.facets[s] = list(incidences)
+                for t, eta in incidences.items():
+                    self.eta[(s, t)] = eta
 
 
 def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):

@@ -7,6 +7,7 @@ from geotits import arrangement as arr
 from geotits import exact
 from geotits import geometry as geo
 from geotits import collection as coll_mod
+from geotits import complexes as cx
 from geotits import groups as grp
 from geotits._kernel import IntMatrix
 from geotits.exact import F0, F1, dot, frac, primitive_int_row
@@ -405,6 +406,56 @@ def reference_face_chains(tri, polytope):
                     assert len(got) == 1  # the facet chain is a signed copy
                     eta[(face.vertex_ids, facet.vertex_ids)] = got.pop()
     return chains, eta
+
+
+def reference_sphere_simplices(poset):
+    """The sphere triangulation's simplices from all-pairs closure tests,
+    the construction that ``complexes._cells_above`` replaced."""
+    order = tuple(sorted(poset.cells))
+    leq = lambda i, j: arr.FacePoset.leq(order[i], order[j])
+    graded = cx._graded(cx._chains(len(order), leq)[1:], lambda c: len(c) - 1)
+    return {d: tuple(labels) for d, labels in graded.items()}
+
+
+class ReferenceSphericalFaceChains:
+    """(chains, facets, eta) of a region's faces, built for the region
+    alone: each face's simplices oriented by ``flat_orientation_vectors``
+    (witnesses checked against the face's flat), its facets found by
+    closure tests among the region's faces, and its incidence signs read
+    off the boundary of its chain.  The per-region build that
+    ``SphereTriangulation.cell_chain`` replaced."""
+
+    def __init__(self, region_sign, tri):
+        poset = tri.poset
+        faces = sorted(poset.cells_in(tuple(enumerate(region_sign))))
+        self.chains = {}
+        for s in faces:
+            cell = poset.cells[s]
+            self.chains[s] = {
+                lab: grp.flat_orientation_vectors(
+                    cell.flat, [poset.cells[tri.cell_order[c]].witness for c in lab])
+                for lab in tri.labels_with_top(cell.dim, [s])
+            }
+            assert self.chains[s] and 0 not in self.chains[s].values()
+        self.facets = {}
+        self.eta = {}
+        for s in faces:
+            d = poset.cells[s].dim
+            if not d:
+                continue
+            self.facets[s] = [t for t in faces
+                              if poset.cells[t].dim == d - 1 and arr.FacePoset.leq(t, s)]
+            boundary = {}
+            for lab, e in self.chains[s].items():
+                for low, sign in cx._drop_one(lab):
+                    boundary[low] = boundary.get(low, 0) + sign * e
+            for t in self.facets[s]:
+                (eta,) = {boundary.get(lab, 0) * e for lab, e in self.chains[t].items()}
+                assert eta in (1, -1)
+                self.eta[(s, t)] = eta
+                for lab, e in self.chains[t].items():
+                    boundary[lab] -= eta * e
+            assert not any(boundary.values())
 
 
 def apartment_cycle_pt_polytope(polytope, coll, tri, bicomplex):

@@ -217,6 +217,21 @@ def test_resolution_report_pinned(capsys):
     assert got == scene.with_suffix(".sha256").read_text().strip()
 
 
+def test_spherical_report_pinned(capsys):
+    """The pinned draw of the s3_generic benchmark workload (S^3 with 4
+    generic hyperplanes) gives the report whose sha256 sits beside its
+    scene, which is the digest the benchmark pins for that workload."""
+    scene = TEST_SCENES / "s3_four_generic.json"
+    assert cli.main(["verify", "solomon-tits", str(scene)]) == cli.EXIT_PASS
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    want = scene.with_suffix(".sha256").read_text().strip()
+    assert got == want
+    pinned = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    assert json.loads(pinned.read_text())["s3_generic"] == {
+        "s3_generic verify solomon-tits": want
+    }
+
+
 def test_scene_digest_stable():
     s1 = load("e2_triangle")
     s2 = load("e2_triangle")

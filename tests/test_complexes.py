@@ -1,11 +1,15 @@
+import json
+import pathlib
+
 import pytest
 
 from geotits import arrangement as arr
+from geotits import cli
 from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits._kernel import IntMatrix
-from conftest import E1, E2, S0, S1, S2, collapse_chain_map
+from conftest import E1, E2, S0, S1, S2, collapse_chain_map, reference_sphere_simplices
 
 
 def test_order_complex_triangle(triangle):
@@ -116,6 +120,20 @@ def test_sphere_triangulation_s2(coord_s2):
     labs = tri.labels_in_carrier(axis, 0)
     assert len(labs) == 2
     assert not tri.labels_in_carrier(axis, 1)
+
+
+SPHERE_SCENE_PATHS = sorted(cli.corpus_dir().glob("s*.json")) + [
+    pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
+]
+
+
+@pytest.mark.parametrize("path", SPHERE_SCENE_PATHS, ids=lambda p: p.stem)
+def test_sphere_simplices_match_all_pairs_chains(path):
+    """The cells above each cell, found from sign vectors by zero set,
+    give the simplices that all-pairs closure tests give."""
+    coll, _ = cli.Scene(json.loads(path.read_text())).collection()
+    poset = arr.build_arrangement(coll)
+    assert cx.SphereTriangulation(poset).simplices == reference_sphere_simplices(poset)
 
 
 def test_sphere_triangulation_needs_admissible():

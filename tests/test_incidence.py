@@ -12,8 +12,10 @@ facets of join cones are checked against the vertex enumeration and
 face lattice of ``conftest.reference_polytope``.
 """
 
+import collections
 import functools
 import json
+import pathlib
 from fractions import Fraction as Fr
 
 import pytest
@@ -27,6 +29,7 @@ from geotits import groups as grp
 from conftest import (
     COORD_S2_COVS,
     S2,
+    ReferenceSphericalFaceChains,
     apartment_cycle_pt_polytope,
     cells_in_polytope,
     face_span,
@@ -45,8 +48,16 @@ PLANE_SCENES = sorted(
 )
 
 
+TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
+SPHERE_SCENES = ["s2_coordinate", "s2_generic_three", "s3_coordinate", "s3_four_generic"]
+
+
 def _scene(name):
-    return cli.Scene(json.loads((cli.corpus_dir() / f"{name}.json").read_text()))
+    """A bundled scene, or else one of ``tests/scenes``."""
+    path = cli.corpus_dir() / f"{name}.json"
+    if not path.exists():
+        path = TEST_SCENES / f"{name}.json"
+    return cli.Scene(json.loads(path.read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +250,83 @@ def test_face_chains_and_carriers_match_reference(name):
         for m in tri.simplices:
             got = tri.labels_in_carrier(member.carrier, m)
             assert got == _reference_labels_in_carrier(tri, member.carrier, m)
+
+
+@pytest.mark.parametrize("name", SPHERE_SCENES)
+def test_per_cell_face_chains_match_per_region_build(name):
+    """The triangulation's per-cell chains, restricted to a region, give
+    the chains, facets and incidence signs that a build for that region
+    alone gives."""
+    coll, (poset,) = _region_posets(name)
+    tri = cx.sphere_triangulation(coll, poset)
+    for s in arr.region_basis(poset):
+        got = grp._SphericalFaceChains(s, tri)
+        want = ReferenceSphericalFaceChains(s, tri)
+        assert got.chains == want.chains
+        assert got.facets == want.facets
+        assert got.eta == want.eta
+
+
+def test_each_cell_chain_and_witness_is_built_once(monkeypatch):
+    """Over every region's apartment, twice, each cell of the coordinate
+    S^3 gets one chain build and one witness check (a build per region
+    gave 240 chain builds and 2,216 containment checks for its 80
+    cells)."""
+    coll, (poset,) = _region_posets("s3_coordinate")
+    tri = cx.sphere_triangulation(coll, poset)
+    bic = cx.pt_bicomplex(coll, tri)
+    builds = collections.Counter()
+    build = cx.SphereTriangulation._build_cell_chain
+    monkeypatch.setattr(cx.SphereTriangulation, "_build_cell_chain",
+                        lambda self, s: builds.update([s]) or build(self, s))
+    checked = collections.Counter()
+    contains = geo.LinearSubspace.contains_vector
+    monkeypatch.setattr(geo.LinearSubspace, "contains_vector",
+                        lambda self, v: checked.update([tuple(v)]) or contains(self, v))
+    basis = arr.region_basis(poset)
+    assert len(basis) == 16 and len(poset.cells) == 80
+    for _ in range(2):
+        for s in basis:
+            grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
+    assert set(builds) == set(poset.cells) and set(builds.values()) == {1}
+    assert set(checked) == {tuple(c.witness) for c in poset.cells.values()}
+    assert set(checked.values()) == {1}
+
+
+def _witness_moved_off_its_flat(poset):
+    """A copy of the poset whose first edge (1-cell) has its witness
+    moved off the edge's flat."""
+    sign = min(s for s, c in poset.cells.items() if c.dim == 1)
+    cell = poset.cells[sign]
+    amb = poset.geometry.ambient_dim
+    unit = next(u for u in (tuple(int(k == i) for k in range(amb)) for i in range(amb))
+                if not cell.flat.contains_vector(u))
+    off = tuple(w + u for w, u in zip(cell.witness, unit))
+    assert not cell.flat.contains_vector(off)
+    cells = {**poset.cells, sign: arr.Cell(sign, cell.flat, cell.dim, off)}
+    return arr.FacePoset(poset.geometry, poset.covectors, cells)
+
+
+def test_witness_off_its_flat_fails_the_apartment_pass(monkeypatch, capsys):
+    """The one witness check per cell stays: a witness off its own flat
+    raises AssertionError in the apartment pass, which the CLI reports as
+    an internal error (exit 4)."""
+    scene = _scene("s2_generic_three")
+    coll, _ = scene.collection()
+    poset, basis = scene.arrangement(None)
+    bad = _witness_moved_off_its_flat(poset)
+    tri = cx.sphere_triangulation(coll, bad)
+    bic = cx.pt_bicomplex(coll, tri)
+    with pytest.raises(AssertionError, match="witness lies off its flat"):
+        for s in basis:
+            grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
+
+    monkeypatch.setattr(cli.Scene, "arrangement", lambda self, within: (bad, basis))
+    path = str(cli.corpus_dir() / "s2_generic_three.json")
+    assert cli.main(["verify", "solomon-tits", path]) == cli.EXIT_INTERNAL
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "INTERNAL_ERROR"
+    assert report["detail"] == "AssertionError: cell witness lies off its flat"
 
 
 def _octant_cup(coord_s2):

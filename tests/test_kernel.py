@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -780,14 +781,18 @@ def test_eliminate_matches_sorted_reference(seed):
 def _workload_complex(model):
     if model == "s3_coordinate pt":
         return cli.homology_model(_scene("s3_coordinate"), "pt")[0]
+    if model == "s3_four_generic pt":
+        path = pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
+        return cli.homology_model(cli.Scene(json.loads(path.read_text())), "pt")[0]
     return resolution.build_resolution(4)[0]
 
 
-@pytest.mark.parametrize("model", ["s3_coordinate pt", "resolution 4"])
+@pytest.mark.parametrize("model", ["s3_coordinate pt", "s3_four_generic pt", "resolution 4"])
 def test_eliminate_matches_sorted_reference_on_workload_boundaries(model):
-    """The boundaries the benchmark workloads reduce: the PT bicomplex of
-    the coordinate S^3 (up to 1248 x 720) and the ordered resolution of a
-    4-region basis."""
+    """The boundaries the benchmark workloads reduce: the PT bicomplexes
+    of the coordinate S^3 (up to 1248 x 720) and of the pinned generic
+    S^3 that the s3_generic workload verifies, and the ordered resolution
+    of a 4-region basis."""
     complex_ = _workload_complex(model)
     for d in complex_.support():
         _assert_matches_reference(complex_.boundary(d))
