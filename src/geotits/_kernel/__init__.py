@@ -13,6 +13,7 @@ Computational Algebraic Number Theory*, GTM 138, 1993, section 2.4).
 """
 
 from math import prod
+from types import MappingProxyType
 
 from geotits._kernel.elim_py import eliminate
 
@@ -27,85 +28,122 @@ __all__ = [
 
 
 class IntMatrix:
-    """Sparse integer matrix: ``entries`` maps (row, col) to nonzero int."""
+    """Sparse integer matrix stored by columns: ``col_dicts[j]`` maps the
+    row index of each nonzero entry of column j to its value, a nonzero
+    int.  ``entries`` is a read-only (row, col) -> value view derived
+    from them.  Every constructor stores its columns through one check,
+    which refuses an index outside the shape or a non-integral value
+    with ``ValueError`` and never stores a zero.  Column dicts may be
+    shared between matrices; no method changes one once it is stored.
+    """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "col_dicts")
 
     def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
+        """``entries`` maps (row, col) to a value; zeros are dropped."""
+        by_col = [{} for _ in range(cols)]
         if entries:
-            for (i, j), v in entries.items() if isinstance(entries, dict) else entries:
+            for (i, j), v in entries.items():
                 if v:
-                    if not (0 <= i < rows and 0 <= j < cols):
+                    if not 0 <= j < cols:
                         raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                    self.entries[(i, j)] = int(v)
+                    by_col[j][i] = v
+        self._fill(rows, by_col)
+
+    @classmethod
+    def from_col_dicts(cls, rows, col_dicts):
+        """The matrix whose column j is ``col_dicts[j]`` (row -> value).
+        A dict that holds only nonzero ints at rows in range is kept as
+        it is, not copied."""
+        m = cls.__new__(cls)
+        m._fill(rows, col_dicts)
+        return m
 
     @classmethod
     def from_columns(cls, rows, columns):
-        m = cls(rows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                if v:
-                    m.entries[(i, j)] = int(v)
-        return m
+        """The matrix with the given dense columns (lists of ``rows`` ints)."""
+        return cls.from_col_dicts(rows, [{i: v for i, v in enumerate(col) if v} for col in columns])
+
+    def _fill(self, rows, col_dicts):
+        self.rows = rows
+        self.cols = len(col_dicts)
+        self.col_dicts = [_column(col, rows, j, self.cols) for j, col in enumerate(col_dicts)]
+
+    @property
+    def entries(self):
+        """Read-only (row, col) -> value view, built from the columns."""
+        return MappingProxyType({(i, j): v for j, col in enumerate(self.col_dicts)
+                                 for i, v in col.items()})
 
     def columns(self):
-        cols = [[0] * self.rows for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        return [[col.get(i, 0) for i in range(self.rows)] for col in self.col_dicts]
 
     def transpose(self):
-        t = IntMatrix(self.cols, self.rows)
-        t.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return t
+        return IntMatrix.from_col_dicts(self.cols, self.row_dicts())
 
     def mul_vec(self, vec):
         out = [0] * self.rows
-        for (i, j), v in self.entries.items():
+        for j, col in enumerate(self.col_dicts):
             c = vec[j]
             if c:
-                out[i] += v * c
+                for i, v in col.items():
+                    out[i] += v * c
         return out
 
     def product_is_zero(self, other):
         """Is the product self @ other zero?  Its columns are formed one at
-        a time, and the first one with a nonzero entry answers False."""
+        a time from the two factors' columns, and the first one with a
+        nonzero entry answers False."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        self_cols = {}
-        for (i, k), v in self.entries.items():
-            self_cols.setdefault(k, []).append((i, v))
-        other_cols = {}
-        for (k, j), w in other.entries.items():
-            other_cols.setdefault(j, []).append((k, w))
-        for col in other_cols.values():
+        left = self.col_dicts
+        for col in other.col_dicts:
             acc = {}
-            for k, w in col:
-                for i, v in self_cols.get(k, ()):
+            for k, w in col.items():
+                for i, v in left[k].items():
                     acc[i] = acc.get(i, 0) + v * w
             if any(acc.values()):
                 return False
         return True
 
     def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
+        """The rows as fresh dicts (col -> value): one transpose."""
+        rows = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.col_dicts):
+            for i, v in col.items():
+                rows[i][j] = v
         return rows
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            and self.col_dicts == other.col_dicts
         )
 
     def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"IntMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self.col_dicts))})"
+
+
+def _column(col, rows, j, cols):
+    """``col`` as stored: itself when it holds only nonzero ints at rows
+    in range, else a copy without its zeros and with int values.  A row
+    out of range or a non-integral value raises ``ValueError``."""
+    for i, v in col.items():
+        if type(v) is not int or not v or not 0 <= i < rows:
+            break
+    else:
+        return col
+    out = {}
+    for i, v in col.items():
+        if v:
+            if not 0 <= i < rows:
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+            w = int(v)
+            if w != v:
+                raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer")
+            out[i] = w
+    return out
 
 
 class SnfResult:
@@ -175,12 +213,8 @@ def lattice_contains(matrix, vectors):
     vectors = [v for v in vectors if any(v)]
     if not vectors:
         return True
-    wide = IntMatrix(matrix.rows, matrix.cols + len(vectors))
-    wide.entries = dict(matrix.entries)
-    for j, vec in enumerate(vectors, matrix.cols):
-        for i, v in enumerate(vec):
-            if v:
-                wide.entries[(i, j)] = v
+    wide = IntMatrix.from_col_dicts(
+        matrix.rows, matrix.col_dicts + [{i: v for i, v in enumerate(vec) if v} for vec in vectors])
     return _rank_and_index(matrix) == _rank_and_index(wide)
 
 

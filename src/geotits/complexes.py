@@ -127,9 +127,8 @@ def homology(complex_):
         b = complex_.boundary(d)
         drop = cleared.get(d)
         if drop:
-            kept = IntMatrix(b.rows, b.cols)
-            kept.entries = {ij: v for ij, v in b.entries.items() if ij[1] not in drop}
-            b = kept
+            b = IntMatrix.from_col_dicts(
+                b.rows, [{} if j in drop else col for j, col in enumerate(b.col_dicts)])
         snf = smith_normal_form(b)
         ranks[d] = snf.rank
         tors[d] = snf.torsion
@@ -244,13 +243,15 @@ def face_complex(degrees, faces=_drop_one):
     boundaries = {}
     for d in sorted(degrees):
         lower = {lab: i for i, lab in enumerate(degrees.get(d - 1, ()))}
-        entries = {}
-        for j, lab in enumerate(degrees[d]):
+        columns = []
+        for lab in degrees[d]:
+            col = {}
             for face, sign in faces(lab):
                 row = lower.get(face)
                 if row is not None:
-                    entries[(row, j)] = entries.get((row, j), 0) + sign
-        boundaries[d] = IntMatrix(len(degrees.get(d - 1, ())), len(degrees[d]), entries)
+                    col[row] = col.get(row, 0) + sign
+            columns.append(col)
+        boundaries[d] = IntMatrix.from_col_dicts(len(degrees.get(d - 1, ())), columns)
     return ChainComplex(degrees, boundaries)
 
 

@@ -82,11 +82,8 @@ class GroupHom:
 
     def is_surjective(self):
         g = len(self.codomain.generators)
-        stacked = IntMatrix(g, self.matrix.cols + self.codomain.relations.rows)
-        for (i, j), v in self.matrix.entries.items():
-            stacked.entries[(i, j)] = v
-        for (r, j), v in self.codomain.relations.entries.items():
-            stacked.entries[(j, self.matrix.cols + r)] = v
+        stacked = IntMatrix.from_col_dicts(
+            g, self.matrix.col_dicts + self.codomain.relations.row_dicts())
         return _unit_snf(stacked, g)
 
     def kernel_lattice(self):
@@ -94,11 +91,8 @@ class GroupHom:
         gc = len(self.codomain.generators)
         gd = len(self.domain.generators)
         rel = self.codomain.relations
-        block = IntMatrix(gc, gd + rel.rows)
-        for (i, j), v in self.matrix.entries.items():
-            block.entries[(i, j)] = v
-        for (r, j), v in rel.entries.items():
-            block.entries[(j, gd + r)] = -v
+        block = IntMatrix.from_col_dicts(
+            gc, self.matrix.col_dicts + [{j: -v for j, v in row.items()} for row in rel.row_dicts()])
         cols = kernel_basis(block)
         return [col[:gd] for col in cols]
 

@@ -102,13 +102,15 @@ def _ordered_complex(level_dict, table):
     """The boundary sends a simplex to its faces d_i with sign (-1)**i."""
     boundaries = {}
     for p, rows in table.items():
-        entries = {}
-        for j, row in enumerate(rows):
+        columns = []
+        for row in rows:
+            col = {}
             sign = 1
             for r in row:
-                entries[(r, j)] = entries.get((r, j), 0) + sign
+                col[r] = col.get(r, 0) + sign
                 sign = -sign
-        boundaries[p] = IntMatrix(len(level_dict[p - 1]), len(rows), entries)
+            columns.append(col)
+        boundaries[p] = IntMatrix.from_col_dicts(len(level_dict[p - 1]), columns)
     return ChainComplex(level_dict, boundaries)
 
 

@@ -151,6 +151,23 @@ def test_dump_complex_is_the_reported_complex(model, name, key, tmp_path, capsys
     assert _dumped_homology(out) == report["checks"][0][key]
 
 
+def test_dump_complex_bytes_pinned(tmp_path):
+    """``homology pt`` of s2_coordinate dumps the complex whose sha256
+    is pinned in tests/scenes, under any hash seed."""
+    want = (TEST_SCENES / "s2_coordinate_pt_complex.sha256").read_text().strip()
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"complex{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "geotits.cli", "homology", "pt", scene_path("s2_coordinate"),
+             "--dump-complex", str(out)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_PASS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 def test_dump_complex_builds_the_model_once(tmp_path, capsys, monkeypatch):
     built = []
     real = cli.homology_model

@@ -8,6 +8,7 @@ from geotits import cli
 from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import geometry as geo
+from geotits import resolution as reso
 from geotits._kernel import IntMatrix
 from conftest import E1, E2, S0, S1, S2, collapse_chain_map, reference_sphere_simplices
 
@@ -122,9 +123,8 @@ def test_sphere_triangulation_s2(coord_s2):
     assert not tri.labels_in_carrier(axis, 1)
 
 
-SPHERE_SCENE_PATHS = sorted(cli.corpus_dir().glob("s*.json")) + [
-    pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
-]
+S3_FOUR_GENERIC = pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
+SPHERE_SCENE_PATHS = sorted(cli.corpus_dir().glob("s*.json")) + [S3_FOUR_GENERIC]
 
 
 @pytest.mark.parametrize("path", SPHERE_SCENE_PATHS, ids=lambda p: p.stem)
@@ -237,6 +237,37 @@ def test_boundary_squared_guard():
     bad = {0: IntMatrix(0, 2), 1: d1, 2: IntMatrix(2, 3, {**cycles, (0, 2): 1, (1, 2): 1})}
     with pytest.raises(AssertionError):
         cx.ChainComplex(degrees, bad)
+
+
+def _one_sign_flipped(complex_, d, j):
+    """The boundaries of ``complex_`` with one entry of column j of d_d
+    negated, at a row whose own boundary is nonzero, so that
+    d_(d-1) d_d no longer vanishes."""
+    b = complex_.boundary(d)
+    below = complex_.boundary(d - 1).col_dicts
+    cols = list(b.col_dicts)
+    col = dict(cols[j])
+    r = next(r for r in sorted(col) if below[r])
+    col[r] = -col[r]
+    cols[j] = col
+    return {**complex_.boundaries, d: IntMatrix.from_col_dicts(b.rows, cols)}
+
+
+def test_boundary_squared_guard_at_workload_size():
+    """One flipped sign anywhere in a workload-size boundary fails the
+    check: the resolution on 6 basis regions (d_4 is 2100 x 3360) and
+    the top boundary of the generic S^3 scene's pt bicomplex."""
+    resolution_cx, _, _ = reso.build_resolution(6)
+    d4 = resolution_cx.boundary(4)
+    for j in (0, d4.cols // 2, d4.cols - 1):
+        with pytest.raises(AssertionError, match="boundary squared nonzero at degree 4"):
+            cx.ChainComplex(resolution_cx.degrees, _one_sign_flipped(resolution_cx, 4, j))
+    coll, _ = cli.Scene(json.loads(S3_FOUR_GENERIC.read_text())).collection()
+    bic = cx.pt_bicomplex(coll, cx.sphere_triangulation(coll))
+    top = max(bic.support())
+    for j in (0, bic.dim(top) - 1):
+        with pytest.raises(AssertionError, match=f"boundary squared nonzero at degree {top}"):
+            cx.ChainComplex(bic.degrees, _one_sign_flipped(bic, top, j))
 
 
 def test_sphere_no_hyperplanes_polytope_group():

@@ -368,14 +368,25 @@ def test_well_defined_checks_every_relation():
     assert not grp.GroupHom(dom, cod, IntMatrix(1, 2, {(0, 0): 3, (0, 1): 1})).well_defined
 
 
+def _dense_product_is_zero(a, b):
+    da, db = dense(a), dense(b)
+    return all(sum(da[i][k] * db[k][j] for k in range(a.cols)) == 0
+               for i in range(a.rows) for j in range(b.cols))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_product_is_zero_matches_dense_product(seed):
     """The column-at-a-time check agrees with the dense product.  The
     right factor is built from kernel vectors of the left one, so that
-    both answers occur; a random column may be put in anywhere."""
+    both answers occur and the terms of a product column cancel; a
+    random column may be put in anywhere.  Either factor may have empty
+    columns, and the left one no rows or no columns."""
     rng = random.Random(seed)
-    a = _random_matrix(rng, rng.randint(0, 5), rng.randint(1, 6))
+    a = _random_matrix(rng, rng.randint(0, 5), rng.randint(0, 6))
+    if a.cols and rng.random() < 0.3:
+        a = IntMatrix.from_col_dicts(a.rows, [{} if rng.random() < 0.3 else col
+                                              for col in a.col_dicts])
     kern = kernel_basis(a)
     cols = [
         [sum(rng.randint(-2, 2) * k[i] for k in kern) for i in range(a.cols)]
@@ -383,9 +394,56 @@ def test_product_is_zero_matches_dense_product(seed):
     ]
     if rng.random() < 0.5:
         cols.insert(rng.randint(0, len(cols)), [rng.randint(-3, 3) for _ in range(a.cols)])
+    if rng.random() < 0.3:
+        cols.insert(rng.randint(0, len(cols)), [0] * a.cols)
     b = IntMatrix.from_columns(a.cols, cols)
-    want = not any(any(row) for row in matmul(dense(a), dense(b)))
-    assert a.product_is_zero(b) == want
+    assert a.product_is_zero(b) == _dense_product_is_zero(a, b)
+
+
+def test_product_is_zero_on_cancelling_and_empty_columns():
+    a = IntMatrix.from_columns(2, [[1, 2], [1, 2], [0, 0], [1, 3]])
+    cancel = IntMatrix.from_columns(4, [[1, -1, 0, 0], [0, 0, 5, 0], [0] * 4])
+    assert a.product_is_zero(cancel)
+    # row 0 cancels, row 1 does not
+    partial = IntMatrix.from_columns(4, [[1, -1, 0, 0], [1, 0, 0, -1]])
+    assert not a.product_is_zero(partial)
+    assert IntMatrix(0, 4).product_is_zero(partial)
+    assert IntMatrix(3, 0).product_is_zero(IntMatrix(0, 5))
+    assert IntMatrix(3, 4).product_is_zero(partial)
+    with pytest.raises(ValueError):
+        a.product_is_zero(IntMatrix(3, 1))
+
+
+def test_int_matrix_refuses_non_integral_entries():
+    with pytest.raises(ValueError):
+        IntMatrix(1, 2, {(0, 0): Fraction(1, 2), (0, 1): 2.7})
+    with pytest.raises(ValueError):
+        IntMatrix(1, 1, {(0, 0): 2.7})
+    with pytest.raises(ValueError):
+        IntMatrix.from_col_dicts(2, [{1: Fraction(3, 2)}])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns(2, [[0, 0.5]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_col_dicts(2, [{2: 1}])
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, {(0, 2): 1})
+    m = IntMatrix(2, 3, {(0, 0): Fraction(4, 2), (1, 0): 0, (1, 1): 3.0, (0, 2): Fraction(0)})
+    assert m.col_dicts == [{0: 2}, {1: 3}, {}]
+    assert all(type(v) is int for col in m.col_dicts for v in col.values())
+    assert IntMatrix.from_col_dicts(2, [{0: 0, 1: -4}]).col_dicts == [{1: -4}]
+    assert smith_normal_form(m).invariant_factors == (1, 6)
+
+
+def test_entries_is_a_read_only_view_of_the_columns():
+    m = IntMatrix.from_col_dicts(3, [{2: 5}, {}, {0: -1, 1: 2}])
+    assert dict(m.entries) == {(2, 0): 5, (0, 2): -1, (1, 2): 2}
+    assert m == IntMatrix(3, 3, m.entries)
+    with pytest.raises(TypeError):
+        m.entries[(0, 0)] = 1
+    with pytest.raises(AttributeError):
+        m.entries = {}
+    assert m.row_dicts() == [{2: -1}, {2: 2}, {0: 5}]
+    assert m.transpose() == IntMatrix(3, 3, {(j, i): v for (i, j), v in m.entries.items()})
 
 
 def _sparse_solver(m):
