@@ -75,9 +75,6 @@ class IntMatrix:
         return MappingProxyType({(i, j): v for j, col in enumerate(self.col_dicts)
                                  for i, v in col.items()})
 
-    def columns(self):
-        return [[col.get(i, 0) for i in range(self.rows)] for col in self.col_dicts]
-
     def transpose(self):
         return IntMatrix.from_col_dicts(self.cols, self.row_dicts())
 

@@ -45,7 +45,8 @@ class FacePoset:
     a cell lies in the set exactly when its sign at each is 0 or that sign.
     """
 
-    __slots__ = ("geometry", "covectors", "cells", "within", "_flat_signs", "_cells_in")
+    __slots__ = ("geometry", "covectors", "cells", "within", "_flat_signs", "_cells_in",
+                 "_witness_rows")
 
     def __init__(self, geometry, covectors, cells, within=None):
         self.geometry = geometry
@@ -54,6 +55,7 @@ class FacePoset:
         self.within = within
         self._flat_signs = {}  # carrier -> flat_signs(carrier)
         self._cells_in = {}  # signs -> cells_in(signs)
+        self._witness_rows = {}  # sign vector -> primitive integer witness
 
     def census(self):
         out = {}
@@ -113,6 +115,31 @@ class FacePoset:
     @staticmethod
     def _agrees(sign_vector, signs):
         return all(sign_vector[i] == 0 or sign_vector[i] == s for i, s in signs)
+
+    def orientation(self, flag):
+        """Orientation of a flag of cells, given by sign vectors with the
+        top cell last, in the top cell's flat: the sign of the minor of
+        their witness rows at that flat's pivots.
+
+        Each witness is checked once against its own cell's flat and kept
+        as a primitive integer row (a positive rescale of its ambient
+        vector, which keeps every sign).  The cells of a flag lie in the
+        top cell's closure, so their witnesses lie in its flat, where a
+        vector's coordinate on the basis row with pivot column c is v[c]
+        over that row's positive pivot entry.
+        """
+        rows = []
+        for s in flag:
+            row = self._witness_rows.get(s)
+            if row is None:
+                cell = self.cells[s]
+                v = geo.chart_vector(self.geometry, cell.witness)
+                if not cell.flat.contains_vector(v):
+                    raise AssertionError("cell witness lies off its flat")
+                row = self._witness_rows[s] = exact.primitive_int_row(v)
+            rows.append(row)
+        pivots = self.cells[flag[-1]].flat.pivots
+        return exact.det_sign([[row[p] for p in pivots] for row in rows])
 
 
 def _cell_rows(geometry, covectors, sign_vector, extra_nonstrict=()):

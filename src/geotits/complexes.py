@@ -10,7 +10,7 @@ spaces they model directly; plain order complexes carry the empty flag
 in degree -1, so their homology is reduced as well.
 """
 
-from geotits import exact, geometry as geo
+from geotits import geometry as geo
 from geotits._kernel import IntMatrix, smith_normal_form
 
 
@@ -342,8 +342,7 @@ class SphereTriangulation:
     first use (``cell_chain``).
     """
 
-    __slots__ = ("poset", "cell_order", "simplices", "complex", "_by_top", "_cell_chains",
-                 "_witness_rows")
+    __slots__ = ("poset", "cell_order", "simplices", "complex", "_by_top", "_cell_chains")
 
     def __init__(self, poset):
         self.poset = poset
@@ -356,7 +355,6 @@ class SphereTriangulation:
             for lab in labs:
                 self._by_top.setdefault((m, self.cell_order[lab[-1]]), []).append(lab)
         self._cell_chains = {}  # sign vector -> (chain, incidences)
-        self._witness_rows = {}  # cell position -> primitive integer witness
 
     def top_cell(self, label):
         return self.poset.cells[self.cell_order[label[-1]]]
@@ -388,15 +386,9 @@ class SphereTriangulation:
 
     def _build_cell_chain(self, sign):
         cell = self.poset.cells[sign]
-        pivots = cell.flat.pivots
         chain = {}
-        # each cell of a label lies in the closure of the top cell, so
-        # its witness (checked in its own flat) lies in the top cell's
-        # flat, and the orientation is the sign of the minor at the
-        # flat's pivots
         for lab in self.labels_with_top(cell.dim, [sign]):
-            rows = [self._witness_row(c) for c in lab]
-            orient = exact.det_sign([[row[p] for p in pivots] for row in rows])
+            orient = self.poset.orientation([self.cell_order[c] for c in lab])
             if orient == 0:  # pragma: no cover - witnesses are independent
                 raise AssertionError("degenerate flag simplex")
             chain[lab] = orient
@@ -427,18 +419,6 @@ class SphereTriangulation:
         if remaining:
             raise AssertionError("boundary leaks outside the facet chains")
         return chain, incidences
-
-    def _witness_row(self, c):
-        """The witness of the cell at position c as a primitive integer
-        row (a positive rescale, which keeps every orientation), checked
-        once against the cell's own flat."""
-        row = self._witness_rows.get(c)
-        if row is None:
-            cell = self.poset.cells[self.cell_order[c]]
-            if not cell.flat.contains_vector(cell.witness):
-                raise AssertionError("cell witness lies off its flat")
-            row = self._witness_rows[c] = exact.primitive_int_row(cell.witness)
-        return row
 
 
 def sphere_triangulation(coll, poset=None):

@@ -1,9 +1,9 @@
 """Polytope and Lee-Szczarba groups, apartment classes, theorem checkers.
 
 Sign conventions: the standard orientation of each chart orients X^n;
-apartment signs come from barycenter determinants relative to the
-canonical basis of each flat's carrier.  Only well-definedness and
-iso-ness are ever asserted, never an absolute sign.
+apartment signs are witness minors at the pivots of the top cell's flat
+(``FacePoset.orientation``).  Only well-definedness and iso-ness are
+ever asserted, never an absolute sign.
 """
 
 from fractions import Fraction
@@ -96,40 +96,13 @@ class GroupHom:
         cols = kernel_basis(block)
         return [col[:gd] for col in cols]
 
-    def is_injective(self):
-        pre = self.kernel_lattice()
-        rel = self.domain.relations
-        dom_cols = [[row.get(j, 0) for j in range(rel.cols)] for row in rel.row_dicts()]
-        return lattices_equal(pre, dom_cols, len(self.domain.generators))
-
     def is_isomorphism(self):
-        return self.well_defined and self.is_surjective() and self.is_injective()
-
-
-# ---------------------------------------------------------------------------
-# Orientation helpers
-
-
-def flat_orientation_chart(carrier, chart_points):
-    """Orientation of d+1 chart points spanning an affine flat (E/H).
-
-    The carrier's first RREF pivot is x0, so this is the orientation of
-    the points' chart vectors (1, p) in the carrier basis."""
-    return flat_orientation_vectors(carrier, [(F1,) + tuple(p) for p in chart_points])
-
-
-def flat_orientation_vectors(carrier, vectors):
-    """Orientation of dim-many vectors relative to the carrier basis, 0
-    when one of them lies outside the carrier.
-
-    A vector of the carrier has coordinate v[c] / row[c] on the basis row
-    with pivot column c, and every pivot entry is positive, so the sign
-    of the coordinate determinant is that of the minor at the pivots."""
-    if len(vectors) != carrier.dim:
-        raise ValueError("vector count does not match carrier dimension")
-    if not all(carrier.contains_vector(v) for v in vectors):
-        return 0
-    return exact.det_sign([[v[c] for c in carrier.pivots] for v in vectors])
+        """Well-defined and surjective between isomorphic groups: a
+        surjection of a finitely generated abelian group onto an
+        isomorphic one is injective, so (free rank, torsion) decide."""
+        dom, cod = self.domain, self.codomain
+        return (self.well_defined and self.is_surjective()
+                and (dom.free_rank, dom.torsion) == (cod.free_rank, cod.torsion))
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +162,6 @@ def _perm_sign(sigma):
 # Spherical PT apartments (bicomplex cycles with face-flag corrections)
 
 
-class _SphericalFaceChains:
-    """Fundamental chains of the faces of a closed region, in the ambient
-    sphere triangulation, with incidence signs.
-
-    The faces are the cells in the region's closure (the interval below
-    a tope of the covector lattice), keyed by sign vector; a face's flat
-    is its cell's flat and its facets are the cells of one dimension
-    less below it.  Chains and signs are the triangulation's, built once
-    per cell (``SphereTriangulation.cell_chain``); this view restricts
-    them to the region.
-    """
-
-    def __init__(self, region_sign, tri):
-        poset = tri.poset
-        faces = sorted(poset.cells_in(tuple(enumerate(region_sign))))
-        self.chains = {}  # face -> {label: +-1}
-        self.facets = {}  # face -> facet sign vectors
-        self.eta = {}  # (face, facet) -> +-1
-        for s in faces:
-            self.chains[s], incidences = tri.cell_chain(s)
-            if poset.cells[s].dim:
-                self.facets[s] = list(incidences)
-                for t, eta in incidences.items():
-                    self.eta[(s, t)] = eta
-
-
 def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
     """Relative apartment cycle of a closed region (given by its sign
     vector in ``tri.poset``) in the polytopal-Tits total complex.
@@ -225,7 +172,6 @@ def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
     """
     n = coll.geometry.n
     cells = tri.poset.cells
-    fc = _SphericalFaceChains(region_sign, tri)
     proper = sorted((m for m in coll.members if not m.is_top()),
                     key=lambda m: m.sort_key())
     member_pos = {m.carrier: i for i, m in enumerate(proper)}
@@ -234,21 +180,22 @@ def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
 
     def emit(flag_faces, base_face, outer_sign):
         flag_label = tuple(member_pos[cells[f].flat] for f in flag_faces)
-        for lab, s in fc.chains[base_face].items():
+        for lab, s in tri.cell_chain(base_face)[0].items():
             key = (flag_label, lab)
             if key not in idx:
                 raise ValueError("face span leaves the collection")
             vec[idx[key]] += outer_sign * s
 
     emit((), region_sign, 1)
-    flags = [(region_sign,)]
+    # flags of faces, lowest first, each with the product of the
+    # incidence signs along it
+    flags = [((region_sign,), 1)]
     for k in range(1, n + 1):
-        flags = [(f,) + fl for fl in flags for f in fc.facets[fl[0]]]
+        flags = [((f,) + fl, eta_prod * eta)
+                 for fl, eta_prod in flags
+                 for f, eta in tri.cell_chain(fl[0])[1].items()]
         s_k = -1 if (k * (k + 1) // 2) % 2 else 1
-        for fl in flags:
-            eta_prod = 1
-            for i in range(k):
-                eta_prod *= fc.eta[(fl[i + 1], fl[i])]
+        for fl, eta_prod in flags:
             emit(fl[:-1], fl[0], s_k * eta_prod)
     return tuple(vec)
 
@@ -270,46 +217,37 @@ class STModel:
         self.complex = cx.relative_st_complex(members, top)
 
 
-def apartment_cycle_cell(poset, region_sign, st_model, top_carrier=None):
-    """Apartment cycle of a closed region via flags of its boundary cells.
+def apartment_cycle_cell(poset, region_sign, st_model):
+    """Apartment cycle of a closed cell via complete flags of its faces,
+    each signed by ``poset.orientation`` in the cell's own flat.
 
-    Faces of the region are the arrangement cells below it in closure
-    order; their flats are exactly the face spans.
+    The faces are the cells in the closure, taken once; each face's
+    facets are the closure cells one dimension lower below it.  Their
+    flats are exactly the face spans.
     """
-    g = poset.geometry
-    if g.kind == geo.SPHERICAL:
+    if poset.geometry.kind == geo.SPHERICAL:
         raise ValueError("cell apartments are for the E/H suspended model")
-    region = poset.cells[region_sign]
-    d = region.dim
-    if top_carrier is None:
-        top_carrier = geo.full_space(g.ambient_dim)
+    cells = poset.cells
+    d = cells[region_sign].dim
+    closure = sorted(poset.cells_in(tuple(enumerate(region_sign))))
+    by_dim = {}
+    for s in closure:
+        by_dim.setdefault(cells[s].dim, []).append(s)
+    facets = {s: [t for t in by_dim.get(cells[s].dim - 1, ()) if arr.FacePoset.leq(t, s)]
+              for s in closure}
+    flags = [(region_sign,)]
+    for _ in range(d):
+        flags = [(f,) + fl for fl in flags for f in facets[fl[0]]]
+    if not flags:
+        raise ValueError("region has no complete boundary flags (unbounded?)")
     pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
     idx = st_model.complex.index(d)
     vec = [0] * st_model.complex.dim(d)
-    below = [
-        c
-        for s, c in sorted(poset.cells.items())
-        if arr.FacePoset.leq(s, region_sign) and s != region_sign
-    ]
-    by_dim = {}
-    for c in below:
-        by_dim.setdefault(c.dim, []).append(c)
-    flags = [()]
-    for k in range(d):
-        flags = [
-            fl + (c,)
-            for fl in flags
-            for c in by_dim.get(k, [])
-            if not fl or arr.FacePoset.leq(fl[-1].sign_vector, c.sign_vector)
-        ]
-    if not flags:
-        raise ValueError("region has no complete boundary flags (unbounded?)")
     for fl in flags:
-        pts = [c.witness for c in fl] + [region.witness]
-        sign = flat_orientation_chart(top_carrier, pts)
+        sign = poset.orientation(fl)
         if sign == 0:  # pragma: no cover
             raise AssertionError("degenerate witness flag")
-        label = tuple(pos[c.flat] for c in fl)
+        label = tuple(pos[cells[s].flat] for s in fl[:-1])
         if label not in idx:
             raise ValueError("face span leaves the collection")
         vec[idx[label]] += sign
@@ -344,6 +282,13 @@ def _unit_snf(matrix, rank):
     """Has the matrix this rank, with every invariant factor 1?"""
     snf = smith_normal_form(matrix)
     return snf.rank == rank and all(d == 1 for d in snf.invariant_factors)
+
+
+def _image_is_kernel(inc, fac):
+    """For fac @ inc = 0: is the column lattice of inc the kernel of fac?
+    The kernel is saturated, so an image inside it equals it exactly when
+    the image is saturated of the same rank."""
+    return _unit_snf(inc, fac.cols - smith_normal_form(fac).rank)
 
 
 def pt_group(basis):
@@ -726,9 +671,7 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
     injective = _unit_snf(inc, len(basis))
     surjective = _unit_snf(fac, len(u_cells))
     composite_zero = fac.product_is_zero(inc)
-    kernel_cols = kernel_basis(fac)
-    image_cols = inc.columns()
-    kernel_eq = lattices_equal(kernel_cols, image_cols, len(cup_basis))
+    kernel_eq = composite_zero and _image_is_kernel(inc, fac)
     rank_additive = len(cup_basis) == len(basis) + len(u_cells)
 
     report = {
@@ -825,7 +768,7 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
             cap_label = tuple(cap_pos[m] for m in members[:-1])
             proj[cap_index[cap_label]] += coeff
         free_b = classes.coords(proj)
-        apt_tau = apartment_cycle_cell(cup_poset, tau, cap_st, top_carrier=u_member.carrier)
+        apt_tau = apartment_cycle_cell(cup_poset, tau, cap_st)
         free_t = classes.coords(apt_tau)
         lhs = tuple(actual_side * x for x in free_b)
         for eps in (1, -1) if epsilon is None else (epsilon,):

@@ -9,7 +9,7 @@ from geotits import geometry as geo
 from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import groups as grp
-from geotits._kernel import IntMatrix
+from geotits._kernel import IntMatrix, lattices_equal
 from geotits.exact import F0, F1, dot, frac, primitive_int_row
 from geotits.geometry import SPHERICAL, subspace_from_vectors
 
@@ -125,6 +125,79 @@ def reference_coordinates(sub, v):
     x0, hom = sol
     assert not hom  # the basis rows are independent
     return x0
+
+
+def flat_orientation_chart(carrier, chart_points):
+    """Orientation of d+1 chart points spanning an affine flat (E/H).
+
+    The carrier's first RREF pivot is x0, so this is the orientation of
+    the points' chart vectors (1, p) in the carrier basis.  With
+    ``flat_orientation_vectors``, the rule that ``FacePoset.orientation``
+    replaced, kept as its oracle."""
+    return flat_orientation_vectors(carrier, [(F1,) + tuple(p) for p in chart_points])
+
+
+def flat_orientation_vectors(carrier, vectors):
+    """Orientation of dim-many vectors relative to the carrier basis, 0
+    when one of them lies outside the carrier.
+
+    A vector of the carrier has coordinate v[c] / row[c] on the basis row
+    with pivot column c, and every pivot entry is positive, so the sign
+    of the coordinate determinant is that of the minor at the pivots."""
+    if len(vectors) != carrier.dim:
+        raise ValueError("vector count does not match carrier dimension")
+    if not all(carrier.contains_vector(v) for v in vectors):
+        return 0
+    return exact.det_sign([[v[c] for c in carrier.pivots] for v in vectors])
+
+
+def reference_apartment_cycle_cell(poset, region_sign, st_model, top_carrier=None):
+    """E/H apartment cycle of a closed cell from all-pairs closure tests
+    over the whole poset, each flag signed by ``flat_orientation_chart``
+    in ``top_carrier`` (the whole space unless given): the builder that
+    ``groups.apartment_cycle_cell`` replaced, kept as its oracle."""
+    g = poset.geometry
+    assert g.kind != SPHERICAL
+    region = poset.cells[region_sign]
+    d = region.dim
+    if top_carrier is None:
+        top_carrier = geo.full_space(g.ambient_dim)
+    pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
+    idx = st_model.complex.index(d)
+    vec = [0] * st_model.complex.dim(d)
+    below = [
+        c
+        for s, c in sorted(poset.cells.items())
+        if arr.FacePoset.leq(s, region_sign) and s != region_sign
+    ]
+    flags = [()]
+    for k in range(d):
+        flags = [
+            fl + (c,)
+            for fl in flags
+            for c in below
+            if c.dim == k and (not fl or arr.FacePoset.leq(fl[-1].sign_vector, c.sign_vector))
+        ]
+    assert flags, "region has no complete boundary flags"
+    for fl in flags:
+        pts = [c.witness for c in fl] + [region.witness]
+        sign = flat_orientation_chart(top_carrier, pts)
+        assert sign != 0, "degenerate witness flag"
+        vec[idx[tuple(pos[c.flat] for c in fl)]] += sign
+    return tuple(vec)
+
+
+def reference_is_injective(hom):
+    """Injectivity of a group homomorphism for any map: the preimage of
+    the codomain relations equals the domain relations as lattices."""
+    rel = hom.domain.relations
+    dom_cols = [[row.get(j, 0) for j in range(rel.cols)] for row in rel.row_dicts()]
+    return lattices_equal(hom.kernel_lattice(), dom_cols, len(hom.domain.generators))
+
+
+def dense_columns(matrix):
+    """The columns of an ``IntMatrix`` as dense lists."""
+    return [[col.get(i, 0) for i in range(matrix.rows)] for col in matrix.col_dicts]
 
 
 def matrix_product(a, b):
@@ -432,7 +505,7 @@ class ReferenceSphericalFaceChains:
         for s in faces:
             cell = poset.cells[s]
             self.chains[s] = {
-                lab: grp.flat_orientation_vectors(
+                lab: flat_orientation_vectors(
                     cell.flat, [poset.cells[tri.cell_order[c]].witness for c in lab])
                 for lab in tri.labels_with_top(cell.dim, [s])
             }
@@ -514,7 +587,7 @@ def apartment_cycle_polytope(polytope, coll, st_model):
     bary_p = barycenter(polytope.faces_of_dim(n)[0])
     for flag in flags:
         pts = [barycenter(f) for f in flag] + [bary_p]
-        sign = grp.flat_orientation_chart(top_carrier, pts)
+        sign = flat_orientation_chart(top_carrier, pts)
         assert sign != 0
         vec[idx[tuple(pos[face_span(polytope, f)] for f in flag)]] += sign
     assert not any(st_model.complex.boundary(n).mul_vec(vec)), "polytope apartment is not a cycle"

@@ -249,6 +249,19 @@ def test_spherical_report_pinned(capsys):
     }
 
 
+def test_euclidean_report_pinned(capsys):
+    """A generic E^3 draw with 8 planes, whose C(7, 3) = 35 bounded
+    regions each get a cell apartment, gives the report whose sha256
+    sits beside its scene."""
+    scene = TEST_SCENES / "e3_eight_generic.json"
+    assert cli.main(["verify", "solomon-tits", str(scene)]) == cli.EXIT_PASS
+    out = capsys.readouterr().out
+    (block,) = json.loads(out)["checks"]
+    assert block["bounded_regions"] == block["h_rank"] == 35
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == scene.with_suffix(".sha256").read_text().strip()
+
+
 def test_scene_digest_stable():
     s1 = load("e2_triangle")
     s2 = load("e2_triangle")

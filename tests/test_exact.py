@@ -8,9 +8,13 @@ from hypothesis import given, settings, strategies as st
 from geotits import arrangement as arr
 from geotits import exact
 from geotits import geometry as geo
-from geotits import groups as grp
 from geotits.exact import F0, dot
-from conftest import reference_coordinates, reference_det_sign, reference_signature
+from conftest import (
+    flat_orientation_vectors,
+    reference_coordinates,
+    reference_det_sign,
+    reference_signature,
+)
 
 
 def _reference_rref(rows):
@@ -140,7 +144,9 @@ def test_flat_orientation_matches_reference_coordinates(seed):
     """Dim-many vectors (in the span, free, or zero) over subspaces of
     every dimension from zero (no rows) to full, with fraction entries:
     the orientation read from the pivot minor is the sign of the
-    determinant of the vectors' coordinates, and 0 when one lies outside."""
+    determinant of the vectors' coordinates, and 0 when one lies outside.
+    This is the fact ``FacePoset.orientation`` rests on, checked on the
+    test-side rule that it replaced."""
     rng = random.Random(seed)
     ncols = rng.randint(1, 5)
 
@@ -159,10 +165,52 @@ def test_flat_orientation_matches_reference_coordinates(seed):
         vecs[rng.randrange(len(vecs))] = rng.choice([[0] * ncols, [entry() for _ in range(ncols)]])
     coords = [reference_coordinates(sub, v) for v in vecs]
     want = 0 if None in coords else reference_det_sign(coords)
-    assert grp.flat_orientation_vectors(sub, vecs) == want
+    assert flat_orientation_vectors(sub, vecs) == want
     if vecs and want:
         flipped = [[-x for x in vecs[0]]] + vecs[1:]
-        assert grp.flat_orientation_vectors(sub, flipped) == -want
+        assert flat_orientation_vectors(sub, flipped) == -want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_poset_orientation_matches_reference_coordinates(seed):
+    """A flag of cells whose flats are the prefix spans of independent
+    witness vectors, in E^n (chart points) and S^n (rays):
+    ``FacePoset.orientation`` is the sign of the determinant of the
+    witnesses' coordinates in the top cell's flat, and a witness moved
+    off its own flat is refused."""
+    rng = random.Random(seed)
+    kind, n = rng.choice("ES"), rng.randint(1, 3)
+    g = geo.Geometry(kind, n)
+
+    def witness():
+        """A chart point (E) or a nonzero ray (S)."""
+        while True:
+            w = tuple(Fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(g.chart_dim))
+            if kind == "E" or any(w):
+                return w
+
+    k = rng.randint(1, g.ambient_dim)
+    witnesses, vectors = [], []
+    while len(witnesses) < k:
+        w = witness()
+        v = geo.chart_vector(g, w)
+        if exact.rank(vectors + [v]) == len(vectors) + 1:
+            witnesses.append(w)
+            vectors.append(v)
+    flag = [(i,) for i in range(k)]
+    flats = [geo.LinearSubspace(g.ambient_dim, vectors[: i + 1]) for i in range(k)]
+    cells = {s: arr.Cell(s, flats[i], i, witnesses[i]) for i, s in enumerate(flag)}
+    want = reference_det_sign([reference_coordinates(flats[-1], v) for v in vectors])
+    assert want != 0
+    assert arr.FacePoset(g, (), cells).orientation(flag) == want
+
+    i = rng.randrange(min(k, g.ambient_dim - 1))  # a flat short of the whole space
+    off = next(w for w in iter(witness, None)
+               if not flats[i].contains_vector(geo.chart_vector(g, w)))
+    cells[flag[i]] = arr.Cell(flag[i], flats[i], i, off)
+    with pytest.raises(AssertionError, match="witness lies off its flat"):
+        arr.FacePoset(g, (), cells).orientation(flag)
 
 
 @settings(max_examples=300, deadline=None)

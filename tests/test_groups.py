@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -9,7 +10,7 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
-from geotits._kernel import IntMatrix, lattice_contains
+from geotits._kernel import IntMatrix, kernel_basis, lattice_contains, lattices_equal
 from geotits.cli import Scene, corpus_dir, run_command
 from conftest import (
     E1,
@@ -21,7 +22,9 @@ from conftest import (
     apartment_cycle_pt_polytope,
     cell_apartments,
     cells_in_polytope,
+    dense_columns,
     pt_apartments,
+    reference_is_injective,
     reference_polytope,
     region_polytope,
     subdivide,
@@ -40,13 +43,65 @@ def test_group_hom_certificates():
     dom = grp.GroupPresentation(["x"], IntMatrix(1, 1, {(0, 0): 2}))
     cod = grp.GroupPresentation(["y"], IntMatrix(1, 1, {(0, 0): 4}))
     hom = grp.GroupHom(dom, cod, IntMatrix(1, 1, {(0, 0): 2}))
-    assert hom.well_defined and hom.is_injective() and not hom.is_surjective()
+    assert hom.well_defined and reference_is_injective(hom) and not hom.is_surjective()
     # x -> y is NOT well-defined from Z/2 to Z/4
     bad = grp.GroupHom(dom, cod, IntMatrix(1, 1, {(0, 0): 1}))
     assert not bad.well_defined
     # identity Z/4 -> Z/4 is an isomorphism
     iso = grp.GroupHom(cod, cod, IntMatrix(1, 1, {(0, 0): 1}))
     assert iso.is_isomorphism()
+
+
+def _random_presentation(rng, gens):
+    rels = [[rng.randint(-3, 3) for _ in range(gens)] for _ in range(rng.randint(0, 3))]
+    return grp.GroupPresentation(range(gens), IntMatrix.from_columns(gens, rels).transpose())
+
+
+def _random_unimodular(rng, size):
+    """A product of random elementary integer matrices."""
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            q = rng.randint(-2, 2)
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def test_is_isomorphism_matches_injective_oracle():
+    """On small homomorphisms, well-defined ones by construction and
+    random ones, ``is_isomorphism`` (surjective between groups of equal
+    free rank and torsion) agrees with well-defined, surjective and
+    injective, the last decided by the general lattice test."""
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(300):
+        g_dom, g_cod = rng.randint(0, 3), rng.randint(0, 3)
+        dom = _random_presentation(rng, g_dom)
+        if rng.random() < 0.5:
+            # M unimodular on the same generators and cod relations M D
+            # plus maybe a few more: well defined, often an isomorphism
+            g_cod = g_dom
+            m = IntMatrix.from_columns(g_dom, _random_unimodular(rng, g_dom))
+            images = [m.mul_vec([row.get(j, 0) for j in range(g_dom)])
+                      for row in dom.relations.row_dicts()]
+            extra = [[rng.randint(-3, 3) for _ in range(g_cod)] for _ in range(rng.randint(0, 1))]
+            cod = grp.GroupPresentation(
+                range(g_cod), IntMatrix.from_columns(g_cod, images + extra).transpose())
+        else:
+            cod = _random_presentation(rng, g_cod)
+            m = IntMatrix.from_columns(
+                g_cod, [[rng.randint(-2, 2) for _ in range(g_cod)] for _ in range(g_dom)])
+        hom = grp.GroupHom(dom, cod, m)
+        surjective = hom.well_defined and hom.is_surjective()
+        want = surjective and reference_is_injective(hom)
+        assert hom.is_isomorphism() == want
+        seen.add((hom.well_defined, surjective, want))
+    # surjective and not injective is the case the shortcut decides
+    assert seen == {(False, False, False), (True, False, False),
+                    (True, True, False), (True, True, True)}
 
 
 def test_pt_group_values(triangle, concurrent_e2, coord_s2):
@@ -222,9 +277,9 @@ def test_dashed_map_refuses_a_lift_that_is_not_a_cycle(monkeypatch):
     ``coords``, so its own cycle check raises on one flipped entry."""
     build = grp.apartment_cycle_cell
 
-    def flip_lift(poset, sign, st_model, top_carrier=None):
-        apt = build(poset, sign, st_model, top_carrier)
-        if top_carrier is not None:  # the facet's apartment, left as built
+    def flip_lift(poset, sign, st_model):
+        apt = build(poset, sign, st_model)
+        if poset.cells[sign].dim < poset.geometry.n:  # the facet's apartment, left as built
             return apt
         j = next(i for i, v in enumerate(apt) if v)
         return apt[:j] + (-apt[j],) + apt[j + 1:]
@@ -335,6 +390,35 @@ def test_exact_sequence_corpus(triangle, four_lines, coord_s2):
         assert rep["verdict"] == "PASS", rep
         assert rep["injective"] and rep["facet_surjective"]
         assert rep["kernel_equals_image"] and rep["rank_additive"]
+
+
+def test_image_is_kernel_matches_lattice_equality():
+    """Where fac @ inc = 0, the image of inc is the kernel of fac exactly
+    when the kernel basis and inc's columns span equal lattices; inc
+    ranges over kernel bases times random small matrices, and [2] against
+    [0] is zero but not saturated."""
+    rng = random.Random(21)
+    cases = [(IntMatrix.from_columns(1, [[2]]), IntMatrix.from_columns(1, [[0]]))]
+    for _ in range(200):
+        rows, m = rng.randint(0, 3), rng.randint(0, 4)
+        fac = IntMatrix.from_columns(
+            rows, [[rng.randint(-2, 2) for _ in range(rows)] for _ in range(m)])
+        kernel = kernel_basis(fac)
+        cols = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.8:
+                coeffs = [rng.choice((-1, 0, 1, 1, 2)) for _ in kernel]
+                cols.append([sum(c * v[i] for c, v in zip(coeffs, kernel)) for i in range(m)])
+            else:
+                cols.append([rng.randint(-2, 2) for _ in range(m)])
+        cases.append((IntMatrix.from_columns(m, cols), fac))
+    seen = set()
+    for inc, fac in cases:
+        want = lattices_equal(kernel_basis(fac), dense_columns(inc), fac.cols)
+        composite_zero = fac.product_is_zero(inc)
+        assert (composite_zero and grp._image_is_kernel(inc, fac)) == want
+        seen.add((composite_zero, want))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_exact_sequence_u_in_l(triangle):

@@ -3,7 +3,9 @@
 The old rules are kept as test-only references: flat containment by
 ``carrier.contains(cell.flat)``, polytope membership by testing a cell's
 witness against every half-space, chart orientation by coordinates in a
-direction basis, boundedness by the recession-cone loop, and spherical
+direction basis, E/H apartments by all-pairs closure tests with each
+flag signed in a given carrier (``conftest.reference_apartment_cycle_cell``),
+boundedness by the recession-cone loop, and spherical
 face chains and apartments keyed by the faces of each region's polytope
 (``conftest.reference_face_chains``, ``apartment_cycle_pt_polytope``),
 with coordinates in each face span, a ``Fraction`` determinant and
@@ -33,6 +35,7 @@ from conftest import (
     apartment_cycle_pt_polytope,
     cells_in_polytope,
     face_span,
+    reference_apartment_cycle_cell,
     reference_det_sign,
     reference_face_chains,
     reference_face_simplices,
@@ -183,31 +186,48 @@ def test_sign_rules_match_linear_algebra(name):
             _check_region_faces(poset, s, region_polytope(poset, s))
 
 
-def _witness_flags(poset, sign):
-    """Witnesses of each complete flag of cells below the cell, ending
-    with the cell's own witness."""
+def _complete_flags(poset, sign):
+    """Each complete flag of cells below the cell, as sign vectors,
+    ending with the cell itself."""
     cell = poset.cells[sign]
     below = [c for s, c in sorted(poset.cells.items()) if s != sign and arr.FacePoset.leq(s, sign)]
     flags = [()]
     for k in range(cell.dim):
         flags = [
-            fl + (c,) for fl in flags for c in below
-            if c.dim == k and (not fl or arr.FacePoset.leq(fl[-1].sign_vector, c.sign_vector))
+            fl + (c.sign_vector,) for fl in flags for c in below
+            if c.dim == k and (not fl or arr.FacePoset.leq(fl[-1], c.sign_vector))
         ]
-    return [[c.witness for c in fl] + [cell.witness] for fl in flags]
+    return [fl + (sign,) for fl in flags]
 
 
 @pytest.mark.parametrize("name", PLANE_SCENES)
 def test_chart_orientation_matches_direction_basis(name):
+    """``FacePoset.orientation`` of every complete flag below every cell
+    is the orientation of the witnesses' differences in the cell's
+    direction basis."""
     _, posets = _region_posets(name)
     signs = set()
     for poset in posets:
         for s, cell in sorted(poset.cells.items()):
-            for pts in _witness_flags(poset, s):
-                got = grp.flat_orientation_chart(cell.flat, pts)
+            for flag in _complete_flags(poset, s):
+                got = poset.orientation(flag)
+                pts = [poset.cells[t].witness for t in flag]
                 assert got == _reference_orientation_chart(cell.flat, pts)
                 signs.add(got)
     assert signs == {1, -1}
+
+
+def _region_face_chains(tri, sign):
+    """(chains, facets, eta) of the faces in a region's closure, read off
+    ``tri.cell_chain``: each face's chain, its facets in sign-vector
+    order and the incidence sign of each facet."""
+    chains, facets, eta = {}, {}, {}
+    for s in sorted(tri.poset.cells_in(tuple(enumerate(sign)))):
+        chains[s], incidences = tri.cell_chain(s)
+        if tri.poset.cells[s].dim:
+            facets[s] = list(incidences)
+            eta.update(((s, t), e) for t, e in incidences.items())
+    return chains, facets, eta
 
 
 @pytest.mark.parametrize("name", ["s2_coordinate", "s2_generic_three"])
@@ -218,9 +238,9 @@ def test_face_simplices_match_reference(name):
     tri = cx.sphere_triangulation(coll, poset)
     for s in arr.region_basis(poset):
         p = region_polytope(poset, s)
-        chains = grp._SphericalFaceChains(s, tri)
+        chains = _region_face_chains(tri, s)[0]
         for face in p.faces:
-            got = list(chains.chains[_face_cell(poset, p, face)])
+            got = list(chains[_face_cell(poset, p, face)])
             assert got == reference_face_simplices(tri, p, face)
 
 
@@ -229,11 +249,11 @@ def _check_face_chains(tri, sign):
     equal the ones of its polytope's faces, keyed by vertex ids."""
     poset = tri.poset
     polytope = region_polytope(poset, sign)
-    chains = grp._SphericalFaceChains(sign, tri)
+    chains, _, eta = _region_face_chains(tri, sign)
     want_chains, want_eta = reference_face_chains(tri, polytope)
     cell_of = {f.vertex_ids: _face_cell(poset, polytope, f) for f in polytope.faces}
-    assert chains.chains == {cell_of[k]: v for k, v in want_chains.items()}
-    assert chains.eta == {(cell_of[a], cell_of[b]): v for (a, b), v in want_eta.items()}
+    assert chains == {cell_of[k]: v for k, v in want_chains.items()}
+    assert eta == {(cell_of[a], cell_of[b]): v for (a, b), v in want_eta.items()}
     assert {s for chain in want_chains.values() for s in chain.values()} == {1, -1}
     assert set(want_eta.values()) == {1, -1}
 
@@ -260,11 +280,11 @@ def test_per_cell_face_chains_match_per_region_build(name):
     coll, (poset,) = _region_posets(name)
     tri = cx.sphere_triangulation(coll, poset)
     for s in arr.region_basis(poset):
-        got = grp._SphericalFaceChains(s, tri)
+        chains, facets, eta = _region_face_chains(tri, s)
         want = ReferenceSphericalFaceChains(s, tri)
-        assert got.chains == want.chains
-        assert got.facets == want.facets
-        assert got.eta == want.eta
+        assert chains == want.chains
+        assert facets == want.facets
+        assert eta == want.eta
 
 
 def test_each_cell_chain_and_witness_is_built_once(monkeypatch):
@@ -272,7 +292,8 @@ def test_each_cell_chain_and_witness_is_built_once(monkeypatch):
     S^3 gets one chain build and one witness check (a build per region
     gave 240 chain builds and 2,216 containment checks for its 80
     cells)."""
-    coll, (poset,) = _region_posets("s3_coordinate")
+    coll = _region_posets("s3_coordinate")[0]
+    poset = arr.build_arrangement(coll)  # a fresh poset: no witness checked yet
     tri = cx.sphere_triangulation(coll, poset)
     bic = cx.pt_bicomplex(coll, tri)
     builds = collections.Counter()
@@ -293,40 +314,125 @@ def test_each_cell_chain_and_witness_is_built_once(monkeypatch):
     assert set(checked.values()) == {1}
 
 
-def _witness_moved_off_its_flat(poset):
-    """A copy of the poset whose first edge (1-cell) has its witness
-    moved off the edge's flat."""
-    sign = min(s for s, c in poset.cells.items() if c.dim == 1)
+def test_each_eh_witness_is_checked_once_and_each_closure_taken_once(monkeypatch):
+    """Over every bounded region's apartment of six lines in E^2, twice,
+    each cell in a region's closure gets one witness check, and each
+    apartment takes its region's closure once (a scan of every cell with
+    a check per flag gave 396 containment checks for those 45 cells)."""
+    scene = _scene("e2_six_lines")
+    coll, _ = scene.collection()
+    poset, basis = scene.arrangement(None)
+    st = grp.STModel(coll.members, coll.top())
+    taken = collections.Counter()
+    cells_in = arr.FacePoset.cells_in
+    monkeypatch.setattr(arr.FacePoset, "cells_in",
+                        lambda self, signs: taken.update([signs]) or cells_in(self, signs))
+    checked = collections.Counter()
+    contains = geo.LinearSubspace.contains_vector
+    monkeypatch.setattr(geo.LinearSubspace, "contains_vector",
+                        lambda self, v: checked.update([tuple(v)]) or contains(self, v))
+    assert len(basis) == 9 and len(poset.cells) == 69
+    for _ in range(2):
+        for s in basis:
+            grp.apartment_cycle_cell(poset, s, st)
+    assert taken == {tuple(enumerate(s)): 2 for s in basis}
+    closure = set().union(*(cells_in(poset, signs) for signs in taken))
+    assert len(closure) == 45
+    assert set(checked) == {geo.chart_vector(poset.geometry, poset.cells[s].witness)
+                            for s in closure}
+    assert set(checked.values()) == {1}
+
+
+def _witness_moved_off_its_flat(poset, region):
+    """A copy of the poset whose first edge (1-cell) in the region's
+    closure has its witness moved off the edge's flat."""
+    g = poset.geometry
+    sign = min(s for s in poset.cells_in(tuple(enumerate(region))) if poset.cells[s].dim == 1)
     cell = poset.cells[sign]
-    amb = poset.geometry.ambient_dim
-    unit = next(u for u in (tuple(int(k == i) for k in range(amb)) for i in range(amb))
-                if not cell.flat.contains_vector(u))
-    off = tuple(w + u for w, u in zip(cell.witness, unit))
-    assert not cell.flat.contains_vector(off)
+    units = [tuple(int(k == i) for k in range(g.chart_dim)) for i in range(g.chart_dim)]
+    off = next(w for w in (tuple(x + u for x, u in zip(cell.witness, unit)) for unit in units)
+               if not cell.flat.contains_vector(geo.chart_vector(g, w)))
     cells = {**poset.cells, sign: arr.Cell(sign, cell.flat, cell.dim, off)}
     return arr.FacePoset(poset.geometry, poset.covectors, cells)
 
 
 def test_witness_off_its_flat_fails_the_apartment_pass(monkeypatch, capsys):
-    """The one witness check per cell stays: a witness off its own flat
-    raises AssertionError in the apartment pass, which the CLI reports as
-    an internal error (exit 4)."""
-    scene = _scene("s2_generic_three")
-    coll, _ = scene.collection()
-    poset, basis = scene.arrangement(None)
-    bad = _witness_moved_off_its_flat(poset)
-    tri = cx.sphere_triangulation(coll, bad)
-    bic = cx.pt_bicomplex(coll, tri)
-    with pytest.raises(AssertionError, match="witness lies off its flat"):
-        for s in basis:
-            grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
+    """The one witness check per cell stays, in S^2 and E^2: a witness
+    off its own flat raises AssertionError in the apartment pass, which
+    the CLI reports as an internal error (exit 4)."""
+    for name in ("s2_generic_three", "e2_four_lines"):
+        scene = _scene(name)
+        coll, _ = scene.collection()
+        poset, basis = scene.arrangement(None)
+        bad = _witness_moved_off_its_flat(poset, basis[0])
+        with pytest.raises(AssertionError, match="witness lies off its flat"):
+            if poset.geometry.kind == geo.SPHERICAL:
+                tri = cx.sphere_triangulation(coll, bad)
+                bic = cx.pt_bicomplex(coll, tri)
+                for s in basis:
+                    grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
+            else:
+                st = grp.STModel(coll.members, coll.top())
+                for s in basis:
+                    grp.apartment_cycle_cell(bad, s, st)
 
-    monkeypatch.setattr(cli.Scene, "arrangement", lambda self, within: (bad, basis))
-    path = str(cli.corpus_dir() / "s2_generic_three.json")
-    assert cli.main(["verify", "solomon-tits", path]) == cli.EXIT_INTERNAL
-    report = json.loads(capsys.readouterr().err)
-    assert report["error"] == "INTERNAL_ERROR"
-    assert report["detail"] == "AssertionError: cell witness lies off its flat"
+        with monkeypatch.context() as m:
+            m.setattr(cli.Scene, "arrangement", lambda self, within: (bad, basis))
+            path = str(cli.corpus_dir() / f"{name}.json")
+            assert cli.main(["verify", "solomon-tits", path]) == cli.EXIT_INTERNAL
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "INTERNAL_ERROR"
+        assert report["detail"] == "AssertionError: cell witness lies off its flat"
+
+
+EH_SCENES = sorted(
+    p.name[:-5] for p in cli.corpus_dir().iterdir()
+    if p.name.startswith(("e", "h")) and _scene(p.name[:-5]).mode != "points"
+)
+
+
+@pytest.mark.parametrize("name", EH_SCENES)
+def test_cell_apartments_match_reference_builder(name):
+    """The apartment of every basis region of every E/H corpus scene
+    generated by hyperplanes (a points-generated one has cells whose
+    flats are no members), on its global poset and on its window poset,
+    equals the chain of the all-pairs builder that signs each flag in the
+    whole space."""
+    coll, posets = _region_posets(name)
+    st = grp.STModel(coll.members, coll.top())
+    for poset in posets:
+        for s in arr.region_basis(poset):
+            want = reference_apartment_cycle_cell(poset, s, st)
+            assert grp.apartment_cycle_cell(poset, s, st) == want
+
+
+EXACT_SEQ_SCENES = sorted(
+    p.name[:-5] for p in cli.corpus_dir().iterdir()
+    if p.name.startswith(("e", "h")) and "u_hyperplane" in json.loads(p.read_text())["options"]
+)
+
+
+@pytest.mark.parametrize("name", EXACT_SEQ_SCENES)
+def test_exact_seq_apartments_match_reference_builder(name, monkeypatch):
+    """Every lifted region q and every facet tau on U that ``verify
+    exact-seq`` builds an apartment for gets the reference chain: q's
+    signed in the whole space, tau's in U, which is tau's own flat."""
+    built = []
+    build = grp.apartment_cycle_cell
+    monkeypatch.setattr(grp, "apartment_cycle_cell",
+                        lambda *a: built.append((a, build(*a))) or built[-1][1])
+    scene = _scene(name)
+    assert cli.run_command("verify", "exact-seq", scene)[1] == "PASS"
+    dims = set()
+    for (poset, sign, st), got in built:
+        cell = poset.cells[sign]
+        top_carrier = None
+        if cell.dim < poset.geometry.n:
+            assert cell.flat == st.top.carrier
+            top_carrier = st.top.carrier
+        assert got == reference_apartment_cycle_cell(poset, sign, st, top_carrier)
+        dims.add(cell.dim)
+    assert dims == {scene.geometry.n - 1, scene.geometry.n}
 
 
 def _octant_cup(coord_s2):

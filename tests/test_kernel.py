@@ -25,6 +25,7 @@ from geotits.complexes import (
     pt_bicomplex,
     sphere_triangulation,
 )
+from conftest import dense_columns
 
 
 def dense(m):
@@ -221,7 +222,7 @@ def _ref_coords(complex_, degree, cycle):
     k = len(kernel)
     kmat = IntMatrix.from_columns(complex_.dim(degree), kernel)
     rel = IntMatrix.from_columns(
-        k, [_ref_solve(kmat, col) for col in complex_.boundary(degree + 1).columns()]
+        k, [_ref_solve(kmat, col) for col in dense_columns(complex_.boundary(degree + 1))]
     )
     a = _ref_solve(kmat, list(cycle))
     if a is None:
@@ -302,7 +303,7 @@ def _check_lattice_answers(rng):
     others.  Returns the (question, answer) pairs and whether M's
     reduction reached phase B."""
     rows = rng.randint(1, 5)
-    cols = _random_matrix(rng, rows, rng.randint(1, 4), bound=4).columns()
+    cols = dense_columns(_random_matrix(rng, rows, rng.randint(1, 4), bound=4))
     cols += [_combination(rng, cols, rows) for _ in range(rng.randint(0, 2))]
     m = IntMatrix.from_columns(rows, cols)
     snf = smith_normal_form(m)
@@ -479,7 +480,7 @@ def _reference_classes(complex_, degree):
     k = len(kernel)
     in_kernel = _sparse_solver(IntMatrix.from_columns(complex_.dim(degree), kernel))
     rel = IntMatrix.from_columns(
-        k, [in_kernel(col) for col in complex_.boundary(degree + 1).columns()]
+        k, [in_kernel(col) for col in dense_columns(complex_.boundary(degree + 1))]
     )
     factors, prow, _, urows, _ = _reference_eliminate(rel.row_dicts(), rel.rows, rel.cols, True)
     pivot_rows = set(prow)
@@ -515,7 +516,7 @@ def test_homology_coords_match_dense_reference(seed):
         n1,
         [
             [sum(kernel[t][i] * col[t] for t in range(len(kernel))) for i in range(n1)]
-            for col in r.columns()
+            for col in dense_columns(r)
         ],
     )
     cx = ChainComplex({0: range(n0), 1: range(n1), 2: range(n2)}, {1: d1, 2: d2})
