@@ -274,23 +274,29 @@ def _sample_chart_point(rng, g):
 
 
 def check_arrangement(scene, seed=0):
+    """Sample points and check that each lies in exactly one region.  A
+    draw outside the window moves halfway to its interior witness until
+    it lies inside, so a window anywhere in the chart gets samples."""
     poset, basis = scene.arrangement(scene.polytope_a)
     rng = random.Random(seed)
     samples = 0
     failures = 0
     g = scene.geometry
-    nv = g.chart_dim
+    window = scene.polytope_a
     region_signs = {c.sign_vector for c in poset.regions()}
     while samples < 20:
-        pt = _sample_chart_point(rng, g)
-        vec = pt if g.kind == geo.SPHERICAL else (Fraction(1),) + pt
+        vec = geo.chart_vector(g, _sample_chart_point(rng, g))
+        if window is not None:
+            # on the sphere a draw opposite the witness can halve to the
+            # zero vector, which lies on every hyperplane and is skipped
+            inner = geo.chart_vector(g, window.interior_witness)
+            while not all(exact.dot(h.functional, vec) >= 0 for h in window.halfspaces):
+                vec = tuple((x + y) / 2 for x, y in zip(vec, inner))
         signs = tuple(
             1 if exact.dot(cov, vec) > 0 else (-1 if exact.dot(cov, vec) < 0 else 0)
             for cov in poset.covectors
         )
         if 0 in signs:
-            continue
-        if scene.polytope_a is not None and not scene.polytope_a.contains_chart_point(pt):
             continue
         samples += 1
         hits = sum(1 for s in region_signs if s == signs)

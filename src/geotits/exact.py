@@ -27,10 +27,6 @@ def frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec_sub(a, b):
-    return tuple(frac(x) - frac(y) for x, y in zip(a, b))
-
-
 def dot(a, b):
     """Sum of products in native arithmetic: int for int vectors, else
     ``Fraction``; divide a result with ``Fraction(p, q)``, never ``/``."""
@@ -187,24 +183,6 @@ def det_sign(rows):
             mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], prow)]
         prev = pv
     return sign if prev > 0 else -sign
-
-
-def orientation_sign(points):
-    """Orientation of n+1 affine points in an n-dimensional chart."""
-    pts = [tuple(map(frac, p)) for p in points]
-    n = len(pts[0])
-    if len(pts) != n + 1:
-        raise ValueError(f"need {n + 1} points in dimension {n}, got {len(pts)}")
-    rows = [vec_sub(p, pts[0]) for p in pts[1:]]
-    return det_sign(rows)
-
-
-def orientation_sign_vectors(vectors):
-    """Orientation of n+1 linearly-placed vectors in R^(n+1) (spherical)."""
-    vs = [tuple(map(frac, v)) for v in vectors]
-    if len(vs) != len(vs[0]):
-        raise ValueError("need as many vectors as the ambient dimension")
-    return det_sign(vs)
 
 
 def signature(gram):

@@ -315,10 +315,6 @@ class ConvexPolytope:
         self.halfspaces = tuple(halfspaces)
         self.interior_witness = interior_witness
 
-    def contains_chart_point(self, point):
-        v = chart_vector(self.geometry, point)
-        return all(dot(h.functional, v) >= 0 for h in self.halfspaces)
-
     def __repr__(self):
         return f"ConvexPolytope({self.geometry}, facets<={len(self.halfspaces)})"
 

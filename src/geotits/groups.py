@@ -6,7 +6,6 @@ apartment signs are witness minors at the pivots of the top cell's flat
 ever asserted, never an absolute sign.
 """
 
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from geotits import HypothesesError
@@ -21,7 +20,7 @@ from geotits._kernel import (
     lattices_equal,
     smith_normal_form,
 )
-from geotits.exact import F0, F1, dot, frac
+from geotits.exact import dot, frac
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,9 @@ class GroupHom:
         return _unit_snf(stacked, g)
 
     def kernel_lattice(self):
-        """Basis (columns) of {x : M x lies in the codomain relations}."""
+        """Generators (columns) of {x : M x lies in the codomain relations}:
+        a kernel basis of [M | -R] cut to the domain coordinates, so
+        columns repeat or vanish when the relations are dependent."""
         gc = len(self.codomain.generators)
         gd = len(self.domain.generators)
         rel = self.codomain.relations
@@ -329,121 +330,42 @@ def ls_apartment_matrix(ls_data, st_model):
 
 
 # ---------------------------------------------------------------------------
-# Placing triangulation and the canonical map Pt -> Ls
+# The canonical map Pt -> Ls
 
 
-def placing_triangulation(points):
-    """Incremental placing triangulation of affine points (any ambient dim).
+def pt_to_ls_element(poset, region_sign, ls_data):
+    """Image of a bounded region under the canonical map Pt -> Ls: the
+    increasing tuple of its vertices (the 0-cells in its closure, by
+    point index) with the sign of the determinant of their chart
+    vectors, (1, x) in E/H and the ray itself in S^n.
 
-    Vertices are placed in lexicographic order; a new vertex cones over
-    the whole triangulation when it leaves the affine span, else over
-    the visible boundary facets.  Returns index tuples into the sorted
-    point list, each of top dimension.
+    The region is a simplex, since the collection is generated by both
+    points and hyperplanes.  Its vertices, the 0-cells of the
+    arrangement, are points of the collection, and the hyperplane
+    through any n affinely independent ones is in the arrangement.  The
+    region does not cross that hyperplane, so it carries a facet.  A
+    polytope in which every n affinely independent vertices share a
+    facet is a simplex: by induction every facet is one, and for a
+    facet F each vertex outside F is the apex of the facet next to F
+    across each ridge, so there is only one such vertex.
+
+    AssertionError unless the region has n + 1 vertices with a nonzero
+    determinant.
     """
-    pts = sorted(tuple(map(frac, p)) for p in points)
-    if len(set(pts)) != len(pts):
-        raise ValueError("repeated vertices")
-    simplices = [(0,)]
-    span_pts = [0]
-    for i in range(1, len(pts)):
-        diffs = [exact.vec_sub(pts[j], pts[span_pts[0]]) for j in span_pts[1:]]
-        new_diff = exact.vec_sub(pts[i], pts[span_pts[0]])
-        in_span = exact.rank(diffs + [new_diff]) == exact.rank(diffs) if diffs else all(
-            x == 0 for x in new_diff
-        )
-        if not in_span:
-            simplices = [s + (i,) for s in simplices]
-            span_pts.append(i)
-            continue
-        dim = len(span_pts) - 1
-        counts = {}
-        owner = {}
-        for s in simplices:
-            for drop in range(len(s)):
-                f = s[:drop] + s[drop + 1 :]
-                counts[f] = counts.get(f, 0) + 1
-                owner[f] = s
-        visible = []
-        for f, cnt in counts.items():
-            if cnt != 1:
-                continue
-            s = owner[f]
-            w = next(v for v in s if v not in f)
-            func = _facet_functional([pts[v] for v in f], pts[w])
-            val = dot(func[:-1], pts[i]) + func[-1]
-            if val < 0:
-                visible.append(f)
-        simplices = simplices + [f + (i,) for f in sorted(visible)]
-    top = max(len(s) for s in simplices)
-    return pts, sorted(s for s in simplices if len(s) == top)
-
-
-def _facet_functional(facet_pts, inside_pt):
-    """Affine functional vanishing on the facet, = 1 at the inside point."""
-    m = len(inside_pt)
-    rows = [tuple(p) + (F1,) for p in facet_pts] + [tuple(inside_pt) + (F1,)]
-    rhs = [F0] * len(facet_pts) + [F1]
-    sol = exact.solve_affine(rows, rhs)
-    if sol is None:  # pragma: no cover - facet plus witness are independent
-        raise AssertionError("degenerate facet functional")
-    return sol[0]
-
-
-def _spherical_projection_coords(rays):
-    """Affine coordinates of cone rays on a cutting hyperplane {c.x = 1}."""
-    nv = len(rays[0])
-    rows = [tuple(map(frac, r)) + (Fraction(-1),) for r in rays]
-    c = exact.feasible((), rows, (), nv)
-    if c is None:
-        raise ValueError("rays do not span a pointed cone")
-    out = []
-    for r in rays:
-        t = dot(c, r)
-        if not t > 0:  # pragma: no cover - guaranteed by feasibility
-            raise AssertionError("cutting functional not positive on a ray")
-        out.append(tuple(frac(x) / t for x in r))
-    return out
-
-
-def pt_to_ls_element(vertices, coll, ls_data):
-    """Image of a convex L-polytope, given by its vertices, under the
-    canonical map to Ls: chart points in E/H, extreme rays in S.
-
-    The polytope is placing-triangulated; each simplex contributes its
-    increasing vertex tuple signed by chart orientation.
-    """
-    g = coll.geometry
-    n = g.n
+    g = poset.geometry
     pres, pts = ls_data
     pair_index = {p.carrier: i for i, p in enumerate(pts)}
-    gen_index = {gen: i for i, gen in enumerate(pres.generators)}
+    cells = poset.cells
+    vertices = sorted((pair_index[cells[s].flat], s)
+                      for s in poset.cells_in(tuple(enumerate(region_sign)))
+                      if cells[s].dim == 0)
+    sign = 0
+    if len(vertices) == g.n + 1:
+        sign = exact.det_sign([geo.chart_vector(g, cells[s].witness) for _, s in vertices])
+    if sign == 0:
+        raise AssertionError(f"region {arr.sign_key(region_sign)} is not a simplex")
     out = [0] * len(pres.generators)
-    if g.kind == geo.SPHERICAL:
-        rays = [tuple(map(frac, v)) for v in vertices]
-        coords = _spherical_projection_coords(rays)
-        coord_of = dict(zip(coords, rays))
-        placed, simplices = placing_triangulation(coords)
-        for s in simplices:
-            actual = [coord_of[placed[i]] for i in s]
-            members = [
-                geo.GeoSubspace(g, geo.subspace_from_vectors(g.ambient_dim, [v]))
-                for v in actual
-            ]
-            order = sorted(range(len(members)), key=lambda k: pair_index[members[k].carrier])
-            tup = tuple(pair_index[members[k].carrier] for k in order)
-            if len(set(tup)) != len(tup):
-                raise AssertionError("repeated pair in simplex")
-            sign = exact.orientation_sign_vectors([actual[k] for k in order])
-            out[gen_index[tup]] += sign
-    else:
-        verts = [tuple(map(frac, v)) for v in vertices]
-        placed, simplices = placing_triangulation(verts)
-        for s in simplices:
-            members = [geo.point_subspace(g, placed[i]) for i in s]
-            order = sorted(range(len(members)), key=lambda k: pair_index[members[k].carrier])
-            tup = tuple(pair_index[members[k].carrier] for k in order)
-            sign = exact.orientation_sign([placed[s[k]] for k in order])
-            out[gen_index[tup]] += sign
+    out[pres.generators.index(tuple(i for i, _ in vertices))] = sign
     return tuple(out)
 
 
@@ -452,29 +374,9 @@ def pt_to_ls_hom(coll, poset, basis):
     with the Lee-Szczarba data it maps to."""
     ls_data = ls_group(coll)
     pres = ls_data[0]
-    cols = []
-    for s in basis:
-        cols.append(list(pt_to_ls_element(region_vertices(poset, s), coll, ls_data)))
+    cols = [list(pt_to_ls_element(poset, s, ls_data)) for s in basis]
     matrix = IntMatrix.from_columns(len(pres.generators), cols)
     return GroupHom(pt_group(basis), pres, matrix), ls_data
-
-
-def region_vertices(poset, region_sign):
-    """Vertices of a bounded region, sorted: the 0-cells in its closure,
-    as chart points (their witnesses) in E/H and as primitive rays in S.
-    AssertionError unless they span the ambient space."""
-    g = poset.geometry
-    cells = [poset.cells[s] for s in poset.cells_in(tuple(enumerate(region_sign)))]
-    witnesses = [c.witness for c in cells if c.dim == 0]
-    if g.kind == geo.SPHERICAL:
-        verts = sorted(map(exact.primitive_int_row, witnesses))
-        span = verts
-    else:
-        verts = sorted(witnesses)
-        span = [(F1,) + v for v in verts]
-    if exact.rank(span) != g.ambient_dim:
-        raise AssertionError(f"region {arr.sign_key(region_sign)} is not a polytope")
-    return verts
 
 
 def join_sublattice(coll, poset, basis, ls_data):

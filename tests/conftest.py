@@ -427,9 +427,8 @@ def face_span(polytope, face):
 
 def reference_in_polytope(poset, cell, polytope):
     """The cell's witness against every half-space of the polytope."""
-    if poset.geometry.kind == geo.SPHERICAL:
-        return all(exact.dot(h.functional, cell.witness) >= 0 for h in polytope.halfspaces)
-    return polytope.contains_chart_point(cell.witness)
+    v = geo.chart_vector(poset.geometry, cell.witness)
+    return all(exact.dot(h.functional, v) >= 0 for h in polytope.halfspaces)
 
 
 def reference_face_simplices(tri, polytope, face):
@@ -592,6 +591,120 @@ def apartment_cycle_polytope(polytope, coll, st_model):
         vec[idx[tuple(pos[face_span(polytope, f)] for f in flag)]] += sign
     assert not any(st_model.complex.boundary(n).mul_vec(vec)), "polytope apartment is not a cycle"
     return tuple(vec)
+
+
+def _vec_sub(a, b):
+    return tuple(frac(x) - frac(y) for x, y in zip(a, b))
+
+
+def placing_triangulation(points):
+    """Incremental placing triangulation of affine points (any ambient dim).
+
+    Vertices are placed in lexicographic order; a new vertex cones over
+    the whole triangulation when it leaves the affine span, else over
+    the visible boundary facets.  Returns index tuples into the sorted
+    point list, each of top dimension.
+    """
+    pts = sorted(tuple(map(frac, p)) for p in points)
+    if len(set(pts)) != len(pts):
+        raise ValueError("repeated vertices")
+    simplices = [(0,)]
+    span_pts = [0]
+    for i in range(1, len(pts)):
+        diffs = [_vec_sub(pts[j], pts[span_pts[0]]) for j in span_pts[1:]]
+        new_diff = _vec_sub(pts[i], pts[span_pts[0]])
+        in_span = exact.rank(diffs + [new_diff]) == exact.rank(diffs) if diffs else all(
+            x == 0 for x in new_diff
+        )
+        if not in_span:
+            simplices = [s + (i,) for s in simplices]
+            span_pts.append(i)
+            continue
+        counts = {}
+        owner = {}
+        for s in simplices:
+            for drop in range(len(s)):
+                f = s[:drop] + s[drop + 1 :]
+                counts[f] = counts.get(f, 0) + 1
+                owner[f] = s
+        visible = []
+        for f, cnt in counts.items():
+            if cnt != 1:
+                continue
+            s = owner[f]
+            w = next(v for v in s if v not in f)
+            func = _facet_functional([pts[v] for v in f], pts[w])
+            val = dot(func[:-1], pts[i]) + func[-1]
+            if val < 0:
+                visible.append(f)
+        simplices = simplices + [f + (i,) for f in sorted(visible)]
+    top = max(len(s) for s in simplices)
+    return pts, sorted(s for s in simplices if len(s) == top)
+
+
+def _facet_functional(facet_pts, inside_pt):
+    """Affine functional vanishing on the facet, = 1 at the inside point."""
+    rows = [tuple(p) + (F1,) for p in facet_pts] + [tuple(inside_pt) + (F1,)]
+    rhs = [F0] * len(facet_pts) + [F1]
+    sol = exact.solve_affine(rows, rhs)
+    assert sol is not None, "degenerate facet functional"
+    return sol[0]
+
+
+def _spherical_projection_coords(rays):
+    """Affine coordinates of cone rays on a cutting hyperplane {c.x = 1}."""
+    nv = len(rays[0])
+    rows = [tuple(map(frac, r)) + (Fraction(-1),) for r in rays]
+    c = exact.feasible((), rows, (), nv)
+    if c is None:
+        raise ValueError("rays do not span a pointed cone")
+    out = []
+    for r in rays:
+        t = dot(c, r)
+        assert t > 0, "cutting functional not positive on a ray"
+        out.append(tuple(frac(x) / t for x in r))
+    return out
+
+
+def reference_pt_to_ls_element(vertices, coll, ls_data):
+    """Image of a convex L-polytope, given by its vertices, under the
+    canonical map to Ls: chart points in E/H, extreme rays in S.
+
+    The polytope is placing-triangulated (in S, on a cutting hyperplane
+    of its cone); each simplex contributes its increasing vertex tuple
+    signed by the orientation of its vertices.  The rule that
+    ``groups.pt_to_ls_element`` replaced for regions, kept as its oracle
+    and for polytopes that are not simplices."""
+    g = coll.geometry
+    pres, pts = ls_data
+    pair_index = {p.carrier: i for i, p in enumerate(pts)}
+    gen_index = {gen: i for i, gen in enumerate(pres.generators)}
+    out = [0] * len(pres.generators)
+    if g.kind == SPHERICAL:
+        rays = [tuple(map(frac, v)) for v in vertices]
+        coords = _spherical_projection_coords(rays)
+        coord_of = dict(zip(coords, rays))
+        placed, simplices = placing_triangulation(coords)
+        for s in simplices:
+            actual = [coord_of[placed[i]] for i in s]
+            members = [
+                geo.GeoSubspace(g, subspace_from_vectors(g.ambient_dim, [v])) for v in actual
+            ]
+            order = sorted(range(len(members)), key=lambda k: pair_index[members[k].carrier])
+            tup = tuple(pair_index[members[k].carrier] for k in order)
+            assert len(set(tup)) == len(tup), "repeated pair in simplex"
+            out[gen_index[tup]] += reference_det_sign([actual[k] for k in order])
+    else:
+        verts = [tuple(map(frac, v)) for v in vertices]
+        placed, simplices = placing_triangulation(verts)
+        for s in simplices:
+            members = [geo.point_subspace(g, placed[i]) for i in s]
+            order = sorted(range(len(members)), key=lambda k: pair_index[members[k].carrier])
+            tup = tuple(pair_index[members[k].carrier] for k in order)
+            first = placed[s[order[0]]]
+            out[gen_index[tup]] += reference_det_sign(
+                [_vec_sub(placed[s[k]], first) for k in order[1:]])
+    return tuple(out)
 
 
 def collapse_chain_map(bicomplex, collapse):

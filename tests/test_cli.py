@@ -12,6 +12,7 @@ from geotits import cli
 from geotits import complexes as cx
 from geotits._kernel import IntMatrix
 from geotits.cli import Scene, SceneError, HypothesesError, run_command
+from conftest import Budget
 from test_scale import S3_FIVE
 
 
@@ -209,6 +210,31 @@ def test_arrangement_seeded(tmp_path, capsys):
     assert block["region_basis_size"] == 3
 
 
+# Windows that no draw of ``_sample_chart_point`` reaches: hyperbolic
+# draws have |x| <= 40/81, Euclidean ones |x| <= 200.
+FAR_WINDOWS = {
+    "H": [["-3/5", "1", "0"], ["7/10", "-1", "0"], ["1/10", "0", "1"], ["1/10", "0", "-1"]],
+    "E": [["-201", "1", "0"], ["202", "-1", "0"], ["0", "0", "1"], ["1", "0", "-1"]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAR_WINDOWS))
+def test_arrangement_samples_a_window_beyond_the_draws(kind, tmp_path):
+    """Draws outside the window move into it, so the partition check gets
+    its 20 samples; the subprocess timeout stops a sampler that never
+    reaches the window."""
+    rows = FAR_WINDOWS[kind]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"geometry": kind, "n": 2, "hyperplanes": rows,
+                                "polytope_A": {"halfspaces": rows}}))
+    with Budget("arrangement", f"window beyond the draws, {kind}^2", 20):
+        proc = subprocess.run([sys.executable, "-m", "geotits.cli", "arrangement", str(path)],
+                              capture_output=True, text=True, timeout=20)
+    assert proc.returncode == cli.EXIT_PASS, proc.stderr
+    (block,) = json.loads(proc.stdout)["checks"]
+    assert block["partition_samples"] == 20 and block["partition_failures"] == 0
+
+
 def test_groups_commands(capsys):
     assert cli.main(["groups", "pt", scene_path("e2_triangle")]) == cli.EXIT_PASS
     rep = json.loads(capsys.readouterr().out)
@@ -247,6 +273,19 @@ def test_spherical_report_pinned(capsys):
     assert json.loads(pinned.read_text())["s3_generic"] == {
         "s3_generic verify solomon-tits": want
     }
+
+
+def test_spherical_pt_ls_report_pinned(capsys):
+    """``verify pt-ls`` of the same S^3 scene (16 regions, 32 join
+    generators, kernel rank 15) gives the report whose sha256 is pinned
+    beside it."""
+    scene = TEST_SCENES / "s3_four_generic.json"
+    assert cli.main(["verify", "pt-ls", str(scene)]) == cli.EXIT_PASS
+    out = capsys.readouterr().out
+    (block,) = json.loads(out)["checks"]
+    assert (block["pt_rank"], block["join_generators"], block["kernel_rank"]) == (16, 32, 15)
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == (TEST_SCENES / "s3_four_generic_pt_ls.sha256").read_text().strip()
 
 
 def test_euclidean_report_pinned(capsys):

@@ -543,23 +543,34 @@ def test_check_witness_rejects_a_nudged_witness(scale, point, match):
             exact._check_witness(point, strict, loose, eqs)
 
 
+def _chart_orientation(pts):
+    """Orientation of n+1 chart points in E^n: the sign of the
+    determinant of their chart vectors (1, p), as
+    ``groups.pt_to_ls_element`` reads it."""
+    g = geo.Geometry("E", len(pts[0]))
+    return exact.det_sign([geo.chart_vector(g, p) for p in pts])
+
+
 def test_orientation_examples():
-    assert exact.orientation_sign([(0, 0), (1, 0), (0, 1)]) == 1
-    assert exact.orientation_sign([(0, 0), (0, 1), (1, 0)]) == -1
-    assert exact.orientation_sign([(0, 0), (1, 1), (2, 2)]) == 0
+    assert _chart_orientation([(0, 0), (1, 0), (0, 1)]) == 1
+    assert _chart_orientation([(0, 0), (0, 1), (1, 0)]) == -1
+    assert _chart_orientation([(0, 0), (1, 1), (2, 2)]) == 0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_orientation_alternating(seed):
+    """The chart-vector determinant has the sign of the determinant of
+    the differences p_i - p_0, and a swap of two points flips it."""
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     pts = [tuple(Fr(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)) for _ in range(n + 1)]
-    base = exact.orientation_sign(pts)
+    base = _chart_orientation(pts)
+    assert base == reference_det_sign([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
     i, j = rng.sample(range(n + 1), 2) if n >= 1 else (0, 1)
     swapped = list(pts)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    assert exact.orientation_sign(swapped) == -base
+    assert _chart_orientation(swapped) == -base
 
 
 def test_min_norm_sq():

@@ -8,7 +8,7 @@ from geotits import HypothesesError
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import complexes as cx
-from geotits import exact, geometry as geo
+from geotits import geometry as geo
 from geotits import groups as grp
 from geotits._kernel import IntMatrix, kernel_basis, lattice_contains, lattices_equal
 from geotits.cli import Scene, corpus_dir, run_command
@@ -24,8 +24,10 @@ from conftest import (
     cells_in_polytope,
     dense_columns,
     pt_apartments,
+    reference_det_sign,
     reference_is_injective,
     reference_polytope,
+    reference_pt_to_ls_element,
     region_polytope,
     subdivide,
 )
@@ -189,7 +191,7 @@ def test_polytope_apartment_matches_tuple(triangle):
     cyc_poly = apartment_cycle_polytope(p, triangle, st)
     verts = tuple(sorted(triangle.points(), key=lambda m: m.sort_key()))
     chart = [tuple(Fr(x, b[0]) for x in b[1:]) for b in (v.carrier.basis[0] for v in verts)]
-    sign = exact.orientation_sign(chart)
+    sign = reference_det_sign([(1,) + p for p in chart])
     assert sign != 0
     cyc_tup = grp.apartment_cycle_tuple(verts, st)
     assert cyc_poly == tuple(sign * x for x in cyc_tup)
@@ -321,7 +323,9 @@ def test_pt_to_ls_h2(h2_triangle):
 
 
 def test_pt_to_ls_quadrilateral_subdivision_invariance():
-    """Quadrilateral vs its two diagonal-cut triangles: equal Ls elements."""
+    """The unit square cut by both diagonals: the images of its four
+    triangle regions add up to the square's placing-triangulated Ls
+    element, and so do its two halves along one diagonal."""
     covs = [
         (0, 1, 0),
         (0, 0, 1),
@@ -332,7 +336,9 @@ def test_pt_to_ls_quadrilateral_subdivision_invariance():
     ]  # unit square, both diagonals
     coll = coll_mod.closure_by_hyperplanes(E2, covs)
     assert coll_mod.generated_by_both(coll)
+    poset = arr.build_arrangement(coll)
     ls_data = grp.ls_group(coll)
+    rel = ls_data[0].relation_lattice_matrix()
     square = reference_polytope(
         E2, [geo.HalfSpace(c) for c in covs[:4]]
     )
@@ -342,12 +348,16 @@ def test_pt_to_ls_quadrilateral_subdivision_invariance():
     tri2 = reference_polytope(
         E2, [geo.HalfSpace(c) for c in covs[:4]] + [geo.HalfSpace((0, 1, -1), sense=-1)]
     )
-    v_sq = grp.pt_to_ls_element(square.vertices, coll, ls_data)
-    v_1 = grp.pt_to_ls_element(tri1.vertices, coll, ls_data)
-    v_2 = grp.pt_to_ls_element(tri2.vertices, coll, ls_data)
+    v_sq = reference_pt_to_ls_element(square.vertices, coll, ls_data)
+    v_1 = reference_pt_to_ls_element(tri1.vertices, coll, ls_data)
+    v_2 = reference_pt_to_ls_element(tri2.vertices, coll, ls_data)
     diff = [a - b - c for a, b, c in zip(v_sq, v_1, v_2)]
-    rel = ls_data[0].relation_lattice_matrix()
     assert lattice_contains(rel, [diff])  # equal in Ls
+    regions = cells_in_polytope(poset, square, dims={2})
+    assert len(regions) == 4
+    images = [grp.pt_to_ls_element(poset, s, ls_data) for s in regions]
+    diff = [a - sum(col) for a, col in zip(v_sq, zip(*images))]
+    assert any(v_sq) and lattice_contains(rel, [diff])
 
 
 def test_pt_to_ls_spherical_kernel(coord_s2):
@@ -357,11 +367,25 @@ def test_pt_to_ls_spherical_kernel(coord_s2):
     assert rep["kernel_equals_join_lattice"]
 
 
+def test_pt_ls_kernel_rank_counts_independent_columns():
+    """Four lines of S^1 give Ls dependent relations, so the kernel
+    lattice, read off a kernel basis of [M | -R] by dropping the
+    relation coordinates, has 6 columns of rank 5 (one repeats); the
+    report gives the rank."""
+    coll = coll_mod.closure_by_hyperplanes(geo.Geometry("S", 1), [(1, 0), (0, 1), (1, 1), (1, -1)])
+    assert coll_mod.generated_by_both(coll)
+    poset = arr.build_arrangement(coll)
+    basis = arr.region_basis(poset)
+    hom, _ = grp.pt_to_ls_hom(coll, poset, basis)
+    assert len(hom.kernel_lattice()) == 6
+    rep = grp.verify_pt_ls(coll, poset, basis)
+    assert rep["verdict"] == "PASS" and rep["kernel_rank"] == 5
+
+
 def test_antipodal_invariance(coord_s2):
     """Reflecting one vertex of a spherical simplex flips the sign of its
     Ls image: the sum lies in the relation lattice (the join relation)."""
     poset = arr.build_arrangement(coord_s2)
-    basis = arr.region_basis(poset)
     ls_data = grp.ls_group(coord_s2)
     s2 = geo.Geometry("S", 2)
     simplex = reference_polytope(
@@ -370,8 +394,11 @@ def test_antipodal_invariance(coord_s2):
     reflected = reference_polytope(
         s2, [geo.HalfSpace((1, 0, 0), sense=-1), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1))]
     )
-    v1 = grp.pt_to_ls_element(simplex.vertices, coord_s2, ls_data)
-    v2 = grp.pt_to_ls_element(reflected.vertices, coord_s2, ls_data)
+    (r1,) = cells_in_polytope(poset, simplex, dims={2})
+    (r2,) = cells_in_polytope(poset, reflected, dims={2})
+    v1 = grp.pt_to_ls_element(poset, r1, ls_data)
+    v2 = grp.pt_to_ls_element(poset, r2, ls_data)
+    assert any(v1)
     total = [a + b for a, b in zip(v1, v2)]
     rel = ls_data[0].relation_lattice_matrix()
     assert lattice_contains(rel, [total])

@@ -11,7 +11,9 @@ face chains and apartments keyed by the faces of each region's polytope
 with coordinates in each face span, a ``Fraction`` determinant and
 boundaries through the whole boundary matrix.  Region vertices and the
 facets of join cones are checked against the vertex enumeration and
-face lattice of ``conftest.reference_polytope``.
+face lattice of ``conftest.reference_polytope``, and each region's
+Pt -> Ls image against the placing triangulation of that polytope
+(``conftest.reference_pt_to_ls_element``).
 """
 
 import collections
@@ -30,6 +32,7 @@ from geotits import exact, geometry as geo
 from geotits import groups as grp
 from conftest import (
     COORD_S2_COVS,
+    E2,
     S2,
     ReferenceSphericalFaceChains,
     apartment_cycle_pt_polytope,
@@ -41,6 +44,7 @@ from conftest import (
     reference_face_simplices,
     reference_in_polytope,
     reference_polytope,
+    reference_pt_to_ls_element,
     region_polytope,
     subdivide,
 )
@@ -76,7 +80,7 @@ def _reference_orientation_chart(carrier, chart_points):
         return 1
     rows = []
     for p in chart_points[1:]:
-        sol = exact.solve_affine(list(zip(*dirs)), list(exact.vec_sub(p, chart_points[0])))
+        sol = exact.solve_affine(list(zip(*dirs)), [Fr(a) - Fr(b) for a, b in zip(p, chart_points[0])])
         if sol is None:
             return 0
         rows.append(sol[0])
@@ -474,13 +478,47 @@ def test_region_apartments_match_polytope_oracle(name, coord_s2):
 
 @pytest.mark.parametrize("name", ORACLE_SCENES + PLANE_SCENES)
 def test_region_vertices_match_reference_polytope(name):
-    """A region's vertices, read off the 0-cells in its closure, are its
-    reference polytope's vertices in the same order (the spherical order
-    picks the cutting functional of ``pt_to_ls_element``)."""
+    """A region's vertices, read off the 0-cells in its closure (as
+    ``groups.pt_to_ls_element`` reads them), are its reference polytope's
+    vertices: chart points in E/H, primitive rays in S."""
     _, posets = _region_posets(name)
     for poset in posets:
+        spherical = poset.geometry.kind == geo.SPHERICAL
         for s in arr.region_basis(poset):
-            assert grp.region_vertices(poset, s) == list(region_polytope(poset, s).vertices)
+            cells = [poset.cells[t] for t in poset.cells_in(tuple(enumerate(s)))]
+            verts = [c.witness for c in cells if c.dim == 0]
+            if spherical:
+                verts = [exact.primitive_int_row(v) for v in verts]
+            assert sorted(verts) == list(region_polytope(poset, s).vertices)
+
+
+def _both_generated_scenes():
+    paths = sorted(cli.corpus_dir().iterdir(), key=lambda p: p.name) + sorted(TEST_SCENES.iterdir())
+    out = []
+    for path in paths:
+        if path.name.endswith(".json"):
+            coll, _ = cli.Scene(json.loads(path.read_text())).collection()
+            if coll_mod.generated_by_both(coll):
+                out.append((path.name[:-5], coll))
+    return out
+
+
+def test_pt_to_ls_matches_placing_reference():
+    """On every basis region of every scene generated by both points and
+    hyperplanes, the simplex rule gives the image that placing-
+    triangulating the region's reference polytope gives."""
+    scenes = _both_generated_scenes()
+    assert len(scenes) == 13
+    signs = set()
+    for name, coll in scenes:
+        poset = arr.build_arrangement(coll)
+        ls_data = grp.ls_group(coll)
+        for s in arr.region_basis(poset):
+            got = grp.pt_to_ls_element(poset, s, ls_data)
+            want = reference_pt_to_ls_element(region_polytope(poset, s).vertices, coll, ls_data)
+            assert got == want, (name, arr.sign_key(s))
+            signs.update(x for x in got if x)
+    assert signs == {1, -1}
 
 
 def test_join_cone_halfspaces_are_facets(monkeypatch):
@@ -526,7 +564,20 @@ def test_flat_not_cut_out_by_hyperplanes_is_an_internal_error(coord_s2):
 def test_region_without_spanning_vertices_is_an_internal_error():
     """A lune between two great circles of S^2 is no pointed cone: the
     0-cells in its closure are one antipodal pair, which spans a line."""
-    lunes = arr.build_arrangement(coll_mod.closure_by_hyperplanes(S2, COORD_S2_COVS[:2]))
+    lunes_coll = coll_mod.closure_by_hyperplanes(S2, COORD_S2_COVS[:2])
+    lunes = arr.build_arrangement(lunes_coll)
+    ls_data = grp.ls_group(lunes_coll)
     for s in arr.region_basis(lunes):
-        with pytest.raises(AssertionError, match="not a polytope"):
-            grp.region_vertices(lunes, s)
+        with pytest.raises(AssertionError, match="not a simplex"):
+            grp.pt_to_ls_element(lunes, s, ls_data)
+
+
+def test_square_region_is_no_simplex():
+    """The unit square's four lines are not generated by its corners (the
+    diagonals are missing), and its bounded region has four vertices."""
+    square_coll = coll_mod.closure_by_hyperplanes(E2, [(0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1)])
+    assert not coll_mod.generated_by_points(square_coll)
+    poset = arr.build_arrangement(square_coll)
+    (square,) = arr.region_basis(poset)
+    with pytest.raises(AssertionError, match="not a simplex"):
+        grp.pt_to_ls_element(poset, square, grp.ls_group(square_coll))
