@@ -45,28 +45,28 @@ class FacePoset:
     a cell lies in the set exactly when its sign at each is 0 or that sign.
     """
 
-    __slots__ = ("geometry", "covectors", "cells", "within", "_flat_signs", "_cells_in",
-                 "_witness_rows")
+    __slots__ = ("geometry", "covectors", "cells", "_flat_signs", "_cells_in", "_witness_rows",
+                 "_zero_masks", "_facet_zeros", "_facets", "_bounded")
 
-    def __init__(self, geometry, covectors, cells, within=None):
+    def __init__(self, geometry, covectors, cells):
         self.geometry = geometry
         self.covectors = covectors
         self.cells = cells  # dict sign_vector -> Cell
-        self.within = within
         self._flat_signs = {}  # carrier -> flat_signs(carrier)
         self._cells_in = {}  # signs -> cells_in(signs)
         self._witness_rows = {}  # sign vector -> primitive integer witness
+        self._zero_masks = {}  # cell dim -> zero sets of its cells, as bit masks
+        for s, c in cells.items():
+            self._zero_masks.setdefault(c.dim, set()).add(_zero_mask(s))
+        self._facet_zeros = {}  # zero mask -> zero masks of its facets' flats
+        self._facets = {}  # sign vector -> facets(sign vector)
+        self._bounded = {}  # sign vector -> bounded(sign vector)
 
     def census(self):
         out = {}
         for c in self.cells.values():
             out[c.dim] = out.get(c.dim, 0) + 1
         return dict(sorted(out.items()))
-
-    @staticmethod
-    def leq(a, b):
-        """Closure order: cell a lies in the closure of cell b."""
-        return all(x == 0 or x == y for x, y in zip(a, b))
 
     def regions(self):
         n = self.geometry.n
@@ -116,6 +116,55 @@ class FacePoset:
     def _agrees(sign_vector, signs):
         return all(sign_vector[i] == 0 or sign_vector[i] == s for i, s in signs)
 
+    def facets(self, sign):
+        """The cells one dimension lower in the cell's closure, in
+        sign-vector order.
+
+        With Z the cell's zero set, each facet is the cell zeroed on the
+        zero set Z' of the flat cut from its flat by a hyperplane j of its
+        support: the one zero set of a cell one dimension lower holding Z
+        and j, found once per Z.  Each candidate that is a cell is a facet."""
+        got = self._facets.get(sign)
+        if got is None:
+            zeros = _zero_mask(sign)
+            if zeros not in self._facet_zeros:
+                lower = self._zero_masks.get(self.cells[sign].dim - 1, ())
+                needs = (zeros | 1 << j for j, x in enumerate(sign) if x)
+                walls = {next((z for z in lower if z & need == need), None) for need in needs}
+                self._facet_zeros[zeros] = walls - {None}
+            cands = (tuple(0 if z >> i & 1 else x for i, x in enumerate(sign))
+                     for z in self._facet_zeros[zeros])
+            got = self._facets[sign] = tuple(sorted(t for t in cands if t in self.cells))
+        return got
+
+    def bounded(self, sign):
+        """Is the cell bounded?  Every cell of S^n is; in E^n and H^n a
+        0-cell is, a 1-cell is when it has two facets, and a d-cell,
+        d >= 2, is when it has facets and all of them are bounded.
+
+        Why: close the d-cell in the closed chart ball (the Klein model
+        for H^n; for E^n, the chart closed by its sphere of directions).
+        That closure is compact and convex, so its relative boundary is
+        a (d-1)-sphere, which is connected.  The boundary is the union of
+        the facet closures and of the closure's points at infinity, two
+        closed sets that are disjoint when every facet is bounded; then,
+        with a facet, nothing lies at infinity.  A bounded cell has a
+        nonempty boundary, so it has facets, and they are bounded.  On a
+        window arrangement every cell lies in the window, so all are.
+        """
+        got = self._bounded.get(sign)
+        if got is None:
+            dim = self.cells[sign].dim
+            if self.geometry.kind == geo.SPHERICAL or dim == 0:
+                got = True
+            elif dim == 1:
+                got = len(self.facets(sign)) == 2
+            else:
+                facets = self.facets(sign)
+                got = bool(facets) and all(map(self.bounded, facets))
+            self._bounded[sign] = got
+        return got
+
     def orientation(self, flag):
         """Orientation of a flag of cells, given by sign vectors with the
         top cell last, in the top cell's flat: the sign of the minor of
@@ -140,6 +189,10 @@ class FacePoset:
             rows.append(row)
         pivots = self.cells[flag[-1]].flat.pivots
         return exact.det_sign([[row[p] for p in pivots] for row in rows])
+
+
+def _zero_mask(sign_vector):
+    return sum(1 << i for i, x in enumerate(sign_vector) if x == 0)
 
 
 def _cell_rows(geometry, covectors, sign_vector, extra_nonstrict=()):
@@ -317,40 +370,13 @@ def build_arrangement(coll, within=None):
     for signs, (witness, _) in sorted(partial.items()):
         flat = _flat_of(g, covectors, signs)
         cells[signs] = Cell(signs, flat, flat.dim - 1, witness)
-    return FacePoset(g, covectors, cells, within=within)
-
-
-def region_halfspaces(poset, sign_vector):
-    halfspaces = []
-    for s, cov in zip(sign_vector, poset.covectors):
-        if s > 0:
-            halfspaces.append(geo.HalfSpace(cov))
-        elif s < 0:
-            halfspaces.append(geo.HalfSpace(cov, sense=-1))
-    if poset.within is not None:
-        halfspaces.extend(poset.within.halfspaces)
-    return tuple(dict.fromkeys(halfspaces))
-
-
-def region_is_bounded(poset, cell):
-    """Boundedness of a cell's closure (works in any cell dimension)."""
-    halfspaces = list(region_halfspaces(poset, cell.sign_vector))
-    for s, cov in zip(cell.sign_vector, poset.covectors):
-        if s == 0:  # flat equations as opposite half-space pairs
-            halfspaces += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
-    return geo.is_bounded(halfspaces, poset.geometry)
+    return FacePoset(g, covectors, cells)
 
 
 def region_basis(poset):
-    """Deterministically ordered basis of the regions: the bounded ones
-    for a global E/H arrangement, all of them otherwise."""
-    bounded_only = poset.geometry.kind != geo.SPHERICAL and poset.within is None
-    out = []
-    for cell in poset.regions():
-        if bounded_only and not region_is_bounded(poset, cell):
-            continue
-        out.append(cell.sign_vector)
-    return tuple(sorted(out))
+    """Sorted basis of the bounded regions (``FacePoset.bounded``): all
+    the regions on S^n and on a window arrangement."""
+    return tuple(c.sign_vector for c in poset.regions() if poset.bounded(c.sign_vector))
 
 
 def polytope_to_vector(facets, basis, poset):
@@ -386,17 +412,14 @@ def facet_wall(poset, facet_sign):
     return walls[0]
 
 
-def cofacet_lift(poset, facet_sign, bounded_required=True):
-    """Region of the arrangement having the given (n-1)-cell as a facet.
-
-    Tries the positive side of the cell's wall first; falls back to the
-    negative side when boundedness is required but fails there.  Returns
-    (region_sign, actual_side) or NO_LIFT.
-    """
+def cofacet_lift(poset, facet_sign):
+    """(region_sign, actual_side) of a bounded region having the given
+    (n-1)-cell as a facet, on the positive side of the cell's wall if
+    that one is bounded; NO_LIFT when neither is."""
     wall = facet_wall(poset, facet_sign)
     for s in (1, -1):
         cand = tuple((s if i == wall else x) for i, x in enumerate(facet_sign))
-        if cand in poset.cells and poset.cells[cand].dim == poset.geometry.n:
-            if not bounded_required or region_is_bounded(poset, poset.cells[cand]):
-                return cand, s
+        cell = poset.cells.get(cand)
+        if cell is not None and cell.dim == poset.geometry.n and poset.bounded(cand):
+            return cand, s
     return NO_LIFT

@@ -402,10 +402,7 @@ class SphereTriangulation:
             for low, sign_low in _drop_one(lab):
                 remaining[low] = remaining.get(low, 0) + sign_low * s
         remaining = {lab: v for lab, v in remaining.items() if v}
-        for edge in self.labels_with_top(1, [sign]):
-            facet = self.cell_order[edge[0]]
-            if self.poset.cells[facet].dim != cell.dim - 1:
-                continue
+        for facet in self.poset.facets(sign):
             fchain = self.cell_chain(facet)[0]
             etas = {remaining.get(lab, 0) * s for lab, s in fchain.items()}  # s is +-1
             if len(etas) != 1 or 0 in etas:

@@ -222,23 +222,16 @@ def apartment_cycle_cell(poset, region_sign, st_model):
     """Apartment cycle of a closed cell via complete flags of its faces,
     each signed by ``poset.orientation`` in the cell's own flat.
 
-    The faces are the cells in the closure, taken once; each face's
-    facets are the closure cells one dimension lower below it.  Their
-    flats are exactly the face spans.
+    The flags are walked down ``poset.facets``; the faces' flats are
+    exactly the face spans.
     """
     if poset.geometry.kind == geo.SPHERICAL:
         raise ValueError("cell apartments are for the E/H suspended model")
     cells = poset.cells
     d = cells[region_sign].dim
-    closure = sorted(poset.cells_in(tuple(enumerate(region_sign))))
-    by_dim = {}
-    for s in closure:
-        by_dim.setdefault(cells[s].dim, []).append(s)
-    facets = {s: [t for t in by_dim.get(cells[s].dim - 1, ()) if arr.FacePoset.leq(t, s)]
-              for s in closure}
     flags = [(region_sign,)]
     for _ in range(d):
-        flags = [(f,) + fl for fl in flags for f in facets[fl[0]]]
+        flags = [(f,) + fl for fl in flags for f in poset.facets(fl[0])]
     if not flags:
         raise ValueError("region has no complete boundary flags (unbounded?)")
     pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
@@ -496,20 +489,6 @@ def verify_pt_ls(coll, poset=None, basis=None):
     return report
 
 
-def _u_basis(cup_poset, u_index, window=None):
-    """Basis of the (L cap U)-polytope group: (n-1)-cells on U."""
-    g = cup_poset.geometry
-    out = []
-    for s, c in sorted(cup_poset.cells.items()):
-        if c.dim != g.n - 1 or s[u_index] != 0:
-            continue
-        if g.kind != geo.SPHERICAL and window is None:
-            if not arr.region_is_bounded(cup_poset, c):
-                continue
-        out.append(s)
-    return tuple(out)
-
-
 def exact_sequence_hypotheses(coll, u_covector, window=None):
     """HypothesesError unless the exact sequence for L = ``coll`` and U
     applies, and L cup U (one more hyperplane than L) is within the size
@@ -548,7 +527,9 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
     cup_covs = tuple(sorted(cup.hyperplane_covectors))
     u_index = cup_covs.index(u)
     base_positions = [cup_covs.index(c) for c in sorted(coll.hyperplane_covectors)]
-    u_cells = _u_basis(cup_poset, u_index, window)
+    # basis of the (L cap U)-polytope group: the bounded (n-1)-cells on U
+    u_cells = tuple(s for s, c in sorted(cup_poset.cells.items())
+                    if c.dim == g.n - 1 and s[u_index] == 0 and cup_poset.bounded(s))
 
     # inclusion: a cup-region lies in the L-region with the restricted signs
     basis_index = {s: i for i, s in enumerate(basis)}
@@ -608,8 +589,7 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
         report["homology"] = _st_rank_additivity(coll, mem_l, cup_st, cap_st)
         if u_cells:
             report["dashed_map_agrees"] = _dashed_map_check(
-                g.n, cup_st, cap_st, cup_poset, u_cells, window
-            )
+                g.n, cup_st, cap_st, cup_poset, u_cells)
     ok = injective and surjective and composite_zero and kernel_eq and rank_additive
     if "homology" in report:
         ok = ok and report["homology"]["additive"]
@@ -638,7 +618,7 @@ def _st_rank_additivity(coll, mem_l, cup_st, cap_st):
     }
 
 
-def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
+def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells):
     """Boundary of a cofacet lift vs the apartment of the facet, as
     homology classes in the U-geometry (one global sign for all cells)."""
     u_member = cap_st.top
@@ -648,7 +628,7 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells, window):
 
     epsilon = None
     for tau in u_cells:
-        lift = arr.cofacet_lift(cup_poset, tau, bounded_required=window is None)
+        lift = arr.cofacet_lift(cup_poset, tau)
         if lift == arr.NO_LIFT:
             return False
         q_sign, actual_side = lift

@@ -168,7 +168,7 @@ def reference_apartment_cycle_cell(poset, region_sign, st_model, top_carrier=Non
     below = [
         c
         for s, c in sorted(poset.cells.items())
-        if arr.FacePoset.leq(s, region_sign) and s != region_sign
+        if leq(s, region_sign) and s != region_sign
     ]
     flags = [()]
     for k in range(d):
@@ -176,7 +176,7 @@ def reference_apartment_cycle_cell(poset, region_sign, st_model, top_carrier=Non
             fl + (c,)
             for fl in flags
             for c in below
-            if c.dim == k and (not fl or arr.FacePoset.leq(fl[-1].sign_vector, c.sign_vector))
+            if c.dim == k and (not fl or leq(fl[-1].sign_vector, c.sign_vector))
         ]
     assert flags, "region has no complete boundary flags"
     for fl in flags:
@@ -342,9 +342,31 @@ def reference_polytope(g, halfspaces):
     return out
 
 
+def leq(a, b):
+    """Closure order of sign vectors: cell a lies in the closure of cell b."""
+    return all(x == 0 or x == y for x, y in zip(a, b))
+
+
+def region_halfspaces(poset, sign_vector):
+    """The half-spaces of a cell's strict signs.  A window adds none: its
+    facet hyperplanes are in the arrangement, so the signs keep a cell in it."""
+    return tuple(geo.HalfSpace(cov, sense=s)
+                 for s, cov in zip(sign_vector, poset.covectors) if s)
+
+
+def region_is_bounded(poset, cell):
+    """Boundedness of a cell's closure by linear programs
+    (``geo.is_bounded``), kept as the oracle for ``FacePoset.bounded``."""
+    halfspaces = list(region_halfspaces(poset, cell.sign_vector))
+    for s, cov in zip(cell.sign_vector, poset.covectors):
+        if s == 0:  # flat equations as opposite half-space pairs
+            halfspaces += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
+    return geo.is_bounded(halfspaces, poset.geometry)
+
+
 def region_polytope(poset, sign_vector):
     """The closed region as a reference polytope."""
-    return reference_polytope(poset.geometry, arr.region_halfspaces(poset, sign_vector))
+    return reference_polytope(poset.geometry, region_halfspaces(poset, sign_vector))
 
 
 def cells_in_polytope(poset, polytope, dims=None):
@@ -484,8 +506,8 @@ def reference_sphere_simplices(poset):
     """The sphere triangulation's simplices from all-pairs closure tests,
     the construction that ``complexes._cells_above`` replaced."""
     order = tuple(sorted(poset.cells))
-    leq = lambda i, j: arr.FacePoset.leq(order[i], order[j])
-    graded = cx._graded(cx._chains(len(order), leq)[1:], lambda c: len(c) - 1)
+    below = lambda i, j: leq(order[i], order[j])
+    graded = cx._graded(cx._chains(len(order), below)[1:], lambda c: len(c) - 1)
     return {d: tuple(labels) for d, labels in graded.items()}
 
 
@@ -516,7 +538,7 @@ class ReferenceSphericalFaceChains:
             if not d:
                 continue
             self.facets[s] = [t for t in faces
-                              if poset.cells[t].dim == d - 1 and arr.FacePoset.leq(t, s)]
+                              if poset.cells[t].dim == d - 1 and leq(t, s)]
             boundary = {}
             for lab, e in self.chains[s].items():
                 for low, sign in cx._drop_one(lab):

@@ -204,7 +204,7 @@ def test_facet_cofacet_roundtrip(triangle):
     u_cells = [
         s
         for s, c in sorted(poset.cells.items())
-        if c.dim == 1 and s[u_index] == 0 and arr.region_is_bounded(poset, c)
+        if c.dim == 1 and s[u_index] == 0 and poset.bounded(s)
     ]
     assert u_cells
     for tau in u_cells:
@@ -236,9 +236,7 @@ def test_rank_additivity_corpus(triangle, four_lines, coord_s2):
             for s, c in sorted(cup_poset.cells.items())
             if c.dim == coll.geometry.n - 1
             and s[ui] == 0
-            and (
-                coll.geometry.kind == "S" or arr.region_is_bounded(cup_poset, c)
-            )
+            and cup_poset.bounded(s)
         ]
         assert len(arr.region_basis(cup_poset)) == len(arr.region_basis(poset)) + len(
             u_cells
@@ -271,7 +269,7 @@ def test_spherical_cofacet_both_sides(coord_s2):
     arcs = [s for s, c in sorted(poset.cells.items()) if c.dim == 1]
     tau = arcs[0]
     wall = arr.facet_wall(poset, tau)
-    got = arr.cofacet_lift(poset, tau, bounded_required=False)
+    got = arr.cofacet_lift(poset, tau)
     assert got != arr.NO_LIFT
     region_sign, actual = got
     assert actual == 1 and region_sign[wall] == 1

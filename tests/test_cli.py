@@ -301,6 +301,20 @@ def test_euclidean_report_pinned(capsys):
     assert got == scene.with_suffix(".sha256").read_text().strip()
 
 
+def test_ideal_vertex_arrangement_report_pinned(capsys):
+    """H^2 with two chords meeting on the ideal circle: 4/13/10 cells and
+    one bounded triangle, in the report whose sha256 sits beside its
+    scene."""
+    scene = TEST_SCENES / "h2_ideal_vertices.json"
+    assert cli.main(["arrangement", str(scene)]) == cli.EXIT_PASS
+    out = capsys.readouterr().out
+    (block,) = json.loads(out)["checks"]
+    assert block["cells_by_dim"] == {"0": 4, "1": 13, "2": 10}
+    assert block["region_basis_size"] == 1
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == scene.with_suffix(".sha256").read_text().strip()
+
+
 def test_scene_digest_stable():
     s1 = load("e2_triangle")
     s2 = load("e2_triangle")

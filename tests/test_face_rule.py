@@ -17,7 +17,7 @@ from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits import resolution as reso
 from geotits._kernel import IntMatrix
-from geotits.arrangement import FacePoset
+from conftest import leq
 
 SCENES = sorted(p.name for p in cli.corpus_dir().iterdir() if p.name.endswith(".json"))
 
@@ -132,8 +132,8 @@ def _spheres(corpus):
         poset, _ = scene.arrangement(None)
         tri = cx.sphere_triangulation(coll, poset)
         order = tuple(sorted(poset.cells))
-        leq = lambda i, j: i != j and FacePoset.leq(order[i], order[j])
-        simplices = _by_length([c for c in cx._chains(len(order), leq) if c], 1)
+        below = lambda i, j: i != j and leq(order[i], order[j])
+        simplices = _by_length([c for c in cx._chains(len(order), below) if c], 1)
         yield name, coll, poset, tri, order, simplices
 
 

@@ -5,7 +5,9 @@ The old rules are kept as test-only references: flat containment by
 witness against every half-space, chart orientation by coordinates in a
 direction basis, E/H apartments by all-pairs closure tests with each
 flag signed in a given carrier (``conftest.reference_apartment_cycle_cell``),
-boundedness by the recession-cone loop, and spherical
+facets by a scan of the closure with ``conftest.leq``, boundedness
+(``FacePoset.bounded``, read off the facets) by the recession-cone loop
+and by the linear programs of ``conftest.region_is_bounded``, and spherical
 face chains and apartments keyed by the faces of each region's polytope
 (``conftest.reference_face_chains``, ``apartment_cycle_pt_polytope``),
 with coordinates in each face span, a ``Fraction`` determinant and
@@ -18,8 +20,10 @@ Pt -> Ls image against the placing triangulation of that polytope
 
 import collections
 import functools
+import hashlib
 import json
 import pathlib
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -33,11 +37,15 @@ from geotits import groups as grp
 from conftest import (
     COORD_S2_COVS,
     E2,
+    E3,
+    H2,
+    H3,
     S2,
     ReferenceSphericalFaceChains,
     apartment_cycle_pt_polytope,
     cells_in_polytope,
     face_span,
+    leq,
     reference_apartment_cycle_cell,
     reference_det_sign,
     reference_face_chains,
@@ -45,6 +53,8 @@ from conftest import (
     reference_in_polytope,
     reference_polytope,
     reference_pt_to_ls_element,
+    region_halfspaces,
+    region_is_bounded,
     region_polytope,
     subdivide,
 )
@@ -98,7 +108,7 @@ def _reference_is_bounded(poset, cell):
     if g.kind == geo.SPHERICAL:
         return True
     nv = g.chart_dim
-    rows = [h.chart_row(g)[:nv] + (0,) for h in arr.region_halfspaces(poset, cell.sign_vector)]
+    rows = [h.chart_row(g)[:nv] + (0,) for h in region_halfspaces(poset, cell.sign_vector)]
     flat_eqs = [
         geo.functional_chart_row(g, cov)[:nv] + (0,)
         for s, cov in zip(cell.sign_vector, poset.covectors)
@@ -111,7 +121,7 @@ def _reference_is_bounded(poset, cell):
             if exact.feasible((), rows, flat_eqs + [tuple(eq)], nv) is not None:
                 return False
     if g.kind == geo.HYPERBOLIC:
-        hs = list(arr.region_halfspaces(poset, cell.sign_vector))
+        hs = list(region_halfspaces(poset, cell.sign_vector))
         for s, cov in zip(cell.sign_vector, poset.covectors):
             if s == 0:
                 hs += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
@@ -158,7 +168,7 @@ def _check_region_faces(poset, sign, polytope):
     for face in polytope.faces:
         span = face_span(polytope, face)
         c = _face_cell(poset, polytope, face)
-        below = {s for s in want if arr.FacePoset.leq(s, c)}
+        below = {s for s in want if leq(s, c)}
         assert below == {s for s in want if span.contains(poset.cells[s].flat)}, face
         face_cells.add(c)
     assert face_cells == set(want)
@@ -176,7 +186,18 @@ def _region_posets(name):
     return coll, tuple(posets)
 
 
-@pytest.mark.parametrize("name", ORACLE_SCENES + PLANE_SCENES)
+def _check_bounded(poset):
+    """``FacePoset.bounded`` agrees with both linear-programming rules on
+    every cell; returns how many cells are bounded."""
+    got = 0
+    for s, cell in poset.cells.items():
+        want = _reference_is_bounded(poset, cell)
+        assert poset.bounded(s) == want == region_is_bounded(poset, cell), arr.sign_key(s)
+        got += want
+    return got
+
+
+@pytest.mark.parametrize("name", ORACLE_SCENES + PLANE_SCENES + ["h2_ideal_vertices"])
 def test_sign_rules_match_linear_algebra(name):
     coll, posets = _region_posets(name)
     for poset in posets:
@@ -184,22 +205,89 @@ def test_sign_rules_match_linear_algebra(name):
             inside = poset.cells_in(poset.flat_signs(m.carrier))
             for s, cell in poset.cells.items():
                 assert (s in inside) == m.carrier.contains(cell.flat)
-        for cell in poset.cells.values():
-            assert arr.region_is_bounded(poset, cell) == _reference_is_bounded(poset, cell)
+        bounded = _check_bounded(poset)
+        if poset is not posets[0]:  # the window's facets cut every cell to it
+            assert bounded == len(poset.cells)
         for s in arr.region_basis(poset):
             _check_region_faces(poset, s, region_polytope(poset, s))
+
+
+def _random_collection(geometry, k, seed):
+    """k distinct hyperplanes with entries in [-3, 3], drawn with this
+    seed; None when one of them misses the geometry (H^n only).  Small
+    entries make parallel and concurrent hyperplanes likely."""
+    rng = random.Random(f"bounded/{geometry.kind}{geometry.n}/{seed}")
+    covs = set()
+    while len(covs) < k:
+        cov = tuple(rng.randint(-3, 3) for _ in range(geometry.n + 1))
+        if any(cov[1:]):
+            covs.add(geo.canonical_covector(cov))
+    if any(geo.hyperplane_subspace(geometry, c) is None for c in covs):
+        return None
+    return coll_mod.closure_by_hyperplanes(geometry, sorted(covs))
+
+
+@pytest.mark.parametrize("geometry, k", [(E2, 5), (E3, 5), (H2, 5), (H3, 4)],
+                         ids=["E2", "E3", "H2", "H3"])
+def test_bounded_matches_linear_programs_on_random_scenes(geometry, k):
+    """The face-poset rule agrees with the recession-cone loop and with
+    ``geo.is_bounded`` on every cell of seeded random scenes."""
+    scenes = bounded = 0
+    for seed in range(12):
+        coll = _random_collection(geometry, k, seed)
+        if coll is not None:
+            scenes += 1
+            bounded += _check_bounded(arr.build_arrangement(coll))
+    assert scenes >= 3 and bounded
+
+
+FACET_SCENES = sorted(p.name[:-5] for p in cli.corpus_dir().glob("*.json")) + [
+    "h2_ideal_vertices", "s3_four_generic"]
+
+
+@pytest.mark.parametrize("name", FACET_SCENES)
+def test_facets_match_closure_scan(name):
+    """``FacePoset.facets`` is the closure scan: the cells one dimension
+    lower below the cell, in sign-vector order, on every cell of the
+    global and the window poset."""
+    for poset in _region_posets(name)[1]:
+        by_dim = collections.defaultdict(list)
+        for s, c in sorted(poset.cells.items()):
+            by_dim[c.dim].append(s)
+        for s, c in poset.cells.items():
+            want = tuple(t for t in by_dim[c.dim - 1] if leq(t, s))
+            assert poset.facets(s) == want, arr.sign_key(s)
+
+
+def test_corpus_decides_boundedness_without_linear_programs(monkeypatch, capsys):
+    """Only the window's validation calls ``geo.is_bounded``: with every
+    corpus scene loaded first, the corpus report keeps its pinned sha256
+    when the call raises."""
+    loaded = {}
+    for path in cli.corpus_dir().glob("*.json"):
+        data = json.loads(path.read_text())
+        loaded[json.dumps(data, sort_keys=True)] = cli.Scene(data)
+
+    def no_linear_programs(halfspaces, geometry):
+        raise AssertionError("geo.is_bounded called after the scenes were loaded")
+
+    monkeypatch.setattr(geo, "is_bounded", no_linear_programs)
+    monkeypatch.setattr(cli, "Scene", lambda data: loaded[json.dumps(data, sort_keys=True)])
+    assert cli.main(["corpus"]) == cli.EXIT_PASS
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == (TEST_SCENES / "corpus.sha256").read_text().strip()
 
 
 def _complete_flags(poset, sign):
     """Each complete flag of cells below the cell, as sign vectors,
     ending with the cell itself."""
     cell = poset.cells[sign]
-    below = [c for s, c in sorted(poset.cells.items()) if s != sign and arr.FacePoset.leq(s, sign)]
+    below = [c for s, c in sorted(poset.cells.items()) if s != sign and leq(s, sign)]
     flags = [()]
     for k in range(cell.dim):
         flags = [
             fl + (c.sign_vector,) for fl in flags for c in below
-            if c.dim == k and (not fl or arr.FacePoset.leq(fl[-1], c.sign_vector))
+            if c.dim == k and (not fl or leq(fl[-1], c.sign_vector))
         ]
     return [fl + (sign,) for fl in flags]
 
@@ -318,15 +406,17 @@ def test_each_cell_chain_and_witness_is_built_once(monkeypatch):
     assert set(checked.values()) == {1}
 
 
-def test_each_eh_witness_is_checked_once_and_each_closure_taken_once(monkeypatch):
+def test_each_eh_witness_is_checked_once_and_no_closure_is_scanned(monkeypatch):
     """Over every bounded region's apartment of six lines in E^2, twice,
-    each cell in a region's closure gets one witness check, and each
-    apartment takes its region's closure once (a scan of every cell with
-    a check per flag gave 396 containment checks for those 45 cells)."""
+    each cell in a region's closure gets one witness check, and the flags
+    are walked down ``FacePoset.facets`` with no scan of the closure (a
+    scan of every cell with a check per flag gave 396 containment checks
+    for those 45 cells)."""
     scene = _scene("e2_six_lines")
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
     st = grp.STModel(coll.members, coll.top())
+    closure = set().union(*(poset.cells_in(tuple(enumerate(s))) for s in basis))
     taken = collections.Counter()
     cells_in = arr.FacePoset.cells_in
     monkeypatch.setattr(arr.FacePoset, "cells_in",
@@ -335,13 +425,11 @@ def test_each_eh_witness_is_checked_once_and_each_closure_taken_once(monkeypatch
     contains = geo.LinearSubspace.contains_vector
     monkeypatch.setattr(geo.LinearSubspace, "contains_vector",
                         lambda self, v: checked.update([tuple(v)]) or contains(self, v))
-    assert len(basis) == 9 and len(poset.cells) == 69
+    assert len(basis) == 9 and len(poset.cells) == 69 and len(closure) == 45
     for _ in range(2):
         for s in basis:
             grp.apartment_cycle_cell(poset, s, st)
-    assert taken == {tuple(enumerate(s)): 2 for s in basis}
-    closure = set().union(*(cells_in(poset, signs) for signs in taken))
-    assert len(closure) == 45
+    assert not taken
     assert set(checked) == {geo.chart_vector(poset.geometry, poset.cells[s].witness)
                             for s in closure}
     assert set(checked.values()) == {1}

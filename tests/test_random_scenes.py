@@ -12,7 +12,9 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
-from conftest import E2, E3, S2, cell_apartments, points_apartments, pt_apartments
+from conftest import (
+    E2, E3, S2, cell_apartments, points_apartments, pt_apartments, region_is_bounded,
+)
 
 
 def random_e2_lines(rng, count):
@@ -181,7 +183,8 @@ def test_hyperbolic_witness_blending():
         ] > 0:
             corner = cell
     assert corner is not None
-    assert not arr.region_is_bounded(poset, corner)
+    assert not poset.bounded(corner.sign_vector)
+    assert not region_is_bounded(poset, corner)
 
 
 def test_projective_plane_torsion():
