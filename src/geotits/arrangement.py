@@ -7,10 +7,11 @@ sphere the two antipodes of a 0-flat are distinct cells with opposite
 sign vectors.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from math import gcd
 
 from geotits import HypothesesError, exact, geometry as geo
-from geotits.exact import F0, F1, dot, frac
+from geotits.exact import dot
 
 MAX_DIM = 4
 MAX_HYPERPLANES = 16
@@ -195,118 +196,6 @@ def _zero_mask(sign_vector):
     return sum(1 << i for i, x in enumerate(sign_vector) if x == 0)
 
 
-def _cell_rows(geometry, covectors, sign_vector, extra_nonstrict=()):
-    """(strict, nonstrict, eq) chart rows realizing a sign vector."""
-    strict, eqs = [], []
-    for s, cov in zip(sign_vector, covectors):
-        row = geo.functional_chart_row(geometry, cov)
-        if s > 0:
-            strict.append(row)
-        elif s < 0:
-            strict.append(tuple(-x for x in row))
-        else:
-            eqs.append(row)
-    return strict, list(extra_nonstrict), eqs
-
-
-def min_norm_point(nonstrict_rows, eq_rows, nvars):
-    """(min ||x||^2, argmin) over the closed polyhedron, None if empty."""
-    if exact.feasible((), nonstrict_rows, eq_rows, nvars) is None:
-        return None
-    ineq = [tuple(map(frac, r)) for r in nonstrict_rows]
-    eqs = [tuple(map(frac, r)) for r in eq_rows]
-    best = None
-    for size in range(0, nvars + 1):
-        for combo in combinations(range(len(ineq)), size):
-            rows = eqs + [ineq[i] for i in combo]
-            if rows:
-                sol = exact.solve_affine(
-                    [r[:nvars] for r in rows], [-r[nvars] for r in rows]
-                )
-                if sol is None:
-                    continue
-                x0, hom = sol
-                if hom:
-                    gram = [[dot(u, v) for v in hom] for u in hom]
-                    rhs = [-dot(u, x0) for u in hom]
-                    t = exact.solve_unique(gram, rhs)
-                    x = list(x0)
-                    for ti, h in zip(t, hom):
-                        for j in range(nvars):
-                            x[j] += ti * h[j]
-                    x = tuple(x)
-                else:
-                    x = x0
-            else:
-                x = tuple([F0] * nvars)
-            if not all(dot(r[:nvars], x) + r[nvars] >= 0 for r in ineq):
-                continue
-            if not all(dot(r[:nvars], x) + r[nvars] == 0 for r in eqs):
-                continue
-            val = dot(x, x)
-            if best is None or val < best[0]:
-                best = (val, x)
-    return best
-
-
-def _ball_interior_witness(strict, nonstrict, eqs, nv):
-    """Witness of the system strictly inside the unit ball, or None."""
-    w = exact.feasible(strict, nonstrict, eqs, nv)
-    if w is None:
-        return None
-    if sum((x * x for x in w), F0) < 1:
-        return w
-    closed = list(strict) + list(nonstrict)
-    got = min_norm_point(closed, eqs, nv)
-    if got is None:  # pragma: no cover - strict feasible implies nonempty
-        return None
-    val, p = got
-    if val >= 1:
-        return None
-    t = F1
-    while True:
-        cand = tuple(pi + t * (wi - pi) for pi, wi in zip(p, w))
-        if sum((x * x for x in cand), F0) < 1:
-            return cand
-        t = t / 2
-
-
-def _flat_of(geometry, covectors, sign_vector):
-    zero_rows = [cov for s, cov in zip(sign_vector, covectors) if s == 0]
-    if not zero_rows:
-        return geo.full_space(geometry.ambient_dim)
-    return geo.LinearSubspace(
-        geometry.ambient_dim, exact.nullspace(zero_rows, geometry.ambient_dim)
-    )
-
-
-def _part_witness(geometry, covectors, sign_vector, within_rows):
-    """Interior witness of the candidate cell, or None if empty."""
-    g = geometry
-    nv = g.chart_dim
-    strict, nonstrict, eqs = _cell_rows(g, covectors, sign_vector, within_rows)
-    if g.kind == geo.SPHERICAL:
-        if not strict:
-            flat = _flat_of(g, covectors, sign_vector)
-            if flat.dim == 0:
-                return None
-            return flat.basis[0]
-        return exact.feasible(strict, nonstrict, eqs, nv)
-    if g.kind == geo.EUCLIDEAN or within_rows:
-        # a bounded window A lies strictly inside the Klein ball already
-        return exact.feasible(strict, nonstrict, eqs, nv)
-    return _ball_interior_witness(strict, nonstrict, eqs, nv)
-
-
-def _constant_on_cell_span(geometry, cov, flat):
-    """Is the functional constant on the cell's chart span?"""
-    if geometry.kind == geo.SPHERICAL:
-        return all(dot(cov, b) == 0 for b in flat.basis)
-    # RREF basis of a chart-meeting flat has exactly one row with x0 != 0;
-    # the remaining rows span the direction space.
-    return all(dot(cov, b) == 0 for b in flat.basis if b[0] == 0)
-
-
 def size_guard(geometry, hyperplanes):
     """HypothesesError unless an arrangement of this many hyperplanes in
     this geometry is within the desk-scale guards."""
@@ -318,59 +207,175 @@ def size_guard(geometry, hyperplanes):
         )
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _flats(geometry, covectors):
+    """The flats of the hyperplanes that meet the geometry, keyed by zero
+    mask (bit i set when hyperplane i contains the flat): carriers, and
+    the masks of the flats one dimension lower that each contains.
+
+    Top down from the whole space: each hyperplane j off a flat cuts it
+    once (``geometry.meet_rows`` on its basis).  A flat that misses
+    the geometry has no descendant that meets it, so it is dropped."""
+    amb = geometry.ambient_dim
+    carriers = {0: geo.full_space(amb)}
+    children = {}
+    missed = set()
+    level = [0]
+    while level:
+        lower = []
+        for mask in level:
+            rows = carriers[mask].basis
+            kids = children[mask] = []
+            if len(rows) == 1:
+                continue  # a 0-flat: its cuts are the origin
+            cut = mask
+            for j, cov in enumerate(covectors):
+                if cut >> j & 1:
+                    continue
+                meet = geo.meet_rows(rows, cov)
+                child = mask | sum(1 << i for i, c in enumerate(covectors)
+                                   if all(dot(c, r) == 0 for r in meet))
+                cut |= child
+                if child not in carriers and child not in missed:
+                    carrier = geo.LinearSubspace(amb, meet)
+                    if geo.geo_nonempty(carrier, geometry):
+                        carriers[child] = carrier
+                        lower.append(child)
+                    else:
+                        missed.add(child)
+                if child in carriers:
+                    kids.append(child)
+        level = lower
+    return carriers, children
+
+
+def _flat_points(geometry, carrier):
+    """Ambient witnesses of the cells of a flat that no hyperplane cuts
+    inside the geometry: its first basis row, a chart point in E^n (the
+    first pivot is x0); the min-norm chart point in H^n (that row made
+    orthogonal to the others, which have x0 = 0, by fraction-free
+    Gram-Schmidt); on S^n a basis vector, and its antipode too when the
+    flat is a 0-flat."""
+    rows = carrier.basis
+    point = rows[0]
+    if geometry.kind == geo.HYPERBOLIC:
+        done = []
+        for r in rows[1:] + (point,):
+            for o in done:
+                oo, ro = dot(o, o), dot(r, o)
+                r = exact.primitive_int_row([oo * x - ro * y for x, y in zip(r, o)])
+            done.append(r)
+        point = done[-1]
+    if geometry.kind == geo.SPHERICAL and len(rows) == 1:
+        return point, tuple(-x for x in point)
+    return (point,)
+
+
+def _step(geometry, w, values, u, u_values):
+    """w + t u for t half the tightest bound that keeps the sign of every
+    row nonzero at w (and x0 > 0 in E/H), halved again until the point is
+    inside the ball in H^n: (primitive point, its row values)."""
+    p = q = None
+    pairs = list(zip(values, u_values))
+    if geometry.kind != geo.SPHERICAL:
+        pairs.append((w[0], u[0]))
+    for a, b in pairs:
+        if a * b < 0 and (p is None or abs(a) * q < p * abs(b)):
+            p, q = abs(a), abs(b)
+    p, q = (1, 1) if p is None else (p, 2 * q)
+    while True:
+        v = [q * x + p * y for x, y in zip(w, u)]
+        if geometry.kind != geo.HYPERBOLIC or sum(x * x for x in v[1:]) < v[0] * v[0]:
+            break
+        q *= 2
+    d = gcd(*v)
+    return tuple(x // d for x in v), [(q * a + p * b) // d for a, b in zip(values, u_values)]
+
+
 def build_arrangement(coll, within=None):
-    """Incremental construction by hyperplane insertion.
+    """Every cell of the arrangement with an exact interior witness,
+    built from the flats of the hyperplanes without a linear program.
+
+    A cell is relatively open in its flat, so its zero set is the flat's.
+    The flats that meet the geometry are found top down (``_flats``) and
+    their cells lowest dimension first:
+
+    * a flat that no hyperplane cuts inside the geometry is one cell (a
+      0-flat of S^n is two, its antipodes), with witness ``_flat_points``;
+    * any other flat F is cut, so each of its cells has a facet, a cell
+      D of a flat G = F cut by the hyperplanes J.  On F these hyperplanes
+      are multiples of one functional, so the cells of F next to D are
+      D with its signs on J set by the two sides of G in F.  One basis
+      row u of F off G gives those signs, and each witness is an exact
+      step from D's witness along +u or -u (``_step``).
+
+    Signs are read off before any witness is made, so a cell reached
+    again from another facet costs a lookup.  Each witness is kept as a
+    primitive integer ambient vector with its row values, and each
+    new cell's values are checked against the signs it was reached with.
 
     ``within``: optional convex window polytope A whose facet hyperplanes
     belong to the collection; the arrangement is then restricted to the
-    cells meeting A (the A-local form).  Hyperbolic global arrangements
-    use exact Klein-ball membership tests.  HypothesesError when the
-    collection exceeds the size guards or A is not an L-polytope.
+    cells meeting A (the A-local form), those whose sign on each of its
+    walls is 0 or A's side.  A's cells are reached from facets in A.
+    HypothesesError when the collection exceeds the size guards or A is
+    not an L-polytope.
     """
     g = coll.geometry
     covectors = tuple(sorted(coll.hyperplane_covectors))
     size_guard(g, len(covectors))
-    within_rows = []
+    walls = ()
     if within is not None:
-        known = set(covectors)
-        if any(h.hyperplane not in known for h in within.halfspaces):
+        index = {cov: i for i, cov in enumerate(covectors)}
+        if any(h.hyperplane not in index for h in within.halfspaces):
             raise HypothesesError("window polytope must be an L-polytope")
-        within_rows = [h.chart_row(g) for h in within.halfspaces]
+        walls = tuple((index[h.hyperplane], 1 if h.functional == h.hyperplane else -1)
+                      for h in within.halfspaces)
+    carriers, children = _flats(g, covectors)
 
-    nv = g.chart_dim
-    if within is not None:
-        base_witness = within.interior_witness
-    elif g.kind == geo.SPHERICAL:
-        base_witness = tuple([F1] + [F0] * (nv - 1))
-    else:
-        base_witness = tuple([F0] * nv)
-    # each witness travels with its integer point, scaled once
-    partial = {(): (base_witness, exact.int_point(base_witness))}
-
-    for m, cov in enumerate(covectors):
-        row = geo.functional_chart_row(g, cov)
-        updated = {}
-        for signs, (witness, point) in sorted(partial.items()):
-            val = dot(row, point)
-            s0 = 1 if val > 0 else (-1 if val < 0 else 0)
-            updated[signs + (s0,)] = (witness, point)
-            flat = _flat_of(g, covectors[:m], signs)
-            if _constant_on_cell_span(g, cov, flat):
-                continue  # the hyperplane cannot split this cell
-            for s in (-1, 0, 1):
-                if s == s0:
-                    continue
-                cand = signs + (s,)
-                w = _part_witness(g, covectors[: m + 1], cand, within_rows)
-                if w is not None:
-                    updated[cand] = (w, exact.int_point(w))
-        partial = updated
+    found = {}  # zero mask -> {sign vector: (witness, row values)}
+    for mask in sorted(carriers, key=lambda m: carriers[m].dim):
+        here = found[mask] = {}
+        if not children[mask]:
+            for w in _flat_points(g, carriers[mask]):
+                values = [dot(c, w) for c in covectors]
+                sign = tuple(map(_sign, values))
+                if _zero_mask(sign) != mask:
+                    raise AssertionError("a hyperplane cuts a flat it was found not to cut")
+                if FacePoset._agrees(sign, walls):
+                    here.setdefault(sign, (w, values))
+            continue
+        for child in children[mask]:
+            cut = child & ~mask
+            j = (cut & -cut).bit_length() - 1
+            u = next(r for r in carriers[mask].basis if dot(covectors[j], r))
+            u_values = [dot(c, u) for c in covectors]
+            sides = [(u, u_values), (tuple(-x for x in u), [-x for x in u_values])]
+            on_cut = [i for i in range(len(covectors)) if cut >> i & 1]
+            for facet, (w, values) in found[child].items():
+                for side, side_values in sides:
+                    sign = list(facet)
+                    for i in on_cut:
+                        sign[i] = _sign(side_values[i])
+                    sign = tuple(sign)
+                    if sign in here or not FacePoset._agrees(sign, walls):
+                        continue
+                    point, point_values = _step(g, w, values, side, side_values)
+                    if tuple(map(_sign, point_values)) != sign:
+                        raise AssertionError("a step off a facet left the cell it was taken for")
+                    here[sign] = (point, point_values)
 
     cells = {}
-    for signs, (witness, _) in sorted(partial.items()):
-        flat = _flat_of(g, covectors, signs)
-        cells[signs] = Cell(signs, flat, flat.dim - 1, witness)
-    return FacePoset(g, covectors, cells)
+    for mask, here in found.items():
+        flat = carriers[mask]
+        for sign, (w, _) in here.items():
+            if g.kind != geo.SPHERICAL:
+                w = tuple(Fraction(x, w[0]) for x in w[1:])
+            cells[sign] = Cell(sign, flat, flat.dim - 1, w)
+    return FacePoset(g, covectors, dict(sorted(cells.items())))
 
 
 def region_basis(poset):

@@ -5,8 +5,8 @@ subspace is spanned by primitive integer rows (``rref``), determinant
 signs and signatures are fraction-free, Fourier-Motzkin eliminates on
 primitive integer rows, and a witness is checked in integers after
 scaling by its common denominator.  ``Fraction`` carries only the values
-that are rational numbers: solutions (``solve_unique``, ``solve_affine``)
-and back-substituted feasibility witnesses.  Rational input is still
+that are rational numbers: solutions of ``solve_unique`` and
+back-substituted feasibility witnesses.  Rational input is still
 accepted everywhere.  Conventions:
 
 * A *row* of length ``k`` is a linear form over ``k`` variables.
@@ -134,21 +134,6 @@ def solve_unique(a_rows, b):
     if list(pivots) != list(range(n)):
         return None
     return tuple(Fraction(row[n], row[i]) for i, row in enumerate(red))
-
-
-def solve_affine(rows, rhs):
-    """General solution of rows . x = rhs: (particular, nullspace) or None."""
-    if not rows:
-        raise ValueError("empty system")
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if any(p == ncols for p in pivots):
-        return None
-    x = [F0] * ncols
-    for r, pc in zip(red, pivots):
-        x[pc] = Fraction(r[ncols], r[pc])
-    return tuple(x), nullspace([r[:ncols] for r in red], ncols)
 
 
 def det_sign(rows):

@@ -409,29 +409,35 @@ def span_points(points):
     return GeoSubspace._nonempty(g, subspace_from_vectors(g.ambient_dim, vectors))
 
 
-def meet_hyperplane(subspace, covector):
-    """The geodesic subspace cut from ``subspace`` by ker(covector); None
-    when the cut misses the geometry.
+def meet_rows(rows, covector):
+    """Rows spanning the cut of span(rows) by ker(covector), None when the
+    covector vanishes on every row.
 
-    One elimination step on the basis rows b_i: with the values
+    One elimination step on the rows b_i: with the values
     v_i = covector . b_i and v_k the first nonzero one, the rows
-    v_k b_i - v_i b_k (i != k) span the intersection.  A subspace inside
-    the hyperplane (every v_i zero) is its own intersection.
+    v_k b_i - v_i b_k (i != k) span the intersection.
+    """
+    values = [dot(covector, row) for row in rows]
+    k = next((i for i, v in enumerate(values) if v), None)
+    if k is None:
+        return None
+    vk, bk = values[k], rows[k]
+    return [tuple(vk * x - vi * y for x, y in zip(row, bk))
+            for i, (row, vi) in enumerate(zip(rows, values)) if i != k]
+
+
+def meet_hyperplane(subspace, covector):
+    """The geodesic subspace cut from ``subspace`` by ker(covector)
+    (``meet_rows`` on its basis); None when the cut misses the geometry.
+    A subspace inside the hyperplane is its own intersection.
     """
     g = subspace.geometry
     if len(covector) != g.ambient_dim:
         raise ValueError("vector length mismatch")
-    rows = subspace.carrier.basis
-    values = [dot(covector, row) for row in rows]
-    k = next((i for i, v in enumerate(values) if v), None)
-    if k is None:
+    rows = meet_rows(subspace.carrier.basis, covector)
+    if rows is None:
         return subspace
-    vk, bk = values[k], rows[k]
-    carrier = LinearSubspace(g.ambient_dim, [
-        tuple(vk * x - vi * y for x, y in zip(row, bk))
-        for i, (row, vi) in enumerate(zip(rows, values))
-        if i != k
-    ])
+    carrier = LinearSubspace(g.ambient_dim, rows)
     if not geo_nonempty(carrier, g):
         return None
     return GeoSubspace._nonempty(g, carrier)

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -119,7 +120,7 @@ def reference_coordinates(sub, v):
     (basis columns) x = v, or None when v lies outside."""
     if not sub.basis:
         return None if any(v) else ()
-    sol = exact.solve_affine(list(zip(*sub.basis)), [Fraction(x) for x in v])
+    sol = solve_affine(list(zip(*sub.basis)), [Fraction(x) for x in v])
     if sol is None:
         return None
     x0, hom = sol
@@ -214,6 +215,153 @@ def matrix_product(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Reference arrangement: the incremental build by Fourier-Motzkin
+# feasibility that ``arrangement.build_arrangement`` replaced
+
+
+def solve_affine(rows, rhs):
+    """General solution of rows . x = rhs: (particular, nullspace) or None."""
+    if not rows:
+        raise ValueError("empty system")
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = exact.rref(aug)
+    if any(p == ncols for p in pivots):
+        return None
+    x = [F0] * ncols
+    for r, pc in zip(red, pivots):
+        x[pc] = Fraction(r[ncols], r[pc])
+    return tuple(x), exact.nullspace([r[:ncols] for r in red], ncols)
+
+
+def min_norm_point(nonstrict_rows, eq_rows, nvars):
+    """(min ||x||^2, argmin) over the closed polyhedron, None if empty."""
+    if exact.feasible((), nonstrict_rows, eq_rows, nvars) is None:
+        return None
+    ineq = [tuple(map(frac, r)) for r in nonstrict_rows]
+    eqs = [tuple(map(frac, r)) for r in eq_rows]
+    best = None
+    for size in range(0, nvars + 1):
+        for combo in combinations(range(len(ineq)), size):
+            rows = eqs + [ineq[i] for i in combo]
+            if rows:
+                sol = solve_affine([r[:nvars] for r in rows], [-r[nvars] for r in rows])
+                if sol is None:
+                    continue
+                x0, hom = sol
+                if hom:
+                    gram = [[dot(u, v) for v in hom] for u in hom]
+                    rhs = [-dot(u, x0) for u in hom]
+                    t = exact.solve_unique(gram, rhs)
+                    x = list(x0)
+                    for ti, h in zip(t, hom):
+                        for j in range(nvars):
+                            x[j] += ti * h[j]
+                    x = tuple(x)
+                else:
+                    x = x0
+            else:
+                x = tuple([F0] * nvars)
+            if not all(dot(r[:nvars], x) + r[nvars] >= 0 for r in ineq):
+                continue
+            if not all(dot(r[:nvars], x) + r[nvars] == 0 for r in eqs):
+                continue
+            val = dot(x, x)
+            if best is None or val < best[0]:
+                best = (val, x)
+    return best
+
+
+def _ball_interior_witness(strict, nonstrict, eqs, nv):
+    """Witness of the system strictly inside the unit ball, or None."""
+    w = exact.feasible(strict, nonstrict, eqs, nv)
+    if w is None:
+        return None
+    if sum((x * x for x in w), F0) < 1:
+        return w
+    got = min_norm_point(list(strict) + list(nonstrict), eqs, nv)
+    if got is None or got[0] >= 1:
+        return None
+    p = got[1]
+    t = F1
+    while True:
+        cand = tuple(pi + t * (wi - pi) for pi, wi in zip(p, w))
+        if sum((x * x for x in cand), F0) < 1:
+            return cand
+        t = t / 2
+
+
+def _reference_flat(g, covectors, sign_vector):
+    zero_rows = [cov for s, cov in zip(sign_vector, covectors) if s == 0]
+    return geo.LinearSubspace(g.ambient_dim, exact.nullspace(zero_rows, g.ambient_dim))
+
+
+def _reference_witness(g, covectors, sign_vector, within_rows):
+    """Interior witness of the candidate cell, or None if empty.  On S^n a
+    subsphere (no strict sign) takes a basis vector, or with a window a
+    point of it in the window that is nonzero at some coordinate."""
+    nv = g.chart_dim
+    strict, eqs = [], []
+    for s, cov in zip(sign_vector, covectors):
+        row = geo.functional_chart_row(g, cov)
+        if s:
+            strict.append(row if s > 0 else tuple(-x for x in row))
+        else:
+            eqs.append(row)
+    if g.kind == SPHERICAL and not strict:
+        flat = _reference_flat(g, covectors, sign_vector)
+        if flat.dim == 0:
+            return None
+        if not within_rows:
+            return flat.basis[0]
+        units = (tuple(s * (k == i) for k in range(nv + 1)) for i in range(nv) for s in (1, -1))
+        return next(filter(None, (exact.feasible([d], within_rows, eqs, nv) for d in units)), None)
+    if g.kind != geo.HYPERBOLIC or within_rows:
+        # a bounded window A lies strictly inside the Klein ball already
+        return exact.feasible(strict, within_rows, eqs, nv)
+    return _ball_interior_witness(strict, within_rows, eqs, nv)
+
+
+def reference_build_arrangement(coll, within=None):
+    """The arrangement by hyperplane insertion: each cell a hyperplane
+    cuts is split into the three candidates on its sides and on it, each
+    kept when Fourier-Motzkin finds a witness (in the window, inside the
+    Klein ball on global H^n)."""
+    g = coll.geometry
+    covectors = tuple(sorted(coll.hyperplane_covectors))
+    within_rows = [h.chart_row(g) for h in within.halfspaces] if within is not None else []
+    nv = g.chart_dim
+    if within is not None:
+        base = within.interior_witness
+    else:
+        base = tuple([F1 if g.kind == SPHERICAL else F0] + [F0] * (nv - 1))
+    partial = {(): base}
+    for m, cov in enumerate(covectors):
+        row = geo.functional_chart_row(g, cov)
+        updated = {}
+        for signs, witness in sorted(partial.items()):
+            val = dot(row, exact.int_point(witness))
+            s0 = (val > 0) - (val < 0)
+            updated[signs + (s0,)] = witness
+            flat = _reference_flat(g, covectors[:m], signs)
+            # the hyperplane splits the cell unless it is constant on the
+            # cell's span: its linear directions in E/H, all of it in S
+            if all(dot(cov, b) == 0 for b in flat.basis if g.kind == SPHERICAL or b[0] == 0):
+                continue
+            for s in (-1, 0, 1):
+                if s != s0:
+                    w = _reference_witness(g, covectors[: m + 1], signs + (s,), within_rows)
+                    if w is not None:
+                        updated[signs + (s,)] = w
+        partial = updated
+    cells = {}
+    for signs, witness in sorted(partial.items()):
+        flat = _reference_flat(g, covectors, signs)
+        cells[signs] = arr.Cell(signs, flat, flat.dim - 1, witness)
+    return arr.FacePoset(g, covectors, cells)
+
+
+# ---------------------------------------------------------------------------
 # Reference polytopes: vertices and face lattices, which geotits reads off
 # the face poset instead
 
@@ -262,8 +410,6 @@ class ReferencePolytope(geo.ConvexPolytope):
 
 def _extreme_rays(halfspaces, geometry):
     """Primitive extreme rays of a pointed full-dim cone in R^(n+1)."""
-    from itertools import combinations
-
     amb = geometry.ambient_dim
     funcs = [h.functional for h in halfspaces]
     rays = []
@@ -292,8 +438,6 @@ def _extreme_rays(halfspaces, geometry):
 def _build_faces(geometry, halfspaces, vertices):
     """Faces from vertex incidence; a face's dimension is that of the
     span of its vertices."""
-    from itertools import combinations
-
     amb = geometry.ambient_dim
     spherical = geometry.kind == SPHERICAL
 
@@ -668,7 +812,7 @@ def _facet_functional(facet_pts, inside_pt):
     """Affine functional vanishing on the facet, = 1 at the inside point."""
     rows = [tuple(p) + (F1,) for p in facet_pts] + [tuple(inside_pt) + (F1,)]
     rhs = [F0] * len(facet_pts) + [F1]
-    sol = exact.solve_affine(rows, rhs)
+    sol = solve_affine(rows, rhs)
     assert sol is not None, "degenerate facet functional"
     return sol[0]
 

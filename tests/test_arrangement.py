@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,7 +13,8 @@ from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
 from geotits.cli import Scene, corpus_dir
 from conftest import (
-    E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, reference_polytope, region_polytope, subdivide,
+    E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, reference_build_arrangement, reference_polytope,
+    region_polytope, subdivide,
 )
 
 
@@ -279,24 +283,167 @@ def test_spherical_cofacet_both_sides(coord_s2):
     assert len(lifts) == 2
 
 
-def test_rows_reach_feasible_as_ints(monkeypatch):
-    """Every constraint row that build_arrangement hands to exact.feasible
-    on a corpus scene, globally and within its window, is all-int."""
-    rows = []
+def test_build_makes_no_feasibility_call(monkeypatch):
+    """build_arrangement calls exact.feasible zero times on every corpus
+    scene, globally and within its window.  The calls left are those that
+    validate a scene's window polytope_A, and every row they get is
+    all-int."""
+    rows, calls = [], []
     feasible = exact.feasible
 
     def recording(strict=(), nonstrict=(), eqs=(), nvars=None):
+        calls.append(1)
         rows.extend([*strict, *nonstrict, *eqs])
         return feasible(strict, nonstrict, eqs, nvars)
 
+    monkeypatch.setattr(exact, "feasible", recording)
     cases = []
     for path in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
         if path.name.endswith(".json"):
             scene = Scene(json.loads(path.read_text()))
             coll, _ = scene.collection()
             cases += [(coll, within) for within in dict.fromkeys((None, scene.polytope_a))]
-    monkeypatch.setattr(exact, "feasible", recording)
+    assert len(cases) > len(calls) > 0
+    assert all(type(x) is int for row in rows for x in row)
+    del calls[:]
     for coll, within in cases:
         arr.build_arrangement(coll, within=within)
-    assert len(rows) > 1000
-    assert all(type(x) is int for row in rows for x in row)
+    assert not calls
+
+
+def _assert_matches_reference(poset, ref):
+    """Equal sign vectors (in order), flats and dims; every witness
+    strictly in its cell (and in the Klein ball on H^n); and the
+    reference's witness at each 0-cell of E^n and H^n."""
+    g = poset.geometry
+    assert list(poset.cells) == list(ref.cells)
+    for s, cell in poset.cells.items():
+        other = ref.cells[s]
+        assert (cell.flat, cell.dim) == (other.flat, other.dim)
+        v = geo.chart_vector(g, cell.witness)
+        assert tuple((x > 0) - (x < 0) for x in (exact.dot(c, v) for c in poset.covectors)) == s
+        if g.kind == geo.HYPERBOLIC:
+            assert sum(x * x for x in cell.witness) < 1
+        if g.kind != geo.SPHERICAL and cell.dim == 0:
+            assert cell.witness == other.witness
+
+
+def test_build_matches_reference_on_corpus():
+    """The flat-lattice build gives the Fourier-Motzkin build's cells on
+    every corpus scene, globally and within its window."""
+    cases = 0
+    for path in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".json"):
+            scene = Scene(json.loads(path.read_text()))
+            coll, _ = scene.collection()
+            for within in dict.fromkeys((None, scene.polytope_a)):
+                _assert_matches_reference(arr.build_arrangement(coll, within=within),
+                                          reference_build_arrangement(coll, within=within))
+                cases += 1
+    assert cases == 25
+
+
+DEGENERATE_DRAWS = {
+    geo.EUCLIDEAN: ("generic", "parallel", "concurrent"),
+    geo.HYPERBOLIC: ("generic", "concurrent", "ideal"),
+    geo.SPHERICAL: ("generic", "concurrent", "rank"),
+}
+
+
+def _random_covectors(rng, g, draw, k):
+    """Up to k distinct hyperplanes of g with small entries.  Most of a
+    degenerate draw shares one normal ("parallel"), passes through the
+    point (1/2, 0, ...) ("concurrent"), through the ideal point (1, 0, ...)
+    ("ideal"), or contains the last coordinate axis ("rank", so the
+    arrangement of S^n has rank below n + 1)."""
+    covs = {}
+    for _ in range(50 * k):
+        c = [rng.randint(-3, 3) for _ in range(g.ambient_dim)]
+        if rng.random() < 0.7:
+            if draw == "parallel" and covs:
+                c[1:] = rng.choice(list(covs))[1:]
+            elif draw == "concurrent":
+                c[1] = -2 * c[0]
+            elif draw == "ideal":
+                c[1] = -c[0]
+            elif draw == "rank":
+                c[-1] = 0
+        if any(c) and geo.hyperplane_subspace(g, c) is not None:
+            covs[geo.canonical_covector(c)] = None
+        if len(covs) == k:
+            break
+    return list(covs)
+
+
+@pytest.mark.parametrize("kind", [geo.EUCLIDEAN, geo.HYPERBOLIC, geo.SPHERICAL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_build_matches_reference_on_random_scenes(kind, n):
+    """Seeded scenes of each degenerate draw, globally and within a
+    window: the box |x_i| <= 1/2 (its walls added to the scene) cut by
+    one side of some of the scene's hyperplanes, when one of four tries
+    at the sides leaves an interior."""
+    g = geo.Geometry(kind, n)
+    rng = random.Random(f"arrangement/{kind}{n}")
+    box = [geo.HalfSpace([1] + [s * 2 * (k == i) for k in range(n)])
+           for i in range(n) for s in (1, -1)]
+    windows = 0
+    for trial in range(12):
+        draw = DEGENERATE_DRAWS[kind][trial % 3]
+        covs = _random_covectors(rng, g, draw, rng.randint(2, 7 - n))
+        coll = coll_mod.Collection(g, [geo.top_subspace(g)], covs)
+        _assert_matches_reference(arr.build_arrangement(coll), reference_build_arrangement(coll))
+        boxed = coll_mod.Collection(g, [geo.top_subspace(g)],
+                                    set(covs) | {h.hyperplane for h in box})
+        for _ in range(4):
+            sides = [geo.HalfSpace(c, sense=rng.choice((1, -1)))
+                     for c in covs if rng.random() < 0.5]
+            window = geo.polytope_from_halfspaces(g, box + sides)
+            if not isinstance(window, geo.Invalid):
+                windows += 1
+                _assert_matches_reference(arr.build_arrangement(boxed, within=window),
+                                          reference_build_arrangement(boxed, within=window))
+                break
+    assert windows >= 10
+
+
+def test_reference_keeps_spherical_windows():
+    """On S^n a subsphere with no strict sign once took a basis vector as
+    its witness with the window ignored, so a later hyperplane could give
+    it a sign outside the window: here the arc (0, 0, +) of S^3, kept by
+    the old build on the window's wrong side."""
+    g = geo.Geometry("S", 3)
+    coll = coll_mod.Collection(g, [geo.top_subspace(g)],
+                               [(0, 1, -2, 2), (1, 0, -1, -2), (1, 1, 1, -1)])
+    window = geo.polytope_from_halfspaces(g, [geo.HalfSpace((1, 1, 1, -1), sense=-1)])
+    poset = arr.build_arrangement(coll, within=window)
+    assert (0, 0, 1) not in poset.cells and (0, 0, -1) in poset.cells
+    _assert_matches_reference(poset, reference_build_arrangement(coll, within=window))
+
+
+HASH_SEED_SCRIPT = """
+import json, sys
+from geotits import arrangement as arr
+from geotits.cli import Scene, corpus_dir
+for name in sys.argv[1:]:
+    coll, _ = Scene(json.loads((corpus_dir() / name).read_text())).collection()
+    for s, c in arr.build_arrangement(coll).cells.items():
+        print(s, c.flat.basis, c.dim, c.witness)
+"""
+
+
+def test_build_is_the_same_under_any_hash_seed():
+    """One E, one H and one S arrangement give the same cells and
+    witnesses, byte for byte, under two hash seeds."""
+    outputs = set()
+    for hash_seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT,
+             "e2_six_lines.json", "h3_two_cubes.json", "s2_generic_three.json"],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            timeout=60,
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    assert out.count(b"\n") > 100

@@ -315,6 +315,18 @@ def test_ideal_vertex_arrangement_report_pinned(capsys):
     assert got == scene.with_suffix(".sha256").read_text().strip()
 
 
+def test_s4_ten_generic_arrangement_report_pinned(capsys):
+    """S^4 with 10 generic hyperplanes: the 7,082 cells of general
+    position, in the report whose sha256 sits beside its scene."""
+    scene = TEST_SCENES / "s4_ten_generic.json"
+    assert cli.main(["arrangement", str(scene)]) == cli.EXIT_PASS
+    out = capsys.readouterr().out
+    (block,) = json.loads(out)["checks"]
+    assert sum(block["cells_by_dim"].values()) == 7082
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == scene.with_suffix(".sha256").read_text().strip()
+
+
 def test_scene_digest_stable():
     s1 = load("e2_triangle")
     s2 = load("e2_triangle")

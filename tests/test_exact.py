@@ -11,6 +11,7 @@ from geotits import geometry as geo
 from geotits.exact import F0, dot
 from conftest import (
     flat_orientation_vectors,
+    min_norm_point,
     reference_coordinates,
     reference_det_sign,
     reference_signature,
@@ -574,9 +575,9 @@ def test_orientation_alternating(seed):
 
 
 def test_min_norm_sq():
-    assert arr.min_norm_point([(1, 0, -1), (0, 1, -1), (-1, -1, 3)], [], 2)[0] == 2
-    assert arr.min_norm_point([(1, 0, 1)], [], 2)[0] == 0
-    assert arr.min_norm_point([(1, 0, -10)], [(0, 1, -3)], 2)[0] == 109
+    assert min_norm_point([(1, 0, -1), (0, 1, -1), (-1, -1, 3)], [], 2)[0] == 2
+    assert min_norm_point([(1, 0, 1)], [], 2)[0] == 0
+    assert min_norm_point([(1, 0, -10)], [(0, 1, -3)], 2)[0] == 109
 
 
 def test_nullspace_orthogonal():

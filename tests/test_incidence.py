@@ -56,6 +56,7 @@ from conftest import (
     region_halfspaces,
     region_is_bounded,
     region_polytope,
+    solve_affine,
     subdivide,
 )
 
@@ -90,7 +91,7 @@ def _reference_orientation_chart(carrier, chart_points):
         return 1
     rows = []
     for p in chart_points[1:]:
-        sol = exact.solve_affine(list(zip(*dirs)), [Fr(a) - Fr(b) for a, b in zip(p, chart_points[0])])
+        sol = solve_affine(list(zip(*dirs)), [Fr(a) - Fr(b) for a, b in zip(p, chart_points[0])])
         if sol is None:
             return 0
         rows.append(sol[0])

@@ -6,7 +6,9 @@ Each scene is a generic arrangement written out literally: the draw
 Generic position fixes the region counts, so each verdict is checked
 against a formula: 2 * sum_{i<=n} C(k-1, i) regions of k great spheres
 in S^n, and C(k-1, n) bounded regions of k hyperplanes in E^n.  The
-ordered resolution at its guard of 6 basis regions is checked against
+arrangement censuses count each flat's cells the same way: a flat is
+cut by the other hyperplanes in general position.  The ordered
+resolution at its guard of 6 basis regions is checked against
 H_p = Z^C(6, p).
 """
 
@@ -14,6 +16,7 @@ import json
 import pathlib
 from math import comb
 
+from geotits import arrangement as arr
 from geotits import cli
 from geotits import collection as coll_mod
 from geotits import resolution as reso
@@ -38,6 +41,17 @@ E3_EIGHT = [
     [4, 4, 4, 6],
     [6, -5, 2, -5],
     [-5, 2, -2, 3],
+]
+
+E4_EIGHT = [
+    [-1, 6, 6, -4, 5],
+    [6, -5, 2, -3, 5],
+    [-2, -4, 5, 3, -5],
+    [-4, 5, -6, 1, -6],
+    [0, 2, -6, 6, 0],
+    [5, -4, -3, 5, -2],
+    [-3, 1, 2, 6, 2],
+    [1, -3, 6, -1, -6],
 ]
 
 
@@ -100,3 +114,27 @@ def test_e3_ten_points_pt_ls_hypotheses(capsys):
         "detail": "collection is not generated by both points and hyperplanes",
         "error": "HYPOTHESES_NOT_MET",
     }
+
+
+def test_s4_ten_generic_census():
+    """probe/S4/10 (``scenes/s4_ten_generic.json``): each of the C(k, c)
+    flats of codimension c is a great (n-c)-sphere cut by k - c great
+    spheres, with 2 * sum_{i<=n-c} C(k-c-1, i) cells."""
+    n, k = 4, 10
+    want = {n - c: comb(k, c) * 2 * sum(comb(k - c - 1, i) for i in range(n - c + 1))
+            for c in range(n + 1)}
+    scene = cli.load_scene(SCENES / "s4_ten_generic.json")
+    with Budget("scale", "S^4, 10 generic hyperplanes, arrangement", 15):
+        census = arr.build_arrangement(scene.collection()[0]).census()
+    assert census == want and sum(want.values()) == 7082
+
+
+def test_e4_eight_generic_census():
+    """probe/E4/8: each of the C(k, n-j) flats of dimension j is an E^j cut
+    by k - n + j hyperplanes, with sum_{i<=j} C(k-n+j, i) cells."""
+    n, k = 4, len(E4_EIGHT)
+    want = {j: comb(k, n - j) * sum(comb(k - n + j, i) for i in range(j + 1))
+            for j in range(n + 1)}
+    with Budget("scale", "E^4, 8 generic hyperplanes, arrangement", 15):
+        census = arr.build_arrangement(_hyperplane_scene("E", n, E4_EIGHT).collection()[0]).census()
+    assert census == want and sum(want.values()) == 1697
