@@ -9,12 +9,13 @@ enforcement, so the recorded pivots already satisfy d1 | d2 | ... .
 The +-1 pivots come from a lazy min-heap instead of a rescan of the
 active matrix per pivot, with one key for each kind of call:
 
-* with transforms, the Markowitz fill cost (Markowitz 1957) of every
-  +-1 entry, ``(cost, i, j)``, re-pushed for the rows and columns a
-  pivot changed unless that key is still in the heap (one live copy per
-  key); the heap yields exactly the least current key, so pivots,
-  positions and V are pinned (reports print apartment matrices in that
-  basis);
+* with transforms, one key per row: the least Markowitz fill cost key
+  ``(cost, i, j)`` (Markowitz 1957) over the row's +-1 entries.  After
+  a pivot, the rows its row operations touched and the rows holding an
+  entry in the pivot row's columns (whose lengths changed) are keyed
+  again, and a popped key that is no longer its row's is skipped.  The
+  least row key is the least entry key, so pivots, positions and V are
+  pinned (reports print apartment matrices in that basis);
 * rank-only, the row length ``(len, i)`` of each nonempty row,
   re-pushed for the rows a pivot touched, pivoting at that row's +-1
   entry with the shortest column; a row without a +-1 entry is skipped
@@ -137,37 +138,46 @@ def eliminate(rows, m, n, want_transforms):
     # pushing their keys again keeps every current key in the heap.
     if want_transforms:
         # Least Markowitz key (cost, i, j) over all +-1 entries, with
-        # cost = (row length - 1) * (column length - 1).  A key is pushed
-        # only when it is not live (in the heap) already: the heap then
-        # holds the same distinct keys, so it yields the same pivots.
-        def push_units(i, js):
+        # cost = (row length - 1) * (column length - 1).  The heap holds
+        # one key per row, the least over its +-1 entries, and ``keys``
+        # its current one; the least row key is the least entry key, so
+        # the pivots are the same as with a key per entry.  A popped key
+        # that is not its row's current key is stale.
+        def row_key(i):
             ri = rows[i]
-            for j in js:
-                v = ri[j]
+            rcost = len(ri) - 1
+            best = None
+            for j, v in ri.items():
                 if v == 1 or v == -1:
-                    key = ((len(ri) - 1) * (len(cols[j]) - 1), i, j)
-                    if key not in live:
-                        live.add(key)
-                        heappush(heap, key)
+                    key = (rcost * (len(cols[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+            return best
 
-        heap = []
-        live = set()
+        keys = [None] * m
         for i in active_rows:
-            push_units(i, rows[i])
+            keys[i] = row_key(i)
+        heap = [key for key in keys if key is not None]
+        heapify(heap)
         while heap:
             key = heappop(heap)
-            live.remove(key)
-            cost, i0, j0 = key
-            v = rows[i0].get(j0)
-            if (v != 1 and v != -1) or cost != (len(rows[i0]) - 1) * (len(cols[j0]) - 1):
+            i0 = key[1]
+            if keys[i0] != key:
                 continue
-            touched, support = unit_pivot(i0, j0)
-            for i in touched:
-                push_units(i, rows[i])
-            touched = set(touched)
+            keys[i0] = None
+            touched, support = unit_pivot(i0, key[2])
+            # The row operations changed the touched rows; both kinds of
+            # operation changed the lengths of the support columns, and
+            # with them the costs of every row holding an entry there.
+            rekey = set(touched)
             for j in support:
-                for i in cols[j] - touched:
-                    push_units(i, (j,))
+                rekey.update(cols[j])
+            for i in rekey:
+                new = row_key(i)
+                if new != keys[i]:
+                    keys[i] = new
+                    if new is not None:
+                        heappush(heap, new)
     else:
         # Shortest row that holds a +-1 entry, keyed (row length, i), at
         # its +-1 entry with the shortest column.  Only row operations

@@ -2,9 +2,12 @@
 
 All complexes carry named basis elements (tuples of indices into sorted
 member/cell lists) and sparse integer boundaries; every constructor
-asserts boundary-squared = 0 exactly.  Every model is graded labels plus
-a face rule (``face_complex``): the boundary of a label is the signed
-sum of its faces that lie in the basis.  Relative models (anchored-flag
+asserts boundary-squared = 0 exactly.  Most models are graded labels plus
+the alternating face rule (``face_complex``): the boundary of a label is
+the signed sum of its faces that lie in the basis.  The spherical PT
+bicomplex and its collapse model are assembled instead from the columns
+of the sphere triangulation's boundary, by index arithmetic with no
+lookup of face labels.  Relative models (anchored-flag
 complexes, quotient complexes) compute the reduced homology of the
 spaces they model directly; plain order complexes carry the empty flag
 in degree -1, so their homology is reduced as well.
@@ -233,12 +236,11 @@ def _drop_one(label):
         yield label[:i] + label[i + 1 :], (-1) ** i
 
 
-def face_complex(degrees, faces=_drop_one):
-    """Chain complex whose boundary is the signed sum of face maps.
-
-    ``faces(label)`` yields ``(face, sign)`` pairs; each sign is added at
-    (row of the face in degree d-1, column of the label), and faces
-    absent from the basis map to zero.
+def face_complex(degrees):
+    """Chain complex whose boundary is the alternating sum of the faces
+    of each label (``_drop_one``); each sign is added at (row of the face
+    in degree d-1, column of the label), and faces absent from the basis
+    map to zero.
     """
     boundaries = {}
     for d in sorted(degrees):
@@ -246,7 +248,7 @@ def face_complex(degrees, faces=_drop_one):
         columns = []
         for lab in degrees[d]:
             col = {}
-            for face, sign in faces(lab):
+            for face, sign in _drop_one(lab):
                 row = lower.get(face)
                 if row is not None:
                     col[row] = col.get(row, 0) + sign
@@ -350,24 +352,29 @@ class SphereTriangulation:
         chains = _chains_above(_cells_above(self.cell_order))[1:]  # no empty simplex
         self.complex = face_complex(_graded(chains, lambda c: len(c) - 1))
         self.simplices = self.complex.degrees
-        self._by_top = {}  # (m, top cell sign vector) -> m-simplices
+        self._by_top = {}  # (m, top cell sign vector) -> positions of its m-simplices
         for m, labs in self.simplices.items():
-            for lab in labs:
-                self._by_top.setdefault((m, self.cell_order[lab[-1]]), []).append(lab)
+            for s, lab in enumerate(labs):
+                self._by_top.setdefault((m, self.cell_order[lab[-1]]), []).append(s)
         self._cell_chains = {}  # sign vector -> (chain, incidences)
 
-    def top_cell(self, label):
-        return self.poset.cells[self.cell_order[label[-1]]]
+    def _positions(self, m, tops):
+        return sorted(s for t in tops for s in self._by_top.get((m, t), ()))
 
     def labels_with_top(self, m, tops):
         """The m-simplices whose top cell is one of these sign vectors, in
         basis order."""
-        return sorted(lab for s in tops for lab in self._by_top.get((m, s), ()))
+        labs = self.simplices.get(m, ())
+        return [labs[s] for s in self._positions(m, tops)]
 
-    def labels_in_carrier(self, carrier, m):
-        """The m-simplices of S(carrier): those whose top cell lies in the
-        flat, that is, vanishes on every hyperplane containing it."""
-        return self.labels_with_top(m, self.poset.cells_in(self.poset.flat_signs(carrier)))
+    def positions_in_carrier(self, carrier):
+        """m -> positions in degree m, ascending, of the m-simplices of
+        S(carrier): those whose top cell lies in the flat, that is,
+        vanishes on every hyperplane containing it.  Degrees without such
+        a simplex are left out."""
+        tops = self.poset.cells_in(self.poset.flat_signs(carrier))
+        out = {m: self._positions(m, tops) for m in self.simplices}
+        return {m: pos for m, pos in out.items() if pos}
 
     def cell_chain(self, sign):
         """(chain, incidences) of a cell's closure, built once per cell.
@@ -434,47 +441,87 @@ def sphere_triangulation(coll, poset=None):
     return SphereTriangulation(poset)
 
 
-def _bicomplex_faces(label):
-    """Flag faces (-1)**drop, then simplex faces (-1)**k (-1)**i; the
-    empty simplex is not a face."""
-    flag, sigma = label
-    for face, sign in _drop_one(flag):
-        yield (face, sigma), sign
-    k_sign = (-1) ** len(flag)
-    for face, sign in _drop_one(sigma):
-        if face:
-            yield (flag, face), k_sign * sign
-
-
 def pt_bicomplex(coll, tri):
     """Total complex of the poset-of-flats diagram of subsphere chains,
     relative to the sub-diagram below the top flat.
 
     Degree (k + m) basis: (flag of k proper members V_0 < ... < V_{k-1}
     anchored at the top, m-simplex of the S(V_0) triangulation); for the
-    empty flag the simplex ranges over the whole sphere model.
+    empty flag the simplex ranges over the whole sphere model.  Labels
+    sort by flag, then by simplex, so a degree lists the flags in order,
+    each followed by its pool of simplices in the triangulation's order.
+
+    The boundary of (flag, sigma) is assembled by index arithmetic.  Flag
+    faces carry (-1)**i at (flag without entry i, sigma); they are always
+    in the basis, since dropping ``flag[0]`` only widens the pool.
+    Simplex faces are the column of sigma in the triangulation's
+    boundary, times (-1)**k and re-indexed into the flag's pool: a face's
+    top cell lies below sigma's, so in the same flat.
     """
     proper = sorted((m for m in coll.members if not m.is_top()),
                     key=lambda m: m.sort_key())
     carrier = [m.carrier for m in proper]
     leq = lambda i, j: carrier[j].contains(carrier[i]) and carrier[i] != carrier[j]
-    labels = []
-    for flag in _chains(len(proper), leq):
-        for m, whole in tri.simplices.items():
-            pool = tri.labels_in_carrier(carrier[flag[0]], m) if flag else whole
-            labels.extend((flag, sigma) for sigma in pool)
-    return face_complex(_graded(labels, lambda l: len(l[0]) + len(l[1]) - 1),
-                        _bicomplex_faces)
+    flags = sorted(_chains(len(proper), leq))
+    # pool key (flag[0], or None for the empty flag) -> m -> the positions
+    # of its m-simplices in the triangulation, and their inverse
+    pools = {None: {m: range(len(labs)) for m, labs in tri.simplices.items()}}
+    for c in sorted({flag[0] for flag in flags if flag}):
+        pools[c] = tri.positions_in_carrier(carrier[c])
+    where = {c: {m: pool if c is None else {s: p for p, s in enumerate(pool)}
+                 for m, pool in by_m.items()}
+             for c, by_m in pools.items()}  # a range is its own inverse
+    degrees = {}
+    offset = {}  # (flag, m) -> row of the flag's first label in degree len(flag) + m
+    for flag in flags:
+        for m, pool in pools[flag[0] if flag else None].items():
+            labs = degrees.setdefault(len(flag) + m, [])
+            offset[flag, m] = len(labs)
+            simplices = tri.simplices[m]
+            labs.extend((flag, simplices[s]) for s in pool)
+    columns = {d: [] for d in degrees}
+    for flag in flags:
+        k = len(flag)
+        c = flag[0] if flag else None
+        for m, pool in pools[c].items():
+            drops = []
+            for i in range(k):
+                face = flag[:i] + flag[i + 1:]
+                drops.append((offset[face, m], where[face[0] if face else None][m], (-1) ** i))
+            out = columns[k + m]
+            bd = tri.complex.boundary(m).col_dicts  # empty columns when m = 0
+            low, low_at = offset.get((flag, m - 1)), where[c].get(m - 1)
+            sign = (-1) ** k
+            for s in pool:
+                col = {off + at[s]: e for off, at, e in drops}
+                for r, v in bd[s].items():
+                    col[low + low_at[r]] = sign * v
+                out.append(col)
+    return ChainComplex({d: degrees[d] for d in sorted(degrees)}, {
+        d: IntMatrix.from_col_dicts(len(degrees.get(d - 1, ())), cols)
+        for d, cols in columns.items()
+    })
 
 
 def pt_collapse_complex(coll, tri):
     """Strict-colimit model: chains of S^n relative to the proper-flat union.
 
     Basis: simplices of the sphere triangulation whose top cell is a
-    full-dimensional region; faces falling into proper flats die.
+    full-dimensional region; faces falling into proper flats die.  So
+    the model is the triangulation's complex restricted, in rows and
+    columns, to those simplices.
     """
     n = coll.geometry.n
-    return face_complex({
-        m: [lab for lab in labs if tri.top_cell(lab).dim == n]
-        for m, labs in tri.simplices.items()
-    })
+    region = [tri.poset.cells[s].dim == n for s in tri.cell_order]
+    degrees = {}
+    boundaries = {}
+    at = {}  # position in degree m - 1 of the triangulation -> row here
+    for m in sorted(tri.simplices):
+        labs = tri.simplices[m]
+        keep = [s for s, lab in enumerate(labs) if region[lab[-1]]]
+        bd = tri.complex.boundary(m).col_dicts
+        boundaries[m] = IntMatrix.from_col_dicts(len(at), [
+            {at[r]: v for r, v in bd[s].items() if r in at} for s in keep])
+        degrees[m] = [labs[s] for s in keep]
+        at = {s: p for p, s in enumerate(keep)}
+    return ChainComplex(degrees, boundaries)

@@ -597,6 +597,11 @@ def reference_in_polytope(poset, cell, polytope):
     return all(exact.dot(h.functional, v) >= 0 for h in polytope.halfspaces)
 
 
+def top_cell(tri, label):
+    """The cell at the top of a triangulation simplex."""
+    return tri.poset.cells[tri.cell_order[label[-1]]]
+
+
 def reference_face_simplices(tri, polytope, face):
     """d-simplices whose top d-cell has its flat in the face span and its
     witness in the polytope."""
@@ -604,9 +609,9 @@ def reference_face_simplices(tri, polytope, face):
     span = face_span(polytope, face)
     return [
         lab for lab in tri.simplices.get(d, ())
-        if tri.top_cell(lab).dim == d
-        and reference_in_polytope(tri.poset, tri.top_cell(lab), polytope)
-        and span.contains(tri.top_cell(lab).flat)
+        if top_cell(tri, lab).dim == d
+        and reference_in_polytope(tri.poset, top_cell(tri, lab), polytope)
+        and span.contains(top_cell(tri, lab).flat)
     ]
 
 
@@ -940,6 +945,137 @@ def reference_levels(basis_size, p_max):
         if not new:
             break
     return {p: v for p, v in out.items() if v or p == 0}
+
+
+# ---------------------------------------------------------------------------
+# The certificate elimination with one heap key per +-1 entry
+
+
+def reference_entry_heap_eliminate(rows, m, n):
+    """``eliminate(rows, m, n, True)`` with one Markowitz key ``(cost, i,
+    j)`` per +-1 entry and a set of the keys live in the heap: the loop
+    that the per-row heap replaced, kept as its oracle.  The least entry
+    key is the least row key, so both return the same pivots, positions,
+    V and ``units``.  ``rows`` is consumed.
+    """
+    from heapq import heappop, heappush
+
+    cols = [set() for _ in range(n)]
+    for i in range(m):
+        for j in rows[i]:
+            cols[j].add(i)
+    vcols = [{j: 1} for j in range(n)]
+    active_rows = set(i for i in range(m) if rows[i])
+    pivots, pivot_rows, pivot_cols = [], [], []
+
+    def row_axpy(i, ip, q):
+        if q == 0:
+            return
+        target = rows[i]
+        for j, v in rows[ip].items():
+            w = target.get(j, 0) - q * v
+            if w:
+                target[j] = w
+                cols[j].add(i)
+            elif j in target:
+                del target[j]
+                cols[j].discard(i)
+
+    def col_axpy(j, jp, q):
+        if q == 0:
+            return
+        for i in list(cols[jp]):
+            v = rows[i][jp]
+            w = rows[i].get(j, 0) - q * v
+            if w:
+                rows[i][j] = w
+                cols[j].add(i)
+            elif j in rows[i]:
+                del rows[i][j]
+                cols[j].discard(i)
+        tv = vcols[j]
+        for i2, v in vcols[jp].items():
+            w = tv.get(i2, 0) - q * v
+            if w:
+                tv[i2] = w
+            elif i2 in tv:
+                del tv[i2]
+
+    def retire(i0, j0):
+        pivots.append(abs(rows[i0].pop(j0)))
+        pivot_rows.append(i0)
+        pivot_cols.append(j0)
+        cols[j0].discard(i0)
+        active_rows.discard(i0)
+
+    def push_units(i, js):
+        ri = rows[i]
+        for j in js:
+            v = ri[j]
+            if v == 1 or v == -1:
+                key = ((len(ri) - 1) * (len(cols[j]) - 1), i, j)
+                if key not in live:
+                    live.add(key)
+                    heappush(heap, key)
+
+    heap = []
+    live = set()
+    for i in active_rows:
+        push_units(i, rows[i])
+    while heap:
+        key = heappop(heap)
+        live.remove(key)
+        cost, i0, j0 = key
+        v = rows[i0].get(j0)
+        if (v != 1 and v != -1) or cost != (len(rows[i0]) - 1) * (len(cols[j0]) - 1):
+            continue
+        p = rows[i0][j0]
+        touched = [i for i in cols[j0] if i != i0]
+        for i in touched:
+            row_axpy(i, i0, rows[i][j0] * p)
+        support = [j for j in rows[i0] if j != j0]
+        for j in support:
+            col_axpy(j, j0, rows[i0][j] * p)
+        retire(i0, j0)
+        for i in touched:
+            push_units(i, rows[i])
+        touched = set(touched)
+        for j in support:
+            for i in cols[j] - touched:
+                push_units(i, (j,))
+    units = len(pivots)
+
+    # Phase B, as in the kernel.
+    while True:
+        best = min(((abs(v), i, j) for i in active_rows for j, v in rows[i].items()),
+                   default=None)
+        if best is None:
+            break
+        _, i0, j0 = best
+        while True:
+            p = rows[i0][j0]
+            for i in list(cols[j0]):
+                if i != i0:
+                    row_axpy(i, i0, rows[i][j0] // p)
+            for j in list(rows[i0]):
+                if j != j0:
+                    col_axpy(j, j0, rows[i0][j] // p)
+            if any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0]):
+                p_abs = abs(rows[i0][j0])
+                cand = min(((abs(v), i, j) for i in active_rows for j, v in rows[i].items()
+                            if abs(v) < p_abs), default=None)
+                if cand is not None:
+                    _, i0, j0 = cand
+                continue
+            p = rows[i0][j0]
+            offender = min((i for i in active_rows
+                            if i != i0 and any(v % p for v in rows[i].values())), default=None)
+            if offender is None:
+                break
+            row_axpy(i0, offender, -1)
+        retire(i0, j0)
+
+    return pivots, pivot_rows, pivot_cols, vcols, units
 
 
 @pytest.fixture(scope="session")

@@ -152,14 +152,14 @@ def test_dump_complex_is_the_reported_complex(model, name, key, tmp_path, capsys
     assert _dumped_homology(out) == report["checks"][0][key]
 
 
-def test_dump_complex_bytes_pinned(tmp_path):
-    """``homology pt`` of s2_coordinate dumps the complex whose sha256
-    is pinned in tests/scenes, under any hash seed."""
-    want = (TEST_SCENES / "s2_coordinate_pt_complex.sha256").read_text().strip()
+def _assert_dump_pinned(scene, pin, tmp_path):
+    """``homology pt SCENE --dump-complex`` writes the bytes whose sha256
+    is in ``pin``, in fresh interpreters under two hash seeds."""
+    want = (TEST_SCENES / pin).read_text().strip()
     for hash_seed in ("0", "12345"):
         out = tmp_path / f"complex{hash_seed}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "geotits.cli", "homology", "pt", scene_path("s2_coordinate"),
+            [sys.executable, "-m", "geotits.cli", "homology", "pt", scene,
              "--dump-complex", str(out)],
             capture_output=True,
             env={**os.environ, "PYTHONHASHSEED": hash_seed},
@@ -167,6 +167,33 @@ def test_dump_complex_bytes_pinned(tmp_path):
         )
         assert proc.returncode == cli.EXIT_PASS
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_dump_complex_bytes_pinned(tmp_path):
+    _assert_dump_pinned(scene_path("s2_coordinate"), "s2_coordinate_pt_complex.sha256", tmp_path)
+
+
+def test_generic_s3_dump_complex_bytes_pinned(tmp_path):
+    """The PT bicomplex of the pinned generic S^3 scene."""
+    _assert_dump_pinned(str(TEST_SCENES / "s3_four_generic.json"),
+                        "s3_four_generic_pt_complex.sha256", tmp_path)
+
+
+def test_generic_s3_report_pinned_under_any_hash_seed():
+    """The certificate heap keys rows again by iterating sets, so the
+    verdict of the pinned generic S^3 scene is checked in fresh
+    interpreters under two hash seeds."""
+    scene = TEST_SCENES / "s3_four_generic.json"
+    want = scene.with_suffix(".sha256").read_text().strip()
+    for hash_seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geotits.cli", "verify", "solomon-tits", str(scene)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_PASS
+        assert hashlib.sha256(proc.stdout).hexdigest() == want
 
 
 def test_dump_complex_builds_the_model_once(tmp_path, capsys, monkeypatch):

@@ -118,9 +118,9 @@ def test_sphere_triangulation_s2(coord_s2):
     assert h.betti(0) == 1 and h.betti(1) == 0 and h.betti(2) == 1
     # subcomplex of the z-axis flat: two antipodal vertices
     axis = geo.subspace_from_vectors(3, [(0, 0, 1)])
-    labs = tri.labels_in_carrier(axis, 0)
+    labs = [tri.simplices[0][s] for s in tri.positions_in_carrier(axis)[0]]
     assert len(labs) == 2
-    assert not tri.labels_in_carrier(axis, 1)
+    assert 1 not in tri.positions_in_carrier(axis)
 
 
 S3_FOUR_GENERIC = pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"

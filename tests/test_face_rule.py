@@ -1,16 +1,23 @@
-"""Every chain complex comes from one face rule.
+"""Every chain complex equals the one its face rule gives.
 
-The references below are the hand-written boundary loops that the face
-rule replaced: plain alternating deletion over per-model gradings, the
-bicomplex's two-part loop and the two resolution loops.  Each model must
-give the same graded labels and the same boundary entries.
+The references below are hand-written boundary loops: plain alternating
+deletion over per-model gradings, the bicomplex's two-part rule (flag
+faces, then simplex faces) and the two resolution loops.  Each model must
+give the same graded labels and the same boundary entries.  The PT
+bicomplex and the collapse model are assembled from the triangulation's
+boundary columns, so they are checked on the spherical corpus scenes, on
+the pinned generic S^3 scene and on seeded S^2 and S^3 draws.
 """
 
 import json
+import pathlib
+import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from geotits import arrangement as arr
 from geotits import cli
 from geotits import collection as coll_mod
 from geotits import complexes as cx
@@ -18,7 +25,9 @@ from geotits import geometry as geo
 from geotits import resolution as reso
 from geotits._kernel import IntMatrix
 from conftest import leq
+from test_arrangement import _random_covectors
 
+S3_FOUR_GENERIC = pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
 SCENES = sorted(p.name for p in cli.corpus_dir().iterdir() if p.name.endswith(".json"))
 
 
@@ -123,22 +132,60 @@ def test_tpl_complex_matches_reference(corpus):
     assert checked >= 10
 
 
+def _sphere(name, coll, poset):
+    tri = cx.sphere_triangulation(coll, poset)
+    order = tuple(sorted(poset.cells))
+    below = lambda i, j: i != j and leq(order[i], order[j])
+    simplices = _by_length([c for c in cx._chains(len(order), below) if c], 1)
+    return name, coll, poset, tri, order, simplices
+
+
+def _random_spheres():
+    """Seeded admissible scenes on S^2 and S^3: draws with small entries,
+    and draws with n + 2 hyperplanes most of which share a point."""
+    rng = random.Random("face_rule/spheres")
+    for n in (2, 3):
+        g = geo.Geometry(geo.SPHERICAL, n)
+        for draw in ("generic", "concurrent"):
+            for trial in range(4):
+                k = rng.randint(n + 1, n + 2) if draw == "generic" else n + 2
+                coll = coll_mod.closure_by_hyperplanes(g, _random_covectors(rng, g, draw, k))
+                if coll_mod.admissible(coll) == coll_mod.ADMISSIBLE:
+                    yield f"S{n} {draw} {trial}", coll
+
+
 def _spheres(corpus):
     """(name, coll, poset, tri, cell order, reference simplices) of every
-    admissible spherical corpus scene."""
+    admissible spherical corpus scene, of the pinned generic S^3 scene
+    and of the seeded draws."""
     for name, scene, coll in corpus:
         if scene.geometry.kind != geo.SPHERICAL or coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
             continue
-        poset, _ = scene.arrangement(None)
-        tri = cx.sphere_triangulation(coll, poset)
-        order = tuple(sorted(poset.cells))
-        below = lambda i, j: i != j and leq(order[i], order[j])
-        simplices = _by_length([c for c in cx._chains(len(order), below) if c], 1)
-        yield name, coll, poset, tri, order, simplices
+        yield _sphere(name, coll, scene.arrangement(None)[0])
+    scene = cli.Scene(json.loads(S3_FOUR_GENERIC.read_text()))
+    yield _sphere(S3_FOUR_GENERIC.name, scene.collection()[0], scene.arrangement(None)[0])
+    for name, coll in _random_spheres():
+        yield _sphere(name, coll, arr.build_arrangement(coll))
 
 
 SPHERES = ["s0_base.json", "s1_coordinate.json", "s2_coordinate.json",
-           "s2_generic_three.json", "s3_coordinate.json"]
+           "s2_generic_three.json", "s3_coordinate.json", "s3_four_generic.json",
+           "S2 generic 0", "S2 generic 1", "S2 generic 2", "S2 generic 3",
+           "S2 concurrent 0", "S2 concurrent 1", "S2 concurrent 3",
+           "S3 generic 0", "S3 generic 1", "S3 generic 2", "S3 generic 3",
+           "S3 concurrent 0", "S3 concurrent 2", "S3 concurrent 3"]
+
+
+def test_random_spheres_include_concurrent_draws():
+    """Some draw in each dimension has fewer regions than k hyperplanes
+    in general position, 2 * sum_{i<=n} C(k-1, i)."""
+    degenerate = set()
+    for _, coll in _random_spheres():
+        n, k = coll.geometry.n, len(coll.hyperplane_covectors)
+        regions = arr.build_arrangement(coll).census()[n]
+        if regions < 2 * sum(comb(k - 1, i) for i in range(n + 1)):
+            degenerate.add(n)
+    assert degenerate == {2, 3}
 
 
 def test_triangulation_and_collapse_match_reference(corpus):

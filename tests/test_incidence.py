@@ -58,6 +58,7 @@ from conftest import (
     region_polytope,
     solve_affine,
     subdivide,
+    top_cell,
 )
 
 ORACLE_SCENES = ["s2_coordinate", "s2_generic_three", "s3_coordinate", "h3_two_cubes"]
@@ -99,7 +100,7 @@ def _reference_orientation_chart(carrier, chart_points):
 
 
 def _reference_labels_in_carrier(tri, carrier, m):
-    return [lab for lab in tri.simplices.get(m, ()) if carrier.contains(tri.top_cell(lab).flat)]
+    return [lab for lab in tri.simplices.get(m, ()) if carrier.contains(top_cell(tri, lab).flat)]
 
 
 def _reference_is_bounded(poset, cell):
@@ -360,8 +361,9 @@ def test_face_chains_and_carriers_match_reference(name):
     for s in arr.region_basis(poset):
         _check_face_chains(tri, s)
     for member in coll.members:
-        for m in tri.simplices:
-            got = tri.labels_in_carrier(member.carrier, m)
+        positions = tri.positions_in_carrier(member.carrier)
+        for m, labs in tri.simplices.items():
+            got = [labs[s] for s in positions.get(m, ())]
             assert got == _reference_labels_in_carrier(tri, member.carrier, m)
 
 

@@ -25,7 +25,7 @@ from geotits.complexes import (
     pt_bicomplex,
     sphere_triangulation,
 )
-from conftest import dense_columns
+from conftest import Budget, dense_columns, reference_entry_heap_eliminate
 
 
 def dense(m):
@@ -812,11 +812,14 @@ def _reference_eliminate(rows, m, n, want_transforms):
 
 def _assert_matches_reference(m):
     """Certificate calls match the reference in every output but U, which
-    the kernel does not keep: pivots, positions and sparse V.  Rank-only
+    the kernel does not keep: pivots, positions and sparse V; and the
+    heap with one key per +-1 entry in those and ``units``.  Rank-only
     calls pin only the invariant factors: their pivots may sit elsewhere,
     at distinct rows and columns in range."""
     pivots, prow, pcol, _, vcols = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
-    assert eliminate(m.row_dicts(), m.rows, m.cols, True)[:4] == (pivots, prow, pcol, vcols)
+    got = eliminate(m.row_dicts(), m.rows, m.cols, True)
+    assert got[:4] == (pivots, prow, pcol, vcols)
+    assert got == reference_entry_heap_eliminate(m.row_dicts(), m.rows, m.cols)
     factors, prow, pcol, vcols, _ = eliminate(m.row_dicts(), m.rows, m.cols, False)
     assert factors == pivots
     assert vcols is None
@@ -855,6 +858,17 @@ def test_eliminate_matches_sorted_reference_on_workload_boundaries(model):
     complex_ = _workload_complex(model)
     for d in complex_.support():
         _assert_matches_reference(complex_.boundary(d))
+
+
+def test_row_heap_matches_entry_heap_on_s4_coordinate():
+    """The certificate matrix of S^4 cut by its 5 coordinate hyperplanes:
+    d_4 of the PT bicomplex, 16680 x 7440."""
+    path = pathlib.Path(__file__).resolve().parent / "scenes" / "s4_coordinate.json"
+    with Budget("kernel", "S^4 coordinate d_4, row heap against entry heap", 30):
+        d4 = cli.homology_model(cli.Scene(json.loads(path.read_text())), "pt")[0].boundary(4)
+        assert (d4.rows, d4.cols) == (16680, 7440)
+        assert (eliminate(d4.row_dicts(), d4.rows, d4.cols, True)
+                == reference_entry_heap_eliminate(d4.row_dicts(), d4.rows, d4.cols))
 
 
 # A 6-vertex triangulation of RP^2: reduced homology Z/2 in degree 1.

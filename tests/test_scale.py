@@ -32,6 +32,15 @@ S3_FIVE = [
     [-5, 1, -3, -5],
 ]
 
+S4_SIX = [
+    [-1, -1, -2, 1, 1],
+    [-3, -4, 2, -1, -4],
+    [-1, 5, -1, 1, -3],
+    [-3, 2, 6, 2, 0],
+    [-1, 6, -2, -2, -1],
+    [-2, 3, 4, 4, 0],
+]
+
 E3_EIGHT = [
     [-3, 1, 2, 0],
     [-4, 1, 6, 4],
@@ -78,6 +87,16 @@ def test_s3_five_generic_hyperplanes():
     with Budget("scale", "S^3, 5 generic hyperplanes", 10):
         block = _solomon_tits("S", n, S3_FIVE)
     assert block["regions"] == block["h_rank"] == regions == 30
+
+
+def test_s4_six_generic_hyperplanes():
+    """probe/S4/6: 62 regions, the PT bicomplex's d_4 is 50040 x 22320
+    (about 6-7 s on a 2-vCPU VM)."""
+    n, k = 4, len(S4_SIX)
+    regions = 2 * sum(comb(k - 1, i) for i in range(n + 1))
+    with Budget("scale", "S^4, 6 generic hyperplanes", 30):
+        block = _solomon_tits("S", n, S4_SIX)
+    assert block["regions"] == block["h_rank"] == regions == 62
 
 
 def test_e3_eight_generic_planes():
