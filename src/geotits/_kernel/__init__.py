@@ -1,8 +1,10 @@
 """Exact integer linear algebra: Smith normal form, kernel lattices and
 sublattice comparison.  The elimination is
-:func:`geotits._kernel.elim_py.eliminate`; its one certificate, the
-column transform V, is kept sparse and read only for kernel bases (here
-and in ``complexes.HomologyClasses``).
+:func:`geotits._kernel.elim_py.eliminate`, in one of three modes:
+``RANK`` (invariant factors only), ``KERNEL`` (the same pivot order, and
+the column transform V kept sparse for ``kernel_basis``) and ``PINNED``
+(the pinned Markowitz pivot order, without V, whose non-pivot columns
+``complexes.HomologyClasses`` reads).
 
 Lattice membership and equality do not depend on a basis, so rank-only
 reductions answer them.  If L is contained in L' and both have rank r,
@@ -15,9 +17,12 @@ Computational Algebraic Number Theory*, GTM 138, 1993, section 2.4).
 from math import prod
 from types import MappingProxyType
 
-from geotits._kernel.elim_py import eliminate
+from geotits._kernel.elim_py import KERNEL, MODES, PINNED, RANK, eliminate
 
 __all__ = [
+    "KERNEL",
+    "PINNED",
+    "RANK",
     "IntMatrix",
     "SnfResult",
     "smith_normal_form",
@@ -147,9 +152,9 @@ class SnfResult:
     """Invariant factors d1 | d2 | ... | dr plus an optional certificate.
 
     ``pivot_rows[k]`` and ``pivot_cols[k]`` locate ``invariant_factors[k]``.
-    When transforms are requested, ``vcols`` (the n columns of a
-    unimodular V) are sparse dicts from index to nonzero int, and M @ V
-    vanishes at every non-pivot column.
+    In ``KERNEL`` mode ``vcols`` (the n columns of a unimodular V) are
+    sparse dicts from index to nonzero int, and M @ V vanishes at every
+    non-pivot column; otherwise ``vcols`` is None.
 
     The first ``units`` pivots were retired by the kernel's unit phase,
     at +-1 entries, so the input's minor at ``pivot_rows[:units]`` and
@@ -173,19 +178,24 @@ class SnfResult:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def smith_normal_form(matrix, want_transforms=False):
-    """SNF of an IntMatrix; deterministic for a fixed input.
+def smith_normal_form(matrix, mode=RANK):
+    """SNF of an IntMatrix in one of the modes ``RANK``, ``KERNEL`` or
+    ``PINNED``; deterministic for a fixed input.
 
     ``eliminate`` records its pivots in divisibility order, so they are
     the invariant factors as they stand.
     """
-    return SnfResult(*eliminate(matrix.row_dicts(), matrix.rows, matrix.cols, want_transforms))
+    if mode not in MODES:
+        raise ValueError(f"unknown elimination mode {mode!r}")
+    return SnfResult(*eliminate(matrix.row_dicts(), matrix.rows, matrix.cols, mode))
 
 
 def kernel_basis(matrix):
     """Basis of the lattice {x in Z^n : M x = 0}, as a list of columns:
-    the columns of V at the non-pivot columns, in index order."""
-    snf = smith_normal_form(matrix, want_transforms=True)
+    the columns of V at the non-pivot columns, in index order.  V comes
+    from the row-length order, so only the lattice the basis spans is
+    determined, not the basis itself."""
+    snf = smith_normal_form(matrix, KERNEL)
     n = matrix.cols
     pivots = set(snf.pivot_cols)
     basis = []

@@ -6,22 +6,27 @@ boundary matrices are almost entirely unimodular-pivotable), then fall
 back to classic smallest-entry pivoting with in-loop divisibility
 enforcement, so the recorded pivots already satisfy d1 | d2 | ... .
 
-The +-1 pivots come from a lazy min-heap instead of a rescan of the
-active matrix per pivot, with one key for each kind of call:
+A call runs in one of three modes, which differ only in how phase A
+picks its +-1 pivots and in whether the column transform V is kept:
 
-* with transforms, one key per row: the least Markowitz fill cost key
-  ``(cost, i, j)`` (Markowitz 1957) over the row's +-1 entries.  After
-  a pivot, the rows its row operations touched and the rows holding an
-  entry in the pivot row's columns (whose lengths changed) are keyed
-  again, and a popped key that is no longer its row's is skipped.  The
-  least row key is the least entry key, so pivots, positions and V are
-  pinned (reports print apartment matrices in that basis);
-* rank-only, the row length ``(len, i)`` of each nonempty row,
-  re-pushed for the rows a pivot touched, pivoting at that row's +-1
-  entry with the shortest column; a row without a +-1 entry is skipped
-  when popped.  Only the invariant factors are pinned: any unit-pivot
-  order gives the same ones (exhausting unit pivots first follows
-  Dumas, Heckenbach, Saunders & Welker, 2003).
+* ``RANK``: only the invariant factors are pinned.  The lazy min-heap
+  holds the row length ``(len, i)`` of each nonempty row, re-pushed for
+  the rows a pivot touched, and pivots at that row's +-1 entry with the
+  shortest column; a row without a +-1 entry is skipped when popped.
+  Any unit-pivot order gives the same invariant factors (exhausting
+  unit pivots first follows Dumas, Heckenbach, Saunders & Welker, 2003).
+* ``KERNEL``: the same order, and V is kept as sparse columns, so M V
+  vanishes at every column outside ``pivot_cols``.  Kernel bases read
+  it; the lattice they span does not depend on the pivot order.
+* ``PINNED``: pivots, positions and ``units`` are pinned, and no V is
+  kept.  The heap holds one key per row: the least Markowitz fill cost
+  key ``(cost, i, j)`` (Markowitz 1957) over the row's +-1 entries.
+  After a pivot, the rows its row operations touched and the rows
+  holding an entry in the pivot row's columns (whose lengths changed)
+  are keyed again, and a popped key that is no longer its row's is
+  skipped.  The least row key is the least entry key.  Reports print
+  apartment matrices in the basis this order picks
+  (``complexes.HomologyClasses``), so it must not change.
 
 ``units`` counts the leading pivots that phase A retired.  Phase A
 pivots only at +-1 entries and its operations use only the current
@@ -35,39 +40,42 @@ pivot 1: phase B reaches its pivots through remainders and row folds,
 so the input's minor there need not be +-1 (``[[2], [3]]`` retires 1 at
 row 1, where the minor is 3).
 
-The only certificate kept is the column transform V: kernel bases read
-it, and no caller needs the row transform U.  Callers go through
-:func:`geotits._kernel.smith_normal_form`, which keeps V in the sparse
-form returned here.
+No row transform U is kept.  Callers go through
+:func:`geotits._kernel.smith_normal_form`.
 """
 
 from heapq import heapify, heappop, heappush
 
+RANK = "rank"
+KERNEL = "kernel"
+PINNED = "pinned"
+MODES = (RANK, KERNEL, PINNED)
 
-def eliminate(rows, m, n, want_transforms):
+
+def eliminate(rows, m, n, mode):
     """Diagonalize a sparse integer matrix.
 
     ``rows`` is a list of ``m`` dicts mapping column index to a nonzero
-    int; it is consumed.  Returns ``(pivots, pivot_rows, pivot_cols,
-    vcols, units)`` where ``pivots`` is a list of positive ints in
-    divisibility order, ``pivot_rows``/``pivot_cols`` give the retired
-    positions, ``vcols`` is None or, if ``want_transforms``, the sparse
-    columns (dicts) of a unimodular V such that M V vanishes at every
-    column outside ``pivot_cols``, and the first ``units`` pivots are
-    phase A's.
+    int; it is consumed.  ``mode`` is one of ``MODES``.  Returns
+    ``(pivots, pivot_rows, pivot_cols, vcols, units)`` where ``pivots``
+    is a list of positive ints in divisibility order,
+    ``pivot_rows``/``pivot_cols`` give the retired positions, ``vcols``
+    is None or, in ``KERNEL`` mode, the sparse columns (dicts) of a
+    unimodular V such that M V vanishes at every column outside
+    ``pivot_cols``, and the first ``units`` pivots are phase A's.
 
     The output depends only on the input, never on the order in which
-    rows and dicts iterate.  With ``want_transforms`` every output is
-    pinned: the +-1 pivot of least key (cost, i, j) goes first.  Without
-    it only ``pivots`` is: the positions are distinct rows and columns
-    but follow the cheaper row-length heap.
+    rows and dicts iterate.  In ``PINNED`` mode every output is pinned:
+    the +-1 pivot of least key (cost, i, j) goes first.  Otherwise only
+    ``pivots`` is: the positions are distinct rows and columns but
+    follow the cheaper row-length heap.
     """
     cols = [set() for _ in range(n)]
     for i in range(m):
         for j in rows[i]:
             cols[j].add(i)
 
-    vcols = [{j: 1} for j in range(n)] if want_transforms else None
+    vcols = [{j: 1} for j in range(n)] if mode == KERNEL else None
 
     active_rows = set(i for i in range(m) if rows[i])
     pivots = []
@@ -136,7 +144,7 @@ def eliminate(rows, m, n, want_transforms):
     # no longer describes the matrix is discarded.  A pivot changes only
     # the rows its row updates touch and the columns of the pivot row, so
     # pushing their keys again keeps every current key in the heap.
-    if want_transforms:
+    if mode == PINNED:
         # Least Markowitz key (cost, i, j) over all +-1 entries, with
         # cost = (row length - 1) * (column length - 1).  The heap holds
         # one key per row, the least over its +-1 entries, and ``keys``

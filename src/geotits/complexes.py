@@ -14,18 +14,19 @@ in degree -1, so their homology is reduced as well.
 """
 
 from geotits import geometry as geo
-from geotits._kernel import IntMatrix, smith_normal_form
+from geotits._kernel import PINNED, IntMatrix, smith_normal_form
 
 
 class ChainComplex:
     """Graded basis labels with integer boundary matrices d: C_d -> C_{d-1}."""
 
-    __slots__ = ("degrees", "boundaries", "_index")
+    __slots__ = ("degrees", "boundaries", "_index", "_pinned")
 
     def __init__(self, degrees, boundaries):
         self.degrees = {d: tuple(labels) for d, labels in degrees.items() if labels}
         self.boundaries = boundaries
         self._index = {}  # degree -> index(degree)
+        self._pinned = {}  # degree -> pinned_reduction(degree)
         self._validate()
 
     def dim(self, d):
@@ -44,6 +45,14 @@ class ChainComplex:
         if idx is None:
             idx = self._index[d] = {label: i for i, label in enumerate(self.degrees.get(d, ()))}
         return idx
+
+    def pinned_reduction(self, d):
+        """The ``PINNED`` reduction of d_d, built once per degree;
+        ``homology`` reuses it instead of reducing d_d again."""
+        snf = self._pinned.get(d)
+        if snf is None:
+            snf = self._pinned[d] = smith_normal_form(self.boundary(d), PINNED)
+        return snf
 
     def support(self):
         return sorted(self.degrees)
@@ -113,7 +122,7 @@ class HomologySummary:
 
 
 def homology(complex_):
-    """Betti + torsion per degree via rank-only Smith normal form.
+    """Betti + torsion per degree via Smith normal form.
 
     Boundaries are reduced from the top degree down, with clearing
     (Chen & Kerber, "Persistent homology computation with a twist",
@@ -122,17 +131,25 @@ def homology(complex_):
     the unit vectors outside those rows span ``C_d``.  As ``d_d`` kills
     that image, dropping its columns at those rows keeps its column
     lattice, and with it its rank and invariant factors.
+
+    A degree whose ``pinned_reduction`` the complex already holds (the
+    top degree, once ``HomologyClasses`` has read it) takes its rank,
+    invariant factors and unit pivot rows from it: clearing holds for
+    any reduction's unit phase.  Every other degree is reduced rank-only,
+    on the cheaper row-length order.
     """
     ranks = {}
     tors = {}
     cleared = {}  # degree d -> columns of d_d at d_(d+1)'s unit-pivot rows
     for d in reversed(complex_.support()):
-        b = complex_.boundary(d)
-        drop = cleared.get(d)
-        if drop:
-            b = IntMatrix.from_col_dicts(
-                b.rows, [{} if j in drop else col for j, col in enumerate(b.col_dicts)])
-        snf = smith_normal_form(b)
+        snf = complex_._pinned.get(d)
+        if snf is None:
+            b = complex_.boundary(d)
+            drop = cleared.get(d)
+            if drop:
+                b = IntMatrix.from_col_dicts(
+                    b.rows, [{} if j in drop else col for j, col in enumerate(b.col_dicts)])
+            snf = smith_normal_form(b)
         ranks[d] = snf.rank
         tors[d] = snf.torsion
         cleared[d - 1] = set(snf.pivot_rows[: snf.units])
@@ -161,40 +178,34 @@ def wedge_verdict(summary, n):
 class HomologyClasses:
     """Coordinates of cycles in the top degree, where H = ker d is free.
 
-    One reduction of ``d_degree`` with transforms gives the kernel basis
-    K: the columns of V at the non-pivot columns N, in index order
-    (Zomorodian & Carlsson, "Computing persistent homology", 2005).
-    When the unit phase retires every pivot, each V column at a pivot
-    is supported on pivot indices (that phase only subtracts multiples
-    of the current pivot column), so K's rows at N form the identity and
-    a cycle's coordinates are its own entries at N.  A reduction with a
-    later pivot is refused.
+    The complex's ``pinned_reduction`` of ``d_degree`` is read, never a
+    kernel basis.  When its unit phase retires every pivot, the input's
+    minor at the pivot rows and columns P is +-1, so a kernel vector
+    that vanishes at the non-pivot columns N is zero.  Hence the kernel
+    has a basis K with K[N] = I: it is integral, and a cycle's
+    coordinates in it are the cycle's own entries at N (index order).
+    K is never formed; a chain is a cycle exactly when d c = 0.  A
+    reduction with a later pivot is refused.
     """
 
     def __init__(self, complex_, degree):
         if complex_.dim(degree + 1):
             raise AssertionError(f"degree {degree} is not the top degree")
-        snf = smith_normal_form(complex_.boundary(degree), want_transforms=True)
+        snf = complex_.pinned_reduction(degree)
         if snf.units < snf.rank:
             raise AssertionError("top boundary has a pivot outside the unit phase")
         pivots = set(snf.pivot_cols)
-        self.complex = complex_
-        self.degree = degree
-        self._nonpivot = [j for j in range(complex_.dim(degree)) if j not in pivots]
-        self._kernel = [snf.vcols[j] for j in self._nonpivot]
+        self._boundary = complex_.boundary(degree)
+        self._nonpivot = [j for j in range(self._boundary.cols) if j not in pivots]
         self.betti = len(self._nonpivot)
 
     def coords(self, cycle):
-        """The class of a cycle: its entries at N, once K a = cycle holds."""
-        a = tuple(cycle[j] for j in self._nonpivot)
-        total = [0] * self.complex.dim(self.degree)
-        for q, col in zip(a, self._kernel):
-            if q:
-                for i, v in col.items():
-                    total[i] += q * v
-        if total != list(cycle):
+        """The class of a cycle: its entries at N, once d c = 0 holds."""
+        if len(cycle) != self._boundary.cols:
+            raise ValueError(f"chain of length {len(cycle)}, not {self._boundary.cols}")
+        if any(self._boundary.mul_vec(cycle)):
             raise ValueError("not a cycle")
-        return a
+        return tuple(cycle[j] for j in self._nonpivot)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +217,7 @@ def _chains(n, leq):
 
     ``leq(a, b)`` decides a < b strictly; the empty chain is included.
     """
-    return _chains_above([[j for j in range(n) if j != i and leq(i, j)] for i in range(n)])
-
-
-def _chains_above(above):
-    """All chains of a finite strict order given by ``above[i]``, the
-    indices above i; the empty chain is included."""
-    n = len(above)
+    above = [[j for j in range(n) if j != i and leq(i, j)] for i in range(n)]
     chains = [()]
     frontier = [(i,) for i in range(n)]
     chains.extend(frontier)
@@ -334,6 +339,50 @@ def _cells_above(cell_order):
     return above
 
 
+def _flag_complex(above):
+    """Chain complex of the strict chains of a finite order given by
+    ``above`` (ascending lists), the empty chain left out.
+
+    Chains are built level by level: each is its parent, one cell
+    shorter, extended by a cell c above the parent's last.  As the
+    ``above`` lists ascend, every level comes out sorted.  Face i of a
+    chain is its parent's face i extended by c, except the last face,
+    which is the parent itself.  A chain extended by c sits at its
+    children's offset plus the slot of c among the cells above its last,
+    so every face row is found by index.  The boundary's column dicts
+    list the faces in order, and the next level reads them from there.
+    """
+    level = [(i,) for i in range(len(above))]
+    degrees = {0: level}
+    # stored, since ``boundary`` builds an absent one anew on each call and
+    # ``pt_bicomplex`` reads d_0 once per flag
+    boundaries = {0: IntMatrix.from_col_dicts(0, [{} for _ in level])}
+    slot = [{c: k for k, c in enumerate(cells)} for cells in above]
+    below = start = faces = None  # the level under ``level``, its children's offsets, face rows
+    m = 0
+    while True:
+        signs = [(-1) ** i for i in range(m + 2)]
+        chains, offsets, cols = [], [], []
+        ids = list(range(len(level)))  # one int object per row, shared by the columns naming it
+        for q, chain in enumerate(level):
+            offsets.append(len(chains))
+            for c in above[chain[-1]]:
+                if m:
+                    rows = [ids[start[r] + slot[below[r][-1]][c]] for r in faces[q]]
+                    rows.append(ids[q])
+                else:  # the edge (q, c): its faces are the vertices c and q
+                    rows = (ids[c], ids[q])
+                chains.append(chain + (c,))
+                cols.append(dict(zip(rows, signs)))
+        if not chains:
+            break
+        m += 1
+        degrees[m] = chains
+        boundaries[m] = IntMatrix.from_col_dicts(len(level), cols)
+        below, start, faces, level = level, offsets, cols, chains
+    return ChainComplex(degrees, boundaries)
+
+
 class SphereTriangulation:
     """Barycentric flag model of an admissible spherical arrangement.
 
@@ -349,8 +398,7 @@ class SphereTriangulation:
     def __init__(self, poset):
         self.poset = poset
         self.cell_order = tuple(sorted(poset.cells))
-        chains = _chains_above(_cells_above(self.cell_order))[1:]  # no empty simplex
-        self.complex = face_complex(_graded(chains, lambda c: len(c) - 1))
+        self.complex = _flag_complex(_cells_above(self.cell_order))
         self.simplices = self.complex.degrees
         self._by_top = {}  # (m, top cell sign vector) -> positions of its m-simplices
         for m, labs in self.simplices.items():

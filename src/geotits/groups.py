@@ -113,9 +113,9 @@ class GroupHom:
 # complex's degree-n basis; the spherical one sums the face chains and
 # incidence signs that the triangulation builds once per cell.
 # ``apartment_matrix`` certifies every chain it is given:
-# ``HomologyClasses.coords`` reads a chain's entries at the non-pivot
-# columns of the pinned Markowitz reduction of d_n and checks K a = c
-# exactly, which holds iff the chain is a cycle.
+# ``HomologyClasses.coords`` checks d c = 0 exactly and reads the chain's
+# entries at the non-pivot columns of the pinned Markowitz reduction of
+# d_n, which the complex keeps for ``homology`` to reuse.
 
 
 def apartment_cycle_tuple(members_tuple, st_model):
@@ -586,10 +586,12 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
                 cap_members.append(var.u_member)
         cup_st = STModel(mem_cup, coll.top())
         cap_st = STModel(cap_members, var.u_member)
+        # the dashed map's classes reduce the top boundary of the cap
+        # model once, and its homology reuses that reduction
+        dashed = _dashed_map_check(g.n, cup_st, cap_st, cup_poset, u_cells) if u_cells else None
         report["homology"] = _st_rank_additivity(coll, mem_l, cup_st, cap_st)
         if u_cells:
-            report["dashed_map_agrees"] = _dashed_map_check(
-                g.n, cup_st, cap_st, cup_poset, u_cells)
+            report["dashed_map_agrees"] = dashed
     ok = injective and surjective and composite_zero and kernel_eq and rank_additive
     if "homology" in report:
         ok = ok and report["homology"]["additive"]
@@ -691,11 +693,11 @@ def duality_check(coll):
                 "reason": "dual collection not generated by points"}
     st_l = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
     dual_st = STModel(dual.members, dual.top())
-    st_d = cx.homology(dual_st.complex)
-    n = g.n
-    ranks_match = st_l.betti(n) == st_d.betti(n) and not st_l.torsion(n)
     ls_data = ls_group(dual)
     apt = ls_apartment_matrix(ls_data, dual_st)
+    st_d = cx.homology(dual_st.complex)  # after the classes: one reduction of d_n
+    n = g.n
+    ranks_match = st_l.betti(n) == st_d.betti(n) and not st_l.torsion(n)
     ls_rank = ls_data[0].free_rank
     ok = bijection and reversing and ranks_match and apt.iso
     return {

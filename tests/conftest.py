@@ -660,6 +660,13 @@ def reference_sphere_simplices(poset):
     return {d: tuple(labels) for d, labels in graded.items()}
 
 
+def reference_sphere_complex(poset):
+    """The sphere triangulation's chain complex from ``face_complex`` on
+    those simplices: every drop-one face label looked up in a dict of the
+    degree below.  The build that ``complexes._flag_complex`` replaced."""
+    return cx.face_complex(reference_sphere_simplices(poset))
+
+
 class ReferenceSphericalFaceChains:
     """(chains, facets, eta) of a region's faces, built for the region
     alone: each face's simplices oriented by ``flat_orientation_vectors``
@@ -948,15 +955,55 @@ def reference_levels(basis_size, p_max):
 
 
 # ---------------------------------------------------------------------------
+# Top-degree classes from an explicit kernel basis
+
+
+class ReferenceHomologyClasses:
+    """Top-degree classes read through a kernel basis K: the columns of V
+    at the non-pivot columns N of ``reference_entry_heap_eliminate`` (the
+    pinned order, with V), with the refusal of a reduction that leaves
+    the unit phase.  ``coords`` returns a chain's entries at N once K a
+    equals the chain exactly, and raises ``ValueError`` otherwise.  The
+    V-based reader that ``complexes.HomologyClasses`` replaced."""
+
+    def __init__(self, complex_, degree):
+        assert not complex_.dim(degree + 1), "not the top degree"
+        b = complex_.boundary(degree)
+        pivots, _, pivot_cols, vcols, units = reference_entry_heap_eliminate(
+            b.row_dicts(), b.rows, b.cols)
+        if units < len(pivots):
+            raise AssertionError("top boundary has a pivot outside the unit phase")
+        pivot_cols = set(pivot_cols)
+        self.length = b.cols
+        self.nonpivot = [j for j in range(b.cols) if j not in pivot_cols]
+        self.kernel = [vcols[j] for j in self.nonpivot]
+        self.betti = len(self.nonpivot)
+
+    def coords(self, cycle):
+        if len(cycle) != self.length:
+            raise ValueError("chain of the wrong length")
+        a = tuple(cycle[j] for j in self.nonpivot)
+        total = [0] * self.length
+        for q, col in zip(a, self.kernel):
+            if q:
+                for i, v in col.items():
+                    total[i] += q * v
+        if total != list(cycle):
+            raise ValueError("not a cycle")
+        return a
+
+
+# ---------------------------------------------------------------------------
 # The certificate elimination with one heap key per +-1 entry
 
 
 def reference_entry_heap_eliminate(rows, m, n):
-    """``eliminate(rows, m, n, True)`` with one Markowitz key ``(cost, i,
-    j)`` per +-1 entry and a set of the keys live in the heap: the loop
-    that the per-row heap replaced, kept as its oracle.  The least entry
-    key is the least row key, so both return the same pivots, positions,
-    V and ``units``.  ``rows`` is consumed.
+    """``eliminate(rows, m, n, PINNED)`` with one Markowitz key ``(cost,
+    i, j)`` per +-1 entry and a set of the keys live in the heap: the
+    loop that the per-row heap replaced, kept as its oracle.  The least
+    entry key is the least row key, so both return the same pivots,
+    positions and ``units``.  This loop also keeps the column transform
+    V, which ``ReferenceHomologyClasses`` reads.  ``rows`` is consumed.
     """
     from heapq import heappop, heappush
 

@@ -24,7 +24,7 @@ from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits import resolution as reso
 from geotits._kernel import IntMatrix
-from conftest import leq
+from conftest import leq, reference_sphere_complex
 from test_arrangement import _random_covectors
 
 S3_FOUR_GENERIC = pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
@@ -193,6 +193,9 @@ def test_triangulation_and_collapse_match_reference(corpus):
     for name, coll, poset, tri, order, simplices in _spheres(corpus):
         names.append(name)
         _assert_same(tri.complex, simplices, _reference_boundaries(simplices))
+        # the boundary found by index equals the drop-one build over face labels
+        want = reference_sphere_complex(poset)
+        _assert_same(tri.complex, want.degrees, want.boundaries)
         assert tri.simplices == {d: tuple(v) for d, v in simplices.items()}
         n = coll.geometry.n
         collapse = {}
@@ -203,6 +206,17 @@ def test_triangulation_and_collapse_match_reference(corpus):
         _assert_same(cx.pt_collapse_complex(coll, tri), collapse,
                      _reference_boundaries(collapse))
     assert names == SPHERES
+
+
+def test_triangulation_looks_up_no_face_labels(corpus, monkeypatch):
+    def refuse(degrees):
+        raise AssertionError("face_complex called")
+
+    monkeypatch.setattr(cx, "face_complex", refuse)
+    monkeypatch.setattr(cx, "_drop_one", refuse)
+    (name, scene, coll), = [c for c in corpus if c[0] == "s3_coordinate.json"]
+    tri = cx.sphere_triangulation(coll, scene.arrangement(None)[0])
+    assert len(tri.simplices) == 4
 
 
 def _reference_bicomplex(coll, poset, order, simplices):

@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 from geotits import cli, resolution
 from geotits import groups as grp
 from geotits._kernel import (
+    KERNEL,
+    PINNED,
+    RANK,
     IntMatrix,
     kernel_basis,
     lattice_contains,
     lattices_equal,
     smith_normal_form,
 )
-from geotits._kernel.elim_py import eliminate
+from geotits._kernel.elim_py import MODES, eliminate
 from geotits.complexes import (
     ChainComplex,
     HomologyClasses,
@@ -66,8 +69,9 @@ def test_torsion_detected():
 
 
 def test_transform_certificates_random():
-    """The reference elimination's U M V is the diagonal form; the
-    kernel's V is unimodular and M V vanishes at the non-pivot columns."""
+    """The reference elimination's U M V is the diagonal form; the V of a
+    ``KERNEL`` reduction is unimodular and M V vanishes at the non-pivot
+    columns."""
     rng = random.Random(3)
     for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -93,7 +97,7 @@ def test_transform_certificates_random():
         for a, b in zip(pivots, pivots[1:]):
             assert b % a == 0
 
-        snf = smith_normal_form(m, want_transforms=True)
+        snf = smith_normal_form(m, KERNEL)
         v = [[snf.vcols[j].get(i, 0) for j in range(cols)] for i in range(cols)]
         v_rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(v)}
         assert _fraction_eliminate(v_rows, range(cols), range(cols))[0] == 1
@@ -254,7 +258,12 @@ def test_sparse_certificates_match_dense_reference(seed):
     m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
     factors, _, _ = _dense_snf(m)
     assert list(smith_normal_form(m).invariant_factors) == factors
-    assert kernel_basis(m) == _ref_kernel_basis(m)
+    # the kernel basis follows the row-length order, so only the lattice
+    # it spans is the reference's
+    kernel = kernel_basis(m)
+    assert len(kernel) == m.cols - len(factors)
+    assert all(not any(m.mul_vec(col)) for col in kernel)
+    assert lattices_equal(kernel, _ref_kernel_basis(m), m.cols)
     solvable = m.mul_vec([rng.randint(-4, 4) for _ in range(m.cols)])
     arbitrary = [rng.randint(-6, 6) for _ in range(m.rows)]
     for b in (solvable, arbitrary, [0] * m.rows):
@@ -475,8 +484,9 @@ def _reference_classes(complex_, degree):
     d_(degree+1) solved in K as relations, and a class read off the
     relation SNF.  Returns ``(betti, torsion, coords)`` where
     ``coords(cycle)`` is the pair (free coordinates, torsion coordinates)
-    and raises ``ValueError`` off the kernel lattice."""
-    kernel = kernel_basis(complex_.boundary(degree))
+    and raises ``ValueError`` off the kernel lattice.  Every step runs on
+    the reference elimination, none on the kernel it checks."""
+    kernel = _ref_kernel_basis(complex_.boundary(degree))
     k = len(kernel)
     in_kernel = _sparse_solver(IntMatrix.from_columns(complex_.dim(degree), kernel))
     rel = IntMatrix.from_columns(
@@ -565,7 +575,7 @@ def test_top_degree_classes_match_reference(seed):
     rng = random.Random(seed)
     while True:
         d1 = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 7), bound=2)
-        snf = smith_normal_form(d1, want_transforms=True)
+        snf = smith_normal_form(d1, PINNED)
         if snf.units == snf.rank:
             break
     kernel = kernel_basis(d1)
@@ -641,7 +651,7 @@ def test_top_degree_classes_refuse_phase_b_pivots():
     """d_1 = [[2, 3]] holds no +-1 entry, so phase B retires its only
     pivot, and V's non-pivot column need not be e_j plus pivot entries."""
     d1 = IntMatrix(1, 2, {(0, 0): 2, (0, 1): 3})
-    snf = smith_normal_form(d1, want_transforms=True)
+    snf = smith_normal_form(d1, PINNED)
     assert (snf.units, snf.rank) == (0, 1)
     with pytest.raises(AssertionError):
         HomologyClasses(_top_complex(d1), 1)
@@ -649,9 +659,9 @@ def test_top_degree_classes_refuse_phase_b_pivots():
 
 def _reference_eliminate(rows, m, n, want_transforms):
     """``eliminate`` as a sorted rescan of the whole active matrix for
-    every pivot, kept as the oracle for the kernel's pivot heaps: with
-    transforms the kernel returns the same pivots, positions and sparse
-    U/V; rank-only it returns the same invariant factors.
+    every pivot, kept as the oracle for the kernel's pivot heaps, with
+    U and V when ``want_transforms``: ``PINNED`` returns the same pivots
+    and positions, and every mode the same invariant factors.
     """
     cols = [set() for _ in range(n)]
     for i in range(m):
@@ -810,21 +820,36 @@ def _reference_eliminate(rows, m, n, want_transforms):
     return pivots, pivot_rows, pivot_cols, urows, vcols
 
 
+def _entry_heap_positions(m):
+    """(pivots, pivot rows, pivot columns, units) of the heap with one key
+    per +-1 entry."""
+    pivots, prow, pcol, _, units = reference_entry_heap_eliminate(m.row_dicts(), m.rows, m.cols)
+    return pivots, prow, pcol, units
+
+
 def _assert_matches_reference(m):
-    """Certificate calls match the reference in every output but U, which
-    the kernel does not keep: pivots, positions and sparse V; and the
-    heap with one key per +-1 entry in those and ``units``.  Rank-only
-    calls pin only the invariant factors: their pivots may sit elsewhere,
-    at distinct rows and columns in range."""
-    pivots, prow, pcol, _, vcols = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
-    got = eliminate(m.row_dicts(), m.rows, m.cols, True)
-    assert got[:4] == (pivots, prow, pcol, vcols)
-    assert got == reference_entry_heap_eliminate(m.row_dicts(), m.rows, m.cols)
-    factors, prow, pcol, vcols, _ = eliminate(m.row_dicts(), m.rows, m.cols, False)
-    assert factors == pivots
-    assert vcols is None
-    assert len(set(prow)) == len(set(pcol)) == len(pivots)
-    assert all(0 <= i < m.rows for i in prow) and all(0 <= j < m.cols for j in pcol)
+    """``PINNED`` calls match the sorted reference in pivots and positions,
+    and the heap with one key per +-1 entry in those and ``units``; they
+    keep no V.  ``RANK`` and ``KERNEL`` calls pin only the invariant
+    factors: their pivots may sit elsewhere, at distinct rows and
+    columns in range.  A ``KERNEL`` call's V is unimodular, and M V
+    vanishes off its pivot columns."""
+    pivots, prow, pcol, _, _ = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
+    got = eliminate(m.row_dicts(), m.rows, m.cols, PINNED)
+    assert got[:4] == (pivots, prow, pcol, None)
+    assert (*got[:3], got[4]) == _entry_heap_positions(m)
+    for mode in (RANK, KERNEL):
+        factors, prow, pcol, vcols, _ = eliminate(m.row_dicts(), m.rows, m.cols, mode)
+        assert factors == pivots
+        assert len(set(prow)) == len(set(pcol)) == len(pivots)
+        assert all(0 <= i < m.rows for i in prow) and all(0 <= j < m.cols for j in pcol)
+        if mode == RANK:
+            assert vcols is None
+            continue
+        assert _fraction_eliminate(dict(enumerate(vcols)), range(m.cols), range(m.cols))[0] == 1
+        pivot_cols = set(pcol)
+        assert all(not any(m.mul_vec([col.get(i, 0) for i in range(m.cols)]))
+                   for j, col in enumerate(vcols) if j not in pivot_cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -867,8 +892,9 @@ def test_row_heap_matches_entry_heap_on_s4_coordinate():
     with Budget("kernel", "S^4 coordinate d_4, row heap against entry heap", 30):
         d4 = cli.homology_model(cli.Scene(json.loads(path.read_text())), "pt")[0].boundary(4)
         assert (d4.rows, d4.cols) == (16680, 7440)
-        assert (eliminate(d4.row_dicts(), d4.rows, d4.cols, True)
-                == reference_entry_heap_eliminate(d4.row_dicts(), d4.rows, d4.cols))
+        pivots, prow, pcol, vcols, units = eliminate(d4.row_dicts(), d4.rows, d4.cols, PINNED)
+        assert vcols is None
+        assert (pivots, prow, pcol, units) == _entry_heap_positions(d4)
 
 
 # A 6-vertex triangulation of RP^2: reduced homology Z/2 in degree 1.
@@ -958,7 +984,7 @@ def test_rank_only_torsion_survives_changes_of_basis(facets, degree):
         assert h.by_degree == _reference_homology(complex_)
         for d in complex_.support():
             b = complex_.boundary(d)
-            assert (eliminate(b.row_dicts(), b.rows, b.cols, False)[0]
+            assert (eliminate(b.row_dicts(), b.rows, b.cols, RANK)[0]
                     == _reference_eliminate(b.row_dicts(), b.rows, b.cols, True)[0])
 
 
@@ -1027,11 +1053,11 @@ def _fraction_eliminate(rows, pivot_rows, pivot_cols):
     return abs(det), rows
 
 
-def _unit_minor(m, want_transforms):
+def _unit_minor(m, mode):
     """The SNF of ``m`` and, from ``_fraction_eliminate`` on the whole of
     ``m``, |det| of its minor at the unit phase's pivots and the Schur
     complement left."""
-    snf = smith_normal_form(m, want_transforms=want_transforms)
+    snf = smith_normal_form(m, mode)
     return snf, *_fraction_eliminate(dict(enumerate(m.row_dicts())),
                                      snf.pivot_rows[: snf.units], snf.pivot_cols[: snf.units])
 
@@ -1049,8 +1075,8 @@ def test_unit_pivots_carry_a_unimodular_minor(seed):
         (i, j): rng.choice((1, 1, 2, 3)) * rng.randint(-4, 4)
         for i in range(rows) for j in range(cols) if rng.random() < density
     })
-    for want_transforms in (True, False):
-        snf, det, rows_left = _unit_minor(m, want_transforms)
+    for mode in MODES:
+        snf, det, rows_left = _unit_minor(m, mode)
         assert det == 1
         assert snf.invariant_factors[: snf.units] == (1,) * snf.units
         assert all(abs(v) != 1 for r in rows_left.values() for v in r.values())
@@ -1061,6 +1087,6 @@ def test_unit_pivots_carry_a_unimodular_minor_on_workload_boundaries(model):
     complex_ = _workload_complex(model)
     for d in complex_.support():
         b = complex_.boundary(d)
-        for want_transforms in (True, False):
-            snf, det, _ = _unit_minor(b, want_transforms)
+        for mode in MODES:
+            snf, det, _ = _unit_minor(b, mode)
             assert det == 1 and snf.units == snf.rank
