@@ -47,7 +47,7 @@ class FacePoset:
     """
 
     __slots__ = ("geometry", "covectors", "cells", "_flat_signs", "_cells_in", "_witness_rows",
-                 "_zero_masks", "_facet_zeros", "_facets", "_bounded")
+                 "_step_signs", "_zero_masks", "_facet_zeros", "_facets", "_bounded")
 
     def __init__(self, geometry, covectors, cells):
         self.geometry = geometry
@@ -56,6 +56,7 @@ class FacePoset:
         self._flat_signs = {}  # carrier -> flat_signs(carrier)
         self._cells_in = {}  # signs -> cells_in(signs)
         self._witness_rows = {}  # sign vector -> primitive integer witness
+        self._step_signs = {}  # (lower sign vector or None, sign vector) -> step_sign
         self._zero_masks = {}  # cell dim -> zero sets of its cells, as bit masks
         for s, c in cells.items():
             self._zero_masks.setdefault(c.dim, set()).add(_zero_mask(s))
@@ -167,29 +168,54 @@ class FacePoset:
         return got
 
     def orientation(self, flag):
-        """Orientation of a flag of cells, given by sign vectors with the
-        top cell last, in the top cell's flat: the sign of the minor of
-        their witness rows at that flat's pivots.
+        """Orientation of a complete flag of cells, given by sign vectors
+        from a 0-cell up, each a facet of the next, in the top cell's
+        flat: the sign of the minor of their witness rows at that flat's
+        pivots, read as a product of ``step_sign`` over the flag's steps.
+
+        Why: with W the flat of the top cell's facet and V the top flat,
+        the lower witnesses lie in W, so they are M times W's basis rows
+        B_W, and the minor at V's pivots is det [[M, 0], [0, 1]] times the
+        minor of B_W over the top witness.  At W's pivots B_W is diagonal
+        with positive entries, so det M has the sign of the shorter
+        flag's orientation in W.  Each step's sign is memoised, so a flag
+        whose steps are known costs no determinant.
+        """
+        sign = self.step_sign(None, flag[0])
+        for lower, cell in zip(flag, flag[1:]):
+            sign *= self.step_sign(lower, cell)
+        return sign
+
+    def step_sign(self, lower, sign):
+        """The sign of the minor, at the pivots of the cell's flat, of the
+        basis rows of the flat of ``lower`` (a cell one dimension lower in
+        its closure, or None for the empty face) followed by the cell's
+        witness row; memoised per pair.
 
         Each witness is checked once against its own cell's flat and kept
         as a primitive integer row (a positive rescale of its ambient
-        vector, which keeps every sign).  The cells of a flag lie in the
-        top cell's closure, so their witnesses lie in its flat, where a
-        vector's coordinate on the basis row with pivot column c is v[c]
-        over that row's positive pivot entry.
+        vector, which keeps every sign).  AssertionError when the minor
+        is 0 or ``lower`` is not one dimension below the cell.
         """
-        rows = []
-        for s in flag:
-            row = self._witness_rows.get(s)
+        key = (lower, sign)
+        got = self._step_signs.get(key)
+        if got is None:
+            cell = self.cells[sign]
+            low = () if lower is None else self.cells[lower].flat.basis
+            if len(low) != cell.dim:  # a cell's flat has dimension dim + 1
+                raise AssertionError("flag step is not one dimension")
+            row = self._witness_rows.get(sign)
             if row is None:
-                cell = self.cells[s]
                 v = geo.chart_vector(self.geometry, cell.witness)
                 if not cell.flat.contains_vector(v):
                     raise AssertionError("cell witness lies off its flat")
-                row = self._witness_rows[s] = exact.primitive_int_row(v)
-            rows.append(row)
-        pivots = self.cells[flag[-1]].flat.pivots
-        return exact.det_sign([[row[p] for p in pivots] for row in rows])
+                row = self._witness_rows[sign] = exact.primitive_int_row(v)
+            pivots = cell.flat.pivots
+            got = exact.det_sign([[r[p] for p in pivots] for r in (*low, row)])
+            if not got:
+                raise AssertionError("degenerate flag simplex")
+            self._step_signs[key] = got
+        return got
 
 
 def _zero_mask(sign_vector):

@@ -13,6 +13,8 @@ spaces they model directly; plain order complexes carry the empty flag
 in degree -1, so their homology is reduced as well.
 """
 
+from bisect import bisect_left
+
 from geotits import geometry as geo
 from geotits._kernel import PINNED, IntMatrix, smith_normal_form
 
@@ -20,11 +22,12 @@ from geotits._kernel import PINNED, IntMatrix, smith_normal_form
 class ChainComplex:
     """Graded basis labels with integer boundary matrices d: C_d -> C_{d-1}."""
 
-    __slots__ = ("degrees", "boundaries", "_index", "_pinned")
+    __slots__ = ("degrees", "boundaries", "_zero", "_index", "_pinned")
 
     def __init__(self, degrees, boundaries):
         self.degrees = {d: tuple(labels) for d, labels in degrees.items() if labels}
         self.boundaries = boundaries
+        self._zero = {}  # degree without a stored boundary -> its zero d_d
         self._index = {}  # degree -> index(degree)
         self._pinned = {}  # degree -> pinned_reduction(degree)
         self._validate()
@@ -33,9 +36,14 @@ class ChainComplex:
         return len(self.degrees.get(d, ()))
 
     def boundary(self, d):
+        """d_d; a degree without a stored boundary gets a zero one, built
+        once per degree and kept apart from ``boundaries``, which callers
+        may share between complexes."""
         b = self.boundaries.get(d)
         if b is None:
-            return IntMatrix(self.dim(d - 1), self.dim(d))
+            b = self._zero.get(d)
+            if b is None:
+                b = self._zero[d] = IntMatrix(self.dim(d - 1), self.dim(d))
         return b
 
     def index(self, d):
@@ -354,9 +362,7 @@ def _flag_complex(above):
     """
     level = [(i,) for i in range(len(above))]
     degrees = {0: level}
-    # stored, since ``boundary`` builds an absent one anew on each call and
-    # ``pt_bicomplex`` reads d_0 once per flag
-    boundaries = {0: IntMatrix.from_col_dicts(0, [{} for _ in level])}
+    boundaries = {}
     slot = [{c: k for k, c in enumerate(cells)} for cells in above]
     below = start = faces = None  # the level under ``level``, its children's offsets, face rows
     m = 0
@@ -409,12 +415,6 @@ class SphereTriangulation:
     def _positions(self, m, tops):
         return sorted(s for t in tops for s in self._by_top.get((m, t), ()))
 
-    def labels_with_top(self, m, tops):
-        """The m-simplices whose top cell is one of these sign vectors, in
-        basis order."""
-        labs = self.simplices.get(m, ())
-        return [labs[s] for s in self._positions(m, tops)]
-
     def positions_in_carrier(self, carrier):
         """m -> positions in degree m, ascending, of the m-simplices of
         S(carrier): those whose top cell lies in the flat, that is,
@@ -429,10 +429,16 @@ class SphereTriangulation:
 
         The chain maps each top-dimensional simplex of the closure (the
         simplices ending at the cell) to the orientation of its witnesses
-        in the cell's flat.  The incidences map each facet (a cell one
-        dimension lower in the closure, in sign-vector order) to the unit
-        e such that the chain's boundary is the sum of e times the facet
-        chains; a 0-cell has none.  Callers must not mutate either.
+        in the cell's flat (``FacePoset.orientation``).  It is the cone
+        over the facets' chains (Munkres, *Elements of Algebraic
+        Topology*, 1984): a simplex ending at the cell is a facet's
+        simplex extended by the cell, and its orientation is the facet
+        simplex's times ``FacePoset.step_sign`` of (facet, cell), so a
+        cell costs one determinant per facet and no per-flag one.  The
+        incidences map each facet (in sign-vector order) to the unit e
+        such that the chain's boundary is the sum of e times the facet
+        chains, checked on the boundary; a 0-cell has none.  Callers
+        must not mutate either.
         """
         got = self._cell_chains.get(sign)
         if got is None:
@@ -441,17 +447,18 @@ class SphereTriangulation:
 
     def _build_cell_chain(self, sign):
         cell = self.poset.cells[sign]
-        chain = {}
-        for lab in self.labels_with_top(cell.dim, [sign]):
-            orient = self.poset.orientation([self.cell_order[c] for c in lab])
-            if orient == 0:  # pragma: no cover - witnesses are independent
-                raise AssertionError("degenerate flag simplex")
-            chain[lab] = orient
-        if not chain:
-            raise AssertionError("face carries no simplices")
-        incidences = {}
+        pos = bisect_left(self.cell_order, sign)
+        step = self.poset.step_sign
         if not cell.dim:
-            return chain, incidences
+            return {(pos,): step(None, sign)}, {}
+        cone = []
+        for facet in self.poset.facets(sign):
+            e = step(facet, sign)
+            cone.extend((lab + (pos,), s * e) for lab, s in self.cell_chain(facet)[0].items())
+        chain = dict(sorted(cone))
+        if len(chain) != len(self._by_top[cell.dim, sign]):
+            raise AssertionError("facet chains miss simplices of the cell")
+        incidences = {}
         remaining = {}
         for lab, s in chain.items():
             for low, sign_low in _drop_one(lab):

@@ -1,9 +1,10 @@
 """Polytope and Lee-Szczarba groups, apartment classes, theorem checkers.
 
 Sign conventions: the standard orientation of each chart orients X^n;
-apartment signs are witness minors at the pivots of the top cell's flat
-(``FacePoset.orientation``).  Only well-definedness and iso-ness are
-ever asserted, never an absolute sign.
+apartment signs are witness minors at the pivots of the top cell's flat,
+read as products of memoised step signs, one per (facet, cell)
+incidence (``FacePoset.orientation``).  Only well-definedness and
+iso-ness are ever asserted, never an absolute sign.
 """
 
 from itertools import combinations, permutations
@@ -239,8 +240,6 @@ def apartment_cycle_cell(poset, region_sign, st_model):
     vec = [0] * st_model.complex.dim(d)
     for fl in flags:
         sign = poset.orientation(fl)
-        if sign == 0:  # pragma: no cover
-            raise AssertionError("degenerate witness flag")
         label = tuple(pos[cells[s].flat] for s in fl[:-1])
         if label not in idx:
             raise ValueError("face span leaves the collection")

@@ -667,25 +667,42 @@ def reference_sphere_complex(poset):
     return cx.face_complex(reference_sphere_simplices(poset))
 
 
-class ReferenceSphericalFaceChains:
-    """(chains, facets, eta) of a region's faces, built for the region
-    alone: each face's simplices oriented by ``flat_orientation_vectors``
-    (witnesses checked against the face's flat), its facets found by
-    closure tests among the region's faces, and its incidence signs read
-    off the boundary of its chain.  The per-region build that
-    ``SphereTriangulation.cell_chain`` replaced."""
+def reference_flag_orientation(poset, flag):
+    """Orientation of a flag of cells, given by sign vectors with the top
+    cell last: the minor of the witnesses at the top cell's flat's pivots
+    (``flat_orientation_vectors``), one determinant per flag.  The rule
+    that ``FacePoset.orientation`` replaced, kept as its oracle."""
+    g = poset.geometry
+    return flat_orientation_vectors(
+        poset.cells[flag[-1]].flat, [geo.chart_vector(g, poset.cells[s].witness) for s in flag])
 
-    def __init__(self, region_sign, tri):
+
+def reference_cell_chain(tri, sign):
+    """A cell's chain from the simplices ending at it, found by a scan of
+    the triangulation's degree, each signed by
+    ``reference_flag_orientation``: the build that
+    ``SphereTriangulation.cell_chain`` replaced."""
+    order = tri.cell_order
+    return {
+        lab: reference_flag_orientation(tri.poset, [order[c] for c in lab])
+        for lab in tri.simplices[tri.poset.cells[sign].dim] if order[lab[-1]] == sign
+    }
+
+
+class ReferenceSphericalFaceChains:
+    """(chains, facets, eta) of a closed set of cells (a region's faces,
+    or every cell), built for those cells alone: each cell's chain by
+    ``reference_cell_chain``, its facets found by closure tests among the
+    given cells, and its incidence signs read off the boundary of its
+    chain.  The per-region build that ``SphereTriangulation.cell_chain``
+    replaced."""
+
+    def __init__(self, tri, faces):
         poset = tri.poset
-        faces = sorted(poset.cells_in(tuple(enumerate(region_sign))))
+        faces = sorted(faces)
         self.chains = {}
         for s in faces:
-            cell = poset.cells[s]
-            self.chains[s] = {
-                lab: flat_orientation_vectors(
-                    cell.flat, [poset.cells[tri.cell_order[c]].witness for c in lab])
-                for lab in tri.labels_with_top(cell.dim, [s])
-            }
+            self.chains[s] = reference_cell_chain(tri, s)
             assert self.chains[s] and 0 not in self.chains[s].values()
         self.facets = {}
         self.eta = {}

@@ -284,3 +284,18 @@ def test_index_is_built_once_per_degree():
     for d in (1, 0, 1, 0, 3):
         assert cpx.index(d) == {lab: i for i, lab in enumerate(cpx.degrees.get(d, ()))}
     assert cpx.index(1) is cpx.index(1)
+
+
+def test_absent_boundary_is_built_once_per_degree(coord_s2):
+    """A degree without a stored boundary gets one zero matrix of the
+    right shape, the same on every call and kept out of ``boundaries``,
+    which complexes may share; the triangulation stores no d_0."""
+    cpx = cx.ChainComplex({0: [(0,), (1,)]}, {})
+    for d in (0, 1, 0):
+        b = cpx.boundary(d)
+        assert (b.rows, b.cols, b.entries) == (cpx.dim(d - 1), cpx.dim(d), {})
+    assert cpx.boundary(0) is cpx.boundary(0) and cpx.boundary(5) is cpx.boundary(5)
+    assert cpx.boundaries == {}
+    tri = cx.sphere_triangulation(coord_s2)
+    assert 0 not in tri.complex.boundaries
+    assert tri.complex.boundary(0).cols == len(tri.simplices[0])

@@ -376,7 +376,7 @@ def test_per_cell_face_chains_match_per_region_build(name):
     tri = cx.sphere_triangulation(coll, poset)
     for s in arr.region_basis(poset):
         chains, facets, eta = _region_face_chains(tri, s)
-        want = ReferenceSphericalFaceChains(s, tri)
+        want = ReferenceSphericalFaceChains(tri, poset.cells_in(tuple(enumerate(s))))
         assert chains == want.chains
         assert facets == want.facets
         assert eta == want.eta
