@@ -193,8 +193,8 @@ def smith_normal_form(matrix, mode=RANK):
 def kernel_basis(matrix):
     """Basis of the lattice {x in Z^n : M x = 0}, as a list of columns:
     the columns of V at the non-pivot columns, in index order.  V comes
-    from the row-length order, so only the lattice the basis spans is
-    determined, not the basis itself."""
+    from the index-order sweep of the unit phase, so only the lattice the
+    basis spans is determined, not the basis itself."""
     snf = smith_normal_form(matrix, KERNEL)
     n = matrix.cols
     pivots = set(snf.pivot_cols)

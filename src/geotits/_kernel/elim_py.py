@@ -9,12 +9,13 @@ enforcement, so the recorded pivots already satisfy d1 | d2 | ... .
 A call runs in one of three modes, which differ only in how phase A
 picks its +-1 pivots and in whether the column transform V is kept:
 
-* ``RANK``: only the invariant factors are pinned.  The lazy min-heap
-  holds the row length ``(len, i)`` of each nonempty row, re-pushed for
-  the rows a pivot touched, and pivots at that row's +-1 entry with the
-  shortest column; a row without a +-1 entry is skipped when popped.
-  Any unit-pivot order gives the same invariant factors (exhausting
-  unit pivots first follows Dumas, Heckenbach, Saunders & Welker, 2003).
+* ``RANK``: only the invariant factors are pinned.  Phase A sweeps the
+  active rows in index order: a row with a +-1 entry pivots at the one
+  in its shortest column (ties to the least column index), and a row
+  without one is set aside until a row operation changes it, so no row
+  is scanned twice unchanged and there is no heap.  Any unit-pivot order
+  gives the same invariant factors (exhausting unit pivots first
+  follows Dumas, Heckenbach, Saunders & Welker, 2003).
 * ``KERNEL``: the same order, and V is kept as sparse columns, so M V
   vanishes at every column outside ``pivot_cols``.  Kernel bases read
   it; the lattice they span does not depend on the pivot order.
@@ -39,6 +40,11 @@ with the unit vectors outside those rows span all of ``C_k``, so
 pivot 1: phase B reaches its pivots through remainders and row folds,
 so the input's minor there need not be +-1 (``[[2], [3]]`` retires 1 at
 row 1, where the minor is 3).
+
+Without V (``RANK`` and ``PINNED``) the pivot row is not cleared by
+column operations: once row operations have made column j0 equal to
+p e_i0, those operations would change row i0 alone, so its entries are
+dropped and the matrix left is the same.
 
 No row transform U is kept.  Callers go through
 :func:`geotits._kernel.smith_normal_form`.
@@ -68,7 +74,7 @@ def eliminate(rows, m, n, mode):
     rows and dicts iterate.  In ``PINNED`` mode every output is pinned:
     the +-1 pivot of least key (cost, i, j) goes first.  Otherwise only
     ``pivots`` is: the positions are distinct rows and columns but
-    follow the cheaper row-length heap.
+    follow the cheaper index-order sweep.
     """
     cols = [set() for _ in range(n)]
     for i in range(m):
@@ -127,30 +133,36 @@ def eliminate(rows, m, n, mode):
         active_rows.discard(i0)
 
     def unit_pivot(i0, j0):
-        # clear column j0 by row operations and row i0 by column
-        # operations; returns the rows the row operations touched and
-        # the columns row i0 held besides j0
-        p = rows[i0][j0]
+        # clear column j0 by row operations, then row i0; returns the rows
+        # the row operations touched and the columns row i0 held besides j0
+        ri = rows[i0]
+        p = ri[j0]
         touched = [i for i in cols[j0] if i != i0]
         for i in touched:
             row_axpy(i, i0, rows[i][j0] * p)  # p in {1,-1}: q = v/p = v*p
-        support = [j for j in rows[i0] if j != j0]
-        for j in support:
-            col_axpy(j, j0, rows[i0][j] * p)
+        support = [j for j in ri if j != j0]
+        if vcols is None:
+            # Column j0 is p e_i0 now, so clearing row i0 by column
+            # operations would change row i0 alone: drop its entries.
+            for j in support:
+                cols[j].discard(i0)
+            rows[i0] = {j0: p}
+        else:
+            for j in support:
+                col_axpy(j, j0, ri[j] * p)
         retire(i0, j0)
         return touched, support
 
-    # Phase A: +-1 pivots, taken from a lazy min-heap.  A popped key that
-    # no longer describes the matrix is discarded.  A pivot changes only
-    # the rows its row updates touch and the columns of the pivot row, so
-    # pushing their keys again keeps every current key in the heap.
+    # Phase A: +-1 pivots.  A pivot changes only the rows its row
+    # operations touch and the lengths of the pivot row's columns.
     if mode == PINNED:
         # Least Markowitz key (cost, i, j) over all +-1 entries, with
-        # cost = (row length - 1) * (column length - 1).  The heap holds
-        # one key per row, the least over its +-1 entries, and ``keys``
-        # its current one; the least row key is the least entry key, so
-        # the pivots are the same as with a key per entry.  A popped key
-        # that is not its row's current key is stale.
+        # cost = (row length - 1) * (column length - 1), from a lazy
+        # min-heap.  The heap holds one key per row, the least over its
+        # +-1 entries, and ``keys`` its current one; the least row key is
+        # the least entry key, so the pivots are the same as with a key
+        # per entry.  A popped key that is not its row's current key is
+        # stale.
         def row_key(i):
             ri = rows[i]
             rcost = len(ri) - 1
@@ -174,9 +186,9 @@ def eliminate(rows, m, n, mode):
                 continue
             keys[i0] = None
             touched, support = unit_pivot(i0, key[2])
-            # The row operations changed the touched rows; both kinds of
-            # operation changed the lengths of the support columns, and
-            # with them the costs of every row holding an entry there.
+            # The row operations changed the touched rows; the pivot
+            # changed the lengths of the support columns, and with them
+            # the costs of every row holding an entry there.
             rekey = set(touched)
             for j in support:
                 rekey.update(cols[j])
@@ -187,28 +199,27 @@ def eliminate(rows, m, n, mode):
                     if new is not None:
                         heappush(heap, new)
     else:
-        # Shortest row that holds a +-1 entry, keyed (row length, i), at
-        # its +-1 entry with the shortest column.  Only row operations
-        # change a live row, so every row is pushed again when one
-        # touches it, and a row without a unit entry is skipped when
-        # popped.  The Markowitz heap would re-push every entry of each
-        # column a pivot shortens, which makes a resolution pass on 6
-        # basis regions about 2.5 times slower.
-        heap = [(len(rows[i]), i) for i in active_rows]
-        heapify(heap)
-        while heap:
-            rlen, i0 = heappop(heap)
-            ri = rows[i0]
-            if len(ri) != rlen:
-                continue
-            best = min(((len(cols[j]), j) for j, v in ri.items() if v == 1 or v == -1),
-                       default=None)
-            if best is None:
-                continue
-            touched, _ = unit_pivot(i0, best[1])
-            for i in touched:
-                if rows[i]:
-                    heappush(heap, (len(rows[i]), i))
+        # Sweeps over the active rows in index order.  A row with a +-1
+        # entry pivots at the one in its shortest column, ties broken by
+        # the least column index; a row without one is set aside.  Only
+        # row operations change a live row, so a set-aside row is swept
+        # again only once one has changed it, and phase A ends when none
+        # has.
+        aside = set()
+        sweep = sorted(active_rows)
+        while sweep:
+            changed = set()
+            for i0 in sweep:
+                best = _unit_entry(rows[i0], cols)
+                if best is None:
+                    aside.add(i0)
+                    continue
+                touched, _ = unit_pivot(i0, best)
+                for i in touched:
+                    if i in aside:
+                        aside.discard(i)
+                        changed.add(i)
+            sweep = sorted(changed)
 
     units = len(pivots)
 
@@ -253,3 +264,15 @@ def eliminate(rows, m, n, mode):
         retire(i0, j0)
 
     return pivots, pivot_rows, pivot_cols, vcols, units
+
+
+def _unit_entry(row, cols):
+    """The column of ``row``'s +-1 entry in the shortest column, ties
+    broken by the least column index; None when it holds no +-1."""
+    best = None
+    for j, v in row.items():
+        if v == 1 or v == -1:
+            key = (len(cols[j]), j)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1]

@@ -144,7 +144,7 @@ def homology(complex_):
     top degree, once ``HomologyClasses`` has read it) takes its rank,
     invariant factors and unit pivot rows from it: clearing holds for
     any reduction's unit phase.  Every other degree is reduced rank-only,
-    on the cheaper row-length order.
+    by the cheaper index-order sweep.
     """
     ranks = {}
     tors = {}

@@ -5,11 +5,14 @@ polytope being identified with the nonempty set of basis regions it
 covers (the indicator normal form makes this faithful); a part is the
 ``int`` bitmask of those regions, so disjoint parts merge by ``|``.
 Face maps drop an end entry or merge two adjacent ones.  Each face is
-computed once, as its row in the level below; the face identities and
-the ordered boundary both read that table.  The two low-degree
+read off once, by index arithmetic, as its row in the level below; the
+face identities and the ordered boundary both read that table.  The two low-degree
 identities (reduced H_0 = 0 and H_1 = the polytope group) are asserted;
 everything above is reported as data and never asserted to vanish.
 """
+
+from itertools import accumulate
+from operator import add, eq
 
 # perfbench/tests/test_perfbench.py::test_tracer_wraps_by_name_imports_and_restores_them pins this name
 from geotits._kernel import smith_normal_form  # noqa: F401
@@ -31,15 +34,14 @@ def levels(basis_size, p_max):
         raise AssertionError(f"basis size {basis_size} exceeds the guard {MAX_BASIS}")
     p_max = min(p_max, basis_size + 1)
     full = (1 << basis_size) - 1
+    subs_of = [_submasks(free) for free in range(full + 1)]
     out = {0: ((),)}
     frontier = [((), full)]  # (tuple, mask of its unused regions)
     for p in range(1, p_max + 1):
         new = []
         for tup, free in frontier:
-            sub = free & -free
-            while sub:
-                new.append((tup + (sub,), free & ~sub))
-                sub = (sub - free) & free
+            for sub in subs_of[free]:
+                new.append((tup + (sub,), free ^ sub))
         if not new:
             break
         out[p] = tuple(tup for tup, _ in new)
@@ -47,54 +49,104 @@ def levels(basis_size, p_max):
     return out
 
 
-def face(tup, i):
-    p = len(tup)
-    if i == 0:
-        return tup[1:]
-    if i == p:
-        return tup[:-1]
-    return tup[: i - 1] + (tup[i - 1] | tup[i],) + tup[i + 1 :]
+def _submasks(free):
+    """The nonzero submasks of ``free``, in increasing order."""
+    out = []
+    sub = free & -free
+    while sub:
+        out.append(sub)
+        sub = (sub - free) & free
+    return out
 
 
 def _face_rows(level_dict):
     """Level p >= 1 -> for each simplex, the rows of d_0 .. d_p in level
-    p-1; None when a face lies outside the level below."""
+    p-1; None unless each level is the full set of extensions of the
+    level below, in the order ``levels`` lists them.
+
+    Level p lists, for each tuple t of level p-1 in order, its children
+    t + (s,) for the nonzero submasks s of t's free mask F in increasing
+    order.  So the 2^|F| - 1 children of t start at a prefix sum, its
+    offset, and t + (s,) sits rank_F(s) = pext(s, F) - 1 places after
+    it.  For a child c = t + (s,): d_p c = t; d_(p-1) c = t[:-1] +
+    (t[-1] | s,) is the child of t's parent by t[-1] | s; and d_i c =
+    d_i t + (s,) is the child of d_i t by s for i < p - 1.  Each row is
+    thus an offset plus a rank, read off the rows of level p - 1.  Free
+    masks, offsets, last parts and face columns are kept only for the
+    two levels below the one being built.
+    """
+    top = len(level_dict) - 1
+    if sorted(level_dict) != list(range(top + 1)) or tuple(level_dict[0]) != ((),):
+        return None
+    full = len(level_dict.get(1, ()))  # the 2^n - 1 tuples (s,) on n regions
+    if full & (full + 1):
+        return None
+    subs_of = [_submasks(free) for free in range(full + 1)]
+    rank_in = []  # F -> s -> rank_F(s), for each nonzero submask s of F
+    for subs in subs_of:
+        rank = [0] * (full + 1)
+        for r, s in enumerate(subs):
+            rank[s] = r
+        rank_in.append(rank)
+
     table = {}
-    for p in sorted(level_dict):
-        if p == 0:
-            continue
-        lower = {t: r for r, t in enumerate(level_dict.get(p - 1, ()))}
-        rows = []
-        for t in level_dict[p]:
-            row = [lower.get(face(t, i)) for i in range(p + 1)]
-            if None in row:
-                return None
-            rows.append(row)
-        table[p] = rows
+    # level p-2: each tuple's first child in level p-1, and its free mask's
+    # ranks; level p-1: each tuple's free mask and last part, and the
+    # columns d_0 .. d_(p-1) of its face rows
+    off_below = rank_below = None
+    free_here, last_here, faces_here = [full], [0], []
+    for p in range(1, top + 1):
+        level, below = level_dict[p], level_dict[p - 1]
+        # one int object per row of level p-1, shared by every face naming it
+        rows_below = list(range(len(below)))
+        parents = [k for k, free in zip(rows_below, free_here) for _ in subs_of[free]]
+        last = [s for free in free_here for s in subs_of[free]]
+        # level p must be the children t + (s,), in this order
+        if len(level) != len(last) or not all(
+                map(eq, level, map(add, map(below.__getitem__, parents), zip(last)))):
+            return None
+        if p == 1:
+            faces = [[0] * len(last), parents]
+        else:
+            # d_i c for i < p - 1 is the child of d_i t by s, and d_(p-1) c
+            # the child of d_(p-1) t, t's parent, by t[-1] | s
+            lower = [[col[k] for k in parents] for col in faces_here]
+            merged = [last_here[k] | s for k, s in zip(parents, last)]
+            faces = [[rows_below[off_below[r] + rank_below[r][s]] for r, s in zip(of, subs)]
+                     for of, subs in zip(lower, [last] * (p - 1) + [merged])]
+            faces.append(parents)
+        table[p] = list(map(list, zip(*faces)))
+        off_below = list(accumulate((len(subs_of[free]) for free in free_here), initial=0))
+        rank_below = [rank_in[free] for free in free_here]
+        free_here = [free_here[k] ^ s for k, s in zip(parents, last)]
+        last_here, faces_here = last, faces
     return table
 
 
 def check_face_identities(level_dict, table=None):
     """d_i d_j = d_{j-1} d_i for i < j, exhaustively on every simplex.
 
-    The identities are compared as rows of the face-row table, which
-    ``build_resolution`` passes in, having built it for the boundary.
-    A face missing from the level below fails the check.
+    The identities are compared on the face-row table, which
+    ``build_resolution`` passes in, having built it for the boundary:
+    per level and pair i < j, the column of d_j faces read through the
+    d_i column of the level below against the d_i faces read through
+    its d_(j-1) column.  A level that is not the full set of extensions
+    of the level below fails the check.
     """
     if table is None:
         table = _face_rows(level_dict)
     if table is None:
         return False
+    below = None
     for p, rows in table.items():
-        if p < 2:
-            continue
-        below = table[p - 1]
-        for row in rows:
-            of = [below[r] for r in row]
+        here = list(zip(*rows))  # here[i][k] = row of d_i of simplex k
+        if p >= 2:
             for j in range(1, p + 1):
                 for i in range(j):
-                    if of[j][i] != of[i][j - 1]:
+                    d_i, d_j1 = below[i], below[j - 1]
+                    if [d_i[r] for r in here[j]] != [d_j1[r] for r in here[i]]:
                         return False
+        below = here
     return True
 
 
@@ -102,14 +154,13 @@ def _ordered_complex(level_dict, table):
     """The boundary sends a simplex to its faces d_i with sign (-1)**i."""
     boundaries = {}
     for p, rows in table.items():
-        columns = []
-        for row in rows:
-            col = {}
-            sign = 1
-            for r in row:
-                col[r] = col.get(r, 0) + sign
-                sign = -sign
-            columns.append(col)
+        signs = [(-1) ** i for i in range(p + 1)]
+        columns = [dict(zip(row, signs)) for row in rows]
+        for k, row in enumerate(rows):
+            if len(columns[k]) < len(row):  # a face repeats: sum its signs
+                col = columns[k] = {}
+                for r, sign in zip(row, signs):
+                    col[r] = col.get(r, 0) + sign
         boundaries[p] = IntMatrix.from_col_dicts(len(level_dict[p - 1]), columns)
     return ChainComplex(level_dict, boundaries)
 

@@ -971,6 +971,38 @@ def reference_levels(basis_size, p_max):
     return {p: v for p, v in out.items() if v or p == 0}
 
 
+
+def reference_face(tup, i):
+    """Face i of a resolution simplex: drop the first or last part, or
+    merge parts i - 1 and i."""
+    p = len(tup)
+    if i == 0:
+        return tup[1:]
+    if i == p:
+        return tup[:-1]
+    return tup[: i - 1] + (tup[i - 1] | tup[i],) + tup[i + 1 :]
+
+
+def reference_face_rows(level_dict):
+    """Level p >= 1 -> for each simplex, the rows of its faces d_0 .. d_p
+    in level p-1, each face built as a tuple and looked up by hashing;
+    None when a face lies outside the level below.  The table that
+    ``resolution._face_rows`` replaced by index arithmetic, kept as its
+    oracle."""
+    table = {}
+    for p in sorted(level_dict):
+        if p == 0:
+            continue
+        lower = {t: r for r, t in enumerate(level_dict.get(p - 1, ()))}
+        rows = []
+        for t in level_dict[p]:
+            row = [lower.get(reference_face(t, i)) for i in range(p + 1)]
+            if None in row:
+                return None
+            rows.append(row)
+        table[p] = rows
+    return table
+
 # ---------------------------------------------------------------------------
 # Top-degree classes from an explicit kernel basis
 

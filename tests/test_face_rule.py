@@ -24,7 +24,7 @@ from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits import resolution as reso
 from geotits._kernel import IntMatrix
-from conftest import leq, reference_sphere_complex
+from conftest import leq, reference_face, reference_sphere_complex
 from test_arrangement import _random_covectors
 
 S3_FOUR_GENERIC = pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
@@ -271,7 +271,7 @@ def _reference_ordered(level_dict):
         entries = {}
         for j, t in enumerate(degrees[p]):
             for i_face in range(p + 1):
-                row = lower.get(reso.face(t, i_face))
+                row = lower.get(reference_face(t, i_face))
                 if row is not None:
                     entries[(row, j)] = entries.get((row, j), 0) + (-1) ** i_face
         boundaries[p] = IntMatrix(len(degrees.get(p - 1, ())), len(degrees[p]), entries)

@@ -19,6 +19,7 @@ from geotits._kernel import (
     lattices_equal,
     smith_normal_form,
 )
+from geotits._kernel import elim_py
 from geotits._kernel.elim_py import MODES, eliminate
 from geotits.complexes import (
     ChainComplex,
@@ -258,7 +259,7 @@ def test_sparse_certificates_match_dense_reference(seed):
     m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
     factors, _, _ = _dense_snf(m)
     assert list(smith_normal_form(m).invariant_factors) == factors
-    # the kernel basis follows the row-length order, so only the lattice
+    # the kernel basis follows the index-order sweep, so only the lattice
     # it spans is the reference's
     kernel = kernel_basis(m)
     assert len(kernel) == m.cols - len(factors)
@@ -659,7 +660,7 @@ def test_top_degree_classes_refuse_phase_b_pivots():
 
 def _reference_eliminate(rows, m, n, want_transforms):
     """``eliminate`` as a sorted rescan of the whole active matrix for
-    every pivot, kept as the oracle for the kernel's pivot heaps, with
+    every pivot, kept as the oracle for the kernel's pivot orders, with
     U and V when ``want_transforms``: ``PINNED`` returns the same pivots
     and positions, and every mode the same invariant factors.
     """
@@ -895,6 +896,75 @@ def test_row_heap_matches_entry_heap_on_s4_coordinate():
         pivots, prow, pcol, vcols, units = eliminate(d4.row_dicts(), d4.rows, d4.cols, PINNED)
         assert vcols is None
         assert (pivots, prow, pcol, units) == _entry_heap_positions(d4)
+
+
+# ---------------------------------------------------------------------------
+# The rank-only and kernel sweeps.  A row without a +-1 entry is set aside
+# and scanned again only once a row operation has changed it.
+
+
+def _second_look_rows():
+    """Row 0 holds no +-1 until row 1's pivot at (1, 0) subtracts 2 row 1
+    from it, leaving {1: 1}; the determinant is 2 - 3 = -1."""
+    return [{0: 2, 1: 3}, {0: 1, 1: 1}]
+
+
+def test_a_row_with_a_unit_from_a_later_pivot_pivots_in_phase_a():
+    m = IntMatrix.from_col_dicts(2, [{0: 2, 1: 1}, {0: 3, 1: 1}])
+    assert m.row_dicts() == _second_look_rows()
+    want, _, _, _, _ = _reference_eliminate(_second_look_rows(), 2, 2, False)
+    assert want == [1, 1]
+    for mode in MODES:
+        pivots, prow, pcol, _, units = eliminate(_second_look_rows(), 2, 2, mode)
+        assert pivots == want and units == len(pivots) == 2, mode
+        assert sorted(prow) == sorted(pcol) == [0, 1], mode
+        assert smith_normal_form(m, mode).units == 2, mode
+
+
+class _LoggedRow(dict):
+    """A row dict that logs each change of an entry as ("change", row)."""
+
+    def __init__(self, index, log, entries):
+        super().__init__(entries)
+        self.index, self.log = index, log
+
+    def __setitem__(self, key, value):
+        self.log.append(("change", self.index))
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.log.append(("change", self.index))
+        super().__delitem__(key)
+
+
+@pytest.mark.parametrize("mode", [RANK, KERNEL])
+def test_a_set_aside_row_is_scanned_again_only_after_a_change(monkeypatch, mode):
+    """Three copies of the second-look block, then a row {6: 2} that no
+    operation touches.  The first sweep scans all 7 rows and sets aside
+    rows 0, 2, 4 and 6; the pivots at rows 1, 3 and 5 change rows 0, 2
+    and 4, which the second sweep scans and pivots; row 6 is scanned once
+    and left to phase B.  Between two scans of a row, the row changed."""
+    log = []
+    original = elim_py._unit_entry
+
+    def logged(row, cols):
+        log.append(("scan", row.index))
+        return original(row, cols)
+
+    monkeypatch.setattr(elim_py, "_unit_entry", logged)
+    rows = []
+    for b in range(3):
+        for entries in _second_look_rows():
+            rows.append(_LoggedRow(len(rows), log, {2 * b + j: v for j, v in entries.items()}))
+    rows.append(_LoggedRow(6, log, {6: 2}))
+    pivots, _, _, _, units = eliminate(rows, 7, 7, mode)
+    assert (pivots, units) == ([1] * 6 + [2], 6)
+    scans = [i for kind, i in log if kind == "scan"]
+    assert scans == [0, 1, 2, 3, 4, 5, 6, 0, 2, 4]
+    for i in range(7):
+        events = [kind for kind, j in log if j == i]
+        at = [k for k, kind in enumerate(events) if kind == "scan"]
+        assert all("change" in events[a:b] for a, b in zip(at, at[1:])), i
 
 
 # A 6-vertex triangulation of RP^2: reduced homology Z/2 in degree 1.

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from conftest import reference_levels
+from conftest import reference_face, reference_face_rows, reference_levels
 from geotits import arrangement as arr
 from geotits import resolution as reso
 
@@ -54,8 +54,31 @@ def test_level_sizes_from_formula():
 
 def test_face_merges_adjacent_masks():
     t = (0b001, 0b110, 0b1000)
-    assert [reso.face(t, i) for i in range(4)] == [
-        (0b110, 0b1000), (0b111, 0b1000), (0b001, 0b1110), (0b001, 0b110)]
+    want = [(0b110, 0b1000), (0b111, 0b1000), (0b001, 0b1110), (0b001, 0b110)]
+    assert [reference_face(t, i) for i in range(4)] == want
+    lv = reso.levels(4, 5)
+    row = reso._face_rows(lv)[3][lv[3].index(t)]
+    assert [lv[2][r] for r in row] == want
+
+
+@pytest.mark.parametrize("size, p_max", [(n, n + 1) for n in range(7)] + [(5, 2), (5, 3)])
+def test_face_table_matches_hashed_reference(size, p_max):
+    """The face table by offsets and submask ranks equals the one built by
+    hashing each face, on every basis size and on truncated builds."""
+    lv = reso.levels(size, p_max)
+    assert reso._face_rows(lv) == reference_face_rows(lv)
+
+
+def test_face_table_refuses_levels_other_than_the_full_extensions():
+    """The index table reads positions off the order ``levels`` lists, so
+    a level with a tuple dropped, added or moved is refused, and so is a
+    gap in the levels."""
+    lv = reso.levels(4, 5)
+    moved = lv[2][:3] + (lv[2][4], lv[2][3]) + lv[2][5:]
+    extra = lv[3] + (lv[3][-1],)
+    for p, level in [(2, lv[2][:-1]), (2, moved), (3, extra), (1, lv[1][1:])]:
+        assert reso._face_rows({**lv, p: level}) is None, p
+    assert reso._face_rows({q: lv[q] for q in (0, 1, 3)}) is None
 
 
 def test_face_identities_exhaustive():
@@ -63,26 +86,25 @@ def test_face_identities_exhaustive():
         assert reso.check_face_identities(reso.levels(size, size + 1))
 
 
-def test_face_identities_catch_one_broken_face(monkeypatch):
-    """d_0 of one 3-simplex (a, b, c) returns (a, b), a simplex of the
-    level below, so d_0 d_3 = (b,) and d_2 d_0 = (a,) differ."""
+def test_face_identities_catch_one_broken_face():
+    """d_0 of one 3-simplex (a, b, c) points at the row of (a, b), a
+    simplex of the level below, so d_0 d_3 = (b,) and d_2 d_0 = (a,)
+    differ."""
     lv = reso.levels(3, 4)
-    broken = lv[3][0]
-    assert broken[:-1] in lv[2]
-    face = reso.face
-
-    def bad_face(tup, i):
-        return tup[:-1] if tup == broken and i == 0 else face(tup, i)
-
-    monkeypatch.setattr(reso, "face", bad_face)
-    assert not reso.check_face_identities(lv)
+    table = reso._face_rows(lv)
+    assert reso.check_face_identities(lv, table)
+    row = table[3][0]
+    assert lv[2][row[3]] == lv[3][0][:-1]
+    row[0] = row[3]
+    assert not reso.check_face_identities(lv, table)
 
 
 def test_face_identities_fail_on_a_face_outside_the_level_below():
     lv = dict(reso.levels(3, 4))
     dropped = lv[1][0]
     lv[1] = lv[1][1:]
-    assert any(reso.face(t, i) == dropped for t in lv[2] for i in range(3))
+    assert any(reference_face(t, i) == dropped for t in lv[2] for i in range(3))
+    assert reference_face_rows(lv) is None
     assert reso.check_face_identities(lv) is False
 
 

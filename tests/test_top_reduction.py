@@ -192,7 +192,7 @@ def test_spherical_verify_takes_the_markowitz_heap_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Kernel bases follow the row-length order; the lattice they span is the
+# Kernel bases follow the index-order sweep; the lattice they span is the
 # reference's (on random matrices in ``test_kernel``) on every kernel that
 # verify pt-ls asks for.
 
