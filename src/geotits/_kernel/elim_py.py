@@ -20,13 +20,17 @@ picks its +-1 pivots and in whether the column transform V is kept:
   vanishes at every column outside ``pivot_cols``.  Kernel bases read
   it; the lattice they span does not depend on the pivot order.
 * ``PINNED``: pivots, positions and ``units`` are pinned, and no V is
-  kept.  The heap holds one key per row: the least Markowitz fill cost
-  key ``(cost, i, j)`` (Markowitz 1957) over the row's +-1 entries.
-  After a pivot, the rows its row operations touched and the rows
-  holding an entry in the pivot row's columns (whose lengths changed)
-  are keyed again, and a popped key that is no longer its row's is
-  skipped.  The least row key is the least entry key.  Reports print
-  apartment matrices in the basis this order picks
+  kept.  The +-1 pivot of least Markowitz fill cost key ``(cost, i,
+  j)`` (Markowitz 1957) goes first, from a heap with one key per
+  column: the key of its best row, the shortest row with a +-1 entry
+  there (ties to the least index), which holds the column's least
+  entry key.  After a pivot, the pivot row's other columns, whose
+  lengths changed, are keyed again; a row the row operations touched
+  is compared with the best row of each column it holds, and a column
+  is scanned again only when its best row left it, lost its +-1 there
+  or got longer.  A popped key that is no longer its column's is
+  skipped.  The least column key is the least entry key.  Reports
+  print apartment matrices in the basis this order picks
   (``complexes.HomologyClasses``), so it must not change.
 
 ``units`` counts the leading pivots that phase A retired.  Phase A
@@ -158,44 +162,72 @@ def eliminate(rows, m, n, mode):
     if mode == PINNED:
         # Least Markowitz key (cost, i, j) over all +-1 entries, with
         # cost = (row length - 1) * (column length - 1), from a lazy
-        # min-heap.  The heap holds one key per row, the least over its
-        # +-1 entries, and ``keys`` its current one; the least row key is
-        # the least entry key, so the pivots are the same as with a key
-        # per entry.  A popped key that is not its row's current key is
-        # stale.
-        def row_key(i):
-            ri = rows[i]
-            rcost = len(ri) - 1
-            best = None
-            for j, v in ri.items():
-                if v == 1 or v == -1:
-                    key = (rcost * (len(cols[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
-            return best
+        # min-heap with one key per column.  ``best[j]`` is the least
+        # (row length, i) over the rows with a +-1 entry in column j; in
+        # a column of length c >= 2 that row holds the column's least
+        # entry key, since the cost grows with the row length, and a
+        # column of length 1 has one row.  So column j's key is
+        # ((r - 1) * (c - 1), i, j) for best[j] = (r, i), the least
+        # column key is the least entry key, and the pivots are the same
+        # as with a key per entry.  ``keys`` holds each column's current
+        # key; a popped key that is not its column's is stale.
+        best = [_least_unit_row(rows, cols[j], j) for j in range(n)]
 
-        keys = [None] * m
-        for i in active_rows:
-            keys[i] = row_key(i)
+        def column_key(j):
+            b = best[j]
+            if b is None:
+                return None
+            return ((b[0] - 1) * (len(cols[j]) - 1), b[1], j)
+
+        keys = [column_key(j) for j in range(n)]
         heap = [key for key in keys if key is not None]
         heapify(heap)
         while heap:
             key = heappop(heap)
-            i0 = key[1]
-            if keys[i0] != key:
+            j0 = key[2]
+            if keys[j0] != key:
                 continue
-            keys[i0] = None
-            touched, support = unit_pivot(i0, key[2])
-            # The row operations changed the touched rows; the pivot
-            # changed the lengths of the support columns, and with them
-            # the costs of every row holding an entry there.
-            rekey = set(touched)
+            i0 = key[1]
+            keys[j0] = best[j0] = None
+            touched, support = unit_pivot(i0, j0)
+            # Row operations changed the touched rows, and only in the
+            # support columns, whose lengths changed too: re-key those.
+            # A column is scanned again only when its best row left it
+            # (the pivot row, or a touched row whose entry cancelled),
+            # lost its +-1 there, or got longer; any other row that
+            # changed is compared with the best.
+            dirty = set(support)
+            rescan = set()
             for j in support:
-                rekey.update(cols[j])
-            for i in rekey:
-                new = row_key(i)
-                if new != keys[i]:
-                    keys[i] = new
+                b = best[j]
+                if b is not None and j not in rows[b[1]]:
+                    rescan.add(j)
+            # A touched row's length changed in all of its columns: a
+            # best row stays best when it got shorter.
+            for i in touched:
+                ri = rows[i]
+                r = len(ri)
+                for j, v in ri.items():
+                    if j in rescan:
+                        continue
+                    b = best[j]
+                    if b is not None and b[1] == i:
+                        if (v != 1 and v != -1) or r > b[0]:
+                            rescan.add(j)
+                            dirty.add(j)
+                        elif r < b[0]:
+                            best[j] = (r, i)
+                            dirty.add(j)
+                    elif (v == 1 or v == -1) and (
+                            b is None or r < b[0] or (r == b[0] and i < b[1])):
+                        best[j] = (r, i)
+                        dirty.add(j)
+            for j in rescan:
+                best[j] = _least_unit_row(rows, cols[j], j)
+            for j in dirty:
+                new = column_key(j)
+                if new != keys[j]:
+                    keys[j] = new
                     if new is not None:
                         heappush(heap, new)
     else:
@@ -264,6 +296,19 @@ def eliminate(rows, m, n, mode):
         retire(i0, j0)
 
     return pivots, pivot_rows, pivot_cols, vcols, units
+
+
+def _least_unit_row(rows, col, j):
+    """The least (row length, row index) over the rows in ``col`` whose
+    entry in column ``j`` is +-1; None when there is none."""
+    best = None
+    for i in col:
+        v = rows[i][j]
+        if v == 1 or v == -1:
+            key = (len(rows[i]), i)
+            if best is None or key < best:
+                best = key
+    return best
 
 
 def _unit_entry(row, cols):

@@ -1049,10 +1049,11 @@ class ReferenceHomologyClasses:
 def reference_entry_heap_eliminate(rows, m, n):
     """``eliminate(rows, m, n, PINNED)`` with one Markowitz key ``(cost,
     i, j)`` per +-1 entry and a set of the keys live in the heap: the
-    loop that the per-row heap replaced, kept as its oracle.  The least
-    entry key is the least row key, so both return the same pivots,
-    positions and ``units``.  This loop also keeps the column transform
-    V, which ``ReferenceHomologyClasses`` reads.  ``rows`` is consumed.
+    loop that the heap with one key per column replaced, kept as its
+    oracle.  The least entry key is the least column key, so both return
+    the same pivots, positions and ``units``.  This loop also keeps the
+    column transform V, which ``ReferenceHomologyClasses`` reads.
+    ``rows`` is consumed.
     """
     from heapq import heappop, heappush
 

@@ -886,16 +886,161 @@ def test_eliminate_matches_sorted_reference_on_workload_boundaries(model):
         _assert_matches_reference(complex_.boundary(d))
 
 
-def test_row_heap_matches_entry_heap_on_s4_coordinate():
+def test_column_keys_match_entry_heap_on_s4_coordinate():
     """The certificate matrix of S^4 cut by its 5 coordinate hyperplanes:
     d_4 of the PT bicomplex, 16680 x 7440."""
     path = pathlib.Path(__file__).resolve().parent / "scenes" / "s4_coordinate.json"
-    with Budget("kernel", "S^4 coordinate d_4, row heap against entry heap", 30):
+    with Budget("kernel", "S^4 coordinate d_4, column keys against entry heap", 30):
         d4 = cli.homology_model(cli.Scene(json.loads(path.read_text())), "pt")[0].boundary(4)
         assert (d4.rows, d4.cols) == (16680, 7440)
         pivots, prow, pcol, vcols, units = eliminate(d4.row_dicts(), d4.rows, d4.cols, PINNED)
         assert vcols is None
         assert (pivots, prow, pcol, units) == _entry_heap_positions(d4)
+
+
+def _pinned_case(rng):
+    """Row dicts of a random m x n matrix, m, n <= 80: sparse or dense,
+    with entries from one of three value sets (the last has no +-1, so
+    phase A pivots nowhere), rows that sum two earlier rows (row
+    operations cancel there), and some rows and columns emptied, cut to
+    one entry or set to a single +-1 (cost-0 keys, tied on the cost)."""
+    m, n = rng.randint(1, 80), rng.randint(1, 80)
+    density = rng.choice((0.03, 0.08, 0.15, 0.3))
+    values = rng.choice(((1, -1), (1, -1, 1, -1, 2, -2, 3), (2, -2, 3)))
+    rows = [{j: rng.choice(values) for j in range(n) if rng.random() < density}
+            for _ in range(m)]
+    for i in range(2, m):
+        if rng.random() < 0.15:
+            a, b = rng.sample(range(i), 2)
+            row = dict(rows[a])
+            for j, v in rows[b].items():
+                row[j] = row.get(j, 0) + v
+            rows[i] = {j: v for j, v in row.items() if v}
+    for _ in range(rng.randint(0, 3)):
+        j = rng.randrange(n)
+        keep = rng.choice([None] + [i for i in range(m) if j in rows[i]])
+        for i in range(m):
+            if i != keep:
+                rows[i].pop(j, None)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(m)
+        rows[i] = rng.choice(({}, {rng.randrange(n): rng.choice((1, -1))}))
+    return rows, m, n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_keys_match_entry_heap_on_random_matrices(seed):
+    """``PINNED`` against the heap with one key per +-1 entry: the same
+    pivots, pivot rows, pivot columns and ``units`` on 50 random
+    matrices per seed."""
+    rng = random.Random(f"column keys/{seed}")
+    for _ in range(50):
+        rows, m, n = _pinned_case(rng)
+        want = reference_entry_heap_eliminate([dict(r) for r in rows], m, n)
+        got = eliminate([dict(r) for r in rows], m, n, PINNED)
+        assert got[3] is None
+        assert (*got[:3], got[4]) == (*want[:3], want[4])
+
+
+def test_column_keys_break_cost_ties_by_row_then_column():
+    """Rows of length 1 key their columns at cost 0: the least row goes
+    first, then the least column.  Column 1 has length 2 but its rows
+    have length 1 too, so it ties at cost 0 with the singleton columns."""
+    rows = [{3: 1}, {1: -1}, {0: 1}, {1: 1}, {2: -1}]
+    want = reference_entry_heap_eliminate([dict(r) for r in rows], 5, 4)
+    got = eliminate([dict(r) for r in rows], 5, 4, PINNED)
+    assert (got[1], got[2]) == (want[1], want[2]) == ([0, 1, 2, 4], [3, 1, 0, 2])
+    assert got[0] == [1, 1, 1, 1] and got[4] == 4
+
+
+def test_column_keys_leave_a_matrix_without_a_unit_entry_to_phase_b():
+    rows = [{0: 2, 1: 3}, {0: 4, 2: -2}, {}, {1: 6}]
+    want = reference_entry_heap_eliminate([dict(r) for r in rows], 4, 4)
+    got = eliminate([dict(r) for r in rows], 4, 4, PINNED)
+    assert got[4] == want[4] == 0
+    assert got[:3] == want[:3] and got[0] == [1, 2, 12]
+
+
+# ---------------------------------------------------------------------------
+# The pinned order's work.  A column is scanned again only when its best
+# row (the shortest row with a +-1 there, ties to the least index) left
+# it, lost its +-1 there, or got longer.
+
+
+def _logged_scans(monkeypatch):
+    """Log each column scan after the first pop of the pinned heap,
+    with the least (row length, row) over every column's +-1 entries at
+    the last pop, and whether the scan was justified by that pair."""
+    log = []
+    state = {"rows": None, "best": None}
+    original_scan, original_pop = elim_py._least_unit_row, elim_py.heappop
+
+    def pop(heap):
+        best = {}
+        for i, row in enumerate(state["rows"]):
+            for j, v in row.items():
+                if v == 1 or v == -1:
+                    best[j] = min(best.get(j, (len(row), i)), (len(row), i))
+        state["best"] = best
+        log.append(("pop", None, None))
+        return original_pop(heap)
+
+    def scan(rows, col, j):
+        if state["rows"] is None:
+            state["rows"] = rows
+        if state["best"] is not None:
+            pair = state["best"].get(j)
+            ok = pair is not None
+            if ok:
+                r, i = pair
+                v = rows[i].get(j)
+                ok = (v != 1 and v != -1) or len(rows[i]) > r
+            log.append(("scan", j, ok))
+        return original_scan(rows, col, j)
+
+    monkeypatch.setattr(elim_py, "_least_unit_row", scan)
+    monkeypatch.setattr(elim_py, "heappop", pop)
+    return log
+
+
+def test_a_column_is_scanned_again_only_when_its_best_row_moved(monkeypatch):
+    """Block one: the pivot at (0, 0) leaves row 1 = {2: 1}, shorter and
+    still the best row of column 2, and retires row 0, the best row of
+    column 1 (scan 1).  Block two: the pivot at (3, 4) retires row 3,
+    the best row of columns 5 and 6, and makes row 4, the best row of
+    column 7, longer (scans 5, 6 and 7); the pivot at (4, 7) then moves
+    no best row.  Rows 2, 5 and 6 are left to phase B."""
+    log = _logged_scans(monkeypatch)
+    rows = [
+        {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {2: 2, 3: 2},
+        {4: 1, 5: 1, 6: 1}, {4: 2, 7: 1, 8: 2}, {5: 2, 6: 2}, {7: 3},
+    ]
+    want = reference_entry_heap_eliminate([dict(r) for r in rows], 7, 9)
+    got = eliminate(rows, 7, 9, PINNED)
+    assert (*got[:3], got[4]) == (*want[:3], want[4])
+    assert got[1][:4] == [0, 1, 3, 4] and got[2][:4] == [0, 2, 4, 7] and got[4] == 4
+    scans = []
+    for kind, j, _ in log:
+        if kind == "pop":
+            scans.append([])
+        else:
+            scans[-1].append(j)
+    assert [sorted(s) for s in scans if s] == [[1], [5, 6, 7]]
+    assert all(ok for kind, _, ok in log if kind == "scan")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_rescans_are_justified(monkeypatch, seed):
+    """On random matrices every column scan after the first pop finds
+    that the column's best row at the last pop left it, lost its +-1
+    there, or got longer."""
+    rng = random.Random(f"rescans/{seed}")
+    for _ in range(20):
+        rows, m, n = _pinned_case(rng)
+        with monkeypatch.context() as patch:
+            log = _logged_scans(patch)
+            eliminate(rows, m, n, PINNED)
+        assert all(ok for kind, _, ok in log if kind == "scan")
 
 
 # ---------------------------------------------------------------------------

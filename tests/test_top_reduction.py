@@ -7,7 +7,8 @@ oracle, ``conftest.ReferenceHomologyClasses``, forms the kernel basis
 from the V of the pinned order and solves every chain in it.  After the
 classes, ``homology`` takes the top degree from that same reduction; it
 must equal the rank-only homology of a fresh copy of the complex, and
-the paths that build no classes must never run the Markowitz heap.
+the paths that build no classes must never run the Markowitz heap (one
+key per column, ``_kernel.elim_py``).
 """
 
 import json
@@ -171,7 +172,8 @@ def _count_pinned(monkeypatch):
 
 def test_paths_without_classes_never_take_the_markowitz_heap(monkeypatch):
     """The resolution probe, the collapse model and ``homology <which>``
-    reduce rank-only: 2.3-2.7 times cheaper than the pinned order."""
+    reduce rank-only: about 2.2 times cheaper than the pinned order on
+    the S^4 top boundaries."""
     calls = _count_pinned(monkeypatch)
     reso.resolution_homology(6)
     scene = _load(cli.corpus_dir() / "s3_coordinate.json")
