@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from geotits import HypothesesError, exact, geometry as geo
+from geotits.collection import Collection
 from geotits.exact import dot
 
 MAX_DIM = 4
@@ -237,19 +238,27 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _flats(geometry, covectors):
-    """The flats of the hyperplanes that meet the geometry, keyed by zero
-    mask (bit i set when hyperplane i contains the flat): carriers, and
-    the masks of the flats one dimension lower that each contains.
+def _zeros_on(covectors, rows):
+    """Zero mask of span(rows): bit i set when hyperplane i contains it."""
+    return sum(1 << i for i, c in enumerate(covectors) if all(dot(c, r) == 0 for r in rows))
 
-    Top down from the whole space: each hyperplane j off a flat cuts it
-    once (``geometry.meet_rows`` on its basis).  A flat that misses
-    the geometry has no descendant that meets it, so it is dropped."""
+
+def _flats(geometry, covectors, carrier):
+    """The flats of the hyperplanes inside the carrier that meet the
+    geometry, keyed by zero mask (bit i set when hyperplane i contains the
+    flat): carriers, and the masks of the flats one dimension lower that
+    each contains.
+
+    Top down from the carrier, whose mask holds the hyperplanes that
+    contain it: each hyperplane j off a flat cuts it once
+    (``geometry.meet_rows`` on its basis).  A flat that misses the
+    geometry has no descendant that meets it, so it is dropped."""
     amb = geometry.ambient_dim
-    carriers = {0: geo.full_space(amb)}
+    top = _zeros_on(covectors, carrier.basis)
+    carriers = {top: carrier}
     children = {}
     missed = set()
-    level = [0]
+    level = [top]
     while level:
         lower = []
         for mask in level:
@@ -262,13 +271,12 @@ def _flats(geometry, covectors):
                 if cut >> j & 1:
                     continue
                 meet = geo.meet_rows(rows, cov)
-                child = mask | sum(1 << i for i, c in enumerate(covectors)
-                                   if all(dot(c, r) == 0 for r in meet))
+                child = mask | _zeros_on(covectors, meet)
                 cut |= child
                 if child not in carriers and child not in missed:
-                    carrier = geo.LinearSubspace(amb, meet)
-                    if geo.geo_nonempty(carrier, geometry):
-                        carriers[child] = carrier
+                    flat = geo.LinearSubspace(amb, meet)
+                    if geo.geo_nonempty(flat, geometry):
+                        carriers[child] = flat
                         lower.append(child)
                     else:
                         missed.add(child)
@@ -321,7 +329,7 @@ def _step(geometry, w, values, u, u_values):
     return tuple(x // d for x in v), [(q * a + p * b) // d for a, b in zip(values, u_values)]
 
 
-def build_arrangement(coll, within=None):
+def build_arrangement(coll, within=None, carrier=None):
     """Every cell of the arrangement with an exact interior witness,
     built from the flats of the hyperplanes without a linear program.
 
@@ -349,6 +357,10 @@ def build_arrangement(coll, within=None):
     walls is 0 or A's side.  A's cells are reached from facets in A.
     HypothesesError when the collection exceeds the size guards or A is
     not an L-polytope.
+
+    ``carrier``: optional linear subspace that meets the geometry; only
+    the cells inside it are built, from the flats inside it (the whole
+    space by default).
     """
     g = coll.geometry
     covectors = tuple(sorted(coll.hyperplane_covectors))
@@ -360,7 +372,9 @@ def build_arrangement(coll, within=None):
             raise HypothesesError("window polytope must be an L-polytope")
         walls = tuple((index[h.hyperplane], 1 if h.functional == h.hyperplane else -1)
                       for h in within.halfspaces)
-    carriers, children = _flats(g, covectors)
+    if carrier is None:
+        carrier = geo.full_space(g.ambient_dim)
+    carriers, children = _flats(g, covectors, carrier)
 
     found = {}  # zero mask -> {sign vector: (witness, row values)}
     for mask in sorted(carriers, key=lambda m: carriers[m].dim):
@@ -402,6 +416,46 @@ def build_arrangement(coll, within=None):
                 w = tuple(Fraction(x, w[0]) for x in w[1:])
             cells[sign] = Cell(sign, flat, flat.dim - 1, w)
     return FacePoset(g, covectors, dict(sorted(cells.items())))
+
+
+def window_arrangement(window, carrier=None):
+    """The arrangement of the window's walls restricted to the window,
+    inside ``carrier`` (the whole space by default).
+
+    H^n is read in its Euclidean chart, the same rows as E^n: the window
+    is decided by its chart polyhedron, whose walls need not meet the
+    ball, and a window inside the ball has the same cells in both."""
+    g = window.geometry
+    if g.kind == geo.HYPERBOLIC:
+        g = geo.Geometry(geo.EUCLIDEAN, g.n)
+    walls = Collection(g, (), {h.hyperplane for h in window.halfspaces})
+    return build_arrangement(walls, within=window, carrier=carrier)
+
+
+def polytope_from_halfspaces(geometry, halfspaces):
+    """The convex polytope cut out by the half-spaces, or Invalid(reason),
+    read off ``window_arrangement``: EMPTY when it has no cell,
+    LOWER_DIMENSIONAL when it has cells but no region, UNBOUNDED when
+    its one region is unbounded (``FacePoset.bounded``) or, in H^n, has
+    a vertex on or outside the unit sphere of the Klein chart.  The
+    polytope's interior witness is the region's.  ValueError for no
+    half-spaces: they would leave no interior witness on the sphere and
+    an unbounded chart in E/H."""
+    halfspaces = tuple(dict.fromkeys(halfspaces))  # drop exact duplicates
+    if not halfspaces:
+        raise ValueError("a polytope needs at least one half-space")
+    polytope = geo.ConvexPolytope(geometry, halfspaces, None)  # witness set below
+    poset = window_arrangement(polytope)
+    regions = poset.regions()
+    if not regions:
+        return geo.Invalid(geo.Invalid.LOWER_DIMENSIONAL if poset.cells else geo.Invalid.EMPTY)
+    (region,) = regions  # the window's side of every wall
+    vertices = (c.witness for c in poset.cells.values() if c.dim == 0)
+    off_ball = geometry.kind == geo.HYPERBOLIC and any(sum(x * x for x in v) >= 1 for v in vertices)
+    if off_ball or not poset.bounded(region.sign_vector):
+        return geo.Invalid(geo.Invalid.UNBOUNDED)
+    polytope.interior_witness = region.witness
+    return polytope
 
 
 def region_basis(poset):

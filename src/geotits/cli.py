@@ -135,7 +135,12 @@ class Scene:
                 hs.append(geo.HalfSpace(func))
             if not hs:
                 raise SceneError("polytope_A.halfspaces: a window needs at least one half-space")
-            built = geo.polytope_from_halfspaces(self.geometry, hs)
+            walls = len({h.hyperplane for h in hs})
+            if walls > arr.MAX_HYPERPLANES:
+                raise SceneError(
+                    f"polytope_A: {walls} distinct walls exceed the guard {arr.MAX_HYPERPLANES}"
+                )
+            built = arr.polytope_from_halfspaces(self.geometry, hs)
             if isinstance(built, geo.Invalid):
                 raise SceneError(f"polytope_A is not a valid convex polytope: {built.reason}")
             self.polytope_a = built

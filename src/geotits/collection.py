@@ -138,37 +138,13 @@ def variants(collection, u_covector):
 
 
 def restrict(collection, polytope):
-    """Sub-poset L|A of members meeting the convex polytope A."""
-    g = collection.geometry
-    rows = [h.chart_row(g) for h in polytope.halfspaces]
-    nv = g.chart_dim
-    kept = []
-    for m in collection.members:
-        if m.is_top():
-            kept.append(m)
-            continue
-        # carrier constraint: chart vector lies in the carrier
-        normal_rows = [
-            geo.functional_chart_row(g, f) for f in m.carrier.orthogonal_complement().basis
-        ]
-        if g.kind == geo.SPHERICAL:
-            hit = any(
-                exact.feasible([d], rows, normal_rows, nv) is not None
-                for d in _nonzero_directions(nv)
-            )
-        else:
-            hit = exact.feasible((), rows, normal_rows, nv) is not None
-        if hit:
-            kept.append(m)
-    return tuple(kept)
+    """Sub-poset L|A of members meeting the convex polytope A: the top,
+    and each member whose carrier holds a cell of the arrangement of A's
+    walls in A (``arrangement.window_arrangement``)."""
+    from geotits.arrangement import window_arrangement  # it imports this module
 
-
-def _nonzero_directions(nv):
-    for i in range(nv):
-        for s in (1, -1):
-            row = [0] * (nv + 1)
-            row[i] = s
-            yield tuple(row)
+    return tuple(m for m in collection.members
+                 if m.is_top() or window_arrangement(polytope, m.carrier).cells)
 
 
 def dualize(collection):

@@ -1,25 +1,16 @@
-"""Exact rational linear algebra and feasibility.
+"""Exact rational linear algebra.
 
 Everything here is exact; no floats.  Integer input stays integer: a
-subspace is spanned by primitive integer rows (``rref``), determinant
-signs and signatures are fraction-free, Fourier-Motzkin eliminates on
-primitive integer rows, and a witness is checked in integers after
-scaling by its common denominator.  ``Fraction`` carries only the values
-that are rational numbers: solutions of ``solve_unique`` and
-back-substituted feasibility witnesses.  Rational input is still
-accepted everywhere.  Conventions:
-
-* A *row* of length ``k`` is a linear form over ``k`` variables.
-* Affine constraint rows carry their constant as the LAST entry:
-  ``(a_1, ..., a_n, c)`` encodes ``a . x + c (>|>=|=) 0``.  Homogeneous
-  systems simply pass ``c = 0`` rows (or use all entries as variables).
+subspace is spanned by primitive integer rows (``rref``), and
+determinant signs and signatures are fraction-free.  Rational input is
+still accepted everywhere; a *row* of length ``k`` is a linear form
+over ``k`` variables.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
@@ -126,16 +117,6 @@ def nullspace(rows, ncols=None):
     return tuple(basis)
 
 
-def solve_unique(a_rows, b):
-    """Solve A x = b when A is square nonsingular; None otherwise."""
-    n = len(a_rows)
-    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
-    red, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
-        return None
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(red))
-
-
 def det_sign(rows):
     """Sign of the determinant of a square rational matrix.
 
@@ -225,209 +206,3 @@ def signature_on_subspace(form_rows, basis_rows):
     fb = [mat_vec(form_rows, v) for v in basis_rows]
     gram = [[dot(u, v) for v in basis_rows] for u in fb]
     return signature(gram)
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility with exact witnesses.
-
-def _normalize(coeffs, const):
-    row = primitive_int_row(list(coeffs) + [const])
-    return row[:-1], row[-1]
-
-
-def feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
-    """Exact rational witness of the constraint system, or None.
-
-    Rows are affine with trailing constant: ``a.x + c > 0`` (strict),
-    ``>= 0`` (nonstrict), ``= 0`` (equality).  Deterministic for fixed
-    input ordering.  Elimination keeps every row a primitive integer row
-    (a positive multiple of the rational row it stands for), so only the
-    back-substitution builds ``Fraction`` values.
-    """
-    groups = (strict_rows, nonstrict_rows, eq_rows)
-    if nvars is None:
-        for g in groups:
-            for r in g:
-                nvars = len(r) - 1
-                break
-            if nvars is not None:
-                break
-        if nvars is None:
-            raise ValueError("cannot infer variable count")
-
-    ineqs = []  # (coeff tuple, const, strict?)
-    for r in strict_rows:
-        ineqs.append(_normalize(r[:nvars], r[nvars]) + (True,))
-    for r in nonstrict_rows:
-        ineqs.append(_normalize(r[:nvars], r[nvars]) + (False,))
-    eqs = [_normalize(r[:nvars], r[nvars]) for r in eq_rows]
-
-    steps = []  # reversed for back-substitution
-    live_vars = list(range(nvars))
-
-    def substitute_eq(var, pivot_row):
-        pc, pk = pivot_row
-        pv = pc[var]
-        # var = -(rest + pk)/pv; |pv| * row - sign(pv) * row[var] * pivot_row
-        # clears var and is a positive multiple of the rational substitution
-        apv = abs(pv)
-
-        def subst(c, k):
-            f = c[var] if pv > 0 else -c[var]
-            new = _primitive(
-                tuple(apv * ci - f * pi for ci, pi in zip(c, pc)) + (apv * k - f * pk,)
-            )
-            return new[:-1], new[-1]
-
-        nonlocal ineqs, eqs
-        new_ineqs = []
-        for c, k, s in ineqs:
-            if c[var]:
-                nc, nk = subst(c, k)
-                new_ineqs.append((nc, nk, s))
-            else:
-                new_ineqs.append((c, k, s))
-        new_eqs = []
-        for c, k in eqs:
-            if (c, k) == pivot_row:
-                continue
-            if c[var]:
-                nc, nk = subst(c, k)
-                if any(nc[v] for v in live_vars):
-                    new_eqs.append((nc, nk))
-                elif nk != 0:
-                    new_eqs.append((nc, nk))  # contradiction kept for check
-            else:
-                new_eqs.append((c, k))
-        ineqs = new_ineqs
-        eqs = new_eqs
-        steps.append(("eq", var, pivot_row))
-
-    def fm_eliminate(var):
-        nonlocal ineqs
-        pos, neg, rest = [], [], []
-        for row in ineqs:
-            cv = row[0][var]
-            if cv > 0:
-                pos.append(row)
-            elif cv < 0:
-                neg.append(row)
-            else:
-                rest.append(row)
-        combined = []
-        seen = set()
-        for pc, pk, ps in pos:
-            for ncf, nk, ns in neg:
-                a, b = pc[var], -ncf[var]
-                row = _primitive(
-                    tuple(b * x + a * y for x, y in zip(pc, ncf)) + (b * pk + a * nk,)
-                )
-                new = (row[:-1], row[-1], ps or ns)
-                if new in seen:
-                    continue
-                seen.add(new)
-                combined.append(new)
-        ineqs = rest + combined
-        steps.append(("fm", var, pos + neg))
-
-    while live_vars:
-        # prefer equality pivots, else eliminate the cheapest variable
-        pivot = None
-        for row in eqs:
-            for var in live_vars:
-                if row[0][var]:
-                    pivot = (var, row)
-                    break
-            if pivot:
-                break
-        if pivot:
-            var, row = pivot
-            substitute_eq(var, row)
-            live_vars.remove(var)
-            continue
-        best_var, best_cost = None, None
-        for var in live_vars:
-            p = sum(1 for c, _, _ in ineqs if c[var] > 0)
-            q = sum(1 for c, _, _ in ineqs if c[var] < 0)
-            cost = p * q if (p or q) else 0
-            if best_cost is None or cost < best_cost:
-                best_var, best_cost = var, cost
-        fm_eliminate(best_var)
-        live_vars.remove(best_var)
-
-    for c, k in eqs:
-        if k != 0:
-            return None
-    for c, k, s in ineqs:
-        if s and not k > 0:
-            return None
-        if not s and not k >= 0:
-            return None
-
-    # Back-substitution.
-    witness = [F0] * nvars
-    for kind, var, data in reversed(steps):
-        if kind == "eq":
-            pc, pk = data
-            pv = pc[var]
-            rest = sum(
-                (pc[j] * witness[j] for j in range(nvars) if j != var and pc[j]), F0
-            ) + pk
-            witness[var] = -rest / pv
-        else:
-            lo = hi = None
-            lo_s = hi_s = False
-            for c, k, s in data:
-                cv = c[var]
-                rest = sum(
-                    (c[j] * witness[j] for j in range(nvars) if j != var and c[j]), F0
-                ) + k
-                bound = -rest / cv
-                if cv > 0:  # var >(=) bound
-                    if lo is None or bound > lo:
-                        lo, lo_s = bound, s
-                    elif bound == lo:
-                        lo_s = lo_s or s
-                else:  # var <(=) bound
-                    if hi is None or bound < hi:
-                        hi, hi_s = bound, s
-                    elif bound == hi:
-                        hi_s = hi_s or s
-            if lo is None and hi is None:
-                witness[var] = F0
-            elif lo is None:
-                witness[var] = hi - 1 if hi_s else hi
-            elif hi is None:
-                witness[var] = lo + 1 if lo_s else lo
-            else:
-                # FM consistency forces lo < hi whenever either side is
-                # strict, so the midpoint (or the common value) is valid.
-                witness[var] = (lo + hi) / 2 if lo != hi else lo
-
-    value = tuple(witness)
-    _check_witness(value, strict_rows, nonstrict_rows, eq_rows)
-    return value
-
-
-def int_point(x):
-    """(D*x, D) for a rational point x, with D the lcm of its denominators.
-    For an affine row r = (a, c), r . (D*x, D) = D * (a . x + c) has the
-    sign of the row's value at x, since D > 0, and it is an integer for
-    an integer row."""
-    ratios = [v.as_integer_ratio() for v in x]
-    den = lcm(*[q for _, q in ratios])
-    return [p * (den // q) for p, q in ratios] + [den]
-
-
-def _check_witness(x, strict_rows, nonstrict_rows, eq_rows):
-    """Test every row at the witness x, in integers through ``int_point``."""
-    point = int_point(x)
-    for r in strict_rows:
-        if not dot(r, point) > 0:
-            raise AssertionError("witness violates strict constraint")
-    for r in nonstrict_rows:
-        if not dot(r, point) >= 0:
-            raise AssertionError("witness violates constraint")
-    for r in eq_rows:
-        if dot(r, point) != 0:
-            raise AssertionError("witness violates equality")

@@ -16,7 +16,7 @@ pivots), so equality of subspaces is syntactic.
 from math import gcd
 
 from geotits import exact
-from geotits.exact import F0, F1, dot, frac, primitive_int_row
+from geotits.exact import F1, dot, frac, primitive_int_row
 
 EUCLIDEAN = "E"
 HYPERBOLIC = "H"
@@ -41,11 +41,6 @@ class Geometry:
     @property
     def ambient_dim(self):
         return self.n + 1
-
-    @property
-    def chart_dim(self):
-        """Number of chart variables for feasibility systems."""
-        return self.n if self.kind in (EUCLIDEAN, HYPERBOLIC) else self.n + 1
 
     def __eq__(self, other):
         return isinstance(other, Geometry) and (self.kind, self.n) == (other.kind, other.n)
@@ -246,16 +241,6 @@ def hyperplane_subspace(geometry, functional):
     return GeoSubspace(geometry, ker)
 
 
-def functional_chart_row(geometry, functional):
-    """Constraint row (vars..., const) of the functional in the chart: its
-    entries as given, so an integer covector gives an integer row.  E/H
-    move the x0 entry to the constant; S^n appends a constant 0."""
-    f = tuple(functional)
-    if geometry.kind in (EUCLIDEAN, HYPERBOLIC):
-        return f[1:] + (f[0],)
-    return f + (0,)
-
-
 class HalfSpace:
     """functional . x >= 0 with a primitive integer functional."""
 
@@ -275,9 +260,6 @@ class HalfSpace:
     def hyperplane(self):
         return canonical_covector(self.functional)
 
-    def chart_row(self, geometry):
-        return functional_chart_row(geometry, self.functional)
-
     def __eq__(self, other):
         return isinstance(other, HalfSpace) and self.functional == other.functional
 
@@ -289,7 +271,7 @@ class HalfSpace:
 
 
 class Invalid:
-    """polytope_from_halfspaces failure verdict."""
+    """``arrangement.polytope_from_halfspaces`` failure verdict."""
 
     EMPTY = "EMPTY"
     LOWER_DIMENSIONAL = "LOWER_DIMENSIONAL"
@@ -317,82 +299,6 @@ class ConvexPolytope:
 
     def __repr__(self):
         return f"ConvexPolytope({self.geometry}, facets<={len(self.halfspaces)})"
-
-
-def recession_cone_nonzero(halfspaces, geometry):
-    """Recession cone of the chart polyhedron is nonzero?  For E/H that
-    is unboundedness; spherical chart rows are linear already, so for S
-    it says the cone of the half-spaces is not {0}."""
-    nv = geometry.chart_dim
-    linear = [h.chart_row(geometry)[:nv] + (0,) for h in halfspaces]
-    for i in range(nv):
-        for s in (1, -1):
-            eq = [0] * (nv + 1)
-            eq[i] = s
-            eq[nv] = -1
-            if exact.feasible((), linear, [tuple(eq)], nv) is not None:
-                return True
-    return False
-
-
-def _vertex_candidates(halfspaces, geometry):
-    """Exact chart vertices of the (assumed bounded) chart polyhedron."""
-    from itertools import combinations
-
-    nv = geometry.n
-    rows = [h.chart_row(geometry) for h in halfspaces]
-    hyps = {}
-    for i, h in enumerate(halfspaces):
-        hyps.setdefault(h.hyperplane, []).append(i)
-    distinct = sorted(hyps)
-    verts = []
-    seen = set()
-    for combo in combinations(range(len(distinct)), nv):
-        sel = [rows[hyps[distinct[i]][0]] for i in combo]
-        sol = exact.solve_unique([r[:nv] for r in sel], [-r[nv] for r in sel])
-        if sol is None:
-            continue
-        if sol in seen:
-            continue
-        if all(dot(r[:nv], sol) + r[nv] >= 0 for r in rows):
-            seen.add(sol)
-            verts.append(sol)
-    return sorted(verts)
-
-
-def polytope_from_halfspaces(geometry, halfspaces):
-    """Build a convex polytope; Invalid(reason) when the definition fails.
-    ValueError for no half-spaces: they would leave no interior witness
-    on the sphere and an unbounded chart in E/H."""
-    halfspaces = tuple(dict.fromkeys(halfspaces))  # drop exact duplicates
-    if not halfspaces:
-        raise ValueError("a polytope needs at least one half-space")
-    g = geometry
-    nv = g.chart_dim
-    rows = [h.chart_row(g) for h in halfspaces]
-    witness = exact.feasible(rows, (), (), nv)
-    if witness is None:
-        if exact.feasible((), rows, (), nv) is None:
-            return Invalid(Invalid.EMPTY)
-        if g.kind == SPHERICAL and not recession_cone_nonzero(halfspaces, g):
-            return Invalid(Invalid.EMPTY)
-        return Invalid(Invalid.LOWER_DIMENSIONAL)
-    if not is_bounded(halfspaces, g):
-        return Invalid(Invalid.UNBOUNDED)
-    return ConvexPolytope(g, halfspaces, witness)
-
-
-def is_bounded(halfspaces, geometry):
-    """Boundedness per geometry (spec: vertex-norm test in the Klein chart)."""
-    if geometry.kind == SPHERICAL:
-        return True
-    if recession_cone_nonzero(halfspaces, geometry):
-        return False
-    if geometry.kind == HYPERBOLIC:
-        for v in _vertex_candidates(halfspaces, geometry):
-            if sum((frac(x) * frac(x) for x in v), F0) >= 1:
-                return False
-    return True
 
 
 def span_points(points):

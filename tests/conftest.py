@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -11,9 +12,11 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import groups as grp
 from geotits._kernel import IntMatrix, lattices_equal
-from geotits.exact import F0, F1, dot, frac, primitive_int_row
+from geotits.exact import F1, dot, frac, primitive_int_row
 from geotits.geometry import SPHERICAL, subspace_from_vectors
 
+
+F0 = Fraction(0)
 
 E1 = geo.Geometry("E", 1)
 E2 = geo.Geometry("E", 2)
@@ -215,6 +218,350 @@ def matrix_product(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Reference windows: Fourier-Motzkin feasibility, the recession-cone loop
+# and the Klein vertex test, and the window validation and restriction
+# built on them, which ``arrangement.polytope_from_halfspaces`` and
+# ``collection.restrict`` replaced by the arrangement of the window's walls
+
+
+def chart_dim(geometry):
+    """Number of chart variables of the feasibility systems: n in E/H,
+    n + 1 in S."""
+    return geometry.n + 1 if geometry.kind == SPHERICAL else geometry.n
+
+
+def chart_row(geometry, functional):
+    """Constraint row (vars..., const) of the functional in the chart: its
+    entries as given, so an integer covector gives an integer row.  E/H
+    move the x0 entry to the constant; S^n appends a constant 0."""
+    f = tuple(functional)
+    if geometry.kind == SPHERICAL:
+        return f + (0,)
+    return f[1:] + (f[0],)
+
+
+def _fm_normalize(coeffs, const):
+    row = primitive_int_row(list(coeffs) + [const])
+    return row[:-1], row[-1]
+
+
+def reference_feasible(strict_rows=(), nonstrict_rows=(), eq_rows=(), nvars=None):
+    """Exact rational witness of the constraint system, or None.
+
+    Rows are affine with trailing constant: ``a.x + c > 0`` (strict),
+    ``>= 0`` (nonstrict), ``= 0`` (equality).  Deterministic for fixed
+    input ordering.  Elimination keeps every row a primitive integer row
+    (a positive multiple of the rational row it stands for), so only the
+    back-substitution builds ``Fraction`` values.
+    """
+    groups = (strict_rows, nonstrict_rows, eq_rows)
+    if nvars is None:
+        for g in groups:
+            for r in g:
+                nvars = len(r) - 1
+                break
+            if nvars is not None:
+                break
+        if nvars is None:
+            raise ValueError("cannot infer variable count")
+
+    ineqs = []  # (coeff tuple, const, strict?)
+    for r in strict_rows:
+        ineqs.append(_fm_normalize(r[:nvars], r[nvars]) + (True,))
+    for r in nonstrict_rows:
+        ineqs.append(_fm_normalize(r[:nvars], r[nvars]) + (False,))
+    eqs = [_fm_normalize(r[:nvars], r[nvars]) for r in eq_rows]
+
+    steps = []  # reversed for back-substitution
+    live_vars = list(range(nvars))
+
+    def substitute_eq(var, pivot_row):
+        pc, pk = pivot_row
+        pv = pc[var]
+        # var = -(rest + pk)/pv; |pv| * row - sign(pv) * row[var] * pivot_row
+        # clears var and is a positive multiple of the rational substitution
+        apv = abs(pv)
+
+        def subst(c, k):
+            f = c[var] if pv > 0 else -c[var]
+            new = primitive_int_row(
+                tuple(apv * ci - f * pi for ci, pi in zip(c, pc)) + (apv * k - f * pk,)
+            )
+            return new[:-1], new[-1]
+
+        nonlocal ineqs, eqs
+        new_ineqs = []
+        for c, k, s in ineqs:
+            if c[var]:
+                nc, nk = subst(c, k)
+                new_ineqs.append((nc, nk, s))
+            else:
+                new_ineqs.append((c, k, s))
+        new_eqs = []
+        for c, k in eqs:
+            if (c, k) == pivot_row:
+                continue
+            if c[var]:
+                nc, nk = subst(c, k)
+                if any(nc[v] for v in live_vars):
+                    new_eqs.append((nc, nk))
+                elif nk != 0:
+                    new_eqs.append((nc, nk))  # contradiction kept for check
+            else:
+                new_eqs.append((c, k))
+        ineqs = new_ineqs
+        eqs = new_eqs
+        steps.append(("eq", var, pivot_row))
+
+    def fm_eliminate(var):
+        nonlocal ineqs
+        pos, neg, rest = [], [], []
+        for row in ineqs:
+            cv = row[0][var]
+            if cv > 0:
+                pos.append(row)
+            elif cv < 0:
+                neg.append(row)
+            else:
+                rest.append(row)
+        combined = []
+        seen = set()
+        for pc, pk, ps in pos:
+            for ncf, nk, ns in neg:
+                a, b = pc[var], -ncf[var]
+                row = primitive_int_row(
+                    tuple(b * x + a * y for x, y in zip(pc, ncf)) + (b * pk + a * nk,)
+                )
+                new = (row[:-1], row[-1], ps or ns)
+                if new in seen:
+                    continue
+                seen.add(new)
+                combined.append(new)
+        ineqs = rest + combined
+        steps.append(("fm", var, pos + neg))
+
+    while live_vars:
+        # prefer equality pivots, else eliminate the cheapest variable
+        pivot = None
+        for row in eqs:
+            for var in live_vars:
+                if row[0][var]:
+                    pivot = (var, row)
+                    break
+            if pivot:
+                break
+        if pivot:
+            var, row = pivot
+            substitute_eq(var, row)
+            live_vars.remove(var)
+            continue
+        best_var, best_cost = None, None
+        for var in live_vars:
+            p = sum(1 for c, _, _ in ineqs if c[var] > 0)
+            q = sum(1 for c, _, _ in ineqs if c[var] < 0)
+            cost = p * q if (p or q) else 0
+            if best_cost is None or cost < best_cost:
+                best_var, best_cost = var, cost
+        fm_eliminate(best_var)
+        live_vars.remove(best_var)
+
+    for c, k in eqs:
+        if k != 0:
+            return None
+    for c, k, s in ineqs:
+        if s and not k > 0:
+            return None
+        if not s and not k >= 0:
+            return None
+
+    # Back-substitution.
+    witness = [F0] * nvars
+    for kind, var, data in reversed(steps):
+        if kind == "eq":
+            pc, pk = data
+            pv = pc[var]
+            rest = sum(
+                (pc[j] * witness[j] for j in range(nvars) if j != var and pc[j]), F0
+            ) + pk
+            witness[var] = -rest / pv
+        else:
+            lo = hi = None
+            lo_s = hi_s = False
+            for c, k, s in data:
+                cv = c[var]
+                rest = sum(
+                    (c[j] * witness[j] for j in range(nvars) if j != var and c[j]), F0
+                ) + k
+                bound = -rest / cv
+                if cv > 0:  # var >(=) bound
+                    if lo is None or bound > lo:
+                        lo, lo_s = bound, s
+                    elif bound == lo:
+                        lo_s = lo_s or s
+                else:  # var <(=) bound
+                    if hi is None or bound < hi:
+                        hi, hi_s = bound, s
+                    elif bound == hi:
+                        hi_s = hi_s or s
+            if lo is None and hi is None:
+                witness[var] = F0
+            elif lo is None:
+                witness[var] = hi - 1 if hi_s else hi
+            elif hi is None:
+                witness[var] = lo + 1 if lo_s else lo
+            else:
+                # FM consistency forces lo < hi whenever either side is
+                # strict, so the midpoint (or the common value) is valid.
+                witness[var] = (lo + hi) / 2 if lo != hi else lo
+
+    value = tuple(witness)
+    reference_check_witness(value, strict_rows, nonstrict_rows, eq_rows)
+    return value
+
+
+def reference_int_point(x):
+    """(D*x, D) for a rational point x, with D the lcm of its denominators.
+    For an affine row r = (a, c), r . (D*x, D) = D * (a . x + c) has the
+    sign of the row's value at x, since D > 0, and it is an integer for
+    an integer row."""
+    ratios = [v.as_integer_ratio() for v in x]
+    den = lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios] + [den]
+
+
+def reference_check_witness(x, strict_rows, nonstrict_rows, eq_rows):
+    """Test every row at the witness x, in integers through
+    ``reference_int_point``."""
+    point = reference_int_point(x)
+    for r in strict_rows:
+        if not dot(r, point) > 0:
+            raise AssertionError("witness violates strict constraint")
+    for r in nonstrict_rows:
+        if not dot(r, point) >= 0:
+            raise AssertionError("witness violates constraint")
+    for r in eq_rows:
+        if dot(r, point) != 0:
+            raise AssertionError("witness violates equality")
+
+
+def reference_solve_unique(a_rows, b):
+    """Solve A x = b when A is square nonsingular; None otherwise."""
+    n = len(a_rows)
+    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
+    red, pivots = exact.rref(aug)
+    if list(pivots) != list(range(n)):
+        return None
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(red))
+
+
+def reference_recession_cone_nonzero(halfspaces, geometry):
+    """Recession cone of the chart polyhedron is nonzero?  For E/H that
+    is unboundedness; spherical chart rows are linear already, so for S
+    it says the cone of the half-spaces is not {0}."""
+    nv = chart_dim(geometry)
+    linear = [chart_row(geometry, h.functional)[:nv] + (0,) for h in halfspaces]
+    for i in range(nv):
+        for s in (1, -1):
+            eq = [0] * (nv + 1)
+            eq[i] = s
+            eq[nv] = -1
+            if reference_feasible((), linear, [tuple(eq)], nv) is not None:
+                return True
+    return False
+
+
+def reference_vertex_candidates(halfspaces, geometry):
+    """Exact chart vertices of the (assumed bounded) chart polyhedron."""
+    nv = geometry.n
+    rows = [chart_row(geometry, h.functional) for h in halfspaces]
+    hyps = {}
+    for i, h in enumerate(halfspaces):
+        hyps.setdefault(h.hyperplane, []).append(i)
+    distinct = sorted(hyps)
+    verts = []
+    seen = set()
+    for combo in combinations(range(len(distinct)), nv):
+        sel = [rows[hyps[distinct[i]][0]] for i in combo]
+        sol = reference_solve_unique([r[:nv] for r in sel], [-r[nv] for r in sel])
+        if sol is None:
+            continue
+        if sol in seen:
+            continue
+        if all(dot(r[:nv], sol) + r[nv] >= 0 for r in rows):
+            seen.add(sol)
+            verts.append(sol)
+    return sorted(verts)
+
+
+def reference_polytope_from_halfspaces(geometry, halfspaces):
+    """Build a convex polytope by Fourier-Motzkin; Invalid(reason) when
+    the definition fails.
+    ValueError for no half-spaces: they would leave no interior witness
+    on the sphere and an unbounded chart in E/H."""
+    halfspaces = tuple(dict.fromkeys(halfspaces))  # drop exact duplicates
+    if not halfspaces:
+        raise ValueError("a polytope needs at least one half-space")
+    g = geometry
+    nv = chart_dim(g)
+    rows = [chart_row(g, h.functional) for h in halfspaces]
+    witness = reference_feasible(rows, (), (), nv)
+    if witness is None:
+        if reference_feasible((), rows, (), nv) is None:
+            return geo.Invalid(geo.Invalid.EMPTY)
+        if g.kind == SPHERICAL and not reference_recession_cone_nonzero(halfspaces, g):
+            return geo.Invalid(geo.Invalid.EMPTY)
+        return geo.Invalid(geo.Invalid.LOWER_DIMENSIONAL)
+    if not reference_is_bounded(halfspaces, g):
+        return geo.Invalid(geo.Invalid.UNBOUNDED)
+    return geo.ConvexPolytope(g, halfspaces, witness)
+
+
+def reference_is_bounded(halfspaces, geometry):
+    """Boundedness per geometry (spec: vertex-norm test in the Klein chart)."""
+    if geometry.kind == SPHERICAL:
+        return True
+    if reference_recession_cone_nonzero(halfspaces, geometry):
+        return False
+    if geometry.kind == geo.HYPERBOLIC:
+        for v in reference_vertex_candidates(halfspaces, geometry):
+            if sum((frac(x) * frac(x) for x in v), F0) >= 1:
+                return False
+    return True
+
+
+def reference_restrict(collection, polytope):
+    """Sub-poset L|A of members meeting the convex polytope A."""
+    g = collection.geometry
+    rows = [chart_row(g, h.functional) for h in polytope.halfspaces]
+    nv = chart_dim(g)
+    kept = []
+    for m in collection.members:
+        if m.is_top():
+            kept.append(m)
+            continue
+        # carrier constraint: chart vector lies in the carrier
+        normal_rows = [chart_row(g, f) for f in m.carrier.orthogonal_complement().basis]
+        if g.kind == SPHERICAL:
+            hit = any(
+                reference_feasible([d], rows, normal_rows, nv) is not None
+                for d in _nonzero_directions(nv)
+            )
+        else:
+            hit = reference_feasible((), rows, normal_rows, nv) is not None
+        if hit:
+            kept.append(m)
+    return tuple(kept)
+
+
+def _nonzero_directions(nv):
+    for i in range(nv):
+        for s in (1, -1):
+            row = [0] * (nv + 1)
+            row[i] = s
+            yield tuple(row)
+
+
+# ---------------------------------------------------------------------------
 # Reference arrangement: the incremental build by Fourier-Motzkin
 # feasibility that ``arrangement.build_arrangement`` replaced
 
@@ -236,7 +583,7 @@ def solve_affine(rows, rhs):
 
 def min_norm_point(nonstrict_rows, eq_rows, nvars):
     """(min ||x||^2, argmin) over the closed polyhedron, None if empty."""
-    if exact.feasible((), nonstrict_rows, eq_rows, nvars) is None:
+    if reference_feasible((), nonstrict_rows, eq_rows, nvars) is None:
         return None
     ineq = [tuple(map(frac, r)) for r in nonstrict_rows]
     eqs = [tuple(map(frac, r)) for r in eq_rows]
@@ -252,7 +599,7 @@ def min_norm_point(nonstrict_rows, eq_rows, nvars):
                 if hom:
                     gram = [[dot(u, v) for v in hom] for u in hom]
                     rhs = [-dot(u, x0) for u in hom]
-                    t = exact.solve_unique(gram, rhs)
+                    t = reference_solve_unique(gram, rhs)
                     x = list(x0)
                     for ti, h in zip(t, hom):
                         for j in range(nvars):
@@ -274,7 +621,7 @@ def min_norm_point(nonstrict_rows, eq_rows, nvars):
 
 def _ball_interior_witness(strict, nonstrict, eqs, nv):
     """Witness of the system strictly inside the unit ball, or None."""
-    w = exact.feasible(strict, nonstrict, eqs, nv)
+    w = reference_feasible(strict, nonstrict, eqs, nv)
     if w is None:
         return None
     if sum((x * x for x in w), F0) < 1:
@@ -300,10 +647,10 @@ def _reference_witness(g, covectors, sign_vector, within_rows):
     """Interior witness of the candidate cell, or None if empty.  On S^n a
     subsphere (no strict sign) takes a basis vector, or with a window a
     point of it in the window that is nonzero at some coordinate."""
-    nv = g.chart_dim
+    nv = chart_dim(g)
     strict, eqs = [], []
     for s, cov in zip(sign_vector, covectors):
-        row = geo.functional_chart_row(g, cov)
+        row = chart_row(g, cov)
         if s:
             strict.append(row if s > 0 else tuple(-x for x in row))
         else:
@@ -315,10 +662,10 @@ def _reference_witness(g, covectors, sign_vector, within_rows):
         if not within_rows:
             return flat.basis[0]
         units = (tuple(s * (k == i) for k in range(nv + 1)) for i in range(nv) for s in (1, -1))
-        return next(filter(None, (exact.feasible([d], within_rows, eqs, nv) for d in units)), None)
+        return next(filter(None, (reference_feasible([d], within_rows, eqs, nv) for d in units)), None)
     if g.kind != geo.HYPERBOLIC or within_rows:
         # a bounded window A lies strictly inside the Klein ball already
-        return exact.feasible(strict, within_rows, eqs, nv)
+        return reference_feasible(strict, within_rows, eqs, nv)
     return _ball_interior_witness(strict, within_rows, eqs, nv)
 
 
@@ -329,18 +676,18 @@ def reference_build_arrangement(coll, within=None):
     Klein ball on global H^n)."""
     g = coll.geometry
     covectors = tuple(sorted(coll.hyperplane_covectors))
-    within_rows = [h.chart_row(g) for h in within.halfspaces] if within is not None else []
-    nv = g.chart_dim
+    within_rows = [chart_row(g, h.functional) for h in within.halfspaces] if within is not None else []
+    nv = chart_dim(g)
     if within is not None:
         base = within.interior_witness
     else:
         base = tuple([F1 if g.kind == SPHERICAL else F0] + [F0] * (nv - 1))
     partial = {(): base}
     for m, cov in enumerate(covectors):
-        row = geo.functional_chart_row(g, cov)
+        row = chart_row(g, cov)
         updated = {}
         for signs, witness in sorted(partial.items()):
-            val = dot(row, exact.int_point(witness))
+            val = dot(row, reference_int_point(witness))
             s0 = (val > 0) - (val < 0)
             updated[signs + (s0,)] = witness
             flat = _reference_flat(g, covectors[:m], signs)
@@ -468,14 +815,14 @@ def _build_faces(geometry, halfspaces, vertices):
 
 
 def reference_polytope(g, halfspaces):
-    """The polytope ``geo.polytope_from_halfspaces`` builds (asserted
+    """The polytope ``reference_polytope_from_halfspaces`` builds (asserted
     valid), with the vertices and faces its constructor used to add:
     vertex candidates in E/H, extreme rays of a pointed cone in S."""
-    p = geo.polytope_from_halfspaces(g, halfspaces)
+    p = reference_polytope_from_halfspaces(g, halfspaces)
     assert not isinstance(p, geo.Invalid), p.reason
     hs = p.halfspaces
     if g.kind != geo.SPHERICAL:
-        vertices = geo._vertex_candidates(hs, g)
+        vertices = reference_vertex_candidates(hs, g)
     elif exact.rank([h.functional for h in hs]) == g.ambient_dim:
         vertices = _extreme_rays(hs, g)
     else:
@@ -500,12 +847,12 @@ def region_halfspaces(poset, sign_vector):
 
 def region_is_bounded(poset, cell):
     """Boundedness of a cell's closure by linear programs
-    (``geo.is_bounded``), kept as the oracle for ``FacePoset.bounded``."""
+    (``reference_is_bounded``), kept as the oracle for ``FacePoset.bounded``."""
     halfspaces = list(region_halfspaces(poset, cell.sign_vector))
     for s, cov in zip(cell.sign_vector, poset.covectors):
         if s == 0:  # flat equations as opposite half-space pairs
             halfspaces += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
-    return geo.is_bounded(halfspaces, poset.geometry)
+    return reference_is_bounded(halfspaces, poset.geometry)
 
 
 def region_polytope(poset, sign_vector):
@@ -527,20 +874,20 @@ def subdivide(polytope, cutter_covectors):
     cutters, found by feasibility of each sign pattern."""
     g = polytope.geometry
     cutters = tuple(sorted(set(geo.canonical_covector(c) for c in cutter_covectors)))
-    nv = g.chart_dim
-    base_rows = [h.chart_row(g) for h in polytope.halfspaces]
+    nv = chart_dim(g)
+    base_rows = [chart_row(g, h.functional) for h in polytope.halfspaces]
     parts = [()]
     for cov in cutters:
-        row = geo.functional_chart_row(g, cov)
+        row = chart_row(g, cov)
         new_parts = []
         for signs in parts:
             rows = list(base_rows)
             for s2, c2 in zip(signs, cutters):
-                r2 = geo.functional_chart_row(g, c2)
+                r2 = chart_row(g, c2)
                 rows.append(r2 if s2 > 0 else tuple(-x for x in r2))
             for s in (1, -1):
                 extra = row if s > 0 else tuple(-x for x in row)
-                if exact.feasible(rows + [extra], (), (), nv) is not None:
+                if reference_feasible(rows + [extra], (), (), nv) is not None:
                     new_parts.append(signs + (s,))
         parts = new_parts
     out = []
@@ -564,16 +911,16 @@ def facet_map(q, u_covector, poset_u=None, basis_u=None):
     is supplied, else None."""
     g = q.geometry
     u = geo.canonical_covector(u_covector)
-    urow = geo.functional_chart_row(g, u)
-    nv = g.chart_dim
-    allrows = [h.chart_row(g) for h in q.halfspaces]
-    plus = exact.feasible(allrows + [urow], (), (), nv) is not None
-    minus = exact.feasible(allrows + [tuple(-x for x in urow)], (), (), nv) is not None
+    urow = chart_row(g, u)
+    nv = chart_dim(g)
+    allrows = [chart_row(g, h.functional) for h in q.halfspaces]
+    plus = reference_feasible(allrows + [urow], (), (), nv) is not None
+    minus = reference_feasible(allrows + [tuple(-x for x in urow)], (), (), nv) is not None
     if plus and minus:
         return ZERO  # u cuts the interior: no facet along u
     side = 1 if plus else -1
-    qrows = [h.chart_row(g) for h in q.halfspaces if h.hyperplane != u]
-    if exact.feasible(qrows, (), [urow], nv) is None:
+    qrows = [chart_row(g, h.functional) for h in q.halfspaces if h.hyperplane != u]
+    if reference_feasible(qrows, (), [urow], nv) is None:
         return ZERO  # contact has dimension < n-1
     if basis_u is None:
         return (side, None)
@@ -850,7 +1197,7 @@ def _spherical_projection_coords(rays):
     """Affine coordinates of cone rays on a cutting hyperplane {c.x = 1}."""
     nv = len(rays[0])
     rows = [tuple(map(frac, r)) + (Fraction(-1),) for r in rays]
-    c = exact.feasible((), rows, (), nv)
+    c = reference_feasible((), rows, (), nv)
     if c is None:
         raise ValueError("rays do not span a pointed cone")
     out = []

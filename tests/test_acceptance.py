@@ -122,7 +122,7 @@ def test_criterion_6_a_local_theorem():
     for label, g, covs, window_covs in cases:
         with Budget(6, f"A-local theorem, {label}", 30):
             coll = coll_mod.closure_by_hyperplanes(g, covs)
-            window = geo.polytope_from_halfspaces(g, [geo.HalfSpace(c) for c in window_covs])
+            window = arr.polytope_from_halfspaces(g, [geo.HalfSpace(c) for c in window_covs])
             assert isinstance(window, geo.ConvexPolytope)
             members = coll_mod.restrict(coll, window)
             poset = arr.build_arrangement(coll, within=window)
@@ -136,7 +136,7 @@ def test_criterion_6_a_local_theorem():
 
 def test_criterion_7_exact_sequences():
     h2_coll = coll_mod.closure_by_hyperplanes(H2, H2_TRIANGLE_COVS)
-    h2_window = geo.polytope_from_halfspaces(
+    h2_window = arr.polytope_from_halfspaces(
         H2, [geo.HalfSpace(c) for c in H2_TRIANGLE_COVS]
     )
     cases = [

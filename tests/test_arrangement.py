@@ -14,7 +14,7 @@ from geotits import exact, geometry as geo
 from geotits.cli import Scene, corpus_dir
 from conftest import (
     E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, reference_build_arrangement, reference_polytope,
-    region_polytope, subdivide,
+    reference_polytope_from_halfspaces, region_polytope, subdivide,
 )
 
 
@@ -106,10 +106,10 @@ def test_indicator_vectors(triangle):
 
 
 def test_subdivide():
-    t = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    t = arr.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
     assert len(subdivide(t, [(1, -4, 0)])) == 2
     assert len(subdivide(t, [(5, -1, -1)])) == 1
-    square = geo.polytope_from_halfspaces(
+    square = arr.polytope_from_halfspaces(
         E2,
         [
             geo.HalfSpace((0, 1, 0)),
@@ -173,21 +173,21 @@ def test_indicator_kernel_is_subdivision_lattice(four_lines):
 
 
 def test_facet_map_sides():
-    t = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    t = arr.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
     side, _ = facet_map(t, (0, 0, 1))
     assert side == 1
-    reflected = geo.polytope_from_halfspaces(
+    reflected = arr.polytope_from_halfspaces(
         E2,
         [geo.HalfSpace((0, 0, 1), sense=-1), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((1, -1, 1))],
     )
     side2, _ = facet_map(reflected, (0, 0, 1))
     assert side2 == -1
-    corner = geo.polytope_from_halfspaces(
+    corner = arr.polytope_from_halfspaces(
         E2,
         [geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, -1, 1)), geo.HalfSpace((1, 0, -1))],
     )
     assert facet_map(corner, (0, 0, 1)) == ZERO
-    square = geo.polytope_from_halfspaces(
+    square = arr.polytope_from_halfspaces(
         E2,
         [
             geo.HalfSpace((0, 1, 0)),
@@ -283,34 +283,6 @@ def test_spherical_cofacet_both_sides(coord_s2):
     assert len(lifts) == 2
 
 
-def test_build_makes_no_feasibility_call(monkeypatch):
-    """build_arrangement calls exact.feasible zero times on every corpus
-    scene, globally and within its window.  The calls left are those that
-    validate a scene's window polytope_A, and every row they get is
-    all-int."""
-    rows, calls = [], []
-    feasible = exact.feasible
-
-    def recording(strict=(), nonstrict=(), eqs=(), nvars=None):
-        calls.append(1)
-        rows.extend([*strict, *nonstrict, *eqs])
-        return feasible(strict, nonstrict, eqs, nvars)
-
-    monkeypatch.setattr(exact, "feasible", recording)
-    cases = []
-    for path in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
-        if path.name.endswith(".json"):
-            scene = Scene(json.loads(path.read_text()))
-            coll, _ = scene.collection()
-            cases += [(coll, within) for within in dict.fromkeys((None, scene.polytope_a))]
-    assert len(cases) > len(calls) > 0
-    assert all(type(x) is int for row in rows for x in row)
-    del calls[:]
-    for coll, within in cases:
-        arr.build_arrangement(coll, within=within)
-    assert not calls
-
-
 def _assert_matches_reference(poset, ref):
     """Equal sign vectors (in order), flats and dims; every witness
     strictly in its cell (and in the Klein ball on H^n); and the
@@ -397,7 +369,7 @@ def test_build_matches_reference_on_random_scenes(kind, n):
         for _ in range(4):
             sides = [geo.HalfSpace(c, sense=rng.choice((1, -1)))
                      for c in covs if rng.random() < 0.5]
-            window = geo.polytope_from_halfspaces(g, box + sides)
+            window = arr.polytope_from_halfspaces(g, box + sides)
             if not isinstance(window, geo.Invalid):
                 windows += 1
                 _assert_matches_reference(arr.build_arrangement(boxed, within=window),
@@ -414,10 +386,73 @@ def test_reference_keeps_spherical_windows():
     g = geo.Geometry("S", 3)
     coll = coll_mod.Collection(g, [geo.top_subspace(g)],
                                [(0, 1, -2, 2), (1, 0, -1, -2), (1, 1, 1, -1)])
-    window = geo.polytope_from_halfspaces(g, [geo.HalfSpace((1, 1, 1, -1), sense=-1)])
+    window = arr.polytope_from_halfspaces(g, [geo.HalfSpace((1, 1, 1, -1), sense=-1)])
     poset = arr.build_arrangement(coll, within=window)
     assert (0, 0, 1) not in poset.cells and (0, 0, -1) in poset.cells
     _assert_matches_reference(poset, reference_build_arrangement(coll, within=window))
+
+
+def _random_window(rng, g):
+    """One to four half-spaces with entries in [-3, 3], with a box of
+    half-width 1/8 to 1/2 about a center in [-1, 1]^n half the time (so
+    in H^n some boxes leave the ball) and the opposite side of one wall
+    a quarter of the time."""
+    amb = g.ambient_dim
+    hs = []
+    while len(hs) < rng.randint(1, 4):
+        f = [rng.randint(-3, 3) for _ in range(amb)]
+        if any(f):
+            hs.append(geo.HalfSpace(f))
+    if rng.random() < 0.5:
+        w = Fr(rng.randint(1, 4), 8)
+        for i in range(1, amb):
+            c = Fr(rng.randint(-8, 8), 8)
+            unit = [int(k == i) for k in range(amb)]
+            hs += [geo.HalfSpace([w - c] + unit[1:]), geo.HalfSpace([w + c] + [-x for x in unit[1:]])]
+    if rng.random() < 0.25:
+        hs.append(geo.HalfSpace(rng.choice(hs).functional, sense=-1))
+    rng.shuffle(hs)
+    return hs
+
+
+# windows that random draws seldom give: an ideal vertex in H^n, opposite
+# sides of one wall alone, an S^n cone that is {0}, a wall at infinity
+SPECIAL_WINDOWS = {
+    "E": [[(0, 1, 0), (0, -1, 0)], [(-1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, -1)]],
+    "H": [TRIANGLE_COVS, [(0, 1), (1, -1)], [(2, 1, 1), (2, -1, 1), (0, 0, -1)],
+          [(-2, 1, 0), (3, -1, 0), (0, 0, 1), (1, 0, -1)], [(1, 0, 0), (-1, 0, 0)]],
+    "S": [[(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 0, 0), (-1, 0, 0)],
+          [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)], [(1,), (1,)]],
+}
+
+
+@pytest.mark.parametrize("kind", "EHS")
+def test_window_verdicts_match_reference(kind):
+    """``polytope_from_halfspaces`` gives the Fourier-Motzkin reference's
+    verdict on seeded windows in dimensions 1 to 3 and on
+    ``SPECIAL_WINDOWS``, H^n decided in its Euclidean chart, and every
+    reason occurs (S^n has no unbounded window).  A valid window's
+    witness lies strictly inside it, and inside the ball in H^n."""
+    rng = random.Random(f"windows/{kind}")
+    cases = [(geo.Geometry(kind, len(covs[0]) - 1), [geo.HalfSpace(c) for c in covs])
+             for covs in SPECIAL_WINDOWS[kind]]
+    for trial in range(240):
+        g = geo.Geometry(kind, 1 + trial % 3)
+        cases.append((g, _random_window(rng, g)))
+    reasons = []
+    for g, hs in cases:
+        got = arr.polytope_from_halfspaces(g, hs)
+        want = reference_polytope_from_halfspaces(g, hs)
+        reason = got.reason if isinstance(got, geo.Invalid) else "VALID"
+        assert reason == (want.reason if isinstance(want, geo.Invalid) else "VALID"), (g, hs)
+        reasons.append(reason)
+        if reason == "VALID":
+            v = geo.chart_vector(g, got.interior_witness)
+            assert all(exact.dot(h.functional, v) > 0 for h in hs)
+            assert kind != "H" or sum(x * x for x in got.interior_witness) < 1
+    want = {"EMPTY", "LOWER_DIMENSIONAL", "VALID"} | ({"UNBOUNDED"} if kind != "S" else set())
+    assert set(reasons) == want
+    assert min(reasons.count(r) for r in want) >= 5
 
 
 HASH_SEED_SCRIPT = """

@@ -354,6 +354,51 @@ def test_s4_ten_generic_arrangement_report_pinned(capsys):
     assert got == scene.with_suffix(".sha256").read_text().strip()
 
 
+@pytest.mark.parametrize("name", ["e2_square_window", "h2_triangle"])
+def test_window_arrangement_report_pinned_under_two_hash_seeds(name):
+    """The window's interior witness reaches a report only through the
+    partition samples of ``arrangement``, so the two windowed corpus
+    scenes pin that report, in fresh interpreters under two hash seeds."""
+    want = (TEST_SCENES / f"{name}_arrangement.sha256").read_text().strip()
+    for hash_seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geotits.cli", "arrangement", scene_path(name)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_PASS
+        assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
+# 17 lines 10 = a x + b y, each a distinct wall of a polygon about 0
+POLYGON_WALLS = [["10", str(-a), str(-b)] for a, b in [
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1), (-1, 0),
+    (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1), (3, 1)]]
+
+
+def test_window_wall_guard(tmp_path, capsys):
+    """A window with more distinct walls than the arrangement guard is a
+    scene error (exit 2) named at load time; opposite sides of one wall
+    count once, so 16 walls in 17 half-spaces load (here as a segment,
+    which is lower dimensional)."""
+    line = [["0", "1", "0"]]
+    path = tmp_path / "walls.json"
+    path.write_text(json.dumps({"geometry": "E", "n": 2, "hyperplanes": line,
+                                "polytope_A": {"halfspaces": POLYGON_WALLS}}))
+    with pytest.raises(SceneError, match="17 distinct walls exceed the guard 16"):
+        Scene(json.loads(path.read_text()))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_INVALID_SCENE
+    assert "17 distinct walls exceed the guard 16" in capsys.readouterr().err
+    opposite = ["-10", "2", "1"]  # the far side of the wall 2x + y = 10
+    with pytest.raises(SceneError, match="LOWER_DIMENSIONAL"):
+        Scene({"geometry": "E", "n": 2, "hyperplanes": line,
+               "polytope_A": {"halfspaces": POLYGON_WALLS[:16] + [opposite]}})
+    scene = Scene({"geometry": "E", "n": 2, "hyperplanes": line,
+                   "polytope_A": {"halfspaces": POLYGON_WALLS[:16]}})
+    assert len(scene.polytope_a.halfspaces) == 16
+
+
 def test_scene_digest_stable():
     s1 = load("e2_triangle")
     s2 = load("e2_triangle")
@@ -471,7 +516,10 @@ def test_scene_collection_built_once(name, commands):
 def test_scene_arrangement_built_once(name, commands, monkeypatch):
     """Commands on one Scene share one face poset and region basis, and
     their reports match those of a fresh Scene byte for byte.  Only
-    exact-seq builds a second arrangement, that of L cup U."""
+    exact-seq builds a second arrangement, that of L cup U.  The
+    arrangements of a window's own walls (``arr.window_arrangement``, a
+    collection with no members), which validate the window and restrict
+    to it, are not the scene's and are not counted."""
     fresh = {cmd: _report_bytes(load(name), *cmd) for cmd in commands}
     built = []
     build = cli.arr.build_arrangement
@@ -480,6 +528,7 @@ def test_scene_arrangement_built_once(name, commands, monkeypatch):
     shared = load(name)
     for cmd in commands:
         assert _report_bytes(shared, *cmd) == fresh[cmd]
+    built = [coll for coll in built if coll.members]
     assert built[0] is shared.collection()[0]
     assert len(built) == 1 + (("verify", "exact-seq") in commands)
 

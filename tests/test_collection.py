@@ -1,8 +1,14 @@
+import json
+import random
+from fractions import Fraction as Fr
+
 import pytest
 
+from geotits import arrangement as arr
+from geotits import cli
 from geotits import collection as coll_mod
 from geotits import geometry as geo
-from conftest import E2, S0, S2, H2, TRIANGLE_COVS
+from conftest import E2, S0, S2, H2, TRIANGLE_COVS, reference_restrict
 
 
 def test_triangle_closure(triangle):
@@ -52,7 +58,7 @@ def test_variants_counts(triangle):
 
 
 def test_restrict(triangle):
-    a = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    a = arr.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
     assert len(coll_mod.restrict(triangle, a)) == 7
     far = coll_mod.closure_by_hyperplanes(E2, list(TRIANGLE_COVS) + [(5, -1, -1)])
     kept = coll_mod.restrict(far, a)
@@ -67,13 +73,91 @@ def test_restrict_intersection_outside_window():
     # cross each other at (3, 9/4), far outside it
     covs = [(0, 1, 0), (0, 0, 1), (1, -1, -1), (-3, 4, -4), (-3, -2, 4)]
     coll = coll_mod.closure_by_hyperplanes(E2, covs)
-    a = geo.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    a = arr.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
     l1 = geo.hyperplane_subspace(E2, (-3, 4, -4))
     l2 = geo.hyperplane_subspace(E2, (-3, -2, 4))
     crossing = geo.meet_hyperplane(l1, (-3, -2, 4))
     kept = coll_mod.restrict(coll, a)
     assert l1 in kept and l2 in kept
     assert crossing in coll.members and crossing not in kept
+
+
+def test_restrict_matches_reference_on_windowed_corpus_scenes():
+    windowed = 0
+    for path in sorted(cli.corpus_dir().glob("*.json")):
+        scene = cli.Scene(json.loads(path.read_text()))
+        if scene.polytope_a is not None:
+            windowed += 1
+            coll, _ = scene.collection()
+            kept = coll_mod.restrict(coll, scene.polytope_a)
+            assert kept == reference_restrict(coll, scene.polytope_a), path.name
+    assert windowed == 2
+
+
+def _random_windowed_collection(rng, g, mode):
+    """(collection, window): 2-4 generic-ish hyperplanes, or 2-4 points,
+    drawn until the closure exists, and a box about a point of the chart
+    cut by one random half-space, drawn until it is a valid window."""
+    amb = g.ambient_dim
+    while True:
+        try:
+            if mode == "hyperplanes":
+                covs = {geo.canonical_covector([rng.randint(-3, 3) for _ in range(amb)])
+                        for _ in range(rng.randint(2, 4))}
+                coll = coll_mod.closure_by_hyperplanes(g, sorted(covs))
+            else:
+                pts = [geo.point_subspace(g, [Fr(rng.randint(-4, 4), 5) for _ in range(g.n)]
+                                          if g.kind != geo.SPHERICAL
+                                          else [rng.randint(-3, 3) for _ in range(amb)])
+                       for _ in range(rng.randint(2, 4))]
+                coll, _ = coll_mod.closure_by_points(g, pts)
+        except ValueError:  # a zero covector or point, or a hyperplane off H^n
+            continue
+        break
+    while True:
+        w = Fr(rng.randint(1, 4), 10)
+        hs = []
+        for i in range(1, amb):
+            c = Fr(rng.randint(-3, 3), 10)
+            unit = [int(k == i) for k in range(amb)]
+            hs += [geo.HalfSpace([w - c] + unit[1:]), geo.HalfSpace([w + c] + [-x for x in unit[1:]])]
+        if g.kind == geo.SPHERICAL and rng.random() < 0.5:
+            hs = hs[1:]  # not pointed: in S^1, a hemisphere
+        f = [rng.randint(-3, 3) for _ in range(amb)]
+        if any(f) and rng.random() < 0.7:
+            hs.append(geo.HalfSpace(f))
+        window = arr.polytope_from_halfspaces(g, hs)
+        if not isinstance(window, geo.Invalid):
+            return coll, window
+
+
+@pytest.mark.parametrize("mode", ["hyperplanes", "points"])
+def test_restrict_matches_reference_on_random_collections(mode):
+    """Seeded E/H/S collections in dimensions 1 to 3, each with a random
+    valid window: ``restrict`` keeps the members the Fourier-Motzkin
+    reference keeps."""
+    rng = random.Random(f"restrict/{mode}")
+    dropped = 0
+    for trial in range(72):
+        g = geo.Geometry("EHS"[trial % 3], 1 + trial // 3 % 3)
+        coll, window = _random_windowed_collection(rng, g, mode)
+        kept = coll_mod.restrict(coll, window)
+        assert kept == reference_restrict(coll, window), (g, trial)
+        dropped += len(kept) < len(coll.members)
+    assert dropped >= 10
+
+
+def test_restrict_matches_reference_on_non_generating_points():
+    """Points on one line of E^2 do not generate: the points are members
+    but not flats of the collection's one hyperplane.  The window keeps
+    the line and the two points in it."""
+    pts = [geo.point_subspace(E2, p) for p in [(0, 0), (Fr(1, 4), Fr(1, 4)), (3, 3)]]
+    coll, generating = coll_mod.closure_by_points(E2, pts)
+    assert not generating
+    a = arr.polytope_from_halfspaces(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
+    kept = coll_mod.restrict(coll, a)
+    assert kept == reference_restrict(coll, a)
+    assert pts[2] not in kept and {pts[0], pts[1]} < set(kept) and len(kept) == 3
 
 
 def test_dualize(coord_s2):

