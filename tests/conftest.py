@@ -1,3 +1,7 @@
+import collections
+import contextlib
+import pathlib
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -17,6 +21,27 @@ from geotits.geometry import SPHERICAL, subspace_from_vectors
 
 
 F0 = Fraction(0)
+
+LINEAR_PROGRAM_NAMES = ("feasible", "is_bounded", "recession_cone_nonzero", "_vertex_candidates")
+GEOTITS_SRC = str(pathlib.Path(arr.__file__).resolve().parent)
+
+
+@contextlib.contextmanager
+def src_calls():
+    """Count, by function name, the Python-level calls into
+    ``src/geotits`` made inside the block."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(GEOTITS_SRC):
+            counts[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
 
 E1 = geo.Geometry("E", 1)
 E2 = geo.Geometry("E", 2)

@@ -13,8 +13,8 @@ from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
 from geotits.cli import Scene, corpus_dir
 from conftest import (
-    E1, E2, H2, S0, TRIANGLE_COVS, ZERO, facet_map, reference_build_arrangement, reference_polytope,
-    reference_polytope_from_halfspaces, region_polytope, subdivide,
+    E1, E2, H2, LINEAR_PROGRAM_NAMES, S0, TRIANGLE_COVS, ZERO, facet_map, reference_build_arrangement,
+    reference_polytope, reference_polytope_from_halfspaces, region_polytope, src_calls, subdivide,
 )
 
 
@@ -281,6 +281,29 @@ def test_spherical_cofacet_both_sides(coord_s2):
     lifts = {region_sign, other}
     assert all(poset.cells[s].dim == 2 for s in lifts)
     assert len(lifts) == 2
+
+
+def test_build_makes_no_feasibility_call():
+    """No feasibility or boundedness test is left to call: loading each
+    corpus scene validates its window by arranging the window's walls,
+    and build_arrangement, globally and within the window, calls none of
+    ``LINEAR_PROGRAM_NAMES``."""
+    assert not [(m.__name__, name) for m in (exact, geo, arr, coll_mod)
+                for name in LINEAR_PROGRAM_NAMES if hasattr(m, name)]
+    cases = []
+    with src_calls() as loading:
+        for path in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
+            if path.name.endswith(".json"):
+                scene = Scene(json.loads(path.read_text()))
+                coll, _ = scene.collection()
+                cases += [(coll, within) for within in dict.fromkeys((None, scene.polytope_a))]
+    windows = sum(within is not None for _, within in cases)
+    assert windows > 0 and loading["window_arrangement"] >= windows
+    with src_calls() as building:
+        for coll, within in cases:
+            arr.build_arrangement(coll, within=within)
+    assert building["build_arrangement"] >= len(cases)
+    assert not set(LINEAR_PROGRAM_NAMES) & (set(loading) | set(building))
 
 
 def _assert_matches_reference(poset, ref):

@@ -20,6 +20,7 @@ Pt -> Ls image against the placing triangulation of that polytope
 
 import collections
 import functools
+import hashlib
 import json
 import pathlib
 import random
@@ -39,6 +40,7 @@ from conftest import (
     E3,
     H2,
     H3,
+    LINEAR_PROGRAM_NAMES,
     S2,
     ReferenceSphericalFaceChains,
     apartment_cycle_pt_polytope,
@@ -60,6 +62,7 @@ from conftest import (
     region_is_bounded,
     region_polytope,
     solve_affine,
+    src_calls,
     subdivide,
     top_cell,
 )
@@ -262,6 +265,18 @@ def test_facets_match_closure_scan(name):
         for s, c in poset.cells.items():
             want = tuple(t for t in by_dim[c.dim - 1] if leq(t, s))
             assert poset.facets(s) == want, arr.sign_key(s)
+
+
+def test_corpus_decides_boundedness_without_linear_programs(capsys):
+    """Boundedness is read off the face poset (``FacePoset.bounded``):
+    the corpus report keeps its pinned sha256 while none of
+    ``LINEAR_PROGRAM_NAMES`` is called."""
+    with src_calls() as calls:
+        assert cli.main(["corpus"]) == cli.EXIT_PASS
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == (TEST_SCENES / "corpus.sha256").read_text().strip()
+    assert calls["bounded"] > 0
+    assert not set(LINEAR_PROGRAM_NAMES) & set(calls)
 
 
 def _complete_flags(poset, sign):

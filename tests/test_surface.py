@@ -28,6 +28,8 @@ import ast
 import pathlib
 import re
 
+from conftest import LINEAR_PROGRAM_NAMES
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "geotits"
 EXEMPT = {("geotits.cli", "main"), ("geotits", "kernel_backend")}
 SHARED_MEMBER_NAMES = {
@@ -145,9 +147,6 @@ def test_no_callerless_definitions():
 
 def test_shared_member_names_are_listed():
     assert shared_member_names() == SHARED_MEMBER_NAMES
-
-
-LINEAR_PROGRAM_NAMES = ("feasible", "is_bounded", "recession_cone_nonzero", "_vertex_candidates")
 
 
 def test_src_names_no_linear_program():
