@@ -177,6 +177,7 @@ class Scene:
 
         self._collection = None
         self._arrangements = {}
+        self._window_members = None
         self.raw = self._normalize(data)
         self.digest = hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()
@@ -222,6 +223,13 @@ class Scene:
             poset = arr.build_arrangement(self.collection()[0], within=within)
             self._arrangements[within] = (poset, arr.region_basis(poset))
         return self._arrangements[within]
+
+    def window_members(self):
+        """L|A (``collection.restrict`` to ``polytope_a``), built on first
+        use and shared like ``collection()``."""
+        if self._window_members is None:
+            self._window_members = coll_mod.restrict(self.collection()[0], self.polytope_a)
+        return self._window_members
 
 
 def load_scene(path):
@@ -328,8 +336,7 @@ def homology_model(scene, which):
     if which == "local":
         if scene.polytope_a is None:
             raise HypothesesError("local homology needs polytope_A")
-        members = coll_mod.restrict(coll, scene.polytope_a)
-        return cx.relative_st_complex(list(members), coll.top()), None
+        return cx.relative_st_complex(scene.window_members(), coll.top()), None
     if which == "pt" and scene.geometry.kind == geo.SPHERICAL:
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
             raise HypothesesError("spherical PT homology needs an admissible collection; see verify suspension")
@@ -494,12 +501,14 @@ def _cell_apartments(coll, members, poset, basis):
 
 
 def verify_local(scene):
-    coll, _ = scene.collection()
-    n = scene.geometry.n
     if scene.polytope_a is None:
         raise HypothesesError("local verification needs polytope_A")
+    if scene.geometry.kind == geo.SPHERICAL:
+        raise HypothesesError("local verification is for E^n and H^n windows")
+    coll, _ = scene.collection()
+    n = scene.geometry.n
     poset, basis = scene.arrangement(scene.polytope_a)
-    members = coll_mod.restrict(coll, scene.polytope_a)
+    members = scene.window_members()
     h, res = _cell_apartments(coll, members, poset, basis)
     ok = res.iso and cx.wedge_verdict(h, n) and h.betti(n) == len(basis)
     return [{

@@ -2,18 +2,19 @@
 
 All complexes carry named basis elements (tuples of indices into sorted
 member/cell lists) and sparse integer boundaries; every constructor
-asserts boundary-squared = 0 exactly.  Most models are graded labels plus
-the alternating face rule (``face_complex``): the boundary of a label is
-the signed sum of its faces that lie in the basis.  The spherical PT
-bicomplex and its collapse model are assembled instead from the columns
-of the sphere triangulation's boundary, by index arithmetic with no
-lookup of face labels.  Relative models (anchored-flag
-complexes, quotient complexes) compute the reduced homology of the
-spaces they model directly; plain order complexes carry the empty flag
-in degree -1, so their homology is reduced as well.
+asserts boundary-squared = 0 exactly.  Order complexes (T, ST, the
+local model, the sphere triangulation) come from one flag builder that
+finds every face row by index; the PT bicomplex and its collapse model
+are assembled from the triangulation's boundary columns.  Other models
+are graded labels plus the alternating face rule (``face_complex``).
+Relative models (anchored-flag complexes, quotient complexes) compute
+the reduced homology of the spaces they model directly; plain order
+complexes carry the empty flag in degree -1, so their homology is
+reduced as well.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import combinations
 
 from geotits import geometry as geo
 from geotits._kernel import PINNED, IntMatrix, smith_normal_form
@@ -220,29 +221,6 @@ class HomologyClasses:
 # Flag / order complexes
 
 
-def _chains(n, leq):
-    """All strictly increasing index chains of a finite strict order.
-
-    ``leq(a, b)`` decides a < b strictly; the empty chain is included.
-    """
-    above = [[j for j in range(n) if j != i and leq(i, j)] for i in range(n)]
-    chains = [()]
-    frontier = [(i,) for i in range(n)]
-    chains.extend(frontier)
-    while frontier:
-        frontier = [chain + (j,) for chain in frontier for j in above[chain[-1]]]
-        chains.extend(frontier)
-    return chains
-
-
-def _graded(labels, degree):
-    """Labels grouped by ``degree(label)``, each degree sorted."""
-    degrees = {}
-    for label in labels:
-        degrees.setdefault(degree(label), []).append(label)
-    return {d: sorted(v) for d, v in sorted(degrees.items())}
-
-
 def _drop_one(label):
     """Alternating deletion: drop entry i with sign (-1)**i."""
     for i in range(len(label)):
@@ -270,6 +248,59 @@ def face_complex(degrees):
     return ChainComplex(degrees, boundaries)
 
 
+def _above(members):
+    """For members sorted by ``sort_key``, the ascending positions of the
+    members that strictly contain each one.  Sort keys lead with the
+    dimension, so only later members of higher dimension are tested."""
+    dims = [m.carrier.dim for m in members]
+    return [[j for j in range(bisect_right(dims, dims[i]), len(members)) if members[j].contains(m)]
+            for i, m in enumerate(members)]
+
+
+def _flag_complex(above):
+    """(degrees, boundaries) of the strict chains of a finite order given
+    by ``above`` (ascending lists), a chain of k elements in degree k - 1.
+
+    The root is the empty chain in degree -1, and every element lies
+    above it.  Chains are built level by level: each is its parent, one
+    element shorter, extended by an element c above the parent's tail
+    (its last element, or the root).  As the ``above`` lists ascend,
+    every level comes out sorted.  Face i of a chain is its parent's
+    face i extended by c, except the last face, which is the parent
+    itself.  A chain extended by c sits at its children's offset plus
+    the slot of c among the elements above its tail, so every face row
+    is found by index.  The boundary's column dicts list the faces in
+    order, and the next level reads them from there.
+    """
+    n = len(above)
+    above = [*above, range(n)]  # the root's tail is n
+    slot = [{c: k for k, c in enumerate(cells)} for cells in above]
+    level, tails, faces = [()], [n], [()]
+    degrees = {-1: level}
+    boundaries = {}
+    below_slot = start = None  # the slots of the level under ``level``, its children's offsets
+    m = -1
+    while True:
+        signs = [(-1) ** i for i in range(m + 2)]
+        chains, heads, offsets, cols = [], [], [], []
+        ids = list(range(len(level)))  # one int object per row, shared by the columns naming it
+        for q, chain in enumerate(level):
+            offsets.append(len(chains))
+            for c in above[tails[q]]:
+                rows = [ids[start[r] + below_slot[r][c]] for r in faces[q]]
+                rows.append(ids[q])
+                chains.append(chain + (c,))
+                heads.append(c)
+                cols.append(dict(zip(rows, signs)))
+        if not chains:
+            return degrees, boundaries
+        m += 1
+        degrees[m] = chains
+        boundaries[m] = IntMatrix.from_col_dicts(len(level), cols)
+        below_slot = [slot[t] for t in tails]
+        start, faces, level, tails = offsets, cols, chains, heads
+
+
 def order_complex(members):
     """The Tits complex T: simplicial chains on flags of the proper
     members (the top is dropped).  The empty flag sits in degree -1 as
@@ -277,28 +308,33 @@ def order_complex(members):
     the empty complex has H_(-1) = Z.
     """
     elems = sorted((m for m in members if not m.is_top()), key=lambda m: m.sort_key())
-    leq = lambda i, j: elems[j].contains(elems[i]) and elems[i] != elems[j]
-    return face_complex(_graded(_chains(len(elems), leq), lambda c: len(c) - 1))
+    return ChainComplex(*_flag_complex(_above(elems)))
 
 
-def relative_st_complex(members, top):
-    """Relative chains of (CT, T): flags anchored at the given top.
+def anchored_flag_complex(members, top):
+    """(proper, complex): the members other than ``top``, sorted by
+    ``sort_key``, and the relative chains of (CT, T) on their flags
+    anchored at the top.
 
     Degree p basis: flags U_0 < ... < U_{p-1} < top of proper members;
     the empty flag (the bare anchor) sits in degree 0.  Faces dropping
-    the anchor die; H_p equals the reduced homology of the suspended
+    the anchor die, so this is the order complex of the proper members
+    one degree up, and H_p equals the reduced homology of the suspended
     Tits complex.
     """
-    proper = sorted(
-        (m for m in members if m != top), key=lambda m: m.sort_key()
-    )
+    proper = sorted((m for m in members if m != top), key=lambda m: m.sort_key())
     for m in proper:
         if not top.contains(m):
             raise ValueError("member not contained in the top subspace")
-    leq = lambda i, j: proper[j].contains(proper[i]) and proper[i] != proper[j]
-    # the anchor never appears in labels, so plain face deletion with
-    # absent faces mapping to zero is exactly the relative boundary
-    return face_complex(_graded(_chains(len(proper), leq), len))
+    degrees, boundaries = _flag_complex(_above(proper))
+    return proper, ChainComplex({d + 1: labs for d, labs in degrees.items()},
+                                {d + 1: b for d, b in boundaries.items()})
+
+
+def relative_st_complex(members, top):
+    """The complex of ``anchored_flag_complex``: ST, or with the members
+    in a window, the local model."""
+    return anchored_flag_complex(members, top)[1]
 
 
 def tpl_complex(points, geometry):
@@ -311,15 +347,11 @@ def tpl_complex(points, geometry):
     """
     pts = sorted(points, key=lambda p: p.sort_key())
     amb = geometry.ambient_dim
-    from itertools import combinations
-
-    full = [
-        combo
-        for size in range(1, len(pts) + 1)
-        for combo in combinations(range(len(pts)), size)
-        if geo.span_points([pts[i] for i in combo]).carrier.dim == amb
-    ]
-    return face_complex(_graded(full, lambda c: len(c) - 1)), pts
+    # fewer than ``amb`` points span a proper subspace
+    degrees = {size - 1: [combo for combo in combinations(range(len(pts)), size)
+                          if geo.span_points([pts[i] for i in combo]).carrier.dim == amb]
+               for size in range(amb, len(pts) + 1)}
+    return face_complex(degrees), pts
 
 
 # ---------------------------------------------------------------------------
@@ -347,48 +379,6 @@ def _cells_above(cell_order):
     return above
 
 
-def _flag_complex(above):
-    """Chain complex of the strict chains of a finite order given by
-    ``above`` (ascending lists), the empty chain left out.
-
-    Chains are built level by level: each is its parent, one cell
-    shorter, extended by a cell c above the parent's last.  As the
-    ``above`` lists ascend, every level comes out sorted.  Face i of a
-    chain is its parent's face i extended by c, except the last face,
-    which is the parent itself.  A chain extended by c sits at its
-    children's offset plus the slot of c among the cells above its last,
-    so every face row is found by index.  The boundary's column dicts
-    list the faces in order, and the next level reads them from there.
-    """
-    level = [(i,) for i in range(len(above))]
-    degrees = {0: level}
-    boundaries = {}
-    slot = [{c: k for k, c in enumerate(cells)} for cells in above]
-    below = start = faces = None  # the level under ``level``, its children's offsets, face rows
-    m = 0
-    while True:
-        signs = [(-1) ** i for i in range(m + 2)]
-        chains, offsets, cols = [], [], []
-        ids = list(range(len(level)))  # one int object per row, shared by the columns naming it
-        for q, chain in enumerate(level):
-            offsets.append(len(chains))
-            for c in above[chain[-1]]:
-                if m:
-                    rows = [ids[start[r] + slot[below[r][-1]][c]] for r in faces[q]]
-                    rows.append(ids[q])
-                else:  # the edge (q, c): its faces are the vertices c and q
-                    rows = (ids[c], ids[q])
-                chains.append(chain + (c,))
-                cols.append(dict(zip(rows, signs)))
-        if not chains:
-            break
-        m += 1
-        degrees[m] = chains
-        boundaries[m] = IntMatrix.from_col_dicts(len(level), cols)
-        below, start, faces, level = level, offsets, cols, chains
-    return ChainComplex(degrees, boundaries)
-
-
 class SphereTriangulation:
     """Barycentric flag model of an admissible spherical arrangement.
 
@@ -404,7 +394,9 @@ class SphereTriangulation:
     def __init__(self, poset):
         self.poset = poset
         self.cell_order = tuple(sorted(poset.cells))
-        self.complex = _flag_complex(_cells_above(self.cell_order))
+        degrees, boundaries = _flag_complex(_cells_above(self.cell_order))
+        del degrees[-1], boundaries[0]  # the triangulation is not augmented
+        self.complex = ChainComplex(degrees, boundaries)
         self.simplices = self.complex.degrees
         self._by_top = {}  # (m, top cell sign vector) -> positions of its m-simplices
         for m, labs in self.simplices.items():
@@ -513,16 +505,13 @@ def pt_bicomplex(coll, tri):
     boundary, times (-1)**k and re-indexed into the flag's pool: a face's
     top cell lies below sigma's, so in the same flat.
     """
-    proper = sorted((m for m in coll.members if not m.is_top()),
-                    key=lambda m: m.sort_key())
-    carrier = [m.carrier for m in proper]
-    leq = lambda i, j: carrier[j].contains(carrier[i]) and carrier[i] != carrier[j]
-    flags = sorted(_chains(len(proper), leq))
+    proper = [m for m in coll.members if not m.is_top()]  # sorted, as members are
+    flags = sorted(f for labs in _flag_complex(_above(proper))[0].values() for f in labs)
     # pool key (flag[0], or None for the empty flag) -> m -> the positions
     # of its m-simplices in the triangulation, and their inverse
     pools = {None: {m: range(len(labs)) for m, labs in tri.simplices.items()}}
     for c in sorted({flag[0] for flag in flags if flag}):
-        pools[c] = tri.positions_in_carrier(carrier[c])
+        pools[c] = tri.positions_in_carrier(proper[c].carrier)
     where = {c: {m: pool if c is None else {s: p for p, s in enumerate(pool)}
                  for m, pool in by_m.items()}
              for c, by_m in pools.items()}  # a range is its own inverse

@@ -129,7 +129,7 @@ def apartment_cycle_tuple(members_tuple, st_model):
     n = st_model.top.geometry.n
     if len(members_tuple) != n + 1:
         raise ValueError("need an (n+1)-tuple")
-    pos = {m: i for i, m in enumerate(st_model.proper)}
+    pos = st_model.position
     idx = st_model.complex.index(n)
     vec = [0] * st_model.complex.dim(n)
     for sigma in permutations(range(n + 1)):
@@ -144,7 +144,7 @@ def apartment_cycle_tuple(members_tuple, st_model):
             flats.append(span)
         if not ok:
             continue
-        label = tuple(pos[f] for f in flats)
+        label = tuple(pos[f.carrier] for f in flats)
         if label not in idx:
             raise ValueError("span flag leaves the collection")
         vec[idx[label]] += sgn
@@ -174,9 +174,9 @@ def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
     """
     n = coll.geometry.n
     cells = tri.poset.cells
-    proper = sorted((m for m in coll.members if not m.is_top()),
-                    key=lambda m: m.sort_key())
-    member_pos = {m.carrier: i for i, m in enumerate(proper)}
+    # the bicomplex's flags index the proper members, which lead
+    # ``coll.members`` in its sorted order (the top is last)
+    member_pos = {m.carrier: i for i, m in enumerate(coll.members)}
     idx = bicomplex.index(n)
     vec = [0] * bicomplex.dim(n)
 
@@ -207,16 +207,15 @@ def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
 
 
 class STModel:
-    """Relative ST complex together with its proper-member order."""
+    """Relative ST complex together with its proper-member order and each
+    proper member's position in it, keyed by carrier."""
 
-    __slots__ = ("top", "proper", "complex")
+    __slots__ = ("top", "proper", "position", "complex")
 
     def __init__(self, members, top):
         self.top = top
-        self.proper = tuple(
-            sorted((m for m in members if m != top), key=lambda m: m.sort_key())
-        )
-        self.complex = cx.relative_st_complex(members, top)
+        self.proper, self.complex = cx.anchored_flag_complex(members, top)
+        self.position = {m.carrier: i for i, m in enumerate(self.proper)}
 
 
 def apartment_cycle_cell(poset, region_sign, st_model):
@@ -235,7 +234,7 @@ def apartment_cycle_cell(poset, region_sign, st_model):
         flags = [(f,) + fl for fl in flags for f in poset.facets(fl[0])]
     if not flags:
         raise ValueError("region has no complete boundary flags (unbounded?)")
-    pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
+    pos = st_model.position
     idx = st_model.complex.index(d)
     vec = [0] * st_model.complex.dim(d)
     for fl in flags:
@@ -625,7 +624,6 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells):
     u_member = cap_st.top
     classes = cx.HomologyClasses(cap_st.complex, n - 1)
     cap_index = cap_st.complex.index(n - 1)
-    cap_pos = {m: i for i, m in enumerate(cap_st.proper)}
 
     epsilon = None
     for tau in u_cells:
@@ -648,7 +646,7 @@ def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells):
             members = [cup_st.proper[i] for i in label]
             if members[-1] != u_member:
                 continue
-            cap_label = tuple(cap_pos[m] for m in members[:-1])
+            cap_label = tuple(cap_st.position[m.carrier] for m in members[:-1])
             proj[cap_index[cap_label]] += coeff
         free_b = classes.coords(proj)
         apt_tau = apartment_cycle_cell(cup_poset, tau, cap_st)

@@ -1023,13 +1023,30 @@ def reference_face_chains(tri, polytope):
     return chains, eta
 
 
+def reference_chains(n, less):
+    """All strictly increasing index chains of a finite strict order,
+    the empty chain first: ``less(a, b)`` decides a < b, tested for every
+    ordered pair.  The enumerator that ``complexes._flag_complex``
+    replaced for T, ST and the local model, kept as its oracle."""
+    above = [[j for j in range(n) if j != i and less(i, j)] for i in range(n)]
+    chains = [()]
+    frontier = [(i,) for i in range(n)]
+    chains.extend(frontier)
+    while frontier:
+        frontier = [chain + (j,) for chain in frontier for j in above[chain[-1]]]
+        chains.extend(frontier)
+    return chains
+
+
 def reference_sphere_simplices(poset):
     """The sphere triangulation's simplices from all-pairs closure tests,
     the construction that ``complexes._cells_above`` replaced."""
     order = tuple(sorted(poset.cells))
     below = lambda i, j: leq(order[i], order[j])
-    graded = cx._graded(cx._chains(len(order), below)[1:], lambda c: len(c) - 1)
-    return {d: tuple(labels) for d, labels in graded.items()}
+    graded = {}
+    for chain in reference_chains(len(order), below)[1:]:
+        graded.setdefault(len(chain) - 1, []).append(chain)
+    return {d: tuple(sorted(labels)) for d, labels in sorted(graded.items())}
 
 
 def reference_sphere_complex(poset):

@@ -12,7 +12,7 @@ from geotits import cli
 from geotits import complexes as cx
 from geotits._kernel import IntMatrix
 from geotits.cli import Scene, SceneError, HypothesesError, run_command
-from conftest import Budget
+from conftest import Budget, src_calls
 from test_scale import S3_FIVE
 
 
@@ -152,14 +152,14 @@ def test_dump_complex_is_the_reported_complex(model, name, key, tmp_path, capsys
     assert _dumped_homology(out) == report["checks"][0][key]
 
 
-def _assert_dump_pinned(scene, pin, tmp_path):
-    """``homology pt SCENE --dump-complex`` writes the bytes whose sha256
-    is in ``pin``, in fresh interpreters under two hash seeds."""
+def _assert_dump_pinned(scene, pin, tmp_path, model="pt"):
+    """``homology MODEL SCENE --dump-complex`` writes the bytes whose
+    sha256 is in ``pin``, in fresh interpreters under two hash seeds."""
     want = (TEST_SCENES / pin).read_text().strip()
     for hash_seed in ("0", "12345"):
         out = tmp_path / f"complex{hash_seed}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "geotits.cli", "homology", "pt", scene,
+            [sys.executable, "-m", "geotits.cli", "homology", model, scene,
              "--dump-complex", str(out)],
             capture_output=True,
             env={**os.environ, "PYTHONHASHSEED": hash_seed},
@@ -177,6 +177,28 @@ def test_generic_s3_dump_complex_bytes_pinned(tmp_path):
     """The PT bicomplex of the pinned generic S^3 scene."""
     _assert_dump_pinned(str(TEST_SCENES / "s3_four_generic.json"),
                         "s3_four_generic_pt_complex.sha256", tmp_path)
+
+
+@pytest.mark.parametrize("model, name", [
+    ("t", "e3_concurrent"), ("st", "h3_two_cubes"), ("local", "h2_triangle"),
+])
+def test_flag_complex_dump_bytes_pinned(model, name, tmp_path):
+    """T, ST and the local model, which ``complexes._flag_complex`` builds:
+    labels and boundary triplets, not only their homology."""
+    _assert_dump_pinned(scene_path(name), f"{name}_{model}_complex.sha256", tmp_path, model)
+
+
+def test_window_members_are_restricted_once_per_scene():
+    """``homology local``, ``verify local`` and the windowed H^n
+    ``verify solomon-tits`` share the scene's L|A: one window arrangement
+    per non-top member, not one per member and command."""
+    scene = load("h2_triangle")
+    with src_calls() as counts:
+        for command, sub in (("homology", "local"), ("verify", "local"),
+                             ("verify", "solomon-tits")):
+            run_command(command, sub, scene)
+    assert counts["restrict"] == 1
+    assert counts["window_arrangement"] == len(scene.collection()[0].members) - 1 == 6
 
 
 def test_generic_s3_report_pinned_under_any_hash_seed():
@@ -425,6 +447,7 @@ def test_scope_mismatches_exit_hypotheses(tmp_path):
 
 
 TRIANGLE_ROWS = [["0", "1", "0"], ["0", "0", "1"], ["1", "-1", "-1"]]
+SPHERICAL_LOCAL = "local verification is for E^n and H^n windows"
 TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
 
 
@@ -451,6 +474,12 @@ TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
     # 16 lines, and U a 17th: L cup U is over the guard
     ("verify", "exact-seq", str(TEST_SCENES / "e2_sixteen_lines_u.json"),
      "17 hyperplanes exceed the desk-scale guard 16"),
+    # cell apartments live in the E/H suspended model; ``homology local``
+    # on these scenes exits 0
+    ("verify", "local", str(TEST_SCENES / "s2_octant_window.json"), SPHERICAL_LOCAL),
+    ("verify", "local", {"geometry": "S", "n": 1, "hyperplanes": [["1", "0"], ["0", "1"]],
+                         "polytope_A": {"halfspaces": [["1", "0"], ["0", "1"]]}},
+     SPHERICAL_LOCAL),
 ])
 def test_unmet_hypotheses_exit_3_with_detail(command, sub, scene, detail, tmp_path, capsys):
     if isinstance(scene, dict):
@@ -684,3 +713,15 @@ def test_corpus_reports_match_pinned_digests():
             key = f"{path.name} {command}" + ("" if sub is None else f" {sub}")
             got[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert got == want
+
+
+def test_spherical_local_verification_refuses_before_building():
+    """The spherical window is refused before the collection, its
+    arrangement or L|A is built; its local homology is still reported."""
+    scene = Scene(json.loads((TEST_SCENES / "s2_octant_window.json").read_text()))
+    with src_calls() as counts:
+        with pytest.raises(HypothesesError, match="E\\^n and H\\^n"):
+            run_command("verify", "local", scene)
+    assert not {"closure_by_hyperplanes", "build_arrangement", "restrict"} & set(counts)
+    checks, overall = run_command("homology", "local", scene)
+    assert overall == "PASS" and checks[0]["reduced_homology"] == {"2": {"betti": 1, "torsion": []}}

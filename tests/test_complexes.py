@@ -53,6 +53,34 @@ def test_relative_st_concurrent_vanishes(concurrent_e2):
     assert not h.nonzero_degrees()
 
 
+E3_EIGHT_GENERIC = pathlib.Path(__file__).resolve().parent / "scenes" / "e3_eight_generic.json"
+
+
+def test_order_builds_test_each_pair_of_dimensions_once(monkeypatch):
+    """T and ST test containment once per pair of proper members of
+    distinct dimension (sort keys lead with the dimension), and ST once
+    more per member against its top: 2,240 + 92 on the generic E^3
+    scene, where all ordered pairs would be 92 * 91 = 8,372."""
+    scene = cli.Scene(json.loads(E3_EIGHT_GENERIC.read_text()))
+    coll = scene.collection()[0]
+    proper = [m for m in coll.members if not m.is_top()]
+    pairs = sum(a.geo_dim != b.geo_dim for i, a in enumerate(proper) for b in proper[i + 1:])
+    assert (len(proper), pairs) == (92, 2240)
+    calls = []
+    real = geo.LinearSubspace.contains
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(geo.LinearSubspace, "contains", counting)
+    cx.order_complex(coll.members)
+    assert len(calls) == pairs
+    calls.clear()
+    cx.relative_st_complex(list(coll.members), coll.top())
+    assert len(calls) == pairs + len(proper)
+
+
 def test_suspension_identity(triangle, four_lines, concurrent_e2, h2_triangle):
     """H_p(relative ST) = reduced H_{p-1}(T) for E/H collections."""
     for coll in (triangle, four_lines, concurrent_e2, h2_triangle):

@@ -24,7 +24,7 @@ from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits import resolution as reso
 from geotits._kernel import IntMatrix
-from conftest import leq, reference_face, reference_sphere_complex
+from conftest import leq, reference_chains, reference_face, reference_sphere_complex
 from test_arrangement import _random_covectors
 
 S3_FOUR_GENERIC = pathlib.Path(__file__).resolve().parent / "scenes" / "s3_four_generic.json"
@@ -75,7 +75,7 @@ def _assert_same(complex_, degrees, boundaries):
 def _flags(members, keep):
     elems = sorted((m for m in members if keep(m)), key=lambda m: m.sort_key())
     leq = lambda i, j: elems[j].contains(elems[i]) and elems[i] != elems[j]
-    return cx._chains(len(elems), leq)
+    return reference_chains(len(elems), leq)
 
 
 def _reference_order_complex(members):
@@ -136,7 +136,7 @@ def _sphere(name, coll, poset):
     tri = cx.sphere_triangulation(coll, poset)
     order = tuple(sorted(poset.cells))
     below = lambda i, j: i != j and leq(order[i], order[j])
-    simplices = _by_length([c for c in cx._chains(len(order), below) if c], 1)
+    simplices = _by_length([c for c in reference_chains(len(order), below) if c], 1)
     return name, coll, poset, tri, order, simplices
 
 

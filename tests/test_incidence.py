@@ -598,7 +598,7 @@ def test_pt_to_ls_matches_placing_reference():
     hyperplanes, the simplex rule gives the image that placing-
     triangulating the region's reference polytope gives."""
     scenes = _both_generated_scenes()
-    assert len(scenes) == 13
+    assert len(scenes) == 14
     signs = set()
     for name, coll in scenes:
         poset = arr.build_arrangement(coll)
