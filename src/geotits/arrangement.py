@@ -1,4 +1,5 @@
-"""Hyperplane-arrangement cells, region bases and polytope normal forms.
+"""Hyperplane-arrangement cells, region bases, cofacet lifts and window
+polytopes.
 
 Cells are keyed by sign vectors over the collection's hyperplanes (in
 canonical covector order).  Regions are represented by sign vectors plus
@@ -17,7 +18,6 @@ from geotits.exact import dot
 MAX_DIM = 4
 MAX_HYPERPLANES = 16
 
-NOT_L_POLYTOPE = "NOT_L_POLYTOPE"
 NO_LIFT = "NO_LIFT"
 
 
@@ -60,7 +60,7 @@ class FacePoset:
         self._step_signs = {}  # (lower sign vector or None, sign vector) -> step_sign
         self._zero_masks = {}  # cell dim -> zero sets of its cells, as bit masks
         for s, c in cells.items():
-            self._zero_masks.setdefault(c.dim, set()).add(_zero_mask(s))
+            self._zero_masks.setdefault(c.dim, set()).add(zero_mask(s))
         self._facet_zeros = {}  # zero mask -> zero masks of its facets' flats
         self._facets = {}  # sign vector -> facets(sign vector)
         self._bounded = {}  # sign vector -> bounded(sign vector)
@@ -90,22 +90,6 @@ class FacePoset:
             signs = self._flat_signs[carrier] = tuple((i, 0) for i in zeros)
         return signs
 
-    def polytope_signs(self, facets):
-        """Signs of a closed L-polytope: the side of each facet half-space.
-        Every half-space passed must be a facet, since a redundant one on a
-        hyperplane outside the arrangement would be refused too.
-        ValueError names a facet hyperplane outside the arrangement."""
-        signs = []
-        for h in facets:
-            hyp = h.hyperplane
-            if hyp not in self.covectors:
-                raise ValueError(
-                    f"not an L-polytope: facet hyperplane {list(hyp)} is not in the arrangement"
-                )
-            side = 1 if h.functional == hyp else -1
-            signs.append((self.covectors.index(hyp), side))
-        return tuple(signs)
-
     def cells_in(self, signs):
         """Sign vectors of the cells lying in the closed set with these signs."""
         inside = self._cells_in.get(signs)
@@ -129,7 +113,7 @@ class FacePoset:
         and j, found once per Z.  Each candidate that is a cell is a facet."""
         got = self._facets.get(sign)
         if got is None:
-            zeros = _zero_mask(sign)
+            zeros = zero_mask(sign)
             if zeros not in self._facet_zeros:
                 lower = self._zero_masks.get(self.cells[sign].dim - 1, ())
                 needs = (zeros | 1 << j for j, x in enumerate(sign) if x)
@@ -219,7 +203,7 @@ class FacePoset:
         return got
 
 
-def _zero_mask(sign_vector):
+def zero_mask(sign_vector):
     return sum(1 << i for i, x in enumerate(sign_vector) if x == 0)
 
 
@@ -383,7 +367,7 @@ def build_arrangement(coll, within=None, carrier=None):
             for w in _flat_points(g, carriers[mask]):
                 values = [dot(c, w) for c in covectors]
                 sign = tuple(map(_sign, values))
-                if _zero_mask(sign) != mask:
+                if zero_mask(sign) != mask:
                     raise AssertionError("a hyperplane cuts a flat it was found not to cut")
                 if FacePoset._agrees(sign, walls):
                     here.setdefault(sign, (w, values))
@@ -462,28 +446,6 @@ def region_basis(poset):
     """Sorted basis of the bounded regions (``FacePoset.bounded``): all
     the regions on S^n and on a window arrangement."""
     return tuple(c.sign_vector for c in poset.regions() if poset.bounded(c.sign_vector))
-
-
-def polytope_to_vector(facets, basis, poset):
-    """Indicator vector over the region basis of the convex L-polytope cut
-    out by these half-spaces, each of them a facet of it.
-
-    Returns NOT_L_POLYTOPE when a facet hyperplane lies outside the
-    collection or the polytope covers regions outside the basis.
-    """
-    try:
-        signs = poset.polytope_signs(facets)
-    except ValueError:  # a facet hyperplane outside the collection
-        return NOT_L_POLYTOPE
-    vec = [0] * len(basis)
-    index = {s: i for i, s in enumerate(basis)}
-    n = poset.geometry.n
-    for s in poset.cells_in(signs):
-        if poset.cells[s].dim == n:
-            if s not in index:
-                return NOT_L_POLYTOPE
-            vec[index[s]] += 1
-    return tuple(vec)
 
 
 def facet_wall(poset, facet_sign):

@@ -402,6 +402,8 @@ def check_groups(scene, which):
 
 
 def verify_solomon_tits(scene):
+    if scene.polytope_a is not None:
+        return verify_local(scene)
     coll, generating = scene.collection()
     g = scene.geometry
     n = g.n
@@ -469,8 +471,6 @@ def verify_solomon_tits(scene):
             "verdict": "PASS" if ok else "FAIL",
         }]
     # hyperbolic
-    if scene.polytope_a is not None:
-        return verify_local(scene)
     if coll_mod.generated_by_both(coll):
         poset, basis = scene.arrangement(None)
         h, res = _cell_apartments(coll, coll.members, poset, basis)

@@ -67,6 +67,11 @@ def _closure(seeds, generators, step):
     return list(members.values())
 
 
+def _covector(hyperplane):
+    """The canonical covector of a hyperplane member."""
+    return geo.canonical_covector(exact.nullspace(hyperplane.carrier.basis)[0])
+
+
 def _add_point(member, point):
     return None if member.contains(point) else geo.span_points([member, point])
 
@@ -107,11 +112,7 @@ def closure_by_points(geometry, points):
         raise ValueError("no points given")
     members = _closure(points, points, _add_point)
     generating = any(m.is_top() for m in members)
-    covs = []
-    for m in members:
-        if m.geo_dim == geometry.n - 1:
-            ker = exact.nullspace(m.carrier.basis)
-            covs.append(geo.canonical_covector(ker[0]))
+    covs = [_covector(m) for m in members if m.geo_dim == geometry.n - 1]
     return Collection(geometry, members, covs), generating
 
 
@@ -157,11 +158,7 @@ def dualize(collection):
         c = m.carrier.orthogonal_complement()
         if geo.geo_nonempty(c, g):
             members.append(geo.GeoSubspace(g, c))
-    covs = []
-    for m in members:
-        if m.geo_dim == g.n - 1 and not m.is_top():
-            ker = exact.nullspace(m.carrier.basis)
-            covs.append(geo.canonical_covector(ker[0]))
+    covs = [_covector(m) for m in members if m.geo_dim == g.n - 1 and not m.is_top()]
     return Collection(g, members, covs)
 
 
@@ -214,10 +211,7 @@ def generated_by_points(collection):
 
 
 def generated_by_hyperplanes(collection):
-    covs = [
-        geo.canonical_covector(exact.nullspace(m.carrier.basis)[0])
-        for m in collection.hyperplane_members()
-    ]
+    covs = [_covector(m) for m in collection.hyperplane_members()]
     top = geo.top_subspace(collection.geometry)
     return _generated(collection, [top], covs, geo.meet_hyperplane)
 

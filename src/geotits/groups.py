@@ -21,7 +21,7 @@ from geotits._kernel import (
     lattices_equal,
     smith_normal_form,
 )
-from geotits.exact import dot, frac
+from geotits.exact import dot
 
 
 # ---------------------------------------------------------------------------
@@ -370,77 +370,53 @@ def pt_to_ls_hom(coll, poset, basis):
     return GroupHom(pt_group(basis), pres, matrix), ls_data
 
 
-def join_sublattice(coll, poset, basis, ls_data):
-    """Generators of J: indicator vectors of joins {x,-x} * P.
+def join_sublattice(coll, poset, basis):
+    """Generators of J, sorted: the indicator vectors of the joins
+    {x, -x} * P, read off the regions' sign vectors.
 
-    P runs over (n-1)-simplices with vertices in the point pairs, over
-    all sign choices of representatives.
+    P runs over the (n-1)-simplices with vertices ±b_1, ..., ±b_n in the
+    point pairs, over all sign choices, where x, b_1, ..., b_n are
+    linearly independent.  Write v = a x + sum c_k b_k.  For each k, the
+    hyperplane H_k spanned by x and the b_j other than b_k is {c_k = 0}.
+    The join with vertex signs s_k is the union of the cones over P from
+    x and from -x, that is {s_k c_k >= 0 for every k}: the closed
+    sector between the n walls H_k on s_k b_k's side of each.  The span
+    of P only splits the sector between the two cones, and it is a wall
+    of the arrangement, so no region crosses it.  As the signs run over
+    all 2^n choices, the joins are exactly the sectors of {H_k}, and each
+    region of the arrangement lies in the one sector of its signs on the
+    walls.  The collection is generated by points, so H_k is a hyperplane
+    of it: the one where the zero masks of x and the b_j other than b_k
+    meet.
+
+    AssertionError unless each wall is exactly one hyperplane of the
+    arrangement.
     """
-    g = coll.geometry
-    n = g.n
-    pts = list(coll.points())
+    n = coll.geometry.n
+    pts = coll.points()
     reps = [p.carrier.basis[0] for p in pts]
-    vectors = []
-    seen = set()
+    masks = {c.flat: arr.zero_mask(s) for s, c in poset.cells.items() if c.dim == 0}
+    zeros = [masks[p.carrier] for p in pts]
+    vectors = set()
     for xi in range(len(pts)):
         others = [k for k in range(len(pts)) if k != xi]
         for combo in combinations(others, n):
-            base = [reps[k] for k in combo]
-            if exact.rank([reps[xi]] + base) != n + 1:
+            if exact.rank([reps[xi]] + [reps[k] for k in combo]) != n + 1:
                 continue
-            for signs in _sign_patterns(n):
-                simplex_rays = [reps[xi]] + [
-                    tuple(s * frac(x) for x in base[j]) for j, s in enumerate(signs)
-                ]
-                join_vec = _join_indicator(simplex_rays, poset, basis, g)
-                if join_vec is not None and any(join_vec) and join_vec not in seen:
-                    seen.add(join_vec)
-                    vectors.append(list(join_vec))
-    return vectors
-
-
-def _sign_patterns(n):
-    out = [()]
-    for _ in range(n):
-        out = [p + (s,) for p in out for s in (1, -1)]
-    return out
-
-
-def _join_indicator(simplex_rays, poset, basis, g):
-    """Indicator of {x,-x} * simplex(base rays): the two opposite cones."""
-    x = simplex_rays[0]
-    base = simplex_rays[1:]
-    total = [0] * len(basis)
-    for x_sign in (1, -1):
-        rays = [tuple(x_sign * frac(v) for v in x)] + list(base)
-        hs = _cone_halfspaces(rays, g)
-        if hs is None:
-            return None
-        vec = arr.polytope_to_vector(hs, basis, poset)
-        if vec == arr.NOT_L_POLYTOPE:
-            return None
-        total = [a + b for a, b in zip(total, vec)]
-    return tuple(total)
-
-
-def _cone_halfspaces(rays, g):
-    """Half-space description of the simplicial cone spanned by the rays,
-    or None unless they are a basis: then every half-space is a facet."""
-    amb = g.ambient_dim
-    if exact.rank(rays) != amb:
-        return None
-    hs = []
-    for drop in range(len(rays)):
-        rest = [rays[k] for k in range(len(rays)) if k != drop]
-        ker = exact.nullspace(rest, amb)
-        if len(ker) != 1:
-            return None
-        f = ker[0]
-        val = dot(f, rays[drop])
-        if val < 0:
-            f = tuple(-x for x in f)
-        hs.append(geo.HalfSpace(f))
-    return hs
+            walls = []
+            for drop in combo:
+                mask = zeros[xi]
+                for k in combo:
+                    if k != drop:
+                        mask &= zeros[k]
+                if mask.bit_count() != 1:
+                    raise AssertionError("a join wall is not one hyperplane of the arrangement")
+                walls.append(mask.bit_length() - 1)
+            sectors = {}
+            for i, s in enumerate(basis):
+                sectors.setdefault(tuple(s[w] for w in walls), [0] * len(basis))[i] = 1
+            vectors.update(map(tuple, sectors.values()))
+    return [list(v) for v in sorted(vectors)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +448,7 @@ def verify_pt_ls(coll, poset=None, basis=None):
         return report
     surj = hom.is_surjective()
     kernel = hom.kernel_lattice()
-    joins = join_sublattice(coll, poset, basis, ls_data)
+    joins = join_sublattice(coll, poset, basis)
     kernel_eq = lattices_equal(kernel, joins, len(basis))
     kernel_rank = smith_normal_form(IntMatrix.from_columns(len(basis), kernel)).rank
     report.update(

@@ -4,7 +4,7 @@ import pathlib
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -886,8 +886,89 @@ def region_polytope(poset, sign_vector):
 
 
 def cells_in_polytope(poset, polytope, dims=None):
-    inside = poset.cells_in(poset.polytope_signs(polytope.facet_halfspaces()))
+    inside = poset.cells_in(reference_polytope_signs(poset, polytope.facet_halfspaces()))
     return sorted(s for s in inside if dims is None or poset.cells[s].dim in dims)
+
+
+NOT_L_POLYTOPE = "NOT_L_POLYTOPE"
+
+
+def reference_polytope_signs(poset, facets):
+    """Signs of a closed L-polytope for ``FacePoset.cells_in``: the side
+    of each facet half-space.  Every half-space passed must be a facet,
+    since a redundant one on a hyperplane outside the arrangement would
+    be refused too.  ValueError names a facet hyperplane outside the
+    arrangement."""
+    signs = []
+    for h in facets:
+        hyp = h.hyperplane
+        if hyp not in poset.covectors:
+            raise ValueError(
+                f"not an L-polytope: facet hyperplane {list(hyp)} is not in the arrangement"
+            )
+        side = 1 if h.functional == hyp else -1
+        signs.append((poset.covectors.index(hyp), side))
+    return tuple(signs)
+
+
+def reference_polytope_to_vector(facets, basis, poset):
+    """Indicator vector over the region basis of the convex L-polytope cut
+    out by these half-spaces, each of them a facet of it.
+
+    NOT_L_POLYTOPE when a facet hyperplane lies outside the collection or
+    the polytope covers regions outside the basis."""
+    try:
+        signs = reference_polytope_signs(poset, facets)
+    except ValueError:  # a facet hyperplane outside the collection
+        return NOT_L_POLYTOPE
+    vec = [0] * len(basis)
+    index = {s: i for i, s in enumerate(basis)}
+    for s in poset.cells_in(signs):
+        if poset.cells[s].dim == poset.geometry.n:
+            if s not in index:
+                return NOT_L_POLYTOPE
+            vec[index[s]] += 1
+    return tuple(vec)
+
+
+def reference_join_cones(coll):
+    """The facet half-spaces of the two simplicial cones of every join
+    {x, -x} * P: for each point x, n more points b_k with x and the b_k
+    linearly independent, and each choice of signs s_k, the cones
+    spanned by ±x and the s_k b_k.  Each cone's half-spaces come from the
+    nullspaces of its rays with one dropped."""
+    n = coll.geometry.n
+    amb = coll.geometry.ambient_dim
+    reps = [p.carrier.basis[0] for p in coll.points()]
+    for xi, x in enumerate(reps):
+        others = [k for k in range(len(reps)) if k != xi]
+        for combo in combinations(others, n):
+            if exact.rank([x] + [reps[k] for k in combo]) != n + 1:
+                continue
+            for signs in product((1, -1), repeat=n):
+                base = [tuple(s * frac(v) for v in reps[k]) for s, k in zip(signs, combo)]
+                cones = []
+                for x_sign in (1, -1):
+                    rays = [tuple(x_sign * frac(v) for v in x)] + base
+                    halfspaces = []
+                    for drop, ray in enumerate(rays):
+                        (f,) = exact.nullspace(rays[:drop] + rays[drop + 1:], amb)
+                        halfspaces.append(geo.HalfSpace(f if dot(f, ray) > 0 else
+                                                        tuple(-v for v in f)))
+                    cones.append(halfspaces)
+                yield cones
+
+
+def reference_join_sublattice(coll, poset, basis):
+    """Generators of J from the cone path that ``groups.join_sublattice``
+    replaced: the sum of the indicator vectors of each join's two cones,
+    sorted, with joins that leave the arrangement skipped."""
+    vectors = set()
+    for cones in reference_join_cones(coll):
+        vecs = [reference_polytope_to_vector(hs, basis, poset) for hs in cones]
+        if NOT_L_POLYTOPE not in vecs:
+            vectors.add(tuple(a + b for a, b in zip(*vecs)))
+    return [list(v) for v in sorted(vectors) if any(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +1030,7 @@ def facet_map(q, u_covector, poset_u=None, basis_u=None):
         return ZERO  # contact has dimension < n-1
     if basis_u is None:
         return (side, None)
-    q_signs = poset_u.polytope_signs(q.facet_halfspaces())
+    q_signs = reference_polytope_signs(poset_u, q.facet_halfspaces())
     return (side, tuple(int(arr.FacePoset._agrees(s, q_signs)) for s in basis_u))
 
 

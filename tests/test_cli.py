@@ -83,6 +83,17 @@ def test_triangle_verify():
     assert checks[0]["bounded_regions"] == 1 and checks[0]["apartment_iso"]
 
 
+def test_windowed_euclidean_solomon_tits_is_the_local_theorem():
+    """A window is never ignored: on E^n ``verify solomon-tits`` with
+    ``polytope_A`` certifies the local theorem, as ``verify local`` does,
+    not the whole plane's 5 bounded regions."""
+    scene = load("e2_square_window")
+    checks, overall = run_command("verify", "solomon-tits", scene)
+    assert overall == "PASS"
+    assert checks[0]["name"] == "solomon-tits-local" and checks[0]["regions_in_window"] == 3
+    assert checks == run_command("verify", "local", load("e2_square_window"))[0]
+
+
 def test_two_cube_homology():
     scene = load("h3_two_cubes")
     checks, overall = run_command("homology", "st", scene)
@@ -475,11 +486,13 @@ TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
     ("verify", "exact-seq", str(TEST_SCENES / "e2_sixteen_lines_u.json"),
      "17 hyperplanes exceed the desk-scale guard 16"),
     # cell apartments live in the E/H suspended model; ``homology local``
-    # on these scenes exits 0
+    # on these scenes exits 0, and a windowed ``verify solomon-tits`` is
+    # the local theorem, so it exits 3 too
     ("verify", "local", str(TEST_SCENES / "s2_octant_window.json"), SPHERICAL_LOCAL),
     ("verify", "local", {"geometry": "S", "n": 1, "hyperplanes": [["1", "0"], ["0", "1"]],
                          "polytope_A": {"halfspaces": [["1", "0"], ["0", "1"]]}},
      SPHERICAL_LOCAL),
+    ("verify", "solomon-tits", str(TEST_SCENES / "s2_octant_window.json"), SPHERICAL_LOCAL),
 ])
 def test_unmet_hypotheses_exit_3_with_detail(command, sub, scene, detail, tmp_path, capsys):
     if isinstance(scene, dict):

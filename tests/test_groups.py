@@ -27,6 +27,7 @@ from conftest import (
     reference_det_sign,
     reference_is_injective,
     reference_polytope,
+    reference_polytope_to_vector,
     reference_pt_to_ls_element,
     region_polytope,
     subdivide,
@@ -215,7 +216,7 @@ def test_polytope_apartment_subdivision_additive(four_lines):
     classes = cx.HomologyClasses(st.complex, 2)
     # the big triangle is a convex L-polytope cut by the fourth line
     p = reference_polytope(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
-    vec = arr.polytope_to_vector(p.facet_halfspaces(), basis, poset)
+    vec = reference_polytope_to_vector(p.facet_halfspaces(), basis, poset)
     covered = [basis[i] for i, c in enumerate(vec) if c]
     assert len(covered) == 2
     apt_p = apartment_cycle_polytope(p, four_lines, st)

@@ -12,10 +12,12 @@ face chains and apartments keyed by the faces of each region's polytope
 (``conftest.reference_face_chains``, ``apartment_cycle_pt_polytope``),
 with coordinates in each face span, a ``Fraction`` determinant and
 boundaries through the whole boundary matrix.  Region vertices and the
-facets of join cones are checked against the vertex enumeration and
-face lattice of ``conftest.reference_polytope``, and each region's
-Pt -> Ls image against the placing triangulation of that polytope
-(``conftest.reference_pt_to_ls_element``).
+facets of the reference join cones are checked against the vertex
+enumeration and face lattice of ``conftest.reference_polytope``, each
+region's Pt -> Ls image against the placing triangulation of that
+polytope (``conftest.reference_pt_to_ls_element``), and the spherical
+joins read off sign vectors against the sums of their cones' indicator
+vectors (``conftest.reference_join_sublattice``).
 """
 
 import collections
@@ -55,7 +57,10 @@ from conftest import (
     reference_face_chains,
     reference_face_simplices,
     reference_in_polytope,
+    reference_join_cones,
+    reference_join_sublattice,
     reference_polytope,
+    reference_polytope_signs,
     reference_pt_to_ls_element,
     reference_vertex_candidates,
     region_halfspaces,
@@ -149,7 +154,7 @@ def _check_polytope(poset, polytope):
     cells = sorted(poset.cells.items())
     want = [s for s, c in cells if reference_in_polytope(poset, c, polytope)]
     assert cells_in_polytope(poset, polytope) == want
-    signs = poset.polytope_signs(polytope.facet_halfspaces())
+    signs = reference_polytope_signs(poset, polytope.facet_halfspaces())
     for s, c in cells:
         assert arr.FacePoset._agrees(s, signs) == (s in want)
     return want
@@ -611,17 +616,62 @@ def test_pt_to_ls_matches_placing_reference():
     assert signs == {1, -1}
 
 
-def test_join_cone_halfspaces_are_facets(monkeypatch):
+def _seeded_both_generated(n, k, count):
+    """The first ``count`` seeded S^n collections closed from k distinct
+    hyperplanes with entries in [-1, 1] that are generated by both points
+    and hyperplanes: small entries make that likely."""
+    g = geo.Geometry("S", n)
+    out = []
+    seed = 0
+    while len(out) < count:
+        rng = random.Random(f"joins/S{n}/{k}/{seed}")
+        seed += 1
+        covs = set()
+        while len(covs) < k:
+            cov = tuple(rng.randint(-1, 1) for _ in range(n + 1))
+            if any(cov):
+                covs.add(geo.canonical_covector(cov))
+        coll = coll_mod.closure_by_hyperplanes(g, sorted(covs))
+        if coll_mod.generated_by_both(coll):
+            out.append(coll)
+    return out
+
+
+def test_join_sublattice_matches_cone_reference():
+    """The joins read off the regions' signs on the walls are the joins
+    summed from the indicator vectors of their two simplicial cones, on
+    every spherical scene generated by both and on seeded S^1-S^3 ones."""
+    scenes = [coll for _, coll in _both_generated_scenes() if coll.geometry.kind == geo.SPHERICAL]
+    assert len(scenes) == 8
+    seeded = (_seeded_both_generated(1, 3, 12) + _seeded_both_generated(2, 4, 14)
+              + _seeded_both_generated(3, 4, 10) + _seeded_both_generated(3, 5, 6))
+    for coll in scenes + seeded:
+        poset = arr.build_arrangement(coll)
+        basis = arr.region_basis(poset)
+        joins = grp.join_sublattice(coll, poset, basis)
+        assert joins and joins == reference_join_sublattice(coll, poset, basis)
+
+
+def test_reference_join_cone_halfspaces_are_facets():
     """Every join cone of the S^2 pt-ls check is simplicial, so each of
     its half-spaces is a facet of the reference polytope."""
-    cones = []
-    build = grp._cone_halfspaces
-    monkeypatch.setattr(grp, "_cone_halfspaces", lambda *a: cones.append(build(*a)) or cones[-1])
-    coll, (poset,) = _region_posets("s2_coordinate")
-    assert grp.verify_pt_ls(coll, poset, arr.region_basis(poset))["verdict"] == "PASS"
-    assert len(cones) == 24 and None not in cones  # 3 pairs x 4 bases x 2 cones
+    coll, _ = _region_posets("s2_coordinate")
+    cones = [hs for pair in reference_join_cones(coll) for hs in pair]
+    assert len(cones) == 24  # 3 pairs x 4 bases x 2 cones
     for hs in cones:
         assert reference_polytope(S2, hs).facet_halfspaces() == tuple(hs)
+
+
+@pytest.mark.parametrize("name", ["s2_coordinate", "s3_four_generic"])
+def test_pt_ls_joins_take_no_nullspace(name):
+    """Once the arrangement is built, the spherical pt-ls check takes no
+    nullspace, and one closure scan per region: the simplex rule's."""
+    coll, (poset,) = _region_posets(name)
+    basis = arr.region_basis(poset)
+    with src_calls() as counts:
+        assert grp.verify_pt_ls(coll, poset, basis)["verdict"] == "PASS"
+    assert counts["nullspace"] == 0
+    assert counts["cells_in"] == len(basis) == len(poset.regions())
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +690,7 @@ def test_non_l_polytope_raises_value_error(coord_s2, triangle):
     e2 = arr.build_arrangement(triangle)
     piece = subdivide(region_polytope(e2, arr.region_basis(e2)[0]), [(1, -4, 0)])[0]
     with pytest.raises(ValueError, match=r"\[1, -4, 0\]"):
-        e2.polytope_signs(piece.facet_halfspaces())
+        reference_polytope_signs(e2, piece.facet_halfspaces())
 
 
 def test_flat_not_cut_out_by_hyperplanes_is_an_internal_error(coord_s2):
@@ -649,6 +699,17 @@ def test_flat_not_cut_out_by_hyperplanes_is_an_internal_error(coord_s2):
     poset = arr.build_arrangement(coord_s2)
     with pytest.raises(AssertionError):
         poset.flat_signs(geo.subspace_from_vectors(3, [(1, 1, 0)]))
+
+
+def test_join_wall_outside_the_arrangement_is_an_internal_error():
+    """Four generic great circles of S^2 are not generated by points: the
+    circle through two of their six points on no common circle is no
+    hyperplane of the arrangement, so no join wall can be read there."""
+    coll = coll_mod.closure_by_hyperplanes(S2, COORD_S2_COVS + [(1, 1, 1)])
+    assert not coll_mod.generated_by_points(coll)
+    poset = arr.build_arrangement(coll)
+    with pytest.raises(AssertionError, match="join wall"):
+        grp.join_sublattice(coll, poset, arr.region_basis(poset))
 
 
 def test_region_without_spanning_vertices_is_an_internal_error():
