@@ -273,21 +273,13 @@ def _flats(geometry, covectors, carrier):
 def _flat_points(geometry, carrier):
     """Ambient witnesses of the cells of a flat that no hyperplane cuts
     inside the geometry: its first basis row, a chart point in E^n (the
-    first pivot is x0); the min-norm chart point in H^n (that row made
-    orthogonal to the others, which have x0 = 0, by fraction-free
-    Gram-Schmidt); on S^n a basis vector, and its antipode too when the
-    flat is a 0-flat."""
-    rows = carrier.basis
-    point = rows[0]
+    first pivot is x0); the nearest chart point in H^n
+    (``geometry.nearest_chart_point``, inside the ball); on S^n a basis
+    vector, and its antipode too when the flat is a 0-flat."""
     if geometry.kind == geo.HYPERBOLIC:
-        done = []
-        for r in rows[1:] + (point,):
-            for o in done:
-                oo, ro = dot(o, o), dot(r, o)
-                r = exact.primitive_int_row([oo * x - ro * y for x, y in zip(r, o)])
-            done.append(r)
-        point = done[-1]
-    if geometry.kind == geo.SPHERICAL and len(rows) == 1:
+        return (geo.nearest_chart_point(carrier),)
+    point = carrier.basis[0]
+    if geometry.kind == geo.SPHERICAL and carrier.dim == 1:
         return point, tuple(-x for x in point)
     return (point,)
 

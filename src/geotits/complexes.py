@@ -426,11 +426,17 @@ class SphereTriangulation:
         Topology*, 1984): a simplex ending at the cell is a facet's
         simplex extended by the cell, and its orientation is the facet
         simplex's times ``FacePoset.step_sign`` of (facet, cell), so a
-        cell costs one determinant per facet and no per-flag one.  The
-        incidences map each facet (in sign-vector order) to the unit e
-        such that the chain's boundary is the sum of e times the facet
-        chains, checked on the boundary; a 0-cell has none.  Callers
-        must not mutate either.
+        cell costs one determinant per facet and no per-flag one.
+
+        With e_F = ``step_sign(F, cell)`` and c the sum of e_F times the
+        facet chains, the chain is the cone c * p from the cell p, and
+        d(c * p) = (dc) * p + (-1)^d c for a d-cell.  So the incidences map
+        each facet (in sign-vector order) to eta_F = (-1)^d e_F, and the
+        boundary is the sum of eta_F times the facet chains exactly when
+        dc = 0: as distinct cells' chains have disjoint, nonzero supports,
+        when sum_F e_F eta_(F,G) = 0 at each ridge G (for d = 1 the 0-cells'
+        chain coefficients stand in for eta), checked here.  A 0-cell has
+        no incidences.  Callers must not mutate either.
         """
         got = self._cell_chains.get(sign)
         if got is None:
@@ -444,30 +450,21 @@ class SphereTriangulation:
         if not cell.dim:
             return {(pos,): step(None, sign)}, {}
         cone = []
+        incidences = {}
+        ridges = {}
         for facet in self.poset.facets(sign):
             e = step(facet, sign)
-            cone.extend((lab + (pos,), s * e) for lab, s in self.cell_chain(facet)[0].items())
+            fchain, below = self.cell_chain(facet)
+            cone.extend((lab + (pos,), s * e) for lab, s in fchain.items())
+            incidences[facet] = -e if cell.dim % 2 else e
+            if cell.dim == 1:  # the 0-cell's chain coefficient, on the empty face
+                below = {None: step(None, facet)}
+            for ridge, eta in below.items():
+                ridges[ridge] = ridges.get(ridge, 0) + e * eta
         chain = dict(sorted(cone))
         if len(chain) != len(self._by_top[cell.dim, sign]):
             raise AssertionError("facet chains miss simplices of the cell")
-        incidences = {}
-        remaining = {}
-        for lab, s in chain.items():
-            for low, sign_low in _drop_one(lab):
-                remaining[low] = remaining.get(low, 0) + sign_low * s
-        remaining = {lab: v for lab, v in remaining.items() if v}
-        for facet in self.poset.facets(sign):
-            fchain = self.cell_chain(facet)[0]
-            etas = {remaining.get(lab, 0) * s for lab, s in fchain.items()}  # s is +-1
-            if len(etas) != 1 or 0 in etas:
-                raise AssertionError("facet chain is not a signed copy")
-            eta = etas.pop()
-            if eta not in (1, -1):
-                raise AssertionError("incidence sign not a unit")
-            incidences[facet] = eta
-            for lab in fchain:
-                remaining.pop(lab, None)
-        if remaining:
+        if any(ridges.values()):
             raise AssertionError("boundary leaks outside the facet chains")
         return chain, incidences
 

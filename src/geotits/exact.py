@@ -2,9 +2,8 @@
 
 Everything here is exact; no floats.  Integer input stays integer: a
 subspace is spanned by primitive integer rows (``rref``), and
-determinant signs and signatures are fraction-free.  Rational input is
-still accepted everywhere; a *row* of length ``k`` is a linear form
-over ``k`` variables.
+determinant signs are fraction-free.  Rational input is still accepted
+everywhere; a *row* of length ``k`` is a linear form over ``k`` variables.
 """
 
 from fractions import Fraction
@@ -22,10 +21,6 @@ def dot(a, b):
     """Sum of products in native arithmetic: int for int vectors, else
     ``Fraction``; divide a result with ``Fraction(p, q)``, never ``/``."""
     return sum(x * y for x, y in zip(a, b))
-
-
-def mat_vec(rows, v):
-    return tuple(dot(r, v) for r in rows)
 
 
 def _primitive(row):
@@ -149,60 +144,3 @@ def det_sign(rows):
             mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], prow)]
         prev = pv
     return sign if prev > 0 else -sign
-
-
-def signature(gram):
-    """Sylvester signature (n_pos, n_neg, n_zero) of a symmetric matrix.
-
-    Fraction-free congruence: for a pivot d = g[i][i] != 0, row and then
-    column j of every other live index become d*(j) - f*(i) with
-    f = g[j][i], which clears g[j][i] and g[i][j].  Each step is a
-    congruence by a matrix of determinant d, so it keeps the signature,
-    and integer entries stay integers.  A live block with zero diagonal
-    first gets e_i += e_j at a nonzero off-diagonal entry.
-    """
-    g = [list(row) for row in gram]
-    pos = neg = zero = 0
-    live = list(range(len(g)))
-    while live:
-        i = next((i for i in live if g[i][i] != 0), None)
-        if i is None:
-            offd = next(
-                ((i, j) for ii, i in enumerate(live) for j in live[ii + 1 :] if g[i][j] != 0),
-                None,
-            )
-            if offd is None:
-                zero += len(live)
-                break
-            i, j = offd
-            # basis change e_i += e_j turns the zero diagonal nonzero
-            for k in live:
-                g[i][k] += g[j][k]
-            for k in live:
-                g[k][i] += g[k][j]
-            continue
-        d = g[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        live.remove(i)
-        span = live + [i]
-        for j in live:
-            f = g[j][i]
-            if f != 0:
-                for k in span:
-                    g[j][k] = d * g[j][k] - f * g[i][k]
-                for k in span:
-                    g[k][j] = d * g[k][j] - f * g[k][i]
-    return pos, neg, zero
-
-
-def signature_on_subspace(form_rows, basis_rows):
-    """Signature of a symmetric form restricted to span(basis rows); an
-    integer form and integer rows give an integer Gram matrix."""
-    if basis_rows and len(form_rows) != len(basis_rows[0]):
-        raise ValueError("form/subspace dimension mismatch")
-    fb = [mat_vec(form_rows, v) for v in basis_rows]
-    gram = [[dot(u, v) for v in basis_rows] for u in fb]
-    return signature(gram)

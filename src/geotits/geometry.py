@@ -52,16 +52,6 @@ class Geometry:
         return f"{self.kind}^{self.n}"
 
 
-def minkowski_form(n):
-    """Integer Gram matrix of -x0^2 + x1^2 + ... + xn^2."""
-    rows = []
-    for i in range(n + 1):
-        row = [0] * (n + 1)
-        row[i] = 1 if i else -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 class LinearSubspace:
     """Linear subspace of Q^(ambient_dim) with the canonical basis of
     ``exact.rref``: primitive integer rows with positive pivots."""
@@ -134,16 +124,38 @@ def full_space(ambient_dim):
     return LinearSubspace(ambient_dim, exact.nullspace((), ambient_dim))
 
 
+def nearest_chart_point(carrier):
+    """The first basis row made orthogonal to the others by fraction-free
+    Gram-Schmidt, whose steps scale it by positive factors."""
+    done = []
+    for r in carrier.basis[1:] + carrier.basis[:1]:
+        for o in done:
+            oo, ro = dot(o, o), dot(r, o)
+            r = primitive_int_row([oo * x - ro * y for x, y in zip(r, o)])
+        done.append(r)
+    return done[-1]
+
+
 def geo_nonempty(carrier, geometry):
-    """Does the linear subspace meet the geometry?"""
+    """Does the linear subspace meet the geometry?
+
+    H^n: some v has -v0^2 + v1^2 + ... + vn^2 < 0 (Ratcliffe, GTM 149),
+    that is, the chart slice {x0 = 1} meets the open unit ball.  That
+    needs the first pivot at x0 (else u[0] = 0 below); then the slice is
+    rows[0]/p + span(rows[1:]), p = rows[0][0] > 0, and on rows[1:],
+    which have x0 = 0, the ambient dot product is the chart one.  So the
+    slice's point nearest the origin is u[1:]/u[0], u the
+    ``nearest_chart_point``, and the slice meets the ball exactly when
+    that point does.
+    """
     if carrier.ambient_dim != geometry.ambient_dim:
         raise ValueError("ambient mismatch")
     if geometry.kind == EUCLIDEAN:
         return any(row[0] != 0 for row in carrier.basis)
-    if geometry.kind == HYPERBOLIC:
-        sig = exact.signature_on_subspace(minkowski_form(geometry.n), carrier.basis)
-        return sig[1] >= 1
-    return carrier.dim >= 1
+    if geometry.kind == SPHERICAL or not carrier.dim:
+        return carrier.dim >= 1
+    u = nearest_chart_point(carrier)
+    return sum(x * x for x in u[1:]) < u[0] ** 2
 
 
 class GeoSubspace:
@@ -212,10 +224,9 @@ def chart_vector(geometry, point):
 
 
 def point_subspace(geometry, point):
-    """The 0-dimensional geodesic subspace through a chart point."""
+    """The 0-dimensional geodesic subspace through a chart point;
+    ValueError for a hyperbolic one off the open ball."""
     v = chart_vector(geometry, point)
-    if geometry.kind == HYPERBOLIC and sum(x * x for x in point) >= 1:
-        raise ValueError("hyperbolic chart point must lie strictly inside the unit ball")
     return GeoSubspace(geometry, subspace_from_vectors(geometry.ambient_dim, [v]))
 
 

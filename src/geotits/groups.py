@@ -7,7 +7,9 @@ incidence (``FacePoset.orientation``).  Only well-definedness and
 iso-ness are ever asserted, never an absolute sign.
 """
 
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 
 from geotits import HypothesesError
 from geotits import arrangement as arr
@@ -387,28 +389,27 @@ def join_sublattice(coll, poset, basis):
     region of the arrangement lies in the one sector of its signs on the
     walls.  The collection is generated by points, so H_k is a hyperplane
     of it: the one where the zero masks of x and the b_j other than b_k
-    meet.
+    meet.  Likewise x, b_1, ..., b_n are dependent exactly when all their
+    zero masks meet, in a hyperplane holding them: the collection's points
+    span the space, so adding them one at a time to a span of dimension
+    <= n reaches a hyperplane member.
 
     AssertionError unless each wall is exactly one hyperplane of the
     arrangement.
     """
     n = coll.geometry.n
     pts = coll.points()
-    reps = [p.carrier.basis[0] for p in pts]
     masks = {c.flat: arr.zero_mask(s) for s, c in poset.cells.items() if c.dim == 0}
     zeros = [masks[p.carrier] for p in pts]
     vectors = set()
     for xi in range(len(pts)):
         others = [k for k in range(len(pts)) if k != xi]
         for combo in combinations(others, n):
-            if exact.rank([reps[xi]] + [reps[k] for k in combo]) != n + 1:
-                continue
+            if reduce(and_, (zeros[k] for k in combo), zeros[xi]):
+                continue  # one hyperplane holds them all: dependent
             walls = []
             for drop in combo:
-                mask = zeros[xi]
-                for k in combo:
-                    if k != drop:
-                        mask &= zeros[k]
+                mask = reduce(and_, (zeros[k] for k in combo if k != drop), zeros[xi])
                 if mask.bit_count() != 1:
                     raise AssertionError("a join wall is not one hyperplane of the arrangement")
                 walls.append(mask.bit_length() - 1)

@@ -95,8 +95,8 @@ def reference_det_sign(rows):
 
 def reference_signature(gram):
     """Sylvester signature (n_pos, n_neg, n_zero) by symmetric Gaussian
-    elimination over ``Fraction``, kept as the oracle for
-    ``exact.signature``."""
+    elimination over ``Fraction``, kept as the oracle for the H^n test of
+    ``geometry.geo_nonempty``."""
     g = [list(map(Fraction, row)) for row in gram]
     n = len(g)
     pos = neg = zero = 0

@@ -462,6 +462,12 @@ SPHERICAL_LOCAL = "local verification is for E^n and H^n windows"
 TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
 
 
+def _scene_file_id(value):
+    """A scene path's file name, so that test ids do not depend on where
+    the checkout lives; None (pytest's own id) for every other value."""
+    return pathlib.Path(value).name if isinstance(value, str) and value.endswith(".json") else None
+
+
 @pytest.mark.parametrize("command, sub, scene, detail", [
     ("verify", "duality", scene_path("e2_triangle"), "duality is spherical"),
     ("verify", "suspension", scene_path("e2_triangle"), "suspension reduction is spherical"),
@@ -493,7 +499,7 @@ TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
                          "polytope_A": {"halfspaces": [["1", "0"], ["0", "1"]]}},
      SPHERICAL_LOCAL),
     ("verify", "solomon-tits", str(TEST_SCENES / "s2_octant_window.json"), SPHERICAL_LOCAL),
-])
+], ids=_scene_file_id)
 def test_unmet_hypotheses_exit_3_with_detail(command, sub, scene, detail, tmp_path, capsys):
     if isinstance(scene, dict):
         path = tmp_path / "scene.json"

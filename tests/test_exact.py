@@ -18,7 +18,6 @@ from conftest import (
     reference_coordinates,
     reference_det_sign,
     reference_feasible,
-    reference_signature,
     reference_solve_unique,
 )
 
@@ -473,57 +472,6 @@ def test_rational_results_never_float(seed):
     sol = reference_solve_unique(square, rhs)
     assert [dot(r, sol) for r in square] == rhs
     assert all(type(x) is Fr for x in sol)
-
-
-MINK2 = [[-1, 0], [0, 1]]
-
-
-def test_signature_minkowski_cases():
-    assert exact.signature_on_subspace(MINK2, [(1, 0)]) == (0, 1, 0)
-    assert exact.signature_on_subspace(MINK2, [(0, 1)]) == (1, 0, 0)
-    assert exact.signature_on_subspace(MINK2, [(1, 1)]) == (0, 0, 1)
-
-
-def test_signature_full_minkowski():
-    mink = [
-        [-1, 0, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-    ]
-    full = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert exact.signature_on_subspace(mink, full) == (2, 1, 0)
-
-
-@st.composite
-def symmetric_matrices(draw):
-    """Symmetric integer matrices up to 5x5.  Some have a zero diagonal
-    (the e_i += e_j basis change), some are a signed sum of at most two
-    rank-one squares (zero eigenvalues)."""
-    n = draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["dense", "zero_diagonal", "low_rank"]))
-    if kind == "low_rank":
-        g = [[0] * n for _ in range(n)]
-        for _ in range(draw(st.integers(0, 2))):
-            u = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-            s = draw(st.sampled_from([1, -1]))
-            g = [[g[i][j] + s * u[i] * u[j] for j in range(n)] for i in range(n)]
-        return g
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if i != j or kind == "dense":
-                g[i][j] = g[j][i] = draw(st.integers(-6, 6))
-    return g
-
-
-@settings(max_examples=300, deadline=None)
-@given(symmetric_matrices())
-def test_signature_matches_fraction_reference(gram):
-    """The fraction-free congruence gives the signature of symmetric
-    elimination over ``Fraction``."""
-    got = exact.signature(gram)
-    assert got == reference_signature(gram)
-    assert sum(got) == len(gram)
 
 
 # x > 0, y >= 0 and x + y - 1 = 0, as integer rows or as their Fraction

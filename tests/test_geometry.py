@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction as Fr
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from geotits import arrangement as arr
 from geotits import geometry as geo
 from geotits.exact import dot
-from conftest import E2, H2, H3, S1, S2, face_span, reference_is_bounded, reference_polytope
+from conftest import (
+    E2, H2, H3, S1, S2, face_span, reference_is_bounded, reference_polytope, reference_signature,
+)
 
 
 def test_geo_nonempty_examples():
@@ -16,6 +19,58 @@ def test_geo_nonempty_examples():
     h1 = geo.Geometry("H", 1)
     assert not geo.geo_nonempty(geo.subspace_from_vectors(2, [(1, 2)]), h1)
     assert geo.geo_nonempty(geo.subspace_from_vectors(2, [(2, 1)]), h1)
+
+
+def test_geo_nonempty_minkowski_cases():
+    """A timelike line meets H^n; a spacelike line, a null line (an ideal
+    point) and a plane tangent to the ball along a null line miss it."""
+    h1 = geo.Geometry("H", 1)
+    assert geo.geo_nonempty(geo.subspace_from_vectors(2, [(1, 0)]), h1)
+    assert not geo.geo_nonempty(geo.subspace_from_vectors(2, [(0, 1)]), h1)
+    assert not geo.geo_nonempty(geo.subspace_from_vectors(2, [(1, 1)]), h1)
+    assert geo.geo_nonempty(geo.full_space(3), H2)
+    assert not geo.geo_nonempty(geo.subspace_from_vectors(3, [(1, 1, 0)]), H2)
+    assert not geo.geo_nonempty(geo.subspace_from_vectors(3, [(1, 1, 0), (0, 0, 1)]), H2)
+    assert geo.geo_nonempty(geo.subspace_from_vectors(3, [(2, 1, 0), (0, 0, 1)]), H2)
+    assert not geo.geo_nonempty(geo.LinearSubspace(3), H2)
+
+
+def _minkowski_gram(rows):
+    return [[-u[0] * v[0] + dot(u[1:], v[1:]) for v in rows] for u in rows]
+
+
+def _null_row(rng, n):
+    """A null row of the Minkowski form: (1, +-e_i) or (5, +-3 e_i +- 4 e_j)."""
+    tail = [0] * n
+    if n >= 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        tail[i], tail[j] = rng.choice([3, -3]), rng.choice([4, -4])
+        return (5, *tail)
+    tail[rng.randrange(n)] = rng.choice([1, -1])
+    return (1, *tail)
+
+
+def test_geo_nonempty_matches_signature_reference():
+    """On H^1-H^4 a carrier meets the geometry exactly when the Minkowski
+    form on its basis has negative index >= 1 (``reference_signature``),
+    also for rows with x0 = 0 and for null rows such as (1, 1, 0)."""
+    rng = random.Random("geo_nonempty/H")
+    seen = collections.Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, n + 1)):
+            kind = rng.choice(["dense", "x0_zero", "null"])
+            if kind == "null":
+                rows.append(_null_row(rng, n))
+            else:
+                rows.append((0 if kind == "x0_zero" else rng.randint(-3, 3),
+                             *(rng.randint(-3, 3) for _ in range(n))))
+        carrier = geo.subspace_from_vectors(n + 1, rows)
+        want = reference_signature(_minkowski_gram(carrier.basis))[1] >= 1
+        assert geo.geo_nonempty(carrier, geo.Geometry("H", n)) == want
+        seen[want] += 1
+    assert min(seen[True], seen[False]) > 500
 
 
 def test_span_points():

@@ -665,12 +665,14 @@ def test_reference_join_cone_halfspaces_are_facets():
 @pytest.mark.parametrize("name", ["s2_coordinate", "s3_four_generic"])
 def test_pt_ls_joins_take_no_nullspace(name):
     """Once the arrangement is built, the spherical pt-ls check takes no
-    nullspace, and one closure scan per region: the simplex rule's."""
+    nullspace and no rank (the joins' independence is read off zero
+    masks), and one closure scan per region: the simplex rule's."""
     coll, (poset,) = _region_posets(name)
     basis = arr.region_basis(poset)
     with src_calls() as counts:
         assert grp.verify_pt_ls(coll, poset, basis)["verdict"] == "PASS"
     assert counts["nullspace"] == 0
+    assert counts["rank"] == 0
     assert counts["cells_in"] == len(basis) == len(poset.regions())
 
 

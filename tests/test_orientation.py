@@ -181,3 +181,18 @@ def test_chain_missing_a_facet_is_refused(coord_s2, monkeypatch):
     region = tri.poset.regions()[0].sign_vector
     with pytest.raises(AssertionError, match="facet chains miss simplices of the cell"):
         tri.cell_chain(region)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_flipped_step_sign_leaks_the_boundary(dim):
+    """With the step sign of one (facet, cell) incidence flipped, the
+    cell's ridge sums (the 0-cells' coefficients for a 1-cell) no longer
+    cancel, on the coordinate S^3."""
+    coll = _scene_collection(cli.corpus_dir() / "s3_coordinate.json")
+    poset = arr.build_arrangement(coll)
+    tri = cx.sphere_triangulation(coll, poset)
+    cell = next(s for s in sorted(poset.cells) if poset.cells[s].dim == dim)
+    facet = poset.facets(cell)[0]
+    poset._step_signs[facet, cell] = -poset.step_sign(facet, cell)
+    with pytest.raises(AssertionError, match="boundary leaks outside the facet chains"):
+        tri.cell_chain(cell)
