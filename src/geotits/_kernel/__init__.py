@@ -1,34 +1,30 @@
-"""Exact integer linear algebra: Smith normal form, kernel lattices and
-sublattice comparison.  The elimination is
-:func:`geotits._kernel.elim_py.eliminate`, in one of three modes:
-``RANK`` (invariant factors only), ``KERNEL`` (the same pivot order, and
-the column transform V kept sparse for ``kernel_basis``) and ``PINNED``
-(the pinned Markowitz pivot order, without V, whose non-pivot columns
-``complexes.HomologyClasses`` reads).
+"""Exact integer linear algebra: Smith normal form and lattice
+membership.  The elimination is
+:func:`geotits._kernel.elim_py.eliminate`, in one of two modes: ``RANK``
+(invariant factors only) and ``PINNED`` (the pinned Markowitz pivot
+order, whose non-pivot columns ``complexes.HomologyClasses`` reads).
+Neither keeps a transform.
 
-Lattice membership and equality do not depend on a basis, so rank-only
-reductions answer them.  If L is contained in L' and both have rank r,
-then L = L' exactly when the products of their invariant factors agree:
-each product is the gcd of the r x r minors, the index of the lattice in
-its saturation, and the two saturations are equal (Cohen, *A Course in
+Lattice membership does not depend on a basis, so rank-only reductions
+answer it.  If L is contained in L' and both have rank r, then L = L'
+exactly when the products of their invariant factors agree: each
+product is the gcd of the r x r minors, the index of the lattice in its
+saturation, and the two saturations are equal (Cohen, *A Course in
 Computational Algebraic Number Theory*, GTM 138, 1993, section 2.4).
 """
 
 from math import prod
 from types import MappingProxyType
 
-from geotits._kernel.elim_py import KERNEL, MODES, PINNED, RANK, eliminate
+from geotits._kernel.elim_py import MODES, PINNED, RANK, eliminate
 
 __all__ = [
-    "KERNEL",
     "PINNED",
     "RANK",
     "IntMatrix",
     "SnfResult",
     "smith_normal_form",
-    "kernel_basis",
     "lattice_contains",
-    "lattices_equal",
 ]
 
 
@@ -149,13 +145,9 @@ def _column(col, rows, j, cols):
 
 
 class SnfResult:
-    """Invariant factors d1 | d2 | ... | dr plus an optional certificate.
+    """Invariant factors d1 | d2 | ... | dr and where they were retired.
 
     ``pivot_rows[k]`` and ``pivot_cols[k]`` locate ``invariant_factors[k]``.
-    In ``KERNEL`` mode ``vcols`` (the n columns of a unimodular V) are
-    sparse dicts from index to nonzero int, and M @ V vanishes at every
-    non-pivot column; otherwise ``vcols`` is None.
-
     The first ``units`` pivots were retired by the kernel's unit phase,
     at +-1 entries, so the input's minor at ``pivot_rows[:units]`` and
     ``pivot_cols[:units]`` has determinant +-1.  Only those rows may be
@@ -163,14 +155,13 @@ class SnfResult:
     later pivot rows may not, even where the pivot is 1.
     """
 
-    __slots__ = ("invariant_factors", "rank", "pivot_rows", "pivot_cols", "vcols", "units")
+    __slots__ = ("invariant_factors", "rank", "pivot_rows", "pivot_cols", "units")
 
-    def __init__(self, invariant_factors, pivot_rows, pivot_cols, vcols=None, units=0):
+    def __init__(self, invariant_factors, pivot_rows, pivot_cols, units):
         self.invariant_factors = tuple(invariant_factors)
         self.rank = len(self.invariant_factors)
         self.pivot_rows = tuple(pivot_rows)
         self.pivot_cols = tuple(pivot_cols)
-        self.vcols = vcols
         self.units = units
 
     @property
@@ -179,8 +170,8 @@ class SnfResult:
 
 
 def smith_normal_form(matrix, mode=RANK):
-    """SNF of an IntMatrix in one of the modes ``RANK``, ``KERNEL`` or
-    ``PINNED``; deterministic for a fixed input.
+    """SNF of an IntMatrix in one of the modes ``RANK`` or ``PINNED``;
+    deterministic for a fixed input.
 
     ``eliminate`` records its pivots in divisibility order, so they are
     the invariant factors as they stand.
@@ -188,24 +179,6 @@ def smith_normal_form(matrix, mode=RANK):
     if mode not in MODES:
         raise ValueError(f"unknown elimination mode {mode!r}")
     return SnfResult(*eliminate(matrix.row_dicts(), matrix.rows, matrix.cols, mode))
-
-
-def kernel_basis(matrix):
-    """Basis of the lattice {x in Z^n : M x = 0}, as a list of columns:
-    the columns of V at the non-pivot columns, in index order.  V comes
-    from the index-order sweep of the unit phase, so only the lattice the
-    basis spans is determined, not the basis itself."""
-    snf = smith_normal_form(matrix, KERNEL)
-    n = matrix.cols
-    pivots = set(snf.pivot_cols)
-    basis = []
-    for j in range(n):
-        if j not in pivots:
-            col = [0] * n
-            for i, v in snf.vcols[j].items():
-                col[i] = v
-            basis.append(col)
-    return basis
 
 
 def _rank_and_index(matrix):
@@ -223,11 +196,3 @@ def lattice_contains(matrix, vectors):
     wide = IntMatrix.from_col_dicts(
         matrix.rows, matrix.col_dicts + [{i: v for i, v in enumerate(vec) if v} for vec in vectors])
     return _rank_and_index(matrix) == _rank_and_index(wide)
-
-
-def lattices_equal(cols_a, cols_b, length):
-    """Equality of the sublattices of Z^length spanned by two column sets:
-    A, B and [A | B] have the same rank and index."""
-    joint = _rank_and_index(IntMatrix.from_columns(length, cols_a + cols_b))
-    return (_rank_and_index(IntMatrix.from_columns(length, cols_a)) == joint
-            and _rank_and_index(IntMatrix.from_columns(length, cols_b)) == joint)

@@ -6,8 +6,8 @@ boundary matrices are almost entirely unimodular-pivotable), then fall
 back to classic smallest-entry pivoting with in-loop divisibility
 enforcement, so the recorded pivots already satisfy d1 | d2 | ... .
 
-A call runs in one of three modes, which differ only in how phase A
-picks its +-1 pivots and in whether the column transform V is kept:
+A call runs in one of two modes, which differ only in how phase A
+picks its +-1 pivots:
 
 * ``RANK``: only the invariant factors are pinned.  Phase A sweeps the
   active rows in index order: a row with a +-1 entry pivots at the one
@@ -16,15 +16,12 @@ picks its +-1 pivots and in whether the column transform V is kept:
   is scanned twice unchanged and there is no heap.  Any unit-pivot order
   gives the same invariant factors (exhausting unit pivots first
   follows Dumas, Heckenbach, Saunders & Welker, 2003).
-* ``KERNEL``: the same order, and V is kept as sparse columns, so M V
-  vanishes at every column outside ``pivot_cols``.  Kernel bases read
-  it; the lattice they span does not depend on the pivot order.
-* ``PINNED``: pivots, positions and ``units`` are pinned, and no V is
-  kept.  The +-1 pivot of least Markowitz fill cost key ``(cost, i,
-  j)`` (Markowitz 1957) goes first, from a heap with one key per
-  column: the key of its best row, the shortest row with a +-1 entry
-  there (ties to the least index), which holds the column's least
-  entry key.  After a pivot, the pivot row's other columns, whose
+* ``PINNED``: pivots, positions and ``units`` are pinned.  The +-1
+  pivot of least Markowitz fill cost key ``(cost, i, j)`` (Markowitz
+  1957) goes first, from a heap with one key per column: the key of
+  its best row, the shortest row with a +-1 entry there (ties to the
+  least index), which holds the column's least entry key.  After a
+  pivot, the pivot row's other columns, whose
   lengths changed, are keyed again; a row the row operations touched
   is compared with the best row of each column it holds, and a column
   is scanned again only when its best row left it, lost its +-1 there
@@ -45,21 +42,20 @@ pivot 1: phase B reaches its pivots through remainders and row folds,
 so the input's minor there need not be +-1 (``[[2], [3]]`` retires 1 at
 row 1, where the minor is 3).
 
-Without V (``RANK`` and ``PINNED``) the pivot row is not cleared by
-column operations: once row operations have made column j0 equal to
-p e_i0, those operations would change row i0 alone, so its entries are
-dropped and the matrix left is the same.
+Phase A does not clear the pivot row by column operations: once row
+operations have made column j0 equal to p e_i0, those operations would
+change row i0 alone, so its entries are dropped and the matrix left is
+the same.
 
-No row transform U is kept.  Callers go through
+No transform, row (U) or column (V), is kept.  Callers go through
 :func:`geotits._kernel.smith_normal_form`.
 """
 
 from heapq import heapify, heappop, heappush
 
 RANK = "rank"
-KERNEL = "kernel"
 PINNED = "pinned"
-MODES = (RANK, KERNEL, PINNED)
+MODES = (RANK, PINNED)
 
 
 def eliminate(rows, m, n, mode):
@@ -67,12 +63,10 @@ def eliminate(rows, m, n, mode):
 
     ``rows`` is a list of ``m`` dicts mapping column index to a nonzero
     int; it is consumed.  ``mode`` is one of ``MODES``.  Returns
-    ``(pivots, pivot_rows, pivot_cols, vcols, units)`` where ``pivots``
-    is a list of positive ints in divisibility order,
-    ``pivot_rows``/``pivot_cols`` give the retired positions, ``vcols``
-    is None or, in ``KERNEL`` mode, the sparse columns (dicts) of a
-    unimodular V such that M V vanishes at every column outside
-    ``pivot_cols``, and the first ``units`` pivots are phase A's.
+    ``(pivots, pivot_rows, pivot_cols, units)`` where ``pivots`` is a
+    list of positive ints in divisibility order,
+    ``pivot_rows``/``pivot_cols`` give the retired positions, and the
+    first ``units`` pivots are phase A's.
 
     The output depends only on the input, never on the order in which
     rows and dicts iterate.  In ``PINNED`` mode every output is pinned:
@@ -84,8 +78,6 @@ def eliminate(rows, m, n, mode):
     for i in range(m):
         for j in rows[i]:
             cols[j].add(i)
-
-    vcols = [{j: 1} for j in range(n)] if mode == KERNEL else None
 
     active_rows = set(i for i in range(m) if rows[i])
     pivots = []
@@ -119,14 +111,6 @@ def eliminate(rows, m, n, mode):
             elif j in rows[i]:
                 del rows[i][j]
                 cols[j].discard(i)
-        if vcols is not None:
-            tv = vcols[j]
-            for i2, v in vcols[jp].items():
-                w = tv.get(i2, 0) - q * v
-                if w:
-                    tv[i2] = w
-                elif i2 in tv:
-                    del tv[i2]
 
     def retire(i0, j0):
         # row i0 and column j0 hold only the pivot by now
@@ -137,23 +121,20 @@ def eliminate(rows, m, n, mode):
         active_rows.discard(i0)
 
     def unit_pivot(i0, j0):
-        # clear column j0 by row operations, then row i0; returns the rows
-        # the row operations touched and the columns row i0 held besides j0
+        # clear column j0 by row operations, then drop row i0's other
+        # entries; returns the rows the row operations touched and the
+        # columns row i0 held besides j0
         ri = rows[i0]
         p = ri[j0]
         touched = [i for i in cols[j0] if i != i0]
         for i in touched:
             row_axpy(i, i0, rows[i][j0] * p)  # p in {1,-1}: q = v/p = v*p
+        # Column j0 is p e_i0 now, so clearing row i0 by column operations
+        # would change row i0 alone.
         support = [j for j in ri if j != j0]
-        if vcols is None:
-            # Column j0 is p e_i0 now, so clearing row i0 by column
-            # operations would change row i0 alone: drop its entries.
-            for j in support:
-                cols[j].discard(i0)
-            rows[i0] = {j0: p}
-        else:
-            for j in support:
-                col_axpy(j, j0, ri[j] * p)
+        for j in support:
+            cols[j].discard(i0)
+        rows[i0] = {j0: p}
         retire(i0, j0)
         return touched, support
 
@@ -295,7 +276,7 @@ def eliminate(rows, m, n, mode):
             row_axpy(i0, offender, -1)  # fold offending row into pivot row
         retire(i0, j0)
 
-    return pivots, pivot_rows, pivot_cols, vcols, units
+    return pivots, pivot_rows, pivot_cols, units
 
 
 def _least_unit_row(rows, col, j):

@@ -531,8 +531,12 @@ def verify_exact_seq(scene):
         raise SceneError("verify exact-seq needs options.u_hyperplane")
     grp.exact_sequence_hypotheses(coll, scene.u_hyperplane, scene.polytope_a)
     poset, basis = scene.arrangement(scene.polytope_a)
+    # only the E^n and H^n checks build ST models, from L|A
+    members = None
+    if scene.polytope_a is not None and scene.geometry.kind != geo.SPHERICAL:
+        members = scene.window_members()
     rep = grp.exact_sequence_check(coll, scene.u_hyperplane, window=scene.polytope_a,
-                                   poset=poset, basis=basis)
+                                   poset=poset, basis=basis, members=members)
     rep["name"] = "exact-sequence"
     return [rep]
 

@@ -16,13 +16,7 @@ from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import exact, geometry as geo
-from geotits._kernel import (
-    IntMatrix,
-    kernel_basis,
-    lattice_contains,
-    lattices_equal,
-    smith_normal_form,
-)
+from geotits._kernel import IntMatrix, lattice_contains, smith_normal_form
 from geotits.exact import dot
 
 
@@ -82,23 +76,23 @@ class GroupHom:
                   for row in self.domain.relations.row_dicts()]
         return lattice_contains(self.codomain.relation_lattice_matrix(), images)
 
-    def is_surjective(self):
-        g = len(self.codomain.generators)
-        stacked = IntMatrix.from_col_dicts(
-            g, self.matrix.col_dicts + self.codomain.relations.row_dicts())
-        return _unit_snf(stacked, g)
+    def _image_matrix(self):
+        """[M | R^T]: the images of the domain generators and the codomain
+        relations, whose columns span the image plus the relations."""
+        return IntMatrix.from_col_dicts(
+            len(self.codomain.generators),
+            self.matrix.col_dicts + self.codomain.relations.row_dicts())
 
-    def kernel_lattice(self):
-        """Generators (columns) of {x : M x lies in the codomain relations}:
-        a kernel basis of [M | -R] cut to the domain coordinates, so
-        columns repeat or vanish when the relations are dependent."""
-        gc = len(self.codomain.generators)
-        gd = len(self.domain.generators)
-        rel = self.codomain.relations
-        block = IntMatrix.from_col_dicts(
-            gc, self.matrix.col_dicts + [{j: -v for j, v in row.items()} for row in rel.row_dicts()])
-        cols = kernel_basis(block)
-        return [col[:gd] for col in cols]
+    def is_surjective(self):
+        return _unit_snf(self._image_matrix(), len(self.codomain.generators))
+
+    def kernel_rank(self):
+        """Rank of the kernel {x : M x lies in the codomain relations}: the
+        projection to the domain coordinates of ker [M | -R^T], whose
+        rank is gens + relations - rank [M | R^T], loses ker R^T, of rank
+        relations - rank R."""
+        image_rank = smith_normal_form(self._image_matrix()).rank
+        return len(self.domain.generators) - image_rank + self.codomain._snf.rank
 
     def is_isomorphism(self):
         """Well-defined and surjective between isomorphic groups: a
@@ -426,8 +420,17 @@ def join_sublattice(coll, poset, basis):
 
 def verify_pt_ls(coll, poset=None, basis=None):
     """Certify the canonical map Pt -> Ls (iso for E/H; for S surjective
-    with kernel equal to the join sublattice).  The collection is
-    generated by both points and hyperplanes; its callers decide that."""
+    with kernel equal to the join sublattice J).  The collection is
+    generated by both points and hyperplanes; its callers decide that.
+
+    On S^n the kernel K is never formed.  The map induced on Pt/J is
+    well defined exactly when J is in K, and it is onto exactly when
+    Pt -> Ls is.  An onto map between isomorphic finitely generated
+    abelian groups is injective (``GroupHom.is_isomorphism``), so on an
+    onto map Pt/J -> Ls is an isomorphism exactly when K = J.  When
+    Pt -> Ls is not onto, the verdict is FAIL and
+    ``kernel_equals_join_lattice`` reads false whatever K is.
+    ``kernel_rank`` is ``GroupHom.kernel_rank``."""
     g = coll.geometry
     if poset is None:
         poset = arr.build_arrangement(coll)
@@ -448,14 +451,14 @@ def verify_pt_ls(coll, poset=None, basis=None):
         report["verdict"] = "PASS" if iso and hom.well_defined else "FAIL"
         return report
     surj = hom.is_surjective()
-    kernel = hom.kernel_lattice()
     joins = join_sublattice(coll, poset, basis)
-    kernel_eq = lattices_equal(kernel, joins, len(basis))
-    kernel_rank = smith_normal_form(IntMatrix.from_columns(len(basis), kernel)).rank
+    modulo_joins = GroupPresentation(
+        hom.domain.generators, IntMatrix.from_columns(len(basis), joins).transpose())
+    kernel_eq = GroupHom(modulo_joins, pres, hom.matrix).is_isomorphism()
     report.update(
         {
             "surjective": surj,
-            "kernel_rank": kernel_rank,
+            "kernel_rank": hom.kernel_rank(),
             "join_generators": len(joins),
             "kernel_equals_join_lattice": kernel_eq,
             "verdict": "PASS" if surj and kernel_eq and hom.well_defined else "FAIL",
@@ -483,12 +486,14 @@ def exact_sequence_hypotheses(coll, u_covector, window=None):
     arr.size_guard(g, len(coll.hyperplane_covectors) + 1)
 
 
-def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
+def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None,
+                         members=None):
     """Verify 0 -> Pt(L) -> Pt(L cup U) -> Pt(L cap U on U) -> 0 at matrix
     level, plus rank additivity and the homology counterpart, once its
     callers have decided ``exact_sequence_hypotheses``.  ``poset`` and
     ``basis``, when given, are L's arrangement within ``window`` and its
-    region basis."""
+    region basis; ``members``, when given, is L|A
+    (``collection.restrict`` of L to ``window``)."""
     g = coll.geometry
     u = geo.canonical_covector(u_covector)
     var = coll_mod.variants(coll, u)
@@ -553,8 +558,8 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
         if window is None:
             mem_l, mem_cup, cap_members = list(coll.members), list(cup.members), list(var.cap)
         else:
-            mem_l = _members_within(coll.members, window, g)
-            mem_cup = _members_within(cup.members, window, g)
+            mem_l = list(coll_mod.restrict(coll, window) if members is None else members)
+            mem_cup = _cup_members_within(coll, cup, mem_l, window)
             cap_set = set(var.cap)
             cap_members = [m for m in mem_cup if m in cap_set]
             if var.u_member not in cap_members:
@@ -576,8 +581,13 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None):
     return report
 
 
-def _members_within(members, window, g):
-    return list(coll_mod.restrict(coll_mod.Collection(g, members), window))
+def _cup_members_within(coll, cup, mem_l, window):
+    """(L cup U)|A in the order of L cup U, given L|A: a member of L is
+    kept when it is in L|A, and only the new members are restricted."""
+    in_l = set(coll.members)
+    new = coll_mod.Collection(cup.geometry, [m for m in cup.members if m not in in_l])
+    kept = set(mem_l).union(coll_mod.restrict(new, window))
+    return [m for m in cup.members if m in kept]
 
 
 def _st_rank_additivity(coll, mem_l, cup_st, cap_st):

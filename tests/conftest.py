@@ -5,7 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -15,7 +15,7 @@ from geotits import geometry as geo
 from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import groups as grp
-from geotits._kernel import IntMatrix, lattices_equal
+from geotits._kernel import IntMatrix
 from geotits.exact import F1, dot, frac, primitive_int_row
 from geotits.geometry import SPHERICAL, subspace_from_vectors
 
@@ -221,7 +221,7 @@ def reference_is_injective(hom):
     the codomain relations equals the domain relations as lattices."""
     rel = hom.domain.relations
     dom_cols = [[row.get(j, 0) for j in range(rel.cols)] for row in rel.row_dicts()]
-    return lattices_equal(hom.kernel_lattice(), dom_cols, len(hom.domain.generators))
+    return lattices_equal(reference_kernel_lattice(hom), dom_cols, len(hom.domain.generators))
 
 
 def dense_columns(matrix):
@@ -1643,6 +1643,224 @@ def reference_entry_heap_eliminate(rows, m, n):
         retire(i0, j0)
 
     return pivots, pivot_rows, pivot_cols, vcols, units
+
+
+# ---------------------------------------------------------------------------
+# The dense reference elimination: U and V, kernel bases and lattice
+# equality.  ``geotits._kernel`` keeps no transform; these oracles do.
+
+
+def reference_eliminate(rows, m, n, want_transforms):
+    """``eliminate`` as a sorted rescan of the whole active matrix for
+    every pivot, kept as the oracle for the kernel's pivot orders, with
+    U and V when ``want_transforms``: ``PINNED`` returns the same pivots
+    and positions, and every mode the same invariant factors.
+    """
+    cols = [set() for _ in range(n)]
+    for i in range(m):
+        for j in rows[i]:
+            cols[j].add(i)
+
+    if want_transforms:
+        urows = [{i: 1} for i in range(m)]
+        vcols = [{j: 1} for j in range(n)]
+    else:
+        urows = None
+        vcols = None
+
+    active_rows = set(i for i in range(m) if rows[i])
+    pivots = []
+    pivot_rows = []
+    pivot_cols = []
+
+    def row_axpy(i, ip, q):
+        # row_i -= q * row_ip
+        if q == 0:
+            return
+        target = rows[i]
+        for j, v in rows[ip].items():
+            w = target.get(j, 0) - q * v
+            if w:
+                target[j] = w
+                cols[j].add(i)
+            elif j in target:
+                del target[j]
+                cols[j].discard(i)
+        if urows is not None:
+            tu = urows[i]
+            for j, v in urows[ip].items():
+                w = tu.get(j, 0) - q * v
+                if w:
+                    tu[j] = w
+                elif j in tu:
+                    del tu[j]
+
+    def col_axpy(j, jp, q):
+        # col_j -= q * col_jp
+        if q == 0:
+            return
+        for i in list(cols[jp]):
+            v = rows[i][jp]
+            w = rows[i].get(j, 0) - q * v
+            if w:
+                rows[i][j] = w
+                cols[j].add(i)
+            elif j in rows[i]:
+                del rows[i][j]
+                cols[j].discard(i)
+        if vcols is not None:
+            tv = vcols[j]
+            for i2, v in vcols[jp].items():
+                w = tv.get(i2, 0) - q * v
+                if w:
+                    tv[i2] = w
+                elif i2 in tv:
+                    del tv[i2]
+
+    def negate_row(i):
+        for j in rows[i]:
+            rows[i][j] = -rows[i][j]
+        if urows is not None:
+            for j in urows[i]:
+                urows[i][j] = -urows[i][j]
+
+    def retire(i0, j0):
+        d = rows[i0][j0]
+        if d < 0:
+            negate_row(i0)
+            d = -d
+        pivots.append(d)
+        pivot_rows.append(i0)
+        pivot_cols.append(j0)
+        del rows[i0][j0]
+        cols[j0].discard(i0)
+        active_rows.discard(i0)
+
+    # Phase A: +-1 pivots, cheapest fill first.
+    while True:
+        best = None
+        for i in sorted(active_rows):
+            ri = rows[i]
+            rlen = len(ri)
+            for j in sorted(ri):
+                v = ri[j]
+                if v == 1 or v == -1:
+                    cost = (rlen - 1) * (len(cols[j]) - 1)
+                    key = (cost, i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            break
+        _, i0, j0 = best
+        p = rows[i0][j0]
+        for i in list(cols[j0]):
+            if i != i0:
+                row_axpy(i, i0, rows[i][j0] * p)  # p in {1,-1}: q = v/p = v*p
+        for j in list(rows[i0]):
+            if j != j0:
+                col_axpy(j, j0, rows[i0][j] * p)
+        retire(i0, j0)
+
+    # Phase B: general pivots with divisibility enforcement.
+    while True:
+        best = None
+        for i in sorted(active_rows):
+            ri = rows[i]
+            for j in sorted(ri):
+                key = (abs(ri[j]), i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _, i0, j0 = best
+        while True:
+            p = rows[i0][j0]
+            for i in list(cols[j0]):
+                if i != i0:
+                    row_axpy(i, i0, rows[i][j0] // p)
+            for j in list(rows[i0]):
+                if j != j0:
+                    col_axpy(j, j0, rows[i0][j] // p)
+            # Floor-division remainders may survive; the smallest of them
+            # becomes the better pivot and the loop shrinks |p| strictly.
+            if any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0]):
+                p_abs = abs(rows[i0][j0])
+                cand = None
+                for i in sorted(active_rows):
+                    for j in sorted(rows[i]):
+                        if abs(rows[i][j]) < p_abs:
+                            cand = (i, j)
+                            p_abs = abs(rows[i][j])
+                if cand is not None:
+                    i0, j0 = cand
+                continue
+            p = rows[i0][j0]
+            offender = None
+            for i in sorted(active_rows):
+                if i == i0:
+                    continue
+                for j in sorted(rows[i]):
+                    if rows[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_axpy(i0, offender, -1)  # fold offending row into pivot row
+        retire(i0, j0)
+
+    return pivots, pivot_rows, pivot_cols, urows, vcols
+
+
+def dense_snf(m):
+    """(invariant factors, U, V) of the reference elimination as dense
+    matrices, rows of U and columns of V permuted so that pivot k sits at
+    (k, k)."""
+    pivots, prow, pcol, urows, vcols = reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    row_perm = [prow[k] for k in order] + sorted(set(range(m.rows)) - set(prow))
+    col_perm = [pcol[k] for k in order] + sorted(set(range(m.cols)) - set(pcol))
+    u = [[urows[i].get(j, 0) for j in range(m.rows)] for i in row_perm]
+    v = [[vcols[col_perm[j]].get(i, 0) for j in range(m.cols)] for i in range(m.cols)]
+    return [pivots[k] for k in order], u, v
+
+
+def reference_kernel_basis(m):
+    """A basis of {x in Z^n : M x = 0}: the columns of V past the rank."""
+    factors, _, v = dense_snf(m)
+    n = m.cols
+    return [[v[i][j] for i in range(n)] for j in range(len(factors), n)]
+
+
+def reference_rank_and_index(cols, length):
+    """Rank and product of invariant factors of the lattice spanned by
+    ``cols`` in Z^length, from the reference elimination."""
+    m = IntMatrix.from_columns(length, cols)
+    factors = reference_eliminate(m.row_dicts(), m.rows, m.cols, False)[0]
+    return len(factors), prod(factors)
+
+
+def lattices_equal(cols_a, cols_b, length):
+    """Equality of the sublattices of Z^length spanned by two column sets:
+    A, B and [A | B] have the same rank and product of invariant factors
+    (see ``geotits._kernel``), from the reference elimination."""
+    joint = reference_rank_and_index(cols_a + cols_b, length)
+    return (reference_rank_and_index(cols_a, length) == joint
+            and reference_rank_and_index(cols_b, length) == joint)
+
+
+def reference_kernel_lattice(hom):
+    """Generators (columns) of {x : M x lies in the codomain relations R}:
+    the reference kernel basis of [M | -R^T] cut to the domain
+    coordinates, so columns repeat or vanish when the relations are
+    dependent."""
+    gd = len(hom.domain.generators)
+    block = IntMatrix.from_col_dicts(
+        len(hom.codomain.generators),
+        hom.matrix.col_dicts + [{j: -v for j, v in row.items()}
+                                for row in hom.codomain.relations.row_dicts()])
+    return [col[:gd] for col in reference_kernel_basis(block)]
 
 
 @pytest.fixture(scope="session")

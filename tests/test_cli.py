@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from geotits import cli
+from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits._kernel import IntMatrix
 from geotits.cli import Scene, SceneError, HypothesesError, run_command
@@ -212,6 +213,20 @@ def test_window_members_are_restricted_once_per_scene():
     assert counts["window_arrangement"] == len(scene.collection()[0].members) - 1 == 6
 
 
+def test_exact_seq_restricts_only_the_new_members_of_the_cup():
+    """After ``verify local``, ``verify exact-seq`` takes L|A from the
+    scene and restricts only the members of L cup U outside L: 3 window
+    arrangements on h2_triangle, whose L cup U has 9 non-top members."""
+    scene = load("h2_triangle")
+    run_command("verify", "local", scene)
+    with src_calls() as counts:
+        (block,), overall = run_command("verify", "exact-seq", scene)
+    assert overall == "PASS"
+    cup = coll_mod.variants(scene.collection()[0], scene.u_hyperplane).cup
+    assert len(cup.members) - 1 == 9
+    assert counts["window_arrangement"] == 3
+
+
 def test_generic_s3_report_pinned_under_any_hash_seed():
     """The certificate heap keys rows again by iterating sets, so the
     verdict of the pinned generic S^3 scene is checked in fresh
@@ -396,6 +411,28 @@ def test_window_arrangement_report_pinned_under_two_hash_seeds(name):
     for hash_seed in ("0", "12345"):
         proc = subprocess.run(
             [sys.executable, "-m", "geotits.cli", "arrangement", scene_path(name)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_PASS
+        assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
+@pytest.mark.parametrize("sub, name", [("pt-ls", "s2_coordinate"), ("exact-seq", "h2_triangle")])
+def test_verify_report_pinned_under_two_hash_seeds(sub, name):
+    """The spherical pt-ls verdict is read off join generators collected
+    in a set, and exact-seq keeps L|A and restricts the new members of
+    L cup U by sets, so both reports are pinned in fresh interpreters
+    under two hash seeds.  Each pin is the benchmark's digest of the
+    same command."""
+    pin = TEST_SCENES / f"{name}_{sub.replace('-', '_')}.sha256"
+    want = pin.read_text().strip()
+    digests = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    assert json.loads(digests.read_text())["corpus"][f"{name}.json verify {sub}"] == want
+    for hash_seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geotits.cli", "verify", sub, scene_path(name)],
             capture_output=True,
             env={**os.environ, "PYTHONHASHSEED": hash_seed},
             timeout=60,

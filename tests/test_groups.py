@@ -10,7 +10,7 @@ from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits import groups as grp
-from geotits._kernel import IntMatrix, kernel_basis, lattice_contains, lattices_equal
+from geotits._kernel import IntMatrix, lattice_contains
 from geotits.cli import Scene, corpus_dir, run_command
 from conftest import (
     E1,
@@ -23,9 +23,13 @@ from conftest import (
     cell_apartments,
     cells_in_polytope,
     dense_columns,
+    lattices_equal,
     pt_apartments,
     reference_det_sign,
     reference_is_injective,
+    reference_kernel_basis,
+    reference_kernel_lattice,
+    reference_rank_and_index,
     reference_polytope,
     reference_polytope_to_vector,
     reference_pt_to_ls_element,
@@ -369,18 +373,21 @@ def test_pt_to_ls_spherical_kernel(coord_s2):
 
 
 def test_pt_ls_kernel_rank_counts_independent_columns():
-    """Four lines of S^1 give Ls dependent relations, so the kernel
-    lattice, read off a kernel basis of [M | -R] by dropping the
+    """Four lines of S^1 give Ls dependent relations, so the reference
+    kernel lattice, read off a kernel basis of [M | -R^T] by dropping the
     relation coordinates, has 6 columns of rank 5 (one repeats); the
-    report gives the rank."""
+    report gives the rank, and its kernel is the join lattice."""
     coll = coll_mod.closure_by_hyperplanes(geo.Geometry("S", 1), [(1, 0), (0, 1), (1, 1), (1, -1)])
     assert coll_mod.generated_by_both(coll)
     poset = arr.build_arrangement(coll)
     basis = arr.region_basis(poset)
     hom, _ = grp.pt_to_ls_hom(coll, poset, basis)
-    assert len(hom.kernel_lattice()) == 6
+    kernel = reference_kernel_lattice(hom)
+    assert len(kernel) == 6
+    assert reference_rank_and_index(kernel, len(basis))[0] == 5
     rep = grp.verify_pt_ls(coll, poset, basis)
     assert rep["verdict"] == "PASS" and rep["kernel_rank"] == 5
+    assert lattices_equal(kernel, grp.join_sublattice(coll, poset, basis), len(basis))
 
 
 def test_antipodal_invariance(coord_s2):
@@ -431,7 +438,7 @@ def test_image_is_kernel_matches_lattice_equality():
         rows, m = rng.randint(0, 3), rng.randint(0, 4)
         fac = IntMatrix.from_columns(
             rows, [[rng.randint(-2, 2) for _ in range(rows)] for _ in range(m)])
-        kernel = kernel_basis(fac)
+        kernel = reference_kernel_basis(fac)
         cols = []
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.8:
@@ -442,7 +449,7 @@ def test_image_is_kernel_matches_lattice_equality():
         cases.append((IntMatrix.from_columns(m, cols), fac))
     seen = set()
     for inc, fac in cases:
-        want = lattices_equal(kernel_basis(fac), dense_columns(inc), fac.cols)
+        want = lattices_equal(reference_kernel_basis(fac), dense_columns(inc), fac.cols)
         composite_zero = fac.product_is_zero(inc)
         assert (composite_zero and grp._image_is_kernel(inc, fac)) == want
         seen.add((composite_zero, want))

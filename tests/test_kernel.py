@@ -9,16 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from geotits import cli, resolution
 from geotits import groups as grp
-from geotits._kernel import (
-    KERNEL,
-    PINNED,
-    RANK,
-    IntMatrix,
-    kernel_basis,
-    lattice_contains,
-    lattices_equal,
-    smith_normal_form,
-)
+from geotits._kernel import PINNED, RANK, IntMatrix, lattice_contains, smith_normal_form
 from geotits._kernel import elim_py
 from geotits._kernel.elim_py import MODES, eliminate
 from geotits.complexes import (
@@ -29,7 +20,15 @@ from geotits.complexes import (
     pt_bicomplex,
     sphere_triangulation,
 )
-from conftest import Budget, dense_columns, reference_entry_heap_eliminate
+from conftest import (
+    Budget,
+    dense_columns,
+    dense_snf,
+    lattices_equal,
+    reference_eliminate,
+    reference_entry_heap_eliminate,
+    reference_kernel_basis,
+)
 
 
 def dense(m):
@@ -70,9 +69,8 @@ def test_torsion_detected():
 
 
 def test_transform_certificates_random():
-    """The reference elimination's U M V is the diagonal form; the V of a
-    ``KERNEL`` reduction is unimodular and M V vanishes at the non-pivot
-    columns."""
+    """The reference elimination's U M V is the diagonal form, whose
+    pivots are the kernel's invariant factors."""
     rng = random.Random(3)
     for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -86,7 +84,7 @@ def test_transform_certificates_random():
                 if rng.random() < 0.7
             },
         )
-        pivots, prow, pcol, urows, vcols = _reference_eliminate(m.row_dicts(), rows, cols, True)
+        pivots, prow, pcol, urows, vcols = reference_eliminate(m.row_dicts(), rows, cols, True)
         u = [[urows[i].get(j, 0) for j in range(rows)] for i in range(rows)]
         v = [[vcols[j].get(i, 0) for j in range(cols)] for i in range(cols)]
         d = matmul(matmul(u, dense(m)), v)
@@ -97,14 +95,7 @@ def test_transform_certificates_random():
                 assert d[i][j] == want.get((i, j), 0)
         for a, b in zip(pivots, pivots[1:]):
             assert b % a == 0
-
-        snf = smith_normal_form(m, KERNEL)
-        v = [[snf.vcols[j].get(i, 0) for j in range(cols)] for i in range(cols)]
-        v_rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(v)}
-        assert _fraction_eliminate(v_rows, range(cols), range(cols))[0] == 1
-        mv = matmul(dense(m), v)
-        assert all(mv[i][j] == 0 for i in range(rows) for j in range(cols)
-                   if j not in snf.pivot_cols)
+        assert smith_normal_form(m).invariant_factors == tuple(pivots)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,7 +153,7 @@ def test_solve_and_kernel():
         assert lattice_contains(m, [b])
         x = _ref_solve(m, b)
         assert x is not None and m.mul_vec(x) == b
-        for col in kernel_basis(m):
+        for col in reference_kernel_basis(m):
             assert all(v == 0 for v in m.mul_vec(col))
 
 
@@ -183,32 +174,15 @@ def test_lattice_equality():
 
 
 # ---------------------------------------------------------------------------
-# Dense reference for the sparse certificates: U and V as dense matrices,
-# rows of U and columns of V permuted so that pivot k sits at (k, k), and
-# solving, kernel and homology coordinates read off that diagonal form.
-
-
-def _dense_snf(m):
-    pivots, prow, pcol, urows, vcols = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    row_perm = [prow[k] for k in order] + sorted(set(range(m.rows)) - set(prow))
-    col_perm = [pcol[k] for k in order] + sorted(set(range(m.cols)) - set(pcol))
-    u = [[urows[i].get(j, 0) for j in range(m.rows)] for i in row_perm]
-    v = [[vcols[col_perm[j]].get(i, 0) for j in range(m.cols)] for i in range(m.cols)]
-    return [pivots[k] for k in order], u, v
-
-
-def _ref_kernel_basis(m):
-    factors, _, v = _dense_snf(m)
-    n = m.cols
-    return [[v[i][j] for i in range(n)] for j in range(len(factors), n)]
+# Solving and homology coordinates read off the diagonal form of the dense
+# reference (``conftest.dense_snf``).
 
 
 def _ref_solve(m, b):
     """One integer solution x of M x = b, or None: with y = U b, M x = b
     is solvable exactly when d_k divides y_k for k < rank and y vanishes
     below."""
-    factors, u, v = _dense_snf(m)
+    factors, u, v = dense_snf(m)
     rows, n = m.rows, m.cols
     y = [sum(u[i][j] * b[j] for j in range(rows) if b[j]) for i in range(rows)]
     z = [0] * n
@@ -223,7 +197,7 @@ def _ref_solve(m, b):
 
 
 def _ref_coords(complex_, degree, cycle):
-    kernel = _ref_kernel_basis(complex_.boundary(degree))
+    kernel = reference_kernel_basis(complex_.boundary(degree))
     k = len(kernel)
     kmat = IntMatrix.from_columns(complex_.dim(degree), kernel)
     rel = IntMatrix.from_columns(
@@ -232,7 +206,7 @@ def _ref_coords(complex_, degree, cycle):
     a = _ref_solve(kmat, list(cycle))
     if a is None:
         return None
-    factors, u, _ = _dense_snf(rel)
+    factors, u, _ = dense_snf(rel)
     w = [sum(u[i][j] * a[j] for j in range(k) if a[j]) for i in range(k)]
     return tuple(w[len(factors):]), tuple(w[i] % d for i, d in enumerate(factors) if d > 1)
 
@@ -257,14 +231,11 @@ def _random_matrix(rng, rows, cols, bound=5):
 def test_sparse_certificates_match_dense_reference(seed):
     rng = random.Random(seed)
     m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-    factors, _, _ = _dense_snf(m)
+    factors, _, _ = dense_snf(m)
     assert list(smith_normal_form(m).invariant_factors) == factors
-    # the kernel basis follows the index-order sweep, so only the lattice
-    # it spans is the reference's
-    kernel = kernel_basis(m)
+    kernel = reference_kernel_basis(m)
     assert len(kernel) == m.cols - len(factors)
     assert all(not any(m.mul_vec(col)) for col in kernel)
-    assert lattices_equal(kernel, _ref_kernel_basis(m), m.cols)
     solvable = m.mul_vec([rng.randint(-4, 4) for _ in range(m.cols)])
     arbitrary = [rng.randint(-6, 6) for _ in range(m.rows)]
     for b in (solvable, arbitrary, [0] * m.rows):
@@ -276,10 +247,11 @@ def test_sparse_certificates_match_dense_reference(seed):
 
 
 # ---------------------------------------------------------------------------
-# Lattice answers.  ``lattice_contains``, ``lattices_equal`` and
-# ``GroupHom.well_defined`` compare ranks and products of invariant factors
-# of rank-only reductions; the oracle solves every vector on the reference
-# elimination's U and V.
+# Lattice answers.  ``lattice_contains`` and ``GroupHom.well_defined``
+# compare ranks and products of invariant factors of rank-only reductions,
+# as the oracle ``conftest.lattices_equal`` does on the reference
+# elimination; the reference solves every vector on that elimination's U
+# and V.
 
 
 def _combination(rng, cols, length):
@@ -398,7 +370,7 @@ def test_product_is_zero_matches_dense_product(seed):
     if a.cols and rng.random() < 0.3:
         a = IntMatrix.from_col_dicts(a.rows, [{} if rng.random() < 0.3 else col
                                               for col in a.col_dicts])
-    kern = kernel_basis(a)
+    kern = reference_kernel_basis(a)
     cols = [
         [sum(rng.randint(-2, 2) * k[i] for k in kern) for i in range(a.cols)]
         for _ in range(rng.randint(0, 4))
@@ -462,7 +434,7 @@ def _sparse_solver(m):
     kept sparse: y = U b must vanish off the pivot rows and d_k must
     divide y at pivot row k; then x sums the pivot columns of V weighted
     by y / d_k."""
-    pivots, prow, pcol, urows, vcols = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
+    pivots, prow, pcol, urows, vcols = reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
 
     def solve(b):
         y = [sum(v * b[j] for j, v in row.items()) for row in urows]
@@ -487,13 +459,13 @@ def _reference_classes(complex_, degree):
     ``coords(cycle)`` is the pair (free coordinates, torsion coordinates)
     and raises ``ValueError`` off the kernel lattice.  Every step runs on
     the reference elimination, none on the kernel it checks."""
-    kernel = _ref_kernel_basis(complex_.boundary(degree))
+    kernel = reference_kernel_basis(complex_.boundary(degree))
     k = len(kernel)
     in_kernel = _sparse_solver(IntMatrix.from_columns(complex_.dim(degree), kernel))
     rel = IntMatrix.from_columns(
         k, [in_kernel(col) for col in dense_columns(complex_.boundary(degree + 1))]
     )
-    factors, prow, _, urows, _ = _reference_eliminate(rel.row_dicts(), rel.rows, rel.cols, True)
+    factors, prow, _, urows, _ = reference_eliminate(rel.row_dicts(), rel.rows, rel.cols, True)
     pivot_rows = set(prow)
     free_rows = [i for i in range(k) if i not in pivot_rows]
 
@@ -521,7 +493,7 @@ def test_homology_coords_match_dense_reference(seed):
     rng = random.Random(seed)
     n0, n1, n2 = rng.randint(1, 3), rng.randint(1, 6), rng.randint(0, 5)
     d1 = _random_matrix(rng, n0, n1, bound=3)
-    kernel = _ref_kernel_basis(d1)
+    kernel = reference_kernel_basis(d1)
     r = _random_matrix(rng, len(kernel), n2, bound=3)
     d2 = IntMatrix.from_columns(
         n1,
@@ -532,7 +504,7 @@ def test_homology_coords_match_dense_reference(seed):
     )
     cx = ChainComplex({0: range(n0), 1: range(n1), 2: range(n2)}, {1: d1, 2: d2})
     betti, torsion, coords = _reference_classes(cx, 1)
-    factors, _, _ = _dense_snf(r)
+    factors, _, _ = dense_snf(r)
     assert betti == len(kernel) - len(factors)
     assert torsion == tuple(d for d in factors if d > 1)
     for _ in range(4):
@@ -579,7 +551,7 @@ def test_top_degree_classes_match_reference(seed):
         snf = smith_normal_form(d1, PINNED)
         if snf.units == snf.rank:
             break
-    kernel = kernel_basis(d1)
+    kernel = reference_kernel_basis(d1)
     cycles = []
     for _ in range(4):
         a = [rng.randint(-4, 4) for _ in kernel]
@@ -658,169 +630,6 @@ def test_top_degree_classes_refuse_phase_b_pivots():
         HomologyClasses(_top_complex(d1), 1)
 
 
-def _reference_eliminate(rows, m, n, want_transforms):
-    """``eliminate`` as a sorted rescan of the whole active matrix for
-    every pivot, kept as the oracle for the kernel's pivot orders, with
-    U and V when ``want_transforms``: ``PINNED`` returns the same pivots
-    and positions, and every mode the same invariant factors.
-    """
-    cols = [set() for _ in range(n)]
-    for i in range(m):
-        for j in rows[i]:
-            cols[j].add(i)
-
-    if want_transforms:
-        urows = [{i: 1} for i in range(m)]
-        vcols = [{j: 1} for j in range(n)]
-    else:
-        urows = None
-        vcols = None
-
-    active_rows = set(i for i in range(m) if rows[i])
-    pivots = []
-    pivot_rows = []
-    pivot_cols = []
-
-    def row_axpy(i, ip, q):
-        # row_i -= q * row_ip
-        if q == 0:
-            return
-        target = rows[i]
-        for j, v in rows[ip].items():
-            w = target.get(j, 0) - q * v
-            if w:
-                target[j] = w
-                cols[j].add(i)
-            elif j in target:
-                del target[j]
-                cols[j].discard(i)
-        if urows is not None:
-            tu = urows[i]
-            for j, v in urows[ip].items():
-                w = tu.get(j, 0) - q * v
-                if w:
-                    tu[j] = w
-                elif j in tu:
-                    del tu[j]
-
-    def col_axpy(j, jp, q):
-        # col_j -= q * col_jp
-        if q == 0:
-            return
-        for i in list(cols[jp]):
-            v = rows[i][jp]
-            w = rows[i].get(j, 0) - q * v
-            if w:
-                rows[i][j] = w
-                cols[j].add(i)
-            elif j in rows[i]:
-                del rows[i][j]
-                cols[j].discard(i)
-        if vcols is not None:
-            tv = vcols[j]
-            for i2, v in vcols[jp].items():
-                w = tv.get(i2, 0) - q * v
-                if w:
-                    tv[i2] = w
-                elif i2 in tv:
-                    del tv[i2]
-
-    def negate_row(i):
-        for j in rows[i]:
-            rows[i][j] = -rows[i][j]
-        if urows is not None:
-            for j in urows[i]:
-                urows[i][j] = -urows[i][j]
-
-    def retire(i0, j0):
-        d = rows[i0][j0]
-        if d < 0:
-            negate_row(i0)
-            d = -d
-        pivots.append(d)
-        pivot_rows.append(i0)
-        pivot_cols.append(j0)
-        del rows[i0][j0]
-        cols[j0].discard(i0)
-        active_rows.discard(i0)
-
-    # Phase A: +-1 pivots, cheapest fill first.
-    while True:
-        best = None
-        for i in sorted(active_rows):
-            ri = rows[i]
-            rlen = len(ri)
-            for j in sorted(ri):
-                v = ri[j]
-                if v == 1 or v == -1:
-                    cost = (rlen - 1) * (len(cols[j]) - 1)
-                    key = (cost, i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, i0, j0 = best
-        p = rows[i0][j0]
-        for i in list(cols[j0]):
-            if i != i0:
-                row_axpy(i, i0, rows[i][j0] * p)  # p in {1,-1}: q = v/p = v*p
-        for j in list(rows[i0]):
-            if j != j0:
-                col_axpy(j, j0, rows[i0][j] * p)
-        retire(i0, j0)
-
-    # Phase B: general pivots with divisibility enforcement.
-    while True:
-        best = None
-        for i in sorted(active_rows):
-            ri = rows[i]
-            for j in sorted(ri):
-                key = (abs(ri[j]), i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, i0, j0 = best
-        while True:
-            p = rows[i0][j0]
-            for i in list(cols[j0]):
-                if i != i0:
-                    row_axpy(i, i0, rows[i][j0] // p)
-            for j in list(rows[i0]):
-                if j != j0:
-                    col_axpy(j, j0, rows[i0][j] // p)
-            # Floor-division remainders may survive; the smallest of them
-            # becomes the better pivot and the loop shrinks |p| strictly.
-            if any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0]):
-                p_abs = abs(rows[i0][j0])
-                cand = None
-                for i in sorted(active_rows):
-                    for j in sorted(rows[i]):
-                        if abs(rows[i][j]) < p_abs:
-                            cand = (i, j)
-                            p_abs = abs(rows[i][j])
-                if cand is not None:
-                    i0, j0 = cand
-                continue
-            p = rows[i0][j0]
-            offender = None
-            for i in sorted(active_rows):
-                if i == i0:
-                    continue
-                for j in sorted(rows[i]):
-                    if rows[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_axpy(i0, offender, -1)  # fold offending row into pivot row
-        retire(i0, j0)
-
-    return pivots, pivot_rows, pivot_cols, urows, vcols
-
-
 def _entry_heap_positions(m):
     """(pivots, pivot rows, pivot columns, units) of the heap with one key
     per +-1 entry."""
@@ -830,27 +639,17 @@ def _entry_heap_positions(m):
 
 def _assert_matches_reference(m):
     """``PINNED`` calls match the sorted reference in pivots and positions,
-    and the heap with one key per +-1 entry in those and ``units``; they
-    keep no V.  ``RANK`` and ``KERNEL`` calls pin only the invariant
-    factors: their pivots may sit elsewhere, at distinct rows and
-    columns in range.  A ``KERNEL`` call's V is unimodular, and M V
-    vanishes off its pivot columns."""
-    pivots, prow, pcol, _, _ = _reference_eliminate(m.row_dicts(), m.rows, m.cols, True)
+    and the heap with one key per +-1 entry in those and ``units``.
+    ``RANK`` calls pin only the invariant factors: their pivots may sit
+    elsewhere, at distinct rows and columns in range."""
+    pivots, prow, pcol, _, _ = reference_eliminate(m.row_dicts(), m.rows, m.cols, False)
     got = eliminate(m.row_dicts(), m.rows, m.cols, PINNED)
-    assert got[:4] == (pivots, prow, pcol, None)
-    assert (*got[:3], got[4]) == _entry_heap_positions(m)
-    for mode in (RANK, KERNEL):
-        factors, prow, pcol, vcols, _ = eliminate(m.row_dicts(), m.rows, m.cols, mode)
-        assert factors == pivots
-        assert len(set(prow)) == len(set(pcol)) == len(pivots)
-        assert all(0 <= i < m.rows for i in prow) and all(0 <= j < m.cols for j in pcol)
-        if mode == RANK:
-            assert vcols is None
-            continue
-        assert _fraction_eliminate(dict(enumerate(vcols)), range(m.cols), range(m.cols))[0] == 1
-        pivot_cols = set(pcol)
-        assert all(not any(m.mul_vec([col.get(i, 0) for i in range(m.cols)]))
-                   for j, col in enumerate(vcols) if j not in pivot_cols)
+    assert got[:3] == (pivots, prow, pcol)
+    assert got == _entry_heap_positions(m)
+    factors, prow, pcol, _ = eliminate(m.row_dicts(), m.rows, m.cols, RANK)
+    assert factors == pivots
+    assert len(set(prow)) == len(set(pcol)) == len(pivots)
+    assert all(0 <= i < m.rows for i in prow) and all(0 <= j < m.cols for j in pcol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -893,9 +692,8 @@ def test_column_keys_match_entry_heap_on_s4_coordinate():
     with Budget("kernel", "S^4 coordinate d_4, column keys against entry heap", 30):
         d4 = cli.homology_model(cli.Scene(json.loads(path.read_text())), "pt")[0].boundary(4)
         assert (d4.rows, d4.cols) == (16680, 7440)
-        pivots, prow, pcol, vcols, units = eliminate(d4.row_dicts(), d4.rows, d4.cols, PINNED)
-        assert vcols is None
-        assert (pivots, prow, pcol, units) == _entry_heap_positions(d4)
+        got = eliminate(d4.row_dicts(), d4.rows, d4.cols, PINNED)
+        assert got == _entry_heap_positions(d4)
 
 
 def _pinned_case(rng):
@@ -938,8 +736,7 @@ def test_column_keys_match_entry_heap_on_random_matrices(seed):
         rows, m, n = _pinned_case(rng)
         want = reference_entry_heap_eliminate([dict(r) for r in rows], m, n)
         got = eliminate([dict(r) for r in rows], m, n, PINNED)
-        assert got[3] is None
-        assert (*got[:3], got[4]) == (*want[:3], want[4])
+        assert got == (*want[:3], want[4])
 
 
 def test_column_keys_break_cost_ties_by_row_then_column():
@@ -950,14 +747,14 @@ def test_column_keys_break_cost_ties_by_row_then_column():
     want = reference_entry_heap_eliminate([dict(r) for r in rows], 5, 4)
     got = eliminate([dict(r) for r in rows], 5, 4, PINNED)
     assert (got[1], got[2]) == (want[1], want[2]) == ([0, 1, 2, 4], [3, 1, 0, 2])
-    assert got[0] == [1, 1, 1, 1] and got[4] == 4
+    assert got[0] == [1, 1, 1, 1] and got[3] == 4
 
 
 def test_column_keys_leave_a_matrix_without_a_unit_entry_to_phase_b():
     rows = [{0: 2, 1: 3}, {0: 4, 2: -2}, {}, {1: 6}]
     want = reference_entry_heap_eliminate([dict(r) for r in rows], 4, 4)
     got = eliminate([dict(r) for r in rows], 4, 4, PINNED)
-    assert got[4] == want[4] == 0
+    assert got[3] == want[4] == 0
     assert got[:3] == want[:3] and got[0] == [1, 2, 12]
 
 
@@ -1017,8 +814,8 @@ def test_a_column_is_scanned_again_only_when_its_best_row_moved(monkeypatch):
     ]
     want = reference_entry_heap_eliminate([dict(r) for r in rows], 7, 9)
     got = eliminate(rows, 7, 9, PINNED)
-    assert (*got[:3], got[4]) == (*want[:3], want[4])
-    assert got[1][:4] == [0, 1, 3, 4] and got[2][:4] == [0, 2, 4, 7] and got[4] == 4
+    assert got == (*want[:3], want[4])
+    assert got[1][:4] == [0, 1, 3, 4] and got[2][:4] == [0, 2, 4, 7] and got[3] == 4
     scans = []
     for kind, j, _ in log:
         if kind == "pop":
@@ -1044,7 +841,7 @@ def test_random_rescans_are_justified(monkeypatch, seed):
 
 
 # ---------------------------------------------------------------------------
-# The rank-only and kernel sweeps.  A row without a +-1 entry is set aside
+# The rank-only sweep.  A row without a +-1 entry is set aside
 # and scanned again only once a row operation has changed it.
 
 
@@ -1057,13 +854,21 @@ def _second_look_rows():
 def test_a_row_with_a_unit_from_a_later_pivot_pivots_in_phase_a():
     m = IntMatrix.from_col_dicts(2, [{0: 2, 1: 1}, {0: 3, 1: 1}])
     assert m.row_dicts() == _second_look_rows()
-    want, _, _, _, _ = _reference_eliminate(_second_look_rows(), 2, 2, False)
+    want, _, _, _, _ = reference_eliminate(_second_look_rows(), 2, 2, False)
     assert want == [1, 1]
     for mode in MODES:
-        pivots, prow, pcol, _, units = eliminate(_second_look_rows(), 2, 2, mode)
+        pivots, prow, pcol, units = eliminate(_second_look_rows(), 2, 2, mode)
         assert pivots == want and units == len(pivots) == 2, mode
         assert sorted(prow) == sorted(pcol) == [0, 1], mode
         assert smith_normal_form(m, mode).units == 2, mode
+
+
+def test_removed_kernel_mode_is_refused():
+    """No mode keeps the column transform V: ``"kernel"`` is refused, not
+    run as ``RANK``."""
+    assert MODES == (RANK, PINNED)
+    with pytest.raises(ValueError, match="unknown elimination mode 'kernel'"):
+        smith_normal_form(IntMatrix(1, 1, {(0, 0): 1}), "kernel")
 
 
 class _LoggedRow(dict):
@@ -1082,7 +887,7 @@ class _LoggedRow(dict):
         super().__delitem__(key)
 
 
-@pytest.mark.parametrize("mode", [RANK, KERNEL])
+@pytest.mark.parametrize("mode", [RANK])
 def test_a_set_aside_row_is_scanned_again_only_after_a_change(monkeypatch, mode):
     """Three copies of the second-look block, then a row {6: 2} that no
     operation touches.  The first sweep scans all 7 rows and sets aside
@@ -1102,7 +907,7 @@ def test_a_set_aside_row_is_scanned_again_only_after_a_change(monkeypatch, mode)
         for entries in _second_look_rows():
             rows.append(_LoggedRow(len(rows), log, {2 * b + j: v for j, v in entries.items()}))
     rows.append(_LoggedRow(6, log, {6: 2}))
-    pivots, _, _, _, units = eliminate(rows, 7, 7, mode)
+    pivots, _, _, units = eliminate(rows, 7, 7, mode)
     assert (pivots, units) == ([1] * 6 + [2], 6)
     scans = [i for kind, i in log if kind == "scan"]
     assert scans == [0, 1, 2, 3, 4, 5, 6, 0, 2, 4]
@@ -1200,7 +1005,7 @@ def test_rank_only_torsion_survives_changes_of_basis(facets, degree):
         for d in complex_.support():
             b = complex_.boundary(d)
             assert (eliminate(b.row_dicts(), b.rows, b.cols, RANK)[0]
-                    == _reference_eliminate(b.row_dicts(), b.rows, b.cols, True)[0])
+                    == reference_eliminate(b.row_dicts(), b.rows, b.cols, True)[0])
 
 
 def test_clearing_skips_phase_b_pivot_rows():

@@ -13,18 +13,27 @@ key per column, ``_kernel.elim_py``).
 
 import json
 import pathlib
+import random
 
 import pytest
 
 from geotits import HypothesesError
 from geotits import _kernel
+from geotits import arrangement as arr
 from geotits import cli
+from geotits import collection as coll_mod
 from geotits import complexes as cx
+from geotits import geometry as geo
 from geotits import groups as grp
 from geotits import resolution as reso
-from geotits._kernel import PINNED, IntMatrix, lattices_equal, smith_normal_form
-from conftest import Budget, ReferenceHomologyClasses
-from test_kernel import _ref_kernel_basis
+from geotits._kernel import PINNED, IntMatrix, smith_normal_form
+from conftest import (
+    Budget,
+    ReferenceHomologyClasses,
+    lattices_equal,
+    reference_kernel_lattice,
+    reference_rank_and_index,
+)
 
 TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
 CORPUS = sorted(cli.corpus_dir().glob("*.json"))
@@ -194,25 +203,53 @@ def test_spherical_verify_takes_the_markowitz_heap_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Kernel bases follow the index-order sweep; the lattice they span is the
-# reference's (on random matrices in ``test_kernel``) on every kernel that
-# verify pt-ls asks for.
+# verify pt-ls decides the spherical kernel K = J as an isomorphism
+# Pt/J -> Ls and counts the rank of K from ranks; the reference kernel
+# lattice of [M | -R^T] is the oracle, on J and on seeded sublattices of J.
 
 
-def test_kernel_basis_spans_reference_lattice_on_pt_ls_kernels(monkeypatch):
-    seen = []
-    original = grp.kernel_basis
+def _sublattice(rng, joins):
+    """A sublattice of J: a random number of its generators, perhaps one
+    of them doubled, and integer combinations of all of them."""
+    picked = [list(v) for v in rng.sample(joins, rng.randint(0, len(joins)))]
+    if picked and rng.random() < 0.3:
+        k = rng.randrange(len(picked))
+        picked[k] = [2 * x for x in picked[k]]
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [rng.randint(-2, 2) for _ in joins]
+        picked.append([sum(c * v[i] for c, v in zip(coeffs, joins))
+                       for i in range(len(joins[0]))])
+    return picked
 
-    def recorded(matrix):
-        got = original(matrix)
-        seen.append((matrix, got))
-        return got
 
-    monkeypatch.setattr(grp, "kernel_basis", recorded)
-    paths = [p for p in CORPUS if "pt-ls" in _verifies(_load(p))]
-    for path in paths + [TEST_SCENES / "s3_four_generic.json"]:
-        (block,), overall = cli.run_command("verify", "pt-ls", _load(path))
-        assert overall == "PASS"
-    assert len(seen) == 2  # the spherical scenes: s2_coordinate, s3_four_generic
-    for matrix, got in seen:
-        assert got and lattices_equal(got, _ref_kernel_basis(matrix), matrix.cols)
+def test_pt_ls_kernel_verdict_matches_reference_lattice(monkeypatch):
+    """The spherical corpus pt-ls scenes, the pinned generic S^3 and the
+    four lines of S^1 (whose Ls relations are dependent): J is the
+    reference kernel, and with J or one of 30 seeded sublattices of J
+    per scene in its place, ``verify_pt_ls`` agrees with the reference
+    on the kernel's equality, which takes both values, and rank."""
+    colls = [_load(p).collection()[0] for p in CORPUS if "pt-ls" in _verifies(_load(p))]
+    colls = [c for c in colls if c.geometry.kind == geo.SPHERICAL]
+    colls.append(_load(TEST_SCENES / "s3_four_generic.json").collection()[0])
+    colls.append(coll_mod.closure_by_hyperplanes(
+        geo.Geometry("S", 1), [(1, 0), (0, 1), (1, 1), (1, -1)]))
+    assert len(colls) == 3
+    join_sublattice = grp.join_sublattice
+    seen = set()
+    for index, coll in enumerate(colls):
+        poset = arr.build_arrangement(coll)
+        basis = arr.region_basis(poset)
+        joins = join_sublattice(coll, poset, basis)
+        kernel = reference_kernel_lattice(grp.pt_to_ls_hom(coll, poset, basis)[0])
+        rank = reference_rank_and_index(kernel, len(basis))[0]
+        assert lattices_equal(kernel, joins, len(basis))
+        rng = random.Random(f"pt-ls sublattice/{index}")
+        for sub in [joins] + [_sublattice(rng, joins) for _ in range(30)]:
+            monkeypatch.setattr(grp, "join_sublattice", lambda *args: sub)
+            rep = grp.verify_pt_ls(coll, poset, basis)
+            want = lattices_equal(kernel, sub, len(basis))
+            assert rep["kernel_equals_join_lattice"] == want
+            assert rep["surjective"] and rep["kernel_rank"] == rank
+            assert rep["verdict"] == ("PASS" if want else "FAIL")
+            seen.add((index, want))
+    assert seen == {(index, want) for index in range(3) for want in (True, False)}
