@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from geotits import HypothesesError, exact, geometry as geo
-from geotits.collection import Collection
+from geotits.collection import Collection, flats
 from geotits.exact import dot
 
 MAX_DIM = 4
@@ -222,54 +222,6 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _zeros_on(covectors, rows):
-    """Zero mask of span(rows): bit i set when hyperplane i contains it."""
-    return sum(1 << i for i, c in enumerate(covectors) if all(dot(c, r) == 0 for r in rows))
-
-
-def _flats(geometry, covectors, carrier):
-    """The flats of the hyperplanes inside the carrier that meet the
-    geometry, keyed by zero mask (bit i set when hyperplane i contains the
-    flat): carriers, and the masks of the flats one dimension lower that
-    each contains.
-
-    Top down from the carrier, whose mask holds the hyperplanes that
-    contain it: each hyperplane j off a flat cuts it once
-    (``geometry.meet_rows`` on its basis).  A flat that misses the
-    geometry has no descendant that meets it, so it is dropped."""
-    amb = geometry.ambient_dim
-    top = _zeros_on(covectors, carrier.basis)
-    carriers = {top: carrier}
-    children = {}
-    missed = set()
-    level = [top]
-    while level:
-        lower = []
-        for mask in level:
-            rows = carriers[mask].basis
-            kids = children[mask] = []
-            if len(rows) == 1:
-                continue  # a 0-flat: its cuts are the origin
-            cut = mask
-            for j, cov in enumerate(covectors):
-                if cut >> j & 1:
-                    continue
-                meet = geo.meet_rows(rows, cov)
-                child = mask | _zeros_on(covectors, meet)
-                cut |= child
-                if child not in carriers and child not in missed:
-                    flat = geo.LinearSubspace(amb, meet)
-                    if geo.geo_nonempty(flat, geometry):
-                        carriers[child] = flat
-                        lower.append(child)
-                    else:
-                        missed.add(child)
-                if child in carriers:
-                    kids.append(child)
-        level = lower
-    return carriers, children
-
-
 def _flat_points(geometry, carrier):
     """Ambient witnesses of the cells of a flat that no hyperplane cuts
     inside the geometry: its first basis row, a chart point in E^n (the
@@ -310,8 +262,9 @@ def build_arrangement(coll, within=None, carrier=None):
     built from the flats of the hyperplanes without a linear program.
 
     A cell is relatively open in its flat, so its zero set is the flat's.
-    The flats that meet the geometry are found top down (``_flats``) and
-    their cells lowest dimension first:
+    The flats that meet the geometry (``collection.flats``: the
+    collection's ``lattice`` over the whole space) give their cells
+    lowest dimension first:
 
     * a flat that no hyperplane cuts inside the geometry is one cell (a
       0-flat of S^n is two, its antipodes), with witness ``_flat_points``;
@@ -339,7 +292,7 @@ def build_arrangement(coll, within=None, carrier=None):
     space by default).
     """
     g = coll.geometry
-    covectors = tuple(sorted(coll.hyperplane_covectors))
+    covectors = coll.hyperplane_covectors
     size_guard(g, len(covectors))
     walls = ()
     if within is not None:
@@ -349,8 +302,9 @@ def build_arrangement(coll, within=None, carrier=None):
         walls = tuple((index[h.hyperplane], 1 if h.functional == h.hyperplane else -1)
                       for h in within.halfspaces)
     if carrier is None:
-        carrier = geo.full_space(g.ambient_dim)
-    carriers, children = _flats(g, covectors, carrier)
+        carriers, children = coll.lattice()
+    else:
+        carriers, children = flats(g, covectors, carrier)
 
     found = {}  # zero mask -> {sign vector: (witness, row values)}
     for mask in sorted(carriers, key=lambda m: carriers[m].dim):

@@ -336,7 +336,7 @@ def homology_model(scene, which):
     if which == "local":
         if scene.polytope_a is None:
             raise HypothesesError("local homology needs polytope_A")
-        return cx.relative_st_complex(scene.window_members(), coll.top()), None
+        return cx.STModel(scene.window_members(), coll.top()).complex, None
     if which == "pt" and scene.geometry.kind == geo.SPHERICAL:
         if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
             raise HypothesesError("spherical PT homology needs an admissible collection; see verify suspension")
@@ -344,7 +344,7 @@ def homology_model(scene, which):
         tri = cx.sphere_triangulation(coll, poset)
         return cx.pt_bicomplex(coll, tri), cx.pt_collapse_complex(coll, tri)
     if which in ("st", "pt"):
-        return cx.relative_st_complex(list(coll.members), coll.top()), None
+        return cx.STModel(coll.members, coll.top()).complex, None
     raise SceneError(f"unknown homology model {which!r}")
 
 
@@ -411,7 +411,7 @@ def verify_solomon_tits(scene):
         if not generating:
             raise HypothesesError("points do not generate the whole geometry")
         ls_data = grp.ls_group(coll)
-        st = grp.STModel(coll.members, coll.top())
+        st = cx.STModel(coll.members, coll.top())
         res = grp.ls_apartment_matrix(ls_data, st)
         h = cx.homology(st.complex)  # after the classes: one reduction of d_n
         ok = res.iso and cx.wedge_verdict(h, n)
@@ -494,7 +494,7 @@ def verify_solomon_tits(scene):
 def _cell_apartments(coll, members, poset, basis):
     """(homology, apartment matrix) of the relative ST model on these
     members, with one cell apartment per basis region."""
-    st = grp.STModel(members, coll.top())
+    st = cx.STModel(members, coll.top())
     cycles = [grp.apartment_cycle_cell(poset, s, st) for s in basis]
     res = grp.apartment_matrix(st.complex, coll.geometry.n, cycles)
     return cx.homology(st.complex), res  # after the classes: one reduction of d_n
@@ -532,11 +532,11 @@ def verify_exact_seq(scene):
     grp.exact_sequence_hypotheses(coll, scene.u_hyperplane, scene.polytope_a)
     poset, basis = scene.arrangement(scene.polytope_a)
     # only the E^n and H^n checks build ST models, from L|A
-    members = None
+    members = coll.members
     if scene.polytope_a is not None and scene.geometry.kind != geo.SPHERICAL:
         members = scene.window_members()
-    rep = grp.exact_sequence_check(coll, scene.u_hyperplane, window=scene.polytope_a,
-                                   poset=poset, basis=basis, members=members)
+    rep = grp.exact_sequence_check(coll, scene.u_hyperplane, scene.polytope_a,
+                                   poset, basis, members)
     rep["name"] = "exact-sequence"
     return [rep]
 
@@ -550,7 +550,8 @@ def verify_duality(scene):
 
 def verify_suspension(scene):
     coll, _ = scene.collection()
-    rep = grp.suspension_check(coll)
+    grp.suspension_hypotheses(coll)
+    rep = grp.suspension_check(coll, scene.arrangement(None)[1])
     rep["name"] = "suspension"
     return [rep]
 

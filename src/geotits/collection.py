@@ -4,10 +4,12 @@ A collection is canonically sorted, so set equality is syntactic.  The
 generating hyperplanes are kept as canonical integer covectors alongside
 the member subspaces (for S^0 the unique "hyperplane" is the zero
 subspace, which is not a geodesic member but still counts as a
-generator).
+generator).  The lattice of flats of the hyperplanes (``flats``) is
+enumerated once per collection and kept on it (``Collection.lattice``).
 """
 
 from geotits import exact, geometry as geo
+from geotits.exact import dot
 
 ADMISSIBLE = "ADMISSIBLE"
 NOT_ADMISSIBLE = "NOT_ADMISSIBLE"
@@ -15,12 +17,22 @@ NOT_DECIDABLE_FINITE = "NOT_DECIDABLE_FINITE"
 
 
 class Collection:
-    __slots__ = ("geometry", "members", "hyperplane_covectors")
+    __slots__ = ("geometry", "members", "hyperplane_covectors", "_lattice")
 
     def __init__(self, geometry, members, hyperplane_covectors=()):
         self.geometry = geometry
         self.members = tuple(sorted(set(members), key=lambda m: m.sort_key()))
         self.hyperplane_covectors = tuple(sorted(hyperplane_covectors))
+        self._lattice = None
+
+    def lattice(self):
+        """``flats`` of the hyperplanes over the whole space, keyed by zero
+        masks over ``hyperplane_covectors``: built on first use, or kept
+        from ``closure_by_hyperplanes``; callers must not mutate it."""
+        if self._lattice is None:
+            self._lattice = flats(self.geometry, self.hyperplane_covectors,
+                                  geo.full_space(self.geometry.ambient_dim))
+        return self._lattice
 
     def top(self):
         return geo.top_subspace(self.geometry)
@@ -76,27 +88,80 @@ def _add_point(member, point):
     return None if member.contains(point) else geo.span_points([member, point])
 
 
+def _zeros_on(covectors, rows):
+    """Zero mask of span(rows): bit i set when hyperplane i contains it."""
+    return sum(1 << i for i, c in enumerate(covectors) if all(dot(c, r) == 0 for r in rows))
+
+
+def flats(geometry, covectors, carrier):
+    """The flats of the hyperplanes inside the carrier that meet the
+    geometry, keyed by zero mask (bit i set when hyperplane i contains the
+    flat): carriers, and the masks of the flats one dimension lower that
+    each contains.
+
+    Top down from the carrier, whose mask holds the hyperplanes that
+    contain it: each hyperplane j off a flat cuts it once
+    (``geometry.meet_rows`` on its basis).  A flat that misses the
+    geometry has no descendant that meets it, so it is dropped."""
+    amb = geometry.ambient_dim
+    top = _zeros_on(covectors, carrier.basis)
+    carriers = {top: carrier}
+    children = {}
+    missed = set()
+    level = [top]
+    while level:
+        lower = []
+        for mask in level:
+            rows = carriers[mask].basis
+            kids = children[mask] = []
+            if len(rows) == 1:
+                continue  # a 0-flat: its cuts are the origin
+            cut = mask
+            for j, cov in enumerate(covectors):
+                if cut >> j & 1:
+                    continue
+                meet = geo.meet_rows(rows, cov)
+                child = mask | _zeros_on(covectors, meet)
+                cut |= child
+                if child not in carriers and child not in missed:
+                    flat = geo.LinearSubspace(amb, meet)
+                    if geo.geo_nonempty(flat, geometry):
+                        carriers[child] = flat
+                        lower.append(child)
+                    else:
+                        missed.add(child)
+                if child in carriers:
+                    kids.append(child)
+        level = lower
+    return carriers, children
+
+
 def closure_by_hyperplanes(geometry, covectors):
-    """All nonempty intersections of the hyperplanes, plus the top space."""
+    """All nonempty intersections of the hyperplanes, plus the top space:
+    the flats of the whole space (``flats``), whose lattice the collection
+    keeps.  ValueError for a duplicate hyperplane or one that misses the
+    geometry (on S^0 the zero subspace is a generator without a member)."""
     covs = []
     seen = set()
     for c in covectors:
         cc = geo.canonical_covector(c)
+        if len(cc) != geometry.ambient_dim:
+            raise ValueError("vector length mismatch")
         if cc in seen:
             raise ValueError(f"duplicate hyperplane {cc}")
         seen.add(cc)
         covs.append(cc)
-    seeds = []
-    for c in covs:
-        h = geo.hyperplane_subspace(geometry, c)
-        if h is None:
-            if geometry.kind == geo.SPHERICAL and geometry.n == 0:
-                continue  # the zero subspace: generator without geodesic carrier
-            raise ValueError(f"hyperplane {c} does not meet the geometry")
-        seeds.append(h)
-    members = _closure(seeds, covs, geo.meet_hyperplane)
-    members.append(geo.top_subspace(geometry))
-    return Collection(geometry, members, covs)
+    order = sorted(covs)
+    lattice = flats(geometry, order, geo.full_space(geometry.ambient_dim))
+    carriers = lattice[0]
+    if not (geometry.kind == geo.SPHERICAL and geometry.n == 0):
+        for c in covs:
+            if 1 << order.index(c) not in carriers:
+                raise ValueError(f"hyperplane {c} does not meet the geometry")
+    coll = Collection(geometry, [geo.GeoSubspace._nonempty(geometry, f)
+                                 for f in carriers.values()], covs)
+    coll._lattice = lattice
+    return coll
 
 
 def closure_by_points(geometry, points):
@@ -114,28 +179,6 @@ def closure_by_points(geometry, points):
     generating = any(m.is_top() for m in members)
     covs = [_covector(m) for m in members if m.geo_dim == geometry.n - 1]
     return Collection(geometry, members, covs), generating
-
-
-class Variants:
-    """The derived collections for one extra hyperplane U."""
-
-    __slots__ = ("cup", "cap", "u_member")
-
-    def __init__(self, cup, cap, u_member):
-        self.cup = cup
-        self.cap = cap
-        self.u_member = u_member
-
-
-def variants(collection, u_covector):
-    """L-cup-U and L-cap-U for a single hyperplane U."""
-    u = geo.canonical_covector(u_covector)
-    base = list(collection.hyperplane_covectors)
-    covs = base if u in base else base + [u]
-    cup = closure_by_hyperplanes(collection.geometry, covs)
-    u_member = geo.hyperplane_subspace(collection.geometry, u)
-    cap = tuple(m for m in cup.members if u_member.contains(m))
-    return Variants(cup, cap, u_member)
 
 
 def restrict(collection, polytope):

@@ -7,7 +7,7 @@ local model, the sphere triangulation) come from one flag builder that
 finds every face row by index; the PT bicomplex and its collapse model
 are assembled from the triangulation's boundary columns.  Other models
 are graded labels plus the alternating face rule (``face_complex``).
-Relative models (anchored-flag complexes, quotient complexes) compute
+Relative models (``STModel``'s anchored flags, quotient complexes) compute
 the reduced homology of the spaces they model directly; plain order
 complexes carry the empty flag in degree -1, so their homology is
 reduced as well.
@@ -16,7 +16,7 @@ reduced as well.
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 
-from geotits import geometry as geo
+from geotits import collection as coll_mod, geometry as geo
 from geotits._kernel import PINNED, IntMatrix, smith_normal_form
 
 
@@ -311,10 +311,11 @@ def order_complex(members):
     return ChainComplex(*_flag_complex(_above(elems)))
 
 
-def anchored_flag_complex(members, top):
-    """(proper, complex): the members other than ``top``, sorted by
-    ``sort_key``, and the relative chains of (CT, T) on their flags
-    anchored at the top.
+class STModel:
+    """The relative chains of (CT, T) on flags of the members other than
+    ``top`` (``proper``, sorted by ``sort_key``) anchored at the top: ST,
+    or with the members in a window, the local model.  ``position`` maps
+    each proper member's carrier to its index in ``proper``.
 
     Degree p basis: flags U_0 < ... < U_{p-1} < top of proper members;
     the empty flag (the bare anchor) sits in degree 0.  Faces dropping
@@ -322,19 +323,19 @@ def anchored_flag_complex(members, top):
     one degree up, and H_p equals the reduced homology of the suspended
     Tits complex.
     """
-    proper = sorted((m for m in members if m != top), key=lambda m: m.sort_key())
-    for m in proper:
-        if not top.contains(m):
-            raise ValueError("member not contained in the top subspace")
-    degrees, boundaries = _flag_complex(_above(proper))
-    return proper, ChainComplex({d + 1: labs for d, labs in degrees.items()},
-                                {d + 1: b for d, b in boundaries.items()})
 
+    __slots__ = ("top", "proper", "position", "complex")
 
-def relative_st_complex(members, top):
-    """The complex of ``anchored_flag_complex``: ST, or with the members
-    in a window, the local model."""
-    return anchored_flag_complex(members, top)[1]
+    def __init__(self, members, top):
+        self.top = top
+        self.proper = sorted((m for m in members if m != top), key=lambda m: m.sort_key())
+        for m in self.proper:
+            if not top.contains(m):
+                raise ValueError("member not contained in the top subspace")
+        degrees, boundaries = _flag_complex(_above(self.proper))
+        self.complex = ChainComplex({d + 1: labs for d, labs in degrees.items()},
+                                    {d + 1: b for d, b in boundaries.items()})
+        self.position = {m.carrier: i for i, m in enumerate(self.proper)}
 
 
 def tpl_complex(points, geometry):
@@ -469,19 +470,15 @@ class SphereTriangulation:
         return chain, incidences
 
 
-def sphere_triangulation(coll, poset=None):
-    """Triangulation of S^n subordinate to an admissible collection."""
-    from geotits import collection as coll_mod
-    from geotits.arrangement import build_arrangement
-
+def sphere_triangulation(coll, poset):
+    """Triangulation of S^n subordinate to an admissible collection, on
+    its arrangement ``poset``."""
     # admissibility (the hyperplanes have full rank) makes every cell's
     # closed cone pointed (strongly convex), which is what turns closure
     # chains into a triangulation; every caller decides it first, so
     # failing here is a bug
     if coll_mod.admissible(coll) != coll_mod.ADMISSIBLE:
         raise AssertionError("NOT_ADMISSIBLE: sphere triangulation needs admissibility")
-    if poset is None:
-        poset = build_arrangement(coll)
     return SphereTriangulation(poset)
 
 

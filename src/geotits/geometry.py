@@ -257,14 +257,10 @@ class HalfSpace:
 
     __slots__ = ("functional",)
 
-    def __init__(self, functional, sense=1):
+    def __init__(self, functional):
         row = primitive_int_row(functional)
         if all(v == 0 for v in row):
             raise ValueError("zero functional in half-space")
-        if sense not in (1, -1):
-            raise ValueError("sense must be +1 (>=0) or -1 (<=0)")
-        if sense < 0:
-            row = tuple(-x for x in row)
         self.functional = row
 
     @property

@@ -199,19 +199,7 @@ def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
 
 
 # ---------------------------------------------------------------------------
-# ST models and apartment matrices
-
-
-class STModel:
-    """Relative ST complex together with its proper-member order and each
-    proper member's position in it, keyed by carrier."""
-
-    __slots__ = ("top", "proper", "position", "complex")
-
-    def __init__(self, members, top):
-        self.top = top
-        self.proper, self.complex = cx.anchored_flag_complex(members, top)
-        self.position = {m.carrier: i for i, m in enumerate(self.proper)}
+# Apartment matrices
 
 
 def apartment_cycle_cell(poset, region_sign, st_model):
@@ -418,10 +406,11 @@ def join_sublattice(coll, poset, basis):
 # Theorem checkers
 
 
-def verify_pt_ls(coll, poset=None, basis=None):
+def verify_pt_ls(coll, poset, basis):
     """Certify the canonical map Pt -> Ls (iso for E/H; for S surjective
-    with kernel equal to the join sublattice J).  The collection is
-    generated by both points and hyperplanes; its callers decide that.
+    with kernel equal to the join sublattice J) on L's arrangement
+    ``poset`` and its region basis.  The collection is generated by both
+    points and hyperplanes; its callers decide that.
 
     On S^n the kernel K is never formed.  The map induced on Pt/J is
     well defined exactly when J is in K, and it is onto exactly when
@@ -432,10 +421,6 @@ def verify_pt_ls(coll, poset=None, basis=None):
     ``kernel_equals_join_lattice`` reads false whatever K is.
     ``kernel_rank`` is ``GroupHom.kernel_rank``."""
     g = coll.geometry
-    if poset is None:
-        poset = arr.build_arrangement(coll)
-    if basis is None:
-        basis = arr.region_basis(poset)
     hom, ls_data = pt_to_ls_hom(coll, poset, basis)
     pres = ls_data[0]
     report = {
@@ -486,27 +471,25 @@ def exact_sequence_hypotheses(coll, u_covector, window=None):
     arr.size_guard(g, len(coll.hyperplane_covectors) + 1)
 
 
-def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None,
-                         members=None):
+def exact_sequence_check(coll, u_covector, window, poset, basis, members):
     """Verify 0 -> Pt(L) -> Pt(L cup U) -> Pt(L cap U on U) -> 0 at matrix
     level, plus rank additivity and the homology counterpart, once its
     callers have decided ``exact_sequence_hypotheses``.  ``poset`` and
-    ``basis``, when given, are L's arrangement within ``window`` and its
-    region basis; ``members``, when given, is L|A
-    (``collection.restrict`` of L to ``window``)."""
+    ``basis`` are L's arrangement within ``window`` (None for none) and
+    its region basis; ``members`` is L|A (``collection.restrict`` of L
+    to ``window``), all of L without a window, and only the E^n and H^n
+    checks read it.
+
+    L cup U is the closure of L's hyperplanes and U, and L cap U is read
+    off its lattice: the flats whose zero mask holds U's bit."""
     g = coll.geometry
     u = geo.canonical_covector(u_covector)
-    var = coll_mod.variants(coll, u)
-    cup = var.cup
-    if poset is None:
-        poset = arr.build_arrangement(coll, within=window)
-    if basis is None:
-        basis = arr.region_basis(poset)
+    cup = coll_mod.closure_by_hyperplanes(g, [*coll.hyperplane_covectors, u])
     cup_poset = arr.build_arrangement(cup, within=window)
     cup_basis = arr.region_basis(cup_poset)
-    cup_covs = tuple(sorted(cup.hyperplane_covectors))
+    cup_covs = cup.hyperplane_covectors
     u_index = cup_covs.index(u)
-    base_positions = [cup_covs.index(c) for c in sorted(coll.hyperplane_covectors)]
+    base_positions = [cup_covs.index(c) for c in coll.hyperplane_covectors]
     # basis of the (L cap U)-polytope group: the bounded (n-1)-cells on U
     u_cells = tuple(s for s, c in sorted(cup_poset.cells.items())
                     if c.dim == g.n - 1 and s[u_index] == 0 and cup_poset.bounded(s))
@@ -555,21 +538,19 @@ def exact_sequence_check(coll, u_covector, window=None, poset=None, basis=None,
     if g.kind != geo.SPHERICAL:
         # the relative ST models of L, L cup U and L cap U (anchored at U),
         # restricted to the window when there is one
-        if window is None:
-            mem_l, mem_cup, cap_members = list(coll.members), list(cup.members), list(var.cap)
-        else:
-            mem_l = list(coll_mod.restrict(coll, window) if members is None else members)
-            mem_cup = _cup_members_within(coll, cup, mem_l, window)
-            cap_set = set(var.cap)
-            cap_members = [m for m in mem_cup if m in cap_set]
-            if var.u_member not in cap_members:
-                cap_members.append(var.u_member)
-        cup_st = STModel(mem_cup, coll.top())
-        cap_st = STModel(cap_members, var.u_member)
+        carriers = cup.lattice()[0]
+        on_u = {c for mask, c in carriers.items() if mask >> u_index & 1}
+        u_member = geo.GeoSubspace(g, carriers[1 << u_index])
+        mem_cup = cup.members if window is None else _cup_members_within(coll, cup, members, window)
+        cap_members = [m for m in mem_cup if m.carrier in on_u]
+        if u_member not in cap_members:
+            cap_members.append(u_member)
+        cup_st = cx.STModel(mem_cup, coll.top())
+        cap_st = cx.STModel(cap_members, u_member)
         # the dashed map's classes reduce the top boundary of the cap
         # model once, and its homology reuses that reduction
         dashed = _dashed_map_check(g.n, cup_st, cap_st, cup_poset, u_cells) if u_cells else None
-        report["homology"] = _st_rank_additivity(coll, mem_l, cup_st, cap_st)
+        report["homology"] = _st_rank_additivity(coll, members, cup_st, cap_st)
         if u_cells:
             report["dashed_map_agrees"] = dashed
     ok = injective and surjective and composite_zero and kernel_eq and rank_additive
@@ -592,7 +573,7 @@ def _cup_members_within(coll, cup, mem_l, window):
 
 def _st_rank_additivity(coll, mem_l, cup_st, cap_st):
     """H_n(ST cup) rank = H_n(ST) + H_{n-1}(ST cap U) rank."""
-    h_l = cx.homology(cx.relative_st_complex(mem_l, coll.top()))
+    h_l = cx.homology(cx.STModel(mem_l, coll.top()).complex)
     h_cup = cx.homology(cup_st.complex)
     h_cap = cx.homology(cap_st.complex)
     n = coll.geometry.n
@@ -675,8 +656,8 @@ def duality_check(coll):
     if not coll_mod.generated_by_points(dual):
         return {"claim": "spherical duality", "verdict": "FAIL",
                 "reason": "dual collection not generated by points"}
-    st_l = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
-    dual_st = STModel(dual.members, dual.top())
+    st_l = cx.homology(cx.STModel(coll.members, coll.top()).complex)
+    dual_st = cx.STModel(dual.members, dual.top())
     ls_data = ls_group(dual)
     apt = ls_apartment_matrix(ls_data, dual_st)
     st_d = cx.homology(dual_st.complex)  # after the classes: one reduction of d_n
@@ -696,16 +677,24 @@ def duality_check(coll):
     }
 
 
-def suspension_check(coll):
-    """Non-admissible spherical reduction: Pt via region bijection and the
-    homology degree shift by dim(U)."""
-    g = coll.geometry
-    if g.kind != geo.SPHERICAL:
+def suspension_hypotheses(coll):
+    """HypothesesError unless the suspension reduction applies to the
+    collection.  Needs no arrangement, so callers decide it before they
+    build one."""
+    if coll.geometry.kind != geo.SPHERICAL:
         raise HypothesesError("suspension reduction is spherical")
     if coll_mod.admissible(coll) == coll_mod.ADMISSIBLE:
         raise HypothesesError("collection is admissible; suspension reduction does not apply")
     if not coll.hyperplane_covectors:
         raise HypothesesError("collection has no hyperplanes (out of scope)")
+
+
+def suspension_check(coll, basis):
+    """Non-admissible spherical reduction: Pt via region bijection and the
+    homology degree shift by dim(U), on the region basis of L's
+    arrangement, once its callers have decided ``suspension_hypotheses``.
+    Only the reduced collection's arrangement is built here."""
+    g = coll.geometry
     u_carrier = coll_mod.hyperplane_intersection_carrier(coll)
     u_dim = u_carrier.dim
     perp = u_carrier.orthogonal_complement()
@@ -714,7 +703,7 @@ def suspension_check(coll):
     basis_rows = perp.basis
     reduced = []
     flips = {}
-    for cov in sorted(coll.hyperplane_covectors):
+    for cov in coll.hyperplane_covectors:
         raw = tuple(dot(cov, b) for b in basis_rows)
         canon = geo.canonical_covector(raw)
         flip = 1
@@ -726,13 +715,11 @@ def suspension_check(coll):
     small = coll_mod.closure_by_hyperplanes(small_g, reduced)
     if coll_mod.admissible(small) != coll_mod.ADMISSIBLE:
         raise AssertionError("reduced collection must be admissible")
-    big_poset = arr.build_arrangement(coll)
     small_poset = arr.build_arrangement(small)
-    big_regions = arr.region_basis(big_poset)
     small_regions = arr.region_basis(small_poset)
     # transport sign vectors through the covector correspondence
-    big_covs = tuple(sorted(coll.hyperplane_covectors))
-    small_covs = tuple(sorted(small.hyperplane_covectors))
+    big_covs = coll.hyperplane_covectors
+    small_covs = small.hyperplane_covectors
     transported = set()
     for s in small_regions:
         sig = {}
@@ -740,7 +727,7 @@ def suspension_check(coll):
             canon, flip = flips[cov]
             sig[cov] = flip * s[small_covs.index(canon)]
         transported.add(tuple(sig[cov] for cov in big_covs))
-    bijection = transported == set(big_regions)
+    bijection = transported == set(basis)
     tri = cx.sphere_triangulation(small, small_poset)
     bic = cx.pt_bicomplex(small, tri)
     h_small = cx.homology(bic)
@@ -748,7 +735,7 @@ def suspension_check(coll):
     ok = (
         bijection
         and predicted_degree == g.n
-        and h_small.betti(m) == len(big_regions)
+        and h_small.betti(m) == len(basis)
         and not h_small.torsion(m)
         and h_small.nonzero_degrees() in ([m], [])
     )
@@ -757,7 +744,7 @@ def suspension_check(coll):
         "u_dim": u_dim,
         "reduced_sphere_dim": m,
         "region_bijection": bijection,
-        "pt_rank": len(big_regions),
+        "pt_rank": len(basis),
         "reduced_pt_rank": len(small_regions),
         "reduced_homology_rank": h_small.betti(m),
         "predicted_degree": predicted_degree,

@@ -123,20 +123,15 @@ def _face_rows(level_dict):
     return table
 
 
-def check_face_identities(level_dict, table=None):
+def check_face_identities(table):
     """d_i d_j = d_{j-1} d_i for i < j, exhaustively on every simplex.
 
-    The identities are compared on the face-row table, which
-    ``build_resolution`` passes in, having built it for the boundary:
-    per level and pair i < j, the column of d_j faces read through the
-    d_i column of the level below against the d_i faces read through
-    its d_(j-1) column.  A level that is not the full set of extensions
-    of the level below fails the check.
+    The identities are compared on the face-row table (``_face_rows``),
+    which ``build_resolution`` builds for the boundary: per level and
+    pair i < j, the column of d_j faces read through the d_i column of
+    the level below against the d_i faces read through its d_(j-1)
+    column.
     """
-    if table is None:
-        table = _face_rows(level_dict)
-    if table is None:
-        return False
     below = None
     for p, rows in table.items():
         here = list(zip(*rows))  # here[i][k] = row of d_i of simplex k
@@ -176,7 +171,7 @@ def build_resolution(basis_size, p_max=None, ordered=True):
     level_dict = levels(basis_size, p_max)
     truncated = p_max < basis_size + 1 and bool(level_dict.get(p_max))
     table = _face_rows(level_dict)
-    if table is None or not check_face_identities(level_dict, table):  # pragma: no cover
+    if table is None or not check_face_identities(table):  # pragma: no cover
         raise AssertionError("semi-simplicial identities fail")
     if not ordered:
         return _build_unordered(level_dict), level_dict, truncated

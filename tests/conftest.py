@@ -554,6 +554,40 @@ def reference_is_bounded(halfspaces, geometry):
     return True
 
 
+def reference_closure_by_hyperplanes(geometry, covectors):
+    """All nonempty intersections of the hyperplanes, plus the top space,
+    by the one-hyperplane-at-a-time walk (``collection._closure`` with
+    ``geometry.meet_hyperplane``), kept as the oracle for
+    ``collection.closure_by_hyperplanes``, which reads them off ``flats``."""
+    covs = [geo.canonical_covector(c) for c in covectors]
+    seeds = [h for h in (geo.hyperplane_subspace(geometry, c) for c in covs) if h is not None]
+    members = coll_mod._closure(seeds, covs, geo.meet_hyperplane)
+    members.append(geo.top_subspace(geometry))
+    return coll_mod.Collection(geometry, members, covs)
+
+
+def cup(coll, u):
+    """L cup U: the closure of L's hyperplanes and U."""
+    return coll_mod.closure_by_hyperplanes(coll.geometry, [*coll.hyperplane_covectors, u])
+
+
+def poset_and_basis(coll, within=None):
+    """(arrangement, region basis) of the collection within the window,
+    the pair ``cli.Scene.arrangement`` builds."""
+    poset = arr.build_arrangement(coll, within=within)
+    return poset, arr.region_basis(poset)
+
+
+def exact_sequence(coll, u, window=None):
+    """``groups.exact_sequence_check`` on the artifacts that ``verify
+    exact-seq`` passes: L's arrangement within the window, its region
+    basis, and L|A on a windowed E^n or H^n collection (L otherwise)."""
+    members = coll.members
+    if window is not None and coll.geometry.kind != SPHERICAL:
+        members = coll_mod.restrict(coll, window)
+    return grp.exact_sequence_check(coll, u, window, *poset_and_basis(coll, window), members)
+
+
 def reference_restrict(collection, polytope):
     """Sub-poset L|A of members meeting the convex polytope A."""
     g = collection.geometry
@@ -866,7 +900,7 @@ def leq(a, b):
 def region_halfspaces(poset, sign_vector):
     """The half-spaces of a cell's strict signs.  A window adds none: its
     facet hyperplanes are in the arrangement, so the signs keep a cell in it."""
-    return tuple(geo.HalfSpace(cov, sense=s)
+    return tuple(geo.HalfSpace([s * x for x in cov])
                  for s, cov in zip(sign_vector, poset.covectors) if s)
 
 
@@ -876,7 +910,7 @@ def region_is_bounded(poset, cell):
     halfspaces = list(region_halfspaces(poset, cell.sign_vector))
     for s, cov in zip(cell.sign_vector, poset.covectors):
         if s == 0:  # flat equations as opposite half-space pairs
-            halfspaces += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
+            halfspaces += [geo.HalfSpace(cov), geo.HalfSpace([-x for x in cov])]
     return reference_is_bounded(halfspaces, poset.geometry)
 
 
@@ -1000,7 +1034,7 @@ def subdivide(polytope, cutter_covectors):
     for signs in sorted(parts):
         hs = list(polytope.halfspaces)
         for s, cov in zip(signs, cutters):
-            hs.append(geo.HalfSpace(cov, sense=1 if s > 0 else -1))
+            hs.append(geo.HalfSpace(cov if s > 0 else [-x for x in cov]))
         out.append(reference_polytope(g, hs))
     return out
 
@@ -1410,7 +1444,7 @@ def pt_apartments(coll, basis, tri, bic):
 
 
 def points_apartments(coll):
-    return grp.ls_apartment_matrix(grp.ls_group(coll), grp.STModel(coll.members, coll.top()))
+    return grp.ls_apartment_matrix(grp.ls_group(coll), cx.STModel(coll.members, coll.top()))
 
 
 def _reference_subsets(pool):

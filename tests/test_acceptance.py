@@ -27,8 +27,10 @@ from conftest import (
     TRIANGLE_COVS,
     TWO_CUBE_COVS,
     cell_apartments,
+    exact_sequence,
     face_span,
     points_apartments,
+    poset_and_basis,
     pt_apartments,
     reference_polytope_to_vector,
     region_polytope,
@@ -51,7 +53,7 @@ def test_criterion_1_euclidean_solomon_tits():
             assert coll_mod.admissible(coll) == coll_mod.ADMISSIBLE
             poset = arr.build_arrangement(coll)
             basis = arr.region_basis(poset)
-            st = grp.STModel(coll.members, coll.top())
+            st = cx.STModel(coll.members, coll.top())
             h = cx.homology(st.complex)
             assert cx.wedge_verdict(h, 2)
             assert h.betti(2) == len(basis)
@@ -103,7 +105,7 @@ def test_criterion_5_hyperbolic_counterexample():
     with Budget(5, "hyperbolic two-cube counterexample", 120):
         h3 = geo.Geometry("H", 3)
         coll = coll_mod.closure_by_hyperplanes(h3, TWO_CUBE_COVS)
-        h = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
+        h = cx.homology(cx.STModel(coll.members, coll.top()).complex)
         assert h.betti(2) == 1 and not h.torsion(2)
         assert h.betti(3) == 1 and not h.torsion(3)
         assert h.nonzero_degrees() == [2, 3]  # T is S^1 wedge S^2
@@ -128,7 +130,7 @@ def test_criterion_6_a_local_theorem():
             members = coll_mod.restrict(coll, window)
             poset = arr.build_arrangement(coll, within=window)
             basis = arr.region_basis(poset)
-            st = grp.STModel(members, coll.top())
+            st = cx.STModel(members, coll.top())
             h = cx.homology(st.complex)
             assert h.nonzero_degrees() in ([2], [])
             assert h.betti(2) == len(basis) and not h.torsion(2)
@@ -150,7 +152,7 @@ def test_criterion_7_exact_sequences():
     for label, g, covs, u, window in cases:
         with Budget(7, f"exact sequence, {label}", 10):
             coll = coll_mod.closure_by_hyperplanes(g, covs)
-            rep = grp.exact_sequence_check(coll, u, window=window)
+            rep = exact_sequence(coll, u, window)
             assert rep["verdict"] == "PASS", rep
             assert rep["injective"] and rep["facet_surjective"]
             assert rep["composite_zero"] and rep["kernel_equals_image"]
@@ -201,11 +203,11 @@ def test_criterion_9_pt_to_ls():
         with Budget(9, f"Pt to Ls isomorphism, {label}", 60):
             coll = coll_mod.closure_by_hyperplanes(g, covs)
             assert coll_mod.generated_by_both(coll)
-            rep = grp.verify_pt_ls(coll)
+            rep = grp.verify_pt_ls(coll, *poset_and_basis(coll))
             assert rep["verdict"] == "PASS" and rep["isomorphism"], rep
     with Budget(9, "Pt to Ls spherical kernel = joins", 60):
         coll = coll_mod.closure_by_hyperplanes(S2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        rep = grp.verify_pt_ls(coll)
+        rep = grp.verify_pt_ls(coll, *poset_and_basis(coll))
         assert rep["verdict"] == "PASS", rep
         assert rep["surjective"] and rep["kernel_rank"] == 7
         assert rep["kernel_equals_join_lattice"]
@@ -220,7 +222,7 @@ def test_criterion_10_suspension_reduction():
     for label, covs, regions in scenes:
         with Budget(10, f"suspension reduction, {label}", 30):
             coll = coll_mod.closure_by_hyperplanes(S2, covs)
-            rep = grp.suspension_check(coll)
+            rep = grp.suspension_check(coll, poset_and_basis(coll)[1])
             assert rep["verdict"] == "PASS", rep
             assert rep["region_bijection"]
             assert rep["pt_rank"] == regions
@@ -286,11 +288,11 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
             assert v.orthogonal_complement().orthogonal_complement() == v
         # apartment cycles are cycles (both region flavors)
         poset = arr.build_arrangement(triangle)
-        st = grp.STModel(triangle.members, triangle.top())
+        st = cx.STModel(triangle.members, triangle.top())
         for sign in arr.region_basis(poset):
             apt = grp.apartment_cycle_cell(poset, sign, st)
             assert any(apt) and not any(st.complex.boundary(2).mul_vec(list(apt)))
-        tri_s = cx.sphere_triangulation(coord_s2)
+        tri_s = cx.sphere_triangulation(coord_s2, arr.build_arrangement(coord_s2))
         bic = cx.pt_bicomplex(coord_s2, tri_s)
         poset_s = arr.build_arrangement(coord_s2)
         for sign in arr.region_basis(poset_s):

@@ -13,7 +13,7 @@ from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
 from geotits.cli import Scene, corpus_dir
 from conftest import (
-    E1, E2, H2, LINEAR_PROGRAM_NAMES, NOT_L_POLYTOPE, S0, TRIANGLE_COVS, ZERO, facet_map,
+    E1, E2, H2, LINEAR_PROGRAM_NAMES, NOT_L_POLYTOPE, S0, TRIANGLE_COVS, ZERO, cup, facet_map,
     lattices_equal, reference_build_arrangement, reference_kernel_basis, reference_polytope,
     reference_polytope_from_halfspaces, reference_polytope_to_vector, region_polytope,
     src_calls, subdivide,
@@ -180,7 +180,7 @@ def test_facet_map_sides():
     assert side == 1
     reflected = arr.polytope_from_halfspaces(
         E2,
-        [geo.HalfSpace((0, 0, 1), sense=-1), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((1, -1, 1))],
+        [geo.HalfSpace((0, 0, -1)), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((1, -1, 1))],
     )
     side2, _ = facet_map(reflected, (0, 0, 1))
     assert side2 == -1
@@ -203,10 +203,9 @@ def test_facet_map_sides():
 
 def test_facet_cofacet_roundtrip(triangle):
     """facet_map of cofacet_lift returns the original (n-1)-cell with + sign."""
-    var = coll_mod.variants(triangle, (2, -5, -1))
-    poset = arr.build_arrangement(var.cup)
+    poset = arr.build_arrangement(cup(triangle, (2, -5, -1)))
     u = geo.canonical_covector((2, -5, -1))
-    u_index = tuple(sorted(var.cup.hyperplane_covectors)).index(u)
+    u_index = poset.covectors.index(u)
     u_cells = [
         s
         for s, c in sorted(poset.cells.items())
@@ -232,11 +231,10 @@ def test_rank_additivity_corpus(triangle, four_lines, coord_s2):
         (coord_s2, (1, 2, 3)),
     ]
     for coll, u in cases:
-        var = coll_mod.variants(coll, u)
         poset = arr.build_arrangement(coll)
-        cup_poset = arr.build_arrangement(var.cup)
+        cup_poset = arr.build_arrangement(cup(coll, u))
         cu = geo.canonical_covector(u)
-        ui = tuple(sorted(var.cup.hyperplane_covectors)).index(cu)
+        ui = cup_poset.covectors.index(cu)
         u_cells = [
             s
             for s, c in sorted(cup_poset.cells.items())
@@ -392,8 +390,11 @@ def test_build_matches_reference_on_random_scenes(kind, n):
         boxed = coll_mod.Collection(g, [geo.top_subspace(g)],
                                     set(covs) | {h.hyperplane for h in box})
         for _ in range(4):
-            sides = [geo.HalfSpace(c, sense=rng.choice((1, -1)))
-                     for c in covs if rng.random() < 0.5]
+            sides = []
+            for c in covs:
+                if rng.random() < 0.5:
+                    sign = rng.choice((1, -1))
+                    sides.append(geo.HalfSpace([sign * x for x in c]))
             window = arr.polytope_from_halfspaces(g, box + sides)
             if not isinstance(window, geo.Invalid):
                 windows += 1
@@ -411,7 +412,7 @@ def test_reference_keeps_spherical_windows():
     g = geo.Geometry("S", 3)
     coll = coll_mod.Collection(g, [geo.top_subspace(g)],
                                [(0, 1, -2, 2), (1, 0, -1, -2), (1, 1, 1, -1)])
-    window = arr.polytope_from_halfspaces(g, [geo.HalfSpace((1, 1, 1, -1), sense=-1)])
+    window = arr.polytope_from_halfspaces(g, [geo.HalfSpace((-1, -1, -1, 1))])
     poset = arr.build_arrangement(coll, within=window)
     assert (0, 0, 1) not in poset.cells and (0, 0, -1) in poset.cells
     _assert_matches_reference(poset, reference_build_arrangement(coll, within=window))
@@ -435,7 +436,7 @@ def _random_window(rng, g):
             unit = [int(k == i) for k in range(amb)]
             hs += [geo.HalfSpace([w - c] + unit[1:]), geo.HalfSpace([w + c] + [-x for x in unit[1:]])]
     if rng.random() < 0.25:
-        hs.append(geo.HalfSpace(rng.choice(hs).functional, sense=-1))
+        hs.append(geo.HalfSpace([-x for x in rng.choice(hs).functional]))
     rng.shuffle(hs)
     return hs
 

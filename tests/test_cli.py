@@ -9,11 +9,10 @@ import sys
 import pytest
 
 from geotits import cli
-from geotits import collection as coll_mod
 from geotits import complexes as cx
 from geotits._kernel import IntMatrix
 from geotits.cli import Scene, SceneError, HypothesesError, run_command
-from conftest import Budget, src_calls
+from conftest import Budget, cup, src_calls
 from test_scale import S3_FIVE
 
 
@@ -222,9 +221,35 @@ def test_exact_seq_restricts_only_the_new_members_of_the_cup():
     with src_calls() as counts:
         (block,), overall = run_command("verify", "exact-seq", scene)
     assert overall == "PASS"
-    cup = coll_mod.variants(scene.collection()[0], scene.u_hyperplane).cup
-    assert len(cup.members) - 1 == 9
+    assert len(cup(scene.collection()[0], scene.u_hyperplane).members) - 1 == 9
     assert counts["window_arrangement"] == 3
+
+
+def test_each_artifact_is_built_once_per_scene():
+    """A fresh hyperplane-mode scene enumerates its lattice of flats once,
+    in ``closure_by_hyperplanes``, which walks no hyperplane; its whole and
+    windowed arrangements read that lattice.  ``verify pt-ls`` builds no
+    arrangement after ``arrangement``, and ``verify suspension`` builds
+    L's arrangement once per scene and the reduced collection's once per
+    run."""
+    scene = load("h2_triangle")
+    with src_calls() as counts:
+        scene.collection()
+    assert counts["flats"] == 1
+    assert counts["_closure"] == counts["meet_hyperplane"] == 0
+    with src_calls() as counts:
+        run_command("closure", None, scene)
+        run_command("arrangement", None, scene)  # within the scene's window
+        scene.arrangement(None)
+    assert counts["flats"] == 0 and counts["build_arrangement"] == 2
+    with src_calls() as counts:
+        (block,), _ = run_command("verify", "pt-ls", scene)
+    assert block["verdict"] == "PASS" and counts["build_arrangement"] == 0
+    lunes = load("s2_lunes_three")
+    for builds in (2, 1):
+        with src_calls() as counts:
+            (block,), _ = run_command("verify", "suspension", lunes)
+        assert block["verdict"] == "PASS" and counts["build_arrangement"] == builds
 
 
 def test_generic_s3_report_pinned_under_any_hash_seed():
@@ -419,13 +444,17 @@ def test_window_arrangement_report_pinned_under_two_hash_seeds(name):
         assert hashlib.sha256(proc.stdout).hexdigest() == want
 
 
-@pytest.mark.parametrize("sub, name", [("pt-ls", "s2_coordinate"), ("exact-seq", "h2_triangle")])
+@pytest.mark.parametrize("sub, name", [
+    ("pt-ls", "s2_coordinate"), ("exact-seq", "h2_triangle"),
+    ("suspension", "s2_lunes_three"), ("duality", "s2_generic_three"),
+])
 def test_verify_report_pinned_under_two_hash_seeds(sub, name):
     """The spherical pt-ls verdict is read off join generators collected
-    in a set, and exact-seq keeps L|A and restricts the new members of
-    L cup U by sets, so both reports are pinned in fresh interpreters
-    under two hash seeds.  Each pin is the benchmark's digest of the
-    same command."""
+    in a set, exact-seq keeps L|A and restricts the new members of L cup
+    U by sets, suspension takes L's arrangement from the scene and
+    duality builds the ST models of L and its dual, so these reports are
+    pinned in fresh interpreters under two hash seeds.  Each pin is the
+    benchmark's digest of the same command."""
     pin = TEST_SCENES / f"{name}_{sub.replace('-', '_')}.sha256"
     want = pin.read_text().strip()
     digests = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -693,8 +722,8 @@ def test_exact_seq_guard_counts_the_cup():
             cli.grp.exact_sequence_hypotheses(coll, scene.u_hyperplane, scene.polytope_a)
         except HypothesesError:
             continue
-        cup = cli.coll_mod.variants(coll, scene.u_hyperplane).cup
-        assert len(cup.hyperplane_covectors) == len(coll.hyperplane_covectors) + 1
+        assert len(cup(coll, scene.u_hyperplane).hyperplane_covectors) == \
+            len(coll.hyperplane_covectors) + 1
         checked += 1
     assert checked >= 4
 

@@ -1,5 +1,7 @@
 """The one-generator closure against the pairwise closures it replaced,
-and the fail-fast generation checks against the full-closure comparison.
+the hyperplane closure read off the lattice of flats against the
+one-hyperplane walk it replaced, and the fail-fast generation checks
+against the full-closure comparison.
 
 The references below are the earlier closures, kept test-only: every
 pair of members is met (through both orthogonal complements) or
@@ -7,6 +9,7 @@ spanned until nothing new appears.  They must give the same members.
 """
 
 import json
+import pathlib
 import random
 from fractions import Fraction as Fr
 
@@ -15,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 from geotits import cli, exact
 from geotits import collection as coll_mod
 from geotits import geometry as geo
-from conftest import E2, H2, S2
+from conftest import E1, E2, E3, H2, H3, S1, S2, reference_closure_by_hyperplanes
 
 S3 = geo.Geometry("S", 3)
+TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
 
 
 def _reference_intersect(a, b):
@@ -106,6 +110,39 @@ def test_hyperplane_closure_matches_pairwise_reference(seed):
     rng = random.Random(seed)
     g, most = rng.choice([(E2, 6), (H2, 6), (S2, 5), (S3, 5)])
     _check_hyperplanes(g, _distinct_hyperplanes(rng, g, rng.randint(1, most)))
+
+
+def _check_walk(g, covs):
+    """Members and covectors as the walk finds them, and a lattice that a
+    collection built without one enumerates again the same."""
+    got = coll_mod.closure_by_hyperplanes(g, covs)
+    want = reference_closure_by_hyperplanes(g, covs)
+    assert got.members == want.members
+    assert got.hyperplane_covectors == want.hyperplane_covectors
+    assert coll_mod.Collection(g, want.members, covs).lattice() == got.lattice()
+
+
+def test_closures_match_walk_reference_on_every_scene():
+    paths = sorted(cli.corpus_dir().glob("*.json")) + sorted(TEST_SCENES.glob("*.json"))
+    checked = 0
+    for path in paths:
+        scene = cli.Scene(json.loads(path.read_text()))
+        if scene.hyperplanes or scene.mode == "hyperplanes":
+            _check_walk(scene.geometry, scene.hyperplanes)
+            checked += 1
+    assert checked >= 25
+
+
+def test_closures_match_walk_reference_on_random_collections():
+    """1,200 seeded collections in E^n, H^n and S^n, n <= 3, with entries
+    in [-2, 2]: parallel, concurrent and (in H^n) non-crossing
+    hyperplanes are common.  H^1 is left out: only three such hyperplanes
+    meet it."""
+    rng = random.Random(35)
+    kinds = [E1, E2, E3, H2, H3, S1, S2, S3]
+    for _ in range(1200):
+        g = rng.choice(kinds)
+        _check_walk(g, _distinct_hyperplanes(rng, g, rng.randint(1, 6 if g.n < 3 else 5)))
 
 
 def _random_points(rng, g, count):

@@ -50,11 +50,17 @@ def test_s1_single_pair_not_generating():
 
 
 def test_variants_counts(triangle):
-    var = coll_mod.variants(triangle, (2, -5, -1))
-    assert len(var.cup.members) == 11
-    assert len(var.cap) == 4  # U itself plus three points on U
-    same = coll_mod.variants(triangle, (0, 1, 0))
-    assert same.cup.members == triangle.members
+    """L cup U has 11 members, and the flats of its lattice on U, L cap U,
+    are U itself plus three points on U; U in L is a duplicate."""
+    u = geo.canonical_covector((2, -5, -1))
+    cup = coll_mod.closure_by_hyperplanes(E2, [*TRIANGLE_COVS, u])
+    assert len(cup.members) == 11
+    bit = 1 << cup.hyperplane_covectors.index(u)
+    cap = [c for mask, c in cup.lattice()[0].items() if mask & bit]
+    assert sorted(c.dim - 1 for c in cap) == [0, 0, 0, 1]
+    assert all(geo.hyperplane_subspace(E2, u).carrier.contains(c) for c in cap)
+    with pytest.raises(ValueError, match="duplicate hyperplane"):
+        coll_mod.closure_by_hyperplanes(E2, [*TRIANGLE_COVS, (0, 1, 0)])
 
 
 def test_restrict(triangle):

@@ -33,7 +33,7 @@ def test_order_complex_contractible(concurrent_e2):
 
 
 def test_relative_st_triangle(triangle):
-    st = cx.relative_st_complex(list(triangle.members), triangle.top())
+    st = cx.STModel(triangle.members, triangle.top()).complex
     assert st.dim(0) + st.dim(1) + st.dim(2) == 13
     h = cx.homology(st)
     assert h.nonzero_degrees() == [2] and h.betti(2) == 1
@@ -42,13 +42,13 @@ def test_relative_st_triangle(triangle):
 
 def test_relative_st_e1_wedge_of_circles():
     l = coll_mod.closure_by_hyperplanes(E1, [(0, 1), (-1, 1), (-3, 1), (-7, 1)])
-    h = cx.homology(cx.relative_st_complex(list(l.members), l.top()))
+    h = cx.homology(cx.STModel(l.members, l.top()).complex)
     assert h.betti(1) == 3 and h.nonzero_degrees() == [1]
 
 
 def test_relative_st_concurrent_vanishes(concurrent_e2):
     h = cx.homology(
-        cx.relative_st_complex(list(concurrent_e2.members), concurrent_e2.top())
+        cx.STModel(concurrent_e2.members, concurrent_e2.top()).complex
     )
     assert not h.nonzero_degrees()
 
@@ -77,7 +77,7 @@ def test_order_builds_test_each_pair_of_dimensions_once(monkeypatch):
     cx.order_complex(coll.members)
     assert len(calls) == pairs
     calls.clear()
-    cx.relative_st_complex(list(coll.members), coll.top())
+    cx.STModel(coll.members, coll.top()).complex
     assert len(calls) == pairs + len(proper)
 
 
@@ -85,7 +85,7 @@ def test_suspension_identity(triangle, four_lines, concurrent_e2, h2_triangle):
     """H_p(relative ST) = reduced H_{p-1}(T) for E/H collections."""
     for coll in (triangle, four_lines, concurrent_e2, h2_triangle):
         ht = cx.homology(cx.order_complex(coll.members))
-        hst = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
+        hst = cx.homology(cx.STModel(coll.members, coll.top()).complex)
         for d in range(-1, 4):
             assert hst.betti(d + 1) == ht.betti(d)
             assert hst.torsion(d + 1) == ht.torsion(d)
@@ -94,7 +94,7 @@ def test_suspension_identity(triangle, four_lines, concurrent_e2, h2_triangle):
 def test_st_concentration_theorems(triangle, four_lines):
     """Admissible Euclidean: homology concentrated in degree n and free."""
     for coll in (triangle, four_lines):
-        h = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
+        h = cx.homology(cx.STModel(coll.members, coll.top()).complex)
         assert cx.wedge_verdict(h, coll.geometry.n)
 
 
@@ -127,20 +127,20 @@ def test_tpl_rank_matches_st_rank():
     assert generating
     ctpl, _ = cx.tpl_complex(list(cl.points()), E2)
     htpl = cx.homology(ctpl)
-    hst = cx.homology(cx.relative_st_complex(list(cl.members), cl.top()))
+    hst = cx.homology(cx.STModel(cl.members, cl.top()).complex)
     assert htpl.betti(2) == hst.betti(2) == 3
     assert not htpl.torsion(2)
 
 
 def test_sphere_triangulation_s1(coord_s1):
-    tri = cx.sphere_triangulation(coord_s1)
+    tri = cx.sphere_triangulation(coord_s1, arr.build_arrangement(coord_s1))
     assert tri.complex.dim(0) == 8 and tri.complex.dim(1) == 8
     h = cx.homology(tri.complex)
     assert h.betti(0) == 1 and h.betti(1) == 1
 
 
 def test_sphere_triangulation_s2(coord_s2):
-    tri = cx.sphere_triangulation(coord_s2)
+    tri = cx.sphere_triangulation(coord_s2, arr.build_arrangement(coord_s2))
     assert tri.complex.dim(0) == 26
     h = cx.homology(tri.complex)
     assert h.betti(0) == 1 and h.betti(1) == 0 and h.betti(2) == 1
@@ -167,21 +167,21 @@ def test_sphere_simplices_match_all_pairs_chains(path):
 def test_sphere_triangulation_needs_admissible():
     shared = coll_mod.closure_by_hyperplanes(S2, [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(AssertionError):
-        cx.sphere_triangulation(shared)
+        cx.sphere_triangulation(shared, arr.build_arrangement(shared))
 
 
 def test_pt_bicomplex_values(coord_s1, coord_s2):
-    tri1 = cx.sphere_triangulation(coord_s1)
+    tri1 = cx.sphere_triangulation(coord_s1, arr.build_arrangement(coord_s1))
     h1 = cx.homology(cx.pt_bicomplex(coord_s1, tri1))
     assert h1.nonzero_degrees() == [1] and h1.betti(1) == 4
-    tri2 = cx.sphere_triangulation(coord_s2)
+    tri2 = cx.sphere_triangulation(coord_s2, arr.build_arrangement(coord_s2))
     h2 = cx.homology(cx.pt_bicomplex(coord_s2, tri2))
     assert h2.nonzero_degrees() == [2] and h2.betti(2) == 8
 
 
 def test_pt_bicomplex_s0():
     l = coll_mod.closure_by_hyperplanes(S0, [(1,)])
-    tri = cx.sphere_triangulation(l)
+    tri = cx.sphere_triangulation(l, arr.build_arrangement(l))
     h = cx.homology(cx.pt_bicomplex(l, tri))
     assert h.nonzero_degrees() == [0] and h.betti(0) == 2
 
@@ -189,7 +189,7 @@ def test_pt_bicomplex_s0():
 def test_collapse_crosscheck_agreement(coord_s1, coord_s2):
     generic = coll_mod.closure_by_hyperplanes(S2, [(1, 0, 0), (0, 1, 0), (1, 2, 3)])
     for coll in (coord_s1, coord_s2, generic):
-        tri = cx.sphere_triangulation(coll)
+        tri = cx.sphere_triangulation(coll, arr.build_arrangement(coll))
         hb = cx.homology(cx.pt_bicomplex(coll, tri))
         hc = cx.homology(cx.pt_collapse_complex(coll, tri))
         assert hb == hc
@@ -201,7 +201,7 @@ def test_local_complex(h2_triangle):
         geo.Geometry("H", 2), [geo.HalfSpace(c) for c in h2_triangle.hyperplane_covectors]
     )
     members = coll_mod.restrict(h2_triangle, a)
-    h = cx.homology(cx.relative_st_complex(list(members), h2_triangle.top()))
+    h = cx.homology(cx.STModel(members, h2_triangle.top()).complex)
     assert h.betti(2) == 1 and h.nonzero_degrees() == [2]
 
 
@@ -291,7 +291,7 @@ def test_boundary_squared_guard_at_workload_size():
         with pytest.raises(AssertionError, match="boundary squared nonzero at degree 4"):
             cx.ChainComplex(resolution_cx.degrees, _one_sign_flipped(resolution_cx, 4, j))
     coll, _ = cli.Scene(json.loads(S3_FOUR_GENERIC.read_text())).collection()
-    bic = cx.pt_bicomplex(coll, cx.sphere_triangulation(coll))
+    bic = cx.pt_bicomplex(coll, cx.sphere_triangulation(coll, arr.build_arrangement(coll)))
     top = max(bic.support())
     for j in (0, bic.dim(top) - 1):
         with pytest.raises(AssertionError, match=f"boundary squared nonzero at degree {top}"):
@@ -324,6 +324,6 @@ def test_absent_boundary_is_built_once_per_degree(coord_s2):
         assert (b.rows, b.cols, b.entries) == (cpx.dim(d - 1), cpx.dim(d), {})
     assert cpx.boundary(0) is cpx.boundary(0) and cpx.boundary(5) is cpx.boundary(5)
     assert cpx.boundaries == {}
-    tri = cx.sphere_triangulation(coord_s2)
+    tri = cx.sphere_triangulation(coord_s2, arr.build_arrangement(coord_s2))
     assert 0 not in tri.complex.boundaries
     assert tri.complex.boundary(0).cols == len(tri.simplices[0])

@@ -108,7 +108,7 @@ def test_st_and_local_complexes_match_reference(corpus):
             windows.append(name)
             member_sets.append(list(coll_mod.restrict(coll, scene.polytope_a)))
         for members in member_sets:
-            _assert_same(cx.relative_st_complex(members, coll.top()),
+            _assert_same(cx.STModel(members, coll.top()).complex,
                          *_reference_relative_st(members, coll.top()))
     assert windows == ["e2_square_window.json", "h2_triangle.json"]
 

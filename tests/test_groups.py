@@ -22,8 +22,11 @@ from conftest import (
     apartment_cycle_pt_polytope,
     cell_apartments,
     cells_in_polytope,
+    cup,
     dense_columns,
+    exact_sequence,
     lattices_equal,
+    poset_and_basis,
     pt_apartments,
     reference_det_sign,
     reference_is_injective,
@@ -146,7 +149,7 @@ def test_ls_group_needs_points():
 def test_apartment_tuple_e1_class():
     """The interval apartment maps to the difference of its endpoints."""
     l = coll_mod.closure_by_hyperplanes(E1, [(0, 1), (-1, 1)])
-    st = grp.STModel(l.members, l.top())
+    st = cx.STModel(l.members, l.top())
     pts = sorted(l.points(), key=lambda p: p.sort_key())
     cyc = grp.apartment_cycle_tuple(tuple(pts), st)
     classes = cx.HomologyClasses(st.complex, 1)
@@ -158,7 +161,7 @@ def test_apartment_simplicial_relation():
     """Alternating sum of the face apartments of a 4-tuple is a boundary."""
     pts_coords = ((0, 0), (1, 0), (0, 1), (2, 3))
     cl, _ = coll_mod.closure_by_points(E2, [geo.point_subspace(E2, p) for p in pts_coords])
-    st = grp.STModel(cl.members, cl.top())
+    st = cx.STModel(cl.members, cl.top())
     pts = sorted(cl.points(), key=lambda p: p.sort_key())
     classes = cx.HomologyClasses(st.complex, 2)
     total = [0] * st.complex.dim(2)
@@ -177,7 +180,7 @@ def test_apartment_degenerate_vanishing():
         E2, [geo.point_subspace(E2, p) for p in pts_coords]
     )
     assert generating
-    st = grp.STModel(cl.members, cl.top())
+    st = cx.STModel(cl.members, cl.top())
     pts = sorted(cl.points(), key=lambda p: p.sort_key())
     collinear = tuple(p for p in pts if p.carrier.basis[0][2] == 0)
     assert len(collinear) == 3
@@ -191,7 +194,7 @@ def test_polytope_apartment_matches_tuple(triangle):
     its vertices times their orientation sign."""
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
-    st = grp.STModel(triangle.members, triangle.top())
+    st = cx.STModel(triangle.members, triangle.top())
     p = region_polytope(poset, basis[0])
     cyc_poly = apartment_cycle_polytope(p, triangle, st)
     verts = tuple(sorted(triangle.points(), key=lambda m: m.sort_key()))
@@ -205,7 +208,7 @@ def test_polytope_apartment_matches_tuple(triangle):
 def test_cell_apartment_matches_polytope(triangle):
     poset = arr.build_arrangement(triangle)
     basis = arr.region_basis(poset)
-    st = grp.STModel(triangle.members, triangle.top())
+    st = cx.STModel(triangle.members, triangle.top())
     p = region_polytope(poset, basis[0])
     a = apartment_cycle_polytope(p, triangle, st)
     b = grp.apartment_cycle_cell(poset, basis[0], st)
@@ -216,7 +219,7 @@ def test_polytope_apartment_subdivision_additive(four_lines):
     """apt(P) = sum of apt(P_i) in homology when an L-line cuts P."""
     poset = arr.build_arrangement(four_lines)
     basis = arr.region_basis(poset)
-    st = grp.STModel(four_lines.members, four_lines.top())
+    st = cx.STModel(four_lines.members, four_lines.top())
     classes = cx.HomologyClasses(st.complex, 2)
     # the big triangle is a convex L-polytope cut by the fourth line
     p = reference_polytope(E2, [geo.HalfSpace(c) for c in TRIANGLE_COVS])
@@ -238,22 +241,21 @@ def test_spherical_apartment_additivity(coord_s2):
     cup, so its apartment comes from the polytope-keyed oracle; the two
     pieces are regions, built by the program."""
     extra = (1, -1, 0)
-    var = coll_mod.variants(coord_s2, extra)
-    cup = var.cup
-    poset = arr.build_arrangement(cup)
-    tri = cx.sphere_triangulation(cup, poset)
-    bic = cx.pt_bicomplex(cup, tri)
+    cup_s2 = cup(coord_s2, extra)
+    poset = arr.build_arrangement(cup_s2)
+    tri = cx.sphere_triangulation(cup_s2, poset)
+    bic = cx.pt_bicomplex(cup_s2, tri)
     classes = cx.HomologyClasses(bic, 2)
     octant = reference_polytope(
         geo.Geometry("S", 2), [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     )
     pieces = subdivide(octant, [extra])
     assert len(pieces) == 2
-    f_total = classes.coords(apartment_cycle_pt_polytope(octant, cup, tri, bic))
+    f_total = classes.coords(apartment_cycle_pt_polytope(octant, cup_s2, tri, bic))
     acc = None
     for piece in pieces:
         (sign,) = cells_in_polytope(poset, piece, dims={2})
-        f = classes.coords(grp.apartment_cycle_pt_spherical(sign, cup, tri, bic))
+        f = classes.coords(grp.apartment_cycle_pt_spherical(sign, cup_s2, tri, bic))
         acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
     assert f_total == acc
 
@@ -266,7 +268,7 @@ def test_apartment_matrix_refuses_a_non_cycle(flavor, triangle, coord_s2):
     poset = arr.build_arrangement(coll)
     sign = arr.region_basis(poset)[0]
     if flavor == "cell":
-        st = grp.STModel(coll.members, coll.top())
+        st = cx.STModel(coll.members, coll.top())
         complex_, apt = st.complex, grp.apartment_cycle_cell(poset, sign, st)
     else:
         tri = cx.sphere_triangulation(coll, poset)
@@ -303,7 +305,7 @@ def test_apartment_matrices_iso_corpus(triangle, four_lines, coord_s2, coord_s1,
     for coll in (triangle, four_lines):
         poset = arr.build_arrangement(coll)
         basis = arr.region_basis(poset)
-        st = grp.STModel(coll.members, coll.top())
+        st = cx.STModel(coll.members, coll.top())
         assert cell_apartments(poset, basis, st).iso
     # spherical flavor
     for coll in (coord_s1, coord_s2):
@@ -313,17 +315,17 @@ def test_apartment_matrices_iso_corpus(triangle, four_lines, coord_s2, coord_s1,
         assert pt_apartments(coll, arr.region_basis(poset), tri, bic).iso
     # hyperbolic both-generated
     poset = arr.build_arrangement(h2_triangle)
-    st = grp.STModel(h2_triangle.members, h2_triangle.top())
+    st = cx.STModel(h2_triangle.members, h2_triangle.top())
     assert cell_apartments(poset, arr.region_basis(poset), st).iso
 
 
 def test_pt_to_ls_triangle(triangle):
-    rep = grp.verify_pt_ls(triangle)
+    rep = grp.verify_pt_ls(triangle, *poset_and_basis(triangle))
     assert rep["verdict"] == "PASS" and rep["isomorphism"]
 
 
 def test_pt_to_ls_h2(h2_triangle):
-    rep = grp.verify_pt_ls(h2_triangle)
+    rep = grp.verify_pt_ls(h2_triangle, *poset_and_basis(h2_triangle))
     assert rep["verdict"] == "PASS" and rep["isomorphism"]
 
 
@@ -351,7 +353,7 @@ def test_pt_to_ls_quadrilateral_subdivision_invariance():
         E2, [geo.HalfSpace(c) for c in covs[:4]] + [geo.HalfSpace((0, 1, -1))]
     )
     tri2 = reference_polytope(
-        E2, [geo.HalfSpace(c) for c in covs[:4]] + [geo.HalfSpace((0, 1, -1), sense=-1)]
+        E2, [geo.HalfSpace(c) for c in covs[:4]] + [geo.HalfSpace((0, -1, 1))]
     )
     v_sq = reference_pt_to_ls_element(square.vertices, coll, ls_data)
     v_1 = reference_pt_to_ls_element(tri1.vertices, coll, ls_data)
@@ -366,7 +368,7 @@ def test_pt_to_ls_quadrilateral_subdivision_invariance():
 
 
 def test_pt_to_ls_spherical_kernel(coord_s2):
-    rep = grp.verify_pt_ls(coord_s2)
+    rep = grp.verify_pt_ls(coord_s2, *poset_and_basis(coord_s2))
     assert rep["verdict"] == "PASS"
     assert rep["surjective"] and rep["kernel_rank"] == 7
     assert rep["kernel_equals_join_lattice"]
@@ -400,7 +402,7 @@ def test_antipodal_invariance(coord_s2):
         s2, [geo.HalfSpace(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     )
     reflected = reference_polytope(
-        s2, [geo.HalfSpace((1, 0, 0), sense=-1), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1))]
+        s2, [geo.HalfSpace((-1, 0, 0)), geo.HalfSpace((0, 1, 0)), geo.HalfSpace((0, 0, 1))]
     )
     (r1,) = cells_in_polytope(poset, simplex, dims={2})
     (r2,) = cells_in_polytope(poset, reflected, dims={2})
@@ -421,7 +423,7 @@ def test_exact_sequence_corpus(triangle, four_lines, coord_s2):
         (coord_s2, (1, 2, 3), None),
     ]
     for coll, u, window in cases:
-        rep = grp.exact_sequence_check(coll, u, window=window)
+        rep = exact_sequence(coll, u, window)
         assert rep["verdict"] == "PASS", rep
         assert rep["injective"] and rep["facet_surjective"]
         assert rep["kernel_equals_image"] and rep["rank_additive"]
@@ -466,7 +468,7 @@ def test_exact_sequence_hyperbolic_window(h2_triangle):
         H2, [geo.HalfSpace(c) for c in h2_triangle.hyperplane_covectors]
     )
     grp.exact_sequence_hypotheses(h2_triangle, (3, 0, -8), window=a)
-    rep = grp.exact_sequence_check(h2_triangle, (3, 0, -8), window=a)
+    rep = exact_sequence(h2_triangle, (3, 0, -8), a)
     assert rep["verdict"] == "PASS"
     with pytest.raises(HypothesesError, match="needs a window"):
         grp.exact_sequence_hypotheses(h2_triangle, (3, 0, -8))
@@ -499,18 +501,18 @@ def test_suspension(coord_s2):
         ([(1, 0, 0), (0, 1, 0), (1, -1, 0)], 6),
     ):
         coll = coll_mod.closure_by_hyperplanes(S2, covs)
-        rep = grp.suspension_check(coll)
+        rep = grp.suspension_check(coll, poset_and_basis(coll)[1])
         assert rep["verdict"] == "PASS", rep
         assert rep["pt_rank"] == want and rep["reduced_homology_rank"] == want
         assert rep["region_bijection"]
     with pytest.raises(HypothesesError, match="suspension reduction does not apply"):
-        grp.suspension_check(coord_s2)
+        grp.suspension_hypotheses(coord_s2)
 
 
 def test_pt_to_ls_spherical_s1(coord_s1):
     """n=1 spherical comparison: Pt = Z^4 onto Ls = Z with the kernel
     generated by half-circle joins."""
-    rep = grp.verify_pt_ls(coord_s1)
+    rep = grp.verify_pt_ls(coord_s1, *poset_and_basis(coord_s1))
     assert rep["verdict"] == "PASS"
     assert rep["surjective"] and rep["kernel_rank"] == 3
     assert rep["kernel_equals_join_lattice"]

@@ -47,6 +47,7 @@ from conftest import (
     ReferenceSphericalFaceChains,
     apartment_cycle_pt_polytope,
     cells_in_polytope,
+    cup,
     chart_dim,
     chart_row,
     face_span,
@@ -137,7 +138,7 @@ def _reference_is_bounded(poset, cell):
         hs = list(region_halfspaces(poset, cell.sign_vector))
         for s, cov in zip(cell.sign_vector, poset.covectors):
             if s == 0:
-                hs += [geo.HalfSpace(cov), geo.HalfSpace(cov, sense=-1)]
+                hs += [geo.HalfSpace(cov), geo.HalfSpace([-x for x in cov])]
         for v in reference_vertex_candidates(tuple(hs), g):
             if sum(Fr(x) * Fr(x) for x in v) >= 1:
                 return False
@@ -422,7 +423,7 @@ def test_each_eh_witness_is_checked_once_and_no_closure_is_scanned(monkeypatch):
     scene = _scene("e2_six_lines")
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
-    st = grp.STModel(coll.members, coll.top())
+    st = cx.STModel(coll.members, coll.top())
     closure = set().union(*(poset.cells_in(tuple(enumerate(s))) for s in basis))
     taken = collections.Counter()
     cells_in = arr.FacePoset.cells_in
@@ -471,7 +472,7 @@ def test_witness_off_its_flat_fails_the_apartment_pass(monkeypatch, capsys):
                 for s in basis:
                     grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
             else:
-                st = grp.STModel(coll.members, coll.top())
+                st = cx.STModel(coll.members, coll.top())
                 for s in basis:
                     grp.apartment_cycle_cell(bad, s, st)
 
@@ -498,7 +499,7 @@ def test_cell_apartments_match_reference_builder(name):
     equals the chain of the all-pairs builder that signs each flag in the
     whole space."""
     coll, posets = _region_posets(name)
-    st = grp.STModel(coll.members, coll.top())
+    st = cx.STModel(coll.members, coll.top())
     for poset in posets:
         for s in arr.region_basis(poset):
             want = reference_apartment_cycle_cell(poset, s, st)
@@ -535,7 +536,7 @@ def test_exact_seq_apartments_match_reference_builder(name, monkeypatch):
 
 
 def _octant_cup(coord_s2):
-    return coll_mod.variants(coord_s2, (1, -1, 0)).cup
+    return cup(coord_s2, (1, -1, 0))
 
 
 def test_octant_and_pieces_in_the_cup(coord_s2):

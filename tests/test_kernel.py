@@ -15,6 +15,7 @@ from geotits._kernel.elim_py import MODES, eliminate
 from geotits.complexes import (
     ChainComplex,
     HomologyClasses,
+    STModel,
     face_complex,
     homology,
     pt_bicomplex,
@@ -588,7 +589,7 @@ def test_top_degree_classes_match_reference_on_st_apartments(name):
     scene = _scene(name)
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
-    st_model = grp.STModel(coll.members, coll.top())
+    st_model = STModel(coll.members, coll.top())
     cycles = [grp.apartment_cycle_cell(poset, s, st_model) for s in basis]
     assert cycles
     _assert_classes_match_reference(st_model.complex, 2, cycles)

@@ -104,9 +104,9 @@ def test_homology_against_rational_rank_oracle(triangle, four_lines, coord_s2):
     """Betti numbers recomputed with Fraction Gaussian elimination."""
     complexes = []
     for coll in (triangle, four_lines):
-        complexes.append(cx.relative_st_complex(list(coll.members), coll.top()))
+        complexes.append(cx.STModel(coll.members, coll.top()).complex)
         complexes.append(cx.order_complex(coll.members))
-    tri = cx.sphere_triangulation(coord_s2)
+    tri = cx.sphere_triangulation(coord_s2, arr.build_arrangement(coord_s2))
     complexes.append(cx.pt_bicomplex(coord_s2, tri))
     for which, complex_ in enumerate(complexes):
         h = cx.homology(complex_)

@@ -13,7 +13,8 @@ from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
 from conftest import (
-    E2, E3, S2, cell_apartments, points_apartments, pt_apartments, region_is_bounded,
+    E2, E3, S2, cell_apartments, exact_sequence, points_apartments, pt_apartments,
+    region_is_bounded,
 )
 
 
@@ -42,7 +43,7 @@ def test_random_euclidean_solomon_tits():
         coll = random_e2_lines(rng, rng.randint(3, 5))
         poset = arr.build_arrangement(coll)
         basis = arr.region_basis(poset)
-        st = grp.STModel(coll.members, coll.top())
+        st = cx.STModel(coll.members, coll.top())
         h = cx.homology(st.complex)
         assert cx.wedge_verdict(h, 2), (trial, h.by_degree)
         assert h.betti(2) == len(basis), (trial, h.by_degree, len(basis))
@@ -87,7 +88,7 @@ def test_random_points_theorem():
             continue
         res = points_apartments(coll)
         assert res.iso, trial
-        h = cx.homology(cx.relative_st_complex(list(coll.members), coll.top()))
+        h = cx.homology(cx.STModel(coll.members, coll.top()).complex)
         assert cx.wedge_verdict(h, 2)
         assert h.betti(2) == grp.ls_group(coll)[0].free_rank
 
@@ -106,7 +107,7 @@ def test_random_exact_sequences():
         if u in coll.hyperplane_covectors:
             continue
         done += 1
-        rep = grp.exact_sequence_check(coll, u)
+        rep = exact_sequence(coll, u)
         assert rep["verdict"] == "PASS", (u, rep)
 
 
@@ -119,7 +120,7 @@ def test_e3_simplex_scene():
     poset = arr.build_arrangement(coll)
     basis = arr.region_basis(poset)
     assert len(basis) == 1
-    st = grp.STModel(coll.members, coll.top())
+    st = cx.STModel(coll.members, coll.top())
     h = cx.homology(st.complex)
     assert cx.wedge_verdict(h, 3) and h.betti(3) == 1
     res = cell_apartments(poset, basis, st)
@@ -132,15 +133,13 @@ def test_e3_five_planes():
     coll = coll_mod.closure_by_hyperplanes(E3, covs)
     poset = arr.build_arrangement(coll)
     basis = arr.region_basis(poset)
-    st = grp.STModel(coll.members, coll.top())
+    st = cx.STModel(coll.members, coll.top())
     h = cx.homology(st.complex)
     assert cx.wedge_verdict(h, 3)
     assert h.betti(3) == len(basis)
     res = cell_apartments(poset, basis, st)
     assert res.iso
-    rep = grp.exact_sequence_check(
-        coll_mod.closure_by_hyperplanes(E3, covs[:4]), covs[4]
-    )
+    rep = exact_sequence(coll_mod.closure_by_hyperplanes(E3, covs[:4]), covs[4])
     assert rep["verdict"] == "PASS", rep
 
 

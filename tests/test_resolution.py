@@ -83,7 +83,7 @@ def test_face_table_refuses_levels_other_than_the_full_extensions():
 
 def test_face_identities_exhaustive():
     for size in (1, 2, 3, 4):
-        assert reso.check_face_identities(reso.levels(size, size + 1))
+        assert reso.check_face_identities(reso._face_rows(reso.levels(size, size + 1)))
 
 
 def test_face_identities_catch_one_broken_face():
@@ -92,11 +92,11 @@ def test_face_identities_catch_one_broken_face():
     differ."""
     lv = reso.levels(3, 4)
     table = reso._face_rows(lv)
-    assert reso.check_face_identities(lv, table)
+    assert reso.check_face_identities(table)
     row = table[3][0]
     assert lv[2][row[3]] == lv[3][0][:-1]
     row[0] = row[3]
-    assert not reso.check_face_identities(lv, table)
+    assert not reso.check_face_identities(table)
 
 
 def test_face_identities_fail_on_a_face_outside_the_level_below():
@@ -105,7 +105,7 @@ def test_face_identities_fail_on_a_face_outside_the_level_below():
     lv[1] = lv[1][1:]
     assert any(reference_face(t, i) == dropped for t in lv[2] for i in range(3))
     assert reference_face_rows(lv) is None
-    assert reso.check_face_identities(lv) is False
+    assert reso._face_rows(lv) is None
 
 
 def test_h0_h1_observations(triangle, four_lines):

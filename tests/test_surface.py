@@ -35,7 +35,7 @@ EXEMPT = {("geotits.cli", "main"), ("geotits", "kernel_backend")}
 SHARED_MEMBER_NAMES = {
     "ambient_dim": ["geometry.Geometry", "geometry.LinearSubspace"],
     "betti": ["complexes.HomologySummary", "groups.ApartmentMatrixResult"],
-    "complex": ["complexes.SphereTriangulation", "groups.STModel"],
+    "complex": ["complexes.STModel", "complexes.SphereTriangulation"],
     "contains": ["geometry.GeoSubspace", "geometry.LinearSubspace"],
     "dim": ["arrangement.Cell", "complexes.ChainComplex", "geometry.LinearSubspace"],
     "geometry": [
@@ -44,7 +44,7 @@ SHARED_MEMBER_NAMES = {
     ],
     "matrix": ["groups.ApartmentMatrixResult", "groups.GroupHom"],
     "sort_key": ["geometry.GeoSubspace", "geometry.LinearSubspace"],
-    "top": ["collection.Collection", "groups.STModel"],
+    "top": ["collection.Collection", "complexes.STModel"],
     "torsion": ["_kernel.SnfResult", "complexes.HomologySummary", "groups.GroupPresentation"],
 }
 
