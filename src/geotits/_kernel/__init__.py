@@ -79,14 +79,18 @@ class IntMatrix:
     def transpose(self):
         return IntMatrix.from_col_dicts(self.cols, self.row_dicts())
 
-    def mul_vec(self, vec):
-        out = [0] * self.rows
-        for j, col in enumerate(self.col_dicts):
-            c = vec[j]
-            if c:
-                for i, v in col.items():
-                    out[i] += v * c
-        return out
+    def apply(self, vec):
+        """The product self @ vec of a sparse vector (col -> value), as a
+        dict row -> value of its nonzero entries.  Only the vector's
+        support is read; a column outside the matrix raises
+        ``ValueError``."""
+        out = {}
+        for j, c in vec.items():
+            if not 0 <= j < self.cols:
+                raise ValueError(f"position {j} outside {self.cols} columns")
+            for i, v in self.col_dicts[j].items():
+                out[i] = out.get(i, 0) + v * c
+        return {i: v for i, v in out.items() if v}
 
     def product_is_zero(self, other):
         """Is the product self @ other zero?  Its columns are formed one at
@@ -188,11 +192,11 @@ def _rank_and_index(matrix):
 
 
 def lattice_contains(matrix, vectors):
-    """True iff every vector lies in the lattice spanned by M's columns:
-    M and [M | vectors] have the same rank and index."""
-    vectors = [v for v in vectors if any(v)]
+    """True iff every vector (a sparse dict row -> value) lies in the
+    lattice spanned by M's columns: M and [M | vectors] have the same
+    rank and index."""
+    vectors = [v for v in vectors if any(v.values())]
     if not vectors:
         return True
-    wide = IntMatrix.from_col_dicts(
-        matrix.rows, matrix.col_dicts + [{i: v for i, v in enumerate(vec) if v} for vec in vectors])
+    wide = IntMatrix.from_col_dicts(matrix.rows, matrix.col_dicts + vectors)
     return _rank_and_index(matrix) == _rank_and_index(wide)

@@ -152,25 +152,6 @@ class FacePoset:
             self._bounded[sign] = got
         return got
 
-    def orientation(self, flag):
-        """Orientation of a complete flag of cells, given by sign vectors
-        from a 0-cell up, each a facet of the next, in the top cell's
-        flat: the sign of the minor of their witness rows at that flat's
-        pivots, read as a product of ``step_sign`` over the flag's steps.
-
-        Why: with W the flat of the top cell's facet and V the top flat,
-        the lower witnesses lie in W, so they are M times W's basis rows
-        B_W, and the minor at V's pivots is det [[M, 0], [0, 1]] times the
-        minor of B_W over the top witness.  At W's pivots B_W is diagonal
-        with positive entries, so det M has the sign of the shorter
-        flag's orientation in W.  Each step's sign is memoised, so a flag
-        whose steps are known costs no determinant.
-        """
-        sign = self.step_sign(None, flag[0])
-        for lower, cell in zip(flag, flag[1:]):
-            sign *= self.step_sign(lower, cell)
-        return sign
-
     def step_sign(self, lower, sign):
         """The sign of the minor, at the pivots of the cell's flat, of the
         basis rows of the flat of ``lower`` (a cell one dimension lower in
@@ -181,6 +162,17 @@ class FacePoset:
         as a primitive integer row (a positive rescale of its ambient
         vector, which keeps every sign).  AssertionError when the minor
         is 0 or ``lower`` is not one dimension below the cell.
+
+        A complete flag of cells, each a facet of the next, is oriented in
+        its top cell's flat V by the minor of its witness rows at V's
+        pivots: the product of its step signs, the first from None.  Why:
+        the lower witnesses lie in the flat W of the top cell's facet, so
+        they are M times W's basis rows B_W, and the minor at V's pivots
+        is det [[M, 0], [0, 1]] times that of B_W over the top witness.
+        At W's pivots B_W is diagonal and positive, so det M has the sign
+        of the shorter flag's orientation in W.  So each cell chain is a
+        cone over its facets' chains (``SphereTriangulation.cell_chain``,
+        ``groups.cell_apartments``).
         """
         key = (lower, sign)
         got = self._step_signs.get(key)

@@ -495,7 +495,7 @@ def _cell_apartments(coll, members, poset, basis):
     """(homology, apartment matrix) of the relative ST model on these
     members, with one cell apartment per basis region."""
     st = cx.STModel(members, coll.top())
-    cycles = [grp.apartment_cycle_cell(poset, s, st) for s in basis]
+    cycles = grp.cell_apartments(poset, basis, st)
     res = grp.apartment_matrix(st.complex, coll.geometry.n, cycles)
     return cx.homology(st.complex), res  # after the classes: one reduction of d_n
 
@@ -622,10 +622,7 @@ def run_command(command, sub, scene, seed=0, dump_complex=None):
 
 
 def _matrix_rows(m):
-    rows = [[0] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    return rows
+    return [[row.get(j, 0) for j in range(m.cols)] for row in m.row_dicts()]
 
 
 def make_report(scene, command, sub, checks, overall, seed):

@@ -209,12 +209,12 @@ class HomologyClasses:
         self.betti = len(self._nonpivot)
 
     def coords(self, cycle):
-        """The class of a cycle: its entries at N, once d c = 0 holds."""
-        if len(cycle) != self._boundary.cols:
-            raise ValueError(f"chain of length {len(cycle)}, not {self._boundary.cols}")
-        if any(self._boundary.mul_vec(cycle)):
+        """The class of a cycle, a sparse chain {position: coefficient}:
+        its entries at N, once d c = 0 holds over its support.  A
+        position outside the degree raises ``ValueError``."""
+        if self._boundary.apply(cycle):
             raise ValueError("not a cycle")
-        return tuple(cycle[j] for j in self._nonpivot)
+        return tuple(cycle.get(j, 0) for j in self._nonpivot)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +422,13 @@ class SphereTriangulation:
 
         The chain maps each top-dimensional simplex of the closure (the
         simplices ending at the cell) to the orientation of its witnesses
-        in the cell's flat (``FacePoset.orientation``).  It is the cone
-        over the facets' chains (Munkres, *Elements of Algebraic
-        Topology*, 1984): a simplex ending at the cell is a facet's
-        simplex extended by the cell, and its orientation is the facet
-        simplex's times ``FacePoset.step_sign`` of (facet, cell), so a
-        cell costs one determinant per facet and no per-flag one.
+        in the cell's flat.  It is the cone over the facets' chains
+        (Munkres, *Elements of Algebraic Topology*, 1984): a simplex
+        ending at the cell is a facet's simplex extended by the cell, and
+        its orientation is the facet simplex's times
+        ``FacePoset.step_sign`` of (facet, cell), so a cell costs one
+        determinant per facet and no per-flag one.  The E/H cell
+        apartments (``groups.cell_apartments``) are cones by the same rule.
 
         With e_F = ``step_sign(F, cell)`` and c the sum of e_F times the
         facet chains, the chain is the cone c * p from the cell p, and

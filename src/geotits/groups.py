@@ -2,12 +2,12 @@
 
 Sign conventions: the standard orientation of each chart orients X^n;
 apartment signs are witness minors at the pivots of the top cell's flat,
-read as products of memoised step signs, one per (facet, cell)
-incidence (``FacePoset.orientation``).  Only well-definedness and
-iso-ness are ever asserted, never an absolute sign.
+built as cones over the facets' chains, one memoised step sign per
+(facet, cell) incidence (``FacePoset.step_sign``).  Only
+well-definedness and iso-ness are ever asserted, never an absolute sign.
 """
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, permutations
 from operator import and_
 
@@ -71,9 +71,7 @@ class GroupHom:
 
     def _check_well_defined(self):
         """Does every domain relation map into the codomain's relations?"""
-        width = self.domain.relations.cols
-        images = [self.matrix.mul_vec([row.get(j, 0) for j in range(width)])
-                  for row in self.domain.relations.row_dicts()]
+        images = map(self.matrix.apply, self.domain.relations.row_dicts())
         return lattice_contains(self.codomain.relation_lattice_matrix(), images)
 
     def _image_matrix(self):
@@ -106,10 +104,10 @@ class GroupHom:
 # ---------------------------------------------------------------------------
 # Apartment cycles
 #
-# Each builder returns its chain as a tuple of integers over the target
-# complex's degree-n basis; the spherical one sums the face chains and
-# incidence signs that the triangulation builds once per cell.
-# ``apartment_matrix`` certifies every chain it is given:
+# Each builder returns its chain as a sparse dict {position: coefficient}
+# over the target complex's degree-n basis, with no zero coefficient.
+# The cell and spherical ones are cones over face chains built once per
+# face.  ``apartment_matrix`` certifies every chain it is given:
 # ``HomologyClasses.coords`` checks d c = 0 exactly and reads the chain's
 # entries at the non-pivot columns of the pinned Markowitz reduction of
 # d_n, which the complex keeps for ``homology`` to reuse.
@@ -127,33 +125,25 @@ def apartment_cycle_tuple(members_tuple, st_model):
         raise ValueError("need an (n+1)-tuple")
     pos = st_model.position
     idx = st_model.complex.index(n)
-    vec = [0] * st_model.complex.dim(n)
+    vec = {}
     for sigma in permutations(range(n + 1)):
-        sgn = _perm_sign(sigma)
         flats = []
-        ok = True
         for k in range(n):
             span = geo.span_points([members_tuple[sigma[i]] for i in range(k + 1)])
             if span.carrier.dim != k + 1:
-                ok = False  # repeated span: flag not strict
-                break
+                break  # repeated span: flag not strict
             flats.append(span)
-        if not ok:
-            continue
-        label = tuple(pos[f.carrier] for f in flats)
-        if label not in idx:
-            raise ValueError("span flag leaves the collection")
-        vec[idx[label]] += sgn
-    return tuple(vec)
+        else:
+            key = idx.get(tuple(pos[f.carrier] for f in flats))
+            if key is None:
+                raise ValueError("span flag leaves the collection")
+            # sign(sigma) = (-1)^(number of inversions)
+            vec[key] = vec.get(key, 0) + (-1) ** sum(a > b for a, b in combinations(sigma, 2))
+    return _nonzero(vec)
 
 
-def _perm_sign(sigma):
-    sgn = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sgn = -sgn
-    return sgn
+def _nonzero(vec):
+    return {k: v for k, v in vec.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +164,15 @@ def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
     # ``coll.members`` in its sorted order (the top is last)
     member_pos = {m.carrier: i for i, m in enumerate(coll.members)}
     idx = bicomplex.index(n)
-    vec = [0] * bicomplex.dim(n)
+    vec = {}
 
     def emit(flag_faces, base_face, outer_sign):
         flag_label = tuple(member_pos[cells[f].flat] for f in flag_faces)
         for lab, s in tri.cell_chain(base_face)[0].items():
-            key = (flag_label, lab)
-            if key not in idx:
+            key = idx.get((flag_label, lab))
+            if key is None:
                 raise ValueError("face span leaves the collection")
-            vec[idx[key]] += outer_sign * s
+            vec[key] = vec.get(key, 0) + outer_sign * s
 
     emit((), region_sign, 1)
     # flags of faces, lowest first, each with the product of the
@@ -195,39 +185,56 @@ def apartment_cycle_pt_spherical(region_sign, coll, tri, bicomplex):
         s_k = -1 if (k * (k + 1) // 2) % 2 else 1
         for fl, eta_prod in flags:
             emit(fl[:-1], fl[0], s_k * eta_prod)
-    return tuple(vec)
+    return _nonzero(vec)
 
 
 # ---------------------------------------------------------------------------
 # Apartment matrices
 
 
-def apartment_cycle_cell(poset, region_sign, st_model):
-    """Apartment cycle of a closed cell via complete flags of its faces,
-    each signed by ``poset.orientation`` in the cell's own flat.
+def cell_apartments(poset, regions, st_model):
+    """Apartment cycles of closed cells of an E/H arrangement (sign
+    vectors), one per cell, in the relative ST model.
 
-    The flags are walked down ``poset.facets``; the faces' flats are
-    exactly the face spans.
+    A face's chain maps each complete flag of its faces, labelled by the
+    positions of their flats, to the flag's orientation in the face's
+    flat: the cone over its facets F, the sum of ``step_sign(F, face)``
+    times F's chain with the face's position appended to each label
+    (``FacePoset.step_sign`` says why); a 0-cell's chain is its position
+    signed by ``step_sign(None, cell)``.  A region's apartment is its
+    cone with no position appended, as its flat is the model's top.  Face
+    chains are built once per call, so each step sign is read once.
     """
     if poset.geometry.kind == geo.SPHERICAL:
         raise ValueError("cell apartments are for the E/H suspended model")
     cells = poset.cells
-    d = cells[region_sign].dim
-    flags = [(region_sign,)]
-    for _ in range(d):
-        flags = [(f,) + fl for fl in flags for f in poset.facets(fl[0])]
-    if not flags:
-        raise ValueError("region has no complete boundary flags (unbounded?)")
     pos = st_model.position
-    idx = st_model.complex.index(d)
-    vec = [0] * st_model.complex.dim(d)
-    for fl in flags:
-        sign = poset.orientation(fl)
-        label = tuple(pos[cells[s].flat] for s in fl[:-1])
-        if label not in idx:
+    step = poset.step_sign
+
+    def cone(sign, tail):
+        if not cells[sign].dim:
+            return {tail: step(None, sign)}
+        out = {}
+        for facet in poset.facets(sign):
+            e = step(facet, sign)
+            out.update((lab + tail, e * s) for lab, s in chain(facet).items())
+        return out
+
+    @cache
+    def chain(sign):
+        p = pos.get(cells[sign].flat)
+        if p is None:
             raise ValueError("face span leaves the collection")
-        vec[idx[label]] += sign
-    return tuple(vec)
+        return cone(sign, (p,))
+
+    out = []
+    for region in regions:
+        apt = cone(region, ())
+        if not apt:
+            raise ValueError("region has no complete boundary flags (unbounded?)")
+        idx = st_model.complex.index(cells[region].dim)
+        out.append({idx[lab]: s for lab, s in apt.items()})
+    return out
 
 
 class ApartmentMatrixResult:
@@ -245,8 +252,7 @@ def apartment_matrix(complex_, degree, cycles):
     says the matrix is unimodular.  A chain that is not a cycle raises
     ``ValueError``."""
     classes = cx.HomologyClasses(complex_, degree)
-    cols = [list(classes.coords(cyc)) for cyc in cycles]
-    matrix = IntMatrix.from_columns(classes.betti, cols)
+    matrix = IntMatrix.from_columns(classes.betti, map(classes.coords, cycles))
     return ApartmentMatrixResult(matrix, classes.betti, _unimodular(matrix))
 
 
@@ -339,9 +345,7 @@ def pt_to_ls_element(poset, region_sign, ls_data):
         sign = exact.det_sign([geo.chart_vector(g, cells[s].witness) for _, s in vertices])
     if sign == 0:
         raise AssertionError(f"region {arr.sign_key(region_sign)} is not a simplex")
-    out = [0] * len(pres.generators)
-    out[pres.generators.index(tuple(i for i, _ in vertices))] = sign
-    return tuple(out)
+    return {pres.generators.index(tuple(i for i, _ in vertices)): sign}
 
 
 def pt_to_ls_hom(coll, poset, basis):
@@ -349,8 +353,8 @@ def pt_to_ls_hom(coll, poset, basis):
     with the Lee-Szczarba data it maps to."""
     ls_data = ls_group(coll)
     pres = ls_data[0]
-    cols = [list(pt_to_ls_element(poset, s, ls_data)) for s in basis]
-    matrix = IntMatrix.from_columns(len(pres.generators), cols)
+    cols = [pt_to_ls_element(poset, s, ls_data) for s in basis]
+    matrix = IntMatrix.from_col_dicts(len(pres.generators), cols)
     return GroupHom(pt_group(basis), pres, matrix), ls_data
 
 
@@ -588,36 +592,31 @@ def _st_rank_additivity(coll, mem_l, cup_st, cap_st):
 
 def _dashed_map_check(n, cup_st, cap_st, cup_poset, u_cells):
     """Boundary of a cofacet lift vs the apartment of the facet, as
-    homology classes in the U-geometry (one global sign for all cells)."""
-    u_member = cap_st.top
+    homology classes in the U-geometry (one global sign for all cells).
+    Every lift is decided before any apartment is built."""
+    lifts = [arr.cofacet_lift(cup_poset, tau) for tau in u_cells]
+    if arr.NO_LIFT in lifts:
+        return False
     classes = cx.HomologyClasses(cap_st.complex, n - 1)
     cap_index = cap_st.complex.index(n - 1)
+    labels = cup_st.complex.degrees.get(n, ())
+    lifted = cell_apartments(cup_poset, [q_sign for q_sign, _ in lifts], cup_st)
+    facets = cell_apartments(cup_poset, u_cells, cap_st)
 
     epsilon = None
-    for tau in u_cells:
-        lift = arr.cofacet_lift(cup_poset, tau)
-        if lift == arr.NO_LIFT:
-            return False
-        q_sign, actual_side = lift
-        apt_q = apartment_cycle_cell(cup_poset, q_sign, cup_st)
+    for (q_sign, actual_side), apt_q, apt_tau in zip(lifts, lifted, facets):
         # only the facet's apartment reaches ``coords``, so the lift is
         # checked to be a cycle here
-        if any(cup_st.complex.boundary(n).mul_vec(list(apt_q))):
+        if cup_st.complex.boundary(n).apply(apt_q):
             raise AssertionError(f"lifted apartment of {arr.sign_key(q_sign)} is not a cycle")
         # anchor-dropping boundary, projected to flags ending at U
-        proj = [0] * cap_st.complex.dim(n - 1)
-        labels = cup_st.complex.degrees.get(n, ())
-        for pos_i, coeff in enumerate(apt_q):
-            if not coeff:
-                continue
-            label = labels[pos_i]
-            members = [cup_st.proper[i] for i in label]
-            if members[-1] != u_member:
-                continue
-            cap_label = tuple(cap_st.position[m.carrier] for m in members[:-1])
-            proj[cap_index[cap_label]] += coeff
+        proj = {}
+        for pos_i, coeff in apt_q.items():
+            *below, last = (cup_st.proper[i] for i in labels[pos_i])
+            if last == cap_st.top:
+                k = cap_index[tuple(cap_st.position[m.carrier] for m in below)]
+                proj[k] = proj.get(k, 0) + coeff
         free_b = classes.coords(proj)
-        apt_tau = apartment_cycle_cell(cup_poset, tau, cap_st)
         free_t = classes.coords(apt_tau)
         lhs = tuple(actual_side * x for x in free_b)
         for eps in (1, -1) if epsilon is None else (epsilon,):

@@ -161,7 +161,7 @@ def flat_orientation_chart(carrier, chart_points):
 
     The carrier's first RREF pivot is x0, so this is the orientation of
     the points' chart vectors (1, p) in the carrier basis.  With
-    ``flat_orientation_vectors``, the rule that ``FacePoset.orientation``
+    ``flat_orientation_vectors``, the rule that products of step signs
     replaced, kept as its oracle."""
     return flat_orientation_vectors(carrier, [(F1,) + tuple(p) for p in chart_points])
 
@@ -183,8 +183,9 @@ def flat_orientation_vectors(carrier, vectors):
 def reference_apartment_cycle_cell(poset, region_sign, st_model, top_carrier=None):
     """E/H apartment cycle of a closed cell from all-pairs closure tests
     over the whole poset, each flag signed by ``flat_orientation_chart``
-    in ``top_carrier`` (the whole space unless given): the builder that
-    ``groups.apartment_cycle_cell`` replaced, kept as its oracle."""
+    in ``top_carrier`` (the whole space unless given), as a sparse chain:
+    the builder that ``groups.cell_apartments`` replaced, kept as its
+    oracle."""
     g = poset.geometry
     assert g.kind != SPHERICAL
     region = poset.cells[region_sign]
@@ -193,7 +194,7 @@ def reference_apartment_cycle_cell(poset, region_sign, st_model, top_carrier=Non
         top_carrier = geo.full_space(g.ambient_dim)
     pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
     idx = st_model.complex.index(d)
-    vec = [0] * st_model.complex.dim(d)
+    vec = {}
     below = [
         c
         for s, c in sorted(poset.cells.items())
@@ -212,8 +213,33 @@ def reference_apartment_cycle_cell(poset, region_sign, st_model, top_carrier=Non
         pts = [c.witness for c in fl] + [region.witness]
         sign = flat_orientation_chart(top_carrier, pts)
         assert sign != 0, "degenerate witness flag"
-        vec[idx[tuple(pos[c.flat] for c in fl)]] += sign
-    return tuple(vec)
+        key = idx[tuple(pos[c.flat] for c in fl)]
+        vec[key] = vec.get(key, 0) + sign
+    return nonzero(vec)
+
+
+def nonzero(chain):
+    """A sparse chain {position: coefficient} without its zero entries."""
+    return {k: v for k, v in chain.items() if v}
+
+
+def linear_combination(terms):
+    """The sparse chain sum of c * chain over (c, chain) pairs."""
+    out = {}
+    for c, chain in terms:
+        for k, v in chain.items():
+            out[k] = out.get(k, 0) + c * v
+    return nonzero(out)
+
+
+def dense_vector(chain, length):
+    """A sparse chain as a list of ``length`` coefficients."""
+    return [chain.get(j, 0) for j in range(length)]
+
+
+def sparse_vector(vec):
+    """A list of coefficients as a sparse chain."""
+    return {j: v for j, v in enumerate(vec) if v}
 
 
 def reference_is_injective(hom):
@@ -1126,10 +1152,8 @@ def reference_face_chains(tri, polytope):
         idx = cpx.index(d)
         low = cpx.degrees[d - 1]
         for face in polytope.faces_of_dim(d):
-            vec = [0] * cpx.dim(d)
-            for lab, s in chains[face.vertex_ids].items():
-                vec[idx[lab]] = s
-            image = {low[i]: v for i, v in enumerate(cpx.boundary(d).mul_vec(vec)) if v}
+            vec = {idx[lab]: s for lab, s in chains[face.vertex_ids].items()}
+            image = {low[i]: v for i, v in cpx.boundary(d).apply(vec).items()}
             for facet in polytope.faces_of_dim(d - 1):
                 if facet.vertex_ids < face.vertex_ids:
                     got = {image.get(lab, 0) * s for lab, s in chains[facet.vertex_ids].items()}
@@ -1175,10 +1199,22 @@ def reference_flag_orientation(poset, flag):
     """Orientation of a flag of cells, given by sign vectors with the top
     cell last: the minor of the witnesses at the top cell's flat's pivots
     (``flat_orientation_vectors``), one determinant per flag.  The rule
-    that ``FacePoset.orientation`` replaced, kept as its oracle."""
+    that products of step signs replaced (``step_product``), kept as its
+    oracle."""
     g = poset.geometry
     return flat_orientation_vectors(
         poset.cells[flag[-1]].flat, [geo.chart_vector(g, poset.cells[s].witness) for s in flag])
+
+
+def step_product(poset, flag):
+    """The product of ``FacePoset.step_sign`` over a complete flag's
+    steps, the first from the empty face: the orientation that every cone
+    of step signs gives the flag (``groups.cell_apartments``,
+    ``SphereTriangulation.cell_chain``)."""
+    sign = poset.step_sign(None, flag[0])
+    for lower, cell in zip(flag, flag[1:]):
+        sign *= poset.step_sign(lower, cell)
+    return sign
 
 
 def reference_cell_chain(tri, sign):
@@ -1238,12 +1274,13 @@ def apartment_cycle_pt_polytope(polytope, coll, tri, bicomplex):
     proper = sorted((m for m in coll.members if not m.is_top()), key=lambda m: m.sort_key())
     pos = {m.carrier: i for i, m in enumerate(proper)}
     idx = bicomplex.index(n)
-    vec = [0] * bicomplex.dim(n)
+    vec = {}
 
     def emit(flag, base, outer_sign):
         label = tuple(pos[face_span(polytope, f)] for f in flag)
         for lab, s in chains[base.vertex_ids].items():
-            vec[idx[(label, lab)]] += outer_sign * s
+            key = idx[(label, lab)]
+            vec[key] = vec.get(key, 0) + outer_sign * s
 
     top = polytope.faces_of_dim(n)[0]
     emit((), top, 1)
@@ -1257,8 +1294,8 @@ def apartment_cycle_pt_polytope(polytope, coll, tri, bicomplex):
             for i in range(k):
                 eta_prod *= eta[(fl[i + 1].vertex_ids, fl[i].vertex_ids)]
             emit(fl[:-1], fl[0], s_k * eta_prod)
-    assert not any(bicomplex.boundary(n).mul_vec(vec)), "polytope apartment is not a cycle"
-    return tuple(vec)
+    assert not bicomplex.boundary(n).apply(vec), "polytope apartment is not a cycle"
+    return nonzero(vec)
 
 
 def apartment_cycle_polytope(polytope, coll, st_model):
@@ -1268,7 +1305,7 @@ def apartment_cycle_polytope(polytope, coll, st_model):
     n = coll.geometry.n
     pos = {m.carrier: i for i, m in enumerate(st_model.proper)}
     idx = st_model.complex.index(n)
-    vec = [0] * st_model.complex.dim(n)
+    vec = {}
     top_carrier = geo.full_space(coll.geometry.ambient_dim)
 
     def barycenter(face):
@@ -1287,9 +1324,10 @@ def apartment_cycle_polytope(polytope, coll, st_model):
         pts = [barycenter(f) for f in flag] + [bary_p]
         sign = flat_orientation_chart(top_carrier, pts)
         assert sign != 0
-        vec[idx[tuple(pos[face_span(polytope, f)] for f in flag)]] += sign
-    assert not any(st_model.complex.boundary(n).mul_vec(vec)), "polytope apartment is not a cycle"
-    return tuple(vec)
+        key = idx[tuple(pos[face_span(polytope, f)] for f in flag)]
+        vec[key] = vec.get(key, 0) + sign
+    assert not st_model.complex.boundary(n).apply(vec), "polytope apartment is not a cycle"
+    return nonzero(vec)
 
 
 def _vec_sub(a, b):
@@ -1378,7 +1416,7 @@ def reference_pt_to_ls_element(vertices, coll, ls_data):
     pres, pts = ls_data
     pair_index = {p.carrier: i for i, p in enumerate(pts)}
     gen_index = {gen: i for i, gen in enumerate(pres.generators)}
-    out = [0] * len(pres.generators)
+    out = {}
     if g.kind == SPHERICAL:
         rays = [tuple(map(frac, v)) for v in vertices]
         coords = _spherical_projection_coords(rays)
@@ -1392,7 +1430,8 @@ def reference_pt_to_ls_element(vertices, coll, ls_data):
             order = sorted(range(len(members)), key=lambda k: pair_index[members[k].carrier])
             tup = tuple(pair_index[members[k].carrier] for k in order)
             assert len(set(tup)) == len(tup), "repeated pair in simplex"
-            out[gen_index[tup]] += reference_det_sign([actual[k] for k in order])
+            at = gen_index[tup]
+            out[at] = out.get(at, 0) + reference_det_sign([actual[k] for k in order])
     else:
         verts = [tuple(map(frac, v)) for v in vertices]
         placed, simplices = placing_triangulation(verts)
@@ -1401,9 +1440,10 @@ def reference_pt_to_ls_element(vertices, coll, ls_data):
             order = sorted(range(len(members)), key=lambda k: pair_index[members[k].carrier])
             tup = tuple(pair_index[members[k].carrier] for k in order)
             first = placed[s[order[0]]]
-            out[gen_index[tup]] += reference_det_sign(
+            at = gen_index[tup]
+            out[at] = out.get(at, 0) + reference_det_sign(
                 [_vec_sub(placed[s[k]], first) for k in order[1:]])
-    return tuple(out)
+    return nonzero(out)
 
 
 def collapse_chain_map(bicomplex, collapse):
@@ -1433,8 +1473,8 @@ def collapse_chain_map(bicomplex, collapse):
 # Apartment matrices of the three cycle builders
 
 
-def cell_apartments(poset, basis, st_model):
-    cycles = [grp.apartment_cycle_cell(poset, s, st_model) for s in basis]
+def cell_apartment_matrix(poset, basis, st_model):
+    cycles = grp.cell_apartments(poset, basis, st_model)
     return grp.apartment_matrix(st_model.complex, poset.geometry.n, cycles)
 
 
@@ -1515,9 +1555,10 @@ class ReferenceHomologyClasses:
     """Top-degree classes read through a kernel basis K: the columns of V
     at the non-pivot columns N of ``reference_entry_heap_eliminate`` (the
     pinned order, with V), with the refusal of a reduction that leaves
-    the unit phase.  ``coords`` returns a chain's entries at N once K a
-    equals the chain exactly, and raises ``ValueError`` otherwise.  The
-    V-based reader that ``complexes.HomologyClasses`` replaced."""
+    the unit phase.  ``coords`` returns a sparse chain's entries at N
+    once K a equals the chain exactly, and raises ``ValueError``
+    otherwise.  The V-based reader that ``complexes.HomologyClasses``
+    replaced."""
 
     def __init__(self, complex_, degree):
         assert not complex_.dim(degree + 1), "not the top degree"
@@ -1533,15 +1574,14 @@ class ReferenceHomologyClasses:
         self.betti = len(self.nonpivot)
 
     def coords(self, cycle):
-        if len(cycle) != self.length:
-            raise ValueError("chain of the wrong length")
-        a = tuple(cycle[j] for j in self.nonpivot)
-        total = [0] * self.length
+        if not all(0 <= j < self.length for j in cycle):
+            raise ValueError("position outside the degree")
+        a = tuple(cycle.get(j, 0) for j in self.nonpivot)
+        total = {}
         for q, col in zip(a, self.kernel):
-            if q:
-                for i, v in col.items():
-                    total[i] += q * v
-        if total != list(cycle):
+            for i, v in col.items():
+                total[i] = total.get(i, 0) + q * v
+        if nonzero(total) != nonzero(cycle):
             raise ValueError("not a cycle")
         return a
 

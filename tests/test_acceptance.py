@@ -26,7 +26,7 @@ from conftest import (
     H2_TRIANGLE_COVS,
     TRIANGLE_COVS,
     TWO_CUBE_COVS,
-    cell_apartments,
+    cell_apartment_matrix,
     exact_sequence,
     face_span,
     points_apartments,
@@ -57,7 +57,7 @@ def test_criterion_1_euclidean_solomon_tits():
             h = cx.homology(st.complex)
             assert cx.wedge_verdict(h, 2)
             assert h.betti(2) == len(basis)
-            assert cell_apartments(poset, basis, st).iso  # unimodular apartment matrix
+            assert cell_apartment_matrix(poset, basis, st).iso  # unimodular apartment matrix
 
 
 def test_criterion_2_concurrent_vanishing():
@@ -134,7 +134,7 @@ def test_criterion_6_a_local_theorem():
             h = cx.homology(st.complex)
             assert h.nonzero_degrees() in ([2], [])
             assert h.betti(2) == len(basis) and not h.torsion(2)
-            assert cell_apartments(poset, basis, st).iso
+            assert cell_apartment_matrix(poset, basis, st).iso
 
 
 def test_criterion_7_exact_sequences():
@@ -289,15 +289,14 @@ def test_criterion_12_property_suites(triangle, four_lines, coord_s2):
         # apartment cycles are cycles (both region flavors)
         poset = arr.build_arrangement(triangle)
         st = cx.STModel(triangle.members, triangle.top())
-        for sign in arr.region_basis(poset):
-            apt = grp.apartment_cycle_cell(poset, sign, st)
-            assert any(apt) and not any(st.complex.boundary(2).mul_vec(list(apt)))
+        for apt in grp.cell_apartments(poset, arr.region_basis(poset), st):
+            assert apt and not st.complex.boundary(2).apply(apt)
         tri_s = cx.sphere_triangulation(coord_s2, arr.build_arrangement(coord_s2))
         bic = cx.pt_bicomplex(coord_s2, tri_s)
         poset_s = arr.build_arrangement(coord_s2)
         for sign in arr.region_basis(poset_s):
             apt = grp.apartment_cycle_pt_spherical(sign, coord_s2, tri_s, bic)
-            assert any(apt) and not any(bic.boundary(2).mul_vec(list(apt)))
+            assert apt and not bic.boundary(2).apply(apt)
         # indicator subdivision additivity (seeded cuts)
         basis = arr.region_basis(poset)
         p = region_polytope(poset, basis[0])

@@ -445,16 +445,17 @@ def test_window_arrangement_report_pinned_under_two_hash_seeds(name):
 
 
 @pytest.mark.parametrize("sub, name", [
-    ("pt-ls", "s2_coordinate"), ("exact-seq", "h2_triangle"),
+    ("pt-ls", "s2_coordinate"), ("exact-seq", "h2_triangle"), ("exact-seq", "e2_four_lines"),
     ("suspension", "s2_lunes_three"), ("duality", "s2_generic_three"),
 ])
 def test_verify_report_pinned_under_two_hash_seeds(sub, name):
     """The spherical pt-ls verdict is read off join generators collected
     in a set, exact-seq keeps L|A and restricts the new members of L cup
-    U by sets, suspension takes L's arrangement from the scene and
-    duality builds the ST models of L and its dual, so these reports are
-    pinned in fresh interpreters under two hash seeds.  Each pin is the
-    benchmark's digest of the same command."""
+    U by sets (h2_triangle) and builds the cell apartments of the dashed
+    map without a window (e2_four_lines), suspension takes L's
+    arrangement from the scene and duality builds the ST models of L and
+    its dual, so these reports are pinned in fresh interpreters under two
+    hash seeds.  Each pin is the benchmark's digest of the same command."""
     pin = TEST_SCENES / f"{name}_{sub.replace('-', '_')}.sha256"
     want = pin.read_text().strip()
     digests = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -581,7 +582,7 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("face span leaves the collection")
 
-    monkeypatch.setattr(cli.grp, "apartment_cycle_cell", broken)
+    monkeypatch.setattr(cli.grp, "cell_apartments", broken)
     assert cli.main(["verify", "solomon-tits", scene_path("e2_triangle")]) == cli.EXIT_INTERNAL
     assert json.loads(capsys.readouterr().err) == {
         "error": "INTERNAL_ERROR",
@@ -682,7 +683,7 @@ def test_corpus_reports_an_internal_error_and_runs_the_rest(monkeypatch, capsys)
     def broken(*args, **kwargs):
         raise RuntimeError("forced")
 
-    monkeypatch.setattr(cli.grp, "apartment_cycle_cell", broken)
+    monkeypatch.setattr(cli.grp, "cell_apartments", broken)
     assert cli.main(["corpus"]) == cli.EXIT_INTERNAL
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] == "FAIL"

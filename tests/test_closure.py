@@ -8,11 +8,14 @@ pair of members is met (through both orthogonal complements) or
 spanned until nothing new appears.  They must give the same members.
 """
 
+import functools
 import json
 import pathlib
 import random
 from fractions import Fraction as Fr
+from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from geotits import cli, exact
@@ -90,9 +93,20 @@ def test_corpus_closures_match_pairwise_reference():
             _check_points(g, [geo.point_subspace(g, p) for p in scene.points])
 
 
+@functools.cache
+def _small_hyperplanes(g):
+    """The distinct hyperplanes with entries in [-2, 2] that meet g."""
+    covs = {geo.canonical_covector(c) for c in product(range(-2, 3), repeat=g.ambient_dim) if any(c)}
+    return frozenset(c for c in covs if geo.hyperplane_subspace(g, c) is not None)
+
+
 def _distinct_hyperplanes(rng, g, count):
     """``count`` distinct hyperplanes meeting g; the small entries make
-    parallel and concurrent hyperplanes common."""
+    parallel and concurrent hyperplanes common.  ValueError when fewer
+    than ``count`` hyperplanes with entries in [-2, 2] meet g."""
+    if count > len(_small_hyperplanes(g)):
+        raise ValueError(f"only {len(_small_hyperplanes(g))} hyperplanes with entries "
+                         f"in [-2, 2] meet {g}, not {count}")
     covs = []
     while len(covs) < count:
         cov = tuple(rng.randint(-2, 2) for _ in range(g.ambient_dim))
@@ -102,6 +116,17 @@ def _distinct_hyperplanes(rng, g, count):
         if cov not in covs and geo.hyperplane_subspace(g, cov) is not None:
             covs.append(cov)
     return covs
+
+
+def test_distinct_hyperplanes_refuses_a_count_it_cannot_reach():
+    """H^1 meets three hyperplanes with entries in [-2, 2]: x1 = 0 and
+    x0 = +-2 x1.  Asked for three it returns them; asked for four it
+    raises instead of drawing forever."""
+    h1 = geo.Geometry("H", 1)
+    got = _distinct_hyperplanes(random.Random(0), h1, 3)
+    assert sorted(got) == sorted(_small_hyperplanes(h1)) and len(set(got)) == 3
+    with pytest.raises(ValueError, match="only 3 hyperplanes"):
+        _distinct_hyperplanes(random.Random(0), h1, 4)
 
 
 @settings(max_examples=40, deadline=None)

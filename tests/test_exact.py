@@ -19,6 +19,7 @@ from conftest import (
     reference_det_sign,
     reference_feasible,
     reference_solve_unique,
+    step_product,
 )
 
 
@@ -150,8 +151,8 @@ def test_flat_orientation_matches_reference_coordinates(seed):
     every dimension from zero (no rows) to full, with fraction entries:
     the orientation read from the pivot minor is the sign of the
     determinant of the vectors' coordinates, and 0 when one lies outside.
-    This is the fact ``FacePoset.orientation`` rests on, checked on the
-    test-side rule that it replaced."""
+    This is the fact that products of step signs rest on, checked on the
+    test-side rule that they replaced."""
     rng = random.Random(seed)
     ncols = rng.randint(1, 5)
 
@@ -180,10 +181,10 @@ def test_flat_orientation_matches_reference_coordinates(seed):
 @given(st.integers(0, 10**6))
 def test_poset_orientation_matches_reference_coordinates(seed):
     """A flag of cells whose flats are the prefix spans of independent
-    witness vectors, in E^n (chart points) and S^n (rays):
-    ``FacePoset.orientation`` is the sign of the determinant of the
-    witnesses' coordinates in the top cell's flat, and a witness moved
-    off its own flat is refused."""
+    witness vectors, in E^n (chart points) and S^n (rays): the product of
+    ``FacePoset.step_sign`` over the flag (``conftest.step_product``) is
+    the sign of the determinant of the witnesses' coordinates in the top
+    cell's flat, and a witness moved off its own flat is refused."""
     rng = random.Random(seed)
     kind, n = rng.choice("ES"), rng.randint(1, 3)
     g = geo.Geometry(kind, n)
@@ -208,14 +209,14 @@ def test_poset_orientation_matches_reference_coordinates(seed):
     cells = {s: arr.Cell(s, flats[i], i, witnesses[i]) for i, s in enumerate(flag)}
     want = reference_det_sign([reference_coordinates(flats[-1], v) for v in vectors])
     assert want != 0
-    assert arr.FacePoset(g, (), cells).orientation(flag) == want
+    assert step_product(arr.FacePoset(g, (), cells), flag) == want
 
     i = rng.randrange(min(k, g.ambient_dim - 1))  # a flat short of the whole space
     off = next(w for w in iter(witness, None)
                if not flats[i].contains_vector(geo.chart_vector(g, w)))
     cells[flag[i]] = arr.Cell(flag[i], flats[i], i, off)
     with pytest.raises(AssertionError, match="witness lies off its flat"):
-        arr.FacePoset(g, (), cells).orientation(flag)
+        step_product(arr.FacePoset(g, (), cells), flag)
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,12 +20,13 @@ from conftest import (
     TRIANGLE_COVS,
     apartment_cycle_polytope,
     apartment_cycle_pt_polytope,
-    cell_apartments,
+    cell_apartment_matrix,
     cells_in_polytope,
     cup,
     dense_columns,
     exact_sequence,
     lattices_equal,
+    linear_combination,
     poset_and_basis,
     pt_apartments,
     reference_det_sign,
@@ -37,6 +38,7 @@ from conftest import (
     reference_polytope_to_vector,
     reference_pt_to_ls_element,
     region_polytope,
+    sparse_vector,
     subdivide,
 )
 
@@ -95,11 +97,11 @@ def test_is_isomorphism_matches_injective_oracle():
             # plus maybe a few more: well defined, often an isomorphism
             g_cod = g_dom
             m = IntMatrix.from_columns(g_dom, _random_unimodular(rng, g_dom))
-            images = [m.mul_vec([row.get(j, 0) for j in range(g_dom)])
-                      for row in dom.relations.row_dicts()]
-            extra = [[rng.randint(-3, 3) for _ in range(g_cod)] for _ in range(rng.randint(0, 1))]
+            images = [m.apply(row) for row in dom.relations.row_dicts()]
+            extra = [sparse_vector([rng.randint(-3, 3) for _ in range(g_cod)])
+                     for _ in range(rng.randint(0, 1))]
             cod = grp.GroupPresentation(
-                range(g_cod), IntMatrix.from_columns(g_cod, images + extra).transpose())
+                range(g_cod), IntMatrix.from_col_dicts(g_cod, images + extra).transpose())
         else:
             cod = _random_presentation(rng, g_cod)
             m = IntMatrix.from_columns(
@@ -164,12 +166,9 @@ def test_apartment_simplicial_relation():
     st = cx.STModel(cl.members, cl.top())
     pts = sorted(cl.points(), key=lambda p: p.sort_key())
     classes = cx.HomologyClasses(st.complex, 2)
-    total = [0] * st.complex.dim(2)
-    for i in range(4):
-        face = tuple(pts[j] for j in range(4) if j != i)
-        cyc = grp.apartment_cycle_tuple(face, st)
-        sgn = (-1) ** i
-        total = [a + sgn * b for a, b in zip(total, cyc)]
+    total = linear_combination(
+        ((-1) ** i, grp.apartment_cycle_tuple(tuple(pts[j] for j in range(4) if j != i), st))
+        for i in range(4))
     assert not any(classes.coords(total))
 
 
@@ -202,7 +201,7 @@ def test_polytope_apartment_matches_tuple(triangle):
     sign = reference_det_sign([(1,) + p for p in chart])
     assert sign != 0
     cyc_tup = grp.apartment_cycle_tuple(verts, st)
-    assert cyc_poly == tuple(sign * x for x in cyc_tup)
+    assert cyc_poly == {k: sign * x for k, x in cyc_tup.items()}
 
 
 def test_cell_apartment_matches_polytope(triangle):
@@ -210,9 +209,7 @@ def test_cell_apartment_matches_polytope(triangle):
     basis = arr.region_basis(poset)
     st = cx.STModel(triangle.members, triangle.top())
     p = region_polytope(poset, basis[0])
-    a = apartment_cycle_polytope(p, triangle, st)
-    b = grp.apartment_cycle_cell(poset, basis[0], st)
-    assert a == b
+    assert grp.cell_apartments(poset, basis[:1], st) == [apartment_cycle_polytope(p, triangle, st)]
 
 
 def test_polytope_apartment_subdivision_additive(four_lines):
@@ -229,8 +226,8 @@ def test_polytope_apartment_subdivision_additive(four_lines):
     apt_p = apartment_cycle_polytope(p, four_lines, st)
     f_p = classes.coords(apt_p)
     acc = None
-    for sign in covered:
-        f = classes.coords(grp.apartment_cycle_cell(poset, sign, st))
+    for apt in grp.cell_apartments(poset, covered, st):
+        f = classes.coords(apt)
         acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
     assert f_p == acc
 
@@ -269,14 +266,14 @@ def test_apartment_matrix_refuses_a_non_cycle(flavor, triangle, coord_s2):
     sign = arr.region_basis(poset)[0]
     if flavor == "cell":
         st = cx.STModel(coll.members, coll.top())
-        complex_, apt = st.complex, grp.apartment_cycle_cell(poset, sign, st)
+        complex_, (apt,) = st.complex, grp.cell_apartments(poset, [sign], st)
     else:
         tri = cx.sphere_triangulation(coll, poset)
         complex_ = cx.pt_bicomplex(coll, tri)
         apt = grp.apartment_cycle_pt_spherical(sign, coll, tri, complex_)
     assert grp.apartment_matrix(complex_, 2, [apt]).matrix.cols == 1
-    j = next(i for i, v in enumerate(apt) if v)
-    flipped = apt[:j] + (-apt[j],) + apt[j + 1:]
+    j = min(apt)
+    flipped = {**apt, j: -apt[j]}
     with pytest.raises(ValueError, match="not a cycle"):
         grp.apartment_matrix(complex_, 2, [flipped])
 
@@ -284,18 +281,17 @@ def test_apartment_matrix_refuses_a_non_cycle(flavor, triangle, coord_s2):
 def test_dashed_map_refuses_a_lift_that_is_not_a_cycle(monkeypatch):
     """The lifted apartment of ``verify exact-seq`` never reaches
     ``coords``, so its own cycle check raises on one flipped entry."""
-    build = grp.apartment_cycle_cell
+    build = grp.cell_apartments
 
-    def flip_lift(poset, sign, st_model):
-        apt = build(poset, sign, st_model)
-        if poset.cells[sign].dim < poset.geometry.n:  # the facet's apartment, left as built
-            return apt
-        j = next(i for i, v in enumerate(apt) if v)
-        return apt[:j] + (-apt[j],) + apt[j + 1:]
+    def flip_lift(poset, regions, st_model):
+        apts = build(poset, regions, st_model)
+        if poset.cells[regions[0]].dim < poset.geometry.n:  # the facets' apartments, left as built
+            return apts
+        return [{**apt, min(apt): -apt[min(apt)]} for apt in apts]
 
     scene = Scene(json.loads((corpus_dir() / "e2_four_lines.json").read_text()))
     assert run_command("verify", "exact-seq", scene)[1] == "PASS"
-    monkeypatch.setattr(grp, "apartment_cycle_cell", flip_lift)
+    monkeypatch.setattr(grp, "cell_apartments", flip_lift)
     with pytest.raises(AssertionError, match="lifted apartment .* is not a cycle"):
         run_command("verify", "exact-seq", scene)
 
@@ -306,7 +302,7 @@ def test_apartment_matrices_iso_corpus(triangle, four_lines, coord_s2, coord_s1,
         poset = arr.build_arrangement(coll)
         basis = arr.region_basis(poset)
         st = cx.STModel(coll.members, coll.top())
-        assert cell_apartments(poset, basis, st).iso
+        assert cell_apartment_matrix(poset, basis, st).iso
     # spherical flavor
     for coll in (coord_s1, coord_s2):
         poset = arr.build_arrangement(coll)
@@ -316,7 +312,7 @@ def test_apartment_matrices_iso_corpus(triangle, four_lines, coord_s2, coord_s1,
     # hyperbolic both-generated
     poset = arr.build_arrangement(h2_triangle)
     st = cx.STModel(h2_triangle.members, h2_triangle.top())
-    assert cell_apartments(poset, arr.region_basis(poset), st).iso
+    assert cell_apartment_matrix(poset, arr.region_basis(poset), st).iso
 
 
 def test_pt_to_ls_triangle(triangle):
@@ -358,13 +354,13 @@ def test_pt_to_ls_quadrilateral_subdivision_invariance():
     v_sq = reference_pt_to_ls_element(square.vertices, coll, ls_data)
     v_1 = reference_pt_to_ls_element(tri1.vertices, coll, ls_data)
     v_2 = reference_pt_to_ls_element(tri2.vertices, coll, ls_data)
-    diff = [a - b - c for a, b, c in zip(v_sq, v_1, v_2)]
+    diff = linear_combination([(1, v_sq), (-1, v_1), (-1, v_2)])
     assert lattice_contains(rel, [diff])  # equal in Ls
     regions = cells_in_polytope(poset, square, dims={2})
     assert len(regions) == 4
     images = [grp.pt_to_ls_element(poset, s, ls_data) for s in regions]
-    diff = [a - sum(col) for a, col in zip(v_sq, zip(*images))]
-    assert any(v_sq) and lattice_contains(rel, [diff])
+    diff = linear_combination([(1, v_sq)] + [(-1, v) for v in images])
+    assert v_sq and lattice_contains(rel, [diff])
 
 
 def test_pt_to_ls_spherical_kernel(coord_s2):
@@ -408,8 +404,8 @@ def test_antipodal_invariance(coord_s2):
     (r2,) = cells_in_polytope(poset, reflected, dims={2})
     v1 = grp.pt_to_ls_element(poset, r1, ls_data)
     v2 = grp.pt_to_ls_element(poset, r2, ls_data)
-    assert any(v1)
-    total = [a + b for a, b in zip(v1, v2)]
+    assert v1
+    total = linear_combination([(1, v1), (1, v2)])
     rel = ls_data[0].relation_lattice_matrix()
     assert lattice_contains(rel, [total])
     # i.e. [x0...] and [-x0...] represent opposite Ls classes

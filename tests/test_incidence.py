@@ -69,9 +69,11 @@ from conftest import (
     region_polytope,
     solve_affine,
     src_calls,
+    step_product,
     subdivide,
     top_cell,
 )
+from test_arrangement import _random_covectors
 
 ORACLE_SCENES = ["s2_coordinate", "s2_generic_three", "s3_coordinate", "h3_two_cubes"]
 PLANE_SCENES = sorted(
@@ -301,15 +303,15 @@ def _complete_flags(poset, sign):
 
 @pytest.mark.parametrize("name", PLANE_SCENES)
 def test_chart_orientation_matches_direction_basis(name):
-    """``FacePoset.orientation`` of every complete flag below every cell
-    is the orientation of the witnesses' differences in the cell's
-    direction basis."""
+    """The product of step signs over every complete flag below every
+    cell (``conftest.step_product``) is the orientation of the
+    witnesses' differences in the cell's direction basis."""
     _, posets = _region_posets(name)
     signs = set()
     for poset in posets:
         for s, cell in sorted(poset.cells.items()):
             for flag in _complete_flags(poset, s):
-                got = poset.orientation(flag)
+                got = step_product(poset, flag)
                 pts = [poset.cells[t].witness for t in flag]
                 assert got == _reference_orientation_chart(cell.flat, pts)
                 signs.add(got)
@@ -416,10 +418,10 @@ def test_each_cell_chain_and_witness_is_built_once(monkeypatch):
 
 def test_each_eh_witness_is_checked_once_and_no_closure_is_scanned(monkeypatch):
     """Over every bounded region's apartment of six lines in E^2, twice,
-    each cell in a region's closure gets one witness check, and the flags
-    are walked down ``FacePoset.facets`` with no scan of the closure (a
-    scan of every cell with a check per flag gave 396 containment checks
-    for those 45 cells)."""
+    each cell in a region's closure gets one witness check, and the face
+    chains are cones down ``FacePoset.facets`` with no scan of the
+    closure (a scan of every cell with a check per flag gave 396
+    containment checks for those 45 cells)."""
     scene = _scene("e2_six_lines")
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
@@ -435,12 +437,31 @@ def test_each_eh_witness_is_checked_once_and_no_closure_is_scanned(monkeypatch):
                         lambda self, v: checked.update([tuple(v)]) or contains(self, v))
     assert len(basis) == 9 and len(poset.cells) == 69 and len(closure) == 45
     for _ in range(2):
-        for s in basis:
-            grp.apartment_cycle_cell(poset, s, st)
+        grp.cell_apartments(poset, basis, st)
     assert not taken
     assert set(checked) == {geo.chart_vector(poset.geometry, poset.cells[s].witness)
                             for s in closure}
     assert set(checked.values()) == {1}
+
+
+@pytest.mark.parametrize("name, command, pairs", [
+    ("e3_eight_generic", "solomon-tits", 966),
+    ("h2_triangle", "local", 12),
+])
+def test_each_face_chain_is_built_once(name, command, pairs, monkeypatch):
+    """Once the scene's arrangement is built, the apartments of a verify
+    pass read each (lower, cell) step sign once: every face chain is built
+    once and shared by the regions.  Signing each complete flag on its
+    own made 5,472 calls on the 966 pairs of e3_eight_generic, up to 48
+    per pair, and 18 on the 12 of h2_triangle."""
+    scene = _scene(name)
+    scene.arrangement(scene.polytope_a if command == "local" else None)
+    calls = collections.Counter()
+    step = arr.FacePoset.step_sign
+    monkeypatch.setattr(arr.FacePoset, "step_sign",
+                        lambda self, lower, sign: calls.update([(lower, sign)]) or step(self, lower, sign))
+    assert cli.run_command("verify", command, scene)[1] == "PASS"
+    assert len(calls) == pairs and set(calls.values()) == {1}
 
 
 def _witness_moved_off_its_flat(poset, region):
@@ -472,9 +493,7 @@ def test_witness_off_its_flat_fails_the_apartment_pass(monkeypatch, capsys):
                 for s in basis:
                     grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
             else:
-                st = cx.STModel(coll.members, coll.top())
-                for s in basis:
-                    grp.apartment_cycle_cell(bad, s, st)
+                grp.cell_apartments(bad, basis, cx.STModel(coll.members, coll.top()))
 
         with monkeypatch.context() as m:
             m.setattr(cli.Scene, "arrangement", lambda self, within: (bad, basis))
@@ -501,9 +520,28 @@ def test_cell_apartments_match_reference_builder(name):
     coll, posets = _region_posets(name)
     st = cx.STModel(coll.members, coll.top())
     for poset in posets:
-        for s in arr.region_basis(poset):
-            want = reference_apartment_cycle_cell(poset, s, st)
-            assert grp.apartment_cycle_cell(poset, s, st) == want
+        basis = arr.region_basis(poset)
+        want = [reference_apartment_cycle_cell(poset, s, st) for s in basis]
+        assert grp.cell_apartments(poset, basis, st) == want
+
+
+def test_cell_apartments_match_reference_builder_on_random_collections():
+    """240 seeded collections, 80 each of E^2 with up to 8 lines, E^3 with
+    up to 6 planes and H^2 with up to 8 lines, generic and degenerate
+    draws: every bounded region's apartment (639 in all) equals the
+    all-pairs builder's chain."""
+    rng = random.Random("cell-apartments")
+    regions = 0
+    for g, most in [(E2, 8), (E3, 6), (H2, 8)] * 80:
+        draw = rng.choice(["generic", "parallel", "concurrent"])
+        coll = coll_mod.closure_by_hyperplanes(g, _random_covectors(rng, g, draw, rng.randint(1, most)))
+        poset = arr.build_arrangement(coll)
+        basis = arr.region_basis(poset)
+        st = cx.STModel(coll.members, coll.top())
+        want = [reference_apartment_cycle_cell(poset, s, st) for s in basis]
+        assert grp.cell_apartments(poset, basis, st) == want
+        regions += len(basis)
+    assert regions > 500
 
 
 EXACT_SEQ_SCENES = sorted(
@@ -516,23 +554,24 @@ EXACT_SEQ_SCENES = sorted(
 def test_exact_seq_apartments_match_reference_builder(name, monkeypatch):
     """Every lifted region q and every facet tau on U that ``verify
     exact-seq`` builds an apartment for gets the reference chain: q's
-    signed in the whole space, tau's in U, which is tau's own flat."""
+    signed in the whole space (the cup model), tau's in U, which is
+    tau's own flat (the cap model); one call per model."""
     built = []
-    build = grp.apartment_cycle_cell
-    monkeypatch.setattr(grp, "apartment_cycle_cell",
+    build = grp.cell_apartments
+    monkeypatch.setattr(grp, "cell_apartments",
                         lambda *a: built.append((a, build(*a))) or built[-1][1])
     scene = _scene(name)
     assert cli.run_command("verify", "exact-seq", scene)[1] == "PASS"
-    dims = set()
-    for (poset, sign, st), got in built:
-        cell = poset.cells[sign]
-        top_carrier = None
-        if cell.dim < poset.geometry.n:
-            assert cell.flat == st.top.carrier
-            top_carrier = st.top.carrier
-        assert got == reference_apartment_cycle_cell(poset, sign, st, top_carrier)
-        dims.add(cell.dim)
-    assert dims == {scene.geometry.n - 1, scene.geometry.n}
+    n = scene.geometry.n
+    assert [{poset.cells[s].dim for s in regions} for (poset, regions, _), _ in built] == [{n}, {n - 1}]
+    for (poset, regions, st), got in built:
+        assert len(got) == len(regions)
+        for sign, chain in zip(regions, got):
+            top_carrier = None
+            if poset.cells[sign].dim < n:
+                assert poset.cells[sign].flat == st.top.carrier
+                top_carrier = st.top.carrier
+            assert chain == reference_apartment_cycle_cell(poset, sign, st, top_carrier)
 
 
 def _octant_cup(coord_s2):
@@ -613,7 +652,7 @@ def test_pt_to_ls_matches_placing_reference():
             got = grp.pt_to_ls_element(poset, s, ls_data)
             want = reference_pt_to_ls_element(region_polytope(poset, s).vertices, coll, ls_data)
             assert got == want, (name, arr.sign_key(s))
-            signs.update(x for x in got if x)
+            signs.update(got.values())
     assert signs == {1, -1}
 
 

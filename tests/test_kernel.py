@@ -25,11 +25,19 @@ from conftest import (
     Budget,
     dense_columns,
     dense_snf,
+    dense_vector,
     lattices_equal,
     reference_eliminate,
     reference_entry_heap_eliminate,
     reference_kernel_basis,
+    sparse_vector,
 )
+
+
+def _mul(m, x):
+    """M x for a dense vector x, as a dense list (through ``apply``)."""
+    out = m.apply(sparse_vector(x))
+    return [out.get(i, 0) for i in range(m.rows)]
 
 
 def dense(m):
@@ -150,19 +158,19 @@ def test_solve_and_kernel():
             },
         )
         x0 = [rng.randint(-4, 4) for _ in range(cols)]
-        b = m.mul_vec(x0)
-        assert lattice_contains(m, [b])
+        b = _mul(m, x0)
+        assert lattice_contains(m, [sparse_vector(b)])
         x = _ref_solve(m, b)
-        assert x is not None and m.mul_vec(x) == b
+        assert x is not None and _mul(m, x) == b
         for col in reference_kernel_basis(m):
-            assert all(v == 0 for v in m.mul_vec(col))
+            assert not m.apply(sparse_vector(col))
 
 
 def test_solve_unsolvable():
     m = IntMatrix(1, 1, {(0, 0): 2})
-    assert not lattice_contains(m, [[1]])
+    assert not lattice_contains(m, [{0: 1}])
     assert _ref_solve(m, [1]) is None
-    assert lattice_contains(m, [[4], [0]])
+    assert lattice_contains(m, [{0: 4}, {}])
     assert _ref_solve(m, [4]) == [2]
 
 
@@ -171,7 +179,7 @@ def test_lattice_equality():
     b = [[2, 3], [4, 3]]
     assert lattices_equal(a, b, 2)
     assert not lattices_equal(a, [[1, 0]], 2)
-    assert lattice_contains(IntMatrix.from_columns(2, a), [[2, 3]])
+    assert lattice_contains(IntMatrix.from_columns(2, a), [{0: 2, 1: 3}])
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +244,15 @@ def test_sparse_certificates_match_dense_reference(seed):
     assert list(smith_normal_form(m).invariant_factors) == factors
     kernel = reference_kernel_basis(m)
     assert len(kernel) == m.cols - len(factors)
-    assert all(not any(m.mul_vec(col)) for col in kernel)
-    solvable = m.mul_vec([rng.randint(-4, 4) for _ in range(m.cols)])
+    assert all(not m.apply(sparse_vector(col)) for col in kernel)
+    solvable = _mul(m, [rng.randint(-4, 4) for _ in range(m.cols)])
     arbitrary = [rng.randint(-6, 6) for _ in range(m.rows)]
     for b in (solvable, arbitrary, [0] * m.rows):
         x = _ref_solve(m, b)
-        assert lattice_contains(m, [b]) == (x is not None)
+        assert lattice_contains(m, [sparse_vector(b)]) == (x is not None)
         if x is not None:
-            assert m.mul_vec(x) == b
-    assert lattice_contains(m, [solvable])
+            assert _mul(m, x) == b
+    assert lattice_contains(m, [sparse_vector(solvable)])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +306,7 @@ def _check_lattice_answers(rng):
                     [[top * x for x in arbitrary]],
                     [[0] * rows]):
         want = _in_lattice(m, vectors)
-        assert lattice_contains(m, vectors) == want
+        assert lattice_contains(m, [sparse_vector(v) for v in vectors]) == want
         answers.append(("contains", want))
 
     for other in (_unimodular_change(rng, cols),
@@ -312,7 +320,7 @@ def _check_lattice_answers(rng):
     # by 1 or 2) and some random relations
     dom_rel = _random_matrix(rng, rng.randint(0, 2), rng.randint(1, 3), bound=3)
     hom = _random_matrix(rng, rows, dom_rel.cols, bound=3)
-    images = [hom.mul_vec(r) for r in dense(dom_rel)]
+    images = [_mul(hom, r) for r in dense(dom_rel)]
     scale = rng.choice((1, 1, 2))
     cod_rows = [[scale * x for x in img] for img in images if rng.random() < 0.7]
     cod_rows += dense(_random_matrix(rng, rng.randint(0, 2), rows, bound=3))
@@ -531,7 +539,7 @@ def _assert_classes_match_reference(complex_, degree, cycles):
     betti, torsion, coords = _reference_classes(complex_, degree)
     assert classes.betti == betti and torsion == ()
     for cycle in cycles:
-        assert classes.coords(cycle) == coords(cycle)[0]
+        assert classes.coords(cycle) == coords(dense_vector(cycle, complex_.dim(degree)))[0]
     return classes
 
 
@@ -556,9 +564,10 @@ def test_top_degree_classes_match_reference(seed):
     cycles = []
     for _ in range(4):
         a = [rng.randint(-4, 4) for _ in kernel]
-        cycles.append([sum(col[i] * q for col, q in zip(kernel, a)) for i in range(d1.cols)])
-    chain = [rng.randint(-3, 3) for _ in range(d1.cols)]
-    is_cycle = not any(d1.mul_vec(chain))
+        cycles.append(sparse_vector(
+            [sum(col[i] * q for col, q in zip(kernel, a)) for i in range(d1.cols)]))
+    chain = sparse_vector([rng.randint(-3, 3) for _ in range(d1.cols)])
+    is_cycle = not d1.apply(chain)
     if is_cycle:
         cycles.append(chain)
     classes = _assert_classes_match_reference(_top_complex(d1), 1, cycles)
@@ -590,7 +599,7 @@ def test_top_degree_classes_match_reference_on_st_apartments(name):
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
     st_model = STModel(coll.members, coll.top())
-    cycles = [grp.apartment_cycle_cell(poset, s, st_model) for s in basis]
+    cycles = grp.cell_apartments(poset, basis, st_model)
     assert cycles
     _assert_classes_match_reference(st_model.complex, 2, cycles)
 
@@ -603,17 +612,18 @@ def _hollow_triangle():
 
 def test_top_degree_classes_refuse_non_cycles():
     """A chain off the kernel raises, also one that agrees with a cycle at
-    every non-pivot column."""
+    every non-pivot column, and so does a position outside the degree."""
     classes = HomologyClasses(_hollow_triangle(), 1)
     assert classes.betti == 1
-    cycle = [1, -1, 1]
+    cycle = {0: 1, 1: -1, 2: 1}
     (a,) = classes.coords(cycle)
     assert abs(a) == 1
     for j in range(3):
-        chain = list(cycle)
-        chain[j] += 1
-        with pytest.raises(ValueError):
-            classes.coords(chain)
+        with pytest.raises(ValueError, match="not a cycle"):
+            classes.coords({**cycle, j: cycle[j] + 1})
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            classes.coords({**cycle, j: 1})
 
 
 def test_top_degree_classes_refuse_lower_degrees():

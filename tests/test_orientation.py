@@ -1,9 +1,9 @@
 """Flag orientations from memoised step signs, and cell chains from their
 facets' chains, against the per-flag rules they replaced.
 
-``FacePoset.orientation`` reads a complete flag's orientation as a
-product of ``FacePoset.step_sign`` over its steps; the oracle is one
-witness minor per flag at the top flat's pivots
+A complete flag's orientation is the product of ``FacePoset.step_sign``
+over its steps (``conftest.step_product``); the oracle is one witness
+minor per flag at the top flat's pivots
 (``conftest.reference_flag_orientation``).  ``SphereTriangulation``
 builds each cell's chain as the cone over its facets' chains; the
 oracle scans the triangulation for the simplices ending at the cell and
@@ -30,6 +30,7 @@ from conftest import (
     Budget,
     ReferenceSphericalFaceChains,
     reference_flag_orientation,
+    step_product,
 )
 from test_arrangement import _random_covectors
 from test_face_rule import _random_spheres
@@ -43,12 +44,12 @@ def _scene_collection(path):
 
 
 def _check_orientations(poset):
-    """``FacePoset.orientation`` is the per-flag minor on every complete
+    """The product of step signs is the per-flag minor on every complete
     flag below every cell; returns the signs seen."""
     signs = set()
     for s in sorted(poset.cells):
         for flag in _complete_flags(poset, s):
-            got = poset.orientation(flag)
+            got = step_product(poset, flag)
             assert got == reference_flag_orientation(poset, flag), flag
             signs.add(got)
     return signs
@@ -135,7 +136,7 @@ def test_chains_cost_one_determinant_per_incidence(path, zero_cells, incidences,
     calls.clear()
     for s in poset.cells:
         for lab in tri.cell_chain(s)[0]:
-            poset.orientation([tri.cell_order[c] for c in lab])
+            step_product(poset, [tri.cell_order[c] for c in lab])
     assert not calls
 
 
@@ -157,17 +158,17 @@ def test_top_witness_in_the_facet_flat_is_degenerate():
     """A top witness on the line through the lower witnesses lies in the
     top flat, but its step minor is 0."""
     flag = [(0,), (1,), (2,)]
-    assert _synthetic_poset().orientation(flag) == 1
-    assert _synthetic_poset((Fr(0), Fr(-1))).orientation(flag) == -1
+    assert step_product(_synthetic_poset(), flag) == 1
+    assert step_product(_synthetic_poset((Fr(0), Fr(-1))), flag) == -1
     with pytest.raises(AssertionError, match="degenerate flag simplex"):
-        _synthetic_poset((Fr(3), Fr(0))).orientation(flag)
+        step_product(_synthetic_poset((Fr(3), Fr(0))), flag)
 
 
 def test_step_across_two_dimensions_is_refused():
     with pytest.raises(AssertionError, match="flag step is not one dimension"):
-        _synthetic_poset().orientation([(0,), (2,)])
+        step_product(_synthetic_poset(), [(0,), (2,)])
     with pytest.raises(AssertionError, match="flag step is not one dimension"):
-        _synthetic_poset().orientation([(1,), (2,)])
+        step_product(_synthetic_poset(), [(1,), (2,)])
 
 
 def test_chain_missing_a_facet_is_refused(coord_s2, monkeypatch):

@@ -13,7 +13,7 @@ from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
 from conftest import (
-    E2, E3, S2, cell_apartments, exact_sequence, points_apartments, pt_apartments,
+    E2, E3, S2, cell_apartment_matrix, exact_sequence, points_apartments, pt_apartments,
     region_is_bounded,
 )
 
@@ -47,7 +47,7 @@ def test_random_euclidean_solomon_tits():
         h = cx.homology(st.complex)
         assert cx.wedge_verdict(h, 2), (trial, h.by_degree)
         assert h.betti(2) == len(basis), (trial, h.by_degree, len(basis))
-        res = cell_apartments(poset, basis, st)
+        res = cell_apartment_matrix(poset, basis, st)
         assert res.iso, trial
 
 
@@ -123,7 +123,7 @@ def test_e3_simplex_scene():
     st = cx.STModel(coll.members, coll.top())
     h = cx.homology(st.complex)
     assert cx.wedge_verdict(h, 3) and h.betti(3) == 1
-    res = cell_apartments(poset, basis, st)
+    res = cell_apartment_matrix(poset, basis, st)
     assert res.iso
 
 
@@ -137,7 +137,7 @@ def test_e3_five_planes():
     h = cx.homology(st.complex)
     assert cx.wedge_verdict(h, 3)
     assert h.betti(3) == len(basis)
-    res = cell_apartments(poset, basis, st)
+    res = cell_apartment_matrix(poset, basis, st)
     assert res.iso
     rep = exact_sequence(coll_mod.closure_by_hyperplanes(E3, covs[:4]), covs[4])
     assert rep["verdict"] == "PASS", rep

@@ -119,6 +119,16 @@ def test_e3_eight_generic_planes():
     assert block["bounded_regions"] == block["h_rank"] == bounded == 35
 
 
+def test_e4_eight_generic_planes():
+    """probe/E4/8: every one of the C(7, 4) = 35 bounded regions gets a
+    cell apartment (0.3 s on a 2-vCPU VM)."""
+    n, k = 4, len(E4_EIGHT)
+    bounded = comb(k - 1, n)
+    with Budget("scale", "E^4, 8 generic hyperplanes", 10):
+        block = _solomon_tits("E", n, E4_EIGHT)
+    assert block["bounded_regions"] == block["h_rank"] == bounded == 35
+
+
 def test_ordered_resolution_six_regions():
     """The resolution guard: 9,366 simplices, H_p = Z^C(6, p)."""
     with Budget("scale", "resolution, 6 basis regions", 5):

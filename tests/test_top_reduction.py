@@ -135,8 +135,9 @@ def test_classes_match_oracle_on_pinned_spheres(monkeypatch, name, seconds):
 
 
 def test_classes_refuse_non_cycles_and_wrong_lengths():
-    """On the PT bicomplex of the coordinate S^2: a chain of the wrong
-    length, and a cycle changed at a pivot or at a non-pivot column."""
+    """On the PT bicomplex of the coordinate S^2: a chain with a position
+    outside the degree, and a cycle changed at a pivot or at a non-pivot
+    column."""
     scene = _load(cli.corpus_dir() / "s2_coordinate.json")
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
@@ -145,15 +146,14 @@ def test_classes_refuse_non_cycles_and_wrong_lengths():
     classes = cx.HomologyClasses(bic, 2)
     oracle = ReferenceHomologyClasses(bic, 2)
     pivots = set(bic.pinned_reduction(2).pivot_cols)
-    cycle = list(grp.apartment_cycle_pt_spherical(basis[0], coll, tri, bic))
+    cycle = grp.apartment_cycle_pt_spherical(basis[0], coll, tri, bic)
     assert classes.coords(cycle) == oracle.coords(cycle)
-    for bad in (cycle[:-1], cycle + [0], []):
+    for bad in ({**cycle, bic.dim(2): 1}, {-1: 1}):
         for reader in (classes, oracle):
             with pytest.raises(ValueError):
                 reader.coords(bad)
-    for j in (min(pivots), min(set(range(len(cycle))) - pivots)):
-        chain = list(cycle)
-        chain[j] += 1
+    for j in (min(pivots), min(set(range(bic.dim(2))) - pivots)):
+        chain = {**cycle, j: cycle.get(j, 0) + 1}
         for reader in (classes, oracle):
             with pytest.raises(ValueError):
                 reader.coords(chain)
