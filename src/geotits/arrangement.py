@@ -8,7 +8,6 @@ sphere the two antipodes of a 0-flat are distinct cells with opposite
 sign vectors.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from geotits import HypothesesError, exact, geometry as geo
@@ -22,6 +21,11 @@ NO_LIFT = "NO_LIFT"
 
 
 class Cell:
+    """A cell of the arrangement: its sign vector, its flat (a carrier of
+    dimension ``dim + 1``) and its witness, a primitive integer ambient
+    row inside the cell.  In E^n and H^n the row has x0 > 0 and the chart
+    point is row[1:] / row[0]; on S^n the row is the ray."""
+
     __slots__ = ("sign_vector", "flat", "dim", "witness")
 
     def __init__(self, sign_vector, flat, dim, witness):
@@ -47,16 +51,15 @@ class FacePoset:
     a cell lies in the set exactly when its sign at each is 0 or that sign.
     """
 
-    __slots__ = ("geometry", "covectors", "cells", "_flat_signs", "_cells_in", "_witness_rows",
+    __slots__ = ("geometry", "covectors", "cells", "_flat_masks", "_cells_in",
                  "_step_signs", "_zero_masks", "_facet_zeros", "_facets", "_bounded")
 
-    def __init__(self, geometry, covectors, cells):
+    def __init__(self, geometry, covectors, cells, flat_masks):
         self.geometry = geometry
         self.covectors = covectors
         self.cells = cells  # dict sign_vector -> Cell
-        self._flat_signs = {}  # carrier -> flat_signs(carrier)
+        self._flat_masks = flat_masks  # carrier -> zero mask, every flat of the lattice
         self._cells_in = {}  # signs -> cells_in(signs)
-        self._witness_rows = {}  # sign vector -> primitive integer witness
         self._step_signs = {}  # (lower sign vector or None, sign vector) -> step_sign
         self._zero_masks = {}  # cell dim -> zero sets of its cells, as bit masks
         for s, c in cells.items():
@@ -75,20 +78,21 @@ class FacePoset:
         n = self.geometry.n
         return [c for s, c in sorted(self.cells.items()) if c.dim == n]
 
+    def flat_mask(self, carrier):
+        """Zero mask of a flat of the lattice the poset was built from (bit
+        i set when hyperplane i contains it), whether or not a cell of the
+        poset lies in it.  AssertionError for any other carrier: it is
+        not an intersection of the hyperplanes that meets the geometry."""
+        mask = self._flat_masks.get(carrier)
+        if mask is None:
+            raise AssertionError("flat is not the intersection of the hyperplanes containing it")
+        return mask
+
     def flat_signs(self, carrier):
-        """Signs of a flat of the collection: 0 on each hyperplane that
-        vanishes on its carrier.  These hyperplanes cut the flat out
-        (asserted once per carrier)."""
-        signs = self._flat_signs.get(carrier)
-        if signs is None:
-            zeros = [
-                i for i, cov in enumerate(self.covectors)
-                if all(dot(cov, b) == 0 for b in carrier.basis)
-            ]
-            if exact.rank([self.covectors[i] for i in zeros]) + carrier.dim != carrier.ambient_dim:
-                raise AssertionError("flat is not the intersection of the hyperplanes containing it")
-            signs = self._flat_signs[carrier] = tuple((i, 0) for i in zeros)
-        return signs
+        """Signs of a flat of the lattice: 0 on each hyperplane that
+        contains it (``flat_mask``), which cut it out."""
+        mask = self.flat_mask(carrier)
+        return tuple((i, 0) for i in range(len(self.covectors)) if mask >> i & 1)
 
     def cells_in(self, signs):
         """Sign vectors of the cells lying in the closed set with these signs."""
@@ -156,12 +160,15 @@ class FacePoset:
         """The sign of the minor, at the pivots of the cell's flat, of the
         basis rows of the flat of ``lower`` (a cell one dimension lower in
         its closure, or None for the empty face) followed by the cell's
-        witness row; memoised per pair.
-
-        Each witness is checked once against its own cell's flat and kept
-        as a primitive integer row (a positive rescale of its ambient
-        vector, which keeps every sign).  AssertionError when the minor
+        witness row; memoised per pair.  AssertionError when the minor
         is 0 or ``lower`` is not one dimension below the cell.
+
+        The witness row is read as ``build_arrangement`` left it, which
+        made it as a combination of the flat's basis rows and checked its
+        signs there: the zero mask of each ``_flat_points`` witness and the
+        sign vector of each ``_step``.  Zeros on exactly the flat's
+        hyperplanes put the witness in their intersection, which is the
+        flat (inside the build's ``carrier`` when one is given).
 
         A complete flag of cells, each a facet of the next, is oriented in
         its top cell's flat V by the minor of its witness rows at V's
@@ -181,14 +188,8 @@ class FacePoset:
             low = () if lower is None else self.cells[lower].flat.basis
             if len(low) != cell.dim:  # a cell's flat has dimension dim + 1
                 raise AssertionError("flag step is not one dimension")
-            row = self._witness_rows.get(sign)
-            if row is None:
-                v = geo.chart_vector(self.geometry, cell.witness)
-                if not cell.flat.contains_vector(v):
-                    raise AssertionError("cell witness lies off its flat")
-                row = self._witness_rows[sign] = exact.primitive_int_row(v)
             pivots = cell.flat.pivots
-            got = exact.det_sign([[r[p] for p in pivots] for r in (*low, row)])
+            got = exact.det_sign([[r[p] for p in pivots] for r in (*low, cell.witness)])
             if not got:
                 raise AssertionError("degenerate flag simplex")
             self._step_signs[key] = got
@@ -334,10 +335,9 @@ def build_arrangement(coll, within=None, carrier=None):
     for mask, here in found.items():
         flat = carriers[mask]
         for sign, (w, _) in here.items():
-            if g.kind != geo.SPHERICAL:
-                w = tuple(Fraction(x, w[0]) for x in w[1:])
             cells[sign] = Cell(sign, flat, flat.dim - 1, w)
-    return FacePoset(g, covectors, dict(sorted(cells.items())))
+    flat_masks = {flat: mask for mask, flat in carriers.items()}
+    return FacePoset(g, covectors, dict(sorted(cells.items())), flat_masks)
 
 
 def window_arrangement(window, carrier=None):
@@ -373,7 +373,8 @@ def polytope_from_halfspaces(geometry, halfspaces):
         return geo.Invalid(geo.Invalid.LOWER_DIMENSIONAL if poset.cells else geo.Invalid.EMPTY)
     (region,) = regions  # the window's side of every wall
     vertices = (c.witness for c in poset.cells.values() if c.dim == 0)
-    off_ball = geometry.kind == geo.HYPERBOLIC and any(sum(x * x for x in v) >= 1 for v in vertices)
+    off_ball = geometry.kind == geo.HYPERBOLIC and any(
+        sum(x * x for x in v[1:]) >= v[0] * v[0] for v in vertices)
     if off_ball or not poset.bounded(region.sign_vector):
         return geo.Invalid(geo.Invalid.UNBOUNDED)
     polytope.interior_witness = region.witness

@@ -302,9 +302,8 @@ def check_arrangement(scene, seed=0):
         if window is not None:
             # on the sphere a draw opposite the witness can halve to the
             # zero vector, which lies on every hyperplane and is skipped
-            inner = geo.chart_vector(g, window.interior_witness)
             while not all(exact.dot(h.functional, vec) >= 0 for h in window.halfspaces):
-                vec = tuple((x + y) / 2 for x, y in zip(vec, inner))
+                vec = tuple((x + y) / 2 for x, y in zip(vec, window.interior_witness))
         signs = tuple(
             1 if exact.dot(cov, vec) > 0 else (-1 if exact.dot(cov, vec) < 0 else 0)
             for cov in poset.covectors
@@ -768,6 +767,13 @@ def main(argv=None):
     sub.add_parser("corpus")
 
     args = parser.parse_args(argv)
+    if args.json:
+        # refused before any work (exit 2), as argparse refuses other bad
+        # arguments: the handlers below write every report to it
+        try:
+            open(args.json, "a").close()
+        except OSError as exc:
+            parser.error(f"argument --json: can't write {args.json!r}: {exc.strerror}")
 
     try:
         if args.command == "corpus":

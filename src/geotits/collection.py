@@ -217,15 +217,6 @@ def admissible(collection):
     return NOT_DECIDABLE_FINITE
 
 
-def hyperplane_intersection_carrier(collection):
-    """Carrier of the intersection of all generating hyperplanes."""
-    g = collection.geometry
-    covs = collection.hyperplane_covectors
-    if not covs:
-        return geo.full_space(g.ambient_dim)
-    return geo.LinearSubspace(g.ambient_dim, exact.nullspace(covs, g.ambient_dim))
-
-
 def _generated(collection, seeds, generators, step):
     """True iff ``_closure`` of the seeds is exactly the collection, its
     top included.  The closure stops at the first member outside the

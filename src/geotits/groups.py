@@ -317,8 +317,8 @@ def ls_apartment_matrix(ls_data, st_model):
 def pt_to_ls_element(poset, region_sign, ls_data):
     """Image of a bounded region under the canonical map Pt -> Ls: the
     increasing tuple of its vertices (the 0-cells in its closure, by
-    point index) with the sign of the determinant of their chart
-    vectors, (1, x) in E/H and the ray itself in S^n.
+    point index) with the sign of the determinant of their witness rows:
+    a positive rescale of (1, x) in E/H, the ray itself in S^n.
 
     The region is a simplex, since the collection is generated by both
     points and hyperplanes.  Its vertices, the 0-cells of the
@@ -342,7 +342,7 @@ def pt_to_ls_element(poset, region_sign, ls_data):
                       if cells[s].dim == 0)
     sign = 0
     if len(vertices) == g.n + 1:
-        sign = exact.det_sign([geo.chart_vector(g, cells[s].witness) for _, s in vertices])
+        sign = exact.det_sign([cells[s].witness for _, s in vertices])
     if sign == 0:
         raise AssertionError(f"region {arr.sign_key(region_sign)} is not a simplex")
     return {pres.generators.index(tuple(i for i, _ in vertices)): sign}
@@ -385,8 +385,7 @@ def join_sublattice(coll, poset, basis):
     """
     n = coll.geometry.n
     pts = coll.points()
-    masks = {c.flat: arr.zero_mask(s) for s, c in poset.cells.items() if c.dim == 0}
-    zeros = [masks[p.carrier] for p in pts]
+    zeros = [poset.flat_mask(p.carrier) for p in pts]
     vectors = set()
     for xi in range(len(pts)):
         others = [k for k in range(len(pts)) if k != xi]
@@ -694,7 +693,8 @@ def suspension_check(coll, basis):
     arrangement, once its callers have decided ``suspension_hypotheses``.
     Only the reduced collection's arrangement is built here."""
     g = coll.geometry
-    u_carrier = coll_mod.hyperplane_intersection_carrier(coll)
+    carriers, _ = coll.lattice()
+    u_carrier = carriers[(1 << len(coll.hyperplane_covectors)) - 1]  # every hyperplane holds U
     u_dim = u_carrier.dim
     perp = u_carrier.orthogonal_complement()
     m = perp.dim - 1

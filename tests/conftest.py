@@ -210,7 +210,7 @@ def reference_apartment_cycle_cell(poset, region_sign, st_model, top_carrier=Non
         ]
     assert flags, "region has no complete boundary flags"
     for fl in flags:
-        pts = [c.witness for c in fl] + [region.witness]
+        pts = [chart_point(g, c.witness) for c in (*fl, region)]
         sign = flat_orientation_chart(top_carrier, pts)
         assert sign != 0, "degenerate witness flag"
         key = idx[tuple(pos[c.flat] for c in fl)]
@@ -279,6 +279,44 @@ def chart_dim(geometry):
     """Number of chart variables of the feasibility systems: n in E/H,
     n + 1 in S."""
     return geometry.n + 1 if geometry.kind == SPHERICAL else geometry.n
+
+
+def chart_point(geometry, row):
+    """The chart point of an ambient witness row (``Cell.witness``,
+    ``ConvexPolytope.interior_witness``): row[1:] / row[0] in E^n and
+    H^n, where row[0] > 0, and the row itself on S^n."""
+    if geometry.kind == SPHERICAL:
+        return tuple(row)
+    assert row[0] > 0, row
+    return tuple(Fraction(x, row[0]) for x in row[1:])
+
+
+def witness_row(geometry, point):
+    """The primitive integer ambient row of a chart point: the form of
+    ``Cell.witness`` and ``ConvexPolytope.interior_witness``."""
+    return primitive_int_row(geo.chart_vector(geometry, point))
+
+
+def reference_flat_signs(poset, carrier):
+    """Signs of a flat, 0 on each hyperplane vanishing on its carrier,
+    AssertionError unless those hyperplanes cut it out (a rank test): the
+    linear algebra that the lattice lookup ``FacePoset.flat_signs``
+    replaced, kept as its oracle."""
+    zeros = [i for i, cov in enumerate(poset.covectors)
+             if all(dot(cov, b) == 0 for b in carrier.basis)]
+    if exact.rank([poset.covectors[i] for i in zeros]) + carrier.dim != carrier.ambient_dim:
+        raise AssertionError("flat is not the intersection of the hyperplanes containing it")
+    return tuple((i, 0) for i in zeros)
+
+
+def poset_from_cells(geometry, covectors, cells):
+    """A ``FacePoset`` of hand-made cells, the zero mask of each cell's
+    flat found by dot products (bit i set when hyperplane i vanishes on
+    the flat's basis)."""
+    masks = {c.flat: sum(1 << i for i, cov in enumerate(covectors)
+                         if all(dot(cov, b) == 0 for b in c.flat.basis))
+             for c in cells.values()}
+    return arr.FacePoset(geometry, covectors, cells, masks)
 
 
 def chart_row(geometry, functional):
@@ -564,7 +602,7 @@ def reference_polytope_from_halfspaces(geometry, halfspaces):
         return geo.Invalid(geo.Invalid.LOWER_DIMENSIONAL)
     if not reference_is_bounded(halfspaces, g):
         return geo.Invalid(geo.Invalid.UNBOUNDED)
-    return geo.ConvexPolytope(g, halfspaces, witness)
+    return geo.ConvexPolytope(g, halfspaces, witness_row(g, witness))
 
 
 def reference_is_bounded(halfspaces, geometry):
@@ -764,7 +802,7 @@ def reference_build_arrangement(coll, within=None):
     within_rows = [chart_row(g, h.functional) for h in within.halfspaces] if within is not None else []
     nv = chart_dim(g)
     if within is not None:
-        base = within.interior_witness
+        base = chart_point(g, within.interior_witness)
     else:
         base = tuple([F1 if g.kind == SPHERICAL else F0] + [F0] * (nv - 1))
     partial = {(): base}
@@ -789,8 +827,8 @@ def reference_build_arrangement(coll, within=None):
     cells = {}
     for signs, witness in sorted(partial.items()):
         flat = _reference_flat(g, covectors, signs)
-        cells[signs] = arr.Cell(signs, flat, flat.dim - 1, witness)
-    return arr.FacePoset(g, covectors, cells)
+        cells[signs] = arr.Cell(signs, flat, flat.dim - 1, witness_row(g, witness))
+    return poset_from_cells(g, covectors, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1144,7 @@ def face_span(polytope, face):
 
 def reference_in_polytope(poset, cell, polytope):
     """The cell's witness against every half-space of the polytope."""
-    v = geo.chart_vector(poset.geometry, cell.witness)
+    v = geo.chart_vector(poset.geometry, chart_point(poset.geometry, cell.witness))
     return all(exact.dot(h.functional, v) >= 0 for h in polytope.halfspaces)
 
 
@@ -1203,7 +1241,8 @@ def reference_flag_orientation(poset, flag):
     oracle."""
     g = poset.geometry
     return flat_orientation_vectors(
-        poset.cells[flag[-1]].flat, [geo.chart_vector(g, poset.cells[s].witness) for s in flag])
+        poset.cells[flag[-1]].flat,
+        [geo.chart_vector(g, chart_point(g, poset.cells[s].witness)) for s in flag])
 
 
 def step_product(poset, flag):

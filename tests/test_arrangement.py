@@ -13,9 +13,10 @@ from geotits import collection as coll_mod
 from geotits import exact, geometry as geo
 from geotits.cli import Scene, corpus_dir
 from conftest import (
-    E1, E2, H2, LINEAR_PROGRAM_NAMES, NOT_L_POLYTOPE, S0, TRIANGLE_COVS, ZERO, cup, facet_map,
-    lattices_equal, reference_build_arrangement, reference_kernel_basis, reference_polytope,
-    reference_polytope_from_halfspaces, reference_polytope_to_vector, region_polytope,
+    E1, E2, H2, LINEAR_PROGRAM_NAMES, NOT_L_POLYTOPE, S0, TRIANGLE_COVS, ZERO, chart_point, cup,
+    facet_map, lattices_equal, reference_build_arrangement, reference_kernel_basis, reference_polytope,
+    reference_flat_signs, reference_polytope_from_halfspaces, reference_polytope_to_vector,
+    region_polytope,
     src_calls, subdivide,
 )
 
@@ -55,7 +56,7 @@ def test_hyperbolic_ideal_regions():
     l = coll_mod.closure_by_hyperplanes(H2, [(0, 1, 0), (0, 0, 1), (5, -4, -4)])
     poset = arr.build_arrangement(l)
     for cell in poset.cells.values():
-        assert sum(x * x for x in cell.witness) < 1
+        assert sum(x * x for x in chart_point(H2, cell.witness)) < 1
     assert len(arr.region_basis(poset)) == 0
     l2 = coll_mod.closure_by_hyperplanes(H2, [(0, 1, 0), (0, 0, 1), (1, -2, -2)])
     assert len(arr.region_basis(arr.build_arrangement(l2))) == 1
@@ -315,10 +316,10 @@ def _assert_matches_reference(poset, ref):
     for s, cell in poset.cells.items():
         other = ref.cells[s]
         assert (cell.flat, cell.dim) == (other.flat, other.dim)
-        v = geo.chart_vector(g, cell.witness)
+        v = geo.chart_vector(g, chart_point(g, cell.witness))
         assert tuple((x > 0) - (x < 0) for x in (exact.dot(c, v) for c in poset.covectors)) == s
         if g.kind == geo.HYPERBOLIC:
-            assert sum(x * x for x in cell.witness) < 1
+            assert sum(x * x for x in chart_point(g, cell.witness)) < 1
         if g.kind != geo.SPHERICAL and cell.dim == 0:
             assert cell.witness == other.witness
 
@@ -336,6 +337,34 @@ def test_build_matches_reference_on_corpus():
                                           reference_build_arrangement(coll, within=within))
                 cases += 1
     assert cases == 25
+
+
+def _flat_signs_or_refusal(flat_signs, poset, carrier):
+    try:
+        return flat_signs(poset, carrier)
+    except AssertionError:
+        return "refused"
+
+
+def test_flat_signs_match_linear_algebra_on_corpus():
+    """``FacePoset.flat_signs``, a lookup in the lattice the poset was
+    built from, gives the dot-product-and-rank signs of
+    ``conftest.reference_flat_signs`` (or refuses with it) for every
+    member of every corpus scene, on the whole and on the windowed
+    poset, where members with no cell in the window still answer."""
+    answered = empty = 0
+    for path in sorted(corpus_dir().iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".json"):
+            scene = Scene(json.loads(path.read_text()))
+            coll, _ = scene.collection()
+            for within in dict.fromkeys((None, scene.polytope_a)):
+                poset = arr.build_arrangement(coll, within=within)
+                for m in coll.members:
+                    got = _flat_signs_or_refusal(arr.FacePoset.flat_signs, poset, m.carrier)
+                    assert got == _flat_signs_or_refusal(reference_flat_signs, poset, m.carrier)
+                    answered += got != "refused"
+                    empty += got != "refused" and not poset.cells_in(got)
+    assert answered >= 240 and empty > 0
 
 
 DEGENERATE_DRAWS = {
@@ -473,9 +502,10 @@ def test_window_verdicts_match_reference(kind):
         assert reason == (want.reason if isinstance(want, geo.Invalid) else "VALID"), (g, hs)
         reasons.append(reason)
         if reason == "VALID":
-            v = geo.chart_vector(g, got.interior_witness)
+            point = chart_point(g, got.interior_witness)
+            v = geo.chart_vector(g, point)
             assert all(exact.dot(h.functional, v) > 0 for h in hs)
-            assert kind != "H" or sum(x * x for x in got.interior_witness) < 1
+            assert kind != "H" or sum(x * x for x in point) < 1
     want = {"EMPTY", "LOWER_DIMENSIONAL", "VALID"} | ({"UNBOUNDED"} if kind != "S" else set())
     assert set(reasons) == want
     assert min(reasons.count(r) for r in want) >= 5

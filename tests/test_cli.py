@@ -137,6 +137,25 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["verify", "solomon-tits", scene_path("e2_triangle")]) == cli.EXIT_PASS
 
 
+def test_unwritable_json_path_exits_2_without_a_traceback(tmp_path):
+    """An unwritable ``--json OUT`` (a missing directory, a directory) is
+    a bad argument: exit 2 with argparse's usage message and no
+    traceback, before the scene is read, so a missing scene changes
+    nothing.  A writable path gets the report, as before."""
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        for scene in (scene_path("e2_triangle"), str(tmp_path / "missing.json")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "geotits.cli", "--json", str(out), "validate", scene],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == cli.EXIT_INVALID_SCENE and not proc.stdout
+            assert "error: argument --json" in proc.stderr
+            assert "Traceback" not in proc.stderr
+    out = tmp_path / "report.json"
+    assert cli.main(["--json", str(out), "validate", scene_path("e2_triangle")]) == cli.EXIT_PASS
+    assert json.loads(out.read_text())["overall"] == "PASS"
+
+
 def _dumped_homology(path):
     """Reduced homology of a complex written by --dump-complex."""
     data = json.loads(path.read_text())

@@ -14,12 +14,14 @@ from conftest import (
     chart_dim,
     flat_orientation_vectors,
     min_norm_point,
+    poset_from_cells,
     reference_check_witness,
     reference_coordinates,
     reference_det_sign,
     reference_feasible,
     reference_solve_unique,
     step_product,
+    witness_row,
 )
 
 
@@ -184,7 +186,8 @@ def test_poset_orientation_matches_reference_coordinates(seed):
     witness vectors, in E^n (chart points) and S^n (rays): the product of
     ``FacePoset.step_sign`` over the flag (``conftest.step_product``) is
     the sign of the determinant of the witnesses' coordinates in the top
-    cell's flat, and a witness moved off its own flat is refused."""
+    cell's flat.  Each cell keeps its witness as ``build_arrangement``
+    does, as a primitive integer ambient row."""
     rng = random.Random(seed)
     kind, n = rng.choice("ES"), rng.randint(1, 3)
     g = geo.Geometry(kind, n)
@@ -206,17 +209,11 @@ def test_poset_orientation_matches_reference_coordinates(seed):
             vectors.append(v)
     flag = [(i,) for i in range(k)]
     flats = [geo.LinearSubspace(g.ambient_dim, vectors[: i + 1]) for i in range(k)]
-    cells = {s: arr.Cell(s, flats[i], i, witnesses[i]) for i, s in enumerate(flag)}
+    cells = {s: arr.Cell(s, flats[i], i, witness_row(g, witnesses[i]))
+             for i, s in enumerate(flag)}
     want = reference_det_sign([reference_coordinates(flats[-1], v) for v in vectors])
     assert want != 0
-    assert step_product(arr.FacePoset(g, (), cells), flag) == want
-
-    i = rng.randrange(min(k, g.ambient_dim - 1))  # a flat short of the whole space
-    off = next(w for w in iter(witness, None)
-               if not flats[i].contains_vector(geo.chart_vector(g, w)))
-    cells[flag[i]] = arr.Cell(flag[i], flats[i], i, off)
-    with pytest.raises(AssertionError, match="witness lies off its flat"):
-        step_product(arr.FacePoset(g, (), cells), flag)
+    assert step_product(poset_from_cells(g, (), cells), flag) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -501,8 +498,9 @@ def test_check_witness_rejects_a_nudged_witness(scale, point, match):
 
 def _chart_orientation(pts):
     """Orientation of n+1 chart points in E^n: the sign of the
-    determinant of their chart vectors (1, p), as
-    ``groups.pt_to_ls_element`` reads it."""
+    determinant of their chart vectors (1, p), which
+    ``groups.pt_to_ls_element`` reads off positive rescales of them (the
+    vertices' witness rows)."""
     g = geo.Geometry("E", len(pts[0]))
     return exact.det_sign([geo.chart_vector(g, p) for p in pts])
 

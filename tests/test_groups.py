@@ -8,7 +8,7 @@ from geotits import HypothesesError
 from geotits import arrangement as arr
 from geotits import collection as coll_mod
 from geotits import complexes as cx
-from geotits import geometry as geo
+from geotits import exact, geometry as geo
 from geotits import groups as grp
 from geotits._kernel import IntMatrix, lattice_contains
 from geotits.cli import Scene, corpus_dir, run_command
@@ -503,6 +503,43 @@ def test_suspension(coord_s2):
         assert rep["region_bijection"]
     with pytest.raises(HypothesesError, match="suspension reduction does not apply"):
         grp.suspension_hypotheses(coord_s2)
+
+
+def _common_kernel_cases():
+    """The bundled non-admissible S^2 scenes, then seeded collections of
+    S^2 and S^3 whose hyperplanes all hold a random integer subspace K of
+    dimension 1 to n - 1: integer combinations of a basis of K's
+    complement, so the common kernel is K or holds it."""
+    out = [Scene(json.loads((corpus_dir() / f"{name}.json").read_text())).collection()[0]
+           for name in ("s2_lunes_two", "s2_lunes_three", "s2_one_plane")]
+    rng = random.Random("common-kernel")
+    for trial in range(24):
+        g = geo.Geometry("S", 2 + trial % 2)
+        amb = g.ambient_dim
+        while True:
+            k_rows = [[rng.randint(-2, 2) for _ in range(amb)] for _ in range(rng.randint(1, g.n - 1))]
+            if exact.rank(k_rows) == len(k_rows):
+                break
+        complement = exact.nullspace(k_rows, amb)
+        covs = set()
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [rng.randint(-2, 2) for _ in complement]
+            cov = [sum(c * b[i] for c, b in zip(coeffs, complement)) for i in range(amb)]
+            if any(cov):
+                covs.add(geo.canonical_covector(cov))
+        out.append(coll_mod.closure_by_hyperplanes(g, sorted(covs)))
+    return out
+
+
+def test_lattice_common_kernel_matches_nullspace():
+    """The flat of the lattice whose mask holds every hyperplane, which
+    ``suspension_check`` reads as U, is the nullspace of the covectors."""
+    for coll in _common_kernel_cases():
+        assert coll_mod.admissible(coll) == coll_mod.NOT_ADMISSIBLE
+        covs = coll.hyperplane_covectors
+        carriers, _ = coll.lattice()
+        amb = coll.geometry.ambient_dim
+        assert carriers[(1 << len(covs)) - 1] == geo.LinearSubspace(amb, exact.nullspace(covs, amb))
 
 
 def test_pt_to_ls_spherical_s1(coord_s1):

@@ -49,6 +49,7 @@ from conftest import (
     cells_in_polytope,
     cup,
     chart_dim,
+    chart_point,
     chart_row,
     face_span,
     leq,
@@ -312,7 +313,7 @@ def test_chart_orientation_matches_direction_basis(name):
         for s, cell in sorted(poset.cells.items()):
             for flag in _complete_flags(poset, s):
                 got = step_product(poset, flag)
-                pts = [poset.cells[t].witness for t in flag]
+                pts = [chart_point(poset.geometry, poset.cells[t].witness) for t in flag]
                 assert got == _reference_orientation_chart(cell.flat, pts)
                 signs.add(got)
     assert signs == {1, -1}
@@ -389,39 +390,38 @@ def test_per_cell_face_chains_match_per_region_build(name):
         assert eta == want.eta
 
 
-def test_each_cell_chain_and_witness_is_built_once(monkeypatch):
+def test_each_cell_chain_is_built_once_and_no_witness_is_rechecked(monkeypatch):
     """Over every region's apartment, twice, each cell of the coordinate
-    S^3 gets one chain build and one witness check (a build per region
-    gave 240 chain builds and 2,216 containment checks for its 80
-    cells)."""
+    S^3 gets one chain build (a build per region gave 240 chain builds
+    for its 80 cells), and no witness is read back through its chart or
+    checked against its flat (2,216 containment checks once, 80 when
+    each witness was checked once): ``build_arrangement`` checked them,
+    and ``test_step_and_flat_signs_read_only_det_sign`` counts the rest."""
     coll = _region_posets("s3_coordinate")[0]
-    poset = arr.build_arrangement(coll)  # a fresh poset: no witness checked yet
+    poset = arr.build_arrangement(coll)  # a fresh poset: no step sign memoised yet
     tri = cx.sphere_triangulation(coll, poset)
     bic = cx.pt_bicomplex(coll, tri)
     builds = collections.Counter()
     build = cx.SphereTriangulation._build_cell_chain
     monkeypatch.setattr(cx.SphereTriangulation, "_build_cell_chain",
                         lambda self, s: builds.update([s]) or build(self, s))
-    checked = collections.Counter()
-    contains = geo.LinearSubspace.contains_vector
-    monkeypatch.setattr(geo.LinearSubspace, "contains_vector",
-                        lambda self, v: checked.update([tuple(v)]) or contains(self, v))
     basis = arr.region_basis(poset)
     assert len(basis) == 16 and len(poset.cells) == 80
-    for _ in range(2):
-        for s in basis:
-            grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
+    with src_calls() as calls:
+        for _ in range(2):
+            for s in basis:
+                grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
     assert set(builds) == set(poset.cells) and set(builds.values()) == {1}
-    assert set(checked) == {tuple(c.witness) for c in poset.cells.values()}
-    assert set(checked.values()) == {1}
+    assert calls["step_sign"] and not set(calls) & set(WITNESS_RECHECKS)
 
 
-def test_each_eh_witness_is_checked_once_and_no_closure_is_scanned(monkeypatch):
+def test_eh_apartments_scan_no_closure_and_recheck_no_witness(monkeypatch):
     """Over every bounded region's apartment of six lines in E^2, twice,
-    each cell in a region's closure gets one witness check, and the face
-    chains are cones down ``FacePoset.facets`` with no scan of the
-    closure (a scan of every cell with a check per flag gave 396
-    containment checks for those 45 cells)."""
+    the face chains are cones down ``FacePoset.facets`` with no scan of
+    the closure, and no witness is read back through its chart or checked
+    against its flat (a scan of every cell with a check per flag gave 396
+    containment checks for the 45 cells in the regions' closures, and one
+    check per cell 45)."""
     scene = _scene("e2_six_lines")
     coll, _ = scene.collection()
     poset, basis = scene.arrangement(None)
@@ -431,17 +431,43 @@ def test_each_eh_witness_is_checked_once_and_no_closure_is_scanned(monkeypatch):
     cells_in = arr.FacePoset.cells_in
     monkeypatch.setattr(arr.FacePoset, "cells_in",
                         lambda self, signs: taken.update([signs]) or cells_in(self, signs))
-    checked = collections.Counter()
-    contains = geo.LinearSubspace.contains_vector
-    monkeypatch.setattr(geo.LinearSubspace, "contains_vector",
-                        lambda self, v: checked.update([tuple(v)]) or contains(self, v))
     assert len(basis) == 9 and len(poset.cells) == 69 and len(closure) == 45
-    for _ in range(2):
-        grp.cell_apartments(poset, basis, st)
+    with src_calls() as calls:
+        for _ in range(2):
+            grp.cell_apartments(poset, basis, st)
     assert not taken
-    assert set(checked) == {geo.chart_vector(poset.geometry, poset.cells[s].witness)
-                            for s in closure}
-    assert set(checked.values()) == {1}
+    assert calls["step_sign"] and not set(calls) & set(WITNESS_RECHECKS)
+
+
+WITNESS_RECHECKS = ("chart_vector", "primitive_int_row", "contains_vector", "dot", "rank")
+COMPREHENSIONS = {"<genexpr>", "<listcomp>"}
+
+
+@pytest.mark.parametrize("name", ["e3_eight_generic", "s3_four_generic"])
+def test_step_and_flat_signs_read_only_det_sign(name):
+    """Every (lower, cell) step sign of the arrangement, the empty face
+    below each 0-cell included, is one ``det_sign`` of the lower flat's
+    basis rows over the cell's witness row as ``build_arrangement`` left
+    it; and on s3_four_generic the signs of every member's flat are a
+    lookup in the lattice.  Neither reads a witness through its chart,
+    checks it against its flat, or takes a dot product or a rank."""
+    scene = _scene(name)
+    coll, _ = scene.collection()
+    poset, _ = scene.arrangement(None)
+    pairs = [(None, s) for s, c in poset.cells.items() if c.dim == 0]
+    pairs += [(f, s) for s in poset.cells for f in poset.facets(s)]
+    with src_calls() as calls:
+        for lower, sign in pairs:
+            poset.step_sign(lower, sign)
+    assert calls["step_sign"] == len(pairs) and calls["det_sign"] == len(pairs)
+    assert set(calls) <= {"step_sign", "det_sign", "_int_row", "_primitive"} | COMPREHENSIONS
+    if name == "s3_four_generic":
+        with src_calls() as calls:
+            for m in coll.members:
+                poset.flat_signs(m.carrier)
+        assert calls["flat_signs"] == len(coll.members)
+        # the lookup hashes the carrier (and compares it, when the key is another object)
+        assert set(calls) <= {"flat_signs", "flat_mask", "__hash__", "__eq__"} | COMPREHENSIONS
 
 
 @pytest.mark.parametrize("name, command, pairs", [
@@ -464,44 +490,51 @@ def test_each_face_chain_is_built_once(name, command, pairs, monkeypatch):
     assert len(calls) == pairs and set(calls.values()) == {1}
 
 
-def _witness_moved_off_its_flat(poset, region):
-    """A copy of the poset whose first edge (1-cell) in the region's
-    closure has its witness moved off the edge's flat."""
-    g = poset.geometry
-    sign = min(s for s in poset.cells_in(tuple(enumerate(region))) if poset.cells[s].dim == 1)
-    cell = poset.cells[sign]
-    units = [tuple(int(k == i) for k in range(chart_dim(g))) for i in range(chart_dim(g))]
-    off = next(w for w in (tuple(x + u for x, u in zip(cell.witness, unit)) for unit in units)
-               if not cell.flat.contains_vector(geo.chart_vector(g, w)))
-    cells = {**poset.cells, sign: arr.Cell(sign, cell.flat, cell.dim, off)}
-    return arr.FacePoset(poset.geometry, poset.covectors, cells)
+def _off_its_flat(point, covectors):
+    """The point moved off the first hyperplane it lies on (so off its
+    flat), keeping x0 > 0: k point + c, for c that hyperplane's covector
+    and k > |c|_1; None when the point lies on no hyperplane."""
+    c = next((c for c in covectors if exact.dot(c, point) == 0), None)
+    if c is None:
+        return None
+    k = 1 + sum(map(abs, c))
+    return tuple(k * x + y for x, y in zip(point, c))
 
 
-def test_witness_off_its_flat_fails_the_apartment_pass(monkeypatch, capsys):
-    """The one witness check per cell stays, in S^2 and E^2: a witness
-    off its own flat raises AssertionError in the apartment pass, which
-    the CLI reports as an internal error (exit 4)."""
-    for name in ("s2_generic_three", "e2_four_lines"):
-        scene = _scene(name)
-        coll, _ = scene.collection()
-        poset, basis = scene.arrangement(None)
-        bad = _witness_moved_off_its_flat(poset, basis[0])
-        with pytest.raises(AssertionError, match="witness lies off its flat"):
-            if poset.geometry.kind == geo.SPHERICAL:
-                tri = cx.sphere_triangulation(coll, bad)
-                bic = cx.pt_bicomplex(coll, tri)
-                for s in basis:
-                    grp.apartment_cycle_pt_spherical(s, coll, tri, bic)
-            else:
-                grp.cell_apartments(bad, basis, cx.STModel(coll.members, coll.top()))
+def _moved_off_its_flat(made, moved, covectors):
+    """``made`` (``arrangement._step`` or ``_flat_points``) with each point
+    it makes that lies on a hyperplane moved off it, and so off its flat."""
+    if moved == "_step":
+        def move(*args):
+            point, values = made(*args)
+            off = _off_its_flat(point, covectors)
+            return (point, values) if off is None else (off, [exact.dot(c, off) for c in covectors])
+    else:
+        def move(*args):
+            return tuple(_off_its_flat(p, covectors) or p for p in made(*args))
+    return move
 
-        with monkeypatch.context() as m:
-            m.setattr(cli.Scene, "arrangement", lambda self, within: (bad, basis))
-            path = str(cli.corpus_dir() / f"{name}.json")
-            assert cli.main(["verify", "solomon-tits", path]) == cli.EXIT_INTERNAL
-        report = json.loads(capsys.readouterr().err)
-        assert report["error"] == "INTERNAL_ERROR"
-        assert report["detail"] == "AssertionError: cell witness lies off its flat"
+
+def test_witness_off_its_flat_fails_the_build(monkeypatch, capsys):
+    """The witness check is made where the witness is made, in S^2, E^2
+    and H^2: a witness moved off its flat, by a step off a facet or as the
+    point of an uncut flat, raises AssertionError in
+    ``build_arrangement``, which the CLI reports as an internal error
+    (exit 4)."""
+    details = {"_step": "a step off a facet left the cell it was taken for",
+               "_flat_points": "a hyperplane cuts a flat it was found not to cut"}
+    for name in ("s2_generic_three", "e2_four_lines", "h2_triangle"):
+        coll, _ = _scene(name).collection()
+        for moved, detail in details.items():
+            with monkeypatch.context() as m:
+                m.setattr(arr, moved,
+                          _moved_off_its_flat(getattr(arr, moved), moved, coll.hyperplane_covectors))
+                with pytest.raises(AssertionError, match=detail):
+                    arr.build_arrangement(coll)
+                path = str(cli.corpus_dir() / f"{name}.json")
+                assert cli.main(["verify", "solomon-tits", path]) == cli.EXIT_INTERNAL
+            report = json.loads(capsys.readouterr().err)
+            assert report == {"error": "INTERNAL_ERROR", "detail": f"AssertionError: {detail}"}
 
 
 EH_SCENES = sorted(
@@ -621,7 +654,7 @@ def test_region_vertices_match_reference_polytope(name):
         spherical = poset.geometry.kind == geo.SPHERICAL
         for s in arr.region_basis(poset):
             cells = [poset.cells[t] for t in poset.cells_in(tuple(enumerate(s)))]
-            verts = [c.witness for c in cells if c.dim == 0]
+            verts = [chart_point(poset.geometry, c.witness) for c in cells if c.dim == 0]
             if spherical:
                 verts = [exact.primitive_int_row(v) for v in verts]
             assert sorted(verts) == list(region_polytope(poset, s).vertices)

@@ -16,7 +16,6 @@ import collections
 import json
 import pathlib
 import random
-from fractions import Fraction as Fr
 
 import pytest
 
@@ -29,6 +28,7 @@ from conftest import (
     E3,
     Budget,
     ReferenceSphericalFaceChains,
+    poset_from_cells,
     reference_flag_orientation,
     step_product,
 )
@@ -142,16 +142,16 @@ def test_chains_cost_one_determinant_per_incidence(path, zero_cells, incidences,
 
 # ---------------------------------------------------------------------------
 # Guards, on a synthetic flag in E^2: cells whose flats are the prefix spans
-# of the chart vectors of (0, 0), (1, 0) and (0, 1)
+# of the chart vectors of (0, 0), (1, 0) and (0, 1), with integer witness
+# rows as ``build_arrangement`` keeps them
 
 
-def _synthetic_poset(top_witness=(Fr(0), Fr(1))):
-    g = geo.Geometry("E", 2)
-    points = [(Fr(0), Fr(0)), (Fr(1), Fr(0)), top_witness]
-    vectors = [geo.chart_vector(g, p) for p in points[:2]] + [(1, 0, 1)]
-    cells = {(i,): arr.Cell((i,), geo.LinearSubspace(3, vectors[: i + 1]), i, points[i])
+def _synthetic_poset(top_witness=(1, 0, 1)):
+    vectors = [(1, 0, 0), (1, 1, 0), (1, 0, 1)]
+    rows = vectors[:2] + [top_witness]
+    cells = {(i,): arr.Cell((i,), geo.LinearSubspace(3, vectors[: i + 1]), i, rows[i])
              for i in range(3)}
-    return arr.FacePoset(g, (), cells)
+    return poset_from_cells(geo.Geometry("E", 2), (), cells)
 
 
 def test_top_witness_in_the_facet_flat_is_degenerate():
@@ -159,9 +159,9 @@ def test_top_witness_in_the_facet_flat_is_degenerate():
     top flat, but its step minor is 0."""
     flag = [(0,), (1,), (2,)]
     assert step_product(_synthetic_poset(), flag) == 1
-    assert step_product(_synthetic_poset((Fr(0), Fr(-1))), flag) == -1
+    assert step_product(_synthetic_poset((1, 0, -1)), flag) == -1
     with pytest.raises(AssertionError, match="degenerate flag simplex"):
-        step_product(_synthetic_poset((Fr(3), Fr(0))), flag)
+        step_product(_synthetic_poset((1, 3, 0)), flag)
 
 
 def test_step_across_two_dimensions_is_refused():

@@ -13,7 +13,7 @@ from geotits import complexes as cx
 from geotits import exact, geometry as geo
 from geotits import groups as grp
 from conftest import (
-    E2, E3, S2, cell_apartment_matrix, exact_sequence, points_apartments, pt_apartments,
+    E2, E3, S2, cell_apartment_matrix, chart_point, exact_sequence, points_apartments, pt_apartments,
     region_is_bounded,
 )
 
@@ -169,7 +169,7 @@ def test_hyperbolic_witness_blending():
     coll = coll_mod.closure_by_hyperplanes(h2, covs)
     poset = arr.build_arrangement(coll)
     for sign, cell in poset.cells.items():
-        assert sum(x * x for x in cell.witness) < 1, (sign, cell.witness)
+        assert sum(x * x for x in chart_point(h2, cell.witness)) < 1, (sign, cell.witness)
     # the corner region {x > 1/2, y > 3/4} meets the ball barely
     covec_order = poset.covectors
     corner = None
