@@ -1,16 +1,21 @@
 """Chain-level models and integer homology.
 
 All complexes carry named basis elements (tuples of indices into sorted
-member/cell lists) and sparse integer boundaries; every constructor
-asserts boundary-squared = 0 exactly.  Order complexes (T, ST, the
-local model, the sphere triangulation) come from one flag builder that
-finds every face row by index; the PT bicomplex and its collapse model
-are assembled from the triangulation's boundary columns.  Other models
-are graded labels plus the alternating face rule (``face_complex``).
-Relative models (``STModel``'s anchored flags, quotient complexes) compute
-the reduced homology of the spaces they model directly; plain order
-complexes carry the empty flag in degree -1, so their homology is
-reduced as well.
+member/cell lists) and sparse integer boundaries, and every constructor
+decides boundary-squared = 0 exactly.  Order complexes (T, ST, the local
+model, the sphere triangulation) and the resolution probe are
+semi-simplicial: they come as a face table, each simplex listing the
+rows of its faces, and ``ChainComplex(degrees, faces=table)`` forms
+their boundaries and certifies d∘d = 0 by the face identities
+(``check_face_identities``).  One flag builder finds every face row of
+the order complexes by index.  The PT bicomplex and its collapse model
+are assembled from the triangulation's boundary columns, and the other
+models are graded labels plus the alternating face rule
+(``face_complex``); those are given by their boundaries, whose products
+d_(d-1) d_d are formed and checked.  Relative models (``STModel``'s
+anchored flags, quotient complexes) compute the reduced homology of the
+spaces they model directly; plain order complexes carry the empty flag
+in degree -1, so their homology is reduced as well.
 """
 
 from bisect import bisect_left, bisect_right
@@ -21,17 +26,30 @@ from geotits._kernel import PINNED, IntMatrix, smith_normal_form
 
 
 class ChainComplex:
-    """Graded basis labels with integer boundary matrices d: C_d -> C_{d-1}."""
+    """Graded basis labels with integer boundary matrices d: C_d -> C_{d-1}.
+
+    Give either ``boundaries`` (degree -> ``IntMatrix``), and each product
+    d_(d-1) d_d is formed and checked to vanish, or a semi-simplicial face
+    table ``faces`` (see ``check_face_identities``), from which each
+    boundary is formed as the alternating sum of the face maps and
+    d∘d = 0 is certified by the face identities, with no product formed.
+    """
 
     __slots__ = ("degrees", "boundaries", "_zero", "_index", "_pinned")
 
-    def __init__(self, degrees, boundaries):
+    def __init__(self, degrees, boundaries=None, faces=None):
+        if (boundaries is None) == (faces is None):
+            raise TypeError("give either boundaries or faces")
         self.degrees = {d: tuple(labels) for d, labels in degrees.items() if labels}
+        if faces is not None:
+            check_face_identities(self.degrees, faces)
+            boundaries = {d: _alternating_sum(self.dim(d - 1), rows)
+                          for d, rows in faces.items() if rows}
         self.boundaries = boundaries
         self._zero = {}  # degree without a stored boundary -> its zero d_d
         self._index = {}  # degree -> index(degree)
         self._pinned = {}  # degree -> pinned_reduction(degree)
-        self._validate()
+        self._validate(product=faces is None)
 
     def dim(self, d):
         return len(self.degrees.get(d, ()))
@@ -81,13 +99,84 @@ class ChainComplex:
             },
         }
 
-    def _validate(self):
+    def _validate(self, product):
         for d in self.support():
             b = self.boundary(d)
             if b.rows != self.dim(d - 1) or b.cols != self.dim(d):
                 raise AssertionError(f"boundary shape mismatch in degree {d}")
-            if self.dim(d - 1) and not self.boundary(d - 1).product_is_zero(b):
+            if product and self.dim(d - 1) and not self.boundary(d - 1).product_is_zero(b):
                 raise AssertionError(f"boundary squared nonzero at degree {d}")
+
+
+def check_face_identities(degrees, faces):
+    """Certify d∘d = 0 for the boundaries of a semi-simplicial face table.
+
+    ``faces[d][k]`` lists the rows, in degree d - 1, of the faces
+    d_0, ..., d_(n-1) of simplex k of degree d; every simplex of a degree
+    has the same number n of faces, and a degree d - 1 that has faces too
+    has n - 1 of them.  ``ChainComplex`` forms the boundary of simplex x
+    as dx = sum_i (-1)^i d_i x, summing a repeated face.
+
+    Proof that the identities d_i d_j = d_(j-1) d_i (i < j), checked here
+    on every simplex of every degree whose level below has faces, give
+    d∘d = 0 (May, *Simplicial Objects in Algebraic Topology*, 1967, §1).
+    ddx is the sum over 0 <= j < n and 0 <= i < n - 1 of
+    (-1)^(i+j) d_i d_j x.  For i < j the term (-1)^(i+j) d_i d_j x equals,
+    by the identity, (-1)^(i+j) d_(j-1) d_i x, which cancels the term
+    (-1)^(i+j-1) d_(j-1) d_i x of the pair (j - 1, i).  The map
+    (i, j) -> (j - 1, i) is a bijection from the pairs with i < j onto the
+    pairs (i', j') with j' <= i', so every term cancels and ddx = 0.  The
+    sum runs over faces with their multiplicity, so a repeated face
+    changes nothing.  A degree whose level below has no faces has a zero
+    boundary below it, and there d∘d = 0 holds with nothing to check.
+
+    A table that does not have this shape raises ``ValueError``: a row
+    count other than the degree's size, rows of unequal length, or a row
+    outside the level below.  That includes a row in a repeated face
+    whose signs cancel, which no boundary entry shows, and a negative
+    row, which a lookup would wrap.  A failed identity raises
+    ``AssertionError`` and names the degree.
+    """
+    below_degree = below = None
+    for d in sorted(faces):
+        rows = faces[d]
+        size, lower = len(degrees.get(d, ())), len(degrees.get(d - 1, ()))
+        if len(rows) != size:
+            raise ValueError(f"{len(rows)} face rows for the {size} simplices of degree {d}")
+        here = list(zip(*rows))  # here[i][k] = row of d_i of simplex k
+        if rows and set(map(len, rows)) != {len(here)}:
+            raise ValueError(f"face rows of unequal length in degree {d}")
+        for col in here:
+            if min(col) < 0 or max(col) >= lower:
+                raise ValueError(f"a face row of degree {d} is outside the {lower} "
+                                 f"simplices of degree {d - 1}")
+        if below_degree == d - 1 and rows:
+            if len(below) != len(here) - 1:
+                raise ValueError(f"degree {d} has {len(here)} faces and degree {d - 1} "
+                                 f"{len(below)}")
+            for j in range(1, len(here)):
+                for i in range(j):
+                    d_i, d_j1 = below[i], below[j - 1]
+                    if [d_i[r] for r in here[j]] != [d_j1[r] for r in here[i]]:
+                        raise AssertionError(
+                            f"face identity d_{i} d_{j} = d_{j - 1} d_{i} fails at degree {d}")
+        below_degree, below = d, here
+
+
+def _alternating_sum(lower, rows):
+    """The boundary sum_i (-1)^i d_i of face rows in a level of ``lower``
+    simplices; each column lists its faces in order d_0, d_1, ..., and a
+    repeated face gets the sum of its signs."""
+    width = len(rows[0])
+    signs = [(-1) ** i for i in range(width)]
+    columns = [dict(zip(row, signs)) for row in rows]
+    if min(map(len, columns)) < width:
+        for k, row in enumerate(rows):
+            if len(columns[k]) < width:  # a face repeats: sum its signs
+                col = columns[k] = {}
+                for r, sign in zip(row, signs):
+                    col[r] = col.get(r, 0) + sign
+    return IntMatrix.from_col_dicts(lower, columns)
 
 
 class HomologySummary:
@@ -258,8 +347,10 @@ def _above(members):
 
 
 def _flag_complex(above):
-    """(degrees, boundaries) of the strict chains of a finite order given
-    by ``above`` (ascending lists), a chain of k elements in degree k - 1.
+    """(degrees, faces) of the strict chains of a finite order given by
+    ``above`` (ascending lists), a chain of k elements in degree k - 1,
+    with ``faces[m][k]`` the rows of the faces 0, ..., m of chain k of
+    degree m in degree m - 1 (the table ``ChainComplex`` takes).
 
     The root is the empty chain in degree -1, and every element lies
     above it.  Chains are built level by level: each is its parent, one
@@ -269,36 +360,34 @@ def _flag_complex(above):
     face i extended by c, except the last face, which is the parent
     itself.  A chain extended by c sits at its children's offset plus
     the slot of c among the elements above its tail, so every face row
-    is found by index.  The boundary's column dicts list the faces in
-    order, and the next level reads them from there.
+    is found by index, and the next level reads them from this one.
     """
     n = len(above)
     above = [*above, range(n)]  # the root's tail is n
     slot = [{c: k for k, c in enumerate(cells)} for cells in above]
-    level, tails, faces = [()], [n], [()]
+    level, tails, rows_here = [()], [n], [()]
     degrees = {-1: level}
-    boundaries = {}
+    faces = {}
     below_slot = start = None  # the slots of the level under ``level``, its children's offsets
     m = -1
     while True:
-        signs = [(-1) ** i for i in range(m + 2)]
-        chains, heads, offsets, cols = [], [], [], []
-        ids = list(range(len(level)))  # one int object per row, shared by the columns naming it
+        chains, heads, offsets, table = [], [], [], []
+        ids = list(range(len(level)))  # one int object per row, shared by the faces naming it
         for q, chain in enumerate(level):
             offsets.append(len(chains))
             for c in above[tails[q]]:
-                rows = [ids[start[r] + below_slot[r][c]] for r in faces[q]]
+                rows = [ids[start[r] + below_slot[r][c]] for r in rows_here[q]]
                 rows.append(ids[q])
                 chains.append(chain + (c,))
                 heads.append(c)
-                cols.append(dict(zip(rows, signs)))
+                table.append(rows)
         if not chains:
-            return degrees, boundaries
+            return degrees, faces
         m += 1
         degrees[m] = chains
-        boundaries[m] = IntMatrix.from_col_dicts(len(level), cols)
+        faces[m] = table
         below_slot = [slot[t] for t in tails]
-        start, faces, level, tails = offsets, cols, chains, heads
+        start, rows_here, level, tails = offsets, table, chains, heads
 
 
 def order_complex(members):
@@ -308,7 +397,8 @@ def order_complex(members):
     the empty complex has H_(-1) = Z.
     """
     elems = sorted((m for m in members if not m.is_top()), key=lambda m: m.sort_key())
-    return ChainComplex(*_flag_complex(_above(elems)))
+    degrees, faces = _flag_complex(_above(elems))
+    return ChainComplex(degrees, faces=faces)
 
 
 class STModel:
@@ -332,9 +422,9 @@ class STModel:
         for m in self.proper:
             if not top.contains(m):
                 raise ValueError("member not contained in the top subspace")
-        degrees, boundaries = _flag_complex(_above(self.proper))
+        degrees, faces = _flag_complex(_above(self.proper))
         self.complex = ChainComplex({d + 1: labs for d, labs in degrees.items()},
-                                    {d + 1: b for d, b in boundaries.items()})
+                                    faces={d + 1: rows for d, rows in faces.items()})
         self.position = {m.carrier: i for i, m in enumerate(self.proper)}
 
 
@@ -395,9 +485,11 @@ class SphereTriangulation:
     def __init__(self, poset):
         self.poset = poset
         self.cell_order = tuple(sorted(poset.cells))
-        degrees, boundaries = _flag_complex(_cells_above(self.cell_order))
-        del degrees[-1], boundaries[0]  # the triangulation is not augmented
-        self.complex = ChainComplex(degrees, boundaries)
+        degrees, faces = _flag_complex(_cells_above(self.cell_order))
+        # the triangulation is not augmented: the faces of a 1-simplex's
+        # faces would lie in the deleted degree -1, so none are checked
+        del degrees[-1], faces[0]
+        self.complex = ChainComplex(degrees, faces=faces)
         self.simplices = self.complex.degrees
         self._by_top = {}  # (m, top cell sign vector) -> positions of its m-simplices
         for m, labs in self.simplices.items():

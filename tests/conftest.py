@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import functools
 import pathlib
 import sys
 import time
@@ -618,6 +619,31 @@ def reference_is_bounded(halfspaces, geometry):
     return True
 
 
+@functools.cache
+def small_hyperplanes(g):
+    """The distinct hyperplanes with entries in [-2, 2] that meet g."""
+    covs = {geo.canonical_covector(c) for c in product(range(-2, 3), repeat=g.ambient_dim) if any(c)}
+    return frozenset(c for c in covs if geo.hyperplane_subspace(g, c) is not None)
+
+
+def distinct_hyperplanes(rng, g, count):
+    """``count`` distinct hyperplanes meeting g; the small entries make
+    parallel and concurrent hyperplanes common.  ValueError when fewer
+    than ``count`` hyperplanes with entries in [-2, 2] meet g."""
+    if count > len(small_hyperplanes(g)):
+        raise ValueError(f"only {len(small_hyperplanes(g))} hyperplanes with entries "
+                         f"in [-2, 2] meet {g}, not {count}")
+    covs = []
+    while len(covs) < count:
+        cov = tuple(rng.randint(-2, 2) for _ in range(g.ambient_dim))
+        if not any(cov):
+            continue
+        cov = geo.canonical_covector(cov)
+        if cov not in covs and geo.hyperplane_subspace(g, cov) is not None:
+            covs.append(cov)
+    return covs
+
+
 def reference_closure_by_hyperplanes(geometry, covectors):
     """All nonempty intersections of the hyperplanes, plus the top space,
     by the one-hyperplane-at-a-time walk (``collection._closure`` with
@@ -1198,6 +1224,15 @@ def reference_face_chains(tri, polytope):
                     assert len(got) == 1  # the facet chain is a signed copy
                     eta[(face.vertex_ids, facet.vertex_ids)] = got.pop()
     return chains, eta
+
+
+def boundary_squares_to_zero(complex_):
+    """Does every product d_(d-1) d_d of the complex vanish?  Formed by
+    ``IntMatrix.product_is_zero``, the check that complexes given by their
+    boundaries make, kept as the oracle for the face identities that
+    certify the complexes built from a face table."""
+    return all(complex_.boundary(d - 1).product_is_zero(complex_.boundary(d))
+               for d in complex_.support())
 
 
 def reference_chains(n, less):

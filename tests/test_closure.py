@@ -8,12 +8,10 @@ pair of members is met (through both orthogonal complements) or
 spanned until nothing new appears.  They must give the same members.
 """
 
-import functools
 import json
 import pathlib
 import random
 from fractions import Fraction as Fr
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from geotits import cli, exact
 from geotits import collection as coll_mod
 from geotits import geometry as geo
-from conftest import E1, E2, E3, H2, H3, S1, S2, reference_closure_by_hyperplanes
+from conftest import (E1, E2, E3, H2, H3, S1, S2, distinct_hyperplanes,
+                      reference_closure_by_hyperplanes, small_hyperplanes)
 
 S3 = geo.Geometry("S", 3)
 TEST_SCENES = pathlib.Path(__file__).resolve().parent / "scenes"
@@ -93,40 +92,15 @@ def test_corpus_closures_match_pairwise_reference():
             _check_points(g, [geo.point_subspace(g, p) for p in scene.points])
 
 
-@functools.cache
-def _small_hyperplanes(g):
-    """The distinct hyperplanes with entries in [-2, 2] that meet g."""
-    covs = {geo.canonical_covector(c) for c in product(range(-2, 3), repeat=g.ambient_dim) if any(c)}
-    return frozenset(c for c in covs if geo.hyperplane_subspace(g, c) is not None)
-
-
-def _distinct_hyperplanes(rng, g, count):
-    """``count`` distinct hyperplanes meeting g; the small entries make
-    parallel and concurrent hyperplanes common.  ValueError when fewer
-    than ``count`` hyperplanes with entries in [-2, 2] meet g."""
-    if count > len(_small_hyperplanes(g)):
-        raise ValueError(f"only {len(_small_hyperplanes(g))} hyperplanes with entries "
-                         f"in [-2, 2] meet {g}, not {count}")
-    covs = []
-    while len(covs) < count:
-        cov = tuple(rng.randint(-2, 2) for _ in range(g.ambient_dim))
-        if not any(cov):
-            continue
-        cov = geo.canonical_covector(cov)
-        if cov not in covs and geo.hyperplane_subspace(g, cov) is not None:
-            covs.append(cov)
-    return covs
-
-
 def test_distinct_hyperplanes_refuses_a_count_it_cannot_reach():
     """H^1 meets three hyperplanes with entries in [-2, 2]: x1 = 0 and
     x0 = +-2 x1.  Asked for three it returns them; asked for four it
     raises instead of drawing forever."""
     h1 = geo.Geometry("H", 1)
-    got = _distinct_hyperplanes(random.Random(0), h1, 3)
-    assert sorted(got) == sorted(_small_hyperplanes(h1)) and len(set(got)) == 3
+    got = distinct_hyperplanes(random.Random(0), h1, 3)
+    assert sorted(got) == sorted(small_hyperplanes(h1)) and len(set(got)) == 3
     with pytest.raises(ValueError, match="only 3 hyperplanes"):
-        _distinct_hyperplanes(random.Random(0), h1, 4)
+        distinct_hyperplanes(random.Random(0), h1, 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,7 +108,7 @@ def test_distinct_hyperplanes_refuses_a_count_it_cannot_reach():
 def test_hyperplane_closure_matches_pairwise_reference(seed):
     rng = random.Random(seed)
     g, most = rng.choice([(E2, 6), (H2, 6), (S2, 5), (S3, 5)])
-    _check_hyperplanes(g, _distinct_hyperplanes(rng, g, rng.randint(1, most)))
+    _check_hyperplanes(g, distinct_hyperplanes(rng, g, rng.randint(1, most)))
 
 
 def _check_walk(g, covs):
@@ -167,7 +141,7 @@ def test_closures_match_walk_reference_on_random_collections():
     kinds = [E1, E2, E3, H2, H3, S1, S2, S3]
     for _ in range(1200):
         g = rng.choice(kinds)
-        _check_walk(g, _distinct_hyperplanes(rng, g, rng.randint(1, 6 if g.n < 3 else 5)))
+        _check_walk(g, distinct_hyperplanes(rng, g, rng.randint(1, 6 if g.n < 3 else 5)))
 
 
 def _random_points(rng, g, count):
@@ -253,7 +227,7 @@ def test_corpus_generation_checks_match_full_closure():
 def test_hyperplane_generation_checks_match_full_closure(seed):
     rng = random.Random(seed)
     g, most = rng.choice([(E2, 6), (H2, 6), (S2, 5), (S3, 5)])
-    covs = _distinct_hyperplanes(rng, g, rng.randint(1, most))
+    covs = distinct_hyperplanes(rng, g, rng.randint(1, most))
     _check_generation(coll_mod.closure_by_hyperplanes(g, covs))
 
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -10,7 +11,9 @@ from geotits import complexes as cx
 from geotits import geometry as geo
 from geotits import resolution as reso
 from geotits._kernel import IntMatrix
-from conftest import E1, E2, S0, S1, S2, collapse_chain_map, reference_sphere_simplices
+from conftest import (E1, E2, E3, H2, H3, S0, S1, S2, boundary_squares_to_zero,
+                      collapse_chain_map, distinct_hyperplanes, reference_sphere_simplices,
+                      src_calls)
 
 
 def test_order_complex_triangle(triangle):
@@ -327,3 +330,154 @@ def test_absent_boundary_is_built_once_per_degree(coord_s2):
     tri = cx.sphere_triangulation(coord_s2, arr.build_arrangement(coord_s2))
     assert 0 not in tri.complex.boundaries
     assert tri.complex.boundary(0).cols == len(tri.simplices[0])
+
+
+# ---------------------------------------------------------------------------
+# Complexes built from a face table: d∘d = 0 by the face identities
+
+
+def _corpus_scene(name):
+    return cli.Scene(json.loads((cli.corpus_dir() / f"{name}.json").read_text()))
+
+
+# name -> a build that hands ``ChainComplex`` one face table
+FACE_TABLE_BUILDS = {
+    "resolution_4": lambda: reso.build_resolution(4),
+    "e3_concurrent_t": lambda: cli.homology_model(_corpus_scene("e3_concurrent"), "t"),
+    "h3_two_cubes_st": lambda: cli.homology_model(_corpus_scene("h3_two_cubes"), "st"),
+    "s2_coordinate_sphere": lambda: cli.homology_model(_corpus_scene("s2_coordinate"), "pt"),
+}
+
+
+def _face_table(monkeypatch, name):
+    """(degrees, faces) that the build ``name`` hands ``ChainComplex``,
+    its rows copied so that a test may corrupt them."""
+    seen = []
+    check = cx.check_face_identities
+    monkeypatch.setattr(cx, "check_face_identities",
+                        lambda degrees, faces: (seen.append((degrees, faces)), check(degrees, faces)))
+    FACE_TABLE_BUILDS[name]()
+    monkeypatch.setattr(cx, "check_face_identities", check)
+    ((degrees, faces),) = seen
+    return degrees, {d: [list(row) for row in rows] for d, rows in faces.items()}
+
+
+@pytest.mark.parametrize("name", FACE_TABLE_BUILDS)
+def test_face_table_refuses_a_row_outside_the_level_below(name, monkeypatch):
+    """A face row past the level below is refused, even in a repeated
+    face whose signs cancel, which leaves no boundary entry for the
+    matrix's own range check to see; so is a negative row, which a
+    lookup in the level below would wrap."""
+    degrees, faces = _face_table(monkeypatch, name)
+    d = max(faces)
+    lower = len(degrees[d - 1])
+    cx.ChainComplex(degrees, faces=faces)
+    for bad in ([lower, lower], [-1]):
+        corrupt = {**faces, d: [bad + faces[d][0][len(bad):], *faces[d][1:]]}
+        with pytest.raises(ValueError, match=f"face row of degree {d} is outside"):
+            cx.ChainComplex(degrees, faces=corrupt)
+    # the matrix alone drops the cancelled entry without checking its row
+    assert IntMatrix.from_col_dicts(lower, [{lower: 0}]).col_dicts == [{}]
+    if name == "resolution_4":  # both faces of a 1-simplex are the empty tuple
+        assert faces[1][0] == [0, 0]
+        with pytest.raises(ValueError, match="face row of degree 1 is outside"):
+            cx.ChainComplex(degrees, faces={**faces, 1: [[1, 1], *faces[1][1:]]})
+
+
+@pytest.mark.parametrize("name", ["e3_concurrent_t", "h3_two_cubes_st", "s2_coordinate_sphere"])
+def test_flag_table_with_one_broken_face_names_its_degree(name, monkeypatch):
+    """Face 0 of a top flag (c_0, ..., c_m) set to its last face: then
+    d_0 d_m = (c_1, ..., c_(m-1)) and d_(m-1) d_0 = (c_0, ..., c_(m-2))
+    differ, at the first, a middle and the last flag."""
+    degrees, faces = _face_table(monkeypatch, name)
+    d = max(faces)
+    assert len(faces[d][0]) >= 3
+    for k in (0, len(faces[d]) // 2, len(faces[d]) - 1):
+        rows = [list(row) for row in faces[d]]
+        rows[k][0] = rows[k][-1]
+        with pytest.raises(AssertionError, match=f"fails at degree {d}$"):
+            cx.ChainComplex(degrees, faces={**faces, d: rows})
+
+
+@pytest.mark.parametrize("name", FACE_TABLE_BUILDS)
+def test_corrupted_face_table_is_refused_or_squares_to_zero(name, monkeypatch):
+    """One face row moved to another simplex of the level below, 60
+    seeded times: the table either fails an identity or its boundaries
+    pass the product check (``conftest.boundary_squares_to_zero``)."""
+    degrees, faces = _face_table(monkeypatch, name)
+    rng = random.Random(f"corrupt/{name}")
+    spots = [d for d in faces if len(degrees[d - 1]) > 1]
+    refused = 0
+    for _ in range(60):
+        d = rng.choice(spots)
+        k, i = rng.randrange(len(faces[d])), rng.randrange(len(faces[d][0]))
+        rows = [list(row) for row in faces[d]]
+        rows[k][i] = rng.choice([r for r in range(len(degrees[d - 1])) if r != rows[k][i]])
+        try:
+            built = cx.ChainComplex(degrees, faces={**faces, d: rows})
+        except AssertionError:
+            refused += 1
+        else:
+            assert boundary_squares_to_zero(built)
+    assert refused >= 30
+
+
+def test_every_face_built_corpus_complex_squares_to_zero(monkeypatch):
+    """Every complex the corpus builds from a face table (T, ST, local,
+    cup, cap, dual and sphere triangulations, the resolution) passes the
+    product check, which the face identities replaced for them."""
+    built = []
+    init = cx.ChainComplex.__init__
+
+    def recording(self, degrees, boundaries=None, faces=None):
+        init(self, degrees, boundaries, faces)
+        if faces is not None:
+            built.append(self)
+
+    monkeypatch.setattr(cx.ChainComplex, "__init__", recording)
+    assert cli.run_corpus()["overall"] == "PASS"
+    assert len(built) > 50
+    assert all(boundary_squares_to_zero(c) for c in built)
+
+
+def test_seeded_face_built_complexes_square_to_zero():
+    """T, ST and, where admissible, the sphere triangulation of 200
+    seeded E/H/S collections with entries in [-2, 2], parallel and
+    concurrent hyperplanes common: each passes the identities and the
+    product check, and so do the resolutions on up to 6 regions."""
+    rng = random.Random("face-identities")
+    spheres = 0
+    for _ in range(200):
+        g = rng.choice([E1, E2, E3, H2, H3, S1, S2, geo.Geometry("S", 3)])
+        coll = coll_mod.closure_by_hyperplanes(
+            g, distinct_hyperplanes(rng, g, rng.randint(1, 6 if g.n < 3 else 4)))
+        complexes = [cx.order_complex(coll.members), cx.STModel(coll.members, coll.top()).complex]
+        if g.kind == "S" and coll_mod.admissible(coll) == coll_mod.ADMISSIBLE:
+            spheres += 1
+            complexes.append(cx.sphere_triangulation(coll, arr.build_arrangement(coll)).complex)
+        assert all(boundary_squares_to_zero(c) for c in complexes)
+    assert spheres > 20
+    for size in range(7):
+        assert boundary_squares_to_zero(reso.build_resolution(size)[0])
+
+
+def test_face_built_complexes_form_no_product(coord_s2):
+    """The resolution, T, ST and the sphere triangulation run one identity
+    check each and form no product d_(d-1) d_d; the pt bicomplex reads only
+    its flags' labels, so it builds one matrix per degree of its own and
+    none for the flag complex."""
+    scene = _corpus_scene("h3_two_cubes")
+    coll = scene.collection()[0]
+    poset = arr.build_arrangement(coord_s2)
+    for build in (lambda: reso.build_resolution(6), lambda: cx.order_complex(coll.members),
+                  lambda: cx.STModel(coll.members, coll.top()),
+                  lambda: cx.sphere_triangulation(coord_s2, poset)):
+        with src_calls() as counts:
+            build()
+        assert (counts["check_face_identities"], counts["product_is_zero"]) == (1, 0)
+    tri = cx.sphere_triangulation(coord_s2, poset)
+    with src_calls() as counts:
+        bic = cx.pt_bicomplex(coord_s2, tri)
+    assert counts["_flag_complex"] == 1 and counts["_alternating_sum"] == 0
+    assert counts["from_col_dicts"] == len(bic.boundaries)
+    assert counts["product_is_zero"] == len(bic.boundaries) - 1

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import reference_face, reference_face_rows, reference_levels
 from geotits import arrangement as arr
+from geotits import complexes as cx
 from geotits import resolution as reso
 
 
@@ -82,21 +83,26 @@ def test_face_table_refuses_levels_other_than_the_full_extensions():
 
 
 def test_face_identities_exhaustive():
-    for size in (1, 2, 3, 4):
-        assert reso.check_face_identities(reso._face_rows(reso.levels(size, size + 1)))
+    for size in range(7):
+        lv = reso.levels(size, size + 1)
+        cx.check_face_identities(lv, reso._face_rows(lv))
 
 
 def test_face_identities_catch_one_broken_face():
-    """d_0 of one 3-simplex (a, b, c) points at the row of (a, b), a
-    simplex of the level below, so d_0 d_3 = (b,) and d_2 d_0 = (a,)
-    differ."""
-    lv = reso.levels(3, 4)
-    table = reso._face_rows(lv)
-    assert reso.check_face_identities(table)
-    row = table[3][0]
-    assert lv[2][row[3]] == lv[3][0][:-1]
-    row[0] = row[3]
-    assert not reso.check_face_identities(table)
+    """d_0 of a p-simplex (t_1, ..., t_p) set to its d_p: then
+    d_0 d_p = (t_2, ..., t_(p-1)) and d_(p-1) d_0 = (t_1, ..., t_(p-2))
+    differ, and the constructor names degree p.  On 3 to 6 regions, in
+    degree 3 and the top degree, at the first, a middle and the last
+    simplex."""
+    for size in range(3, 7):
+        lv = reso.levels(size, size + 1)
+        for p in sorted({3, size}):
+            for k in (0, len(lv[p]) // 2, len(lv[p]) - 1):
+                table = reso._face_rows(lv)
+                assert lv[p - 1][table[p][k][p]] == lv[p][k][:-1]
+                table[p][k][0] = table[p][k][p]
+                with pytest.raises(AssertionError, match=f"fails at degree {p}$"):
+                    cx.ChainComplex(lv, faces=table)
 
 
 def test_face_identities_fail_on_a_face_outside_the_level_below():
